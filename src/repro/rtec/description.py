@@ -226,19 +226,36 @@ class EventDescription:
             return
         self.max_durations.append((pair, int(duration.value)))
 
-    def partitionability(self) -> "PartitionAnalysis":
-        """The (cached) entity-sharding analysis of this description.
+    def rule_fingerprint(self) -> Tuple[int, ...]:
+        """Identity fingerprint of the defining rules.
 
-        See :mod:`repro.rtec.partition`. The cache assumes the rule set is
-        not mutated after first access.
+        Rules are immutable (frozen dataclasses), so mutating the rule
+        lists — as ``repair`` rewrites and hand edits do — changes the
+        fingerprint, invalidating analyses cached for the old rules.
         """
+        parts: List[int] = []
+        for _key, definition in sorted(self.simple_fluents.items()):
+            parts.extend(map(id, definition.initiated_rules))
+            parts.extend(map(id, definition.terminated_rules))
+        for _key, static_definition in sorted(self.static_fluents.items()):
+            parts.extend(map(id, static_definition.rules))
+        return tuple(parts)
+
+    def partitionability(self) -> "PartitionAnalysis":
+        """The entity-sharding analysis of this description.
+
+        See :mod:`repro.rtec.partition`. Cached against
+        :meth:`rule_fingerprint`: sessions consult it on every late
+        advance, so a rule appended after first access must recompute it.
+        """
+        fingerprint = self.rule_fingerprint()
         cached = getattr(self, "_partitionability", None)
-        if cached is None:
+        if cached is None or cached[0] != fingerprint:
             from repro.rtec.partition import analyse_partitionability
 
-            cached = analyse_partitionability(self)
+            cached = (fingerprint, analyse_partitionability(self))
             self._partitionability = cached
-        return cached
+        return cached[1]
 
     def max_duration_for(self, pair: Term) -> Optional[int]:
         """The deadline applying to a ground FVP, if any (first match wins)."""

@@ -90,23 +90,11 @@ class RTECEngine:
         self._certificate_fingerprint: Optional[Tuple[int, ...]] = None
 
     def _description_fingerprint(self) -> Tuple[int, ...]:
-        """Identity fingerprint of the loaded description's defining rules.
-
-        Rules are immutable (frozen dataclasses), so swapping the
-        description object or mutating its rule lists — as ``repair``
-        rewrites and hand edits do — changes the fingerprint, invalidating
-        cached analyses that were computed for the old rules.
-        """
-        parts: List[int] = [id(self.description)]
-        for _key, definition in sorted(self.description.simple_fluents.items()):
-            for rule in definition.initiated_rules:
-                parts.append(id(rule))
-            for rule in definition.terminated_rules:
-                parts.append(id(rule))
-        for _key, static_definition in sorted(self.description.static_fluents.items()):
-            for rule in static_definition.rules:
-                parts.append(id(rule))
-        return tuple(parts)
+        """The loaded description's identity and rule fingerprint
+        (:meth:`EventDescription.rule_fingerprint`): swapping the
+        description object or mutating its rule lists invalidates cached
+        analyses that were computed for the old rules."""
+        return (id(self.description),) + self.description.rule_fingerprint()
 
     def delta_diagnostics(self) -> List[str]:
         """Why incremental (delta) window evaluation is unsafe; empty = safe.

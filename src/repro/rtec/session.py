@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import copy
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
 from repro.intervals import backend as kernel_backend
 from repro.logic.terms import Term
 from repro.rtec.engine import RTECEngine
-from repro.rtec.parallel import split_fvp_state
+from repro.rtec.parallel import shard_pool, split_fvp_state
 from repro.rtec.result import RecognitionResult
 from repro.rtec.stream import Event, EventStream, InputFluents, partition_input
 
@@ -68,9 +69,25 @@ class SessionSnapshot:
     #: recomputes the full window and rebuilds it.
     derived_cache: Optional[Dict[Term, IntervalList]] = None
     #: Whether input arrived at or before the last query time since the
-    #: last advance; such late arrivals invalidate the delta cache for one
-    #: advance (full recomputation repairs it).
+    #: last advance (late input pending). The cache does not cover it, and
+    #: which entities it named is not persisted: a session restored from
+    #: such a snapshot drops the cache and recomputes one whole window.
     stale: bool = False
+
+
+class _Unit(NamedTuple):
+    """One independently evaluated part of a window advance: everything, or
+    the entity components grouped into it (see ``RTECSession._evaluate``)."""
+
+    #: Re-derive the whole window (else: repair ``cache`` from the delta).
+    full: bool
+    events: EventStream
+    fluents: InputFluents
+    pending: Dict[Term, int]
+    barriers: Dict[Term, int]
+    cache: Dict[Term, IntervalList]
+    #: The unit's ``initially/1`` declarations (``None``: the description's).
+    initial_fvps: Optional[List[Term]]
 
 
 class RTECSession:
@@ -83,7 +100,8 @@ class RTECSession:
     window:
         RTEC's omega: at each query time ``q``, events in ``(q - omega, q]``
         are considered and everything older is forgotten — events received
-        with a timestamp at or before ``q - omega`` are silently dropped.
+        with a timestamp at or before ``q - omega`` are dropped
+        (:meth:`submit` returns how many it accepted).
     jobs:
         When > 1, each :meth:`advance` partitions the buffered window by
         entity key (see :mod:`repro.rtec.partition`) and evaluates the
@@ -96,13 +114,17 @@ class RTECSession:
         cached per-FVP derivations instead of re-deriving the whole
         overlapping window (see
         :meth:`~repro.rtec.engine.RTECEngine._process_window_delta`).
-        Results are byte-equal to full recomputation (property-checked);
-        the session silently falls back to full recomputation whenever the
-        delta path would be unsound: on the first advance, after input
-        arrived at or before the previous query time, after restoring a
-        snapshot without a derivation cache, and for descriptions whose
-        rules are not time-anchored
-        (:meth:`~repro.rtec.engine.RTECEngine.delta_diagnostics`). With
+        Results are byte-equal to full recomputation (property-checked).
+        Input that arrives at or before the previous query time but inside
+        the window is *repaired*: the next advance re-derives the entity
+        components it names over the whole window and keeps every other
+        component on the delta path. The whole window is recomputed only
+        where that is the sole sound path, and each such advance is counted
+        by reason in :attr:`recomputes`: ``first`` advance, ``restored``
+        without a derivation cache, ``delta_unsafe`` rules
+        (:meth:`~repro.rtec.engine.RTECEngine.delta_diagnostics`), a late
+        item naming no entity (``late_global``) and a late item under a
+        description that is not entity-shardable (``unshardable``). With
         ``incremental=False`` every advance recomputes the full window —
         retained as the oracle the incremental path is verified against.
     backend:
@@ -146,9 +168,15 @@ class RTECSession:
         self._last_query: Optional[int] = None
         self._first_advance = True
         self._shard_warning_issued = False
-        #: See :class:`SessionSnapshot.derived_cache` / ``stale``.
+        #: See :class:`SessionSnapshot.derived_cache`.
         self._derived_cache: Optional[Dict[Term, IntervalList]] = None
-        self._stale = False
+        #: Entity tuples of the input that arrived at or before the last
+        #: query time since the last advance (``()``: it names no entity).
+        self._late: List[Tuple[Term, ...]] = []
+        #: Advances by mode (``delta``, ``repaired``, ``full``) and
+        #: whole-window recomputations by reason (see ``incremental``).
+        self.advances: Counter = Counter()
+        self.recomputes: Counter = Counter()
 
     # -- input ----------------------------------------------------------------
 
@@ -166,8 +194,9 @@ class RTECSession:
             if self._last_query is not None and event.time <= self._last_query:
                 # A late arrival inside the retained window: the previous
                 # advance's derivations no longer cover it, so the next
-                # advance must recompute the full window.
-                self._stale = True
+                # advance re-derives its entity component over the window.
+                analysis = self.engine.description.partitionability()
+                self._late.append(analysis.event_entities(event.term))
             self._buffer.append(event)
             accepted += 1
         return accepted
@@ -182,13 +211,14 @@ class RTECSession:
             intervals = self._clip_forgotten(intervals, self._last_query - self.window)
             if not intervals:
                 return
-            if intervals.span[0] < self._last_query:
+            if intervals.span[0] <= self._last_query:
                 # The delivery covers time-points at or before the previous
-                # query time (the interval semantics are (Ts, Te]): rules
-                # with holdsAt conditions over this fluent could have fired
-                # differently there, so the next advance must recompute the
-                # full window.
-                self._stale = True
+                # query time (interval lists are closed): rules with holdsAt
+                # conditions over this fluent could have fired differently
+                # there, so the next advance re-derives the delivery's
+                # entity component over the window.
+                analysis = self.engine.description.partitionability()
+                self._late.append(analysis.fvp_entities(pair))
         existing = self._fluent_intervals.get(pair)
         if existing:
             intervals = union_all([existing, intervals])
@@ -247,24 +277,14 @@ class RTECSession:
             for pair, intervals in self._fluent_intervals.items():
                 input_fluents.set(pair, intervals)
             buffered_before = len(self._buffer)
-            delta_ready = (
-                self.incremental
-                and self._last_query is not None
-                and self._derived_cache is not None
-                and not self._stale
-                and not self.engine.delta_diagnostics()
+            mode, reason = self._plan()
+            window_events, dirty_components, dirty_events = self._evaluate(
+                mode, input_fluents, window_start, query_time
             )
-            if delta_ready:
-                window_events = self._advance_delta(
-                    input_fluents, window_start, query_time
-                )
-                mode = "delta"
-            else:
-                window_events = self._advance_full(
-                    input_fluents, window_start, query_time
-                )
-                mode = "full"
-            self._stale = False
+            self.advances["repaired" if mode == "repair" else mode] += 1
+            if reason is not None:
+                self.recomputes[reason] += 1
+            self._late = []
             self._first_advance = False
             self._last_query = query_time
             # Forget: drop events, input-fluent points and cached derivation
@@ -286,8 +306,12 @@ class RTECSession:
                 self._derived_cache = trimmed
             if sp.enabled:
                 sp.set(mode=mode)
-                sp.count("delta_hits" if mode == "delta" else "delta_misses", 1)
+                if reason is not None:
+                    sp.set(reason=reason)
+                sp.count("delta_misses" if mode == "full" else "delta_hits", 1)
                 sp.count("events", window_events)
+                sp.count("dirty_components", dirty_components)
+                sp.count("dirty_events", dirty_events)
                 sp.count("buffered", len(self._buffer))
                 sp.count("forgotten_events", buffered_before - len(self._buffer))
                 sp.count("fluent_pairs", len(kept))
@@ -298,96 +322,34 @@ class RTECSession:
                     sp.count("cached_fvps", len(self._derived_cache))
             return self._result
 
-    def _advance_full(
-        self,
-        input_fluents: InputFluents,
-        window_start: int,
-        query_time: int,
-    ) -> int:
-        """Recompute the whole window ``(window_start, query_time]``.
+    def _plan(self) -> Tuple[str, Optional[str]]:
+        """How the next advance evaluates its window: ``(mode, reason)``.
 
-        The oracle path: always sound, and the one that (re)builds the
-        derivation cache the delta path repairs. Returns the number of
-        events evaluated (for telemetry).
+        ``delta`` repairs the cached derivations from the events newer than
+        the previous query time. ``repair`` does the same for every entity
+        component except the ones a late arrival named, which are re-derived
+        over the whole window. ``full`` re-derives the whole window for
+        everything, for the ``reason`` given — ``None`` under
+        ``incremental=False``, where it is the configured mode, not a
+        fallback.
         """
-        stream = self._buffer.slice_window(window_start, query_time)
-        capture: Optional[Dict[Term, IntervalList]] = (
-            {}
-            if self.incremental and not self.engine.delta_diagnostics()
-            else None
-        )
-        carried: Optional[Tuple[Dict[Term, int], Dict[Term, int]]] = None
-        if self.jobs is not None and self.jobs != 1:
-            carried = self._advance_sharded(
-                stream, input_fluents, window_start, query_time, capture
-            )
-        if carried is None:
-            carried = self.engine._process_window(
-                stream,
-                input_fluents,
-                window_start,
-                query_time,
-                self._result,
-                pending=self._pending,
-                barriers=self._barriers,
-                include_initially=self._first_advance,
-                merge_from=self._last_query,
-                capture=capture,
-            )
-        self._pending, self._barriers = carried
-        if capture is not None:
-            # Input-fluent entries are rebuilt from the session's own
-            # storage on every advance; caching them would only shadow
-            # fresher deliveries.
-            self._derived_cache = {
-                pair: intervals
-                for pair, intervals in capture.items()
-                if pair not in input_fluents
-            }
-        else:
-            self._derived_cache = None
-        return len(stream)
-
-    def _advance_delta(
-        self,
-        input_fluents: InputFluents,
-        window_start: int,
-        query_time: int,
-    ) -> int:
-        """Advance by repairing cached derivations from the delta events.
-
-        Only called when the delta path is sound (see :meth:`advance`).
-        Returns the number of delta events evaluated.
-        """
-        assert self._last_query is not None and self._derived_cache is not None
-        lower = max(window_start, self._last_query)
-        delta_stream = self._buffer.slice_window(lower, query_time)
-        carried: Optional[
-            Tuple[Dict[Term, int], Dict[Term, int], Dict[Term, IntervalList]]
-        ] = None
-        if self.jobs is not None and self.jobs != 1:
-            carried = self._advance_sharded_delta(
-                delta_stream, input_fluents, window_start, query_time
-            )
-        if carried is None:
-            carried = self.engine._process_window_delta(
-                delta_stream,
-                input_fluents,
-                window_start,
-                query_time,
-                self._result,
-                self._pending,
-                self._barriers,
-                self._derived_cache,
-                self._last_query,
-            )
-        self._pending, self._barriers, cache = carried
-        self._derived_cache = {
-            pair: intervals
-            for pair, intervals in cache.items()
-            if pair not in input_fluents
-        }
-        return len(delta_stream)
+        if not self.incremental:
+            return "full", None
+        if self._last_query is None:
+            return "full", "first"
+        if self.engine.delta_diagnostics():
+            return "full", "delta_unsafe"
+        if self._derived_cache is None:
+            return "full", "restored"
+        if not self._late:
+            return "delta", None
+        if not self.engine.description.partitionability().shardable:
+            return "full", "unshardable"
+        if () in self._late:
+            # The late item names no entity (global schema): every
+            # component may depend on it.
+            return "full", "late_global"
+        return "repair", None
 
     def _shardable_analysis(self):
         """The partitionability analysis, or ``None`` (with a one-shot
@@ -399,226 +361,225 @@ class RTECSession:
                     "event description is not entity-shardable; the session "
                     "advances sequentially: " + "; ".join(analysis.diagnostics)
                 )
-                warnings.warn(message, RuntimeWarning, stacklevel=4)
+                warnings.warn(message, RuntimeWarning, stacklevel=5)
                 self.engine.runtime_warnings.append(message)
                 self._shard_warning_issued = True
             return None
         return analysis
 
-    def _advance_sharded(
+    def _evaluate(
         self,
-        stream: EventStream,
+        mode: str,
         input_fluents: InputFluents,
         window_start: int,
         query_time: int,
-        capture: Optional[Dict[Term, IntervalList]] = None,
-    ) -> Optional[Tuple[Dict[Term, int], Dict[Term, int]]]:
-        """Evaluate one window over entity shards; ``None`` falls back to
-        the sequential path (non-shardable description, or nothing to fan
-        out)."""
-        analysis = self._shardable_analysis()
-        if analysis is None:
-            return None
-        initials = (
-            self.engine.description.initial_fvps if self._first_advance else []
+    ) -> Tuple[int, int, int]:
+        """Evaluate the window ``(window_start, query_time]`` in ``mode``.
+
+        The window is evaluated as one or more independent *units*, each
+        either full (:meth:`RTECEngine._process_window` over the unit's
+        whole window: the oracle routine, always sound, and the one that
+        (re)builds the unit's derivation cache) or delta
+        (:meth:`RTECEngine._process_window_delta` over the unit's events
+        newer than the previous query time). By default one unit holds
+        everything; a ``repair`` advance and ``jobs`` > 1 split the window
+        by entity component (:meth:`_component_units`), and ``jobs`` > 1
+        runs the units on the shard pool.
+
+        Components share no entity, and global (entity-free) items are
+        replicated to every unit, where their derivations coincide and
+        merge idempotently; so the units' merged results and carried state
+        equal those of one whole-window call (property-checked).
+
+        Returns ``(events evaluated, dirty components, dirty events)``.
+        """
+        engine, merge_from, first = self.engine, self._last_query, self._first_advance
+        lower = max(window_start, merge_from) if mode == "delta" else window_start
+        stream = self._buffer.slice_window(lower, query_time)
+        # Full evaluation seeds the derivation cache the delta path repairs.
+        caching = mode != "full" or (
+            self.incremental and not engine.delta_diagnostics()
         )
-        # Entities of carried open initiations and deadline barriers must
-        # keep their component alive even when they produced no event this
-        # window.
-        carried_entities = [
+        fan_out = self.jobs is not None and self.jobs != 1
+        units: List[_Unit] = []
+        dirty = 0
+        if fan_out or mode == "repair":
+            analysis = self._shardable_analysis()
+            if analysis is not None:
+                units, dirty = self._component_units(
+                    analysis, mode, fan_out, stream, input_fluents
+                )
+        if not units:
+            units = [
+                _Unit(
+                    mode == "full",
+                    stream,
+                    input_fluents,
+                    self._pending,
+                    self._barriers,
+                    self._derived_cache or {},
+                    None,
+                )
+            ]
+
+        def run(unit: _Unit, result: RecognitionResult):
+            unit_engine = engine
+            if first and unit.initial_fvps is not None and engine.description.initial_fvps:
+                # The unit owns only its entities' initially/1 declarations.
+                description = copy.copy(engine.description)
+                description.initial_fvps = unit.initial_fvps
+                unit_engine = RTECEngine(
+                    description,
+                    engine.kb,
+                    engine.vocabulary,
+                    strict=False,
+                    skip_errors=engine.skip_errors,
+                )
+            if unit.full:
+                capture: Optional[Dict[Term, IntervalList]] = {} if caching else None
+                opened, closed = unit_engine._process_window(
+                    unit.events,
+                    unit.fluents,
+                    window_start,
+                    query_time,
+                    result,
+                    pending=unit.pending,
+                    barriers=unit.barriers,
+                    include_initially=first,
+                    merge_from=merge_from,
+                    capture=capture,
+                )
+            else:
+                opened, closed, capture = engine._process_window_delta(
+                    unit.events,
+                    unit.fluents,
+                    window_start,
+                    query_time,
+                    result,
+                    unit.pending,
+                    unit.barriers,
+                    unit.cache,
+                    merge_from,
+                )
+            unit_warnings = unit_engine.runtime_warnings if unit_engine is not engine else []
+            return result, opened, closed, capture, unit_warnings
+
+        if fan_out and len(units) > 1:
+            pool = shard_pool(min(self.jobs or 1, len(units)))
+            outcomes = list(pool.map(lambda unit: run(unit, RecognitionResult()), units))
+        else:
+            outcomes = [run(unit, self._result) for unit in units]
+        self._pending, self._barriers = {}, {}
+        derived: Dict[Term, IntervalList] = {}
+        for result, opened, closed, capture, unit_warnings in outcomes:
+            if result is not self._result:
+                for pair, intervals in result.items():
+                    self._result.merge(pair, intervals)
+            self._pending.update(opened)
+            self._barriers.update(closed)
+            # Global FVPs are derived identically by every unit, so the
+            # overlapping updates are idempotent.
+            derived.update(capture or {})
+            engine.runtime_warnings.extend(unit_warnings)
+        # Input-fluent entries are rebuilt from the session's own storage on
+        # every advance; caching them would only shadow fresher deliveries.
+        self._derived_cache = (
+            {pair: ivs for pair, ivs in derived.items() if pair not in input_fluents}
+            if caching
+            else None
+        )
+        dirty_events = sum(len(u.events) for u in units if u.full) if dirty else 0
+        return sum(len(u.events) for u in units), dirty, dirty_events
+
+    def _component_units(
+        self,
+        analysis,
+        mode: str,
+        fan_out: bool,
+        stream: EventStream,
+        input_fluents: InputFluents,
+    ) -> Tuple[List[_Unit], int]:
+        """Split one advance's input and carried state by entity component.
+
+        ``stream`` (everything the advance reads: the delta events of a
+        ``delta`` advance, otherwise the whole window — late items included,
+        so a late pair item joins the components it names), the retained
+        input fluents and every piece of carried state (open initiations,
+        deadline barriers, the derivation cache) are partitioned by entity
+        closure. In a ``repair`` advance the components a late arrival named
+        are *dirty*: they are evaluated in full, the others on the delta
+        path. With ``fan_out`` every component is a unit; otherwise the
+        dirty components form one unit and the clean ones another — a call
+        per component would pay the evaluators' per-fluent fixed cost once
+        per component.
+
+        Returns ``(units, dirty components)``; no units when the input names
+        no entity at all.
+        """
+        merge_from = self._last_query
+        cache = (self._derived_cache or {}) if mode != "full" else {}
+        # Entities of carried state keep their component alive even when they
+        # produced no input this window; split_fvp_state would otherwise drop
+        # their open intervals.
+        carried = [
             analysis.fvp_entities(pair)
-            for pair in list(self._pending) + list(self._barriers)
+            for pair in (*self._pending, *self._barriers, *cache)
         ]
         shards, global_events, global_fluents, global_initials = partition_input(
             stream,
             input_fluents,
             analysis,
-            initials,
-            extra_entities=[ents for ents in carried_entities if ents],
+            self.engine.description.initial_fvps if self._first_advance else [],
+            extra_entities=[entities for entities in carried if entities],
         )
-        if len(shards) <= 1:
-            return None
-        entity_shard: Dict[Term, int] = {}
-        for index, shard in enumerate(shards):
-            for entity in shard.entities:
-                entity_shard[entity] = index
-        shard_pending, global_pending = split_fvp_state(
-            self._pending, analysis, entity_shard, len(shards)
+        entity_shard = {
+            entity: index
+            for index, shard in enumerate(shards)
+            for entity in shard.entities
+        }
+        dirty: Set[int] = set()
+        if mode == "repair":
+            # An item's entities share a component, so the first names it; a
+            # late event already outside the window names none.
+            dirty = {
+                entity_shard[entities[0]]
+                for entities in self._late
+                if entities[0] in entity_shard
+            }
+        if fan_out:
+            groups = [[index] for index in range(len(shards))]
+        else:
+            clean = [index for index in range(len(shards)) if index not in dirty]
+            groups = [group for group in (sorted(dirty), clean) if group]
+        unit_of = {index: unit for unit, group in enumerate(groups) for index in group}
+        entity_unit = {entity: unit_of[index] for entity, index in entity_shard.items()}
+        pendings, barriers, caches = (
+            split_fvp_state(carried_state, analysis, entity_unit, len(groups))
+            for carried_state in (self._pending, self._barriers, cache)
         )
-        shard_barriers, global_barriers = split_fvp_state(
-            self._barriers, analysis, entity_shard, len(shards)
-        )
-
-        include_initially = self._first_advance
-        merge_from = self._last_query
-        base_engine = self.engine
-
-        def run_shard(index: int) -> Tuple[
-            RecognitionResult,
-            Dict[Term, int],
-            Dict[Term, int],
-            Optional[Dict[Term, IntervalList]],
-            List[str],
-        ]:
-            shard = shards[index]
-            shard_engine = base_engine
-            if initials or global_initials:
-                description = copy.copy(base_engine.description)
-                description.initial_fvps = shard.initial_fvps + global_initials
-                shard_engine = RTECEngine(
-                    description,
-                    base_engine.kb,
-                    base_engine.vocabulary,
-                    strict=False,
-                    skip_errors=base_engine.skip_errors,
+        units = []
+        for unit, group in enumerate(groups):
+            full = mode == "full" or group[0] in dirty
+            events = [e for index in group for e in shards[index].events]
+            events += global_events
+            if not full:
+                events = [e for e in events if e.time > merge_from]
+            fluents = dict(global_fluents)
+            for index in group:
+                fluents.update(shards[index].fluents)
+            units.append(
+                _Unit(
+                    full,
+                    EventStream(events),
+                    InputFluents(fluents),
+                    {**pendings[0][unit], **pendings[1]},
+                    {**barriers[0][unit], **barriers[1]},
+                    {**caches[0][unit], **caches[1]},
+                    [p for index in group for p in shards[index].initial_fvps]
+                    + global_initials,
                 )
-            pending = dict(shard_pending[index])
-            pending.update(global_pending)
-            barriers = dict(shard_barriers[index])
-            barriers.update(global_barriers)
-            result = RecognitionResult()
-            sub_fluents = dict(shard.fluents)
-            sub_fluents.update(global_fluents)
-            shard_capture: Optional[Dict[Term, IntervalList]] = (
-                {} if capture is not None else None
             )
-            opened, closed = shard_engine._process_window(
-                EventStream(shard.events + global_events),
-                InputFluents(sub_fluents),
-                window_start,
-                query_time,
-                result,
-                pending=pending,
-                barriers=barriers,
-                include_initially=include_initially,
-                merge_from=merge_from,
-                capture=shard_capture,
-            )
-            shard_warnings = (
-                shard_engine.runtime_warnings if shard_engine is not base_engine else []
-            )
-            return result, opened, closed, shard_capture, shard_warnings
-
-        from repro.rtec.parallel import shard_pool
-
-        workers = min(self.jobs or 1, len(shards))
-        outcomes = list(shard_pool(workers).map(run_shard, range(len(shards))))
-        next_pending: Dict[Term, int] = {}
-        next_barriers: Dict[Term, int] = {}
-        for result, opened, closed, shard_capture, shard_warnings in outcomes:
-            for pair, intervals in result.items():
-                self._result.merge(pair, intervals)
-            next_pending.update(opened)
-            next_barriers.update(closed)
-            if capture is not None and shard_capture is not None:
-                # Global FVPs are derived identically by every shard, so
-                # the overlapping updates are idempotent.
-                capture.update(shard_capture)
-            self.engine.runtime_warnings.extend(shard_warnings)
-        return next_pending, next_barriers
-
-    def _advance_sharded_delta(
-        self,
-        delta_stream: EventStream,
-        input_fluents: InputFluents,
-        window_start: int,
-        query_time: int,
-    ) -> Optional[
-        Tuple[Dict[Term, int], Dict[Term, int], Dict[Term, IntervalList]]
-    ]:
-        """Delta-advance over entity shards; ``None`` falls back to the
-        sequential delta path.
-
-        The delta stream, the retained input fluents, and every piece of
-        carried state (open initiations, deadline barriers, the derivation
-        cache) are split by entity component; each shard repairs its own
-        derivations from its slice of the delta. Entities that produced no
-        delta event still own carried state, so they are kept alive via
-        ``extra_entities`` — otherwise their open intervals would silently
-        vanish from the window.
-        """
-        assert self._derived_cache is not None
-        analysis = self._shardable_analysis()
-        if analysis is None:
-            return None
-        carried_entities = [
-            analysis.fvp_entities(pair)
-            for pair in (
-                list(self._pending)
-                + list(self._barriers)
-                + list(self._derived_cache)
-            )
-        ]
-        shards, global_events, global_fluents, _global_initials = partition_input(
-            delta_stream,
-            input_fluents,
-            analysis,
-            extra_entities=[ents for ents in carried_entities if ents],
-        )
-        if len(shards) <= 1:
-            return None
-        entity_shard: Dict[Term, int] = {}
-        for index, shard in enumerate(shards):
-            for entity in shard.entities:
-                entity_shard[entity] = index
-        shard_pending, global_pending = split_fvp_state(
-            self._pending, analysis, entity_shard, len(shards)
-        )
-        shard_barriers, global_barriers = split_fvp_state(
-            self._barriers, analysis, entity_shard, len(shards)
-        )
-        shard_caches, global_cache = split_fvp_state(
-            self._derived_cache, analysis, entity_shard, len(shards)
-        )
-
-        merge_from = self._last_query
-        engine = self.engine
-
-        def run_shard(index: int) -> Tuple[
-            RecognitionResult,
-            Dict[Term, int],
-            Dict[Term, int],
-            Dict[Term, IntervalList],
-        ]:
-            shard = shards[index]
-            pending = dict(shard_pending[index])
-            pending.update(global_pending)
-            barriers = dict(shard_barriers[index])
-            barriers.update(global_barriers)
-            cache = dict(shard_caches[index])
-            cache.update(global_cache)
-            sub_fluents = dict(shard.fluents)
-            sub_fluents.update(global_fluents)
-            result = RecognitionResult()
-            opened, closed, next_cache = engine._process_window_delta(
-                EventStream(shard.events + global_events),
-                InputFluents(sub_fluents),
-                window_start,
-                query_time,
-                result,
-                pending,
-                barriers,
-                cache,
-                merge_from,
-            )
-            return result, opened, closed, next_cache
-
-        from repro.rtec.parallel import shard_pool
-
-        workers = min(self.jobs or 1, len(shards))
-        outcomes = list(shard_pool(workers).map(run_shard, range(len(shards))))
-        next_pending: Dict[Term, int] = {}
-        next_barriers: Dict[Term, int] = {}
-        next_cache: Dict[Term, IntervalList] = {}
-        for result, opened, closed, shard_cache in outcomes:
-            for pair, intervals in result.items():
-                self._result.merge(pair, intervals)
-            next_pending.update(opened)
-            next_barriers.update(closed)
-            # Per-shard derivations of global FVPs coincide, so the
-            # overlapping cache updates are idempotent.
-            next_cache.update(shard_cache)
-        return next_pending, next_barriers, next_cache
+        return units, len(dirty)
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -645,7 +606,7 @@ class RTECSession:
                 if self._derived_cache is not None
                 else None
             ),
-            stale=self._stale,
+            stale=bool(self._late),
         )
 
     def restore(self, snapshot: SessionSnapshot) -> None:
@@ -668,12 +629,12 @@ class RTECSession:
         self._result = RecognitionResult(dict(snapshot.result.items()))
         self._last_query = snapshot.last_query
         self._first_advance = snapshot.first_advance
+        self._late = []
         self._derived_cache = (
             dict(snapshot.derived_cache)
-            if snapshot.derived_cache is not None
+            if snapshot.derived_cache is not None and not snapshot.stale
             else None
         )
-        self._stale = snapshot.stale
 
     @classmethod
     def from_snapshot(

@@ -271,7 +271,10 @@ def require_intervals(value: Any) -> "list[Tuple[int, int]]":
             not isinstance(item, (list, tuple))
             or len(item) != 2
             or not all(isinstance(bound, int) for bound in item)
+            or item[0] > item[1]
         ):
-            raise ProtocolError("bad-request", "'intervals' must be [start, end] pairs")
+            raise ProtocolError(
+                "bad-request", "'intervals' must be [start, end] pairs, start <= end"
+            )
         pairs.append((item[0], item[1]))
     return pairs

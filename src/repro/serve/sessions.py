@@ -21,11 +21,11 @@ events are rejected with a ``retry_after`` hint instead of being buffered
 — a slow evaluator translates into client-visible pushback, never into
 unbounded queue growth.
 
-Malformed event terms discovered on the worker (parsing is deferred off
-the accept path) are dropped and counted (``invalid`` in ``status``)
-rather than failing the session; only internal evaluation errors mark a
-session as failed, and a failed session rejects further traffic without
-affecting its neighbours.
+Malformed event terms and fluent deliveries discovered on the worker
+(parsing is deferred off the accept path) are dropped and counted
+(``invalid`` in ``status``) rather than failing the session; only internal
+evaluation errors mark a session as failed, and a failed session rejects
+further traffic without affecting its neighbours.
 
 Checkpoints: every ``checkpoint_every`` windows (and on demand, and on
 graceful shutdown) the worker snapshots the session — a cheap copy bounded
@@ -346,10 +346,16 @@ class ManagedSession:
                 self.counters.dropped += 1
         elif kind == _FLUENT:
             _kind, fvp_text, intervals = item
-            pair = parse_event_term(fvp_text)
-            interval_list = IntervalList(intervals)
-            self.session.submit_fluent(pair, interval_list)
             self.counters.applied += 1
+            try:
+                pair = parse_event_term(fvp_text)
+                interval_list = IntervalList(intervals)
+            except ValueError:
+                # Like a malformed event term (ProtocolError is a
+                # ValueError; IntervalList raises one on end < start).
+                self.counters.invalid += 1
+                return False
+            self.session.submit_fluent(pair, interval_list)
             # Fluent-only spans must be evaluated too: seed the advance
             # grid from the earliest delivered point when no event has.
             if self.config.auto_advance and self.next_query is None and interval_list:
@@ -463,6 +469,10 @@ class ManagedSession:
             "failure": self.failure,
             "owner": self.owner,
             "lease": self.lease,
+            # Why the time went where it did: advances by evaluation mode and
+            # whole-window recomputations by reason (RTECSession.recomputes).
+            "advances": dict(self.session.advances),
+            "recomputes": dict(self.session.recomputes),
         }
         if self.certificate is not None:
             status["certified"] = self.certificate.certified

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.intervals import IntervalList
 from repro.logic.parser import parse_term
 from repro.rtec import Event, EventDescription, EventStream, InputFluents, RTECEngine
@@ -369,88 +370,293 @@ class TestSameQueryIdempotence:
             session.advance(9)
 
 
-class TestIncrementalEquivalence:
-    """The delta path is byte-equal to full recomputation (the oracle)."""
+#: Every shape the component-wise advance has to keep apart: per-vessel
+#: fluents, a ``maxDuration/2`` deadline, a pair input fluent that joins two
+#: vessels' components (in a simple-fluent condition, so a back-dated delivery
+#: changes firings, and in a static fluent), and an entity-free event whose
+#: global fluent every component reads.
+RICH_RULES = RULES + """
+maxDuration(f(V)=true, 12).
 
-    _streams = st.lists(
+initiatedAt(alert=true, T) :- happensAt(alarm, T).
+terminatedAt(alert=true, T) :- happensAt(clear, T).
+
+initiatedAt(q(V)=true, T) :- happensAt(start(V), T), holdsAt(alert=true, T).
+terminatedAt(q(V)=true, T) :- happensAt(stop(V), T).
+
+initiatedAt(m(V, W)=true, T) :- happensAt(start(V), T), holdsAt(p(V, W)=true, T).
+terminatedAt(m(V, W)=true, T) :- happensAt(stop(V), T), holdsAt(p(V, W)=true, T).
+
+holdsFor(h(V, W)=true, I) :-
+    holdsFor(p(V, W)=true, Ip),
+    holdsFor(f(V)=true, If),
+    intersect_all([Ip, If], I).
+"""
+
+
+def _rich_engine():
+    return RTECEngine(EventDescription.from_text(RICH_RULES), strict=False)
+
+
+def _drive(
+    make_engine,
+    events,
+    queries,
+    window,
+    incremental,
+    deliveries=(),
+    jobs=None,
+    restore_at=None,
+    on_slot=None,
+):
+    """Drive a session over ``queries`` and return it.
+
+    ``events`` are ``(Event, delayed)`` pairs and ``deliveries``
+    ``(FVP, (start, end), delayed)`` triples: an item is submitted before the
+    first advance whose query time reaches its (start) time, one advance
+    later when ``delayed`` — a late arrival inside the window. ``on_slot`` is
+    called with the session and the slot index after every advance.
+    """
+
+    def slot(time, delayed):
+        reached = next(index for index, q in enumerate(queries) if q >= time)
+        return reached + (1 if delayed else 0)
+
+    session = RTECSession(
+        make_engine(), window=window, jobs=jobs, incremental=incremental
+    )
+    for index, query_time in enumerate(queries):
+        session.submit(
+            [event for event, delayed in events if slot(event.time, delayed) == index]
+        )
+        for pair, (start, end), delayed in deliveries:
+            if slot(start, delayed) == index:
+                session.submit_fluent(pair, IntervalList([(start, end)]))
+        session.advance(query_time)
+        if incremental:
+            session.advance(query_time)  # idempotent repeat
+        if on_slot is not None:
+            on_slot(session, index)
+        if restore_at == index:
+            session = RTECSession.from_snapshot(
+                make_engine(), session.snapshot(), jobs=jobs, incremental=incremental
+            )
+    return session
+
+
+class TestIncrementalEquivalence:
+    """Delta and repaired advances are byte-equal to full recomputation."""
+
+    _events = st.lists(
         st.tuples(
             st.integers(0, 80),
-            st.sampled_from(("start", "stop")),
-            st.sampled_from(("v1", "v2")),
+            st.sampled_from(
+                ("start(v1)", "stop(v1)", "start(v2)", "stop(v2)",
+                 "start(v3)", "stop(v3)", "alarm", "clear")
+            ),
+            st.booleans(),
         ),
         min_size=1,
-        max_size=20,
+        max_size=24,
     )
-
-    @staticmethod
-    def _run(events, delays, queries, window, incremental, restore_at=None):
-        """Drive a session over ``queries``; event i is submitted before the
-        first advance whose query time reaches it, one advance later when
-        ``delays[i]`` (a late arrival the delta path must not miss)."""
-
-        def slot(event):
-            return next(
-                index for index, q in enumerate(queries) if q >= event.time
-            )
-
-        session = RTECSession(_engine(), window=window, incremental=incremental)
-        for index, query_time in enumerate(queries):
-            batch = [
-                event
-                for event, delayed in zip(events, delays)
-                if slot(event) + (1 if delayed else 0) == index
-            ]
-            session.submit(batch)
-            session.advance(query_time)
-            if incremental:
-                session.advance(query_time)  # idempotent repeat
-            if restore_at == index:
-                session = RTECSession.from_snapshot(
-                    _engine(), session.snapshot(), incremental=incremental
-                )
-        return session.result.to_json()
+    _deliveries = st.lists(
+        st.tuples(
+            st.sampled_from(("p(v1, v2)=true", "p(v2, v1)=true", "p(v3, v1)=true")),
+            st.integers(0, 80),
+            st.integers(1, 15),
+            st.booleans(),
+        ),
+        max_size=6,
+    )
 
     @given(
-        raw=_streams,
-        delays=st.lists(st.booleans(), min_size=20, max_size=20),
+        raw=_events,
+        arrivals=_deliveries,
         window=st.integers(5, 100),
         step=st.integers(1, 5),
+        jobs=st.sampled_from((None, 2)),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_incremental_matches_full_recomputation(self, raw, delays, window, step):
-        """Random streams, window/step grids, seeded late-arrival mutations
-        and kill-and-restore all land on the oracle's bytes."""
-        events = [_event(t, "%s(%s)" % (name, vessel)) for t, name, vessel in raw]
-        end = max(event.time for event in events)
-        queries = list(range(step, end + step + 1, step))
-        expected = self._run(events, delays, queries, window, incremental=False)
-        assert self._run(events, delays, queries, window, incremental=True) == expected
+    @settings(max_examples=80, deadline=None)
+    def test_incremental_matches_full_recomputation(
+        self, raw, arrivals, window, step, jobs
+    ):
+        """Random streams and window/step grids with late events, late
+        (back-dated) fluent deliveries, entity sharding and a mid-run
+        kill-and-restore all land on the oracle's bytes."""
+        events = [(_event(t, text), delayed) for t, text, delayed in raw]
+        deliveries = [
+            (parse_term(text), (start, start + length), delayed)
+            for text, start, length, delayed in arrivals
+        ]
+        end = max([e.time for e, _ in events] + [iv[1] for _, iv, _ in deliveries])
+        queries = list(range(step, end + 2 * step + 1, step))
+
+        def run(**how):
+            return _drive(
+                _rich_engine, events, queries, window, deliveries=deliveries, **how
+            ).result.to_json()
+
+        expected = run(incremental=False)
+        assert run(incremental=True, jobs=jobs) == expected
         assert (
-            self._run(
-                events,
-                delays,
-                queries,
-                window,
-                incremental=True,
-                restore_at=len(queries) // 2,
-            )
-            == expected
+            run(incremental=True, jobs=jobs, restore_at=len(queries) // 2) == expected
         )
 
     def test_sharded_delta_matches_sequential_full(self):
         events = []
         for base, vessel in ((0, "v1"), (3, "v2")):
             for start in range(base, 70, 12):
-                events.append(_event(start, "start(%s)" % vessel))
-                events.append(_event(start + 5, "stop(%s)" % vessel))
-        delays = [False] * len(events)
+                events.append((_event(start, "start(%s)" % vessel), False))
+                events.append((_event(start + 5, "stop(%s)" % vessel), False))
         queries = list(range(10, 90, 10))
-        expected = self._run(events, delays, queries, 30, incremental=False)
-        sharded = RTECSession(_engine(), window=30, jobs=2, incremental=True)
-        for index, query_time in enumerate(queries):
-            sharded.submit(
-                [e for e, d in zip(events, delays)
-                 if next(i for i, q in enumerate(queries) if q >= e.time) == index]
+        expected = _drive(_engine, events, queries, 30, incremental=False)
+        sharded = _drive(_engine, events, queries, 30, incremental=True, jobs=2)
+        assert sharded.result.to_json() == expected.result.to_json()
+        assert sharded.advances == {"full": 1, "delta": len(queries) - 1}
+
+
+class TestLateArrivalRepair:
+    """A late arrival re-derives its own entity component, nothing else."""
+
+    #: v1 and v2 are active in every window; one stop(v1) arrives a slot late.
+    _EVENTS = [
+        (_event(t, "%s(%s)" % (name, vessel)), False)
+        for vessel, offset in (("v1", 0), ("v2", 2))
+        for t, name in ((3 + offset, "start"), (14 + offset, "stop"), (23 + offset, "start"))
+    ]
+    _QUERIES = [10, 20, 30, 40]
+
+    def _sessions(self, extra, deliveries=(), **how):
+        """The incremental session over ``_EVENTS + extra``, checked against
+        the oracle."""
+        args = (_rich_engine, self._EVENTS + extra, self._QUERIES, 30)
+        oracle = _drive(*args, incremental=False, deliveries=deliveries)
+        session = _drive(*args, incremental=True, deliveries=deliveries, **how)
+        assert session.result.to_json() == oracle.result.to_json()
+        return session
+
+    def test_late_event_leaves_other_components_on_the_delta_path(self):
+        spans = []
+
+        def watch(session, index):
+            spans.append(telemetry.active().roots[-1])
+
+        with telemetry.enabled():
+            session = self._sessions(
+                [(_event(18, "stop(v1)"), True)], on_slot=watch
             )
-            sharded.advance(query_time)
-        assert sharded.result.to_json() == expected
+        assert session.advances == {"full": 1, "delta": 2, "repaired": 1}
+        assert session.recomputes == {"first": 1}
+        repaired = [span for span in spans if span.attrs["mode"] == "repair"]
+        assert len(repaired) == 1
+        # v1's four events of the window (0, 30] are re-derived by the oracle
+        # routine; v2 sees only its delta event (start at 25).
+        assert repaired[0].counters["dirty_components"] == 1
+        assert repaired[0].counters["dirty_events"] == 4
+        assert repaired[0].counters["events"] == 5
+        assert [child.name for child in repaired[0].children] == [
+            "rtec.window",
+            "rtec.window_delta",
+        ]
+
+    def test_late_pair_delivery_dirties_both_of_its_vessels(self):
+        delivery = (parse_term("p(v1, v2)=true"), (12, 26), True)
+        session = self._sessions([], deliveries=[delivery], jobs=2)
+        assert session.advances == {"full": 1, "delta": 2, "repaired": 1}
+
+    def test_delivery_starting_at_the_previous_query_time_is_late(self):
+        # Interval lists are closed: a delivery whose first point *is* the
+        # previous query time changes what held there (here: m is initiated
+        # at t=10, where start(v1) meets the back-dated p), so it is late.
+        events = [(_event(10, "start(v1)"), False)]
+        delivery = (parse_term("p(v1, v2)=true"), (10, 14), True)
+        args = (_rich_engine, events, [10, 20], 30)
+        oracle = _drive(*args, incremental=False, deliveries=[delivery])
+        session = _drive(*args, incremental=True, deliveries=[delivery])
+        assert oracle.holds_for("m(v1, v2)=true").as_pairs() == [(11, 20)]
+        assert session.result.to_json() == oracle.result.to_json()
+        assert session.advances == {"full": 1, "repaired": 1}
+
+    def test_late_entity_free_event_recomputes_the_window(self):
+        session = self._sessions([(_event(15, "alarm"), True)])
+        assert session.advances == {"full": 2, "delta": 2}
+        assert session.recomputes == {"first": 1, "late_global": 1}
+
+    def test_restore_with_late_input_pending_recomputes_once(self):
+        session = self._sessions([(_event(18, "stop(v1)"), True)])
+        session.submit([_event(31, "stop(v2)")])
+        snapshot = session.snapshot()
+        assert snapshot.stale
+        resumed = RTECSession.from_snapshot(_rich_engine(), snapshot)
+        for each in (session, resumed):
+            each.advance(50)
+            each.advance(60)
+        assert resumed.result.to_json() == session.result.to_json()
+        assert resumed.recomputes == {"restored": 1}
+        assert resumed.advances == {"full": 1, "delta": 1}
+
+    def test_rule_appended_after_a_repair_is_seen_by_the_next_one(self):
+        # The partitionability analysis is on the correctness path of every
+        # late advance: a rule that joins unrelated vessels, appended after
+        # a first repaired advance, must send the next late arrival to the
+        # whole window instead of through a stale "shardable" verdict.
+        joining = EventDescription.from_text(
+            "initiatedAt(f(V)=true, T) :- happensAt(start(W), T), happensAt(stop(V), T)."
+        ).simple_fluents[("f", 1)].initiated_rules
+
+        def mutate(session, index):
+            if index == 2:
+                definition = session.engine.description.simple_fluents[("f", 1)]
+                definition.initiated_rules.extend(joining)
+
+        late = [(_event(18, "stop(v1)"), True), (_event(28, "stop(v2)"), True)]
+        events = self._EVENTS + late
+        oracle = _drive(
+            _rich_engine, events, self._QUERIES, 30, incremental=False, on_slot=mutate
+        )
+        session = _drive(
+            _rich_engine, events, self._QUERIES, 30, incremental=True, on_slot=mutate
+        )
+        assert session.result.to_json() == oracle.result.to_json()
+        assert session.advances == {"full": 2, "delta": 1, "repaired": 1}
+        assert session.recomputes == {"first": 1, "unshardable": 1}
+
+
+class TestGoldMaritimeDisorder:
+    def test_benchmark_style_disorder_period_matches_the_oracle(self):
+        """Two simulated hours of gold maritime at small scale, window 600 /
+        step 60, one event of the previous step held back in a quarter of
+        the steps (the shape of the ``maritime_disorder`` benchmark)."""
+        import random
+
+        from repro.maritime import build_dataset, gold_event_description
+
+        dataset = build_dataset(seed=0, scale=0.1, traffic=2)
+        step, steps = 60, 120
+        batches = [[] for _ in range(steps)]
+        for event in dataset.stream:
+            if event.time <= steps * step:
+                batches[max(1, -(-event.time // step)) - 1].append(event)
+        rng = random.Random(0)
+        for index in sorted(rng.sample(range(1, steps), steps // 4)):
+            donors = batches[index - 1]
+            if len(donors) > 1:
+                batches[index].insert(0, donors.pop(rng.randrange(len(donors))))
+
+        def run(incremental):
+            engine = RTECEngine(
+                gold_event_description(), dataset.kb, dataset.vocabulary
+            )
+            session = RTECSession(engine, window=600, incremental=incremental)
+            for pair, intervals in dataset.input_fluents.items():
+                session.submit_fluent(pair, intervals)
+            for index, batch in enumerate(batches):
+                session.submit(batch)
+                session.advance((index + 1) * step)
+            return session
+
+        session, oracle = run(True), run(False)
+        assert session.result.to_json() == oracle.result.to_json()
+        assert len(session.result) > 0
+        assert session.advances["repaired"] >= steps // 8
+        assert session.recomputes == {"first": 1}

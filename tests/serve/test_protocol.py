@@ -112,8 +112,9 @@ class TestFieldValidation:
     def test_require_intervals(self):
         assert require_intervals([[1, 5], [7, 9]]) == [(1, 5), (7, 9)]
         assert require_intervals([]) == []
+        assert require_intervals([[4, 4]]) == [(4, 4)]  # one time-point
 
-    @pytest.mark.parametrize("value", [None, [[1]], [[1, 2, 3]], [["a", 2]], "x"])
+    @pytest.mark.parametrize("value", [None, [[1]], [[1, 2, 3]], [["a", 2]], "x", [[9, 3]]])
     def test_require_intervals_rejects(self, value):
         with pytest.raises(ProtocolError):
             require_intervals(value)

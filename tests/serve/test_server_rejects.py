@@ -80,6 +80,64 @@ class TestStructuredRejection:
         assert tracer.counters.get("protocol.reject") is None
 
 
+class TestMalformedFluent:
+    """A malformed ``fluent`` line is dropped and counted, like a malformed
+    event term; it must not fail the tenant."""
+
+    def _deliver(self, line: bytes):
+        async def run(reader, writer):
+            reply = await _request(reader, writer, line)
+            query = await _request(
+                reader, writer, b'{"type": "query", "session": "s", "at": 60}\n'
+            )
+            status = await _request(reader, writer, b'{"type": "status"}\n')
+            return reply, query, status["sessions"]["s"]
+
+        return asyncio.run(_with_server(run))
+
+    def test_unparsable_fvp_is_dropped_and_the_session_keeps_serving(self):
+        reply, query, status = self._deliver(
+            b'{"type":"fluent","session":"s","fvp":"oops((=true",'
+            b'"intervals":[[1,5]],"ack":true}\n'
+        )
+        assert reply["ok"] is True  # parsing is deferred off the accept path
+        assert query["ok"] is True
+        assert status["failure"] is None
+        assert status["invalid"] == 1
+        assert status["applied"] == 1
+
+    def test_inverted_interval_is_a_bad_request(self):
+        reply, query, status = self._deliver(
+            b'{"type":"fluent","session":"s","fvp":"p(a, b)=true",'
+            b'"intervals":[[9,3]],"ack":true}\n'
+        )
+        assert reply["ok"] is False
+        assert reply["error"] == "bad-request"
+        assert query["ok"] is True
+        assert status["failure"] is None
+        assert status["applied"] == 0
+
+    def test_inverted_interval_reaching_the_worker_is_dropped(self):
+        # Front ends other than the socket enqueue without the wire check.
+        async def run():
+            manager = SessionManager()
+            managed = manager.add_session(
+                "s", soak_engine(), SessionConfig(window=60, step=60)
+            )
+            manager.start()
+            try:
+                managed.offer_fluent("p(a, b)=true", [(9, 3)])
+                await managed.query(at=60)
+                return managed.status()
+            finally:
+                await manager.stop()
+
+        status = asyncio.run(run())
+        assert status["failure"] is None
+        assert status["invalid"] == 1
+        assert status["applied"] == 1
+
+
 class TestLineScanner:
     def _scan(self, chunks, limit):
         async def run():

@@ -100,6 +100,30 @@ class TestWorker:
         assert status["windows"] == 3
         assert status["next_query"] == 40
 
+    def test_status_reports_advance_modes_and_recompute_reasons(self):
+        async def scenario():
+            managed = ManagedSession("s", _engine(), SessionConfig(window=30, step=10))
+            managed.start()
+            managed.offer_events([(5, "start(v1)"), (6, "start(v2)")])
+            await managed.query(at=10)
+            managed.offer_events([(8, "stop(v1)"), (15, "stop(v2)")])  # t=8 is late
+            await managed.query(at=20)
+            managed.offer_events([(25, "start(v1)")])
+            payload = await managed.query(at=30)
+            status = managed.status()
+            await managed.stop()
+            return payload, status
+
+        payload, status = _run(scenario())
+        # Detections up to the previous query time are final: the late stop
+        # ends f(v1) from t=10 on, it does not rewrite (8, 10].
+        assert payload["fvps"] == {
+            "f(v1)=true": [[6, 10], [26, 30]],
+            "f(v2)=true": [[7, 15]],
+        }
+        assert status["advances"] == {"full": 1, "repaired": 1, "delta": 1}
+        assert status["recomputes"] == {"first": 1}
+
     def test_fvp_filtered_query(self):
         async def scenario():
             managed = ManagedSession("s", _engine(), SessionConfig(window=20, step=10))
