@@ -41,22 +41,6 @@ def gold_engine(dataset, gold_description):
     return RTECEngine(gold_description, dataset.kb, dataset.vocabulary)
 
 
-@pytest.fixture(autouse=True)
-def record_kernel_backend(request):
-    """Stamp the active kernel backend into every benchmark's JSON.
-
-    Scaling, incremental and serving numbers are only comparable across
-    runs with the backend (``REPRO_KERNEL_BACKEND``) recorded next to
-    them, so every ``--benchmark-json`` artefact carries
-    ``extra_info["kernel_backend"]``.
-    """
-    if "benchmark" in request.fixturenames:
-        from repro.intervals import get_backend
-
-        request.getfixturevalue("benchmark").extra_info["kernel_backend"] = get_backend()
-    yield
-
-
 @pytest.fixture
 def stage_telemetry(benchmark):
     """Per-test telemetry that lands in the benchmark JSON.

@@ -23,8 +23,7 @@ description's content hash. Consumers: ``RTECEngine``/``RTECSession``
 
 Delta-safety prover
 -------------------
-:func:`prove_rule_delta_safety` generalises
-:func:`repro.rtec.compile.rule_time_anchored` with *time-variable equality
+:func:`prove_rule_delta_safety` works on *time-variable equality
 classes*: a union-find over the rule's variables, seeded by every positive
 ``=:=`` comparison between two variables. A rule is certified delta-safe
 when its head time is a variable in the same class as the seed occurrence
@@ -184,11 +183,10 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
     """Certify one ``initiatedAt``/``terminatedAt`` rule as delta-safe.
 
     Returns ``(safe, problems)``; ``problems`` is empty exactly when the
-    rule is safe. See the module docstring for the soundness argument; the
-    baseline :func:`repro.rtec.compile.rule_time_anchored` accepts only
-    rules whose conditions reuse the head time variable verbatim, while
-    this prover also accepts times provably equal to it through positive
-    ``=:=`` chains.
+    rule is safe. See the module docstring for the soundness argument:
+    besides conditions that reuse the head time variable verbatim, the
+    prover accepts times provably equal to it through positive ``=:=``
+    chains.
     """
     from repro.rtec.compile import compile_rule
 

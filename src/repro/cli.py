@@ -11,7 +11,6 @@ Subcommands mirror the paper's workflow::
     python -m repro lint --gold maritime   # lint a built-in gold description
     python -m repro lint --explain RTEC016 # document one diagnostic code
     python -m repro repair --model gemma-2 # iterative diagnostic repair loop
-    python -m repro validate FILE          # deprecated alias of lint (errors only)
     python -m repro profile --window 600   # telemetry span tree of a recognition run
     python -m repro serve --tcp 7700       # long-lived recognition service
     python -m repro replay --gold fleet    # pump a dataset through a live service
@@ -78,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run through the analysis-driven rule optimiser (equivalent "
         "detections, usually faster); prints the applied rewrites",
     )
-    _add_backend_argument(recognise)
 
     gen = sub.add_parser("generate", help="print one generated event description")
     gen.add_argument("--model", choices=MODEL_NAMES, default="o1")
@@ -155,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="show at most this many (slowest) children per span",
     )
-    _add_backend_argument(profile)
 
     lint = sub.add_parser(
         "lint",
@@ -259,20 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="also write the signed certificate JSON to FILE",
-    )
-
-    validate = sub.add_parser(
-        "validate",
-        help="(deprecated: use 'repro lint') validate an RTEC event description file",
-        description="Deprecated alias of 'repro lint': runs the same analyser "
-        "but reports only error-severity diagnostics, preserving the "
-        "historical output and exit codes.",
-    )
-    validate.add_argument("path", help="file with RTEC rules")
-    validate.add_argument(
-        "--no-vocabulary",
-        action="store_true",
-        help="skip maritime vocabulary checks (structural validation only)",
     )
 
     serve = sub.add_parser(
@@ -400,15 +383,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         "admission warnings for uncertifiable/leaky descriptions in the "
         "session status, 'require' rejects them (default: warn)",
     )
-    _add_backend_argument(parser)
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=("pure", "columnar"), default=None,
-        help="interval/event kernel backend (default: REPRO_KERNEL_BACKEND "
-        "or pure; columnar needs numpy)",
-    )
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
@@ -454,7 +428,6 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
         window=args.window,
         jobs=args.jobs,
         optimise=args.optimise,
-        backend=args.backend,
     )
     if args.optimise:
         optimised = engine.optimised_for(dataset.input_fluents)
@@ -562,12 +535,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.intervals import use_backend
     from repro.rtec.session import RTECSession
 
     dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
     engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
-    with use_backend(args.backend), telemetry.enabled() as tracer:
+    with telemetry.enabled() as tracer:
         if args.session:
             session = RTECSession(engine, window=args.window, jobs=args.jobs)
             for pair, intervals in dataset.input_fluents.items():
@@ -856,39 +828,6 @@ def _lint_fix(args: argparse.Namespace, report, description, source: str) -> int
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    """Deprecated alias of ``repro lint`` (error-severity diagnostics only)."""
-    from repro.analysis import analyse
-
-    try:
-        with open(args.path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        description = EventDescription.from_text(text)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 2
-    vocabulary = None if args.no_vocabulary else MARITIME_VOCABULARY
-    issues = analyse(description, vocabulary, text=text, source=args.path).errors
-    print(
-        "%d rules, %d simple fluents, %d statically determined fluents"
-        % (
-            len(description.rules),
-            len(description.simple_fluents),
-            len(description.static_fluents),
-        )
-    )
-    if not issues:
-        print("no validation issues")
-        return 0
-    for issue in issues:
-        print(issue)
-    return 1
-
-
 def _serving_dataset(args: argparse.Namespace):
     """(dataset stream, input fluents, engine factory) for ``--gold``."""
     if args.gold == "fleet":
@@ -923,7 +862,6 @@ def _serving_config(args: argparse.Namespace):
         checkpoint_every=args.checkpoint_every,
         checkpoint_keep=args.checkpoint_keep,
         incremental=args.incremental,
-        backend=args.backend,
         certify=args.certify,
     )
 
@@ -1149,7 +1087,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "lint": _cmd_lint,
     "certify": _cmd_certify,
-    "validate": _cmd_validate,
     "serve": _cmd_serve,
     "replay": _cmd_replay,
 }

@@ -16,21 +16,6 @@ An :class:`IntervalList` is an immutable, sorted sequence of disjoint,
 non-adjacent intervals (adjacent intervals ``[a, b]``, ``[b+1, c]`` are
 coalesced on normalisation), so each stored interval is maximal.
 
-Representations
----------------
-
-An :class:`IntervalList` holds one or both of two interchangeable
-representations of the same normalised sequence:
-
-* a tuple of :class:`Interval` objects (the historical form), and
-* a columnar pair of int64 numpy arrays ``(starts, ends)`` used by the
-  vectorised kernels in :mod:`repro.intervals.columnar`.
-
-Either form is materialised lazily from the other on first use and cached;
-the numpy arrays are only ever built when numpy is importable (lists
-constructed from ``Interval`` objects never touch numpy unless a columnar
-kernel asks for :meth:`IntervalList.columns`).
-
 Immutability is *enforced*: attribute assignment on an ``IntervalList``
 raises ``AttributeError``. This is what makes it safe for the interval
 operations (``union_all`` with a single non-empty input, ``intersect_all``
@@ -40,7 +25,6 @@ with a single list) to return an input object instead of a copy — see
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Tuple, Union
 
@@ -83,7 +67,7 @@ class Interval:
 class IntervalList:
     """An immutable sorted list of disjoint maximal intervals."""
 
-    __slots__ = ("_intervals", "_starts", "_ends")
+    __slots__ = ("_intervals",)
 
     def __init__(self, intervals: Iterable[Union[Interval, Tuple[int, int]]] = ()) -> None:
         items: List[Interval] = []
@@ -94,8 +78,6 @@ class IntervalList:
                 start, end = item
                 items.append(Interval(int(start), int(end)))
         object.__setattr__(self, "_intervals", self._normalise(items))
-        object.__setattr__(self, "_starts", None)
-        object.__setattr__(self, "_ends", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(
@@ -128,61 +110,15 @@ class IntervalList:
     def single(cls, start: int, end: int) -> "IntervalList":
         return cls([(start, end)])
 
-    @classmethod
-    def from_arrays(cls, starts: Any, ends: Any) -> "IntervalList":
-        """Adopt already-normalised int64 columnar arrays without copying.
-
-        The arrays must describe a sorted sequence of disjoint, non-adjacent
-        intervals with ``starts[i] <= ends[i]`` — exactly what the columnar
-        kernels produce. The caller gives up ownership: the arrays must not
-        be mutated afterwards. ``Interval`` objects are materialised lazily.
-        """
-        if len(starts) == 0:
-            return _EMPTY
-        instance = object.__new__(cls)
-        object.__setattr__(instance, "_intervals", None)
-        object.__setattr__(instance, "_starts", starts)
-        object.__setattr__(instance, "_ends", ends)
-        return instance
-
     def raw(self) -> Tuple[Interval, ...]:
         """The underlying sorted tuple — lets operations iterate without copying."""
-        intervals = self._intervals
-        if intervals is None:
-            intervals = tuple(
-                Interval(s, e)
-                for s, e in zip(self._starts.tolist(), self._ends.tolist())
-            )
-            object.__setattr__(self, "_intervals", intervals)
-        return intervals
-
-    def columns(self) -> Tuple[Any, Any]:
-        """The ``(starts, ends)`` int64 arrays — built lazily, cached, shared.
-
-        Requires numpy; only the columnar kernels call this. The returned
-        arrays are owned by the list and must not be mutated.
-        """
-        starts = self._starts
-        if starts is None:
-            import numpy
-
-            items = self._intervals
-            count = len(items)
-            starts = numpy.fromiter((iv.start for iv in items), dtype=numpy.int64, count=count)
-            ends = numpy.fromiter((iv.end for iv in items), dtype=numpy.int64, count=count)
-            object.__setattr__(self, "_starts", starts)
-            object.__setattr__(self, "_ends", ends)
-        return self._starts, self._ends
+        return self._intervals
 
     # -- queries -----------------------------------------------------------
 
     def holds_at(self, point: int) -> bool:
         """Binary-search point membership."""
         intervals = self._intervals
-        if intervals is None:
-            ends = self._ends
-            index = bisect_left(ends, point)
-            return index < len(ends) and bool(self._starts[index] <= point)
         lo, hi = 0, len(intervals) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -198,45 +134,22 @@ class IntervalList:
     @property
     def total_duration(self) -> int:
         """Total number of time-points covered by all intervals."""
-        if self._intervals is None:
-            return int((self._ends - self._starts).sum()) + len(self._ends)
         return sum(iv.duration for iv in self._intervals)
 
     @property
     def span(self) -> Tuple[int, int]:
         """(first covered point, last covered point); raises on empty lists."""
-        if self._intervals is None:
-            return int(self._starts[0]), int(self._ends[-1])
         if not self._intervals:
             raise ValueError("empty interval list has no span")
         return self._intervals[0].start, self._intervals[-1].end
 
     def points(self) -> Iterator[int]:
         """Yield every covered time-point in increasing order."""
-        for interval in self.raw():
+        for interval in self._intervals:
             yield from range(interval.start, interval.end + 1)
 
     def restrict(self, start: int, end: int) -> "IntervalList":
         """Clip to the closed window ``[start, end]`` (used by the sliding window)."""
-        if self._intervals is None:
-            starts, ends = self._starts, self._ends
-            lo = bisect_left(ends, start)
-            hi = bisect_left(starts, end + 1, lo)
-            if lo >= hi:
-                return _EMPTY
-            out_starts = starts[lo:hi].copy()
-            out_ends = ends[lo:hi].copy()
-            # Intervals are sorted and disjoint, so only the boundary ones
-            # can stick out of the window.
-            if out_starts[0] < start:
-                out_starts[0] = start
-            if out_ends[-1] > end:
-                out_ends[-1] = end
-            if out_starts[0] > out_ends[0] or out_starts[-1] > out_ends[-1]:
-                raise ValueError(
-                    "empty interval: [%r, %r]" % (int(out_starts[0]), int(out_ends[0]))
-                )
-            return IntervalList.from_arrays(out_starts, out_ends)
         clipped = []
         for iv in self._intervals:
             if iv.end < start or iv.start > end:
@@ -247,42 +160,30 @@ class IntervalList:
     # -- container protocol --------------------------------------------------
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.raw())
+        return iter(self._intervals)
 
     def __len__(self) -> int:
-        if self._intervals is None:
-            return len(self._starts)
         return len(self._intervals)
 
     def __getitem__(self, index: int) -> Interval:
-        return self.raw()[index]
+        return self._intervals[index]
 
     def __bool__(self) -> bool:
-        return len(self) != 0
+        return bool(self._intervals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalList):
             return NotImplemented
-        mine, theirs = self._intervals, other._intervals
-        if mine is not None and theirs is not None:
-            return mine == theirs
-        if len(self) != len(other):
-            return False
-        return self.as_pairs() == other.as_pairs()
+        return self._intervals == other._intervals
 
     def __hash__(self) -> int:
-        # hash((s, e)) == hash(Interval(s, e)) for the frozen dataclass, so
-        # this matches the historical hash over the Interval tuple without
-        # forcing lazy lists to materialise Interval objects.
-        return hash(tuple((s, e) for s, e in self.as_pairs()))
+        return hash(self._intervals)
 
     def __repr__(self) -> str:
-        return "IntervalList(%s)" % ", ".join(repr(iv) for iv in self.raw())
+        return "IntervalList(%s)" % ", ".join(repr(iv) for iv in self._intervals)
 
     def as_pairs(self) -> List[Tuple[int, int]]:
         """Return the intervals as ``(start, end)`` tuples (closed bounds)."""
-        if self._intervals is None:
-            return list(zip(self._starts.tolist(), self._ends.tolist()))
         return [(iv.start, iv.end) for iv in self._intervals]
 
 

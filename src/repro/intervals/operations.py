@@ -4,14 +4,8 @@
 lists of maximal-interval lists and always return a normalised
 :class:`~repro.intervals.interval.IntervalList`.
 
-Each construct dispatches on the active kernel backend
-(:mod:`repro.intervals.backend`): the pure-Python sweeps below run in
-``O(total number of intervals × log)``, while the ``columnar`` backend
-routes batch work to the numpy kernels in :mod:`repro.intervals.columnar`.
-Small inputs stay on the pure path even under the columnar backend — numpy
-call overhead dominates below a few dozen intervals — and both paths return
-byte-identical results. Per-kernel telemetry counters
-(``kernel.<op>.<backend>``) attribute work to the backend that ran it.
+Each construct is one pure-Python sweep over the sorted inputs, in
+``O(total number of intervals × log)``.
 
 Ownership: the constructs may return one of their *input* ``IntervalList``
 objects (``union_all`` with a single non-empty input, ``intersect_all``
@@ -22,28 +16,11 @@ sharing is safe; callers must not rely on result identity.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro import telemetry
-from repro.intervals import backend as _backend
 from repro.intervals.interval import Interval, IntervalList
 
 __all__ = ["union_all", "intersect_all", "relative_complement_all", "complement_within"]
-
-#: Below this many total input intervals the pure sweep wins: numpy call
-#: overhead exceeds the loop cost. Measured crossover is ~30-60 on CPython.
-_COLUMNAR_MIN_INTERVALS = 32
-
-_columnar = None
-
-
-def _kernels():
-    global _columnar
-    if _columnar is None:
-        from repro.intervals import columnar
-
-        _columnar = columnar
-    return _columnar
 
 
 def union_all(interval_lists: Sequence[IntervalList]) -> IntervalList:
@@ -59,17 +36,6 @@ def union_all(interval_lists: Sequence[IntervalList]) -> IntervalList:
         # immutable and already normalised (ownership regression tests in
         # tests/intervals/test_operations.py).
         return non_empty[0]
-    if _backend.columnar_active():
-        total = sum(len(il) for il in non_empty)
-        if total >= _COLUMNAR_MIN_INTERVALS:
-            try:
-                result = _kernels().union_all_columnar(non_empty)
-            except OverflowError:
-                pass  # ints beyond int64: fall through to the pure sweep
-            else:
-                telemetry.count("kernel.union_all.columnar")
-                return result
-    telemetry.count("kernel.union_all.pure")
     combined: List[Interval] = []
     for interval_list in non_empty:
         combined.extend(interval_list.raw())
@@ -96,15 +62,6 @@ def intersect_all(interval_lists: Sequence[IntervalList]) -> IntervalList:
 
 
 def _intersect_two(left: IntervalList, right: IntervalList) -> IntervalList:
-    if _backend.columnar_active() and len(left) + len(right) >= _COLUMNAR_MIN_INTERVALS:
-        try:
-            result = _kernels().intersect_two_columnar(left, right)
-        except OverflowError:
-            pass
-        else:
-            telemetry.count("kernel.intersect.columnar")
-            return result
-    telemetry.count("kernel.intersect.pure")
     left_items = left.raw()
     right_items = right.raw()
     if not left_items or not right_items:
@@ -137,15 +94,6 @@ def relative_complement_all(
     covered = union_all(interval_lists)
     if not covered:
         return base
-    if _backend.columnar_active() and len(base) + len(covered) >= _COLUMNAR_MIN_INTERVALS:
-        try:
-            result = _kernels().relative_complement_columnar(base, covered)
-        except OverflowError:
-            pass
-        else:
-            telemetry.count("kernel.complement.columnar")
-            return result
-    telemetry.count("kernel.complement.pure")
     out: List[Interval] = []
     cov = covered.raw()
     n = len(cov)
@@ -174,15 +122,3 @@ def complement_within(window: Tuple[int, int], interval_list: IntervalList) -> I
     start, end = window
     base = IntervalList.single(start, end)
     return relative_complement_all(base, [interval_list])
-
-
-def force_columnar_min(value: Optional[int]) -> int:
-    """Set (or with ``None``, just read) the columnar dispatch threshold.
-
-    Benchmarks and the equivalence test-suite lower this to 0 so that tiny
-    randomised inputs still exercise the numpy kernels.
-    """
-    global _COLUMNAR_MIN_INTERVALS
-    if value is not None:
-        _COLUMNAR_MIN_INTERVALS = value
-    return _COLUMNAR_MIN_INTERVALS

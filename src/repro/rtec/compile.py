@@ -54,7 +54,6 @@ __all__ = [
     "CompiledRule",
     "compile_rule",
     "precompile_description",
-    "rule_time_anchored",
     "vector_filter",
 ]
 
@@ -219,7 +218,6 @@ def compile_rule(rule: Rule) -> CompiledRule:
     )
 
 
-@lru_cache(maxsize=None)
 def vector_filter(plan: CompiledRule) -> Optional[Tuple[Literal, ...]]:
     """The body as a batch comparison filter, or ``None`` when inapplicable.
 
@@ -228,8 +226,8 @@ def vector_filter(plan: CompiledRule) -> Optional[Tuple[Literal, ...]]:
     variables or numeric constants — the shape of threshold rules such as
     ``initiatedAt(movingSpeed(V)=above, T) :- happensAt(velocity(V, S, M), T),
     thresholds(hcNearCoastMax, Max), S > Max``. Such comparisons neither
-    bind variables nor touch the stream or fluent store, so the columnar
-    evaluator (:mod:`repro.rtec.simple`) can apply them as one boolean mask
+    bind variables nor touch the stream or fluent store, so the vectorised
+    seed filter (:mod:`repro.rtec.simple`) can apply them as one boolean mask
     over the seed bucket's value columns instead of per-event substitution
     builds. Sides that are arithmetic compounds, unbound variables, or
     non-numeric constants disqualify the plan — evaluation then falls back
@@ -250,37 +248,6 @@ def vector_filter(plan: CompiledRule) -> Optional[Tuple[Literal, ...]]:
                 continue
             return None
     return tuple(compiled.literal for compiled in plan.body)
-
-
-def rule_time_anchored(plan: CompiledRule) -> bool:
-    """Whether every temporal condition of ``plan`` is anchored at the head time.
-
-    A rule is *time-anchored* when its head time is a variable bound by the
-    seed event's occurrence time and every other ``happensAt``/``holdsAt``
-    condition refers to exactly that variable. Such a rule's firing points
-    at times after a boundary ``b`` depend only on events and fluent values
-    after ``b`` — the property the incremental (delta) window evaluation
-    relies on: re-running the rule over just the events newer than the
-    previous query time reproduces precisely the firings newer than it.
-
-    Rules that scan the window with a free time variable, pin a condition
-    to a constant time-point, or put a constant in the head time can reach
-    back before the boundary; descriptions containing any such rule fall
-    back to full-window recomputation (see
-    :meth:`repro.rtec.engine.RTECEngine.delta_diagnostics`).
-    """
-    head_time = plan.head_time
-    if not isinstance(head_time, Variable):
-        return False
-    if plan.seed_time != head_time:
-        return False
-    for compiled in plan.body:
-        if compiled.tag in (HAPPENS, HOLDS):
-            term = compiled.literal.term
-            assert isinstance(term, Compound)
-            if term.args[1] != head_time:
-                return False
-    return True
 
 
 def precompile_description(description: "EventDescription") -> int:

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
-from repro.intervals import backend as kernel_backend
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Compound, Term
 from repro.rtec.description import EventDescription, Vocabulary, fluent_key
@@ -105,10 +104,9 @@ class RTECEngine:
         after the previous query time depend only on input newer than it.
         The check is the certification layer's delta-safety prover
         (:func:`repro.analysis.certify.prove_rule_delta_safety`), which
-        generalises :func:`repro.rtec.compile.rule_time_anchored` with
-        time-variable equality classes: a condition anchored through a
-        positive ``=:=`` chain to the head time is as safe as one reusing
-        the head time variable verbatim. Statically determined fluents need
+        works on time-variable equality classes: a condition anchored
+        through a positive ``=:=`` chain to the head time is as safe as one
+        reusing the head time variable verbatim. Statically determined fluents need
         no per-rule check: their interval constructs (union, intersection,
         relative complement) are pointwise in time, so recomputing them
         over the repaired store is always faithful.
@@ -239,7 +237,6 @@ class RTECEngine:
         bounds: "Optional[tuple[int, int]]" = None,
         extend_first_window: Optional[bool] = None,
         optimise: bool = False,
-        backend: Optional[str] = None,
     ) -> RecognitionResult:
         """Detect all composite activities over ``stream``.
 
@@ -260,24 +257,7 @@ class RTECEngine:
         ``optimise=True`` runs the call through a cached clone built from
         :func:`repro.analysis.optimize.optimise_description` — equivalent
         detections (see the equivalence property tests), usually faster.
-
-        ``backend`` selects the kernel backend (``"pure"``/``"columnar"``,
-        see :mod:`repro.intervals.backend`) for the duration of the call;
-        ``None`` keeps the ambient process-wide backend. Both backends
-        produce byte-identical results.
         """
-        if backend is not None:
-            with kernel_backend.use_backend(backend):
-                return self.recognise(
-                    stream,
-                    input_fluents,
-                    window=window,
-                    step=step,
-                    jobs=jobs,
-                    bounds=bounds,
-                    extend_first_window=extend_first_window,
-                    optimise=optimise,
-                )
         if optimise:
             engine = self.optimised_for(input_fluents)
             return engine.recognise(

@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
-from repro.intervals import backend as kernel_backend
 from repro.logic.terms import Term
 from repro.rtec.engine import RTECEngine
 from repro.rtec.parallel import shard_pool, split_fvp_state
@@ -127,12 +126,6 @@ class RTECSession:
         description that is not entity-shardable (``unshardable``). With
         ``incremental=False`` every advance recomputes the full window —
         retained as the oracle the incremental path is verified against.
-    backend:
-        Kernel backend name (``"pure"`` or ``"columnar"``) each advance
-        runs under (:mod:`repro.intervals.backend`); ``None`` (the
-        default) keeps the ambient process-wide backend, itself defaulting
-        to ``pure`` or the ``REPRO_KERNEL_BACKEND`` environment variable.
-        Both backends produce byte-identical results.
     """
 
     def __init__(
@@ -141,20 +134,13 @@ class RTECSession:
         window: int,
         jobs: Optional[int] = None,
         incremental: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window size must be positive")
-        if backend is not None:
-            # Validate eagerly so a bad name fails at construction, not at
-            # the first advance.
-            with kernel_backend.use_backend(backend):
-                pass
         self.engine = engine
         self.window = window
         self.jobs = jobs
         self.incremental = incremental
-        self.backend = backend
         #: Retained events, kept as a sorted, indexed stream so window and
         #: delta evaluation slice it instead of filtering object lists.
         self._buffer: EventStream = EventStream()
@@ -251,12 +237,6 @@ class RTECSession:
         the buffer (Section 2: reasoning cost depends on omega, not on the
         stream size).
         """
-        if self.backend is None:
-            return self._advance(query_time)
-        with kernel_backend.use_backend(self.backend):
-            return self._advance(query_time)
-
-    def _advance(self, query_time: int) -> RecognitionResult:
         if self._last_query is not None:
             if query_time < self._last_query:
                 raise ValueError(
@@ -643,12 +623,9 @@ class RTECSession:
         snapshot: SessionSnapshot,
         jobs: Optional[int] = None,
         incremental: bool = True,
-        backend: Optional[str] = None,
     ) -> "RTECSession":
         """A fresh session continuing from ``snapshot`` (restart path)."""
-        session = cls(
-            engine, snapshot.window, jobs=jobs, incremental=incremental, backend=backend
-        )
+        session = cls(engine, snapshot.window, jobs=jobs, incremental=incremental)
         session.restore(snapshot)
         return session
 

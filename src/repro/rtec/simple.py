@@ -25,7 +25,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList
-from repro.intervals import backend as kernel_backend
 from repro.intervals.pairing import pair_intervals
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Rule
@@ -45,6 +44,7 @@ from repro.rtec.compile import (
     HAPPENS,
     HOLDS,
     CompiledLiteral,
+    CompiledRule,
     compile_rule,
     pattern_key as _pattern_key,
     vector_filter,
@@ -52,7 +52,7 @@ from repro.rtec.compile import (
 from repro.rtec.description import SimpleFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
-from repro.rtec.stream import EventStream
+from repro.rtec.stream import EventStream, float64_exact
 
 __all__ = ["evaluate_simple_fluent", "rule_firing_points"]
 
@@ -272,37 +272,52 @@ def rule_firing_points(
             return
 
     head_pair, head_time = plan.head_pair, plan.head_time
+    for final in _body_solutions(plan, prefix, stream, kb, store, window_start, window_end):
+        pair = final.resolve(head_pair)
+        if require_ground and not is_ground(pair):
+            raise EvaluationError(
+                "head FVP %r not ground after body evaluation of %r"
+                % (pair, rule.head)
+            )
+        time_term = final.resolve(head_time)
+        if not isinstance(time_term, Constant) or not time_term.is_number:
+            raise EvaluationError(
+                "head time-point is not bound in %r" % (rule.head,)
+            )
+        yield pair, int(time_term.value)
+
+
+def _body_solutions(
+    plan: CompiledRule,
+    prefix: List[Substitution],
+    stream: EventStream,
+    kb: KnowledgeBase,
+    store: FluentStore,
+    window_start: int,
+    window_end: int,
+) -> Iterator[Substitution]:
+    """Every substitution satisfying seed and body, events ascending.
+
+    A fast-seeded plan first tries the vectorised seed filter
+    (:func:`_vector_candidates`); what it cannot evaluate exactly takes the
+    per-event loop. ``kernel.rule_filter.columnar`` / ``.fallback`` count
+    which of the two ran.
+    """
     fast = plan.seed_args is not None
     single_prefix = len(prefix) == 1
 
-    if fast and kernel_backend.columnar_active():
+    if fast:
         candidates = _vector_candidates(plan, prefix, stream, window_start, window_end)
         if candidates is not None:
             telemetry.count("kernel.rule_filter.columnar")
+            # The body is comparisons only, so a candidate's seed
+            # substitution is already its solution.
             for event, p in candidates:
+                merged = dict(p._bindings)
                 if plan.seed_args:
-                    merged = dict(zip(plan.seed_args, event.term.args))
-                else:
-                    merged = {}
+                    merged.update(zip(plan.seed_args, event.term.args))
                 merged[plan.seed_time_var] = intern_constant(event.time)
-                bindings = p._bindings
-                if bindings:
-                    base = dict(bindings)
-                    base.update(merged)
-                    merged = base
-                final = Substitution._wrap(merged)
-                pair = final.resolve(head_pair)
-                if require_ground and not is_ground(pair):
-                    raise EvaluationError(
-                        "head FVP %r not ground after body evaluation of %r"
-                        % (pair, rule.head)
-                    )
-                time_term = final.resolve(head_time)
-                if not isinstance(time_term, Constant) or not time_term.is_number:
-                    raise EvaluationError(
-                        "head time-point is not bound in %r" % (rule.head,)
-                    )
-                yield pair, int(time_term.value)
+                yield Substitution._wrap(merged)
             return
         telemetry.count("kernel.rule_filter.fallback")
 
@@ -338,30 +353,15 @@ def rule_firing_points(
                 if subst is not None:
                     seeds.append(subst)
         for subst in seeds:
-            for final in _satisfy(
+            yield from _satisfy(
                 plan.body, subst, stream, kb, store, window_start, window_end
-            ):
-                pair = final.resolve(head_pair)
-                if require_ground and not is_ground(pair):
-                    raise EvaluationError(
-                        "head FVP %r not ground after body evaluation of %r"
-                        % (pair, rule.head)
-                    )
-                time_term = final.resolve(head_time)
-                if not isinstance(time_term, Constant) or not time_term.is_number:
-                    raise EvaluationError(
-                        "head time-point is not bound in %r" % (rule.head,)
-                    )
-                yield pair, int(time_term.value)
+            )
 
 
-#: Marks a comparison side the columnar filter cannot evaluate exactly —
-#: unbound or non-numeric variables, or integers beyond float64 exactness.
+#: Marks a comparison side the vector filter cannot evaluate exactly —
+#: unbound or non-numeric variables, or numbers float64 does not compare
+#: exactly (:func:`repro.rtec.stream.float64_exact`).
 _FALLBACK = object()
-
-#: Integers beyond ±2**53 lose exactness as float64 (mirrors the column
-#: builder in :mod:`repro.rtec.stream`).
-_FLOAT64_EXACT_BOUND = 2**53
 
 #: Elementwise comparator semantics identical to ``builtins._COMPARATORS``:
 #: ``math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)`` is ``|a - b| <= 1e-9``
@@ -385,8 +385,8 @@ def _vector_candidates(plan, prefix, stream, window_start, window_end):
     iterable of ``(event, prefix substitution)`` pairs in the order the
     per-event path would produce them (events ascending, prefix solutions
     in order), an empty tuple when nothing can fire, or ``None`` to fall
-    back to the per-event path — which then reproduces the pure backend's
-    behaviour, including its errors, exactly.
+    back to the per-event path, which then raises whatever error the
+    comparison raises.
     """
     filters = vector_filter(plan)
     if filters is None:
@@ -417,20 +417,18 @@ def _vector_candidates(plan, prefix, stream, window_start, window_end):
                     sliced[position] = array
                 return array
             if term == plan.seed_time_var:
+                if np_times is None:
+                    return _FALLBACK
                 array = sliced.get("time")
                 if array is None:
                     array = np_times[lo:hi]
                     sliced["time"] = array
                 return array
             resolved = subst.resolve(term)
-            if not (isinstance(resolved, Constant) and resolved.is_number):
+            if not isinstance(resolved, Constant):
                 return _FALLBACK
             value = resolved.value
-        if isinstance(value, int) and (
-            value > _FLOAT64_EXACT_BOUND or value < -_FLOAT64_EXACT_BOUND
-        ):
-            return _FALLBACK
-        return value
+        return value if float64_exact(value) else _FALLBACK
 
     per_prefix = []
     for p in prefix:

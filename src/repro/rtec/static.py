@@ -17,12 +17,6 @@ condition whose FVP is absent from the store yields the empty interval list
 instead of failing — so, e.g., a vessel that was ``stopped`` but never at
 ``lowSpeed`` still gets a ``loitering`` computation in which the
 ``lowSpeed`` sub-list is empty.
-
-The interval manipulation constructs (``union_all``, ``intersect_all``,
-``relative_complement_all``) are backend-dispatched
-(:mod:`repro.intervals.backend`): under the ``columnar`` backend large
-joins run as batch numpy kernels over the lists' cached ``(starts, ends)``
-columns, with results byte-identical to the pure sweeps.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ The engine consumes two kinds of input (Section 3.2 of the paper):
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -247,22 +248,23 @@ class EventStream:
         Returns ``(bucket, times, np_times, value_columns)`` or ``None``
         when the bucket is empty. ``value_columns`` has one entry per
         argument position: a float64 array of that argument's values when
-        every event carries a float64-exact numeric constant there, else
-        ``None`` (the vectorised filter then falls back to the per-event
-        path for sides touching that position). Built lazily per bucket and
-        cached until the next ``append`` of this functor. Requires numpy —
-        only the columnar backend calls this.
+        every event carries a :func:`float64_exact` numeric constant there,
+        else ``None`` (the vectorised filter then falls back to the
+        per-event path for sides touching that position); ``np_times`` is
+        the same for the occurrence times. Built lazily per bucket and
+        cached until the next ``append`` of this functor.
         """
         key = (functor, arity)
         bucket = self._by_functor.get(key)
         if not bucket:
             return None
+        times = self._times_by_functor[key]
         cached = self._columns.get(key)
         if cached is None:
-            cached = _build_columns(bucket, arity)
+            cached = _build_columns(bucket, times, arity)
             self._columns[key] = cached
         np_times, value_columns = cached
-        return bucket, self._times_by_functor[key], np_times, value_columns
+        return bucket, times, np_times, value_columns
 
     def events_in_window(
         self, functor: str, arity: int, start: int, end: int, first: Optional[Term] = None
@@ -310,32 +312,38 @@ class EventStream:
         return sorted(self._by_functor)
 
 
-#: Integers beyond ±2**53 are not exactly representable as float64; columns
-#: containing one are rejected so the vectorised comparisons stay exact.
-_FLOAT64_EXACT_BOUND = 2**53
+def float64_exact(value: object) -> bool:
+    """Whether ``value`` compares as a float64 exactly as it does in Python.
+
+    Integers beyond ±2**53 are not representable, and ``nan``/``inf`` make
+    ``|a - b| <= eps`` disagree with ``math.isclose``; the vectorised rule
+    filter leaves both to the per-event path.
+    """
+    if isinstance(value, int):
+        return -(2**53) <= value <= 2**53
+    return isinstance(value, float) and math.isfinite(value)
 
 
-def _build_columns(bucket: List[Event], arity: int) -> Tuple[object, tuple]:
+def _build_columns(
+    bucket: List[Event], times: List[int], arity: int
+) -> Tuple[object, tuple]:
     import numpy
 
     count = len(bucket)
-    np_times = numpy.fromiter((e.time for e in bucket), dtype=numpy.int64, count=count)
+    # ``times`` is sorted, so its ends bound every entry.
+    np_times = None
+    if float64_exact(times[0]) and float64_exact(times[-1]):
+        np_times = numpy.array(times, dtype=numpy.float64)
     value_columns = []
     for position in range(arity):
         values = numpy.empty(count, dtype=numpy.float64)
         usable = True
         for index, event in enumerate(bucket):
             argument = event.term.args[position]
-            if not (isinstance(argument, Constant) and argument.is_number):
+            if not (isinstance(argument, Constant) and float64_exact(argument.value)):
                 usable = False
                 break
-            value = argument.value
-            if isinstance(value, int) and (
-                value > _FLOAT64_EXACT_BOUND or value < -_FLOAT64_EXACT_BOUND
-            ):
-                usable = False
-                break
-            values[index] = value
+            values[index] = argument.value
         value_columns.append(values if usable else None)
     return np_times, tuple(value_columns)
 

@@ -3,11 +3,9 @@
 A checkpoint is one JSON file holding a :class:`~repro.rtec.session.SessionSnapshot`
 plus the bookkeeping a restart needs:
 
-* ``version`` — the checkpoint format version (currently 2; version 2
-  added the delta derivation cache and staleness flag of incremental
-  window evaluation — version-1 files still load, restoring without a
-  cache so the first advance after restart recomputes the full window
-  and rebuilds it);
+* ``version`` — the checkpoint format version (currently 2, which added
+  the delta derivation cache and staleness flag of incremental window
+  evaluation); a file of any other version is refused;
 * ``session`` — the session name;
 * ``windows`` — how many windows the session had advanced (also the file's
   monotonically increasing sequence number);
@@ -56,7 +54,6 @@ from repro.rtec.stream import Event
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "COMPATIBLE_VERSIONS",
     "Checkpoint",
     "CheckpointError",
     "description_hash",
@@ -70,11 +67,6 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 2
-
-#: Older format versions :func:`load_checkpoint` still accepts. Version 1
-#: lacks the ``cache``/``stale`` snapshot fields; restoring yields a
-#: cache-less session whose next advance falls back to full recomputation.
-COMPATIBLE_VERSIONS = frozenset({1, CHECKPOINT_VERSION})
 
 
 class CheckpointError(RuntimeError):
@@ -163,9 +155,8 @@ def snapshot_from_dict(data: Dict[str, object]) -> SessionSnapshot:
         for text, barrier in dict(data.get("barriers", {})).items()  # type: ignore[arg-type]
     }
     last_query = data.get("last_query")
-    # "cache" is absent in version-1 checkpoints (pre-incremental): the
-    # restored session has no derivation cache and its first advance falls
-    # back to a full-window recomputation, which rebuilds one.
+    # A non-incremental session keeps no derivation cache: the restored
+    # session's first advance recomputes the full window, which builds one.
     raw_cache = data.get("cache")
     derived_cache: Optional[Dict[Term, IntervalList]] = None
     if raw_cache is not None:
@@ -301,6 +292,8 @@ def latest_lease(directory: str, session: str) -> int:
             payload = json.load(stream)
     except (OSError, ValueError):
         return 0
+    if not isinstance(payload, dict):
+        return 0
     try:
         return int(payload.get("lease", 0))
     except (TypeError, ValueError):
@@ -313,11 +306,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             payload = json.load(stream)
     except (OSError, ValueError) as exc:
         raise CheckpointError("cannot read checkpoint %s: %s" % (path, exc))
-    version = payload.get("version")
-    if version not in COMPATIBLE_VERSIONS:
+    if not isinstance(payload, dict):
         raise CheckpointError(
-            "checkpoint %s has format version %r; this build reads versions %s"
-            % (path, version, sorted(COMPATIBLE_VERSIONS))
+            "malformed checkpoint %s: not a JSON object" % (path,)
+        )
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            "checkpoint %s has format version %r; this build reads version %d"
+            % (path, version, CHECKPOINT_VERSION)
         )
     try:
         return Checkpoint(
@@ -330,5 +327,5 @@ def load_checkpoint(path: str) -> Checkpoint:
             owner=payload.get("owner"),
             lease=int(payload.get("lease", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError("malformed checkpoint %s: %s" % (path, exc))

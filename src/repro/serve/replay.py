@@ -268,7 +268,6 @@ def drive_reference_session(
     end: Optional[int] = None,
     jobs: Optional[int] = None,
     incremental: bool = False,
-    backend: Optional[str] = None,
 ) -> RecognitionResult:
     """An uninterrupted :class:`RTECSession` run under the service's policy.
 
@@ -280,9 +279,7 @@ def drive_reference_session(
     recomputation oracle, so comparing a served (incremental) run against
     it is also a cross-mode equality check of the delta evaluation.
     """
-    session = RTECSession(
-        engine, window, jobs=jobs, incremental=incremental, backend=backend
-    )
+    session = RTECSession(engine, window, jobs=jobs, incremental=incremental)
     next_query: Optional[int] = None
 
     def grid_after(time: int) -> int:

@@ -76,10 +76,6 @@ class SessionConfig:
     #: Incremental (delta) window evaluation (``RTECSession(incremental=)``).
     #: Off forces full-window recomputation on every advance (the oracle).
     incremental: bool = True
-    #: Kernel backend the session's advances run under
-    #: (``RTECSession(backend=)``): ``"pure"``, ``"columnar"``, or ``None``
-    #: for the ambient process-wide backend.
-    backend: Optional[str] = None
     #: Certificate-gated admission (``repro.analysis.certify``): ``"off"``
     #: skips certification, ``"warn"`` (default) records admission warnings
     #: for uncertifiable/leaky descriptions in the session status, and
@@ -139,11 +135,7 @@ class ManagedSession:
         self.lease = lease
         self.step = config.resolved_step()
         self.session = RTECSession(
-            engine,
-            config.window,
-            jobs=config.jobs,
-            incremental=config.incremental,
-            backend=config.backend,
+            engine, config.window, jobs=config.jobs, incremental=config.incremental
         )
         self.description_digest = checkpointing.description_hash(engine.description)
         #: The description's analysis certificate (None when admission is off).

@@ -57,17 +57,14 @@ class TestDeltaSafetyProver:
         assert problems[0].category == "delta-unsafe-condition"
 
     def test_equality_chain_anchors_the_condition(self):
-        # rule_time_anchored rejects this shape (seed time is T0, not T);
-        # the prover accepts it through the =:= equality class.
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- "
-            "happensAt(start(V), T0), happensAt(ping(V), T), T0 =:= T."
-        )
-        from repro.rtec.compile import compile_rule, rule_time_anchored
-
-        assert not rule_time_anchored(compile_rule(rule))
+        # The seed time is T0, not the head time T: only the =:= equality
+        # class anchors it, and without the comparison the rule is unsafe.
+        body = "happensAt(start(V), T0), happensAt(ping(V), T)"
+        rule = parse_rule("initiatedAt(f(V)=true, T) :- %s, T0 =:= T." % body)
         safe, problems = prove_rule_delta_safety(rule)
         assert safe and not problems
+        unchained = parse_rule("initiatedAt(f(V)=true, T) :- %s." % body)
+        assert not prove_rule_delta_safety(unchained)[0]
 
     def test_transitive_equality_chain(self):
         rule = parse_rule(
@@ -328,8 +325,7 @@ class TestEngineIntegration:
         assert first.delta_safe
 
     def test_delta_diagnostics_accept_equality_anchoring(self):
-        # The generalised prover lets this rule keep the delta path;
-        # the old rule_time_anchored gate forced full recomputation.
+        # Anchored through an =:= chain, so the rule keeps the delta path.
         rules = self.RULES + (
             "initiatedAt(g(V)=true, T) :- "
             "happensAt(start(V), T0), happensAt(ping(V), T), T0 =:= T.\n"

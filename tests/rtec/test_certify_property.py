@@ -29,8 +29,7 @@ _BASE = (
 )
 
 _GROUPS = {
-    # Anchored through an =:= equality chain: newly certified safe (the
-    # baseline rule_time_anchored gate used to force full recomputation).
+    # Anchored through an =:= equality chain: certified safe.
     "equality": (
         "initiatedAt(g(V)=true, T) :- "
         "happensAt(start(V), T0), happensAt(ping(V), T), T0 =:= T.\n"

@@ -319,7 +319,7 @@ class TestSnapshot:
         assert resumed.result.to_json() == driver.result.to_json()
 
     def test_restore_without_cache_falls_back_then_rebuilds(self):
-        # A snapshot from a version-1 checkpoint restores with no
+        # A snapshot of a non-incremental session restores with no
         # derivation cache: the next advance recomputes the full window
         # (same results) and rebuilds the cache for the advances after it.
         driver = RTECSession(_engine(), window=20)

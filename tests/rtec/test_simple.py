@@ -1,9 +1,16 @@
 """Behavioural tests for simple fluents: inertia, negation, exclusivity."""
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import parse_term
-from repro.rtec import Event, EventDescription, EventStream, RTECEngine
+from repro.logic.parser import Literal, Rule, parse_term
+from repro.logic.terms import Compound, Constant, Variable
+from repro.rtec import Event, EventDescription, EventStream, RTECEngine, simple
+from repro.rtec.simple import rule_firing_points
+from repro.rtec.store import FluentStore
 
 
 def _stream(*events):
@@ -177,3 +184,97 @@ class TestUniversalTermination:
         )
         assert result.holds_for("within(v1, a1)=true").as_pairs() == [(2, 6)]
         assert result.holds_for("within(v2, a1)=true").as_pairs() == [(2, 6)]
+
+
+# -- vectorised seed filter ≡ per-event loop ---------------------------------
+
+_BIG = 2**53 + 1
+_VARS = {name: Variable(name) for name in ("V", "A", "B", "T", "X")}
+_SEED = Literal(
+    Compound("happensAt", (Compound("ev", (_VARS["V"], _VARS["A"], _VARS["B"])), _VARS["T"]))
+)
+#: Two facts match ``thr(k, X)``, so the hoisted prefix has two solutions
+#: and firings of one event interleave across them.
+_KB = KnowledgeBase.from_text("thr(k, 3). thr(k, 7.5). thr(other, 100).")
+_HEAD = parse_term("initiatedAt(f(V)=true, T)")
+
+_numbers = st.one_of(
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.sampled_from([0.5, 3.0, 7.5, _BIG, -_BIG, 2**53, 2**63, float("inf"), float("nan")]),
+)
+#: Mostly numbers, now and then an atom: a non-numeric column must send the
+#: rule to the per-event loop, which then raises on the comparison.
+_arguments = st.one_of(_numbers, _numbers, _numbers, st.just("odd")).map(Constant)
+_sides = st.one_of(
+    st.sampled_from([_VARS[name] for name in ("A", "B", "T", "X", "A", "B", "V")]),
+    st.one_of(st.integers(-10, 10), st.sampled_from([2.5, 7.5, _BIG, float("inf")])).map(Constant),
+)
+_comparisons = st.builds(
+    lambda op, left, right, negated: Literal(Compound(op, (left, right)), negated),
+    st.sampled_from(["<", ">", "=<", ">=", "=:=", "=\\="]),
+    _sides,
+    _sides,
+    st.booleans(),
+)
+_threshold_rules = st.lists(_comparisons, min_size=1, max_size=3).map(
+    lambda body: Rule(_HEAD, (_SEED, Literal(parse_term("thr(k, X)"))) + tuple(body))
+)
+_value_streams = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 40), st.sampled_from([_BIG, 2**63])),
+        st.sampled_from(["v1", "v2"]),
+        _arguments,
+        _arguments,
+    ),
+    max_size=12,
+).map(
+    lambda items: EventStream(
+        Event(time, Compound("ev", (Constant(vessel), a, b))) for time, vessel, a, b in items
+    )
+)
+
+
+def _firings(rule, stream, start, end):
+    """The rule's firing points as a list, or the exception type it raised."""
+    points = []
+    try:
+        for point in rule_firing_points(rule, stream, _KB, FluentStore(), start, end):
+            points.append(point)
+    except Exception as error:  # noqa: BLE001 - the type is what is compared
+        return points, type(error)
+    return points, None
+
+
+def _ev(time, a, b):
+    return Event(time, Compound("ev", (Constant("v1"), Constant(a), Constant(b))))
+
+
+class TestVectorFilterMatchesPerEventLoop:
+    @settings(deadline=None, max_examples=300)
+    @given(_threshold_rules, _value_streams, st.integers(-1, 20), st.integers(10, 45))
+    # nan and inf: |a - b| > eps is not ``not math.isclose(a, b)``.
+    @example(
+        Rule(_HEAD, (_SEED, Literal(Compound("=\\=", (_VARS["A"], _VARS["B"]))))),
+        EventStream([_ev(5, float("nan"), 1.0), _ev(6, float("inf"), float("inf"))]),
+        0,
+        10,
+    )
+    # An occurrence time no int64/float64 column holds.
+    @example(
+        Rule(_HEAD, (_SEED, Literal(Compound("<", (_VARS["A"], _VARS["T"]))))),
+        EventStream([_ev(5, 1, 1), _ev(2**63, 1, 1)]),
+        0,
+        10,
+    )
+    def test_same_pairs_same_order_same_error(self, rule, stream, start, end):
+        with telemetry.enabled() as tracer:
+            vectorised = _firings(rule, stream, start, end)
+        counters = tracer.counters
+        assert counters.get("kernel.rule_filter.columnar", 0) + counters.get(
+            "kernel.rule_filter.fallback", 0
+        ) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simple, "_vector_candidates", lambda *args: None)
+            per_event = _firings(rule, stream, start, end)
+        assert vectorised == per_event

@@ -208,3 +208,72 @@ class TestAppendProperties:
                 assert list(incremental.events_at(functor, arity, time)) == (
                     list(batch.events_at(functor, arity, time))
                 )
+
+
+def _streams():
+    item = st.tuples(
+        st.integers(0, 80),
+        st.sampled_from(["speed", "turn"]),
+        st.integers(0, 3),
+        st.integers(-5, 5),
+    )
+    return st.lists(item, max_size=30).map(
+        lambda items: EventStream(
+            _event(t, "%s(v%d, %d)" % (functor, vid, value))
+            for t, functor, vid, value in items
+        )
+    )
+
+
+class TestEventStreamEquivalence:
+    """``count_in_window``, ``slice_window`` and ``columns`` against their
+    definitional per-event equivalents."""
+
+    @settings(deadline=None)
+    @given(_streams(), st.integers(-5, 90), st.integers(-5, 90))
+    def test_count_in_window(self, stream, start, end):
+        expected = sum(1 for e in stream if start < e.time <= end)
+        assert stream.count_in_window(start, end) == expected
+
+    @settings(deadline=None)
+    @given(_streams(), st.integers(-5, 90), st.integers(-5, 90))
+    def test_slice_window_matches_filtered_rebuild(self, stream, start, end):
+        sliced = stream.slice_window(start, end)
+        rebuilt = EventStream(e for e in stream if start < e.time <= end)
+        assert list(sliced) == list(rebuilt)
+        assert len(sliced) == len(rebuilt)
+        assert sliced.min_time == rebuilt.min_time
+        assert sliced.max_time == rebuilt.max_time
+        for functor in ("speed", "turn"):
+            assert list(sliced.events_in_window(functor, 2, -10, 1000)) == list(
+                rebuilt.events_in_window(functor, 2, -10, 1000)
+            )
+
+    @settings(deadline=None)
+    @given(_streams(), st.integers(-5, 90))
+    def test_slice_window_unbounded(self, stream, start):
+        sliced = stream.slice_window(start)
+        assert list(sliced) == [e for e in stream if e.time > start]
+
+    @settings(deadline=None)
+    @given(_streams(), st.integers(-5, 90), st.integers(-5, 90))
+    def test_columns_survive_slicing(self, stream, start, end):
+        """Cached value columns of a slice match a from-scratch rebuild."""
+        stream.columns("speed", 2)  # prime the parent's cache first
+        sliced = stream.slice_window(start, end)
+        rebuilt = EventStream(e for e in stream if start < e.time <= end)
+        got = sliced.columns("speed", 2)
+        want = rebuilt.columns("speed", 2)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        got_bucket, got_times, got_np, got_values = got
+        want_bucket, want_times, want_np, want_values = want
+        assert got_bucket == want_bucket
+        assert got_times == want_times
+        assert got_np.tolist() == want_np.tolist()
+        assert len(got_values) == len(want_values)
+        for mine, theirs in zip(got_values, want_values):
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert mine.tolist() == theirs.tolist()

@@ -133,6 +133,26 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,2]",
+            "null",
+            "7",
+            json.dumps(
+                {
+                    "version": CHECKPOINT_VERSION, "session": "s0", "windows": 1,
+                    "applied": 1, "description_hash": "x", "snapshot": [1, 2],
+                }
+            ),
+        ],
+    )
+    def test_load_rejects_json_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "s0-00000001.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load_checkpoint(str(path))
+
     def test_missing_directory_lists_empty(self, tmp_path):
         assert list_checkpoints(str(tmp_path / "nope"), "s0") == []
         assert latest_checkpoint(str(tmp_path / "nope"), "s0") is None
@@ -192,6 +212,15 @@ class TestOwnershipAndLeases:
         self._write(tmp_path, 2)
         assert latest_lease(str(tmp_path), "s0") == 0
 
+    @pytest.mark.parametrize("text", ["[1,2]", "null", "7"])
+    def test_non_object_newest_file_counts_as_lease_zero(self, tmp_path, text):
+        # A fenced writer reads the newest file's lease before every
+        # checkpoint: an unreadable one proves no newer owner.
+        self._write(tmp_path, 1, owner="w0", lease=1)
+        (tmp_path / "s0-00000002.json").write_text(text)
+        assert latest_lease(str(tmp_path), "s0") == 0
+        self._write(tmp_path, 3, owner="w0", lease=1)
+
 
 class TestVersionCompatibility:
     def test_round_trip_preserves_derivation_cache(self):
@@ -209,29 +238,19 @@ class TestVersionCompatibility:
             for pair, intervals in snapshot.derived_cache.items()
         }
 
-    def test_version_1_checkpoint_still_loads_and_continues(self, tmp_path):
+    def test_version_1_checkpoint_is_rejected(self, tmp_path):
         # Doctor a current checkpoint back into the version-1 shape (no
-        # cache/stale fields): it must load, restore as a cache-less
-        # session, and continue byte-identically to an uninterrupted run
-        # (its first advance falls back to full-window recomputation).
+        # cache/stale fields).
         session = _session_with_state()
-        digest = description_hash(session.engine.description)
         path = write_checkpoint(
             str(tmp_path), "s0", session.snapshot(),
-            applied=3, windows=1, description_digest=digest,
+            applied=3, windows=1,
+            description_digest=description_hash(session.engine.description),
         )
         payload = json.loads(open(path).read())
         payload["version"] = 1
         del payload["snapshot"]["cache"]
         del payload["snapshot"]["stale"]
         open(path, "w").write(json.dumps(payload))
-        loaded = load_checkpoint(path)
-        assert loaded.snapshot.derived_cache is None
-        assert loaded.snapshot.stale is False
-        resumed = RTECSession.from_snapshot(_engine(), loaded.snapshot)
-        tail = [Event(25, parse_term("stop(v1)"))]
-        for target in (session, resumed):
-            target.submit(tail)
-            target.advance(30)
-            target.advance(38)
-        assert resumed.result.to_json() == session.result.to_json()
+        with pytest.raises(CheckpointError, match="format version 1"):
+            load_checkpoint(path)

@@ -19,13 +19,9 @@ class TestParser:
             "recognise",
             "generate",
             "lint",
-            "validate",
             "profile",
         ):
-            args = parser.parse_args(
-                [command] if command != "validate" else [command, "x"]
-            )
-            assert args.command == command
+            assert parser.parse_args([command]).command == command
 
 
 class TestGenerate:
@@ -38,39 +34,6 @@ class TestGenerate:
     def test_explicit_scheme(self, capsys):
         assert main(["generate", "--model", "gemma-2", "--scheme", "few-shot"]) == 0
         assert "scheme=few-shot" in capsys.readouterr().out
-
-
-class TestValidate:
-    def test_valid_file(self, tmp_path, capsys):
-        path = tmp_path / "rules.prolog"
-        path.write_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(gap_start(V), T).\n"
-        )
-        assert main(["validate", str(path)]) == 0
-        assert "no validation issues" in capsys.readouterr().out
-
-    def test_invalid_file_reports_issues(self, tmp_path, capsys):
-        path = tmp_path / "rules.prolog"
-        path.write_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(teleport(V), T).\n"
-        )
-        assert main(["validate", str(path)]) == 1
-        assert "undefined-event" in capsys.readouterr().out
-
-    def test_no_vocabulary_flag(self, tmp_path, capsys):
-        path = tmp_path / "rules.prolog"
-        path.write_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(teleport(V), T).\n"
-        )
-        assert main(["validate", str(path), "--no-vocabulary"]) == 0
-
-    def test_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "rules.prolog"
-        path.write_text("this is not prolog @@@\n")
-        assert main(["validate", str(path)]) == 2
-
-    def test_missing_file(self, capsys):
-        assert main(["validate", "/nonexistent/rules.prolog"]) == 2
 
 
 class TestLint:
@@ -125,11 +88,20 @@ class TestLint:
     def test_missing_file(self):
         assert main(["lint", "/nonexistent/rules.prolog"]) == 2
 
-    def test_validate_help_mentions_deprecation(self):
-        parser = build_parser()
-        # The deprecation note lives in the subcommand's help string.
-        text = parser.format_help()
-        assert "deprecated: use 'repro lint'" in text
+    def test_no_vocabulary_flag(self, tmp_path, capsys):
+        path = tmp_path / "rules.prolog"
+        path.write_text(
+            "initiatedAt(f(V)=true, T) :- happensAt(teleport(V), T).\n"
+        )
+        assert main(["lint", str(path)]) == 1
+        assert "undefined-event" in capsys.readouterr().out
+        assert main(["lint", str(path), "--no-vocabulary"]) == 0
+
+    def test_parse_error_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "rules.prolog"
+        path.write_text("this is not prolog @@@\n")
+        assert main(["lint", str(path)]) == 1
+        assert "RTEC001" in capsys.readouterr().out
 
 
 def _subsumed_mutation(tmp_path):
@@ -278,6 +250,9 @@ class TestProfile:
         assert "rtec.window" in out
         assert "rtec.simple" in out
         assert "fluent=" in out
+        # Which seed path each rule took: the gold has both shapes.
+        assert "kernel.rule_filter.columnar=" in out
+        assert "kernel.rule_filter.fallback=" in out
         # The CLI restores the disabled default afterwards.
         assert not telemetry.is_enabled()
 
