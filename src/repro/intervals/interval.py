@@ -26,9 +26,12 @@ with a single list) to return an input object instead of a copy — see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, List, Tuple, Union
 
 __all__ = ["Interval", "IntervalList"]
+
+_START = attrgetter("start")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,7 +94,10 @@ class IntervalList:
     def _normalise(items: List[Interval]) -> Tuple[Interval, ...]:
         if not items:
             return ()
-        items = sorted(items)
+        # Start order is all the sweep needs: equal starts are absorbed by
+        # the ``current.end > last.end`` branch, and a C key avoids the
+        # dataclass's Python ``__lt__`` on every comparison.
+        items = sorted(items, key=_START)
         merged: List[Interval] = [items[0]]
         for current in items[1:]:
             last = merged[-1]
@@ -101,6 +107,30 @@ class IntervalList:
             else:
                 merged.append(current)
         return tuple(merged)
+
+    def extend_tail(self, later: "IntervalList") -> "IntervalList":
+        """Union with ``later``, which starts at or after this list's last interval.
+
+        Only that interval can touch ``later``: it alone is coalesced (with
+        as many of ``later``'s head intervals as it reaches) and the tuples
+        are concatenated, with no re-sort or re-normalisation of either list.
+        Raises ``ValueError`` when ``later`` starts earlier than that.
+        """
+        mine, theirs = self._intervals, later._intervals
+        if not mine or not theirs:
+            return later if theirs else self
+        last = mine[-1]
+        if theirs[0].start < last.start:
+            raise ValueError("%r starts before the last interval of %r" % (later, self))
+        end, reached = last.end, 0
+        while reached < len(theirs) and theirs[reached].start <= end + 1:
+            end = max(end, theirs[reached].end)
+            reached += 1
+        if end != last.end:
+            mine = mine[:-1] + (Interval(last.start, end),)
+        result = object.__new__(IntervalList)
+        object.__setattr__(result, "_intervals", mine + theirs[reached:])
+        return result
 
     @classmethod
     def empty(cls) -> "IntervalList":

@@ -8,12 +8,16 @@ emit them.
 
 from __future__ import annotations
 
+from operator import itemgetter
+from typing import List, Mapping, Tuple, TypeVar
+
 from repro.logic.parser import COMPARISON_OPERATORS, LIST_FUNCTOR, Literal, Rule
 from repro.logic.terms import Constant, Term, Variable
 
-__all__ = ["term_to_str", "literal_to_str", "rule_to_str", "program_to_str"]
+__all__ = ["term_to_str", "sorted_by_text", "literal_to_str", "rule_to_str", "program_to_str"]
 
 _INFIX = ("=",) + COMPARISON_OPERATORS
+_V = TypeVar("_V")
 
 
 def term_to_str(term: Term) -> str:
@@ -29,6 +33,12 @@ def term_to_str(term: Term) -> str:
     if term.functor in _INFIX and term.arity == 2:
         return "%s%s%s" % (term_to_str(term.args[0]), term.functor, term_to_str(term.args[1]))
     return "%s(%s)" % (term.functor, ", ".join(term_to_str(a) for a in term.args))
+
+
+def sorted_by_text(mapping: Mapping[Term, _V]) -> List[Tuple[str, _V]]:
+    """``(concrete syntax, value)`` pairs in syntax order, each key rendered once."""
+    rendered = ((term_to_str(term), value) for term, value in mapping.items())
+    return sorted(rendered, key=itemgetter(0))
 
 
 def _is_plain_atom(name: str) -> bool:

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.intervals import IntervalList, union_all
 from repro.logic.parser import parse_term
-from repro.logic.pretty import term_to_str
+from repro.logic.pretty import sorted_by_text
 from repro.logic.terms import Compound, Term, is_fvp
 from repro.rtec.description import fluent_key
 
@@ -33,8 +33,13 @@ class RecognitionResult:
         if not intervals:
             return
         existing = self._intervals.get(pair)
-        if existing is None:
+        if not existing:
             self._intervals[pair] = intervals
+        elif intervals[0].start >= existing[-1].start:
+            # What a session merges is clipped to (previous query time,
+            # window end], so it can touch the last stored interval only:
+            # the cost of a window must not grow with the stream behind it.
+            self._intervals[pair] = existing.extend_tail(intervals)
         else:
             self._intervals[pair] = union_all([existing, intervals])
 
@@ -76,10 +81,8 @@ class RecognitionResult:
         results always serialize to the same JSON text.
         """
         return {
-            term_to_str(pair): [[iv.start, iv.end] for iv in intervals]
-            for pair, intervals in sorted(
-                self._intervals.items(), key=lambda kv: term_to_str(kv[0])
-            )
+            text: [[iv.start, iv.end] for iv in intervals]
+            for text, intervals in sorted_by_text(self._intervals)
         }
 
     @classmethod

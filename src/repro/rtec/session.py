@@ -567,8 +567,10 @@ class RTECSession:
         """A cheap, self-contained copy of the session's windowed state.
 
         Events, terms and interval lists are immutable, so the snapshot
-        shares them and only copies the containers: taking one is O(state
-        bounded by omega), never O(stream). The snapshot is independent of
+        shares them and only copies the containers: taking one is O(events
+        in the window + FVPs), never O(stream) — the amalgamated result's
+        lists grow with the stream, but they are shared, not copied; it is
+        serializing them that costs. The snapshot is independent of
         the live session — later ``submit``/``advance`` calls do not mutate
         it — which makes it safe to serialize asynchronously.
         """

@@ -29,9 +29,14 @@ plus the bookkeeping a restart needs:
 
 Files are named ``<session>-<windows:08d>.json`` and written atomically
 (temp file + rename), so the latest complete checkpoint is always loadable
-even if the process dies mid-write. Old checkpoints are kept (they are
-small — session state is bounded by omega, not by the stream) unless a
-``keep`` budget is given.
+even if the process dies mid-write.
+
+Bounded by omega: the window buffer, the stored input-fluent intervals, the
+carried initiations and barriers, the derivation cache, and the *time* of
+an advance. Not bounded: the amalgamated result (every interval recognised
+so far), hence a checkpoint's size and the time to encode and write it.
+Old checkpoints are kept unless a ``keep`` budget is given; the fence lists
+the directory on every write, so without one that scan grows too.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.intervals import IntervalList
 from repro.logic.parser import parse_term
-from repro.logic.pretty import term_to_str
+from repro.logic.pretty import sorted_by_text, term_to_str
 from repro.logic.terms import Term
 from repro.rtec.description import EventDescription
 from repro.rtec.result import RecognitionResult
@@ -97,40 +102,23 @@ class Checkpoint:
 
 def snapshot_to_dict(snapshot: SessionSnapshot) -> Dict[str, object]:
     """A JSON-ready mapping; terms render to concrete syntax, intervals to pairs."""
+
+    def pairs(mapping: Dict[Term, IntervalList]) -> Dict[str, List[List[int]]]:
+        return {
+            text: [[iv.start, iv.end] for iv in intervals]
+            for text, intervals in sorted_by_text(mapping)
+        }
+
     return {
         "window": snapshot.window,
         "buffer": [[event.time, term_to_str(event.term)] for event in snapshot.buffer],
-        "fluents": {
-            term_to_str(pair): [[iv.start, iv.end] for iv in intervals]
-            for pair, intervals in sorted(
-                snapshot.fluent_intervals.items(), key=lambda kv: term_to_str(kv[0])
-            )
-        },
-        "pending": {
-            term_to_str(pair): started
-            for pair, started in sorted(
-                snapshot.pending.items(), key=lambda kv: term_to_str(kv[0])
-            )
-        },
-        "barriers": {
-            term_to_str(pair): barrier
-            for pair, barrier in sorted(
-                snapshot.barriers.items(), key=lambda kv: term_to_str(kv[0])
-            )
-        },
+        "fluents": pairs(snapshot.fluent_intervals),
+        "pending": dict(sorted_by_text(snapshot.pending)),
+        "barriers": dict(sorted_by_text(snapshot.barriers)),
         "result": snapshot.result.to_dict(),
         "last_query": snapshot.last_query,
         "first_advance": snapshot.first_advance,
-        "cache": (
-            None
-            if snapshot.derived_cache is None
-            else {
-                term_to_str(pair): [[iv.start, iv.end] for iv in intervals]
-                for pair, intervals in sorted(
-                    snapshot.derived_cache.items(), key=lambda kv: term_to_str(kv[0])
-                )
-            }
-        ),
+        "cache": None if snapshot.derived_cache is None else pairs(snapshot.derived_cache),
         "stale": snapshot.stale,
     }
 
@@ -187,6 +175,20 @@ def _checkpoint_name(session: str, windows: int) -> str:
     return "%s-%08d.json" % (session, windows)
 
 
+_FileIdentity = Tuple[str, int, int, int]
+
+#: ``(directory, session)`` -> the newest checkpoint this process wrote or
+#: parsed and the lease inside it. Never trusted without comparing the
+#: identity with the file on disk (:func:`latest_lease`).
+_PARSED_LEASES: Dict[Tuple[str, str], Tuple[_FileIdentity, int]] = {}
+
+
+def _file_identity(path: str, descriptor: int) -> _FileIdentity:
+    """What tells one complete checkpoint file from any replacement of it."""
+    status = os.fstat(descriptor)
+    return (path, status.st_ino, status.st_mtime_ns, status.st_size)
+
+
 def write_checkpoint(
     directory: str,
     session: str,
@@ -236,9 +238,15 @@ def write_checkpoint(
     )
     try:
         with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
+            # ``dumps`` runs the C encoder; ``json.dump`` to a file always
+            # takes the pure-Python generators (same bytes, five times slower).
+            stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
             stream.flush()
             os.fsync(stream.fileno())
+            # Taken from the descriptor, before the rename: a stat of ``path``
+            # after it could see another owner's replacement of the file and
+            # pin this writer's lease to it.
+            identity = _file_identity(path, stream.fileno())
         os.replace(temp_path, path)
     except OSError as exc:
         try:
@@ -246,6 +254,7 @@ def write_checkpoint(
         except OSError:
             pass
         raise CheckpointError("cannot write checkpoint %s: %s" % (path, exc))
+    _PARSED_LEASES[(directory, session)] = (identity, lease or 0)
     if keep is not None and keep > 0:
         for _windows, stale in list_checkpoints(directory, session)[:-keep]:
             try:
@@ -283,21 +292,25 @@ def latest_lease(directory: str, session: str) -> int:
 
     Unreadable files count as lease 0 rather than an error: fencing guards
     against a *newer* owner, and a torn or missing file cannot prove one.
+    The directory is listed and the newest file ``fstat``-ed on every call;
+    only the JSON parse is skipped, when that file is the very one this
+    process last wrote or parsed for the session.
     """
     path = latest_checkpoint(directory, session)
     if path is None:
         return 0
     try:
         with open(path) as stream:
+            identity = _file_identity(path, stream.fileno())
+            known = _PARSED_LEASES.get((directory, session))
+            if known is not None and known[0] == identity:
+                return known[1]
             payload = json.load(stream)
-    except (OSError, ValueError):
+        lease = int(payload.get("lease", 0)) if isinstance(payload, dict) else 0
+    except (OSError, TypeError, ValueError):
         return 0
-    if not isinstance(payload, dict):
-        return 0
-    try:
-        return int(payload.get("lease", 0))
-    except (TypeError, ValueError):
-        return 0
+    _PARSED_LEASES[(directory, session)] = (identity, lease)
+    return lease
 
 
 def load_checkpoint(path: str) -> Checkpoint:

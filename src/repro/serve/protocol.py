@@ -42,7 +42,7 @@ import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.logic.parser import ParseError, parse_term
-from repro.logic.terms import Compound, Term, intern_constant, is_ground
+from repro.logic.terms import Compound, Term, intern_constant, is_fvp, is_ground
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -53,6 +53,7 @@ __all__ = [
     "ok_response",
     "parse_event_term",
     "read_protocol_lines",
+    "require_fvp",
     "require_intervals",
     "require_session",
     "require_time",
@@ -260,6 +261,19 @@ def require_time(value: Any) -> int:
     if value < 0:
         raise ProtocolError("bad-request", "event 'time' must be non-negative")
     return value
+
+
+def require_fvp(value: Any) -> Term:
+    """The ``F=V`` term a ``query`` names, parsed from concrete syntax."""
+    if not isinstance(value, str):
+        raise ProtocolError("bad-request", "query 'fvp' must be a string")
+    try:
+        pair = parse_term(value)
+    except ParseError as exc:
+        raise ProtocolError("bad-request", "unparsable query 'fvp' %r: %s" % (value, exc))
+    if not is_fvp(pair):
+        raise ProtocolError("bad-request", "query 'fvp' must be an F=V pair, not %r" % value)
+    return pair
 
 
 def require_intervals(value: Any) -> "list[Tuple[int, int]]":

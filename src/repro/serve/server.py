@@ -264,10 +264,7 @@ class RecognitionServer:
             at = message.get("at")
             if at is not None:
                 at = require_time(at)
-            fvp = message.get("fvp")
-            if fvp is not None and not isinstance(fvp, str):
-                raise ProtocolError("bad-request", "query 'fvp' must be a string")
-            payload = await managed.query(at=at, fvp=fvp)
+            payload = await managed.query(at=at, fvp=message.get("fvp"))
             return ok_response(type="result", session=managed.name, **payload)
         if kind == "checkpoint":
             managed = self.manager.get(require_session(message))

@@ -28,9 +28,9 @@ evaluation errors mark a session as failed, and a failed session rejects
 further traffic without affecting its neighbours.
 
 Checkpoints: every ``checkpoint_every`` windows (and on demand, and on
-graceful shutdown) the worker snapshots the session — a cheap copy bounded
-by omega — records how many input items had been applied, and persists
-both via :mod:`repro.serve.checkpoint`.
+graceful shutdown) the worker snapshots the session — a cheap copy of its
+containers — records how many input items had been applied, and persists
+both via :mod:`repro.serve.checkpoint` (a file that grows with the stream).
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList
+from repro.logic.terms import Term
 from repro.rtec.engine import RTECEngine
 from repro.rtec.result import RecognitionResult
 from repro.rtec.session import RTECSession
 from repro.rtec.stream import Event
 from repro.serve import checkpoint as checkpointing
-from repro.serve.protocol import ProtocolError, parse_event_term
+from repro.serve.protocol import ProtocolError, parse_event_term, require_fvp
 
 __all__ = ["SessionConfig", "ManagedSession", "SessionManager"]
 
@@ -258,11 +259,17 @@ class ManagedSession:
         """Detections amalgamated so far (optionally advancing to ``at``).
 
         Runs on the worker, after everything already queued — a query
-        observes every event accepted before it.
+        observes every event accepted before it. ``fvp`` is parsed here, on
+        the caller's side: a malformed one is the caller's ``bad-request``
+        (:class:`ProtocolError`), not a failure of the tenant.
         """
+        pair = None if fvp is None else require_fvp(fvp)
         future: "asyncio.Future[Dict[str, Any]]" = asyncio.get_running_loop().create_future()
-        await self.queue.put((_QUERY, at, fvp, future))
-        return await future
+        await self.queue.put((_QUERY, at, pair, future))
+        payload = await future
+        if fvp is not None:
+            payload["fvp"] = fvp
+        return payload
 
     async def checkpoint(self) -> Dict[str, Any]:
         """Snapshot now (after everything already queued); returns metadata."""
@@ -295,6 +302,10 @@ class ManagedSession:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - a failed session must not kill the service
+                # The item being applied is no longer in the queue, so its
+                # client would wait forever: it gets the error itself.
+                if item[0] in (_QUERY, _CHECKPOINT) and not item[-1].done():
+                    item[-1].set_exception(exc)
                 self.failure = "%s: %s" % (exc.__class__.__name__, exc)
                 self._reject_pending()
         if self.checkpoint_dir is not None and self.failure is None:
@@ -353,8 +364,8 @@ class ManagedSession:
             if self.config.auto_advance and self.next_query is None and interval_list:
                 self.next_query = self._grid_after(interval_list.span[0])
         elif kind == _QUERY:
-            _kind, at, fvp, future = item
-            payload = await self._run_query(at, fvp)
+            _kind, at, pair, future = item
+            payload = await self._run_query(at, pair)
             if not future.done():
                 future.set_result(payload)
         elif kind == _CHECKPOINT:
@@ -364,7 +375,7 @@ class ManagedSession:
                 future.set_result(payload)
         return False
 
-    async def _run_query(self, at: Optional[int], fvp: Optional[str]) -> Dict[str, Any]:
+    async def _run_query(self, at: Optional[int], pair: Optional[Term]) -> Dict[str, Any]:
         last = self.session.last_query_time
         if at is not None and (last is None or at > last):
             # Walk the step grid instead of jumping straight to ``at``: with
@@ -384,11 +395,10 @@ class ManagedSession:
                 self.next_query = self._grid_after(at)
         result = self.session.result
         payload: Dict[str, Any] = {"last_query": self.session.last_query_time}
-        if fvp is not None:
+        if pair is not None:
             payload["intervals"] = [
-                [iv.start, iv.end] for iv in result.holds_for(fvp)
+                [iv.start, iv.end] for iv in result.holds_for(pair)
             ]
-            payload["fvp"] = fvp
         else:
             payload["fvps"] = result.to_dict()
         return payload

@@ -1,8 +1,10 @@
 """Unit tests for recognition results."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.intervals import IntervalList
+from repro.intervals import IntervalList, union_all
 from repro.logic.parser import parse_term
 from repro.rtec import RecognitionResult
 
@@ -61,6 +63,73 @@ class TestMerge:
         recognition = RecognitionResult()
         recognition.merge(parse_term("f(v1)=true"), IntervalList())
         assert len(recognition) == 0
+
+
+@st.composite
+def _normalised_lists(draw, origin=0):
+    """A random normalised list from gaps (>= 2, so never adjacent) and lengths."""
+    cursor, pairs = origin, []
+    for gap, length in draw(st.lists(st.tuples(st.integers(2, 6), st.integers(0, 6)), max_size=6)):
+        pairs.append((cursor + gap, cursor + gap + length))
+        cursor += gap + length
+    return IntervalList(pairs)
+
+
+@st.composite
+def _stored_and_incoming(draw):
+    """``b`` placed relative to ``a``'s last interval: disjoint-later, adjacent,
+    overlapping, swallowing several of ``b``'s head intervals (``a``'s last
+    one is long, ``b`` starts inside it), starting before it, either empty."""
+    stored = draw(_normalised_lists())
+    if stored and draw(st.booleans()):
+        last = stored[-1]
+        stored = IntervalList(stored.as_pairs()[:-1] + [(last.start, last.end + draw(st.integers(0, 40)))])
+    anchor = stored[-1].start if stored else 0
+    incoming = draw(_normalised_lists(origin=anchor + draw(st.integers(-12, 45))))
+    return stored, incoming
+
+
+class TestTailAppendMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(_stored_and_incoming())
+    def test_merge_equals_the_general_union(self, lists):
+        stored, incoming = lists
+        pair = parse_term("f(v1)=true")
+        recognition = RecognitionResult({pair: stored} if stored else None)
+        recognition.merge(pair, incoming)
+        merged = recognition.holds_for(pair)
+        # Through the constructor: sorts and normalises, no tail path.
+        expected = IntervalList(stored.as_pairs() + incoming.as_pairs())
+        assert merged == expected == union_all([stored, incoming])
+        assert hash(merged) == hash(expected)
+        assert merged.raw() == expected.raw()
+        with pytest.raises(AttributeError):
+            merged._intervals = ()
+
+    def test_every_shape_takes_the_intended_path(self, monkeypatch):
+        import repro.rtec.result as module
+
+        general = []
+        monkeypatch.setattr(
+            module, "union_all", lambda lists: general.append(lists) or union_all(lists)
+        )
+        pair = parse_term("f(v1)=true")
+        recognition = RecognitionResult()
+        # Later, adjacent, overlapping, swallowing two head intervals, contained.
+        for incoming in (
+            [(1, 5)], [(9, 12)], [(13, 14)], [(10, 50)],
+            [(10, 12), (20, 22), (49, 55), (60, 61)], [(60, 60)],
+        ):
+            recognition.merge(pair, IntervalList(incoming))
+        assert not general
+        assert recognition.holds_for(pair).as_pairs() == [(1, 5), (9, 55), (60, 61)]
+        recognition.merge(pair, IntervalList([(7, 7)]))  # starts before the last stored one
+        assert len(general) == 1
+        assert recognition.holds_for(pair).as_pairs() == [(1, 5), (7, 7), (9, 55), (60, 61)]
+
+    def test_extend_tail_refuses_a_list_that_is_not_a_tail(self):
+        with pytest.raises(ValueError, match="starts before"):
+            IntervalList([(1, 2), (10, 20)]).extend_tail(IntervalList([(5, 6)]))
 
 
 class TestSerialization:

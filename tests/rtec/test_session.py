@@ -660,3 +660,38 @@ class TestGoldMaritimeDisorder:
         assert len(session.result) > 0
         assert session.advances["repaired"] >= steps // 8
         assert session.recomputes == {"first": 1}
+
+
+class TestAdvanceCostIsBoundedByTheWindow:
+    def test_normalised_items_do_not_grow_with_the_stream(self, monkeypatch):
+        """Gold fleet, one vehicle, its scripted day replayed 60 times at
+        window 600 / step 300 (the ``fleet_cluster`` benchmark's shape).
+        Counts a clock cannot blur: the intervals handed to
+        ``IntervalList._normalise`` per day. Amalgamating a window by
+        re-normalising the whole stored list made the last ten days cost
+        5.8 times days 2-11."""
+        from repro.fleet import build_fleet_dataset, fleet_gold_event_description
+
+        dataset = build_fleet_dataset()
+        day = [event for event in dataset.stream if event.term.args[0].value == "bus1"]
+        step = 300
+        span = -(-(dataset.stream.max_time + 10) // step) * step
+        engine = RTECEngine(fleet_gold_event_description(), dataset.kb, dataset.vocabulary)
+        session = RTECSession(engine, window=600)
+        normalised = [0]
+        normalise = IntervalList._normalise
+
+        def counting(items):
+            normalised[0] += len(items)
+            return normalise(items)
+
+        monkeypatch.setattr(IntervalList, "_normalise", staticmethod(counting))
+        per_day = []
+        for index in range(60):
+            before = normalised[0]
+            session.submit([Event(e.time + index * span, e.term) for e in day])
+            for query_time in range(index * span + step, (index + 1) * span + 1, step):
+                session.advance(query_time)
+            per_day.append(normalised[0] - before)
+        assert len(session.result.holds_for("overSpeeding(bus1)=true")) == 60
+        assert sum(per_day[-10:]) <= 1.1 * sum(per_day[1:11])

@@ -94,6 +94,25 @@ class TestCheckpointFiles:
         assert loaded.description_hash == digest
         assert loaded.snapshot.result == session.snapshot().result
 
+    def test_file_is_the_one_shot_encoding_of_the_payload(self, tmp_path):
+        # The bytes are the contract (parent-written files restore here and
+        # vice versa): compact, key-sorted, nothing after the object.
+        session = _session_with_state()
+        snapshot = session.snapshot()
+        digest = description_hash(session.engine.description)
+        path = write_checkpoint(
+            str(tmp_path), "s0", snapshot,
+            applied=7, windows=2, description_digest=digest, owner="w0", lease=3,
+        )
+        payload = {
+            "version": CHECKPOINT_VERSION, "session": "s0", "windows": 2, "applied": 7,
+            "description_hash": digest, "snapshot": snapshot_to_dict(snapshot),
+            "owner": "w0", "lease": 3,
+        }
+        with open(path) as stream:
+            assert stream.read() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert snapshot_to_dict(load_checkpoint(path).snapshot) == payload["snapshot"]
+
     def test_listing_is_ordered_and_per_session(self, tmp_path):
         session = _session_with_state()
         digest = description_hash(session.engine.description)
@@ -212,14 +231,53 @@ class TestOwnershipAndLeases:
         self._write(tmp_path, 2)
         assert latest_lease(str(tmp_path), "s0") == 0
 
-    @pytest.mark.parametrize("text", ["[1,2]", "null", "7"])
-    def test_non_object_newest_file_counts_as_lease_zero(self, tmp_path, text):
+    @pytest.mark.parametrize("name", ["s0-00000001.json", "s0-00000002.json"])
+    @pytest.mark.parametrize("text", ["[1,2]", "null", "7", "{ torn"])
+    def test_non_object_newest_file_counts_as_lease_zero(self, tmp_path, text, name):
         # A fenced writer reads the newest file's lease before every
-        # checkpoint: an unreadable one proves no newer owner.
+        # checkpoint: an unreadable one proves no newer owner — whether it
+        # sits after the writer's own last file or has taken its place.
         self._write(tmp_path, 1, owner="w0", lease=1)
-        (tmp_path / "s0-00000002.json").write_text(text)
+        (tmp_path / name).write_text(text)
         assert latest_lease(str(tmp_path), "s0") == 0
         self._write(tmp_path, 3, owner="w0", lease=1)
+
+    def _foreign(self, tmp_path, destination, *, windows, lease):
+        """A checkpoint another process wrote: moved in, never seen by this one."""
+        elsewhere = tmp_path / "elsewhere"
+        os.replace(self._write(elsewhere, windows, owner="w1", lease=lease), destination)
+
+    def test_own_newest_file_is_listed_but_not_parsed_again(self, tmp_path, monkeypatch):
+        listings, parses = [], []
+        listdir, load = os.listdir, json.load
+        monkeypatch.setattr(os, "listdir", lambda path: listings.append(path) or listdir(path))
+        monkeypatch.setattr(json, "load", lambda stream: parses.append(stream.name) or load(stream))
+        directory = tmp_path / "checkpoints"
+        for windows in (1, 2, 3):
+            self._write(directory, windows, owner="w0", lease=1)
+        assert latest_lease(str(directory), "s0") == 1
+        assert parses == []
+        assert listings.count(str(directory)) == 4
+        # A file this process has not seen is parsed — once.
+        self._foreign(tmp_path, directory / "s0-00000004.json", windows=4, lease=1)
+        assert latest_lease(str(directory), "s0") == 1
+        assert latest_lease(str(directory), "s0") == 1
+        assert parses == [str(directory / "s0-00000004.json")]
+
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_new_owner_fences_a_writer_that_remembers_its_own_file(self, tmp_path, windows):
+        # The new owner's checkpoint lands at the very path the zombie last
+        # wrote (same windows count, same size: only the lease digit and the
+        # owner differ) or at a later sequence; either way the remembered
+        # lease must not stand in for the file now on disk.
+        directory = tmp_path / "checkpoints"
+        own = self._write(directory, 1, owner="w0", lease=1)
+        size = os.path.getsize(own)
+        self._foreign(tmp_path, directory / ("s0-%08d.json" % windows), windows=windows, lease=2)
+        assert os.path.getsize(own) == size
+        assert latest_lease(str(directory), "s0") == 2
+        with pytest.raises(CheckpointError, match="fenced"):
+            self._write(directory, 3, owner="w0", lease=1)
 
 
 class TestVersionCompatibility:

@@ -138,6 +138,42 @@ class TestMalformedFluent:
         assert status["applied"] == 1
 
 
+class TestMalformedQueryFvp:
+    """A ``query`` naming something that is not an FVP is the client's
+    ``bad-request``; it used to raise on the session worker, fail the tenant
+    and leave the client without a reply."""
+
+    def _query(self, fvp):
+        async def run(reader, writer):
+            line = json.dumps({"type": "query", "session": "s", "at": 60, "fvp": fvp})
+            reply = await asyncio.wait_for(_request(reader, writer, line.encode() + b"\n"), 10)
+            again = await _request(
+                reader, writer,
+                b'{"type":"query","session":"s","at":120,"fvp":"p(a, b)=true"}\n',
+            )
+            status = await _request(reader, writer, b'{"type": "status"}\n')
+            return reply, again, status["sessions"]["s"]
+
+        return asyncio.run(_with_server(run))
+
+    def test_unparsable_fvp(self):
+        reply, again, status = self._query("notanfvp(")
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert (again["ok"], again["intervals"], again["last_query"]) == (True, [], 120)
+        assert status["failure"] is None
+
+    def test_term_that_is_not_a_pair(self):
+        reply, again, status = self._query("foo(bar)")
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert again["ok"] is True
+        assert status["failure"] is None
+
+    def test_non_string_fvp(self):
+        reply, again, _status = self._query(7)
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert again["ok"] is True
+
+
 class TestLineScanner:
     def _scan(self, chunks, limit):
         async def run():

@@ -137,6 +137,47 @@ class TestWorker:
         assert payload["intervals"] == [[6, 10]]
         assert payload["fvp"] == "f(v1)=true"
 
+    @pytest.mark.parametrize("fvp", ["notanfvp(", "foo(bar)"])
+    def test_malformed_query_fvp_is_refused_before_it_reaches_the_worker(self, fvp):
+        async def scenario():
+            managed = ManagedSession("s", _engine(), SessionConfig(window=20, step=10))
+            managed.start()
+            managed.offer_events([(5, "start(v1)")])
+            with pytest.raises(ProtocolError) as refusal:
+                await managed.query(at=10, fvp=fvp)
+            payload = await managed.query(at=10, fvp="f(v1)=true")
+            await managed.stop()
+            return managed, refusal.value.code, payload
+
+        managed, code, payload = _run(scenario())
+        assert code == "bad-request"
+        assert managed.failure is None
+        assert payload["intervals"] == [[6, 10]]
+
+    def test_a_failing_query_or_checkpoint_answers_its_own_client(self, tmp_path):
+        # The item being applied has left the queue, so the sweep that
+        # rejects queued requests cannot see it: it used to wait forever.
+        async def scenario():
+            managed = ManagedSession(
+                "s", _engine(), SessionConfig(window=20, step=10), str(tmp_path)
+            )
+
+            def explode(query_time):
+                raise RuntimeError("evaluation exploded at %d" % query_time)
+
+            managed.session.advance = explode
+            managed.start()
+            with pytest.raises(RuntimeError, match="exploded at 10"):
+                await asyncio.wait_for(managed.query(at=10), 10)
+            failure = managed.failure
+            managed.session.snapshot = lambda: explode(0)
+            with pytest.raises(RuntimeError, match="exploded at 0"):
+                await asyncio.wait_for(managed.checkpoint(), 10)
+            await managed.stop()
+            return failure
+
+        assert "evaluation exploded at 10" in _run(scenario())
+
     def test_bad_event_is_dropped_not_fatal(self):
         # Parsing is deferred off the accept path, so a malformed term
         # surfaces on the worker: it must be counted and skipped, never
