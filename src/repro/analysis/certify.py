@@ -188,10 +188,10 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
     prover accepts times provably equal to it through positive ``=:=``
     chains.
     """
-    from repro.rtec.compile import compile_rule
+    from repro.rtec.compile import rule_shape
 
     try:
-        plan = compile_rule(rule)
+        _head_pair, head_time, _seed_event, seed_time = rule_shape(rule)
     except EvaluationError as exc:
         return False, [
             _DeltaProblem(
@@ -202,7 +202,6 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
             )
         ]
     problems: List[_DeltaProblem] = []
-    head_time = plan.head_time
     classes = _TimeClasses(rule)
     if not isinstance(head_time, Variable):
         problems.append(
@@ -214,7 +213,7 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
             )
         )
         return False, problems
-    if not classes.same(plan.seed_time, head_time):
+    if not classes.same(seed_time, head_time):
         problems.append(
             _DeltaProblem(
                 "delta-unsafe-head",
@@ -223,10 +222,10 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
                 "variable) so delta evaluation can re-seed the rule from "
                 "new events only"
                 % (
-                    term_to_str(plan.seed_time),
+                    term_to_str(seed_time),
                     term_to_str(rule.head),
                     head_time.name,
-                    term_to_str(plan.seed_time),
+                    term_to_str(seed_time),
                     head_time.name,
                 ),
                 condition_index=0,

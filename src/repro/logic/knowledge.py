@@ -87,15 +87,18 @@ class KnowledgeBase:
             if goal in self._fact_sets.get(key, ()):
                 yield subst
             return
-        candidates = self._facts.get(key, ())
-        if candidates and isinstance(goal, Compound):
-            first = goal.args[0]
-            if is_ground(first):
-                candidates = self._by_first[key].get(first, ())
-        for fact in candidates:
+        first = goal.args[0] if isinstance(goal, Compound) and goal.args[0].ground else None
+        for fact in self.candidates(key, first):
             extended = unify(goal, fact, subst)
             if extended is not None:
                 yield extended
+
+    def candidates(self, key: Tuple[str, int], first: Optional[Term] = None) -> List[Term]:
+        """The facts of one predicate a goal can match: all of them, or —
+        given the goal's ground first argument — that entity's only."""
+        if first is not None:
+            return self._by_first.get(key, {}).get(first, ())
+        return self._facts.get(key, ())
 
     def holds(self, goal: Term, subst: Optional[Substitution] = None) -> bool:
         """True when at least one fact unifies with ``goal``."""

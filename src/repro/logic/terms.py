@@ -12,12 +12,18 @@ Terms come in three shapes:
   (Example 4.10).
 
 All terms are immutable and hashable so they can be used as dictionary keys
-(e.g. to index maximal-interval caches by ground FVP).
+(e.g. to index maximal-interval caches by ground FVP). A term computes its
+hash and its ``ground`` flag once, at construction: a dict lookup on a
+compound costs one slot read, not a walk over its arguments. Equality and
+hash values are those of the frozen dataclasses these classes replaced
+(``Constant(2) == Constant(2.0)``, terms of different classes never equal).
+``str`` hashes are per-process unless ``PYTHONHASHSEED`` is pinned, so a term
+pickles as ``(class, fields)`` and recomputes its hash on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Tuple, Union
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "Compound",
     "fvp",
     "make_atom",
+    "make_compound",
     "intern_constant",
     "is_fvp",
     "is_ground",
@@ -34,26 +41,74 @@ __all__ = [
     "walk_subterms",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Variable:
+
+class _Frozen:
+    """Immutability and the cached hash shared by the three term classes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):  # (class, fields): a cached hash is per process
+        fields = [name for name in self.__slots__ if name not in ("_hash", "ground")]
+        return self.__class__, tuple(getattr(self, name) for name in fields)
+
+
+class Variable(_Frozen):
     """A logic variable, e.g. ``Vessel`` or ``T``."""
 
+    __slots__ = ("name", "_hash")
     name: str
+    ground = False
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    __hash__ = _Frozen.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Variable:
+            return self.name == other.name  # type: ignore[attr-defined]
+        return NotImplemented
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(_Frozen):
     """An atom, number or string constant.
 
     ``value`` holds a ``str`` for atoms (``fishing``) and an ``int`` or
     ``float`` for numbers.
     """
 
+    __slots__ = ("value", "_hash")
     value: Union[str, int, float]
+    ground = True
+
+    def __init__(self, value: Union[str, int, float]) -> None:
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    __hash__ = _Frozen.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Constant:
+            # Identity first, as tuple comparison does: a constant holding
+            # one ``nan`` object equals itself.
+            mine, theirs = self.value, other.value  # type: ignore[attr-defined]
+            return mine is theirs or mine == theirs
+        return NotImplemented
 
     def __repr__(self) -> str:
         return str(self.value)
@@ -63,20 +118,36 @@ class Constant:
         return isinstance(self.value, (int, float))
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(_Frozen):
     """A functor with arguments, e.g. ``entersArea(Vessel, Area)``."""
 
+    __slots__ = ("functor", "args", "ground", "_hash")
     functor: str
     args: Tuple["Term", ...]
+    ground: bool
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    def __init__(self, functor: str, args: Tuple["Term", ...]) -> None:
+        args = tuple(args)
+        if not args:
             raise ValueError(
                 "Compound terms need at least one argument; "
                 "use Constant for zero-arity atoms"
             )
-        object.__setattr__(self, "args", tuple(self.args))
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "ground", all([arg.ground for arg in args]))
+        _set(self, "_hash", hash((functor, args)))
+
+    __hash__ = _Frozen.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Compound:
+            return self is other or (
+                self._hash == other._hash  # type: ignore[attr-defined]
+                and self.functor == other.functor  # type: ignore[attr-defined]
+                and self.args == other.args  # type: ignore[attr-defined]
+            )
+        return NotImplemented
 
     @property
     def arity(self) -> int:
@@ -87,6 +158,20 @@ class Compound:
 
 
 Term = Union[Variable, Constant, Compound]
+
+_new = object.__new__
+
+
+def make_compound(functor: str, args: Tuple[Term, ...], ground: bool) -> Compound:
+    """``Compound(functor, args)`` for a caller that has established what the
+    constructor checks: ``args`` is a non-empty tuple of terms, all ground or
+    not as ``ground`` says (the rule compiler knows both statically)."""
+    term = _new(Compound)
+    _set(term, "functor", functor)
+    _set(term, "args", args)
+    _set(term, "ground", ground)
+    _set(term, "_hash", hash((functor, args)))
+    return term
 
 
 def make_atom(functor: str, *args: Term) -> Term:
@@ -100,17 +185,19 @@ _INTERNED: dict = {}
 
 
 def intern_constant(value: Union[str, int, float]) -> Constant:
-    """A shared :class:`Constant` for ``value``.
+    """A :class:`Constant` for ``value``; shared when ``value`` is an atom.
 
-    Hot paths wrap the same atoms and time-points into constants millions of
-    times per run; interning makes those wrappers identical objects so
-    unification's ``left is right`` fast path and dict lookups hit more often.
-    Keyed by type as well as value so ``2`` and ``2.0`` keep distinct reprs.
+    Ingest wraps the same vessel and area names millions of times per run;
+    interning makes the wrappers identical objects, so the ``left is right``
+    fast paths of matching and dict lookups hit. Numbers are *not* interned:
+    a stream is an unbounded supply of distinct coordinates and time-points,
+    and the table would grow with the stream instead of with the vocabulary.
     """
-    key = (value.__class__, value)
-    constant = _INTERNED.get(key)
+    if value.__class__ is not str:
+        return Constant(value)
+    constant = _INTERNED.get(value)
     if constant is None:
-        constant = _INTERNED[key] = Constant(value)
+        constant = _INTERNED[value] = Constant(value)
     return constant
 
 
@@ -125,12 +212,8 @@ def is_fvp(term: Term) -> bool:
 
 
 def is_ground(term: Term) -> bool:
-    """True when ``term`` contains no variables."""
-    if isinstance(term, Variable):
-        return False
-    if isinstance(term, Constant):
-        return True
-    return all(is_ground(arg) for arg in term.args)
+    """True when ``term`` contains no variables (read off the cached flag)."""
+    return term.ground
 
 
 def term_variables(term: Term) -> "list[Variable]":

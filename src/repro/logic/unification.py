@@ -27,14 +27,6 @@ class Substitution:
     def __init__(self, bindings: Optional[Dict[Variable, Term]] = None) -> None:
         self._bindings: Dict[Variable, Term] = dict(bindings or {})
 
-    @classmethod
-    def _wrap(cls, bindings: Dict[Variable, Term]) -> "Substitution":
-        """Adopt ``bindings`` without copying. Internal: the caller must not
-        mutate the dict afterwards and must pass fully dereferenced terms."""
-        new = cls.__new__(cls)
-        new._bindings = bindings
-        return new
-
     def lookup(self, var: Variable) -> Optional[Term]:
         return self._bindings.get(var)
 
@@ -75,7 +67,7 @@ def _walk(term: Term, subst: Substitution) -> Term:
 
 def apply_substitution(term: Term, subst: Substitution) -> Term:
     """Replace every bound variable in ``term`` by its binding, recursively."""
-    if not subst._bindings:
+    if term.ground or not subst._bindings:
         return term
     term = _walk(term, subst)
     if isinstance(term, Compound):

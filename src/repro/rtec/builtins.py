@@ -17,7 +17,14 @@ from repro.logic.terms import Compound, Constant, Term, Variable
 from repro.logic.unification import Substitution
 from repro.rtec.errors import EvaluationError
 
-__all__ = ["is_comparison", "evaluate_comparison", "evaluate_arithmetic", "EVALUABLE_FUNCTORS"]
+__all__ = [
+    "is_comparison",
+    "evaluate_comparison",
+    "evaluate_arithmetic",
+    "apply_functor",
+    "COMPARATORS",
+    "EVALUABLE_FUNCTORS",
+]
 
 Number = Union[int, float]
 
@@ -39,7 +46,7 @@ EVALUABLE_FUNCTORS: Dict[str, Callable[..., Number]] = {
     "angleDiff": _angle_diff,
 }
 
-_COMPARATORS: Dict[str, Callable[[Number, Number], bool]] = {
+COMPARATORS: Dict[str, Callable[[Number, Number], bool]] = {
     "<": lambda a, b: a < b,
     ">": lambda a, b: a > b,
     "=<": lambda a, b: a <= b,
@@ -75,7 +82,11 @@ def evaluate_arithmetic(term: Term, subst: Substitution) -> Number:
     fn = EVALUABLE_FUNCTORS.get(term.functor)
     if fn is None:
         raise EvaluationError("unknown arithmetic functor %r/%d" % (term.functor, term.arity))
-    args = [evaluate_arithmetic(arg, subst) for arg in term.args]
+    return apply_functor(fn, term, [evaluate_arithmetic(arg, subst) for arg in term.args])
+
+
+def apply_functor(fn: Callable[..., Number], term: Compound, args: list) -> Number:
+    """``term``'s evaluable functor ``fn`` over its already evaluated arguments."""
     try:
         return fn(*args)
     except TypeError:
@@ -92,4 +103,4 @@ def evaluate_comparison(term: Term, subst: Substitution) -> bool:
         raise EvaluationError("not a comparison: %r" % (term,))
     left = evaluate_arithmetic(term.args[0], subst)
     right = evaluate_arithmetic(term.args[1], subst)
-    return _COMPARATORS[term.functor](left, right)
+    return COMPARATORS[term.functor](left, right)

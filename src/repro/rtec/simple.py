@@ -11,50 +11,34 @@ For every simple fluent schema the engine:
 3. pairs initiations with terminations into maximal intervals
    (:func:`repro.intervals.make_intervals_from_points`).
 
-Rules are evaluated through the compiled plans of :mod:`repro.rtec.compile`:
-literal dispatch and functor keys are resolved once per rule, atemporal
-prefixes once per window, and seed events bind the rule via a plain dict
-build whenever the seed pattern allows it.
+Rules run as the slot programs of :mod:`repro.rtec.compile`, compiled once
+per fluent definition: this module only drives them over a window — the
+atemporal prefix once, then every seed event through the chain, or through
+one numpy mask when the body is plain comparisons.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList
 from repro.intervals.pairing import pair_intervals
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Rule
-from repro.logic.terms import (
-    Compound,
-    Constant,
-    Term,
-    intern_constant,
-    is_fvp,
-    is_ground,
-)
+from repro.logic.terms import Compound, Constant, Term, is_ground
 from repro.logic.pretty import term_to_str
-from repro.logic.unification import Substitution, unify
-from repro.rtec.builtins import evaluate_comparison
-from repro.rtec.compile import (
-    COMPARE,
-    HAPPENS,
-    HOLDS,
-    CompiledLiteral,
-    CompiledRule,
-    compile_rule,
-    pattern_key as _pattern_key,
-    vector_filter,
-)
+from repro.logic.unification import unify
+from repro.rtec.builtins import COMPARATORS
+from repro.rtec.compile import compile_rule, pattern_key as _pattern_key, program_for
 from repro.rtec.description import SimpleFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
 from repro.rtec.stream import EventStream, float64_exact
 
-__all__ = ["evaluate_simple_fluent", "rule_firing_points"]
+__all__ = ["evaluate_simple_fluent"]
 
 
 def evaluate_simple_fluent(
@@ -95,19 +79,28 @@ def evaluate_simple_fluent(
         initiations: Dict[Term, Set[int]] = defaultdict(set)
         terminations: Dict[Term, Set[int]] = defaultdict(set)
 
-        for rule in definition.initiated_rules:
+        def fire(rule: Rule, kind: str, require_ground: bool) -> List[Tuple[Term, int]]:
+            """The rule's firings this window; all of them up to an error."""
+            points: List[Tuple[Term, int]] = []
             with telemetry.span("rtec.rule") as rsp:
                 if rsp.enabled:
-                    rsp.set(head=term_to_str(rule.head), kind="initiatedAt")
+                    rsp.set(head=term_to_str(rule.head), kind=kind)
                 try:
-                    for pair, time in rule_firing_points(
-                        rule, stream, kb, store, window_start, window_end, require_ground=True
-                    ):
-                        initiations[pair].add(time)
+                    seed = _fire(
+                        program_for(definition, rule, compile_rule),
+                        stream, kb, store, window_start, window_end, require_ground, points,
+                    )
+                    rsp.set(seed=seed)
                 except EvaluationError as exc:
                     if on_error is None:
                         raise exc.with_context(rule_head=rule.head) from exc
                     on_error("skipped rule %r: %s" % (rule.head, exc))
+                rsp.set(solutions=len(points))
+            return points
+
+        for rule in definition.initiated_rules:
+            for pair, time in fire(rule, "initiatedAt", True):
+                initiations[pair].add(time)
 
         for pair, start_time in carried_initiations.items():
             initiations[pair].add(start_time)
@@ -115,26 +108,13 @@ def evaluate_simple_fluent(
         # A termination whose head still has unbound variables (e.g. the
         # AreaType of "terminatedAt(withinArea(Vl, AreaType)=true, T) :-
         # happensAt(gap_start(Vl), T)") terminates every matching instance.
-        pending: List[Tuple[Term, int]] = []
-        for rule in definition.terminated_rules:
-            with telemetry.span("rtec.rule") as rsp:
-                if rsp.enabled:
-                    rsp.set(head=term_to_str(rule.head), kind="terminatedAt")
-                try:
-                    for pair, time in rule_firing_points(
-                        rule, stream, kb, store, window_start, window_end, require_ground=False
-                    ):
-                        pending.append((pair, time))
-                except EvaluationError as exc:
-                    if on_error is None:
-                        raise exc.with_context(rule_head=rule.head) from exc
-                    on_error("skipped rule %r: %s" % (rule.head, exc))
         non_ground: List[Tuple[Term, int]] = []
-        for pattern, time in pending:
-            if is_ground(pattern):
-                terminations[pattern].add(time)
-            else:
-                non_ground.append((pattern, time))
+        for rule in definition.terminated_rules:
+            for pattern, time in fire(rule, "terminatedAt", False):
+                if is_ground(pattern):
+                    terminations[pattern].add(time)
+                else:
+                    non_ground.append((pattern, time))
         if non_ground:
             _apply_universal_terminations(non_ground, initiations, terminations)
 
@@ -244,154 +224,61 @@ def _apply_universal_terminations(
                 terminations[pair].add(time)
 
 
-def rule_firing_points(
-    rule: Rule,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-    require_ground: bool = True,
-) -> Iterator[Tuple[Term, int]]:
-    """Yield ``(head FVP, time)`` for every satisfied body instance.
-
-    Per Definition 2.2 the first condition is a positive ``happensAt``; each
-    of its event occurrences seeds a substitution which the remaining
-    conditions filter and extend. With ``require_ground=False`` the head FVP
-    may retain unbound variables (universal terminations); initiations must
-    always be ground.
-    """
-    plan = compile_rule(rule)
-
-    # The atemporal prefix does not depend on the seed event: evaluate it
-    # once per window and share its solutions across every seed.
-    prefix: List[Substitution] = [Substitution()]
-    for literal in plan.hoisted:
-        prefix = [ext for s in prefix for ext in kb.query(literal.term, s)]
-        if not prefix:
-            return
-
-    head_pair, head_time = plan.head_pair, plan.head_time
-    for final in _body_solutions(plan, prefix, stream, kb, store, window_start, window_end):
-        pair = final.resolve(head_pair)
-        if require_ground and not is_ground(pair):
-            raise EvaluationError(
-                "head FVP %r not ground after body evaluation of %r"
-                % (pair, rule.head)
-            )
-        time_term = final.resolve(head_time)
-        if not isinstance(time_term, Constant) or not time_term.is_number:
-            raise EvaluationError(
-                "head time-point is not bound in %r" % (rule.head,)
-            )
-        yield pair, int(time_term.value)
-
-
-def _body_solutions(
-    plan: CompiledRule,
-    prefix: List[Substitution],
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    """Every substitution satisfying seed and body, events ascending.
-
-    A fast-seeded plan first tries the vectorised seed filter
-    (:func:`_vector_candidates`); what it cannot evaluate exactly takes the
-    per-event loop. ``kernel.rule_filter.columnar`` / ``.fallback`` count
-    which of the two ran.
-    """
-    fast = plan.seed_args is not None
-    single_prefix = len(prefix) == 1
-
-    if fast:
-        candidates = _vector_candidates(plan, prefix, stream, window_start, window_end)
+def _fire(program, stream, kb, store, window_start, window_end, require_ground, out) -> str:
+    """Run one compiled rule over a window, appending its firings to ``out``:
+    events ascending, prefix solutions in order, conditions left to right.
+    A fast-seeded program first tries the vectorised seed filter
+    (:func:`_vector_candidates`); what that cannot evaluate exactly runs the
+    compiled chain seed by seed. Returns which of the two ran, as counted by
+    ``kernel.rule_filter.columnar`` / ``.fallback``."""
+    # The atemporal prefix runs once per window; every seed shares its frames.
+    frames = program.frames(stream, kb, store, window_start, window_end, require_ground, out)
+    if not frames:
+        return "none"
+    bind = program.bind_seed
+    if program.seed_args is not None:
+        candidates = _vector_candidates(program, frames, stream, window_start, window_end)
         if candidates is not None:
             telemetry.count("kernel.rule_filter.columnar")
-            # The body is comparisons only, so a candidate's seed
-            # substitution is already its solution.
-            for event, p in candidates:
-                merged = dict(p._bindings)
-                if plan.seed_args:
-                    merged.update(zip(plan.seed_args, event.term.args))
-                merged[plan.seed_time_var] = intern_constant(event.time)
-                yield Substitution._wrap(merged)
-            return
+            # The body is comparisons only and the mask has applied them.
+            for event, frame in candidates:
+                bind(frame, event)
+                program.emit(frame)
+            return "columnar"
         telemetry.count("kernel.rule_filter.fallback")
-
-    for event in stream.events_in_window(
-        plan.seed_key[0], plan.seed_key[1], window_start, window_end
-    ):
-        time_const = intern_constant(event.time)
-        seeds: List[Substitution] = []
-        if fast:
-            # Distinct fresh variables: ground the seed by dict build. The
-            # stream index guarantees the functor/arity matches.
-            if plan.seed_args:
-                base = dict(zip(plan.seed_args, event.term.args))
-            else:
-                base = {}
-            base[plan.seed_time_var] = time_const
-            for p in prefix:
-                bindings = p._bindings
-                if bindings:
-                    merged = dict(bindings)
-                    merged.update(base)
-                elif single_prefix:
-                    merged = base
-                else:
-                    merged = dict(base)
-                seeds.append(Substitution._wrap(merged))
-        else:
-            for p in prefix:
-                subst = unify(plan.seed_event, event.term, p)
-                if subst is None:
-                    continue
-                subst = unify(plan.seed_time, time_const, subst)
-                if subst is not None:
-                    seeds.append(subst)
-        for subst in seeds:
-            yield from _satisfy(
-                plan.body, subst, stream, kb, store, window_start, window_end
-            )
+    chain = program.chain(telemetry.is_enabled())
+    functor, arity = program.seed_key
+    for event in stream.events_in_window(functor, arity, window_start, window_end):
+        for frame in frames:
+            if bind(frame, event):
+                chain(frame)
+    return "chain"
 
 
-#: Marks a comparison side the vector filter cannot evaluate exactly —
-#: unbound or non-numeric variables, or numbers float64 does not compare
-#: exactly (:func:`repro.rtec.stream.float64_exact`).
-_FALLBACK = object()
-
-#: Elementwise comparator semantics identical to ``builtins._COMPARATORS``:
-#: ``math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9)`` is ``|a - b| <= 1e-9``
-#: computed in float64, which is exactly what the array expression does.
-_VECTOR_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: abs(a - b) <= 1e-9,
-    "=\\=": lambda a, b: abs(a - b) > 1e-9,
-}
+#: ``builtins.COMPARATORS`` elementwise: ``math.isclose(a, b, rel_tol=0.0,
+#: abs_tol=1e-9)`` is ``|a - b| <= 1e-9`` computed in float64, which is
+#: exactly what the array expression does.
+_VECTOR_COMPARATORS = dict(
+    COMPARATORS,
+    **{"=:=": lambda a, b: abs(a - b) <= 1e-9, "=\\=": lambda a, b: abs(a - b) > 1e-9},
+)
 
 
-def _vector_candidates(plan, prefix, stream, window_start, window_end):
+def _vector_candidates(plan, frames, stream, window_start, window_end):
     """The seed events passing the body's comparisons, as a batch mask.
 
-    Applies when the plan is vector-filterable (see
+    Applies when the program is vector-filterable (see
     :func:`repro.rtec.compile.vector_filter`) and every comparison side
     resolves to a float64-exact numeric column or scalar. Returns an
-    iterable of ``(event, prefix substitution)`` pairs in the order the
-    per-event path would produce them (events ascending, prefix solutions
-    in order), an empty tuple when nothing can fire, or ``None`` to fall
-    back to the per-event path, which then raises whatever error the
+    iterable of ``(event, prefix frame)`` pairs in the order the seed-by-seed
+    path would produce them (events ascending, prefix solutions in order),
+    an empty tuple when nothing can fire, or ``None`` to send the seeds
+    through the compiled chain, which then raises whatever error the
     comparison raises.
     """
-    filters = vector_filter(plan)
-    if filters is None:
+    if plan.filters is None:
         return None
-    info = stream.columns(plan.seed_key[0], plan.seed_key[1])
+    info = stream.columns(*plan.seed_key)
     if info is None:
         return ()
     bucket, times, np_times, value_columns = info
@@ -399,259 +286,47 @@ def _vector_candidates(plan, prefix, stream, window_start, window_end):
     hi = bisect_right(times, window_end)
     if lo >= hi:
         return ()
-    column_of = {var: index for index, var in enumerate(plan.seed_args)}
-    sliced: Dict[object, object] = {}
+    columns = dict(zip(plan.seed_args, value_columns))
+    columns[plan.seed_time] = np_times
 
-    def side_value(term, subst):
-        if isinstance(term, Constant):
-            value = term.value
-        else:
-            position = column_of.get(term)
-            if position is not None:
-                column = value_columns[position]
-                if column is None:
-                    return _FALLBACK
-                array = sliced.get(position)
-                if array is None:
-                    array = column[lo:hi]
-                    sliced[position] = array
-                return array
-            if term == plan.seed_time_var:
-                if np_times is None:
-                    return _FALLBACK
-                array = sliced.get("time")
-                if array is None:
-                    array = np_times[lo:hi]
-                    sliced["time"] = array
-                return array
-            resolved = subst.resolve(term)
-            if not isinstance(resolved, Constant):
-                return _FALLBACK
-            value = resolved.value
-        return value if float64_exact(value) else _FALLBACK
+    def side(term, frame):
+        """A float64 column slice or an exact scalar; ``None``: neither —
+        an unbound or non-numeric variable, or a number float64 does not
+        compare exactly (:func:`repro.rtec.stream.float64_exact`)."""
+        if term in columns:
+            column = columns[term]
+            return None if column is None else column[lo:hi]
+        if term in plan.prefix_vars:
+            term = frame[plan.slots[term]]
+        value = term.value if isinstance(term, Constant) else None
+        return value if float64_exact(value) else None
 
-    per_prefix = []
-    for p in prefix:
-        mask = None
-        for literal in filters:
-            comparator = _VECTOR_COMPARATORS.get(literal.term.functor)
-            if comparator is None:
+    masks = []
+    for frame in frames:
+        mask = True
+        for literal in plan.filters:
+            left, right = (side(term, frame) for term in literal.term.args)
+            if left is None or right is None:
                 return None
-            left = side_value(literal.term.args[0], p)
-            if left is _FALLBACK:
-                return None
-            right = side_value(literal.term.args[1], p)
-            if right is _FALLBACK:
-                return None
-            satisfied = comparator(left, right)
-            if literal.negated:
-                satisfied = (
-                    (not satisfied) if isinstance(satisfied, bool) else ~satisfied
-                )
-            mask = satisfied if mask is None else mask & satisfied
-        per_prefix.append((p, mask))
+            satisfied = _VECTOR_COMPARATORS[literal.term.functor](left, right)
+            mask = mask & (satisfied ^ literal.negated)
+        masks.append(mask)
 
     # Candidate indices: the union of the per-prefix masks, iterated
-    # event-major so yields interleave exactly like the per-event path.
-    all_pass = False
-    union_mask = None
-    for _p, mask in per_prefix:
-        if isinstance(mask, bool):
-            if mask:
-                all_pass = True
-        else:
-            union_mask = mask if union_mask is None else union_mask | mask
-    if all_pass:
-        indices = range(hi - lo)
-    elif union_mask is not None:
-        indices = union_mask.nonzero()[0]
+    # event-major so firings interleave exactly like the seed-by-seed path.
+    # A mask over scalars only is one bool for the whole bucket.
+    union = masks[0]
+    for mask in masks[1:]:
+        union = union | mask
+    if isinstance(union, bool):
+        indices = range(hi - lo) if union else ()
     else:
-        return ()
+        indices = union.nonzero()[0].tolist()
 
     def emit():
         for i in indices:
-            event = bucket[lo + int(i)]
-            for p, mask in per_prefix:
+            for frame, mask in zip(frames, masks):
                 if mask if isinstance(mask, bool) else mask[i]:
-                    yield event, p
+                    yield bucket[lo + i], frame
 
     return emit()
-
-
-def _satisfy(
-    literals: Tuple[CompiledLiteral, ...],
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    """Depth-first evaluation of the remaining body conditions."""
-    if not literals:
-        yield subst
-        return
-    compiled, rest = literals[0], literals[1:]
-    for extended in _satisfy_one(compiled, subst, stream, kb, store, window_start, window_end):
-        yield from _satisfy(rest, extended, stream, kb, store, window_start, window_end)
-
-
-def _condition_class(compiled: CompiledLiteral, subst: Substitution) -> str:
-    """The measured cost class of one condition at evaluation time.
-
-    Mirrors :func:`repro.analysis.costmodel.condition_class` — the
-    holdsAt ground/enumerating split is decided on the actual
-    substitution, which is exactly the boundness the static analysis
-    approximates.
-    """
-    tag = compiled.tag
-    literal = compiled.literal
-    if tag == COMPARE:
-        return "compare"
-    if tag == HAPPENS:
-        return "happensat.neg" if literal.negated else "happensat"
-    if tag == HOLDS:
-        if is_ground(subst.resolve(literal.term.args[0])):  # type: ignore[union-attr]
-            return "holdsat.ground"
-        return "holdsat.enum"
-    return "background.neg" if literal.negated else "background"
-
-
-def _satisfy_one(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    if telemetry.is_enabled():
-        # Condition-class selectivity counters feed the measured cost
-        # model (repro.analysis.costmodel): attempts vs yielded
-        # substitutions per class, attributed to the enclosing rtec.rule
-        # span. Only ever active under an installed tracer.
-        cls = _condition_class(compiled, subst)
-        telemetry.count("cond.%s.eval" % cls)
-        solutions = 0
-        for extended in _satisfy_one_inner(
-            compiled, subst, stream, kb, store, window_start, window_end
-        ):
-            solutions += 1
-            yield extended
-        if solutions:
-            telemetry.count("cond.%s.sol" % cls, solutions)
-        return
-    yield from _satisfy_one_inner(
-        compiled, subst, stream, kb, store, window_start, window_end
-    )
-
-
-def _satisfy_one_inner(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    kb: KnowledgeBase,
-    store: FluentStore,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    tag = compiled.tag
-    if tag == HAPPENS:
-        yield from _satisfy_happens_at(compiled, subst, stream, window_start, window_end)
-    elif tag == HOLDS:
-        yield from _satisfy_holds_at(compiled, subst, store)
-    elif tag == COMPARE:
-        literal = compiled.literal
-        try:
-            satisfied = evaluate_comparison(literal.term, subst)
-        except EvaluationError as exc:
-            raise exc.with_context(condition=literal.term) from exc
-        if literal.negated:
-            if not satisfied:
-                yield subst
-        elif satisfied:
-            yield subst
-    else:
-        # Atemporal background predicate.
-        literal = compiled.literal
-        if literal.negated:
-            if not kb.holds(literal.term, subst):
-                yield subst
-        else:
-            yield from kb.query(literal.term, subst)
-
-
-def _satisfy_happens_at(
-    compiled: CompiledLiteral,
-    subst: Substitution,
-    stream: EventStream,
-    window_start: int,
-    window_end: int,
-) -> Iterator[Substitution]:
-    literal = compiled.literal
-    event_pattern, time_pattern = literal.term.args  # type: ignore[union-attr]
-    key = compiled.key
-    if key is None:
-        key = _pattern_key(subst.resolve(event_pattern))
-    first = None
-    if isinstance(event_pattern, Compound):
-        first_arg = subst.resolve(event_pattern.args[0])
-        if is_ground(first_arg):
-            first = first_arg
-    time_term = subst.resolve(time_pattern)
-    if isinstance(time_term, Constant) and time_term.is_number:
-        candidates = stream.events_at(key[0], key[1], int(time_term.value), first)
-    else:
-        candidates = stream.events_in_window(key[0], key[1], window_start, window_end, first)
-    if literal.negated:
-        for event in candidates:
-            if (
-                unify(event_pattern, event.term, subst) is not None
-                and unify(time_pattern, intern_constant(event.time), subst) is not None
-            ):
-                return
-        yield subst
-        return
-    for event in candidates:
-        extended = unify(event_pattern, event.term, subst)
-        if extended is None:
-            continue
-        extended = unify(time_pattern, intern_constant(event.time), extended)
-        if extended is not None:
-            yield extended
-
-
-def _satisfy_holds_at(
-    compiled: CompiledLiteral, subst: Substitution, store: FluentStore
-) -> Iterator[Substitution]:
-    literal = compiled.literal
-    pair_pattern = subst.resolve(literal.term.args[0])  # type: ignore[union-attr]
-    time_term = subst.resolve(literal.term.args[1])  # type: ignore[union-attr]
-    if not (isinstance(time_term, Constant) and time_term.is_number):
-        raise EvaluationError("holdsAt time-point must be bound: %r" % (literal.term,))
-    if not is_fvp(pair_pattern):
-        raise EvaluationError("holdsAt requires an FVP argument: %r" % (literal.term,))
-    time = int(time_term.value)
-    if is_ground(pair_pattern):
-        holds = store.holds_at(pair_pattern, time)
-        if literal.negated:
-            if not holds:
-                yield subst
-        elif holds:
-            yield subst
-        return
-    if literal.negated:
-        raise EvaluationError(
-            "negated holdsAt requires ground arguments: %r" % (literal.term,)
-        )
-    assert isinstance(pair_pattern, Compound)
-    key = compiled.key
-    if key is None:
-        key = _pattern_key(pair_pattern.args[0])
-    for pair, intervals in store.instances(key):
-        if not intervals.holds_at(time):
-            continue
-        extended = unify(pair_pattern, pair, subst)
-        if extended is not None:
-            yield extended

@@ -3,9 +3,10 @@
 A ``holdsFor`` rule is evaluated by joining its ``holdsFor`` conditions over
 the fluent store (which already contains the intervals of every lower-level
 FVP, thanks to bottom-up evaluation order), interleaved with atemporal
-background predicates and interval manipulation constructs. Interval-list
-variables live in a separate environment from term variables, since interval
-lists are not first-order terms.
+background predicates and interval manipulation constructs. Each rule runs
+as a slot program built from the matcher and builder pieces of
+:mod:`repro.rtec.compile`; interval-list variables live in the same frame
+as term variables, under their own keys (interval lists are not terms).
 
 Grounding. RTEC grounds fluent arguments over declared entity domains; a
 ``holdsFor(F=V, I)`` condition then succeeds with ``I = []`` when ``F=V``
@@ -21,23 +22,20 @@ instead of failing — so, e.g., a vessel that was ``stopped`` but never at
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, intersect_all, relative_complement_all, union_all
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import LIST_FUNCTOR, Literal, Rule
-from repro.logic.terms import Compound, Term, Variable, is_fvp, is_ground
-from repro.logic.unification import Substitution, unify
+from repro.logic.terms import Compound, Term, Variable, is_fvp, term_variables
+from repro.rtec.compile import AUX, FIRST_SLOT, KB, OUT, STORE, Scope, background, build
+from repro.rtec.compile import failing, guard, key_reader, matcher, program_for
 from repro.rtec.description import INTERVAL_CONSTRUCTS, StaticFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
-from repro.rtec.simple import _pattern_key  # shared helper
 
-__all__ = ["evaluate_static_fluent"]
-
-#: Bindings of interval-list variables.
-IntervalEnv = Dict[Variable, IntervalList]
+__all__ = ["evaluate_static_fluent", "StaticProgram"]
 
 
 def evaluate_static_fluent(
@@ -57,13 +55,15 @@ def evaluate_static_fluent(
     ) as sp:
         result: Dict[Term, List[IntervalList]] = {}
         for rule in definition.rules:
+            found: List[Tuple[Term, IntervalList]] = []
             try:
-                for pair, intervals in _evaluate_rule(rule, kb, store):
-                    result.setdefault(pair, []).append(intervals)
+                program_for(definition, rule, StaticProgram).run(kb, store, found)
             except EvaluationError as exc:
                 if on_error is None:
                     raise exc.with_context(rule_head=rule.head) from exc
                 on_error("skipped rule %r: %s" % (rule.head, exc))
+            for pair, intervals in found:
+                result.setdefault(pair, []).append(intervals)
         merged = {
             pair: union_all(interval_lists)
             for pair, interval_lists in result.items()
@@ -76,203 +76,230 @@ def evaluate_static_fluent(
         return merged
 
 
-def _evaluate_rule(
-    rule: Rule, kb: KnowledgeBase, store: FluentStore
-) -> Iterator[Tuple[Term, IntervalList]]:
-    head = rule.head
-    assert isinstance(head, Compound)
-    head_pair = head.args[0]
-    head_interval = head.args[1]
-    if not is_fvp(head_pair):
-        raise EvaluationError("holdsFor head without an FVP: %r" % (head,))
-    emitted: Set[Tuple[Term, IntervalList]] = set()
-    seeds = _seed_substitutions(rule, store)
-    telemetry.count("seeds", len(seeds))
-    for seed in seeds:
-        for subst, env in _satisfy_body(rule.body, seed, {}, kb, store):
-            pair = subst.resolve(head_pair)
-            if not is_ground(pair):
-                raise EvaluationError(
-                    "holdsFor head %r not ground after body evaluation" % (pair,)
-                )
-            intervals = _resolve_interval(head_interval, subst, env)
-            if intervals and (pair, intervals) not in emitted:
-                emitted.add((pair, intervals))
-                yield pair, intervals
+class StaticProgram:
+    """One ``holdsFor`` rule: its seed enumerators and one body per seed shape.
 
-
-def _seed_substitutions(rule: Rule, store: FluentStore) -> List[Substitution]:
-    """Candidate variable bindings for one rule (see module docstring)."""
-    seeds: List[Substitution] = [Substitution()]
-    seen: Set[frozenset] = {frozenset()}
-    for literal in rule.body:
-        term = literal.term
-        if not (isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2):
-            continue
-        pair_pattern = term.args[0]
-        if not is_fvp(pair_pattern):
-            continue
-        for bound, _intervals in _match_instances(pair_pattern, Substitution(), store):
-            key = frozenset(bound.items())
-            if key not in seen:
-                seen.add(key)
-                seeds.append(bound)
-    return seeds
-
-
-def _match_instances(
-    pair_pattern: Term, subst: Substitution, store: FluentStore
-) -> Iterator[Tuple[Substitution, IntervalList]]:
-    """Unify a non-ground FVP pattern against stored instances.
-
-    The fluent part is unified against each stored instance of the same
-    schema; when the pattern's *value* is a constant that differs from the
-    instance's value, the binding still counts and the intervals of the
-    resolved FVP are looked up (possibly empty) — instances define the
-    grounding domain, not the value.
+    A *seed shape* is the set of variables a seed binds — those of one
+    ``holdsFor`` condition's FVP pattern, or none (the empty seed). Which
+    slots are bound when a body condition runs depends on the shape alone,
+    so each shape gets its own compiled body over the one shared frame.
     """
-    assert isinstance(pair_pattern, Compound)
-    fluent_pattern, value_pattern = pair_pattern.args
-    key = _pattern_key(subst.resolve(fluent_pattern))
-    seen: Set[Term] = set()
-    for instance_pair, _ in store.instances(key):
-        assert isinstance(instance_pair, Compound)
-        extended = unify(fluent_pattern, instance_pair.args[0], subst)
-        if extended is None:
-            continue
-        resolved_value = extended.resolve(value_pattern)
-        if is_ground(resolved_value):
-            final = extended
-        else:
-            final = unify(value_pattern, instance_pair.args[1], extended)
-            if final is None:
+
+    def __init__(self, rule: Rule) -> None:
+        head = rule.head
+        assert isinstance(head, Compound)
+        if not is_fvp(head.args[0]):
+            raise EvaluationError("holdsFor head without an FVP: %r" % (head,))
+        self.rule = rule
+        slots: dict = {}
+        bodies: Dict[Tuple[int, ...], Callable] = {}
+
+        def body_for(variables) -> Tuple[Tuple[int, ...], Callable]:
+            scope = Scope(slots, variables)
+            shape = tuple(sorted(scope.slot(variable) for variable in variables))
+            if shape not in bodies:
+                makers = [_condition(literal, scope) for literal in rule.body]
+                chain = _emitter(head, scope)
+                for make in reversed(makers):
+                    chain = make(chain)
+                bodies[shape] = chain
+            return shape, bodies[shape]
+
+        self.empty_body = body_for(())[1]
+        #: (enumerator of the pattern's stored instances, seed shape, its body)
+        self.seeders: List[tuple] = []
+        for literal in rule.body:
+            term = literal.term
+            if not (isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2):
                 continue
-        resolved_pair = final.resolve(pair_pattern)
-        if not is_ground(resolved_pair) or resolved_pair in seen:
-            continue
-        seen.add(resolved_pair)
-        yield final, store.get(resolved_pair)
+            pattern = term.args[0]
+            if is_fvp(pattern):
+                self.seeders.append(
+                    (_instances(pattern, Scope(slots)),) + body_for(term_variables(pattern))
+                )
+        self.size = FIRST_SLOT + len(slots)
+
+    def run(self, kb: KnowledgeBase, store: FluentStore, out: list) -> None:
+        """Append ``(ground head FVP, intervals)`` per distinct non-empty body
+        solution to ``out``, over every seed (see the module docstring)."""
+        frame: list = [None] * self.size
+        frame[KB], frame[STORE], frame[AUX], frame[OUT] = kb, store, set(), out
+        seeds: List[tuple] = [(self.empty_body, (), ())]
+        seen: set = {((), ())}
+        for pairs, shape, body in self.seeders:
+            for _pair in pairs(frame):
+                key = (shape, tuple([frame[slot] for slot in shape]))
+                if key not in seen:
+                    seen.add(key)
+                    seeds.append((body,) + key)
+        telemetry.count("seeds", len(seeds))
+        for body, shape, values in seeds:
+            for slot, value in zip(shape, values):
+                frame[slot] = value
+            body(frame)
 
 
-def _satisfy_body(
-    literals: Tuple[Literal, ...],
-    subst: Substitution,
-    env: IntervalEnv,
-    kb: KnowledgeBase,
-    store: FluentStore,
-) -> Iterator[Tuple[Substitution, IntervalEnv]]:
-    if not literals:
-        yield subst, env
-        return
-    literal, rest = literals[0], literals[1:]
-    for new_subst, new_env in _with_condition(
-        _satisfy_one(literal, subst, env, kb, store), literal.term
-    ):
-        yield from _satisfy_body(rest, new_subst, new_env, kb, store)
+def _fail(message: str, term: Term):
+    return lambda nxt: failing(message, term)
 
 
-def _with_condition(iterator, term):
-    """Attach the offending condition to any EvaluationError raised while
-    satisfying it (kept lazy: the iterator is consumed on demand)."""
-    try:
-        yield from iterator
-    except EvaluationError as exc:
-        raise exc.with_context(condition=term) from exc
+def _assign(compute, slot: int):
+    def make(nxt):
+        def step(f):
+            f[slot] = compute(f)
+            nxt(f)
+        return step
+
+    return make
 
 
-def _satisfy_one(
-    literal: Literal,
-    subst: Substitution,
-    env: IntervalEnv,
-    kb: KnowledgeBase,
-    store: FluentStore,
-) -> Iterator[Tuple[Substitution, IntervalEnv]]:
+def _condition(literal: Literal, scope: Scope):
     term = literal.term
     if literal.negated:
-        raise EvaluationError("negation is not allowed in holdsFor bodies: %r" % (term,))
+        return _fail("negation is not allowed in holdsFor bodies: %r" % (term,), term)
     if isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2:
-        yield from _satisfy_holds_for(term, subst, env, store)
-        return
+        return _holds_for(term, scope)
     if isinstance(term, Compound) and term.functor in INTERVAL_CONSTRUCTS:
-        yield from _satisfy_construct(term, subst, env)
-        return
-    # Atemporal background predicate.
-    for extended in kb.query(term, subst):
-        yield extended, env
+        return _construct(term, scope)
+    return background(literal, scope)
 
 
-def _satisfy_holds_for(
-    term: Compound,
-    subst: Substitution,
-    env: IntervalEnv,
-    store: FluentStore,
-) -> Iterator[Tuple[Substitution, IntervalEnv]]:
-    pair_pattern = subst.resolve(term.args[0])
-    out = term.args[1]
-    if not is_fvp(pair_pattern):
-        raise EvaluationError("holdsFor condition without an FVP: %r" % (term,))
+def _instances(pair_pattern, scope: Scope):
+    """frame -> the distinct ground FVPs ``pair_pattern`` resolves to over the
+    stored instances of its schema, the frame bound to each while it is
+    yielded. A value that is ground once the fluent has matched is *not*
+    matched: instances define the grounding domain, not the value, and the
+    resolved FVP may have no intervals of its own."""
+    fluent_pattern, value_pattern = pair_pattern.args
+    key_of = key_reader(fluent_pattern, scope)
+    match_fluent = matcher(fluent_pattern, scope)
+    match_value = None if scope.binds(value_pattern) else matcher(value_pattern, scope)
+    pair_of = build(pair_pattern, scope)
+
+    def scan(f, instances):
+        seen = set()
+        for instance, _intervals in instances:
+            fluent, value = instance.args
+            if match_fluent(f, fluent) and (match_value is None or match_value(f, value)):
+                pair = pair_of(f)
+                if pair not in seen:
+                    seen.add(pair)
+                    yield pair
+
+    return lambda f: scan(f, f[STORE].instances(key_of(f)))
+
+
+def _holds_for(term, scope: Scope):
+    pair_pattern, out = term.args
+    not_fvp = "holdsFor condition without an FVP: %r" % (term,)
+    problem = None
     if not isinstance(out, Variable):
-        raise EvaluationError(
-            "holdsFor condition output must be a variable: %r" % (term,)
-        )
-    if out in env:
-        raise EvaluationError(
-            "interval variable %r bound more than once" % out.name
-        )
-    if is_ground(pair_pattern):
+        problem = "holdsFor condition output must be a variable: %r" % (term,)
+    elif (out,) in scope.bound:
+        problem = "interval variable %r bound more than once" % out.name
+    checked = is_fvp(pair_pattern)
+    if scope.binds(pair_pattern):
         # A ground FVP always succeeds; absent FVPs have empty intervals.
-        new_env = dict(env)
-        new_env[out] = store.get(pair_pattern)
-        yield subst, new_env
-        return
-    for extended, intervals in _match_instances(pair_pattern, subst, store):
-        new_env = dict(env)
-        new_env[out] = intervals
-        yield extended, new_env
+        pair_of = build(pair_pattern, scope)
+
+        def compute(f):
+            pair = pair_of(f)
+            if not checked and not is_fvp(pair):
+                raise EvaluationError(not_fvp)
+            if problem is not None:
+                raise EvaluationError(problem)
+            return f[STORE].get(pair)
+
+        scope.bound.add((out,))
+        return _assign(guard(compute, term), scope.slot((out,)))
+    if not checked or problem is not None:
+        return _fail(problem if checked else not_fvp, term)
+    pairs = guard(_instances(pair_pattern, scope), term)
+    scope.bound.add((out,))
+    slot = scope.slot((out,))
+
+    def make(nxt):
+        def step(f):
+            store = f[STORE]
+            for pair in pairs(f):
+                f[slot] = store.get(pair)
+                nxt(f)
+        return step
+
+    return make
 
 
-def _satisfy_construct(
-    term: Compound, subst: Substitution, env: IntervalEnv
-) -> Iterator[Tuple[Substitution, IntervalEnv]]:
-    expected_arity = INTERVAL_CONSTRUCTS[term.functor]
-    if term.arity != expected_arity:
-        raise EvaluationError(
-            "%s expects %d arguments, got %d" % (term.functor, expected_arity, term.arity)
+def _construct(term, scope: Scope):
+    functor, out = term.functor, term.args[-1]
+    if term.arity != INTERVAL_CONSTRUCTS[functor]:
+        return _fail(
+            "%s expects %d arguments, got %d" % (functor, INTERVAL_CONSTRUCTS[functor], term.arity),
+            term,
         )
-    out = term.args[-1]
     if not isinstance(out, Variable):
-        raise EvaluationError("output of %s must be a variable" % term.functor)
-    if out in env:
-        raise EvaluationError("interval variable %r bound more than once" % out.name)
-    if term.functor == "union_all":
-        value = union_all(_resolve_interval_lists(term.args[0], subst, env))
-    elif term.functor == "intersect_all":
-        value = intersect_all(_resolve_interval_lists(term.args[0], subst, env))
-    else:  # relative_complement_all(I', L, I)
-        base = _resolve_interval(term.args[0], subst, env)
-        value = relative_complement_all(
-            base, _resolve_interval_lists(term.args[1], subst, env)
+        return _fail("output of %s must be a variable" % functor, term)
+    if (out,) in scope.bound:
+        return _fail("interval variable %r bound more than once" % out.name, term)
+    lists = _interval_lists(term.args[-2], scope)
+    if functor == "relative_complement_all":  # relative_complement_all(I', L, I)
+        base = _interval(term.args[0], scope)
+    combine = {"union_all": union_all, "intersect_all": intersect_all}.get(functor)
+
+    def compute(f):
+        if combine is None:
+            return relative_complement_all(base(f), lists(f))
+        return combine(lists(f))
+
+    scope.bound.add((out,))
+    return _assign(guard(compute, term), scope.slot((out,)))
+
+
+def _interval(term: Term, scope: Scope) -> Callable[[list], IntervalList]:
+    """frame -> the interval list the interval variable ``term`` holds."""
+    if isinstance(term, Variable) and term not in scope.bound:
+        if (term,) in scope.bound:
+            slot = scope.slots[(term,)]
+            return lambda f: f[slot]
+        return failing("unbound interval variable %r" % term.name)
+    resolved = build(term, scope)
+
+    def fail(f):
+        raise EvaluationError("expected an interval variable, got %r" % (resolved(f),))
+    return fail
+
+
+def _interval_lists(term: Term, scope: Scope) -> Callable[[list], List[IntervalList]]:
+    if isinstance(term, Compound) and term.functor == LIST_FUNCTOR:
+        items = [_interval(arg, scope) for arg in term.args]
+        return lambda f: [item(f) for item in items]
+    resolved = build(term, scope)
+
+    def fail(f):
+        value = resolved(f)
+        if isinstance(value, Compound) and value.functor == LIST_FUNCTOR:
+            value = value.args[0]  # a list bound to a term variable holds terms
+            raise EvaluationError("expected an interval variable, got %r" % (value,))
+        raise EvaluationError(
+            "interval constructs expect a list of interval variables, got %r" % (value,)
         )
-    new_env = dict(env)
-    new_env[out] = value
-    yield subst, new_env
+    return fail
 
 
-def _resolve_interval(term: Term, subst: Substitution, env: IntervalEnv) -> IntervalList:
-    resolved = subst.resolve(term)
-    if isinstance(resolved, Variable):
-        if resolved in env:
-            return env[resolved]
-        raise EvaluationError("unbound interval variable %r" % resolved.name)
-    raise EvaluationError("expected an interval variable, got %r" % (resolved,))
+def _emitter(head, scope: Scope):
+    head_pair, head_interval = head.args
+    pair_of = build(head_pair, scope)
+    grounded = scope.binds(head_pair)
+    interval = _interval(head_interval, scope)
 
-
-def _resolve_interval_lists(
-    term: Term, subst: Substitution, env: IntervalEnv
-) -> List[IntervalList]:
-    resolved = subst.resolve(term)
-    if isinstance(resolved, Compound) and resolved.functor == LIST_FUNCTOR:
-        return [_resolve_interval(arg, subst, env) for arg in resolved.args]
-    raise EvaluationError(
-        "interval constructs expect a list of interval variables, got %r" % (resolved,)
-    )
+    def emit(f):
+        pair = pair_of(f)
+        if not grounded:
+            raise EvaluationError(
+                "holdsFor head %r not ground after body evaluation" % (pair,)
+            )
+        intervals = interval(f)
+        found = (pair, intervals)
+        if intervals and found not in f[AUX]:
+            f[AUX].add(found)
+            f[OUT].append(found)
+    return emit

@@ -42,7 +42,7 @@ import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.logic.parser import ParseError, parse_term
-from repro.logic.terms import Compound, Term, intern_constant, is_fvp, is_ground
+from repro.logic.terms import Compound, Constant, Term, intern_constant, is_fvp, is_ground
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -229,11 +229,11 @@ def _parse_atomic(chunk: str) -> Optional[Term]:
         return None
     if head.isdigit() or head in "+-.":
         try:
-            return intern_constant(int(chunk))
+            return Constant(int(chunk))
         except ValueError:
             pass
         try:
-            return intern_constant(float(chunk))
+            return Constant(float(chunk))
         except ValueError:
             return None
     return None

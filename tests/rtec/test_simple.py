@@ -9,7 +9,9 @@ from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Literal, Rule, parse_term
 from repro.logic.terms import Compound, Constant, Variable
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine, simple
-from repro.rtec.simple import rule_firing_points
+from repro.rtec.compile import compile_rule
+from repro.rtec.errors import EvaluationError
+from repro.rtec.reference import ReferenceEvaluator
 from repro.rtec.store import FluentStore
 
 
@@ -186,7 +188,7 @@ class TestUniversalTermination:
         assert result.holds_for("within(v2, a1)=true").as_pairs() == [(2, 6)]
 
 
-# -- vectorised seed filter ≡ per-event loop ---------------------------------
+# -- compiled programs ≡ reference oracle; vectorised seed filter ≡ chain ------
 
 _BIG = 2**53 + 1
 _VARS = {name: Variable(name) for name in ("V", "A", "B", "T", "X")}
@@ -239,8 +241,7 @@ def _firings(rule, stream, start, end):
     """The rule's firing points as a list, or the exception type it raised."""
     points = []
     try:
-        for point in rule_firing_points(rule, stream, _KB, FluentStore(), start, end):
-            points.append(point)
+        simple._fire(compile_rule(rule), stream, _KB, FluentStore(), start, end, True, points)
     except Exception as error:  # noqa: BLE001 - the type is what is compared
         return points, type(error)
     return points, None
@@ -278,3 +279,212 @@ class TestVectorFilterMatchesPerEventLoop:
             patch.setattr(simple, "_vector_candidates", lambda *args: None)
             per_event = _firings(rule, stream, start, end)
         assert vectorised == per_event
+
+
+# Random event descriptions over every condition kind. ``{V}``, ``{A}``, ``{B}``
+# stand for what the seed binds: a seed with a repeated variable or a constant
+# substitutes it in the rest of the rule, so every rule stays well-moded.
+_SEEDS = (
+    ("happensAt(ev(V, A, B), T)", {}),
+    ("happensAt(ev(V, A, A), T)", {"B": "A"}),  # repeated variable
+    ("happensAt(ev(V, 3, B), T)", {"A": "3"}),  # constant argument
+    ("happensAt(ev(v1, A, B), T)", {"V": "v1"}),  # constant entity
+)
+_CONDITIONS = (
+    "limit({V}, L), {A} > L",  # KB lookup, first argument bound
+    "kind(K, {V})",  # KB lookup, first argument unbound
+    "not blocked({V})",  # negated KB
+    "thr(k, X), {B} < X",  # hoisted prefix with two solutions
+    "angleDiff({A}, {B}) > 2",
+    "div({A}, 2) < {B}",
+    "{A} =< {B}",
+    "holdsAt(base({V})=true, T)",  # ground holdsAt
+    "not holdsAt(base({V})=true, T)",
+    "holdsAt(base(W)=true, T)",  # enumerating holdsAt
+    "holdsAt(tag({V}, K2)=true, T)",
+    "happensAt(mark({V}), T)",  # body happensAt, entity bound
+    "happensAt(mark(W2), T)",
+    "not happensAt(veto({V}), T)",
+)
+_FIXED_RULES = """
+initiatedAt(base(V)=true, T) :- happensAt(mark(V), T).
+terminatedAt(base(V)=true, T) :- happensAt(clear(V), T).
+initiatedAt(tag(V, K)=true, T) :- happensAt(mark(V), T), kind(K, V).
+terminatedAt(tag(V, K)=true, T) :- happensAt(veto(V), T).
+terminatedAt(f(V)=true, T) :- happensAt(clear(V), T).
+terminatedAt(mode(V)=low, T) :- happensAt(clear(V), T).
+"""
+_ORACLE_KB = KnowledgeBase.from_text(
+    "limit(v1, 3). limit(v2, 7.5). kind(fast, v1). kind(slow, v1). kind(slow, v2)."
+    " blocked(v2). thr(k, 3). thr(k, 7.5)."
+)
+
+
+@st.composite
+def _simple_rules(draw, head):
+    seed, bound = draw(st.sampled_from(_SEEDS))
+    names = {"V": "V", "A": "A", "B": "B"}
+    names.update(bound)
+    body = draw(st.lists(st.sampled_from(_CONDITIONS), max_size=3, unique=True))
+    return "initiatedAt(%s, T) :- %s." % (
+        head.format(**names),
+        ", ".join([seed] + [condition.format(**names) for condition in body]),
+    )
+
+
+_SAME_SHAPE = ("f(V)=true", "base(V)=true", "mode(V)=low", "mode(V)=high")
+
+
+@st.composite
+def _static_rules(draw, index):
+    """One ``holdsFor`` rule the seed pass and the oracle ground alike: a union
+    only over one schema shape, otherwise the widest shape as the base."""
+    operands = draw(st.lists(st.sampled_from(_SAME_SHAPE), min_size=1, max_size=3, unique=True))
+    construct = draw(st.sampled_from(["union_all", "intersect_all", "relative_complement_all"]))
+    head = "s%d(V)=true" % index
+    if draw(st.booleans()) and construct != "union_all":
+        operands.insert(0 if construct != "intersect_all" else draw(st.integers(0, len(operands))),
+                        "tag(V, K)=true")
+        head = "s%d(V, K)=true" % index
+    body = ["holdsFor(%s, I%d)" % (pair, n) for n, pair in enumerate(operands)]
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), "kind(slow, V)")
+    intervals = ["I%d" % n for n in range(len(operands))]
+    if construct == "relative_complement_all":
+        body.append("relative_complement_all(I0, [%s], I)" % ", ".join(intervals[1:] or ["I0"]))
+    else:
+        body.append("%s([%s], I)" % (construct, ", ".join(intervals)))
+    return "holdsFor(%s, I) :- %s." % (head, ", ".join(body))
+
+
+_descriptions = st.tuples(
+    st.lists(_simple_rules("f({V})=true"), min_size=1, max_size=2),
+    st.lists(_simple_rules("mode({V})=low"), max_size=1),
+    st.lists(_simple_rules("mode({V})=high"), max_size=1),
+    st.tuples(_static_rules(1), _static_rules(2)),
+).map(lambda parts: _FIXED_RULES + "\n".join(rule for part in parts for rule in part))
+
+_oracle_streams = st.lists(
+    st.one_of(
+        st.tuples(
+            st.integers(1, 14),
+            st.just("ev"),
+            st.sampled_from(["v1", "v2"]),
+            st.sampled_from([0, 1, 3, 4, 2.5, 7.5, 9, 12]),
+            st.sampled_from([0, 1, 3, 4, 2.5, 7.5, 9, 12]),
+        ),
+        st.tuples(
+            st.integers(1, 14),
+            st.sampled_from(["mark", "mark", "veto", "clear"]),
+            st.sampled_from(["v1", "v2"]),
+        ),
+    ),
+    min_size=10,
+    max_size=28,
+).map(
+    lambda items: EventStream(
+        # The oracle grounds fluent arguments over the atoms events mention.
+        [Event(0, parse_term("note(fast, slow)"))]
+        + [Event(item[0], parse_term("%s(%s)" % (item[1], ", ".join(map(str, item[2:]))))) for item in items]
+    )
+)
+
+
+class TestCompiledProgramsMatchReference:
+    """Every condition kind, compiled, against the point-by-point oracle."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(_descriptions, _oracle_streams, st.one_of(st.none(), st.integers(3, 20)))
+    def test_random_descriptions_point_by_point(self, rules, stream, window):
+        description = EventDescription.from_text(rules)
+        result = RTECEngine(description, _ORACLE_KB, strict=False).recognise(stream, window=window)
+        oracle = ReferenceEvaluator(description, _ORACLE_KB, stream)
+        pairs = {pair for pair, _intervals in result.items()}
+        for key in description.defined_keys:
+            pairs |= oracle.ground_instances(*key)
+        for pair in sorted(pairs, key=repr):
+            expected = oracle.holding_points(pair, 0, stream.max_time)
+            actual = {t for t in result.holds_for(pair).points() if 0 <= t <= stream.max_time}
+            assert actual == expected, "%r under\n%s" % (pair, rules)
+
+
+_ERROR_BASE = """
+initiatedAt(f(V)=true, T) :- happensAt(go(V), T).
+initiatedAt(base(V)=true, T) :- happensAt(mark(V), T).
+"""
+_GO = [(1, "go(v1)"), (5, "go(v2)")]
+
+
+class TestErrorParity:
+    """The interpreter's errors, raised by the programs at the same point: same
+    type, text and context, and the firings made before them kept."""
+
+    CASES = [
+        (
+            "initiatedAt(g(V)=true, T) :- happensAt(ev(V, A, B), T), A > 3.",
+            [(1, "ev(v1, 5, 0)"), (2, "ev(v2, odd, 0)"), (3, "ev(v1, 6, 0)")],
+            "non-numeric constant 'odd' in arithmetic expression",
+            ">(A, 3)",
+        ),
+        (
+            "initiatedAt(g(V)=true, T) :- happensAt(ev(V, A, B), T), div(A, B) > 1.",
+            [(1, "ev(v1, 5, 1)"), (2, "ev(v2, 5, 0)"), (3, "ev(v1, 6, 1)")],
+            "division by zero in arithmetic expression",
+            ">(div(A, B), 1)",
+        ),
+        (
+            _ERROR_BASE
+            + "holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), union_all([I1, I9], I).",
+            _GO,
+            "unbound interval variable 'I9'",
+            "union_all(list(I1, I9), I)",
+        ),
+        (
+            _ERROR_BASE
+            + "holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), holdsFor(base(V)=true, I1),"
+            " union_all([I1], I).",
+            _GO,
+            "interval variable 'I1' bound more than once",
+            "holdsFor(=(base(V), true), I1)",
+        ),
+        (
+            _ERROR_BASE
+            + "holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), not kind(fast, V),"
+            " union_all([I1], I).",
+            _GO,
+            "negation is not allowed in holdsFor bodies: kind(fast, V)",
+            "kind(fast, V)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("rules, events, reason, condition", CASES)
+    def test_same_error_same_context(self, rules, events, reason, condition):
+        description = EventDescription.from_text(rules)
+        with pytest.raises(EvaluationError) as raised:
+            RTECEngine(description, strict=False).recognise(_stream(*events))
+        error = raised.value
+        assert error.reason == reason
+        assert repr(error.condition) == condition
+        assert error.rule_head.args[0] == parse_term("g(V)=true")
+        assert str(error) == "%s [condition %s] [rule %r]" % (reason, condition, error.rule_head)
+
+    @pytest.mark.parametrize("rules, events, reason, condition", CASES)
+    def test_skip_errors_keeps_the_firings_before_the_error(self, rules, events, reason, condition):
+        description = EventDescription.from_text(rules)
+        engine = RTECEngine(description, strict=False, skip_errors=True)
+        result = engine.recognise(_stream(*events))
+        assert engine.runtime_warnings == [
+            "skipped rule %r: %s [condition %s]" % (description.rules[-1].head, reason, condition)
+        ]
+        if "ev(" in rules:
+            # v1's event at 1 fired before v2's raised at 2; the one at 3 is lost.
+            assert result.holds_for("g(v1)=true").as_pairs() == [(2, 3)]
+        else:
+            assert not result.holds_for("g(v1)=true")
+            assert result.holds_for("f(v1)=true").as_pairs() == [(2, 5)]
+
+    def test_a_comparison_over_an_unbound_variable_is_rejected_when_the_rule_is_met(self):
+        rules = "initiatedAt(g(V)=true, T) :- happensAt(ev(V, A, B), T), A > Z."
+        engine = RTECEngine(EventDescription.from_text(rules), strict=False)  # compiles lazily
+        with pytest.raises(EvaluationError, match="unbound variable 'Z' reaches comparison"):
+            engine.recognise(_stream((1, "ev(v1, 5, 1)")))
