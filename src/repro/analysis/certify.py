@@ -6,7 +6,7 @@ at run time, per window, or not at all:
 * **delta safety** — whether every simple-fluent rule's firing points after
   a window boundary depend only on input newer than the boundary, the
   soundness condition of incremental (delta) window evaluation
-  (:meth:`repro.rtec.engine.RTECEngine._process_window_delta`);
+  (:meth:`repro.rtec.engine.RTECEngine._process_window` with a cache);
 * **memory boundedness** — whether every fluent's carried state (open
   initiations, cached maximal intervals) stays bounded across windows, the
   condition for hosting a session indefinitely without eviction pressure;

@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="fan recognition out over entity shards with this many workers",
+        help="fan batch recognition out over entity shards with this many workers "
+        "(not with --session)",
     )
     profile.add_argument(
         "--session",
@@ -353,10 +354,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="query-time cadence (default: the window, i.e. tumbling)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="entity-sharded window evaluation with this many workers",
-    )
-    parser.add_argument(
         "--high-water", type=int, default=8192,
         help="ingest-queue high-water mark (events beyond it are rejected)",
     )
@@ -537,11 +534,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.rtec.session import RTECSession
 
+    if args.session and args.jobs is not None:
+        print("error: --jobs shards batch recognition; a session has one path", file=sys.stderr)
+        return 2
     dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
     engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
     with telemetry.enabled() as tracer:
         if args.session:
-            session = RTECSession(engine, window=args.window, jobs=args.jobs)
+            session = RTECSession(engine, window=args.window)
             for pair, intervals in dataset.input_fluents.items():
                 session.submit_fluent(pair, intervals)
             events = list(dataset.stream)
@@ -857,7 +857,6 @@ def _serving_config(args: argparse.Namespace):
     return SessionConfig(
         window=args.window,
         step=args.step,
-        jobs=args.jobs,
         high_water=args.high_water,
         checkpoint_every=args.checkpoint_every,
         checkpoint_keep=args.checkpoint_keep,

@@ -17,13 +17,13 @@ synthetic initiation at the window-start time-point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.terms import Compound, Term
-from repro.rtec.description import EventDescription, Vocabulary, fluent_key
+from repro.rtec.description import EventDescription, FluentKey, Vocabulary, fluent_key
 from repro.rtec.errors import InvalidEventDescriptionError
 from repro.rtec.result import RecognitionResult
 from repro.rtec.simple import evaluate_simple_fluent
@@ -32,6 +32,16 @@ from repro.rtec.store import FluentStore
 from repro.rtec.stream import EventStream, InputFluents
 
 __all__ = ["RTECEngine"]
+
+
+def _by_fluent(carried: Mapping[Term, int]) -> Dict[FluentKey, Dict[Term, int]]:
+    """FVP-keyed carried state bucketed by fluent schema, in one pass (each
+    simple fluent is handed its own entries instead of scanning all of it)."""
+    buckets: Dict[FluentKey, Dict[Term, int]] = {}
+    for pair, value in carried.items():
+        assert isinstance(pair, Compound)
+        buckets.setdefault(fluent_key(pair.args[0]), {})[pair] = value
+    return buckets
 
 
 class RTECEngine:
@@ -317,7 +327,7 @@ class RTECEngine:
                 # initially/1 declarations are evaluated from the time
                 # origin: the first window is extended to cover it.
                 window_start = min(window_start, -1)
-            pending, barriers = self._process_window(
+            pending, barriers, _store = self._process_window(
                 stream,
                 input_fluents,
                 window_start,
@@ -353,8 +363,8 @@ class RTECEngine:
         barriers: Optional[Dict[Term, int]] = None,
         include_initially: bool = False,
         merge_from: Optional[int] = None,
-        capture: Optional[Dict[Term, IntervalList]] = None,
-    ) -> Tuple[Dict[Term, int], Dict[Term, int]]:
+        cache: Optional[Dict[Term, IntervalList]] = None,
+    ) -> Tuple[Dict[Term, int], Dict[Term, int], FluentStore]:
         """Evaluate one window; returns the state to carry forward.
 
         ``pending`` maps ground simple FVPs whose period was open at the
@@ -370,20 +380,41 @@ class RTECEngine:
         would mistake the closed period's intermediate initiations for
         fresh anchors with later deadlines. Initiations at or before the
         barrier are ignored instead; the suppressed detections are final.
+        Barriers are filtered against the window start whatever ``stream``
+        holds, so a close stays in force equally long in both modes.
 
         ``merge_from`` is the previous query time: the detections at points
         up to and including it are final, so this window only contributes
         points in ``(merge_from, window_end]`` to the amalgamated result.
 
-        ``capture``, when given, is filled with the window's full fluent
-        store (every FVP's intervals before the ``merge_from`` clipping) —
-        incremental sessions seed their derivation cache from it.
+        ``cache`` selects what is remembered. ``None``: nothing — ``stream``
+        holds (at least) the whole window and every fluent is derived from
+        it (batch recognition, and every session advance that has no sound
+        cache). A dict: the fluent store the previous advance returned
+        (every derived FVP's maximal intervals, all at or before
+        ``merge_from``), and ``stream`` holds only the events strictly after
+        ``merge_from``. Old points are then *remembered*, not recomputed: each simple
+        fluent's rules run over the new events alone — sound because
+        sessions only remember when every rule is time-anchored
+        (:meth:`delta_diagnostics`) — and their firing points, paired with
+        the carried open initiations and barriers, *repair* the cached
+        intervals; a statically determined fluent is recomputed only when a
+        fluent it depends on changed this advance, the others keep their
+        cached intervals, which are final. Full recomputation is this
+        routine with nothing to remember, so what it adds to ``result`` is
+        byte-equal either way (property-checked by the test suite).
 
-        Returns ``(open initiations, deadline barriers)`` for the next
-        window.
+        A delivered input fluent and a derivation of the same FVP both
+        count: the FVP holds on the union of the two, for simple and
+        statically determined fluents alike (DESIGN §5).
+
+        Returns ``(open initiations, deadline barriers, fluent store)`` for
+        the next window; the store holds every FVP's intervals before the
+        ``merge_from`` clipping.
         """
         with telemetry.span(
             "rtec.window",
+            mode="full" if cache is None else "delta",
             window_start=window_start,
             window_end=window_end,
             pending=len(pending),
@@ -394,35 +425,49 @@ class RTECEngine:
                     input_fluents=len(input_fluents),
                 )
             store = FluentStore()
+            delivered: Dict[Term, IntervalList] = {}
             for pair, intervals in input_fluents.items():
                 clipped = intervals.restrict(window_start + 1, window_end)
                 if clipped:
-                    store.set(pair, clipped)
+                    delivered[pair] = clipped
+            #: What each FVP is known to hold on before any rule runs: its
+            #: delivered intervals and, when remembering, its cached ones.
+            known = delivered
+            #: Fluents whose intervals differ from the cached ones (tracked
+            #: only when something is cached; otherwise everything is derived).
+            changed: Set[FluentKey] = set()
+            dependencies: Dict[FluentKey, Set[FluentKey]] = {}
+            if cache is not None:
+                assert merge_from is not None
+                dependencies = self.description.dependencies()
+                for pair, intervals in delivered.items():
+                    if intervals.span[1] > merge_from:
+                        assert isinstance(pair, Compound)
+                        changed.add(fluent_key(pair.args[0]))
+                known = dict(delivered)
+                for pair, intervals in cache.items():
+                    clipped = intervals.restrict(window_start + 1, window_end)
+                    if clipped:
+                        prior = delivered.get(pair)
+                        known[pair] = union_all([prior, clipped]) if prior else clipped
+            for pair, intervals in known.items():
+                store.set(pair, intervals)
             on_error = self.runtime_warnings.append if self.skip_errors else None
+            max_duration_for = (
+                self.description.max_duration_for if self.description.max_durations else None
+            )
+            carried = pending
+            if include_initially:
+                # An initially-declared FVP holds from time-point 0: an
+                # initiation at -1 under (Ts, Te] semantics.
+                carried = {**dict.fromkeys(self.description.initial_fvps, -1), **pending}
+            carried_by_key = _by_fluent(carried)
+            barriers_by_key = _by_fluent(barriers or {})
             next_pending: Dict[Term, int] = {}
             next_barriers: Dict[Term, int] = {}
+            skipped_static = 0
             for key in self._order:
                 if key in self.description.simple_fluents:
-                    carried: Dict[Term, int] = {}
-                    carried_barriers: Optional[Dict[Term, int]] = None
-                    if barriers:
-                        carried_barriers = {
-                            pair: barrier
-                            for pair, barrier in barriers.items()
-                            if isinstance(pair, Compound)
-                            and fluent_key(pair.args[0]) == key
-                        }
-                    if include_initially:
-                        for pair in self.description.initial_fvps:
-                            assert isinstance(pair, Compound)
-                            if fluent_key(pair.args[0]) == key:
-                                # An initially-declared FVP holds from time-point
-                                # 0: an initiation at -1 under (Ts, Te] semantics.
-                                carried[pair] = -1
-                    for pair, started in pending.items():
-                        assert isinstance(pair, Compound)
-                        if fluent_key(pair.args[0]) == key:
-                            carried[pair] = started
                     computed, opened, closed = evaluate_simple_fluent(
                         self.description.simple_fluents[key],
                         stream,
@@ -430,175 +475,40 @@ class RTECEngine:
                         store,
                         window_start,
                         window_end,
-                        carried,
+                        carried_by_key.get(key, {}),
                         on_error=on_error,
-                        max_duration_for=self.description.max_duration_for
-                        if self.description.max_durations
-                        else None,
-                        carried_barriers=carried_barriers,
-                    )
-                    next_pending.update(opened)
-                    next_barriers.update(closed)
-                    # A carried initiation may reach back before this window;
-                    # points before it were already reported by earlier windows.
-                    # Clip so that every fluent in this window's store covers the
-                    # same range — statically determined fluents would otherwise
-                    # combine intervals of inconsistent temporal scopes.
-                    computed = {
-                        pair: intervals.restrict(window_start + 1, window_end)
-                        for pair, intervals in computed.items()
-                    }
-                    computed = {
-                        pair: intervals for pair, intervals in computed.items() if intervals
-                    }
-                else:
-                    computed = evaluate_static_fluent(
-                        self.description.static_fluents[key],
-                        self.kb,
-                        store,
-                        on_error=on_error,
-                    )
-                for pair, intervals in computed.items():
-                    store.set(pair, intervals)
-            stored_fvps = 0
-            for pair, intervals in store.items():
-                stored_fvps += 1
-                if capture is not None:
-                    capture[pair] = intervals
-                if merge_from is not None:
-                    intervals = intervals.restrict(merge_from + 1, window_end)
-                result.merge(pair, intervals)
-            sp.count("stored_fvps", stored_fvps)
-            sp.count("carried_open", len(next_pending))
-            sp.count("carried_barriers", len(next_barriers))
-            return next_pending, next_barriers
-
-    def _process_window_delta(
-        self,
-        delta_stream: EventStream,
-        input_fluents: InputFluents,
-        window_start: int,
-        window_end: int,
-        result: RecognitionResult,
-        pending: Dict[Term, int],
-        barriers: Dict[Term, int],
-        cache: Dict[Term, IntervalList],
-        merge_from: int,
-    ) -> Tuple[Dict[Term, int], Dict[Term, int], Dict[Term, IntervalList]]:
-        """Evaluate one window advance from its *delta* instead of from scratch.
-
-        ``delta_stream`` holds only the window's events strictly after
-        ``merge_from`` (the previous query time); ``cache`` holds the
-        previous advance's fluent store (every derived FVP's maximal
-        intervals, all at or before ``merge_from``). Instead of re-deriving
-        the whole window ``(window_start, window_end]``, the method
-
-        1. rebuilds the store from the cached derivations and the retained
-           input fluents (both clipped to the current window), so old
-           points are *remembered*, not recomputed;
-        2. re-runs each simple fluent's rules over just the delta events —
-           sound because the session only takes this path when every rule
-           is time-anchored (:meth:`delta_diagnostics`) — and *repairs* the
-           cached intervals by pairing the new firing points with the
-           carried open initiations and ``closed_until`` barriers
-           (:func:`repro.intervals.pairing.pair_intervals` does the
-           anchoring);
-        3. recomputes a statically determined fluent only when a fluent it
-           depends on changed this advance (dirtiness propagates through
-           :meth:`repro.rtec.description.EventDescription.dependencies`);
-           clean static fluents keep their cached intervals, which are
-           final.
-
-        Because carried barriers are filtered against the *full* window
-        start here (not the delta boundary), a ``maxDuration`` close stays
-        in force for as long as full recomputation would keep it — a
-        restore followed by a full-recompute advance sees the same barrier
-        set either way.
-
-        Returns ``(open initiations, deadline barriers, next cache)``; the
-        amalgamated ``result`` gains exactly the points in
-        ``(merge_from, window_end]``, byte-equal to what full recomputation
-        would contribute (property-checked by the test suite).
-        """
-        with telemetry.span(
-            "rtec.window_delta",
-            window_start=window_start,
-            window_end=window_end,
-            pending=len(pending),
-        ) as sp:
-            store = FluentStore()
-            base: Dict[Term, IntervalList] = {}
-            changed_keys = set()
-            for pair, intervals in input_fluents.items():
-                clipped = intervals.restrict(window_start + 1, window_end)
-                if clipped:
-                    base[pair] = clipped
-                    if clipped.span[1] > merge_from:
-                        assert isinstance(pair, Compound)
-                        changed_keys.add(fluent_key(pair.args[0]))
-            for pair, intervals in cache.items():
-                clipped = intervals.restrict(window_start + 1, window_end)
-                if clipped:
-                    prior = base.get(pair)
-                    base[pair] = union_all([prior, clipped]) if prior else clipped
-            for pair, intervals in base.items():
-                store.set(pair, intervals)
-            on_error = self.runtime_warnings.append if self.skip_errors else None
-            dependencies = self.description.dependencies()
-            next_pending: Dict[Term, int] = {}
-            next_barriers: Dict[Term, int] = {}
-            skipped_static = 0
-            for key in self._order:
-                if key in self.description.simple_fluents:
-                    carried: Dict[Term, int] = {}
-                    for pair, started in pending.items():
-                        assert isinstance(pair, Compound)
-                        if fluent_key(pair.args[0]) == key:
-                            carried[pair] = started
-                    carried_barriers: Optional[Dict[Term, int]] = None
-                    if barriers:
-                        carried_barriers = {
-                            pair: barrier
-                            for pair, barrier in barriers.items()
-                            if isinstance(pair, Compound)
-                            and fluent_key(pair.args[0]) == key
-                        }
-                    computed, opened, closed = evaluate_simple_fluent(
-                        self.description.simple_fluents[key],
-                        delta_stream,
-                        self.kb,
-                        store,
-                        window_start,
-                        window_end,
-                        carried,
-                        on_error=on_error,
-                        max_duration_for=self.description.max_duration_for
-                        if self.description.max_durations
-                        else None,
-                        carried_barriers=carried_barriers,
+                        max_duration_for=max_duration_for,
+                        carried_barriers=barriers_by_key.get(key),
                     )
                     next_pending.update(opened)
                     next_barriers.update(closed)
                     dirty = bool(opened)
                     for pair, intervals in computed.items():
-                        clipped = intervals.restrict(window_start + 1, window_end)
-                        if not clipped:
+                        # A carried initiation may reach back before this window;
+                        # points before it were already reported by earlier windows.
+                        # Clip so that every fluent in this window's store covers the
+                        # same range — statically determined fluents would otherwise
+                        # combine intervals of inconsistent temporal scopes.
+                        intervals = intervals.restrict(window_start + 1, window_end)
+                        if not intervals:
                             continue
-                        prior = base.get(pair)
-                        repaired = (
-                            union_all([prior, clipped]) if prior else clipped
-                        )
-                        if repaired != prior:
+                        prior = known.get(pair)
+                        if prior:
+                            intervals = union_all([prior, intervals])
+                            dirty = dirty or intervals != prior
+                        else:
                             dirty = True
-                        store.set(pair, repaired)
-                    if dirty:
-                        changed_keys.add(key)
+                        store.set(pair, intervals)
+                    if dirty and cache is not None:
+                        changed.add(key)
                 else:
-                    if not (dependencies.get(key, set()) & changed_keys):
-                        # No dependency changed: the cached intervals (already
-                        # in the store) are final and contribute nothing new.
-                        skipped_static += 1
-                        continue
+                    if cache is not None:
+                        if not (dependencies.get(key, set()) & changed):
+                            # No dependency changed: the cached intervals (already
+                            # in the store) are final and contribute nothing new.
+                            skipped_static += 1
+                            continue
+                        changed.add(key)
                     computed = evaluate_static_fluent(
                         self.description.static_fluents[key],
                         self.kb,
@@ -606,19 +516,19 @@ class RTECEngine:
                         on_error=on_error,
                     )
                     for pair, intervals in computed.items():
-                        store.set(pair, intervals)
-                    changed_keys.add(key)
-            next_cache: Dict[Term, IntervalList] = {}
+                        prior = delivered.get(pair)
+                        store.set(pair, union_all([prior, intervals]) if prior else intervals)
             for pair, intervals in store.items():
-                next_cache[pair] = intervals
-                clipped = intervals.restrict(merge_from + 1, window_end)
-                if clipped:
-                    result.merge(pair, clipped)
+                if merge_from is not None:
+                    intervals = intervals.restrict(merge_from + 1, window_end)
+                result.merge(pair, intervals)
             if sp.enabled:
-                sp.count("delta_events", len(delta_stream))
-                sp.count("cached_fvps", len(cache))
-                sp.count("changed_keys", len(changed_keys))
-                sp.count("skipped_static", skipped_static)
+                sp.count("stored_fvps", len(store))
                 sp.count("carried_open", len(next_pending))
                 sp.count("carried_barriers", len(next_barriers))
-            return next_pending, next_barriers, next_cache
+                if cache is not None:
+                    sp.count("delta_events", len(stream))
+                    sp.count("cached_fvps", len(cache))
+                    sp.count("changed_keys", len(changed))
+                    sp.count("skipped_static", skipped_static)
+            return next_pending, next_barriers, store

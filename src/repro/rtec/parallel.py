@@ -30,83 +30,14 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Mapping, Optional, Tuple, TypeVar
+from typing import Any, List, Optional, Tuple
 
 from repro import telemetry
-from repro.logic.terms import Term
 from repro.rtec.engine import RTECEngine
 from repro.rtec.result import RecognitionResult
 from repro.rtec.stream import EventStream, InputFluents, partition_input
 
-__all__ = [
-    "ShardedRTECEngine",
-    "recognise_sharded",
-    "shard_pool",
-    "split_fvp_state",
-]
-
-_V = TypeVar("_V")
-
-
-def split_fvp_state(
-    mapping: Mapping[Term, _V],
-    analysis: Any,
-    entity_shard: Mapping[Term, int],
-    shard_count: int,
-) -> Tuple[List[Dict[Term, _V]], Dict[Term, _V]]:
-    """Distribute FVP-keyed carried state over entity shards.
-
-    Sessions carry several per-FVP mappings between windows (open
-    initiations, deadline barriers, the delta derivation cache). When a
-    window is evaluated over entity shards, each mapping must be split the
-    same way the input is: entries whose FVP names an entity go to that
-    entity's shard, entity-free entries are *global* and are replicated to
-    every shard by the caller — every shard derives the identical value for
-    them, so merging is idempotent.
-
-    Returns ``(per_shard, global_items)`` where ``per_shard[i]`` holds the
-    entries owned by shard ``i``. Entries whose entity is not in
-    ``entity_shard`` (the entity produced no input this window and was not
-    kept alive via ``extra_entities``) are dropped — callers must ensure
-    every entity of state that still matters is passed to
-    :func:`repro.rtec.stream.partition_input` as ``extra_entities``.
-    """
-    per_shard: List[Dict[Term, _V]] = [dict() for _ in range(shard_count)]
-    global_items: Dict[Term, _V] = {}
-    for pair, value in mapping.items():
-        entities = analysis.fvp_entities(pair)
-        if entities:
-            index = entity_shard.get(entities[0])
-            if index is not None:
-                per_shard[index][pair] = value
-        else:
-            global_items[pair] = value
-    return per_shard, global_items
-
-#: Shared thread pool for per-session shard fan-out, grown on demand.
-_SHARD_POOL: Optional[ThreadPoolExecutor] = None
-_SHARD_POOL_SIZE = 0
-
-
-def shard_pool(workers: int) -> ThreadPoolExecutor:
-    """A process-wide thread pool with at least ``workers`` threads.
-
-    Long-lived online sessions (and the serving layer, which advances many
-    sessions on a cadence) fan each window out over threads; creating a
-    pool per advance costs more than small windows take to evaluate. The
-    shared pool is grown, never shrunk, and is safe to share between
-    sessions because every submitted shard task is independent.
-    """
-    global _SHARD_POOL, _SHARD_POOL_SIZE
-    if _SHARD_POOL is None or workers > _SHARD_POOL_SIZE:
-        # The previous, smaller pool is dropped without shutdown: callers
-        # that already grabbed it keep a working executor (its idle threads
-        # cost nothing and are reaped at interpreter exit).
-        _SHARD_POOL_SIZE = max(workers, _SHARD_POOL_SIZE)
-        _SHARD_POOL = ThreadPoolExecutor(
-            max_workers=_SHARD_POOL_SIZE, thread_name_prefix="rtec-shard"
-        )
-    return _SHARD_POOL
+__all__ = ["recognise_sharded"]
 
 #: Everything one worker needs to recognise one shard, picklable.
 _ShardPayload = Tuple[Any, ...]
@@ -242,52 +173,3 @@ def recognise_sharded(
         if sp.enabled:
             sp.count("merged_fvps", len(merged))
     return merged
-
-
-class ShardedRTECEngine:
-    """An :class:`RTECEngine` whose ``recognise`` always shards.
-
-    Parameters mirror :class:`RTECEngine`, plus ``jobs`` (worker count) and
-    ``executor`` (``"process"``/``"thread"``/``"inline"``).
-    """
-
-    def __init__(
-        self,
-        description,
-        kb=None,
-        vocabulary=None,
-        jobs: int = 2,
-        executor: str = "process",
-        strict: bool = True,
-        skip_errors: bool = False,
-    ) -> None:
-        self.engine = RTECEngine(
-            description, kb, vocabulary, strict=strict, skip_errors=skip_errors
-        )
-        self.jobs = jobs
-        self.executor = executor
-
-    @property
-    def description(self):
-        return self.engine.description
-
-    @property
-    def runtime_warnings(self) -> List[str]:
-        return self.engine.runtime_warnings
-
-    def recognise(
-        self,
-        stream: EventStream,
-        input_fluents: Optional[InputFluents] = None,
-        window: Optional[int] = None,
-        step: Optional[int] = None,
-    ) -> RecognitionResult:
-        return recognise_sharded(
-            self.engine,
-            stream,
-            input_fluents,
-            window=window,
-            step=step,
-            jobs=self.jobs,
-            executor=self.executor,
-        )

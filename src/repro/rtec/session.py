@@ -20,21 +20,21 @@ releases, whereas :class:`SessionSnapshot` is a stable surface.
 
 from __future__ import annotations
 
-import copy
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple, TypeVar
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
-from repro.logic.terms import Term
+from repro.logic.terms import Compound, Term
+from repro.rtec.description import fluent_key
 from repro.rtec.engine import RTECEngine
-from repro.rtec.parallel import shard_pool, split_fvp_state
 from repro.rtec.result import RecognitionResult
 from repro.rtec.stream import Event, EventStream, InputFluents, partition_input
 
 __all__ = ["RTECSession", "SessionSnapshot"]
+
+_V = TypeVar("_V")
 
 
 @dataclass
@@ -63,9 +63,9 @@ class SessionSnapshot:
     first_advance: bool = True
     #: Derivation cache for incremental (delta) advances: every derived
     #: FVP's maximal intervals within the retained window, as of the last
-    #: advance. ``None`` means no cache is available (fresh session, or a
-    #: snapshot restored from a pre-delta checkpoint): the next advance
-    #: recomputes the full window and rebuilds it.
+    #: advance. ``None`` means no cache is available (a fresh session, the
+    #: ``incremental=False`` oracle, delta-unsafe rules): the next advance
+    #: recomputes the full window and, where it may, rebuilds it.
     derived_cache: Optional[Dict[Term, IntervalList]] = None
     #: Whether input arrived at or before the last query time since the
     #: last advance (late input pending). The cache does not cover it, and
@@ -76,17 +76,48 @@ class SessionSnapshot:
 
 class _Unit(NamedTuple):
     """One independently evaluated part of a window advance: everything, or
-    the entity components grouped into it (see ``RTECSession._evaluate``)."""
+    a group of entity components (see ``RTECSession._evaluate``)."""
 
-    #: Re-derive the whole window (else: repair ``cache`` from the delta).
-    full: bool
     events: EventStream
     fluents: InputFluents
     pending: Dict[Term, int]
     barriers: Dict[Term, int]
-    cache: Dict[Term, IntervalList]
-    #: The unit's ``initially/1`` declarations (``None``: the description's).
-    initial_fvps: Optional[List[Term]]
+    #: The derivations to repair from ``events`` (the delta); ``None``:
+    #: ``events`` is the whole window and everything is re-derived.
+    cache: Optional[Dict[Term, IntervalList]]
+
+
+def _split_fvp_state(
+    mapping: Mapping[Term, _V],
+    analysis: Any,
+    entity_unit: Mapping[Term, int],
+    unit_count: int,
+) -> Tuple[List[Dict[Term, _V]], Dict[Term, _V]]:
+    """Distribute FVP-keyed carried state over the units of a repair advance.
+
+    A session carries several per-FVP mappings between windows (open
+    initiations, deadline barriers, the derivation cache); each must be
+    split the way the input is: entries whose FVP names an entity go to that
+    entity's unit, entity-free entries are *global* and are replicated to
+    every unit by the caller — every unit derives the identical value for
+    them, so merging is idempotent.
+
+    Returns ``(per_unit, global_items)``. Entries whose entity is not in
+    ``entity_unit`` are dropped — the caller keeps every entity of state
+    that still matters alive by passing it to
+    :func:`repro.rtec.stream.partition_input` as ``extra_entities``.
+    """
+    per_unit: List[Dict[Term, _V]] = [dict() for _ in range(unit_count)]
+    global_items: Dict[Term, _V] = {}
+    for pair, value in mapping.items():
+        entities = analysis.fvp_entities(pair)
+        if entities:
+            index = entity_unit.get(entities[0])
+            if index is not None:
+                per_unit[index][pair] = value
+        else:
+            global_items[pair] = value
+    return per_unit, global_items
 
 
 class RTECSession:
@@ -101,18 +132,12 @@ class RTECSession:
         are considered and everything older is forgotten — events received
         with a timestamp at or before ``q - omega`` are dropped
         (:meth:`submit` returns how many it accepted).
-    jobs:
-        When > 1, each :meth:`advance` partitions the buffered window by
-        entity key (see :mod:`repro.rtec.partition`) and evaluates the
-        shards over a thread pool, carrying open initiations per shard.
-        Results are identical to sequential advances; descriptions that are
-        not shardable fall back to sequential evaluation with a warning.
     incremental:
         When true (the default), an advance consumes only the *delta* —
         the events newer than the previous query time — and repairs the
         cached per-FVP derivations instead of re-deriving the whole
-        overlapping window (see
-        :meth:`~repro.rtec.engine.RTECEngine._process_window_delta`).
+        overlapping window (the ``cache`` argument of
+        :meth:`~repro.rtec.engine.RTECEngine._process_window`).
         Results are byte-equal to full recomputation (property-checked).
         Input that arrives at or before the previous query time but inside
         the window is *repaired*: the next advance re-derives the entity
@@ -132,14 +157,12 @@ class RTECSession:
         self,
         engine: RTECEngine,
         window: int,
-        jobs: Optional[int] = None,
         incremental: bool = True,
     ) -> None:
         if window <= 0:
             raise ValueError("window size must be positive")
         self.engine = engine
         self.window = window
-        self.jobs = jobs
         self.incremental = incremental
         #: Retained events, kept as a sorted, indexed stream so window and
         #: delta evaluation slice it instead of filtering object lists.
@@ -153,7 +176,6 @@ class RTECSession:
         self._result = RecognitionResult()
         self._last_query: Optional[int] = None
         self._first_advance = True
-        self._shard_warning_issued = False
         #: See :class:`SessionSnapshot.derived_cache`.
         self._derived_cache: Optional[Dict[Term, IntervalList]] = None
         #: Entity tuples of the input that arrived at or before the last
@@ -331,22 +353,6 @@ class RTECSession:
             return "full", "late_global"
         return "repair", None
 
-    def _shardable_analysis(self):
-        """The partitionability analysis, or ``None`` (with a one-shot
-        warning) when the description cannot be entity-sharded."""
-        analysis = self.engine.description.partitionability()
-        if not analysis.shardable:
-            if not self._shard_warning_issued:
-                message = (
-                    "event description is not entity-shardable; the session "
-                    "advances sequentially: " + "; ".join(analysis.diagnostics)
-                )
-                warnings.warn(message, RuntimeWarning, stacklevel=5)
-                self.engine.runtime_warnings.append(message)
-                self._shard_warning_issued = True
-            return None
-        return analysis
-
     def _evaluate(
         self,
         mode: str,
@@ -356,160 +362,98 @@ class RTECSession:
     ) -> Tuple[int, int, int]:
         """Evaluate the window ``(window_start, query_time]`` in ``mode``.
 
-        The window is evaluated as one or more independent *units*, each
-        either full (:meth:`RTECEngine._process_window` over the unit's
-        whole window: the oracle routine, always sound, and the one that
-        (re)builds the unit's derivation cache) or delta
-        (:meth:`RTECEngine._process_window_delta` over the unit's events
-        newer than the previous query time). By default one unit holds
-        everything; a ``repair`` advance and ``jobs`` > 1 split the window
-        by entity component (:meth:`_component_units`), and ``jobs`` > 1
-        runs the units on the shard pool.
+        One routine does it, :meth:`RTECEngine._process_window`: with no
+        cache it re-derives the whole window (always sound, and what
+        (re)builds the derivation cache), with the cache it repairs it from
+        the events newer than the previous query time. ``full`` and
+        ``delta`` advances are one such call over everything; a ``repair``
+        advance makes two, for the entity components a late arrival named
+        and for the others (:meth:`_component_units`).
 
         Components share no entity, and global (entity-free) items are
-        replicated to every unit, where their derivations coincide and
+        replicated to both units, where their derivations coincide and
         merge idempotently; so the units' merged results and carried state
         equal those of one whole-window call (property-checked).
 
         Returns ``(events evaluated, dirty components, dirty events)``.
         """
-        engine, merge_from, first = self.engine, self._last_query, self._first_advance
+        engine, merge_from = self.engine, self._last_query
         lower = max(window_start, merge_from) if mode == "delta" else window_start
         stream = self._buffer.slice_window(lower, query_time)
         # Full evaluation seeds the derivation cache the delta path repairs.
         caching = mode != "full" or (
             self.incremental and not engine.delta_diagnostics()
         )
-        fan_out = self.jobs is not None and self.jobs != 1
-        units: List[_Unit] = []
         dirty = 0
-        if fan_out or mode == "repair":
-            analysis = self._shardable_analysis()
-            if analysis is not None:
-                units, dirty = self._component_units(
-                    analysis, mode, fan_out, stream, input_fluents
-                )
-        if not units:
-            units = [
-                _Unit(
-                    mode == "full",
-                    stream,
-                    input_fluents,
-                    self._pending,
-                    self._barriers,
-                    self._derived_cache or {},
-                    None,
-                )
-            ]
-
-        def run(unit: _Unit, result: RecognitionResult):
-            unit_engine = engine
-            if first and unit.initial_fvps is not None and engine.description.initial_fvps:
-                # The unit owns only its entities' initially/1 declarations.
-                description = copy.copy(engine.description)
-                description.initial_fvps = unit.initial_fvps
-                unit_engine = RTECEngine(
-                    description,
-                    engine.kb,
-                    engine.vocabulary,
-                    strict=False,
-                    skip_errors=engine.skip_errors,
-                )
-            if unit.full:
-                capture: Optional[Dict[Term, IntervalList]] = {} if caching else None
-                opened, closed = unit_engine._process_window(
-                    unit.events,
-                    unit.fluents,
-                    window_start,
-                    query_time,
-                    result,
-                    pending=unit.pending,
-                    barriers=unit.barriers,
-                    include_initially=first,
-                    merge_from=merge_from,
-                    capture=capture,
-                )
-            else:
-                opened, closed, capture = engine._process_window_delta(
-                    unit.events,
-                    unit.fluents,
-                    window_start,
-                    query_time,
-                    result,
-                    unit.pending,
-                    unit.barriers,
-                    unit.cache,
-                    merge_from,
-                )
-            unit_warnings = unit_engine.runtime_warnings if unit_engine is not engine else []
-            return result, opened, closed, capture, unit_warnings
-
-        if fan_out and len(units) > 1:
-            pool = shard_pool(min(self.jobs or 1, len(units)))
-            outcomes = list(pool.map(lambda unit: run(unit, RecognitionResult()), units))
+        if mode == "repair":
+            units, dirty = self._component_units(stream, input_fluents)
         else:
-            outcomes = [run(unit, self._result) for unit in units]
+            cache = self._derived_cache if mode == "delta" else None
+            units = [_Unit(stream, input_fluents, self._pending, self._barriers, cache)]
         self._pending, self._barriers = {}, {}
-        derived: Dict[Term, IntervalList] = {}
-        for result, opened, closed, capture, unit_warnings in outcomes:
-            if result is not self._result:
-                for pair, intervals in result.items():
-                    self._result.merge(pair, intervals)
+        self._derived_cache = {} if caching else None
+        defined = engine.description.defined_keys
+        for unit in units:
+            opened, closed, store = engine._process_window(
+                unit.events,
+                unit.fluents,
+                window_start,
+                query_time,
+                self._result,
+                pending=unit.pending,
+                barriers=unit.barriers,
+                include_initially=self._first_advance,
+                merge_from=merge_from,
+                cache=unit.cache,
+            )
             self._pending.update(opened)
             self._barriers.update(closed)
-            # Global FVPs are derived identically by every unit, so the
-            # overlapping updates are idempotent.
-            derived.update(capture or {})
-            engine.runtime_warnings.extend(unit_warnings)
-        # Input-fluent entries are rebuilt from the session's own storage on
-        # every advance; caching them would only shadow fresher deliveries.
-        self._derived_cache = (
-            {pair: ivs for pair, ivs in derived.items() if pair not in input_fluents}
-            if caching
-            else None
-        )
-        dirty_events = sum(len(u.events) for u in units if u.full) if dirty else 0
+            if self._derived_cache is None:
+                continue
+            # Global FVPs are derived identically by both units, so the
+            # overlapping updates are idempotent. Deliveries of a fluent the
+            # description does not define are rebuilt from the session's own
+            # storage on every advance; caching them would only shadow
+            # fresher deliveries.
+            for pair, intervals in store.items():
+                assert isinstance(pair, Compound)
+                if pair not in input_fluents or fluent_key(pair.args[0]) in defined:
+                    self._derived_cache[pair] = intervals
+        dirty_events = sum(len(u.events) for u in units if u.cache is None) if dirty else 0
         return sum(len(u.events) for u in units), dirty, dirty_events
 
     def _component_units(
-        self,
-        analysis,
-        mode: str,
-        fan_out: bool,
-        stream: EventStream,
-        input_fluents: InputFluents,
+        self, stream: EventStream, input_fluents: InputFluents
     ) -> Tuple[List[_Unit], int]:
-        """Split one advance's input and carried state by entity component.
+        """Split a ``repair`` advance by entity component into two units.
 
-        ``stream`` (everything the advance reads: the delta events of a
-        ``delta`` advance, otherwise the whole window — late items included,
-        so a late pair item joins the components it names), the retained
-        input fluents and every piece of carried state (open initiations,
-        deadline barriers, the derivation cache) are partitioned by entity
-        closure. In a ``repair`` advance the components a late arrival named
-        are *dirty*: they are evaluated in full, the others on the delta
-        path. With ``fan_out`` every component is a unit; otherwise the
-        dirty components form one unit and the clean ones another — a call
-        per component would pay the evaluators' per-fluent fixed cost once
-        per component.
+        ``stream`` (the whole window — late items included, so a late pair
+        item joins the components it names), the retained input fluents and
+        every piece of carried state (open initiations, deadline barriers,
+        the derivation cache) are partitioned by entity closure. The
+        components a late arrival named are *dirty*: they form one unit,
+        re-derived over the whole window; the others form a second, repaired
+        from the events newer than the previous query time. Two calls, not
+        one per component: each call pays the evaluators' per-fluent fixed
+        cost.
 
-        Returns ``(units, dirty components)``; no units when the input names
-        no entity at all.
+        Returns ``(units, dirty components)``.
         """
+        analysis = self.engine.description.partitionability()
         merge_from = self._last_query
-        cache = (self._derived_cache or {}) if mode != "full" else {}
+        cache = self._derived_cache
+        assert merge_from is not None and cache is not None
         # Entities of carried state keep their component alive even when they
-        # produced no input this window; split_fvp_state would otherwise drop
+        # produced no input this window; _split_fvp_state would otherwise drop
         # their open intervals.
         carried = [
             analysis.fvp_entities(pair)
             for pair in (*self._pending, *self._barriers, *cache)
         ]
-        shards, global_events, global_fluents, global_initials = partition_input(
+        shards, global_events, global_fluents, _ = partition_input(
             stream,
             input_fluents,
             analysis,
-            self.engine.description.initial_fvps if self._first_advance else [],
             extra_entities=[entities for entities in carried if entities],
         )
         entity_shard = {
@@ -517,46 +461,41 @@ class RTECSession:
             for index, shard in enumerate(shards)
             for entity in shard.entities
         }
-        dirty: Set[int] = set()
-        if mode == "repair":
-            # An item's entities share a component, so the first names it; a
-            # late event already outside the window names none.
-            dirty = {
-                entity_shard[entities[0]]
-                for entities in self._late
-                if entities[0] in entity_shard
-            }
-        if fan_out:
-            groups = [[index] for index in range(len(shards))]
-        else:
-            clean = [index for index in range(len(shards)) if index not in dirty]
-            groups = [group for group in (sorted(dirty), clean) if group]
-        unit_of = {index: unit for unit, group in enumerate(groups) for index in group}
-        entity_unit = {entity: unit_of[index] for entity, index in entity_shard.items()}
+        # An item's entities share a component, so the first names it; a
+        # late event already outside the window names none.
+        dirty: Set[int] = {
+            entity_shard[entities[0]]
+            for entities in self._late
+            if entities[0] in entity_shard
+        }
+        # Unit 0 is the dirty one, unit 1 the clean one.
+        entity_unit = {
+            entity: int(index not in dirty) for entity, index in entity_shard.items()
+        }
         pendings, barriers, caches = (
-            split_fvp_state(carried_state, analysis, entity_unit, len(groups))
+            _split_fvp_state(carried_state, analysis, entity_unit, 2)
             for carried_state in (self._pending, self._barriers, cache)
         )
         units = []
-        for unit, group in enumerate(groups):
-            full = mode == "full" or group[0] in dirty
-            events = [e for index in group for e in shards[index].events]
-            events += global_events
+        for unit, full in enumerate((True, False)):
+            group = [shard for index, shard in enumerate(shards) if (index in dirty) == full]
+            if not group and (full or dirty):
+                # No component of its own: the other unit evaluates the
+                # global items too.
+                continue
+            events = [e for shard in group for e in shard.events] + global_events
             if not full:
                 events = [e for e in events if e.time > merge_from]
             fluents = dict(global_fluents)
-            for index in group:
-                fluents.update(shards[index].fluents)
+            for shard in group:
+                fluents.update(shard.fluents)
             units.append(
                 _Unit(
-                    full,
                     EventStream(events),
                     InputFluents(fluents),
                     {**pendings[0][unit], **pendings[1]},
                     {**barriers[0][unit], **barriers[1]},
-                    {**caches[0][unit], **caches[1]},
-                    [p for index in group for p in shards[index].initial_fvps]
-                    + global_initials,
+                    None if full else {**caches[0][unit], **caches[1]},
                 )
             )
         return units, len(dirty)
@@ -623,11 +562,10 @@ class RTECSession:
         cls,
         engine: RTECEngine,
         snapshot: SessionSnapshot,
-        jobs: Optional[int] = None,
         incremental: bool = True,
     ) -> "RTECSession":
         """A fresh session continuing from ``snapshot`` (restart path)."""
-        session = cls(engine, snapshot.window, jobs=jobs, incremental=incremental)
+        session = cls(engine, snapshot.window, incremental=incremental)
         session.restore(snapshot)
         return session
 

@@ -16,7 +16,17 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.intervals import IntervalList
 from repro.logic.terms import Compound, Constant, Term, is_ground
@@ -266,6 +276,20 @@ class EventStream:
         np_times, value_columns = cached
         return bucket, times, np_times, value_columns
 
+    def _bucket(
+        self, functor: str, arity: int, first: Optional[Term]
+    ) -> Tuple[Sequence[Event], Sequence[int]]:
+        """The sorted ``(events, times)`` index for ``functor/arity``: the
+        first-argument bucket when ``first`` is given, else the functor's;
+        empty when no such event was seen."""
+        if first is not None and arity > 0:
+            key = (functor, arity, first)
+            return self._by_entity.get(key, ()), self._entity_times.get(key, ())
+        return (
+            self._by_functor.get((functor, arity), ()),
+            self._times_by_functor.get((functor, arity), ()),
+        )
+
     def events_in_window(
         self, functor: str, arity: int, start: int, end: int, first: Optional[Term] = None
     ) -> Iterator[Event]:
@@ -274,39 +298,15 @@ class EventStream:
         ``first``, when given, restricts the scan to events whose first
         argument is that ground term (first-argument indexing).
         """
-        if first is not None and arity > 0:
-            key = (functor, arity, first)
-            bucket = self._by_entity.get(key)
-            if not bucket:
-                return iter(())
-            times = self._entity_times[key]
-        else:
-            bucket = self._by_functor.get((functor, arity))
-            if not bucket:
-                return iter(())
-            times = self._times_by_functor[(functor, arity)]
-        lo = bisect_right(times, start)
-        hi = bisect_right(times, end)
-        return iter(bucket[lo:hi])
+        bucket, times = self._bucket(functor, arity, first)
+        return iter(bucket[bisect_right(times, start):bisect_right(times, end)])
 
     def events_at(
         self, functor: str, arity: int, time: int, first: Optional[Term] = None
     ) -> Iterator[Event]:
         """Events named ``functor/arity`` occurring exactly at ``time``."""
-        if first is not None and arity > 0:
-            key = (functor, arity, first)
-            bucket = self._by_entity.get(key)
-            if not bucket:
-                return iter(())
-            times = self._entity_times[key]
-        else:
-            bucket = self._by_functor.get((functor, arity))
-            if not bucket:
-                return iter(())
-            times = self._times_by_functor[(functor, arity)]
-        lo = bisect_left(times, time)
-        hi = bisect_right(times, time)
-        return iter(bucket[lo:hi])
+        bucket, times = self._bucket(functor, arity, first)
+        return iter(bucket[bisect_left(times, time):bisect_right(times, time)])
 
     def functors(self) -> List[Tuple[str, int]]:
         return sorted(self._by_functor)

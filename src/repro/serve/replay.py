@@ -252,7 +252,6 @@ def reference_merged(
             config.window,
             step,
             end=workload.end_time,
-            jobs=config.jobs,
         )
         for pair, intervals in result.items():
             merged.merge(pair, intervals)
@@ -266,7 +265,6 @@ def drive_reference_session(
     window: int,
     step: int,
     end: Optional[int] = None,
-    jobs: Optional[int] = None,
     incremental: bool = False,
 ) -> RecognitionResult:
     """An uninterrupted :class:`RTECSession` run under the service's policy.
@@ -279,7 +277,7 @@ def drive_reference_session(
     recomputation oracle, so comparing a served (incremental) run against
     it is also a cross-mode equality check of the delta evaluation.
     """
-    session = RTECSession(engine, window, jobs=jobs, incremental=incremental)
+    session = RTECSession(engine, window, incremental=incremental)
     next_query: Optional[int] = None
 
     def grid_after(time: int) -> int:
@@ -325,5 +323,4 @@ def reference_result(
         config.window,
         config.resolved_step(),
         end=end,
-        jobs=config.jobs,
     )

@@ -61,8 +61,6 @@ class SessionConfig:
     #: Query-time cadence; advances fire on multiples of ``step`` as event
     #: time crosses them. Defaults to the window (tumbling windows).
     step: Optional[int] = None
-    #: Worker threads for entity-sharded window evaluation (``RTECSession(jobs=)``).
-    jobs: Optional[int] = None
     #: Ingest-queue high-water mark: events beyond this are rejected.
     high_water: int = 8192
     #: Retry hint (seconds) returned with backpressure rejections.
@@ -135,9 +133,7 @@ class ManagedSession:
         self.owner = owner
         self.lease = lease
         self.step = config.resolved_step()
-        self.session = RTECSession(
-            engine, config.window, jobs=config.jobs, incremental=config.incremental
-        )
+        self.session = RTECSession(engine, config.window, incremental=config.incremental)
         self.description_digest = checkpointing.description_hash(engine.description)
         #: The description's analysis certificate (None when admission is off).
         self.certificate = None
@@ -451,7 +447,6 @@ class ManagedSession:
         status: Dict[str, Any] = {
             "window": self.config.window,
             "step": self.step,
-            "jobs": self.config.jobs,
             "ingested": counters.ingested,
             "applied": counters.applied,
             "rejected": counters.rejected,

@@ -13,6 +13,7 @@ from repro.logic.terms import _INTERNED
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
 from repro.rtec import compile as compiler
+from repro.rtec.parallel import recognise_sharded
 from repro.rtec.session import RTECSession
 from repro.serve.protocol import parse_event_term
 
@@ -42,20 +43,15 @@ class TestProgramLifetime:
         assert RTECEngine(shallow, strict=False).recognise(stream).holds_for("g(v1)=true")
         assert pickle.loads(pickle.dumps(engine.description.rules[1])) == engine.description.rules[1]
 
-    def test_sharded_session_copies_the_description_per_unit(self):
-        # RTECSession._evaluate copy.copy's the description to give each
-        # entity unit its own initially/1 declarations.
-        def run(jobs):
-            session = RTECSession(
-                RTECEngine(EventDescription.from_text(RULES), strict=False), window=10, jobs=jobs
-            )
-            session.submit([Event(1, parse_term("start(v1)")), Event(3, parse_term("start(v2)"))])
-            session.advance(5)
-            session.submit([Event(7, parse_term("stop(v1)")), Event(8, parse_term("stop(v9)"))])
-            session.advance(10)
-            return session.result.to_json()
-
-        assert run(2) == run(None)
+    def test_thread_shards_copy_the_description_per_shard(self):
+        # parallel._run_shard copy.copy's the description to give each
+        # entity shard its own initially/1 declarations, while sibling
+        # threads run the programs of the shared original.
+        engine = RTECEngine(EventDescription.from_text(RULES), strict=False)
+        stream = _stream((1, "start(v1)"), (3, "start(v2)"), (7, "stop(v1)"), (8, "stop(v9)"))
+        sharded = recognise_sharded(engine, stream, window=10, step=5, jobs=2, executor="thread")
+        assert sharded.to_json() == engine.recognise(stream, window=10, step=5).to_json()
+        assert sharded.holds_for("f(v9)=true").as_pairs() == [(0, 8)]
 
     def test_programs_die_with_their_description(self):
         gc.collect()

@@ -18,7 +18,6 @@ from repro.rtec import (
     EventStream,
     InputFluents,
     RTECEngine,
-    ShardedRTECEngine,
 )
 from repro.rtec.parallel import recognise_sharded
 from repro.rtec.session import RTECSession
@@ -118,14 +117,13 @@ class TestShardedEquivalence:
         raw_proximity = [(0, 1, 12), (2, 18, 20)]
         stream, fluents = _build_input(raw_events, raw_proximity)
         sequential = _engine().recognise(stream, fluents, window=10, step=5)
-        sharded = ShardedRTECEngine(
-            EventDescription.from_text(RULES), strict=False,
-            jobs=2, executor="process",
-        ).recognise(stream, fluents, window=10, step=5)
+        sharded = recognise_sharded(
+            _engine(), stream, fluents, window=10, step=5, jobs=2, executor="process"
+        )
         assert dict(sharded.items()) == dict(sequential.items())
 
 
-class TestShardedSessionEquivalence:
+class TestSessionOnShardableInput:
     @given(
         raw_events=_events,
         raw_proximity=_proximity,
@@ -133,14 +131,14 @@ class TestShardedSessionEquivalence:
         step=st.integers(1, 10),
     )
     @settings(max_examples=40, deadline=None)
-    def test_sharded_session_matches_batch(
-        self, raw_events, raw_proximity, window, step
-    ):
+    def test_session_matches_batch(self, raw_events, raw_proximity, window, step):
+        """The online path over the same multi-component input (pair joins,
+        maxDuration/2, initially/1) lands on the batch result."""
         stream, fluents = _build_input(raw_events, raw_proximity)
         batch = _engine().recognise(stream, fluents, window=window, step=step)
 
         start, end = RTECEngine._bounds(stream, fluents)
-        session = RTECSession(_engine(), window=window, jobs=4)
+        session = RTECSession(_engine(), window=window)
         session.submit(stream)
         for pair, intervals in fluents.items():
             session.submit_fluent(pair, intervals)
@@ -155,12 +153,7 @@ class TestShardedSessionEquivalence:
 
 
 class TestShardedEngineWrapper:
-    def test_wrapper_exposes_description_and_warnings(self):
-        engine = ShardedRTECEngine(
-            EventDescription.from_text(RULES), strict=False, executor="inline"
-        )
-        assert engine.description.simple_fluents
-        assert engine.runtime_warnings == []
+    """``recognise(jobs=)`` is the wrapper: 1 (or None) means sequential."""
 
     def test_jobs_1_equals_sequential(self):
         stream, fluents = _build_input([(2, "start", 0), (9, "stop", 0)], [])

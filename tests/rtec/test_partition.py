@@ -173,22 +173,6 @@ class TestSequentialFallback:
         assert dict(sharded.items()) == dict(sequential.items())
         assert any("not entity-shardable" in w for w in engine.runtime_warnings)
 
-    def test_non_shardable_session_warns_once(self):
-        from repro.rtec.session import RTECSession
-
-        description = EventDescription.from_text(NON_SHARDABLE_RULES)
-        session = RTECSession(RTECEngine(description, strict=False), window=10, jobs=4)
-        session.submit([_event(2, "start(v1)"), _event(3, "start(v2)")])
-        with pytest.warns(RuntimeWarning, match="advances sequentially"):
-            session.advance(10)
-        session.submit([_event(12, "stop(v1)")])
-        session.advance(20)  # no second warning
-        assert (
-            sum("advances sequentially" in w for w in session.engine.runtime_warnings)
-            == 1
-        )
-        assert session.holds_for("f(v1)=true").as_pairs() == [(3, 12)]
-
     def test_sharded_gold_recognition_matches_sequential(self):
         dataset = build_dataset(seed=0, scale=0.05, traffic=2)
         gold = gold_event_description()

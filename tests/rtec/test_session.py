@@ -405,7 +405,6 @@ def _drive(
     window,
     incremental,
     deliveries=(),
-    jobs=None,
     restore_at=None,
     on_slot=None,
 ):
@@ -422,9 +421,7 @@ def _drive(
         reached = next(index for index, q in enumerate(queries) if q >= time)
         return reached + (1 if delayed else 0)
 
-    session = RTECSession(
-        make_engine(), window=window, jobs=jobs, incremental=incremental
-    )
+    session = RTECSession(make_engine(), window=window, incremental=incremental)
     for index, query_time in enumerate(queries):
         session.submit(
             [event for event, delayed in events if slot(event.time, delayed) == index]
@@ -439,7 +436,7 @@ def _drive(
             on_slot(session, index)
         if restore_at == index:
             session = RTECSession.from_snapshot(
-                make_engine(), session.snapshot(), jobs=jobs, incremental=incremental
+                make_engine(), session.snapshot(), incremental=incremental
             )
     return session
 
@@ -474,15 +471,12 @@ class TestIncrementalEquivalence:
         arrivals=_deliveries,
         window=st.integers(5, 100),
         step=st.integers(1, 5),
-        jobs=st.sampled_from((None, 2)),
     )
     @settings(max_examples=80, deadline=None)
-    def test_incremental_matches_full_recomputation(
-        self, raw, arrivals, window, step, jobs
-    ):
+    def test_incremental_matches_full_recomputation(self, raw, arrivals, window, step):
         """Random streams and window/step grids with late events, late
-        (back-dated) fluent deliveries, entity sharding and a mid-run
-        kill-and-restore all land on the oracle's bytes."""
+        (back-dated) fluent deliveries (both repaired per entity component)
+        and a mid-run kill-and-restore all land on the oracle's bytes."""
         events = [(_event(t, text), delayed) for t, text, delayed in raw]
         deliveries = [
             (parse_term(text), (start, start + length), delayed)
@@ -497,12 +491,10 @@ class TestIncrementalEquivalence:
             ).result.to_json()
 
         expected = run(incremental=False)
-        assert run(incremental=True, jobs=jobs) == expected
-        assert (
-            run(incremental=True, jobs=jobs, restore_at=len(queries) // 2) == expected
-        )
+        assert run(incremental=True) == expected
+        assert run(incremental=True, restore_at=len(queries) // 2) == expected
 
-    def test_sharded_delta_matches_sequential_full(self):
+    def test_two_vessel_delta_matches_full_recomputation(self):
         events = []
         for base, vessel in ((0, "v1"), (3, "v2")):
             for start in range(base, 70, 12):
@@ -510,9 +502,41 @@ class TestIncrementalEquivalence:
                 events.append((_event(start + 5, "stop(%s)" % vessel), False))
         queries = list(range(10, 90, 10))
         expected = _drive(_engine, events, queries, 30, incremental=False)
-        sharded = _drive(_engine, events, queries, 30, incremental=True, jobs=2)
-        assert sharded.result.to_json() == expected.result.to_json()
-        assert sharded.advances == {"full": 1, "delta": len(queries) - 1}
+        session = _drive(_engine, events, queries, 30, incremental=True)
+        assert session.result.to_json() == expected.result.to_json()
+        assert session.advances == {"full": 1, "delta": len(queries) - 1}
+
+
+class TestDeliveredAndDerived:
+    """A delivery of an FVP the description also derives: both count."""
+
+    _DELIVERED = ("f(v1)=true", "g(v1)=true", "g(v3)=true")  # simple, static, static underived
+
+    @pytest.mark.parametrize("slot", (0, 1, 2))
+    def test_every_mode_holds_on_the_union(self, slot):
+        events = [_event(12, "start(v1)"), _event(15, "stop(v1)"), _event(22, "start(v1)")]
+        queries = [10, 20, 30]
+        span = (queries[slot] - 3, queries[slot] - 1)
+        deliveries = [(parse_term(text), span, False) for text in self._DELIVERED]
+
+        def served(incremental):
+            session = _drive(
+                _engine, [(e, False) for e in events], queries, 30, incremental,
+                deliveries=deliveries,
+            )
+            return session.result
+
+        fluents = InputFluents({pair: IntervalList([span]) for pair, span, _ in deliveries})
+        batch = _engine().recognise(
+            EventStream(events), fluents, window=30, step=10, bounds=(1, 30)
+        )
+        assert served(True).to_json() == served(False).to_json() == batch.to_json()
+        for text in self._DELIVERED:
+            assert batch.holds_at(text, span[0]) and batch.holds_at(text, span[1])
+        assert batch.holds_at("f(v1)=true", 14) and batch.holds_at("g(v1)=true", 14)
+        if slot == 1:
+            assert batch.holds_for("f(v1)=true").as_pairs() == [(13, 15), (17, 19), (23, 30)]
+            assert batch.holds_for("g(v3)=true").as_pairs() == [(17, 19)]
 
 
 class TestLateArrivalRepair:
@@ -554,14 +578,16 @@ class TestLateArrivalRepair:
         assert repaired[0].counters["dirty_components"] == 1
         assert repaired[0].counters["dirty_events"] == 4
         assert repaired[0].counters["events"] == 5
-        assert [child.name for child in repaired[0].children] == [
-            "rtec.window",
-            "rtec.window_delta",
+        # One routine, called once per unit: the dirty components without a
+        # cache, the clean ones with it.
+        assert [(child.name, child.attrs["mode"]) for child in repaired[0].children] == [
+            ("rtec.window", "full"),
+            ("rtec.window", "delta"),
         ]
 
     def test_late_pair_delivery_dirties_both_of_its_vessels(self):
         delivery = (parse_term("p(v1, v2)=true"), (12, 26), True)
-        session = self._sessions([], deliveries=[delivery], jobs=2)
+        session = self._sessions([], deliveries=[delivery])
         assert session.advances == {"full": 1, "delta": 2, "repaired": 1}
 
     def test_delivery_starting_at_the_previous_query_time_is_late(self):
@@ -576,6 +602,21 @@ class TestLateArrivalRepair:
         assert oracle.holds_for("m(v1, v2)=true").as_pairs() == [(11, 20)]
         assert session.result.to_json() == oracle.result.to_json()
         assert session.advances == {"full": 1, "repaired": 1}
+
+    def test_repair_under_initially_declarations_matches_the_oracle(self):
+        # initially/1 is injected by the first advance only, which is never
+        # a repair: the units of a repair need no declarations of their own.
+        def make_engine():
+            text = RICH_RULES + "initially(f(v2)=true).\ninitially(alert=true).\n"
+            return RTECEngine(EventDescription.from_text(text), strict=False)
+
+        events = self._EVENTS + [(_event(18, "stop(v1)"), True)]
+        oracle = _drive(make_engine, events, self._QUERIES, 30, incremental=False)
+        session = _drive(make_engine, events, self._QUERIES, 30, incremental=True)
+        assert oracle.holds_for("f(v2)=true").as_pairs()[0] == (0, 11)  # maxDuration
+        assert oracle.holds_for("q(v1)=true")  # start(v1) under the initial alert
+        assert session.result.to_json() == oracle.result.to_json()
+        assert session.advances == {"full": 1, "delta": 2, "repaired": 1}
 
     def test_late_entity_free_event_recomputes_the_window(self):
         session = self._sessions([(_event(15, "alarm"), True)])
