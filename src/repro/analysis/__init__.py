@@ -34,9 +34,6 @@ _EXPORTS = {
     "apply_fixes": "fixers",
     "normalise_rename_map": "fixers",
     "to_sarif": "sarif",
-    "CostModel": "costmodel",
-    "condition_class": "costmodel",
-    "measure_cost_model": "costmodel",
     "RepairAction": "repair",
     "RepairIteration": "repair",
     "RepairResult": "repair",
@@ -45,8 +42,6 @@ _EXPORTS = {
     "RuleFacts": "semantics",
     "analyse_semantics": "semantics",
     "semantic_pass": "semantics",
-    "OptimisationResult": "optimize",
-    "optimise_description": "optimize",
     "AnalysisCertificate": "certify",
     "RuleCertificate": "certify",
     "certify_description": "certify",

@@ -57,8 +57,8 @@ inputs are, ``relative_complement_all`` follows its first operand.
 Static cost model
 -----------------
 Per rule, the body is walked left-to-right evolving the bound-variable set;
-each condition's class (:func:`repro.analysis.costmodel.condition_class`)
-contributes the class's default expansion factor, and the rule cost is the
+each condition's class (:func:`condition_class`) contributes the class's
+default expansion factor (:data:`DEFAULT_EXPANSIONS`), and the rule cost is the
 total number of partial solutions flowing through the body. Rules whose
 temporal conditions are unanchored additionally scan the whole window
 (cost scales with omega, not with the delta) and get a window-sensitivity
@@ -74,13 +74,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.costmodel import DEFAULT_EXPANSIONS, condition_class
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import LIST_FUNCTOR, ParseError, Rule, clause_lines
+from repro.logic.parser import LIST_FUNCTOR, Literal, ParseError, Rule, clause_lines
 from repro.logic.pretty import term_to_str
 from repro.logic.terms import Compound, Term, Variable, is_ground, term_variables
 from repro.logic.unification import unify
+from repro.rtec.builtins import is_comparison
 from repro.rtec.description import (
     INTERVAL_CONSTRUCTS,
     EventDescription,
@@ -727,8 +727,38 @@ def _propagate_leaks(
 # Static cost model
 # ---------------------------------------------------------------------------
 
+#: Expansion factor per condition class: the partial solutions a condition
+#: of that class hands on per one it receives — below 1 the class filters,
+#: above 1 it fans out. A static prior, ordered comparisons before background
+#: lookups before fluent queries before stream joins; the classes are the
+#: ones the evaluator counts as ``cond.<class>.eval`` / ``.sol``.
+DEFAULT_EXPANSIONS: Dict[str, float] = {
+    "compare": 0.40,
+    "background.neg": 0.60,
+    "background": 0.80,
+    "holdsat.ground": 0.90,
+    "happensat.neg": 0.95,
+    "happensat": 2.00,
+    "holdsat.enum": 3.00,
+}
+
+
+def condition_class(literal: Literal, bound: Set[Variable]) -> str:
+    """The cost class of one body condition given the bound variables."""
+    term = literal.term
+    if is_comparison(term):
+        return "compare"
+    if isinstance(term, Compound) and term.functor == "holdsAt" and term.arity == 2:
+        if set(term_variables(term)) <= bound:
+            return "holdsat.ground"
+        return "holdsat.enum"
+    if isinstance(term, Compound) and term.functor == "happensAt" and term.arity == 2:
+        return "happensat.neg" if literal.negated else "happensat"
+    return "background.neg" if literal.negated else "background"
+
+
 #: Expansion factors of holdsFor-body condition shapes (the simple-rule
-#: shapes reuse :data:`repro.analysis.costmodel.DEFAULT_EXPANSIONS`).
+#: shapes use :data:`DEFAULT_EXPANSIONS` through :func:`condition_class`).
 _STATIC_GROUND_EXPANSION = DEFAULT_EXPANSIONS["holdsat.ground"]
 _STATIC_ENUM_EXPANSION = DEFAULT_EXPANSIONS["holdsat.enum"]
 _STATIC_BACKGROUND_EXPANSION = DEFAULT_EXPANSIONS["background"]

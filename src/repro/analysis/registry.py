@@ -301,7 +301,7 @@ LINT_RULES: Dict[str, LintRule] = {
             "cost for this rule (large join fan-out over enumerating "
             "conditions, or window-sensitive cost because a temporal "
             "condition scans the whole window). Informational: the weight "
-            "feeds session placement and the optimiser.",
+            "feeds session placement.",
         ),
         _rule(
             "RTEC030",

@@ -27,8 +27,9 @@ hold — in ways the syntactic passes RTEC001–016 cannot see):
    any derivation path from the input events and input fluents, plus the
    ``terminatedAt`` rules whose target value no initiation can produce.
 
-The same facts feed :mod:`repro.analysis.optimize`, which rewrites rules
-(fold, drop, reorder) without changing recognised intervals.
+The diagnostics carry machine-applicable ``remove-rule`` /
+``drop-condition`` fixes (``repro lint --fix``, the repair loop): the person
+correcting a description sees them; nothing rewrites rules at run time.
 """
 
 from __future__ import annotations

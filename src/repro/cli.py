@@ -40,6 +40,19 @@ from repro.rtec import EventDescription, RTECEngine
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """``argparse`` type of sizes, cadences and counts: zero or a negative
+    value is a usage error here, not a loop that makes no progress (or a
+    ``ValueError``) further down."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -58,24 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
     fig2c = sub.add_parser("fig2c", help="predictive accuracy (F1 vs gold detections)")
     fig2c.add_argument("--seed", type=int, default=0)
     fig2c.add_argument("--scale", type=float, default=0.25)
-    fig2c.add_argument("--window", type=int, default=None)
+    fig2c.add_argument("--window", type=_positive_int, default=None)
 
     recognise = sub.add_parser("recognise", help="run the gold ED over the synthetic fleet")
     recognise.add_argument("--seed", type=int, default=0)
     recognise.add_argument("--scale", type=float, default=0.25)
     recognise.add_argument("--traffic", type=int, default=4)
-    recognise.add_argument("--window", type=int, default=None)
+    recognise.add_argument("--window", type=_positive_int, default=None)
     recognise.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="fan recognition out over entity shards with this many workers",
-    )
-    recognise.add_argument(
-        "--optimise",
-        action="store_true",
-        help="run through the analysis-driven rule optimiser (equivalent "
-        "detections, usually faster); prints the applied rewrites",
     )
 
     gen = sub.add_parser("generate", help="print one generated event description")
@@ -130,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--scale", type=float, default=0.1)
     profile.add_argument("--traffic", type=int, default=2)
-    profile.add_argument("--window", type=int, default=600)
-    profile.add_argument("--step", type=int, default=None)
+    profile.add_argument("--window", type=_positive_int, default=600)
+    profile.add_argument("--step", type=_positive_int, default=None)
     profile.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="fan batch recognition out over entity shards with this many workers "
         "(not with --session)",
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve one connection on stdin/stdout (default when --tcp is absent)",
     )
     serve.add_argument(
-        "--sessions", type=int, default=1,
+        "--sessions", type=_positive_int, default=1,
         help="host this many sessions (named s0..sN-1; one engine each)",
     )
     serve.add_argument(
@@ -303,19 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(replay)
     _add_serving_arguments(replay)
     replay.add_argument(
-        "--sessions", type=int, default=1,
+        "--sessions", type=_positive_int, default=1,
         help="split the stream across this many sessions by entity component",
     )
     replay.add_argument(
         "--repeat", type=int, default=1,
         help="tile the stream this many times along the timeline",
     )
-    replay.add_argument("--limit", type=int, default=None, help="truncate to this many events")
+    replay.add_argument(
+        "--limit", type=_positive_int, default=None, help="truncate to this many events"
+    )
     replay.add_argument(
         "--mode", choices=("batched", "firehose"), default="batched",
         help="batched: acked stop-and-wait batches; firehose: unacked event lines",
     )
-    replay.add_argument("--batch-size", type=int, default=512)
+    replay.add_argument("--batch-size", type=_positive_int, default=512)
     replay.add_argument(
         "--kill-at", type=float, default=None, metavar="FRACTION",
         help="crash the service after this fraction of events, then restore",
@@ -348,9 +357,9 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="distribute sessions across N shared-nothing worker processes "
         "behind a router (default 1: single in-process service)",
     )
-    parser.add_argument("--window", type=int, default=600, help="window extent (omega)")
+    parser.add_argument("--window", type=_positive_int, default=600, help="window extent (omega)")
     parser.add_argument(
-        "--step", type=int, default=None,
+        "--step", type=_positive_int, default=None,
         help="query-time cadence (default: the window, i.e. tumbling)",
     )
     parser.add_argument(
@@ -424,12 +433,7 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
         dataset.input_fluents,
         window=args.window,
         jobs=args.jobs,
-        optimise=args.optimise,
     )
-    if args.optimise:
-        optimised = engine.optimised_for(dataset.input_fluents)
-        if optimised.optimisation is not None:
-            print("%% optimiser: %s" % optimised.optimisation.summary())
     print("%-20s %9s %12s" % ("activity", "instances", "duration (s)"))
     for activity in COMPOSITE_ACTIVITIES:
         instances = list(result.instances(activity))

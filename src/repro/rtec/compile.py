@@ -414,7 +414,7 @@ def _condition(literal: Literal, scope: Scope) -> Tuple[str, StepMaker]:
 
 def _counted(cls: str, make: StepMaker, nxt: Step, tally: int) -> Step:
     """``make(nxt)`` reporting attempts and solutions of its condition class to
-    the enclosing ``rtec.rule`` span (:mod:`repro.analysis.costmodel`); the
+    the enclosing ``rtec.rule`` span (``repro profile`` prints them); the
     running count lives in frame slot ``tally``, so shard threads do not share it."""
 
     def solution(f):

@@ -85,11 +85,6 @@ class RTECEngine:
             if report.has_errors:
                 raise InvalidEventDescriptionError(report.errors)
         self._order = description.topological_order()
-        #: Optimised clone engines keyed by the set of injected fluent keys
-        #: (reachability pruning depends on which inputs a call provides).
-        self._optimised: Dict[frozenset, "RTECEngine"] = {}
-        #: The OptimisationResult this engine was built from, if any.
-        self.optimisation = None
         #: Lazily computed delta-evaluation diagnostics (None: not yet run),
         #: with the description fingerprint they were computed for.
         self._delta_diagnostics: Optional[List[str]] = None
@@ -187,56 +182,6 @@ class RTECEngine:
                     start = first
         return start, end
 
-    def optimised_for(
-        self,
-        input_fluents: Optional[InputFluents] = None,
-        cost_model=None,
-    ) -> "RTECEngine":
-        """An equivalent engine running the optimised description.
-
-        Clones are cached per set of injected fluent keys: the optimiser's
-        reachability pruning treats exactly those keys (plus the declared
-        input fluents) as externally injectable. ``cost_model`` (a
-        :class:`repro.analysis.costmodel.CostModel`) switches the Phase C
-        selectivity reordering to measured ranks; clones are cached per
-        (key set, model digest) pair.
-        """
-        keys = set()
-        if input_fluents is not None:
-            for pair, _intervals in input_fluents.items():
-                if isinstance(pair, Compound) and pair.args:
-                    try:
-                        keys.add(fluent_key(pair.args[0]))
-                    except ValueError:
-                        continue
-        cache_key = (
-            frozenset(keys),
-            cost_model.key() if cost_model is not None else None,
-        )
-        cached = self._optimised.get(cache_key)
-        if cached is None:
-            from repro.analysis.optimize import optimise_description
-            from repro.rtec.compile import precompile_description
-
-            optimisation = optimise_description(
-                self.description,
-                kb=self.kb,
-                vocabulary=self.vocabulary,
-                extra_input_fluents=cache_key[0],
-                cost_model=cost_model,
-            )
-            cached = RTECEngine(
-                optimisation.description,
-                self.kb,
-                self.vocabulary,
-                strict=False,
-                skip_errors=self.skip_errors,
-            )
-            cached.optimisation = optimisation
-            precompile_description(optimisation.description)
-            self._optimised[cache_key] = cached
-        return cached
-
     def recognise(
         self,
         stream: EventStream,
@@ -246,7 +191,6 @@ class RTECEngine:
         jobs: Optional[int] = None,
         bounds: "Optional[tuple[int, int]]" = None,
         extend_first_window: Optional[bool] = None,
-        optimise: bool = False,
     ) -> RecognitionResult:
         """Detect all composite activities over ``stream``.
 
@@ -263,22 +207,7 @@ class RTECEngine:
         span and the initially/1 first-window extension; the sharded
         executor passes the *global* values so every shard runs the exact
         window schedule of the sequential engine.
-
-        ``optimise=True`` runs the call through a cached clone built from
-        :func:`repro.analysis.optimize.optimise_description` — equivalent
-        detections (see the equivalence property tests), usually faster.
         """
-        if optimise:
-            engine = self.optimised_for(input_fluents)
-            return engine.recognise(
-                stream,
-                input_fluents,
-                window=window,
-                step=step,
-                jobs=jobs,
-                bounds=bounds,
-                extend_first_window=extend_first_window,
-            )
         if jobs is not None and jobs != 1:
             from repro.rtec.parallel import recognise_sharded
 

@@ -296,6 +296,9 @@ async def run_ingest(
     union them idempotently, so re-delivery is safe and keeps the resume
     protocol stateless.
     """
+    if batch_size < 1:
+        # an empty batch is acknowledged and the pump never moves on
+        raise ValueError("batch_size must be positive, got %r" % (batch_size,))
     report = LoadReport()
     events = workload.events[skip:] if skip else workload.events
     for name, fvp, pairs in workload.fluents:

@@ -8,11 +8,13 @@ from repro.analysis.certify import (
     AnalysisCertificate,
     certify_description,
     certify_text,
+    condition_class,
     description_digest,
     prove_rule_delta_safety,
 )
 from repro.analysis.diagnostics import Severity
 from repro.logic.parser import parse_rule
+from repro.logic.terms import term_variables
 from repro.rtec import EventDescription, RTECEngine, Vocabulary
 
 VOCAB = Vocabulary(
@@ -271,7 +273,89 @@ class TestCertificate:
         assert certificate.placement_weight > 0
 
 
+#: ``total_cost`` (= ``placement_weight``) and ``fluent_costs`` of the two
+#: golds at PR 19, before ``condition_class`` / ``DEFAULT_EXPANSIONS`` moved
+#: into ``certify.py``: the one remaining cost model must not move a number.
+GOLD_COSTS = {
+    "maritime": (
+        196.8167,
+        {
+            "changingSpeed/1": 3.0,
+            "drifting/1": 7.92,
+            "gap/1": 6.0,
+            "highSpeedNearCoast/1": 8.92,
+            "lowSpeed/1": 3.0,
+            "movingSpeed/1": 20.696,
+            "sarMovement/1": 4.0,
+            "sarSpeed/1": 7.24,
+            "stopped/1": 8.0,
+            "trawlSpeed/1": 12.8387,
+            "trawlingMovement/1": 5.0,
+            "tuggingSpeed/1": 10.296,
+            "withinArea/2": 5.0,
+            "anchoredOrMoored/1": 11.83,
+            "loitering/1": 11.83,
+            "lowSpeedOrStopped/1": 6.7,
+            "pilotBoarding/2": 21.008,
+            "searchAndRescue/1": 6.7,
+            "trawling/1": 6.7,
+            "tugging/2": 21.008,
+            "underWay/1": 9.13,
+        },
+    ),
+    "fleet": (
+        55.46,
+        {
+            "engineOn/1": 2.0,
+            "overSpeeding/1": 15.8,
+            "stopped/1": 2.0,
+            "unsafeManoeuvre/1": 4.0,
+            "withinZone/2": 4.0,
+            "dangerousDriving/1": 11.83,
+            "idling/1": 6.7,
+            "unauthorisedStop/1": 9.13,
+        },
+    ),
+}
+
+
 class TestCostModel:
+    def test_classifies_a_mixed_body(self):
+        # The class of each body literal, threading bound variables left to
+        # right the way the evaluator does.
+        rule = parse_rule(
+            "initiatedAt(f(V)=true, T) :- "
+            "happensAt(e(V, S), T), S > 5, areaType(A, B), "
+            "holdsAt(g(V)=true, T), holdsAt(h(V, W)=true, T), "
+            "not happensAt(x(V), T), not areaType(A, B)."
+        )
+        bound = set(term_variables(rule.head))
+        classes = []
+        for literal in rule.body:
+            classes.append(condition_class(literal, bound))
+            if not literal.negated:
+                bound |= set(term_variables(literal.term))
+        assert classes == [
+            "happensat",
+            "compare",
+            "background",
+            "holdsat.ground",
+            "holdsat.enum",
+            "happensat.neg",
+            "background.neg",
+        ]
+
+    @pytest.mark.parametrize("which", ["maritime", "fleet"])
+    def test_gold_costs_are_the_parents(self, which):
+        from repro.cli import _gold_lint_target
+
+        description, vocabulary, outputs, _source = _gold_lint_target(which)
+        certificate = certify_description(description, vocabulary, outputs=sorted(outputs))
+        total, fluent_costs = GOLD_COSTS[which]
+        assert certificate.total_cost == total
+        assert certificate.placement_weight == total
+        assert dict(certificate.fluent_costs) == fluent_costs
+
     def test_joins_raise_the_cost(self):
         cheap = _certify(
             "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"

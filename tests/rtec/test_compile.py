@@ -6,7 +6,6 @@ import gc
 import pickle
 
 from repro import telemetry
-from repro.analysis.costmodel import measure_cost_model
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
 from repro.logic.terms import _INTERNED
@@ -146,19 +145,24 @@ class TestObservability:
         assert spans[1].counters["kernel.rule_filter.fallback"] == 1
         assert spans[1].counters["cond.background.eval"] == 3
 
-    def test_measured_cost_model_of_the_maritime_gold_is_unchanged(self):
-        """The ``cond.*`` counters come from the compiled steps now; the rank
-        table over the maritime gold is the interpreter's (pinned at PR 17)."""
+    def test_condition_counters_of_the_maritime_gold(self):
+        """The ``cond.<class>.eval`` / ``.sol`` counters ``repro profile``
+        prints come from the compiled steps; attempts and solutions per class
+        over the maritime gold are the interpreter's (pinned at PR 17)."""
         dataset = build_dataset(seed=0, scale=0.05)
         engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
-        model = measure_cost_model(engine, dataset.stream, dataset.input_fluents, window=600)
-        assert model.samples == {
-            "background": (26207, 16543),
-            "compare": (42469, 21420),
-            "holdsat.ground": (1077, 789),
-        }
-        assert {cls: round(rank, 6) for cls, rank in model.ranks.items()} == {
-            "background": 0.631244,
-            "compare": 0.504368,
-            "holdsat.ground": 0.732591,
+        with telemetry.enabled() as tracer:
+            engine.recognise(dataset.stream, dataset.input_fluents, window=600)
+        totals = {}
+        for stage in tracer.report().aggregate().values():
+            for name, value in stage.counters.items():
+                if name.startswith("cond."):
+                    totals[name] = totals.get(name, 0) + value
+        assert totals == {
+            "cond.background.eval": 26207,
+            "cond.background.sol": 16543,
+            "cond.compare.eval": 42469,
+            "cond.compare.sol": 21420,
+            "cond.holdsat.ground.eval": 1077,
+            "cond.holdsat.ground.sol": 789,
         }

@@ -133,3 +133,34 @@ class TestTolerantExecution:
         assert result.holds_for("f(v1)=true")
         assert engine.runtime_warnings
         assert "unbound variable" in engine.runtime_warnings[0]
+
+
+class TestDescriptionEditedAfterLoading:
+    """The engine keeps nothing derived from the rules that an edit of the
+    loaded description leaves stale. The ``optimise=True`` clone cache did —
+    keyed by injected fluents only, it kept answering with the rules it was
+    built from — and left with the option; this guards against its return."""
+
+    EVENTS = [(1, "start(a)"), (5, "ping(a)"), (9, "stop(a)")]
+
+    def _engine(self):
+        return RTECEngine(EventDescription.from_text(RULES), strict=False)
+
+    def test_an_appended_rule_is_seen_by_the_next_run(self):
+        from repro.logic.parser import parse_rule
+
+        rule = parse_rule("terminatedAt(f(V)=true, T) :- happensAt(ping(V), T).")
+        engine, fresh = self._engine(), self._engine()
+        before = engine.recognise(_stream(*self.EVENTS))
+        assert before.holds_for("f(a)=true").as_pairs() == [(2, 9)]
+        for edited in (engine, fresh):
+            edited.description.simple_fluents[("f", 1)].terminated_rules.append(rule)
+        after = engine.recognise(_stream(*self.EVENTS))
+        assert after.holds_for("f(a)=true").as_pairs() == [(2, 5)]
+        assert after.to_json() == fresh.recognise(_stream(*self.EVENTS)).to_json()
+
+    def test_there_is_no_optimise_argument(self):
+        with pytest.raises(TypeError):
+            self._engine().recognise(_stream(*self.EVENTS), optimise=True)
+        for name in ("optimised_for", "_optimised", "optimisation"):
+            assert not hasattr(self._engine(), name)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.fleet import build_fleet_dataset, fleet_gold_event_description
 from repro.rtec import RTECEngine
-from repro.serve import SessionConfig, build_workload, run_replay
+from repro.serve import SessionConfig, build_workload, run_ingest, run_replay
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,15 @@ class TestFleetService:
         assert report.queue_peak <= high_water
         assert report.rejections > 0
         assert report.retries > 0
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_must_hold_an_event(self, fleet_target, batch_size):
+        # An empty batch is acknowledged like any other and the pump never
+        # moved past it: refused before anything is sent (no client needed).
+        dataset, description, _make_engine = fleet_target
+        workload = build_workload(dataset.stream, dataset.input_fluents, description)
+        with pytest.raises(ValueError, match="batch_size"):
+            asyncio.run(run_ingest(None, workload, batch_size=batch_size))
 
 
 class TestMaritimeService:
