@@ -17,9 +17,7 @@ first message (the gold rules terminate the corresponding fluents at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.intervals import IntervalList
 from repro.logic.terms import Compound, Constant, Term
@@ -27,6 +25,10 @@ from repro.maritime.ais import AISMessage
 from repro.maritime.geometry import Geography
 from repro.maritime.thresholds import DETECTOR_SETTINGS, DetectorSettings
 from repro.rtec.stream import Event, EventStream, InputFluents
+
+if TYPE_CHECKING:
+    # Imported where it is used: routers and fleet workers load this module too.
+    import numpy as np
 
 __all__ = ["CriticalEventDetector", "DetectedStream"]
 
@@ -153,6 +155,8 @@ class CriticalEventDetector:
         communication gaps are treated as unknown (never in proximity).
         Pairs are reported in lexicographic vessel-id order.
         """
+        import numpy as np
+
         fluents = InputFluents()
         vessel_ids = sorted(by_vessel)
         if len(vessel_ids) < 2:
@@ -189,6 +193,8 @@ class CriticalEventDetector:
     def _resample(
         self, track: List[AISMessage], grid: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        import numpy as np
+
         times = np.array([m.time for m in track], dtype=float)
         xs = np.array([m.x for m in track], dtype=float)
         ys = np.array([m.y for m in track], dtype=float)
@@ -204,6 +210,8 @@ class CriticalEventDetector:
 
 def _runs_to_intervals(grid: np.ndarray, mask: np.ndarray, tick: int) -> IntervalList:
     """Convert a boolean mask over the grid into maximal closed intervals."""
+    import numpy as np
+
     if not mask.any():
         return IntervalList.empty()
     padded = np.concatenate(([False], mask, [False]))

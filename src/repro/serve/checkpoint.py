@@ -32,11 +32,11 @@ Files are named ``<session>-<windows:08d>.json`` and written atomically
 even if the process dies mid-write.
 
 Bounded by omega: the window buffer, the stored input-fluent intervals, the
-carried initiations and barriers, the derivation cache, and the *time* of
-an advance. Not bounded: the amalgamated result (every interval recognised
-so far), hence a checkpoint's size and the time to encode and write it.
-Old checkpoints are kept unless a ``keep`` budget is given; the fence lists
-the directory on every write, so without one that scan grows too.
+carried initiations and barriers, the derivation cache, the *time* of an
+advance and, for a session, of *encoding* a checkpoint (only what the window
+added is rendered, :func:`_render_result`). Not bounded: the amalgamated
+result, hence the file's size and the time to copy and write it; and, unless
+a ``keep`` budget prunes old files, the fence's directory scan on every write.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.intervals import IntervalList
+from repro.intervals import Interval, IntervalList
 from repro.logic.parser import parse_term
 from repro.logic.pretty import sorted_by_text, term_to_str
 from repro.logic.terms import Term
@@ -61,6 +61,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
     "CheckpointError",
+    "TornCheckpointError",
     "description_hash",
     "latest_checkpoint",
     "latest_lease",
@@ -76,6 +77,10 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, read, or applied."""
+
+
+class TornCheckpointError(CheckpointError):
+    """The file is not a JSON object at all: empty, truncated, overwritten."""
 
 
 def description_hash(description: EventDescription) -> str:
@@ -168,6 +173,34 @@ def snapshot_from_dict(data: Dict[str, object]) -> SessionSnapshot:
     )
 
 
+#: What a session keeps between checkpoints per FVP of its result: the term's
+#: text, the member rendered up to its ``count``-th interval, and that interval.
+SealedText = Dict[Term, Tuple[str, str, int, Optional[Interval]]]
+
+
+def _render_result(result: RecognitionResult, sealed: SealedText) -> str:
+    """``json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))``.
+
+    What a session merges starts after its previous query time, so every
+    interval of an FVP but its last is final: only what follows the cached
+    text is rendered. An entry is trusted while the list still holds its
+    last interval at its position; a restored session, or a ``merge`` that
+    re-normalised the list, renders the FVP from its first interval again.
+    """
+    members: Dict[str, str] = {}
+    for pair, intervals in result.items():
+        items = intervals.raw()
+        final = max(len(items) - 1, 0)
+        text, member, count, last = sealed.get(pair) or ("", "", 0, None)
+        if not member or count > final or (count and items[count - 1] is not last):
+            text = term_to_str(pair)
+            member, count = json.dumps(text) + ":[", 0
+        member += "".join("[%d,%d]," % (iv.start, iv.end) for iv in items[count:final])
+        sealed[pair] = (text, member, final, items[final - 1] if final else None)
+        members[text] = member + "".join("[%d,%d]" % (iv.start, iv.end) for iv in items[final:])
+    return "{%s}" % ",".join(members[text] + "]" for text in sorted(members))
+
+
 # -- files ---------------------------------------------------------------------
 
 
@@ -200,6 +233,7 @@ def write_checkpoint(
     keep: Optional[int] = None,
     owner: Optional[str] = None,
     lease: Optional[int] = None,
+    sealed: Optional[SealedText] = None,
 ) -> str:
     """Write one checkpoint atomically; returns the file path.
 
@@ -211,6 +245,9 @@ def write_checkpoint(
     has been handed to a new owner and this (stale) writer is refused with
     :class:`CheckpointError`. ``owner`` labels the file with the writing
     worker for diagnostics; neither field changes the snapshot payload.
+
+    ``sealed`` is the session's encoder state (:func:`_render_result`); it
+    changes what a write costs, never a byte of the file.
     """
     os.makedirs(directory, exist_ok=True)
     if lease is not None:
@@ -226,21 +263,26 @@ def write_checkpoint(
         "windows": windows,
         "applied": applied,
         "description_hash": description_digest,
-        "snapshot": snapshot_to_dict(snapshot),
+        "snapshot": snapshot_to_dict(replace(snapshot, result=RecognitionResult())),
     }
     if owner is not None:
         payload["owner"] = owner
     if lease is not None:
         payload["lease"] = lease
+    # ``dumps`` runs the C encoder; ``json.dump`` to a file always takes the
+    # pure-Python generators (same bytes, five times slower). The result, the
+    # one member that grows with the stream, is spliced in from cached text:
+    # only booleans and integers follow it, so the last match is the member.
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    head, tail = encoded.rsplit('"result":{}', 1)
+    rendered = _render_result(snapshot.result, {} if sealed is None else sealed)
     path = os.path.join(directory, _checkpoint_name(session, windows))
     handle, temp_path = tempfile.mkstemp(
         prefix=".%s-" % session, suffix=".tmp", dir=directory
     )
     try:
         with os.fdopen(handle, "w") as stream:
-            # ``dumps`` runs the C encoder; ``json.dump`` to a file always
-            # takes the pure-Python generators (same bytes, five times slower).
-            stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            stream.write('%s"result":%s%s' % (head, rendered, tail))
             stream.flush()
             os.fsync(stream.fileno())
             # Taken from the descriptor, before the rename: a stat of ``path``
@@ -264,27 +306,33 @@ def write_checkpoint(
     return path
 
 
-def list_checkpoints(directory: str, session: str) -> List[Tuple[int, str]]:
-    """All complete checkpoints of ``session``, oldest first."""
+def _sequences(directory: str, session: str) -> Iterator[Tuple[int, str]]:
+    """``(sequence number, file name)`` of every complete checkpoint of ``session``."""
     prefix = session + "-"
-    found: List[Tuple[int, str]] = []
     try:
         entries = os.listdir(directory)
     except OSError:
-        return []
+        return
     for entry in entries:
-        if not entry.startswith(prefix) or not entry.endswith(".json"):
-            continue
-        sequence = entry[len(prefix) : -len(".json")]
-        if sequence.isdigit():
-            found.append((int(sequence), os.path.join(directory, entry)))
-    return sorted(found)
+        if entry.startswith(prefix) and entry.endswith(".json"):
+            sequence = entry[len(prefix) : -len(".json")]
+            if sequence.isdigit():
+                yield int(sequence), entry
+
+
+def list_checkpoints(directory: str, session: str) -> List[Tuple[int, str]]:
+    """All complete checkpoints of ``session``, oldest first."""
+    found = _sequences(directory, session)
+    return sorted((number, os.path.join(directory, entry)) for number, entry in found)
 
 
 def latest_checkpoint(directory: str, session: str) -> Optional[str]:
-    """Path of the newest complete checkpoint of ``session``, if any."""
-    found = list_checkpoints(directory, session)
-    return found[-1][1] if found else None
+    """Path of the newest complete checkpoint of ``session``, if any.
+
+    One pass, no path joined, nothing sorted: the fence runs it on every write.
+    """
+    newest = max(_sequences(directory, session), default=None)
+    return None if newest is None else os.path.join(directory, newest[1])
 
 
 def latest_lease(directory: str, session: str) -> int:
@@ -318,9 +366,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         with open(path) as stream:
             payload = json.load(stream)
     except (OSError, ValueError) as exc:
-        raise CheckpointError("cannot read checkpoint %s: %s" % (path, exc))
+        raise TornCheckpointError("cannot read checkpoint %s: %s" % (path, exc))
     if not isinstance(payload, dict):
-        raise CheckpointError(
+        raise TornCheckpointError(
             "malformed checkpoint %s: not a JSON object" % (path,)
         )
     version = payload.get("version")

@@ -184,10 +184,14 @@ def parse_event_term(text: str) -> Term:
             raise ProtocolError("bad-term", "unparsable event term %r: %s" % (text, exc))
     if not is_ground(term):
         raise ProtocolError("bad-term", "event terms must be ground: %r" % text)
+    _remember(text, term)
+    return term
+
+
+def _remember(text: str, term: Term) -> None:
     if len(_TERM_CACHE) >= _TERM_CACHE_LIMIT:
         _TERM_CACHE.clear()
     _TERM_CACHE[text] = term
-    return term
 
 
 def _parse_flat(text: str) -> Optional[Term]:
@@ -267,10 +271,15 @@ def require_fvp(value: Any) -> Term:
     """The ``F=V`` term a ``query`` names, parsed from concrete syntax."""
     if not isinstance(value, str):
         raise ProtocolError("bad-request", "query 'fvp' must be a string")
-    try:
-        pair = parse_term(value)
-    except ParseError as exc:
-        raise ProtocolError("bad-request", "unparsable query 'fvp' %r: %s" % (value, exc))
+    # A polling client names one pair at every query: ground ones are cached.
+    pair = _TERM_CACHE.get(value)
+    if pair is None:
+        try:
+            pair = parse_term(value)
+        except ParseError as exc:
+            raise ProtocolError("bad-request", "unparsable query 'fvp' %r: %s" % (value, exc))
+        if is_ground(pair):
+            _remember(value, pair)
     if not is_fvp(pair):
         raise ProtocolError("bad-request", "query 'fvp' must be an F=V pair, not %r" % value)
     return pair

@@ -36,6 +36,7 @@ both via :mod:`repro.serve.checkpoint` (a file that grows with the stream).
 from __future__ import annotations
 
 import asyncio
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -161,6 +162,10 @@ class ManagedSession:
                     % (name, "; ".join(self.admission_warnings))
                 )
         self.counters = _Counters()
+        #: Checkpoint encoder state; the worker awaits each write: one writer.
+        self._sealed: checkpointing.SealedText = {}
+        #: Newer checkpoint files a restore could not read and passed over.
+        self.restore_skipped: List[str] = []
         self.next_query: Optional[int] = None
         self.failure: Optional[str] = None
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
@@ -431,6 +436,7 @@ class ManagedSession:
                     keep=self.config.checkpoint_keep,
                     owner=self.owner,
                     lease=self.lease,
+                    sealed=self._sealed,
                 ),
             )
         self.counters.checkpoints += 1
@@ -464,6 +470,7 @@ class ManagedSession:
             "fvps": len(self.session.result),
             "description_hash": self.description_digest,
             "failure": self.failure,
+            "restore_skipped": list(self.restore_skipped),
             "owner": self.owner,
             "lease": self.lease,
             # Why the time went where it did: advances by evaluation mode and
@@ -518,12 +525,19 @@ class SessionManager:
             name, engine, config, self.checkpoint_dir, owner=self.owner, lease=lease
         )
         if restore and self.checkpoint_dir is not None:
-            latest = checkpointing.latest_checkpoint(self.checkpoint_dir, name)
-            if latest is not None:
-                loaded = checkpointing.load_checkpoint(latest)
+            found = checkpointing.list_checkpoints(self.checkpoint_dir, name)
+            for _windows, path in reversed(found):
+                try:
+                    loaded = checkpointing.load_checkpoint(path)
+                except checkpointing.TornCheckpointError:
+                    # A torn newest file must not keep the session down: the
+                    # one before it is a complete, older state of the same run.
+                    managed.restore_skipped.append(os.path.basename(path))
+                    continue
                 managed.adopt(loaded)
                 if lease is None and loaded.lease:
                     managed.lease = loaded.lease
+                break
         self.sessions[name] = managed
         return managed
 

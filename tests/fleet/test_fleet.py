@@ -115,3 +115,35 @@ class TestGeneration:
         generated = generate_fleet("o1", FEW_SHOT)
         assert len(generated.activities) == len(FLEET_ACTIVITY_GROUPS)
         assert not generated.parse_errors
+
+
+class TestFleetServingLoadsNoNumpy:
+    def test_cli_worker_and_a_driven_gold_session(self):
+        """What a router and a fleet worker import and run: 12 MB and 0.24 s a
+        process when numpy rides along (``maritime`` uses it, lazily)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.serve.cluster.worker, repro.fleet\n"
+            "from repro.rtec import RTECEngine\n"
+            "from repro.serve.replay import drive_reference_session\n"
+            "dataset = repro.fleet.build_fleet_dataset()\n"
+            "engine = RTECEngine(repro.fleet.fleet_gold_event_description(),\n"
+            "                    dataset.kb, dataset.vocabulary)\n"
+            "result = drive_reference_session(engine, list(dataset.stream),\n"
+            "                                 dataset.input_fluents, 600, 300, incremental=True)\n"
+            "assert len(result) > 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+

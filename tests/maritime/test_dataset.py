@@ -91,6 +91,16 @@ class TestDataset:
         assert parse_term("proximity(barge1, tug1)=true") in small_dataset.input_fluents
         assert parse_term("proximity(pilot1, tanker2)=true") in small_dataset.input_fluents
 
+    def test_seed_zero_proximity_intervals(self):
+        # Pinned when numpy became a first-use import of the detector.
+        dataset = build_dataset(seed=0, scale=0.1)
+        assert {
+            pair: intervals.as_pairs() for pair, intervals in dataset.input_fluents.items()
+        } == {
+            parse_term("proximity(barge1, tug1)=true"): [(1800, 11919)],
+            parse_term("proximity(pilot1, tanker2)=true"): [(4220, 4419)],
+        }
+
     def test_traffic_parameter(self):
         dataset = build_dataset(seed=0, scale=0.1, traffic=3)
         traffic_ids = [v.vessel_id for v in dataset.vessels if v.vessel_id.startswith("traffic")]

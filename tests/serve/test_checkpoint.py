@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -183,6 +184,114 @@ class TestCheckpointFiles:
         )
         assert description_hash(one) == description_hash(EventDescription.from_text(RULES))
         assert description_hash(one) != description_hash(other)
+
+
+ESCAPED = "'k \"q\" \\\\ é'"  # a vessel whose FVP text needs JSON escaping
+
+
+class TestEncoderStateKeepsTheBytes:
+    """Every file is the one-shot encoding, whatever the encoder state has seen."""
+
+    STEP = 10
+
+    def _advance(self, session, rng, query_time):
+        for vessel in ("v1", "v2", ESCAPED):
+            for kind in ("start", "stop"):
+                if rng.random() < 0.6:
+                    time = rng.randrange(query_time - self.STEP + 1, query_time + 1)
+                    session.submit([Event(time, parse_term("%s(%s)" % (kind, vessel)))])
+        session.advance(query_time)
+
+    def _checkpoint(self, directory, session, windows, **state):
+        snapshot = session.snapshot()
+        digest = description_hash(session.engine.description)
+        path = write_checkpoint(
+            str(directory), "s0", snapshot,
+            applied=windows, windows=windows, description_digest=digest, lease=1, **state,
+        )
+        payload = {
+            "version": CHECKPOINT_VERSION, "session": "s0", "windows": windows,
+            "applied": windows, "description_hash": digest, "lease": 1,
+            "snapshot": snapshot_to_dict(snapshot),
+        }
+        with open(path) as stream:
+            text = stream.read()
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return text
+
+    def _run(self, directory, disturb=None, windows=60):
+        rng = random.Random(22)
+        session = RTECSession(_engine(), window=20)
+        sealed = {}
+        for number in range(1, windows + 1):
+            self._advance(session, rng, number * self.STEP)
+            if disturb is not None and number == windows // 2:
+                disturb(session)
+            self._checkpoint(directory, session, number, sealed=sealed)
+        # The state was used: whole runs of sealed intervals were not rendered again.
+        assert max(entry[2] for entry in sealed.values()) >= 10
+        assert any(entry[0] == "f(%s)=true" % ESCAPED and entry[2] for entry in sealed.values())
+        return session, sealed
+
+    def test_sixty_checkpoints_through_one_state(self, tmp_path):
+        self._run(tmp_path)
+
+    def test_after_a_restore_mid_run(self, tmp_path):
+        def restore(session):
+            session.restore(snapshot_from_dict(snapshot_to_dict(session.snapshot())))
+
+        self._run(tmp_path, disturb=restore)
+
+    @pytest.mark.parametrize(
+        "which", ["bridges two sealed intervals", "extends the last sealed one", "adds a first one"]
+    )
+    def test_after_a_merge_that_is_not_a_tail_append(self, tmp_path, which):
+        pair = parse_term("f(v1)=true")
+
+        def merge(session):
+            stored = session.result.holds_for(pair)
+            assert len(stored) >= 4
+            late = {
+                "bridges two sealed intervals": (stored[0].end, stored[1].start),
+                "extends the last sealed one": (stored[-2].end, stored[-2].end + 1),
+                "adds a first one": (-5, -3),
+            }[which]
+            assert late[0] < stored[-1].start  # takes merge's union_all branch
+            session.result.merge(pair, IntervalList([late]))
+            assert session.result.holds_for(pair).raw()[:-1] != stored.raw()[:-1]
+
+        self._run(tmp_path, disturb=merge)
+
+    def test_a_write_without_state_is_the_same_file(self, tmp_path):
+        session, sealed = self._run(tmp_path / "with", windows=20)
+        with_state = self._checkpoint(tmp_path / "with", session, 21, sealed=sealed)
+        assert self._checkpoint(tmp_path / "without", session, 21) == with_state
+
+    def test_an_empty_result_and_an_empty_interval_list(self, tmp_path):
+        session = RTECSession(_engine(), window=20)
+        sealed = {}
+        assert '"result":{}' in self._checkpoint(tmp_path, session, 1, sealed=sealed)
+        session.restore(snapshot_from_dict({"window": 20, "result": {"f(v1)=true": []}}))
+        assert '"result":{"f(v1)=true":[]}' in self._checkpoint(tmp_path, session, 2, sealed=sealed)
+
+
+class TestLatestCheckpoint:
+    def test_agrees_with_the_listing_on_a_crowded_directory(self, tmp_path):
+        names = [
+            "s0-00000002.json", "s0-00000010.json", "s0-9.json",  # s0's own
+            "s0-latest.json", "s0-0000000a.json", "s0-.json", "s0-00000011.json.bak",
+            ".s0-k3j2.tmp", "s0-00000012.tmp",  # temp files
+            "s-00000099.json", "s00-00000098.json", "s0-b-00000097.json",  # other sessions
+        ]
+        for name in names:
+            (tmp_path / name).write_text("{}")
+        directory = str(tmp_path)
+        for session in ("s0", "s", "s00", "s0-b"):
+            listed = list_checkpoints(directory, session)
+            assert latest_checkpoint(directory, session) == listed[-1][1]
+        assert latest_checkpoint(directory, "s0") == str(tmp_path / "s0-00000010.json")
+        assert latest_checkpoint(directory, "s1") is None
+        assert latest_checkpoint(str(tmp_path / "missing"), "s0") is None
 
 
 class TestOwnershipAndLeases:

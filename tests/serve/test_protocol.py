@@ -12,6 +12,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
     parse_event_term,
+    require_fvp,
     require_intervals,
     require_session,
     require_time,
@@ -118,3 +119,35 @@ class TestFieldValidation:
     def test_require_intervals_rejects(self, value):
         with pytest.raises(ProtocolError):
             require_intervals(value)
+
+    def test_require_fvp_parses_a_polled_pair_once(self, monkeypatch):
+        from repro.serve import protocol
+
+        calls = []
+        monkeypatch.setattr(
+            protocol, "parse_term", lambda text: calls.append(text) or parse_term(text)
+        )
+        text = "polled(v1)=true"
+        protocol._TERM_CACHE.pop(text, None)
+        first = require_fvp(text)
+        assert first == parse_term(text) and require_fvp(text) is first
+        assert calls == [text]
+        # What event terms cached is served too, and still has to be a pair.
+        parse_event_term("cachedEvent(v1)")
+        with pytest.raises(ProtocolError) as refusal:
+            require_fvp("cachedEvent(v1)")
+        assert refusal.value.code == "bad-request" and calls == [text]
+
+    @pytest.mark.parametrize("value", ["notanfvp(", "foo(bar)", "f(X)=", 7, None])
+    def test_malformed_fvp_is_the_callers_error_every_time(self, value):
+        for _attempt in range(2):
+            with pytest.raises(ProtocolError) as refusal:
+                require_fvp(value)
+            assert refusal.value.code == "bad-request"
+
+    def test_non_ground_fvp_is_accepted_and_not_cached_as_an_event_term(self):
+        pair = require_fvp("f(Anyone)=true")
+        assert pair == parse_term("f(Anyone)=true") and require_fvp("f(Anyone)=true") == pair
+        with pytest.raises(ProtocolError) as refusal:
+            parse_event_term("f(Anyone)=true")
+        assert refusal.value.code == "bad-term"

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.rtec import EventDescription, RTECEngine
+from repro.serve.checkpoint import CheckpointError, list_checkpoints
 from repro.serve.protocol import ProtocolError
 from repro.serve.sessions import ManagedSession, SessionConfig, SessionManager
 
@@ -240,6 +241,84 @@ class TestWorker:
         assert result["fvps"]["f(v1)=true"] == [[6, 15]]
         assert status["applied"] == 2
         assert status["next_query"] == 30
+
+
+    @staticmethod
+    def _two_checkpoints(directory):
+        """A killed session that left checkpoints 1 (f(v1) open) and 2 (closed)."""
+
+        async def first_life():
+            manager = SessionManager(checkpoint_dir=directory)
+            managed = manager.add_session("s", _engine(), SessionConfig(window=20, step=10))
+            manager.start()
+            managed.offer_events([(5, "start(v1)")])
+            await managed.query(at=10)
+            await managed.checkpoint()
+            managed.offer_events([(15, "stop(v1)")])
+            await managed.query(at=20)
+            await managed.checkpoint()
+            await manager.kill()
+
+        _run(first_life())
+        (_one, older), (_two, newest) = list_checkpoints(directory, "s")
+        return older, newest
+
+    @staticmethod
+    def _restore(directory, engine=None):
+        async def second_life():
+            manager = SessionManager(checkpoint_dir=directory)
+            managed = manager.add_session(
+                "s", engine or _engine(), SessionConfig(window=20, step=10), restore=True
+            )
+            manager.start()
+            result = await managed.query()
+            status = managed.status()
+            await manager.kill()
+            return result, status
+
+        return _run(second_life())
+
+    def test_restore_of_intact_files_skips_nothing(self, tmp_path):
+        self._two_checkpoints(str(tmp_path))
+        result, status = self._restore(str(tmp_path))
+        assert result["fvps"]["f(v1)=true"] == [[6, 15]]
+        assert (status["windows"], status["applied"]) == (2, 2)
+        assert status["restore_skipped"] == []
+
+    @pytest.mark.parametrize("damage", ["zero-length", "truncated", "not an object"])
+    def test_restore_skips_a_torn_newest_checkpoint(self, tmp_path, damage):
+        _older, newest = self._two_checkpoints(str(tmp_path))
+        with open(newest) as stream:
+            intact = stream.read()
+        with open(newest, "w") as stream:
+            stream.write(
+                {"zero-length": "", "truncated": intact[: len(intact) // 2],
+                 "not an object": "[1, 2]"}[damage]
+            )
+        result, status = self._restore(str(tmp_path))
+        # The state of checkpoint 1: one window, one item, f(v1) still open.
+        assert result["fvps"]["f(v1)=true"] == [[6, 10]]
+        assert (status["windows"], status["applied"]) == (1, 1)
+        assert status["restore_skipped"] == ["s-00000002.json"]
+
+    def test_restore_with_every_file_torn_starts_fresh_and_says_so(self, tmp_path):
+        for path in self._two_checkpoints(str(tmp_path)):
+            open(path, "w").close()
+        result, status = self._restore(str(tmp_path))
+        assert result["fvps"] == {} and status["windows"] == 0
+        assert status["restore_skipped"] == ["s-00000002.json", "s-00000001.json"]
+
+    def test_restore_still_refuses_another_format_version(self, tmp_path):
+        _older, newest = self._two_checkpoints(str(tmp_path))
+        with open(newest, "w") as stream:
+            stream.write('{"version": 1}')
+        with pytest.raises(CheckpointError, match="format version"):
+            self._restore(str(tmp_path))
+
+    def test_restore_still_refuses_another_description(self, tmp_path):
+        self._two_checkpoints(str(tmp_path))
+        with pytest.raises(CheckpointError, match="different event description"):
+            self._restore(str(tmp_path), engine=_leaky_engine())
 
 
 LEAKY_RULES = """
