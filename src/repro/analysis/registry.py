@@ -173,8 +173,10 @@ LINT_RULES: Dict[str, LintRule] = {
         _rule(
             "RTEC015",
             "not entity-shardable",
-            "The partitionability analysis found a rule that blocks "
-            "entity-sharded parallel recognition (informational).",
+            "The partitionability analysis found a rule that keeps the stream "
+            "from being split by entity: late input recomputes the whole "
+            "window and the description is served as one session "
+            "(informational).",
         ),
         _rule(
             "RTEC016",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.experiments import run_fig2a, run_fig2b, run_fig2c
 from repro.experiments.fig2a import format_table as fig2a_table
@@ -40,16 +40,34 @@ from repro.rtec import EventDescription, RTECEngine
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """``argparse`` type of sizes, cadences and counts: zero or a negative
-    value is a usage error here, not a loop that makes no progress (or a
-    ``ValueError``) further down."""
+def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
+    """``argparse`` type of sizes, cadences and counts: a value below
+    ``minimum`` is a usage error here, not a loop that makes no progress
+    (or a ``ValueError``) further down."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+
+
+def _fraction(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+        value = -1.0
+    if not 0 <= value <= 1:  # false for nan as well
+        raise argparse.ArgumentTypeError("expected a fraction in [0, 1], got %r" % text)
     return value
 
 
@@ -78,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     recognise.add_argument("--scale", type=float, default=0.25)
     recognise.add_argument("--traffic", type=int, default=4)
     recognise.add_argument("--window", type=_positive_int, default=None)
-    recognise.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="fan recognition out over entity shards with this many workers",
-    )
 
     gen = sub.add_parser("generate", help="print one generated event description")
     gen.add_argument("--model", choices=MODEL_NAMES, default="o1")
@@ -139,13 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--traffic", type=int, default=2)
     profile.add_argument("--window", type=_positive_int, default=600)
     profile.add_argument("--step", type=_positive_int, default=None)
-    profile.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="fan batch recognition out over entity shards with this many workers "
-        "(not with --session)",
-    )
     profile.add_argument(
         "--session",
         action="store_true",
@@ -300,12 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay",
         help="pump a dataset through a live service (load generator + crash drill)",
-        description="Boot the recognition service on a loopback socket, split "
-        "the dataset across sessions, pump it through the JSON-lines "
-        "protocol, and report sustained ingest. With --kill-at the service "
-        "is crashed mid-stream and restored from its checkpoints; with "
-        "--verify the final detections are compared byte-for-byte against "
-        "an uninterrupted run and a directly driven RTECSession.",
+        description="Boot the recognition service on a loopback socket (in "
+        "this process, or with --workers N a router in front of N worker "
+        "processes), split the dataset across sessions, pump it through the "
+        "JSON-lines protocol, and report sustained ingest. With --kill-at "
+        "the deployment is crashed mid-stream (the whole service, or the "
+        "fleet's busiest worker by SIGKILL) and its sessions are restored "
+        "from their checkpoints; with --verify the final detections are "
+        "compared byte-for-byte against an uninterrupted single-process run "
+        "and directly driven RTECSessions.",
     )
     _add_dataset_arguments(replay)
     _add_serving_arguments(replay)
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the stream across this many sessions by entity component",
     )
     replay.add_argument(
-        "--repeat", type=int, default=1,
+        "--repeat", type=_positive_int, default=1,
         help="tile the stream this many times along the timeline",
     )
     replay.add_argument(
@@ -326,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("--batch-size", type=_positive_int, default=512)
     replay.add_argument(
-        "--kill-at", type=float, default=None, metavar="FRACTION",
-        help="crash the service after this fraction of events, then restore",
+        "--kill-at", type=_fraction, default=None, metavar="FRACTION",
+        help="crash the deployment after this fraction of events, then restore",
     )
     replay.add_argument(
         "--verify", action="store_true",
@@ -353,7 +361,7 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="distribute sessions across N shared-nothing worker processes "
         "behind a router (default 1: single in-process service)",
     )
@@ -363,7 +371,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="query-time cadence (default: the window, i.e. tumbling)",
     )
     parser.add_argument(
-        "--high-water", type=int, default=8192,
+        "--high-water", type=_positive_int, default=8192,
         help="ingest-queue high-water mark (events beyond it are rejected)",
     )
     parser.add_argument(
@@ -371,11 +379,11 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for durable session checkpoints",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="WINDOWS",
+        "--checkpoint-every", type=_non_negative_int, default=0, metavar="WINDOWS",
         help="write a checkpoint every this many windows (0: only on demand)",
     )
     parser.add_argument(
-        "--checkpoint-keep", type=int, default=None, metavar="N",
+        "--checkpoint-keep", type=_positive_int, default=None, metavar="N",
         help="keep at most N checkpoint files per session",
     )
     parser.add_argument(
@@ -428,12 +436,7 @@ def _cmd_fig2c(args: argparse.Namespace) -> int:
 def _cmd_recognise(args: argparse.Namespace) -> int:
     dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
     engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
-    result = engine.recognise(
-        dataset.stream,
-        dataset.input_fluents,
-        window=args.window,
-        jobs=args.jobs,
-    )
+    result = engine.recognise(dataset.stream, dataset.input_fluents, window=args.window)
     print("%-20s %9s %12s" % ("activity", "instances", "duration (s)"))
     for activity in COMPOSITE_ACTIVITIES:
         instances = list(result.instances(activity))
@@ -538,9 +541,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.rtec.session import RTECSession
 
-    if args.session and args.jobs is not None:
-        print("error: --jobs shards batch recognition; a session has one path", file=sys.stderr)
-        return 2
     dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
     engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
     with telemetry.enabled() as tracer:
@@ -561,21 +561,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 if query_time >= end:
                     break
                 query_time = min(query_time + step, end)
-        elif args.jobs is not None and args.jobs != 1:
-            # Thread workers share the tracer (the span stack is
-            # per-thread), so the per-shard window spans stay in the tree;
-            # a process pool would lose them to the worker processes.
-            from repro.rtec.parallel import recognise_sharded
-
-            recognise_sharded(
-                engine,
-                dataset.stream,
-                dataset.input_fluents,
-                window=args.window,
-                step=args.step,
-                jobs=args.jobs,
-                executor="thread",
-            )
         else:
             engine.recognise(
                 dataset.stream,
@@ -997,34 +982,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.kill_at is not None and config.checkpoint_every <= 0:
         config.checkpoint_every = 1
 
-    if args.workers > 1:
-        from repro.serve.cluster import run_cluster_replay
-
-        outcome = asyncio.run(run_cluster_replay(
-            _gold_engine_spec(args),
-            workload,
-            config,
-            workers=args.workers,
-            checkpoint_dir=checkpoint_dir,
-            kill_at=args.kill_at,
-            verify=args.verify,
-            batch_size=args.batch_size,
-            mode=args.mode,
-        ))
-    else:
-        def engine_factory():
-            return {name: make_engine() for name in workload.sessions}
-
-        outcome = asyncio.run(run_replay(
-            engine_factory,
-            workload,
-            config,
-            checkpoint_dir=checkpoint_dir,
-            kill_at=args.kill_at,
-            verify=args.verify,
-            batch_size=args.batch_size,
-            mode=args.mode,
-        ))
+    outcome = asyncio.run(run_replay(
+        # Worker processes are spawned: a fleet takes the portable recipe,
+        # one process the engine over the dataset already built above.
+        _gold_engine_spec(args) if args.workers > 1 else make_engine,
+        workload,
+        config,
+        workers=args.workers,
+        checkpoint_dir=checkpoint_dir,
+        kill_at=args.kill_at,
+        verify=args.verify,
+        batch_size=args.batch_size,
+        mode=args.mode,
+    ))
     report = outcome.final_report
     summary = {
         "gold": args.gold,
@@ -1044,15 +1014,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "queue_peak": report.queue_peak,
         "detected_fvps": len(outcome.merged),
         "killed_at_event": outcome.killed_at_event,
+        "killed_worker": outcome.killed_worker,
+        "restored_sessions": outcome.restored_sessions,
+        "placement": outcome.placement,
         "verified": outcome.verified,
         "verify_detail": outcome.verify_detail,
     }
-    if args.workers > 1:
-        summary["killed_worker"] = outcome.killed_worker
-        summary["restored_sessions"] = outcome.restored_sessions
-        summary["placement"] = outcome.placement
-    else:
-        summary["checkpoints_restored"] = outcome.checkpoints_restored
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -1060,19 +1027,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "gold", "sessions", "events", "window", "step", "mode", "workers",
             "events_sent", "events_accepted", "rejections", "retries",
             "ingest_seconds", "ingest_rate", "drain_seconds", "queue_peak",
-            "detected_fvps", "killed_at_event",
-        ):
+            "detected_fvps", "killed_at_event", "killed_worker",
+            "restored_sessions", "placement",
+        ) + (("verified", "verify_detail") if args.verify else ()):
             print("%-22s %s" % (key, summary[key]))
-        if args.workers > 1:
-            print("%-22s %s" % ("placement", summary["placement"]))
-            if outcome.killed_at_event is not None:
-                print("%-22s %s" % ("killed_worker", outcome.killed_worker))
-                print("%-22s %s" % ("restored_sessions", outcome.restored_sessions))
-        elif outcome.killed_at_event is not None:
-            print("%-22s %s" % ("checkpoints_restored", outcome.checkpoints_restored))
-        if args.verify:
-            print("%-22s %s" % ("verified", outcome.verified))
-            print("%-22s %s" % ("verify_detail", outcome.verify_detail))
     if args.verify and not outcome.verified:
         return 1
     return 0

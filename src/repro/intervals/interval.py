@@ -90,6 +90,11 @@ class IntervalList:
     def __delattr__(self, name: str) -> None:
         raise AttributeError("IntervalList is immutable; cannot delete %r" % name)
 
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # The default protocol restores slots with setattr, which raises here:
+        # pickle, copy.copy and copy.deepcopy all rebuild through __init__.
+        return (IntervalList, (self._intervals,))
+
     @staticmethod
     def _normalise(items: List[Interval]) -> Tuple[Interval, ...]:
         if not items:

@@ -25,7 +25,6 @@ from repro.rtec.description import (
     fluent_key,
 )
 from repro.rtec.engine import RTECEngine
-from repro.rtec.parallel import recognise_sharded
 from repro.rtec.partition import PartitionAnalysis, analyse_partitionability
 from repro.rtec.errors import (
     CyclicDependencyError,
@@ -46,7 +45,6 @@ __all__ = [
     "Vocabulary",
     "fluent_key",
     "RTECEngine",
-    "recognise_sharded",
     "PartitionAnalysis",
     "analyse_partitionability",
     "InputShard",

@@ -23,8 +23,8 @@ A ``happensAt``-seeded rule compiles to a :class:`CompiledRule`; ``holdsFor``
 rules are compiled by :mod:`repro.rtec.static` from the same pieces.
 Programs are closures, hence unpicklable: they live in a side table keyed
 by the owning fluent definition (:func:`program_for`) and die with it —
-never on a rule, a definition or a description, all of which are pickled to
-pool workers and ``copy.copy``'d.
+never on a rule, a definition or a description, all of which must stay
+picklable and copyable.
 """
 
 from __future__ import annotations
@@ -415,7 +415,7 @@ def _condition(literal: Literal, scope: Scope) -> Tuple[str, StepMaker]:
 def _counted(cls: str, make: StepMaker, nxt: Step, tally: int) -> Step:
     """``make(nxt)`` reporting attempts and solutions of its condition class to
     the enclosing ``rtec.rule`` span (``repro profile`` prints them); the
-    running count lives in frame slot ``tally``, so shard threads do not share it."""
+    running count lives in frame slot ``tally``, so threads running one program do not share it."""
 
     def solution(f):
         f[tally] += 1

@@ -188,9 +188,6 @@ class RTECEngine:
         input_fluents: Optional[InputFluents] = None,
         window: Optional[int] = None,
         step: Optional[int] = None,
-        jobs: Optional[int] = None,
-        bounds: "Optional[tuple[int, int]]" = None,
-        extend_first_window: Optional[bool] = None,
     ) -> RecognitionResult:
         """Detect all composite activities over ``stream``.
 
@@ -198,36 +195,16 @@ class RTECEngine:
         the whole stream. ``step`` is the query-time slide (defaults to
         ``window``); a step larger than the window loses events, faithfully
         to RTEC's forgetting mechanism.
-
-        ``jobs`` > 1 fans the recognition out over entity shards (see
-        :mod:`repro.rtec.parallel`); descriptions the static analysis finds
-        non-shardable fall back to sequential execution with a warning.
-
-        ``bounds`` and ``extend_first_window`` override the (start, end)
-        span and the initially/1 first-window extension; the sharded
-        executor passes the *global* values so every shard runs the exact
-        window schedule of the sequential engine.
         """
-        if jobs is not None and jobs != 1:
-            from repro.rtec.parallel import recognise_sharded
-
-            return recognise_sharded(
-                self, stream, input_fluents, window=window, step=step, jobs=jobs
-            )
         result = RecognitionResult()
         if input_fluents is None:
             input_fluents = InputFluents()
-        if bounds is None:
-            if len(stream) == 0 and len(input_fluents) == 0:
-                return result
-            start, end = self._bounds(stream, input_fluents)
-        else:
-            start, end = bounds
-        if extend_first_window is None:
-            extend_first_window = bool(self.description.initial_fvps)
+        if len(stream) == 0 and len(input_fluents) == 0:
+            return result
+        start, end = self._bounds(stream, input_fluents)
         if window is None:
             window_start = start - 1
-            if extend_first_window:
+            if self.description.initial_fvps:
                 window_start = min(window_start, -1)
             self._process_window(
                 stream, input_fluents, window_start, end, result,
@@ -252,7 +229,7 @@ class RTECEngine:
         first = True
         while True:
             window_start = query_time - window
-            if first and extend_first_window:
+            if first and self.description.initial_fvps:
                 # initially/1 declarations are evaluated from the time
                 # origin: the first window is extended to cover it.
                 window_start = min(window_start, -1)

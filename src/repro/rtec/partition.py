@@ -1,10 +1,14 @@
-"""Static partitionability analysis for entity-sharded recognition.
+"""Static partitionability analysis: may a stream be split by entity?
 
 The maritime activities of the paper are all *per-vessel* or
 *per-vessel-pair*: every rule relates the entities of its head to entities
 occurring in its body stream conditions. When that holds for the whole
 event description, the input stream can be split by entity key and each
-part recognised independently — the basis of :mod:`repro.rtec.parallel`.
+part recognised independently. Two places do: a session repairing late
+input re-derives only the entity components it touches
+(:mod:`repro.rtec.session`), and :func:`repro.serve.loadgen.build_workload`
+spreads components over sessions, which the serve tier places on workers
+with :func:`rendezvous_owner`.
 
 The analysis works per rule, over the rule's *stream occurrences*: the head
 FVP, every ``happensAt`` event pattern and every ``holdsAt``/``holdsFor``
@@ -50,37 +54,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.logic.parser import Rule
-from repro.logic.pretty import term_to_str
 from repro.logic.terms import Compound, Term, Variable, is_fvp, term_variables
 from repro.rtec.description import EventDescription, FluentKey, fluent_key
 
-if TYPE_CHECKING:
-    from repro.intervals import IntervalList
-    from repro.rtec.stream import Event, EventStream, InputFluents
-
 __all__ = [
     "PartitionAnalysis",
-    "PlacementBucket",
-    "PlacementPlan",
     "analyse_partitionability",
-    "component_key",
-    "place_input",
     "rendezvous_owner",
-    "stable_bucket",
 ]
 
 #: Occurrence kinds.
@@ -142,7 +125,7 @@ def _stream_occurrences(rule: Rule) -> Tuple[Optional[List[_Occurrence]], Option
 
     Returns ``(occurrences, None)`` or ``(None, diagnostic)`` when the rule
     is too malformed to analyse (it would also fail at evaluation time, but
-    the sharded path must detect this statically).
+    a split must know statically).
     """
     occurrences: List[_Occurrence] = []
     head = rule.head
@@ -313,42 +296,6 @@ def analyse_partitionability(description: EventDescription) -> PartitionAnalysis
     )
 
 
-# -- placement -----------------------------------------------------------------
-#
-# The analysis above decides *whether* a description can be split by entity;
-# the placement API decides *where* each entity closure goes. It is the
-# control-plane contract of the distributed serve tier: every input item of
-# one entity-closure component hashes to the same bucket (a worker, a
-# session), independently of arrival order, process, or machine — only the
-# component's canonical key and the bucket count matter.
-
-
-def component_key(entities: Iterable[Term]) -> str:
-    """The canonical placement key of one entity-closure component.
-
-    Deterministic across processes and runs: the lexicographically smallest
-    concrete-syntax rendering of the component's entities. Items whose
-    closures were unioned share a component and therefore a key.
-    """
-    rendered = sorted(term_to_str(entity) for entity in entities)
-    if not rendered:
-        raise ValueError("a placement component needs at least one entity")
-    return rendered[0]
-
-
-def stable_bucket(key: str, buckets: int) -> int:
-    """Hash ``key`` onto one of ``buckets`` slots, stably across processes.
-
-    Python's builtin ``hash`` is salted per process (PYTHONHASHSEED), so the
-    router and its workers use this digest-based bucket function instead —
-    every participant agrees on the placement of a key without coordination.
-    """
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % buckets
-
-
 def rendezvous_owner(key: str, nodes: Sequence[str]) -> str:
     """Highest-random-weight (rendezvous) owner of ``key`` among ``nodes``.
 
@@ -371,98 +318,3 @@ def rendezvous_owner(key: str, nodes: Sequence[str]) -> str:
             best_weight = weight
     assert best is not None
     return best
-
-
-@dataclass
-class PlacementBucket:
-    """Everything placed onto one bucket (shared-nothing worker slice)."""
-
-    index: int
-    #: Canonical keys of the entity-closure components living here.
-    components: List[str] = field(default_factory=list)
-    events: "List[Event]" = field(default_factory=list)
-    fluents: "Dict[Term, IntervalList]" = field(default_factory=dict)
-    initial_fvps: List[Term] = field(default_factory=list)
-
-
-@dataclass
-class PlacementPlan:
-    """An entity-closure placement of one input onto ``buckets`` slots.
-
-    Global (entity-free) items are not placed — they are replicated to every
-    bucket at execution time, where their identical derivations merge
-    idempotently (the C3 closure check guarantees they depend on no sharded
-    input). :meth:`bucket_inputs` performs that replication.
-    """
-
-    buckets: List[PlacementBucket]
-    global_events: "List[Event]"
-    global_fluents: "Dict[Term, IntervalList]"
-    global_initial_fvps: List[Term]
-
-    def bucket_inputs(self) -> "List[Tuple[EventStream, InputFluents, List[Term]]]":
-        """Per-bucket ``(stream, fluents, initial FVPs)`` with globals replicated."""
-        from repro.intervals.operations import union_all
-        from repro.rtec.stream import EventStream, InputFluents
-
-        inputs = []
-        for bucket in self.buckets:
-            events = list(bucket.events) + list(self.global_events)
-            fluents = InputFluents(dict(bucket.fluents))
-            for pair, intervals in self.global_fluents.items():
-                if pair in fluents:
-                    intervals = union_all([fluents.get(pair), intervals])
-                fluents.set(pair, intervals)
-            initials = list(bucket.initial_fvps) + list(self.global_initial_fvps)
-            inputs.append((EventStream(events), fluents, initials))
-        return inputs
-
-
-def place_input(
-    stream: "EventStream",
-    input_fluents: "Optional[InputFluents]",
-    analysis: PartitionAnalysis,
-    buckets: int,
-    initial_fvps: Iterable[Term] = (),
-    extra_entities: Iterable[Tuple[Term, ...]] = (),
-) -> PlacementPlan:
-    """Place a stream's entity-closure components onto ``buckets`` slots.
-
-    Components are computed by :func:`repro.rtec.stream.partition_input`
-    (union of the entities each input item mentions together, plus any
-    ``extra_entities`` a session carries across windows — open initiations
-    must stay co-located with their future terminations), then each
-    component lands on ``stable_bucket(component_key(...), buckets)``. Two
-    items of one component can never be split apart, so recognising each
-    bucket independently and unioning the detections is byte-identical to
-    recognising the unsplit input.
-    """
-    from repro.intervals.operations import union_all
-    from repro.rtec.stream import InputFluents, partition_input
-
-    if input_fluents is None:
-        input_fluents = InputFluents()
-    shards, global_events, global_fluents, global_initials = partition_input(
-        stream, input_fluents, analysis, initial_fvps, extra_entities
-    )
-    placed = [PlacementBucket(index=index) for index in range(buckets)]
-    for shard in shards:
-        key = component_key(shard.entities)
-        bucket = placed[stable_bucket(key, buckets)]
-        bucket.components.append(key)
-        bucket.events.extend(shard.events)
-        for pair, intervals in shard.fluents.items():
-            existing = bucket.fluents.get(pair)
-            bucket.fluents[pair] = (
-                intervals if existing is None else union_all([existing, intervals])
-            )
-        bucket.initial_fvps.extend(shard.initial_fvps)
-    for bucket in placed:
-        bucket.components.sort()
-        bucket.events.sort(key=lambda event: (event.time, term_to_str(event.term)))
-    return PlacementPlan(
-        buckets=placed,
-        global_events=list(global_events),
-        global_fluents=dict(global_fluents),
-        global_initial_fvps=list(global_initials),
-    )

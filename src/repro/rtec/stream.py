@@ -398,7 +398,7 @@ def partition_input(
     interval, a multi-entity event) must be recognised together: the
     partitioner unions them and produces one :class:`InputShard` per
     connected component, ordered deterministically. Items of global (entity
-    free) schemas are returned separately — the executor replicates them to
+    free) schemas are returned separately — callers replicate them to
     every shard, where their derivations are identical and merge
     idempotently.
 

@@ -16,11 +16,12 @@ Layering, bottom up:
   loop, the deterministic window-advance schedule;
 * :mod:`repro.serve.server` — asyncio transports and request dispatch;
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.replay` — workload
-  construction, load measurement, and kill-and-restore drills;
+  construction, load measurement, and the one crash-and-restore drill
+  (whole service for one process, one worker for a fleet);
 * :mod:`repro.serve.cluster` — the distributed tier: a router in front
   of N shared-nothing worker processes, with checkpoint-lease-fenced
-  session migration, heartbeat-driven failover and kill-a-worker drills
-  (imported on demand; nothing above this line depends on it).
+  session migration and heartbeat-driven failover (imported on demand:
+  only a drill with ``workers > 1`` reaches it from above this line).
 """
 
 from repro.serve.checkpoint import (
@@ -55,7 +56,6 @@ from repro.serve.replay import (
     applied_event_offsets,
     drive_reference_session,
     reference_merged,
-    reference_result,
     resume_workload,
     run_replay,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "parse_event_term",
     "read_protocol_lines",
     "reference_merged",
-    "reference_result",
     "resume_workload",
     "run_ingest",
     "run_replay",

@@ -12,9 +12,9 @@ process and a dead worker reshuffles only its own sessions.
 
 The control plane (registration, heartbeats, ``attach``/``detach``
 verbs, checkpoint leases) lives in :mod:`~repro.serve.cluster.worker`
-and :mod:`~repro.serve.cluster.router`; kill-a-worker drills in
-:mod:`~repro.serve.cluster.replay`; picklable engine recipes for spawned
-workers in :mod:`~repro.serve.cluster.engines`.
+and :mod:`~repro.serve.cluster.router`; picklable engine recipes for
+spawned workers in :mod:`~repro.serve.cluster.engines`; the kill-a-worker
+drill is :func:`repro.serve.replay.run_replay` with ``workers > 1``.
 """
 
 from repro.serve.cluster.engines import (
@@ -25,12 +25,10 @@ from repro.serve.cluster.engines import (
     soak_description,
     soak_engine,
 )
-from repro.serve.cluster.replay import ClusterReplayOutcome, run_cluster_replay
 from repro.serve.cluster.router import ClusterRouter, WorkerHandle
 from repro.serve.cluster.worker import WorkerServer, worker_main
 
 __all__ = [
-    "ClusterReplayOutcome",
     "ClusterRouter",
     "EngineSpec",
     "WorkerHandle",
@@ -38,7 +36,6 @@ __all__ = [
     "fleet_engine",
     "gold_engine_spec",
     "maritime_engine",
-    "run_cluster_replay",
     "soak_description",
     "soak_engine",
     "worker_main",

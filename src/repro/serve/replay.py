@@ -1,14 +1,18 @@
 """Replay a recorded workload through a live service — with crash drills.
 
-:func:`run_replay` boots a real :class:`~repro.serve.server.RecognitionServer`
-on a loopback socket, pumps a workload through the JSON-lines protocol,
-and optionally *kills* the service partway through (no graceful shutdown,
-workers aborted mid-stream), boots a fresh one that restores the latest
-checkpoints, resumes ingest from each checkpoint's ``applied`` offset, and
-collects the final detections. With ``verify=True`` the detections are
-compared byte-for-byte (stable JSON) against an uninterrupted run of the
-same service and against a directly driven, unsplit
-:class:`~repro.rtec.session.RTECSession` — the repo's strongest
+:func:`run_replay` boots a served deployment on a loopback socket — the
+in-process :class:`~repro.serve.server.RecognitionServer` for
+``workers == 1``, a :class:`~repro.serve.cluster.router.ClusterRouter` in
+front of that many worker processes otherwise — pumps a workload through
+the JSON-lines protocol, and optionally *crashes* it partway through: the
+whole service is killed (no graceful shutdown, workers aborted mid-stream)
+and a fresh one restores the latest checkpoints, or the fleet's busiest
+worker is SIGKILLed and the router restores its sessions onto the
+survivors under bumped leases. Either way ingest resumes from each
+checkpoint's ``applied`` offset. With ``verify=True`` the final detections
+are compared byte-for-byte (stable JSON) against an uninterrupted
+single-process served run and against directly driven
+:class:`~repro.rtec.session.RTECSession` runs — the repo's strongest
 end-to-end statement of the checkpoint/restore guarantee.
 
 :func:`drive_reference_session` implements exactly the advance policy of
@@ -19,14 +23,14 @@ one window schedule by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.intervals import IntervalList
 from repro.rtec.engine import RTECEngine
 from repro.rtec.result import RecognitionResult
 from repro.rtec.session import RTECSession
-from repro.rtec.stream import Event, EventStream, InputFluents
+from repro.rtec.stream import Event, InputFluents
 from repro.serve.loadgen import LoadReport, ServiceClient, Workload, run_ingest
 from repro.serve.protocol import parse_event_term
 from repro.serve.server import RecognitionServer
@@ -37,14 +41,14 @@ __all__ = [
     "applied_event_offsets",
     "drive_reference_session",
     "reference_merged",
-    "reference_result",
     "resume_workload",
     "run_replay",
 ]
 
-#: Builds one fresh engine per hosted session; called again on restart so
-#: a "rebooted process" never shares state with the killed one.
-EngineFactory = Callable[[], Dict[str, RTECEngine]]
+#: Returns a fresh engine on every call: one per hosted session, and again
+#: after a crash, so a "rebooted process" never shares state with the
+#: killed one. :meth:`repro.serve.cluster.engines.EngineSpec.create` is one.
+EngineFactory = Callable[[], RTECEngine]
 
 
 @dataclass
@@ -54,8 +58,16 @@ class ReplayOutcome:
     first_pass: LoadReport
     resumed_pass: Optional[LoadReport]
     merged: RecognitionResult
+    workers: int
     killed_at_event: Optional[int]
-    checkpoints_restored: Dict[str, int]
+    #: The SIGKILLed fleet worker; ``None`` without a crash and for
+    #: ``workers == 1``, where the crash takes the whole service.
+    killed_worker: Optional[str] = None
+    #: Sessions the crash took down and their checkpoints brought back:
+    #: every session for ``workers == 1``, the victim's in a fleet.
+    restored_sessions: List[str] = field(default_factory=list)
+    #: Worker id → sessions when a fleet run ended (no workers, no entries).
+    placement: Dict[str, List[str]] = field(default_factory=dict)
     verified: Optional[bool] = None
     verify_detail: str = ""
 
@@ -65,18 +77,65 @@ class ReplayOutcome:
 
 
 async def _boot(
-    engine_factory: EngineFactory,
+    engine: Any,
+    workload: Workload,
+    config: SessionConfig,
+    workers: int,
+    checkpoint_dir: Optional[str],
+    restore: bool = False,
+) -> Tuple[Any, ServiceClient]:
+    """Start the deployment hosting ``workload.sessions``; connect to it."""
+    if workers == 1:
+        manager = SessionManager(checkpoint_dir=checkpoint_dir)
+        for name in workload.sessions:
+            manager.add_session(name, engine(), config, restore=restore)
+        service: Any = RecognitionServer(manager)
+        port = await service.start_tcp("127.0.0.1", 0)
+    else:
+        from repro.serve.cluster import ClusterRouter
+
+        service = ClusterRouter(
+            engine, config, workers=workers, checkpoint_dir=checkpoint_dir
+        )
+        try:
+            port = await service.start()
+            await service.assign_sessions(list(workload.sessions))
+        except BaseException:
+            await service.stop()
+            raise
+    return service, await ServiceClient.connect("127.0.0.1", port)
+
+
+async def _crash(
+    service: Any,
+    client: ServiceClient,
+    engine: Any,
+    workload: Workload,
     config: SessionConfig,
     checkpoint_dir: Optional[str],
-    restore: bool,
-) -> Tuple[RecognitionServer, ServiceClient, int]:
-    manager = SessionManager(checkpoint_dir=checkpoint_dir)
-    for name, engine in engine_factory().items():
-        manager.add_session(name, engine, config, restore=restore)
-    server = RecognitionServer(manager)
-    port = await server.start_tcp("127.0.0.1", 0)
-    client = await ServiceClient.connect("127.0.0.1", port)
-    return server, client, port
+) -> Tuple[Any, ServiceClient, Optional[str], List[str]]:
+    """Crash what serves ``workload`` and bring its sessions back.
+
+    The in-process service dies whole and a fresh one (new engines, new
+    socket) restores every session, as ``repro serve --restore`` does; a
+    fleet loses its busiest worker to SIGKILL while the router, and the
+    client's connection to it, stay up. Returns ``(service, client, killed
+    worker, restored sessions)``.
+    """
+    if isinstance(service, RecognitionServer):
+        await client.close()
+        await service.kill()
+        service, client = await _boot(
+            engine, workload, config, 1, checkpoint_dir, restore=True
+        )
+        return service, client, None, sorted(workload.sessions)
+    # max() keeps the first of equals: ties go to the lowest worker id.
+    victim = max(
+        service.live_workers(), key=lambda wid: len(service.workers[wid].sessions)
+    )
+    orphaned = sorted(service.workers[victim].sessions)
+    await service.kill_worker(victim)
+    return service, client, victim, orphaned
 
 
 async def applied_event_offsets(
@@ -118,9 +177,10 @@ def resume_workload(workload: Workload, offsets: Dict[str, int]) -> Workload:
 
 
 async def run_replay(
-    engine_factory: EngineFactory,
+    engine: Any,
     workload: Workload,
     config: SessionConfig,
+    workers: int = 1,
     checkpoint_dir: Optional[str] = None,
     kill_at: Optional[float] = None,
     verify: bool = False,
@@ -129,21 +189,38 @@ async def run_replay(
 ) -> ReplayOutcome:
     """Pump ``workload`` through a served deployment; optionally crash+restore.
 
-    ``kill_at`` is the fraction of events after which the service is
-    killed (e.g. ``0.5`` — mid-stream, between checkpoints). Requires a
-    ``checkpoint_dir`` and ``config.checkpoint_every > 0`` so there is
-    something to restore.
+    ``engine`` is an :data:`EngineFactory`, or an
+    :class:`~repro.serve.cluster.engines.EngineSpec` (whose ``create`` is
+    one). ``workers > 1`` spawns processes, which a closure cannot reach:
+    it needs the spec.
+
+    ``kill_at`` is the fraction of events, in ``[0, 1]``, after which the
+    deployment is crashed (e.g. ``0.5`` — mid-stream, between checkpoints).
+    Requires a ``checkpoint_dir`` and ``config.checkpoint_every > 0`` so
+    there is something to restore.
     """
+    create: EngineFactory = engine if callable(engine) else engine.create
+    if workers > 1:
+        from repro.serve.cluster import EngineSpec
+
+        if not isinstance(engine, EngineSpec):
+            raise ValueError(
+                "workers > 1 needs an EngineSpec: worker processes are spawned "
+                "and cannot receive %r" % (engine,)
+            )
+    else:
+        engine = create
     kill_index: Optional[int] = None
     if kill_at is not None:
         if checkpoint_dir is None or config.checkpoint_every <= 0:
             raise ValueError("kill_at needs checkpoint_dir and checkpoint_every > 0")
-        kill_index = max(0, min(len(workload.events), int(len(workload.events) * kill_at)))
-    server, client, _port = await _boot(
-        engine_factory, config, checkpoint_dir, restore=False
-    )
+        if not 0 <= kill_at <= 1:
+            raise ValueError("kill_at is a fraction in [0, 1], got %r" % (kill_at,))
+        kill_index = int(len(workload.events) * kill_at)
+    service, client = await _boot(engine, workload, config, workers, checkpoint_dir)
     resumed_pass: Optional[LoadReport] = None
-    checkpoints_restored: Dict[str, int] = {}
+    killed_worker: Optional[str] = None
+    restored: List[str] = []
     try:
         if kill_index is None:
             first_pass = await run_ingest(
@@ -157,65 +234,60 @@ async def run_replay(
                 events=workload.events[:kill_index],
                 end_time=workload.end_time,
             )
+            # The first pass is fully acknowledged before the crash, so what
+            # the checkpoints miss is exactly what the resume pass re-sends.
             first_pass = await run_ingest(
                 client, truncated, mode=mode, batch_size=batch_size, final_query=False
             )
-            await client.close()
-            await server.kill()
-            server, client, _port = await _boot(
-                engine_factory, config, checkpoint_dir, restore=True
+            service, client, killed_worker, restored = await _crash(
+                service, client, engine, workload, config, checkpoint_dir
             )
-            for name, managed in server.manager.sessions.items():
-                checkpoints_restored[name] = managed.counters.windows
             offsets = await applied_event_offsets(client, workload)
-            resumed = resume_workload(workload, offsets)
             resumed_pass = await run_ingest(
-                client, resumed, mode=mode, batch_size=batch_size
+                client, resume_workload(workload, offsets),
+                mode=mode, batch_size=batch_size,
             )
             merged = resumed_pass.merged_result()
+        placement = service.placement() if workers > 1 else {}
     finally:
         await client.close()
-        await server.stop()
+        await service.stop()
     outcome = ReplayOutcome(
         first_pass=first_pass,
         resumed_pass=resumed_pass,
         merged=merged,
+        workers=workers,
         killed_at_event=kill_index,
-        checkpoints_restored=checkpoints_restored,
+        killed_worker=killed_worker,
+        restored_sessions=restored,
+        placement=placement,
     )
     if verify:
-        await _verify(outcome, engine_factory, workload, config, mode, batch_size)
+        await _verify(outcome, create, workload, config, mode, batch_size)
     return outcome
 
 
 async def _verify(
     outcome: ReplayOutcome,
-    engine_factory: EngineFactory,
+    create: EngineFactory,
     workload: Workload,
     config: SessionConfig,
     mode: str,
     batch_size: int,
 ) -> None:
-    """Compare against an uninterrupted served run and a direct session run."""
-    server, client, _port = await _boot(engine_factory, config, None, restore=False)
-    try:
-        uninterrupted = await run_ingest(
-            client, workload, mode=mode, batch_size=batch_size
-        )
-    finally:
-        await client.close()
-        await server.stop()
-    expected = uninterrupted.merged_result().to_json()
+    """Compare against an uninterrupted single-process run and direct sessions."""
+    uninterrupted = await run_replay(
+        create, workload, config, mode=mode, batch_size=batch_size
+    )
     actual = outcome.merged.to_json()
     details = []
-    if actual == expected:
-        details.append("served run matches uninterrupted served run")
+    if actual == uninterrupted.merged.to_json():
+        details.append("served run matches uninterrupted single-process run")
         outcome.verified = True
     else:
-        details.append("MISMATCH versus uninterrupted served run")
+        details.append("MISMATCH versus uninterrupted single-process run")
         outcome.verified = False
-    reference = reference_merged(engine_factory, workload, config)
-    if actual == reference.to_json():
+    if actual == reference_merged(create, workload, config).to_json():
         details.append("matches direct RTECSession reference")
     else:
         details.append("MISMATCH versus direct RTECSession reference")
@@ -224,12 +296,11 @@ async def _verify(
 
 
 def reference_merged(
-    engine_factory: EngineFactory,
+    create: EngineFactory,
     workload: Workload,
     config: SessionConfig,
 ) -> RecognitionResult:
     """Drive every session directly (no service) and union the detections."""
-    engines = engine_factory()
     merged = RecognitionResult()
     step = config.resolved_step()
     for name in workload.sessions:
@@ -246,7 +317,7 @@ def reference_merged(
             if ename == name
         ]
         result = drive_reference_session(
-            engines[name],
+            create(),
             events,
             fluents,
             config.window,
@@ -306,21 +377,3 @@ def drive_reference_session(
     if session.last_query_time is None or end > session.last_query_time:
         session.advance(end)
     return session.result
-
-
-def reference_result(
-    engine: RTECEngine,
-    stream: EventStream,
-    input_fluents: Optional[InputFluents],
-    config: SessionConfig,
-    end: Optional[int] = None,
-) -> RecognitionResult:
-    """Convenience wrapper: drive the unsplit stream under the service policy."""
-    return drive_reference_session(
-        engine,
-        list(stream),
-        input_fluents,
-        config.window,
-        config.resolved_step(),
-        end=end,
-    )

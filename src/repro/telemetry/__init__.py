@@ -18,7 +18,7 @@ Design constraints:
   monotonic timings, plain dicts);
 * **nestable** — spans form a tree via a per-thread span stack, so a
   window span contains the per-fluent evaluation spans it triggered, and
-  the sharded executor's worker threads each grow their own root spans.
+  the threads served sessions evaluate on each grow their own root spans.
 
 Typical use::
 

@@ -3,9 +3,9 @@
 A :class:`Span` is one timed region with attributes (set at entry or via
 :meth:`Span.set`), named counters, and child spans. A :class:`Tracer` owns
 a stack of open spans and the forest of finished root spans. The stack is
-per-thread: spans opened by worker threads (the sharded executor's thread
-pool) nest within that thread's own spans and finish as additional roots,
-so concurrent windows cannot corrupt each other's trees.
+per-thread: spans opened by worker threads (a served session evaluates its
+windows off the event loop) nest within that thread's own spans and finish
+as additional roots, so concurrent windows cannot corrupt each other's trees.
 
 The module-level functions (:func:`span`, :func:`count`) are what
 instrumented code calls. When no tracer is active they return shared no-op

@@ -1,8 +1,19 @@
 """Unit tests for intervals and maximal-interval lists."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.intervals import Interval, IntervalList
+
+#: pickle, copy and deepcopy all restore slots with setattr by default, which
+#: an immutable list refuses: each used to raise AttributeError.
+ROUND_TRIPS = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
 
 
 class TestInterval:
@@ -84,6 +95,16 @@ class TestIntervalList:
         right = IntervalList([(1, 9)])
         assert left == right
         assert hash(left) == hash(right)
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    @pytest.mark.parametrize("pairs", [[], [(1, 5)], [(1, 5), (9, 12), (20, 21), (40, 90)]])
+    def test_round_trips_to_an_equal_list(self, how, pairs):
+        original = IntervalList(pairs)
+        clone = ROUND_TRIPS[how](original)
+        assert clone == original and hash(clone) == hash(original)
+        assert clone.as_pairs() == pairs
+        with pytest.raises(AttributeError):
+            clone._intervals = ()
 
     def test_bool_and_len(self):
         assert not IntervalList()

@@ -12,7 +12,6 @@ from repro.logic.terms import _INTERNED
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
 from repro.rtec import compile as compiler
-from repro.rtec.parallel import recognise_sharded
 from repro.rtec.session import RTECSession
 from repro.serve.protocol import parse_event_term
 
@@ -33,24 +32,14 @@ class TestProgramLifetime:
         engine = RTECEngine(EventDescription.from_text(RULES), strict=False)
         stream = _stream((1, "start(v1)"), (7, "stop(v1)"), (9, "start(v2)"))
         expected = engine.recognise(stream).to_json()
-        # Programs are closures; none may hang off what is pickled to pool
-        # workers or shallow-copied per shard.
+        # Programs are closures; none may hang off what a caller pickles or
+        # shallow-copies.
         clone = pickle.loads(pickle.dumps(engine.description))
         assert RTECEngine(clone, strict=False).recognise(stream).to_json() == expected
         shallow = copy.copy(engine.description)
         shallow.initial_fvps = []
         assert RTECEngine(shallow, strict=False).recognise(stream).holds_for("g(v1)=true")
         assert pickle.loads(pickle.dumps(engine.description.rules[1])) == engine.description.rules[1]
-
-    def test_thread_shards_copy_the_description_per_shard(self):
-        # parallel._run_shard copy.copy's the description to give each
-        # entity shard its own initially/1 declarations, while sibling
-        # threads run the programs of the shared original.
-        engine = RTECEngine(EventDescription.from_text(RULES), strict=False)
-        stream = _stream((1, "start(v1)"), (3, "start(v2)"), (7, "stop(v1)"), (8, "stop(v9)"))
-        sharded = recognise_sharded(engine, stream, window=10, step=5, jobs=2, executor="thread")
-        assert sharded.to_json() == engine.recognise(stream, window=10, step=5).to_json()
-        assert sharded.holds_for("f(v9)=true").as_pairs() == [(0, 8)]
 
     def test_programs_die_with_their_description(self):
         gc.collect()

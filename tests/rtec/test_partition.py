@@ -1,19 +1,20 @@
 """Tests for the static partitionability analysis and the stream partitioner."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.intervals import IntervalList
 from repro.logic.parser import parse_term
-from repro.maritime import build_dataset, gold_event_description
+from repro.maritime import gold_event_description
 from repro.rtec import (
     Event,
     EventDescription,
     EventStream,
     InputFluents,
-    RTECEngine,
     analyse_partitionability,
     partition_input,
 )
+from tests.rtec import pair_joins
 
 PER_VESSEL_RULES = """
 initiatedAt(f(V)=true, T) :- happensAt(start(V), T).
@@ -154,32 +155,35 @@ class TestPartitioner:
         )
         assert len(shards) == 2
 
-
-class TestSequentialFallback:
-    def test_non_shardable_recognise_warns_and_matches_sequential(self):
-        description = EventDescription.from_text(NON_SHARDABLE_RULES)
-        events = [
-            _event(2, "start(v1)"),
-            _event(3, "alarm"),
-            _event(7, "stop(v1)"),
-            _event(9, "stop(harbour)"),
+    @given(
+        raw_events=pair_joins.raw_events,
+        raw_proximity=pair_joins.raw_proximity,
+        raw_extra=st.lists(st.integers(0, 3), max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_carried_entities_stay_with_their_component(
+        self, raw_events, raw_proximity, raw_extra
+    ):
+        # extra_entities are what a session carries across windows (open
+        # initiations, deadline barriers): a pair a previous window initiated
+        # must sit in one component with everything its closure touches,
+        # even when this window's input never mentions it.
+        analysis = analyse_partitionability(EventDescription.from_text(pair_joins.RULES))
+        stream, fluents = pair_joins.build_input(raw_events, raw_proximity)
+        extra = [
+            tuple(parse_term(vessel) for vessel in pair_joins.PAIRS[index])
+            for index in raw_extra
         ]
-        sequential = RTECEngine(description, strict=False).recognise(
-            EventStream(events), window=10
+        shards, _events, _fluents, _initials = partition_input(
+            stream, fluents, analysis, extra_entities=extra
         )
-        engine = RTECEngine(description, strict=False)
-        with pytest.warns(RuntimeWarning, match="not entity-shardable"):
-            sharded = engine.recognise(EventStream(events), window=10, jobs=4)
-        assert dict(sharded.items()) == dict(sequential.items())
-        assert any("not entity-shardable" in w for w in engine.runtime_warnings)
-
-    def test_sharded_gold_recognition_matches_sequential(self):
-        dataset = build_dataset(seed=0, scale=0.05, traffic=2)
-        gold = gold_event_description()
-        sequential = RTECEngine(gold, dataset.kb, dataset.vocabulary).recognise(
-            dataset.stream, dataset.input_fluents, window=600
-        )
-        sharded = RTECEngine(gold, dataset.kb, dataset.vocabulary).recognise(
-            dataset.stream, dataset.input_fluents, window=600, jobs=4
-        )
-        assert dict(sharded.items()) == dict(sequential.items())
+        for left, right in extra:
+            owners = [s for s in shards if left in s.entities or right in s.entities]
+            assert len(owners) == 1
+            assert {left, right} <= owners[0].entities
+        assert sum(len(s.events) for s in shards) == len(stream)
+        for shard in shards:
+            for event in shard.events:
+                assert set(analysis.event_entities(event.term)) <= shard.entities
+            for pair in shard.fluents:
+                assert set(analysis.fvp_entities(pair)) <= shard.entities

@@ -1,198 +1,111 @@
-"""Property tests: placed (per-worker) recognition equals unsplit recognition.
+"""Placement: components spread over sessions, sessions spread over workers.
 
-The cluster router splits a stream into entity-closure components and
-places each component onto one worker. The contract is byte-identity: run
-each placement bucket through its own engine, union the detections, and
-the result map must equal recognising the unsplit input — including
-``initially/1`` declarations (replicated per bucket) and ``extra_entities``
-(open initiations a session carries across windows, which must stay
-co-located with their future terminations).
+``build_workload`` assigns the entity components of a stream to sessions
+and the router assigns sessions to workers by rendezvous hashing. The
+contract of the first is byte-identity: drive every session on its own,
+union the detections, and the result equals the unsplit input driven as
+one session. The contract of the second is that a dead worker moves only
+its own sessions.
 """
 
-import copy
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.intervals import IntervalList
-from repro.logic.parser import parse_term
-from repro.rtec import Event, EventDescription, EventStream, InputFluents, RTECEngine
-from repro.rtec.partition import (
-    analyse_partitionability,
-    component_key,
-    place_input,
-    rendezvous_owner,
-    stable_bucket,
+from repro.maritime import build_dataset, gold_event_description
+from repro.rtec import EventDescription, InputFluents, RTECEngine
+from repro.rtec.partition import rendezvous_owner
+from repro.serve import (
+    SessionConfig,
+    build_workload,
+    drive_reference_session,
+    reference_merged,
 )
+from tests.rtec import pair_joins
 
-RULES = """
-initiatedAt(moving(V)=true, T) :- happensAt(start(V), T).
-terminatedAt(moving(V)=true, T) :- happensAt(stop(V), T).
+DESCRIPTION = EventDescription.from_text(pair_joins.SPLITTABLE_RULES)
 
-initiatedAt(escort(V1, V2)=true, T) :-
-    happensAt(start(V1), T),
-    holdsAt(proximity(V1, V2)=true, T).
-terminatedAt(escort(V1, V2)=true, T) :-
-    happensAt(split(V1, V2), T).
-
-maxDuration(moving(V)=true, 15).
-initially(moving(v1)=true).
+#: The constant ``harbour`` sits at the entity position of f/1.
+NON_SHARDABLE_RULES = """
+initiatedAt(f(V)=true, T) :- happensAt(start(V), T).
+initiatedAt(f(harbour)=true, T) :- happensAt(alarm, T).
+terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).
 """
 
-VESSELS = ("v1", "v2", "v3", "v4")
-PAIRS = (("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4"))
 
-DESCRIPTION = EventDescription.from_text(RULES)
-ANALYSIS = analyse_partitionability(DESCRIPTION)
+def _split_and_unsplit(create, description, stream, fluents, sessions, window, step):
+    """Stable JSON of ``sessions`` directly driven sessions, and of one.
 
-
-def _engine(description=DESCRIPTION):
-    return RTECEngine(description, strict=False)
-
-
-def _build_input(raw_events, raw_proximity):
-    events = []
-    for time, kind, index in raw_events:
-        if kind == "split":
-            left, right = PAIRS[index % len(PAIRS)]
-            term = parse_term("split(%s, %s)" % (left, right))
-        else:
-            term = parse_term("%s(%s)" % (kind, VESSELS[index % len(VESSELS)]))
-        events.append(Event(time, term))
-    merged = {}
-    for index, start, length in raw_proximity:
-        left, right = PAIRS[index % len(PAIRS)]
-        pair = parse_term("proximity(%s, %s)=true" % (left, right))
-        merged.setdefault(pair, []).append((start, start + length))
-    fluents = InputFluents(
-        {pair: IntervalList(spans) for pair, spans in merged.items()}
-    )
-    return EventStream(events), fluents
-
-
-def _recognise_placed(stream, fluents, buckets, extra_entities=(), **recognise_kwargs):
-    """Recognise each placement bucket independently and union the maps.
-
-    Every bucket runs under the *unsplit* input's time bounds and the
-    *unsplit* description's first-window extension (exactly what the
-    sharded executor passes its shards) — a bucket holding only an
-    ``initially`` component has no events of its own, but in a worker
-    fleet its timeline is the cluster's, not its slice's, and a bucket
-    stripped of every ``initially`` declaration must still walk the same
-    extended first window the unsplit run walks.
+    A session walks its step grid from the first item it is given, and
+    fluents are given first. Where the grid starts decides what a narrow
+    first window still sees (gold maritime's first proximity interval opens
+    at 1800: a session given it first never evaluates the events before
+    900 at ω=600). That is the service's schedule, not the split's, so every
+    input fluent is stretched back to one origin and all runs start their
+    grids together.
     """
-    bounds = RTECEngine._bounds(stream, fluents)
-    extend_first_window = bool(DESCRIPTION.initial_fvps)
-    plan = place_input(
-        stream, fluents, ANALYSIS, buckets,
-        initial_fvps=DESCRIPTION.initial_fvps,
-        extra_entities=extra_entities,
+    origin = min([stream.min_time] + [iv.span[0] for _pair, iv in fluents.items()])
+    fluents = InputFluents({
+        pair: IntervalList([(origin, intervals.span[0]), *intervals])
+        for pair, intervals in fluents.items()
+    })
+    config = SessionConfig(window=window, step=step)
+    workload = build_workload(stream, fluents, description, sessions=sessions)
+    split = reference_merged(create, workload, config)
+    unsplit = drive_reference_session(
+        create(), list(stream), fluents, window, step, end=workload.end_time
     )
-    merged = {}
-    for bucket_stream, bucket_fluents, bucket_initials in plan.bucket_inputs():
-        description = copy.copy(DESCRIPTION)
-        description.initial_fvps = list(bucket_initials)
-        result = _engine(description).recognise(
-            bucket_stream, bucket_fluents, bounds=bounds,
-            extend_first_window=extend_first_window, **recognise_kwargs
-        )
-        for pair, intervals in result.items():
-            if pair in merged:
-                merged[pair] = IntervalList(
-                    sorted(set(merged[pair].as_pairs()) | set(intervals.as_pairs()))
-                )
-            else:
-                merged[pair] = intervals
-    return merged
-
-
-_events = st.lists(
-    st.tuples(
-        st.integers(0, 60),
-        st.sampled_from(("start", "stop", "split")),
-        st.integers(0, 3),
-    ),
-    min_size=1,
-    max_size=25,
-)
-_proximity = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 50), st.integers(1, 20)),
-    max_size=6,
-)
-_extra = st.lists(st.integers(0, 3), max_size=3)
+    return split.to_json(), unsplit.to_json()
 
 
 class TestPlacedEquivalence:
     @given(
-        raw_events=_events,
-        raw_proximity=_proximity,
-        buckets=st.integers(1, 4),
+        raw_events=pair_joins.raw_events,
+        raw_proximity=pair_joins.raw_proximity,
+        sessions=st.integers(1, 4),
         window=st.integers(5, 40),
         step=st.integers(1, 10),
     )
     @settings(max_examples=60, deadline=None)
     def test_bucket_union_matches_unsplit(
-        self, raw_events, raw_proximity, buckets, window, step
+        self, raw_events, raw_proximity, sessions, window, step
     ):
-        stream, fluents = _build_input(raw_events, raw_proximity)
-        sequential = _engine().recognise(stream, fluents, window=window, step=step)
-        placed = _recognise_placed(stream, fluents, buckets, window=window, step=step)
-        assert {pair: intervals.as_pairs() for pair, intervals in placed.items()} == {
-            pair: intervals.as_pairs() for pair, intervals in sequential.items()
-        }
+        stream, fluents = pair_joins.build_input(raw_events, raw_proximity)
+        split, unsplit = _split_and_unsplit(
+            lambda: RTECEngine(DESCRIPTION, strict=False),
+            DESCRIPTION, stream, fluents, sessions, window, step,
+        )
+        assert split == unsplit
 
-    @given(
-        raw_events=_events,
-        raw_proximity=_proximity,
-        raw_extra=_extra,
-        buckets=st.integers(2, 4),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_carried_entities_stay_with_their_component(
-        self, raw_events, raw_proximity, raw_extra, buckets
-    ):
-        # extra_entities model open initiations carried across windows: a
-        # pair a previous window initiated must land in one bucket with
-        # everything its closure touches, even when this window's stream
-        # never mentions it.
-        stream, fluents = _build_input(raw_events, raw_proximity)
-        extra = tuple(
-            (parse_term(PAIRS[index][0]), parse_term(PAIRS[index][1]))
-            for index in raw_extra
+    def test_gold_maritime_over_four_sessions(self):
+        dataset = build_dataset(seed=0, scale=0.05)
+        gold = gold_event_description()
+        split, unsplit = _split_and_unsplit(
+            lambda: RTECEngine(gold, dataset.kb, dataset.vocabulary),
+            gold, dataset.stream, dataset.input_fluents, 4, 600, 300,
         )
-        sequential = _engine().recognise(stream, fluents)
-        placed = _recognise_placed(stream, fluents, buckets, extra_entities=extra)
-        assert {pair: intervals.as_pairs() for pair, intervals in placed.items()} == {
-            pair: intervals.as_pairs() for pair, intervals in sequential.items()
-        }
-        # And co-location is structural, not accidental: each carried
-        # pair's two vessels appear in at most one bucket's component set.
-        plan = place_input(
-            stream, fluents, ANALYSIS, buckets,
-            initial_fvps=DESCRIPTION.initial_fvps, extra_entities=extra,
-        )
-        for index in raw_extra:
-            owners = {
-                bucket.index
-                for bucket in plan.buckets
-                for key in bucket.components
-                if PAIRS[index][0] in key or PAIRS[index][1] in key
-            }
-            assert len(owners) <= 1
+        assert split == unsplit
+        assert "trawling(trawler2)=true" in split
+
+
+class TestWhatCannotBeSplit:
+    def test_initially_declarations_are_refused(self):
+        stream, fluents = pair_joins.build_input([(2, "start", 0)], [])
+        with pytest.raises(ValueError, match="initially/1"):
+            build_workload(
+                stream, fluents, EventDescription.from_text(pair_joins.RULES), sessions=2
+            )
+
+    def test_non_shardable_is_refused_naming_the_rule(self):
+        stream, fluents = pair_joins.build_input([(2, "start", 0)], [])
+        with pytest.raises(ValueError, match=r"not entity-shardable.*rule for f/1.*harbour"):
+            build_workload(
+                stream, fluents, EventDescription.from_text(NON_SHARDABLE_RULES), sessions=2
+            )
 
 
 class TestPlacementPrimitives:
-    def test_stable_bucket_is_deterministic_and_in_range(self):
-        for buckets in (1, 2, 7):
-            for key in ("v1", "v2", "escort(v1, v2)"):
-                slot = stable_bucket(key, buckets)
-                assert 0 <= slot < buckets
-                assert slot == stable_bucket(key, buckets)
-
-    def test_component_key_is_order_independent(self):
-        a, b = parse_term("v1"), parse_term("v2")
-        assert component_key([a, b]) == component_key([b, a]) == "v1"
-
     def test_rendezvous_only_moves_the_dead_nodes_keys(self):
         nodes = ["w0", "w1", "w2", "w3"]
         keys = ["k%d" % index for index in range(64)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.intervals import IntervalList, union_all
 from repro.logic.parser import parse_term
 from repro.rtec import RecognitionResult
+from tests.intervals.test_interval import ROUND_TRIPS
 
 
 @pytest.fixture
@@ -169,6 +170,11 @@ class TestSerialization:
         other.merge(parse_term("a(x)=true"), IntervalList([(1, 2)]))
         assert one == other
         assert one.to_json() == other.to_json()
+
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_pickle_and_copy_round_trips(self, result, how):
+        clone = ROUND_TRIPS[how](result)
+        assert clone == result and clone.to_json() == result.to_json()
 
     def test_inequality(self, result):
         other = RecognitionResult.from_dict(result.to_dict())

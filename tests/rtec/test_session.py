@@ -9,6 +9,7 @@ from repro.intervals import IntervalList
 from repro.logic.parser import parse_term
 from repro.rtec import Event, EventDescription, EventStream, InputFluents, RTECEngine
 from repro.rtec.session import RTECSession
+from tests.rtec import pair_joins
 
 RULES = """
 initiatedAt(f(V)=true, T) :- happensAt(start(V), T).
@@ -244,6 +245,39 @@ class TestSessionEquivalence:
         assert sorted(map(repr, batch.fvps())) == sorted(map(repr, session.result.fvps()))
         for pair in batch.fvps():
             assert session.holds_for(pair) == batch.holds_for(pair), pair
+
+
+class TestSessionOnShardableInput:
+    @given(
+        raw_events=pair_joins.raw_events,
+        raw_proximity=pair_joins.raw_proximity,
+        window=st.integers(5, 40),
+        step=st.integers(1, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_session_matches_batch(self, raw_events, raw_proximity, window, step):
+        """The online path over the same multi-component input (pair joins,
+        maxDuration/2, initially/1) lands on the batch result."""
+
+        def engine():
+            return RTECEngine(EventDescription.from_text(pair_joins.RULES), strict=False)
+
+        stream, fluents = pair_joins.build_input(raw_events, raw_proximity)
+        batch = engine().recognise(stream, fluents, window=window, step=step)
+
+        start, end = RTECEngine._bounds(stream, fluents)
+        session = RTECSession(engine(), window=window)
+        session.submit(stream)
+        for pair, intervals in fluents.items():
+            session.submit_fluent(pair, intervals)
+        query_time = min(start - 1 + step, end)
+        while True:
+            session.advance(query_time)
+            if query_time >= end:
+                break
+            query_time = min(query_time + step, end)
+
+        assert dict(session.result.items()) == dict(batch.items())
 
 
 class TestSnapshot:
@@ -527,8 +561,11 @@ class TestDeliveredAndDerived:
             return session.result
 
         fluents = InputFluents({pair: IntervalList([span]) for pair, span, _ in deliveries})
+        # Two events no rule reads span the batch run from 1 to 30, so it
+        # queries at 10, 20 and 30 as the sessions do.
+        markers = [_event(1, "tick"), _event(30, "tick")]
         batch = _engine().recognise(
-            EventStream(events), fluents, window=30, step=10, bounds=(1, 30)
+            EventStream(events + markers), fluents, window=30, step=10
         )
         assert served(True).to_json() == served(False).to_json() == batch.to_json()
         for text in self._DELIVERED:

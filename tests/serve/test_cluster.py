@@ -6,7 +6,8 @@ control-verb tests run the :class:`WorkerServer` in-process. The crown
 jewel is the kill-a-worker drill: SIGKILL one worker mid-run, let the
 router restore its sessions from their lease-fenced checkpoints onto the
 survivor, and demand byte-identical detections versus an uninterrupted
-single-process run.
+single-process run — the same ``run_replay`` that crashes and reboots a
+one-process service, under one set of assertions.
 """
 
 import asyncio
@@ -24,13 +25,14 @@ from repro.serve import (
     build_workload,
     latest_checkpoint,
     load_checkpoint,
+    reference_merged,
+    run_replay,
 )
 from repro.serve.cluster import (
     ClusterRouter,
     EngineSpec,
     WorkerServer,
     gold_engine_spec,
-    run_cluster_replay,
 )
 from repro.serve.loadgen import ServiceClient
 
@@ -210,7 +212,7 @@ class TestSoakWorkload:
         from repro.serve import build_soak_workload
 
         workload = build_soak_workload(sessions=24, events_per_session=8)
-        outcome = asyncio.run(run_cluster_replay(
+        outcome = asyncio.run(run_replay(
             SOAK_SPEC, workload, CONFIG, workers=2, batch_size=32,
         ))
         assert outcome.final_report.events_accepted == len(workload.events)
@@ -230,38 +232,72 @@ def fleet_workload():
     )
 
 
+@pytest.fixture(scope="module")
+def fleet_reference(fleet_workload):
+    """What every deployment must land on, crashed or not."""
+    return reference_merged(
+        gold_engine_spec("fleet").create, fleet_workload, SessionConfig(window=600, step=300)
+    ).to_json()
+
+
+def _drill(workload, reference, workers, checkpoint_dir=None):
+    """The drill and what holds of it on any deployment; ``checkpoint_dir``
+    makes it a crash drill (killed after half the events)."""
+    crash = checkpoint_dir is not None
+    outcome = asyncio.run(run_replay(
+        gold_engine_spec("fleet"),
+        workload,
+        SessionConfig(window=600, step=300, checkpoint_every=1 if crash else 0),
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        kill_at=0.5 if crash else None,
+        verify=True,
+    ))
+    assert outcome.verified is True, outcome.verify_detail
+    assert outcome.merged.to_json() == reference
+    assert outcome.workers == workers
+    assert outcome.killed_at_event == (len(workload.events) // 2 if crash else None)
+    # A crash actually cost something: sessions came back from checkpoints
+    # and part of the stream was re-sent on a second pass.
+    assert (outcome.resumed_pass is not None) == crash
+    assert bool(outcome.restored_sessions) == crash
+    return outcome
+
+
 class TestKillAWorkerDrill:
-    def test_no_kill_cluster_matches_reference(self, fleet_workload):
-        outcome = asyncio.run(run_cluster_replay(
-            gold_engine_spec("fleet"),
-            fleet_workload,
-            SessionConfig(window=600, step=300),
-            workers=2,
-            verify=True,
-        ))
-        assert outcome.verified, outcome.verify_detail
+    def test_no_kill_cluster_matches_reference(self, fleet_workload, fleet_reference):
+        outcome = _drill(fleet_workload, fleet_reference, workers=2)
         assert outcome.killed_worker is None
         assert sum(len(v) for v in outcome.placement.values()) == 4
 
-    def test_kill_and_restore_is_byte_identical(self, fleet_workload, tmp_path):
-        outcome = asyncio.run(run_cluster_replay(
-            gold_engine_spec("fleet"),
-            fleet_workload,
-            SessionConfig(window=600, step=300, checkpoint_every=1),
-            workers=2,
-            checkpoint_dir=str(tmp_path),
-            kill_at=0.5,
-            verify=True,
-        ))
+    def test_kill_and_restore_is_byte_identical(
+        self, fleet_workload, fleet_reference, tmp_path
+    ):
+        outcome = _drill(fleet_workload, fleet_reference, 2, str(tmp_path))
         assert outcome.killed_worker in ("w0", "w1")
-        assert outcome.restored_sessions, "failover restored nothing"
         survivor = "w1" if outcome.killed_worker == "w0" else "w0"
-        assert set(outcome.restored_sessions.values()) == {survivor}
         # All four sessions ended up on the survivor; the victim is empty.
         assert sorted(outcome.placement[survivor]) == ["s0", "s1", "s2", "s3"]
         assert outcome.placement[outcome.killed_worker] == []
-        assert outcome.resumed_pass is not None
-        assert outcome.verified, outcome.verify_detail
+        assert set(outcome.restored_sessions) < {"s0", "s1", "s2", "s3"}
+
+    @pytest.mark.parametrize("crash", (False, True))
+    def test_one_process_runs_the_same_drill(
+        self, fleet_workload, fleet_reference, tmp_path, crash
+    ):
+        outcome = _drill(
+            fleet_workload, fleet_reference, 1, str(tmp_path) if crash else None
+        )
+        # No worker to lose: the crash takes the service and every session.
+        assert outcome.killed_worker is None and outcome.placement == {}
+        assert outcome.restored_sessions == (["s0", "s1", "s2", "s3"] if crash else [])
+
+    def test_a_fleet_cannot_be_given_a_closure(self, fleet_workload):
+        spec = gold_engine_spec("fleet")
+        with pytest.raises(ValueError, match="EngineSpec"):
+            asyncio.run(run_replay(
+                lambda: spec.create(), fleet_workload, SessionConfig(window=600), workers=2
+            ))
 
 
 class TestServeSignals:

@@ -20,16 +20,12 @@ def fleet_target():
     return dataset, description, make_engine
 
 
-def _factory(make_engine, names):
-    return lambda: {name: make_engine() for name in names}
-
-
 class TestFleetService:
     def test_uninterrupted_service_matches_reference(self, fleet_target):
         dataset, description, make_engine = fleet_target
         workload = build_workload(dataset.stream, dataset.input_fluents, description)
         outcome = asyncio.run(run_replay(
-            _factory(make_engine, workload.sessions),
+            make_engine,
             workload,
             SessionConfig(window=600, step=300),
             verify=True,
@@ -43,7 +39,7 @@ class TestFleetService:
             dataset.stream, dataset.input_fluents, description, sessions=2, repeat=4
         )
         outcome = asyncio.run(run_replay(
-            _factory(make_engine, workload.sessions),
+            make_engine,
             workload,
             SessionConfig(window=600, step=300, checkpoint_every=1),
             checkpoint_dir=str(tmp_path),
@@ -63,7 +59,7 @@ class TestFleetService:
         )
         high_water = 64
         outcome = asyncio.run(run_replay(
-            _factory(make_engine, workload.sessions),
+            make_engine,
             workload,
             SessionConfig(window=600, step=300, high_water=high_water),
             mode="firehose",
@@ -75,6 +71,20 @@ class TestFleetService:
         assert report.queue_peak <= high_water
         assert report.rejections > 0
         assert report.retries > 0
+
+    @pytest.mark.parametrize("kill_at", [1.5, -0.5, float("nan")])
+    def test_a_kill_point_is_a_fraction_of_the_stream(self, fleet_target, kill_at, tmp_path):
+        # Refused, not clamped to the nearest end (nan used to reach int()).
+        dataset, description, make_engine = fleet_target
+        workload = build_workload(dataset.stream, dataset.input_fluents, description)
+        with pytest.raises(ValueError, match="kill_at"):
+            asyncio.run(run_replay(
+                make_engine,
+                workload,
+                SessionConfig(window=600, checkpoint_every=1),
+                checkpoint_dir=str(tmp_path),
+                kill_at=kill_at,
+            ))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_a_batch_must_hold_an_event(self, fleet_target, batch_size):
@@ -100,7 +110,7 @@ class TestMaritimeService:
             limit=800,
         )
         outcome = asyncio.run(run_replay(
-            _factory(make_engine, workload.sessions),
+            make_engine,
             workload,
             SessionConfig(window=600, step=600, checkpoint_every=1),
             checkpoint_dir=str(tmp_path),

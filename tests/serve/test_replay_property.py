@@ -32,22 +32,18 @@ def fleet_service():
         return RTECEngine(description, dataset.kb, dataset.vocabulary)
 
     workload = build_workload(dataset.stream, dataset.input_fluents, description)
-
-    def engine_factory():
-        return {name: make_engine() for name in workload.sessions}
-
     baseline = asyncio.run(run_replay(
-        engine_factory, workload, SessionConfig(window=_WINDOW, step=_STEP)
+        make_engine, workload, SessionConfig(window=_WINDOW, step=_STEP)
     ))
-    return workload, engine_factory, baseline.merged.to_json()
+    return workload, make_engine, baseline.merged.to_json()
 
 
 def test_incremental_and_full_serving_agree(fleet_service):
     """The served baseline (incremental by default) is byte-equal to a
     service forced to recompute the full window on every advance."""
-    workload, engine_factory, expected = fleet_service
+    workload, make_engine, expected = fleet_service
     outcome = asyncio.run(run_replay(
-        engine_factory,
+        make_engine,
         workload,
         SessionConfig(window=_WINDOW, step=_STEP, incremental=False),
     ))
@@ -57,11 +53,11 @@ def test_incremental_and_full_serving_agree(fleet_service):
 def test_crash_and_restore_with_incremental_sessions(fleet_service):
     """Kill-and-restore drill with the delta path on: the restored
     sessions repair their caches from the checkpoint and still match."""
-    workload, engine_factory, expected = fleet_service
+    workload, make_engine, expected = fleet_service
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-serve-delta-")
     try:
         outcome = asyncio.run(run_replay(
-            engine_factory,
+            make_engine,
             workload,
             SessionConfig(
                 window=_WINDOW, step=_STEP, checkpoint_every=2, incremental=True
@@ -86,11 +82,11 @@ def test_crash_and_restore_with_incremental_sessions(fleet_service):
     checkpoint_every=st.integers(min_value=1, max_value=4),
 )
 def test_checkpoint_every_k_windows_is_equivalent(fleet_service, kill_at, checkpoint_every):
-    workload, engine_factory, expected = fleet_service
+    workload, make_engine, expected = fleet_service
     checkpoint_dir = tempfile.mkdtemp(prefix="repro-serve-prop-")
     try:
         outcome = asyncio.run(run_replay(
-            engine_factory,
+            make_engine,
             workload,
             SessionConfig(window=_WINDOW, step=_STEP, checkpoint_every=checkpoint_every),
             checkpoint_dir=checkpoint_dir,

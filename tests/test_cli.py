@@ -36,30 +36,53 @@ class TestSizesAndCountsMustBePositive:
             (["replay", "--gold", "fleet", "--batch-size", "0"], "--batch-size"),
             (["recognise", "--window", "0"], "--window"),
             (["recognise", "--window", "-3"], "--window"),
-            (["recognise", "--jobs", "0"], "--jobs"),
-            (["recognise", "--jobs", "-2"], "--jobs"),
+            (["replay", "--workers", "0"], "--workers"),
+            (["serve", "--workers", "-1"], "--workers"),
             (["profile", "--window", "0"], "--window"),
             (["profile", "--session", "--step", "-5"], "--step"),
-            (["profile", "--jobs", "0"], "--jobs"),
+            (["replay", "--repeat", "0"], "--repeat"),
             (["replay", "--step", "0"], "--step"),
             (["replay", "--window", "0"], "--window"),
             (["replay", "--sessions", "0"], "--sessions"),
             (["replay", "--limit", "0"], "--limit"),
             (["serve", "--sessions", "0"], "--sessions"),
             (["fig2c", "--window", "x"], "--window"),
+            (["replay", "--repeat", "-2"], "--repeat"),
+            # every event was rejected and retried forever
+            (["replay", "--gold", "fleet", "--limit", "200", "--high-water", "0"], "--high-water"),
+            (["serve", "--high-water", "-1"], "--high-water"),
+            (["serve", "--checkpoint-keep", "0"], "--checkpoint-keep"),
+            (["serve", "--checkpoint-every", "-1"], "--checkpoint-every"),
+            (["replay", "--kill-at", "1.5"], "--kill-at"),
+            (["replay", "--kill-at", "-0.5"], "--kill-at"),
+            (["replay", "--kill-at", "nan"], "--kill-at"),
         ],
     )
     def test_usage_error_names_the_argument(self, argv, option, capsys):
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2
-        assert "argument %s: expected a positive integer" % option in capsys.readouterr().err
+        assert "argument %s: expected a " % option in capsys.readouterr().err
+
+    def test_zero_is_a_checkpoint_cadence_and_the_ends_are_kill_points(self):
+        args = build_parser().parse_args(
+            ["replay", "--checkpoint-every", "0", "--kill-at", "1"]
+        )
+        assert (args.checkpoint_every, args.kill_at) == (0, 1.0)
+        assert build_parser().parse_args(["replay", "--kill-at", "0"]).kill_at == 0.0
 
     def test_the_optimiser_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["recognise", "--optimise"])
         assert raised.value.code == 2
         assert "unrecognized arguments: --optimise" in capsys.readouterr().err
+
+    def test_the_jobs_flag_is_gone(self, capsys):
+        for command in ("recognise", "profile"):
+            with pytest.raises(SystemExit) as raised:
+                main([command, "--jobs", "4"])
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
 class TestGenerate:
