@@ -10,16 +10,16 @@ at run time, per window, or not at all:
 * **memory boundedness** — whether every fluent's carried state (open
   initiations, cached maximal intervals) stays bounded across windows, the
   condition for hosting a session indefinitely without eviction pressure;
-* **static cost** — a per-rule estimate of evaluation cost, usable as a
-  placement weight before any telemetry exists.
+* **static cost** — a per-rule estimate of evaluation cost, available
+  before any telemetry exists.
 
 :func:`certify_description` composes the existing passes (structural
 analysis, binding dataflow, value-interval semantics, reachability) with
 three new interprocedural analyses proving these properties, and emits a
 signed, JSON-serialisable :class:`AnalysisCertificate` bound to the
 description's content hash. Consumers: ``RTECEngine``/``RTECSession``
-(delta-path gating), ``repro.serve`` session admission, and
-``repro.serve.cluster`` placement.
+(delta-path gating) and ``repro.serve`` session admission, whose
+``status`` reports the cost as ``cost_weight``.
 
 Delta-safety prover
 -------------------
@@ -64,7 +64,7 @@ temporal conditions are unanchored additionally scan the whole window
 (cost scales with omega, not with the delta) and get a window-sensitivity
 multiplier; rules joining several entity variables get a multiplicity
 factor. The per-fluent sums are emitted as machine-readable weights
-(``fluent_costs`` / ``total_cost``) consumed by cluster placement.
+(``fluent_costs`` / ``total_cost``).
 """
 
 from __future__ import annotations
@@ -389,13 +389,6 @@ class AnalysisCertificate:
         return True
 
     # -- consumption -------------------------------------------------------
-
-    @property
-    def placement_weight(self) -> float:
-        """The description's static cost as a load weight (always > 0, so
-        weighted placement degenerates to session counting when every
-        session runs the same description)."""
-        return self.total_cost if self.total_cost > 0 else 1.0
 
     def delta_messages(self) -> List[str]:
         """Why delta evaluation is unsafe, one message per unsafe rule;
@@ -906,8 +899,7 @@ def certify_description(
                         Diagnostic(
                             "costly-rule",
                             "rule %s has an estimated static cost of %.2f "
-                            "(%d enumerating stream joins%s); its weight "
-                            "feeds session placement"
+                            "(%d enumerating stream joins%s)"
                             % (
                                 term_to_str(rule.head),
                                 cost,
@@ -939,8 +931,7 @@ def certify_description(
                 diagnostics.append(
                     Diagnostic(
                         "costly-rule",
-                        "holdsFor rule %s has an estimated static cost of "
-                        "%.2f; its weight feeds session placement"
+                        "holdsFor rule %s has an estimated static cost of %.2f"
                         % (term_to_str(rule.head), cost),
                         rule_index=rule_index_of.get(id(rule)),
                     )

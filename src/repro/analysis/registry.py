@@ -302,8 +302,7 @@ LINT_RULES: Dict[str, LintRule] = {
             "The static cost model estimates an unusually high evaluation "
             "cost for this rule (large join fan-out over enumerating "
             "conditions, or window-sensitive cost because a temporal "
-            "condition scans the whole window). Informational: the weight "
-            "feeds session placement.",
+            "condition scans the whole window). Informational.",
         ),
         _rule(
             "RTEC030",

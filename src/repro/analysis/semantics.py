@@ -757,15 +757,12 @@ def _simple_rule_live(
     state: Dict[FluentKey, Optional[Set[Term]]],
     input_events: Set[FluentKey],
     input_fluent_keys: Set[FluentKey],
-    trust_events: bool,
 ) -> bool:
     for literal in rule.body:
         term = literal.term
         if literal.negated or not isinstance(term, Compound):
             continue
         if term.functor == "happensAt" and term.arity == 2:
-            if not trust_events:
-                continue
             key = _event_key(term.args[0])
             if key is not None and key not in input_events:
                 return False
@@ -837,7 +834,6 @@ def compute_reachability(
     input_events: Set[FluentKey],
     input_fluent_keys: Set[FluentKey],
     never_fires: Optional[Dict[int, bool]] = None,
-    trust_events: bool = True,
 ) -> Dict[FluentKey, Optional[Set[Term]]]:
     """Fixpoint of the possibly-held value sets per defined fluent key.
 
@@ -883,9 +879,7 @@ def compute_reachability(
                 index = rule_ids.get(id(rule))
                 if index is not None and never.get(index):
                     continue
-                if _simple_rule_live(
-                    rule, state, input_events, input_fluent_keys, trust_events
-                ):
+                if _simple_rule_live(rule, state, input_events, input_fluent_keys):
                     if _contribute(key, head_fvp(rule)[1]):
                         changed = True
         for key, static in description.static_fluents.items():
@@ -973,8 +967,6 @@ def analyse_semantics(
     vocabulary: Optional[Vocabulary] = None,
     kb: Optional[KnowledgeBase] = None,
     outputs: Optional[Set[str]] = None,
-    extra_input_fluents: Iterable[FluentKey] = (),
-    trust_events: bool = True,
 ) -> SemanticFacts:
     """Run sort inference, value-domain analysis and reachability.
 
@@ -1087,9 +1079,8 @@ def analyse_semantics(
         reachable_values = compute_reachability(
             description,
             input_events=set(vocabulary.input_events),
-            input_fluent_keys=set(vocabulary.input_fluents) | set(extra_input_fluents),
+            input_fluent_keys=set(vocabulary.input_fluents),
             never_fires=never,
-            trust_events=trust_events,
         )
         unreachable = {
             key for key, values in reachable_values.items() if values is not None and not values

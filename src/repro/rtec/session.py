@@ -450,7 +450,7 @@ class RTECSession:
             analysis.fvp_entities(pair)
             for pair in (*self._pending, *self._barriers, *cache)
         ]
-        shards, global_events, global_fluents, _ = partition_input(
+        shards, global_events, global_fluents = partition_input(
             stream,
             input_fluents,
             analysis,

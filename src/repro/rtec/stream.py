@@ -382,16 +382,14 @@ class InputShard:
     entities: FrozenSet[Term]
     events: List[Event] = field(default_factory=list)
     fluents: Dict[Term, IntervalList] = field(default_factory=dict)
-    initial_fvps: List[Term] = field(default_factory=list)
 
 
 def partition_input(
     stream: EventStream,
     input_fluents: InputFluents,
     analysis: "PartitionAnalysis",
-    initial_fvps: Iterable[Term] = (),
     extra_entities: Iterable[Tuple[Term, ...]] = (),
-) -> Tuple[List[InputShard], List[Event], Dict[Term, IntervalList], List[Term]]:
+) -> Tuple[List[InputShard], List[Event], Dict[Term, IntervalList]]:
     """Split the input by entity key according to a partitionability analysis.
 
     Entities mentioned together by one input item (a ``proximity(V1,V2)``
@@ -406,7 +404,7 @@ def partition_input(
     alive as components) even when absent from this input — online sessions
     pass the entities of carried open initiations here.
 
-    Returns ``(shards, global events, global fluents, global initial FVPs)``.
+    Returns ``(shards, global events, global fluents)``.
     """
     parent: Dict[Term, Term] = {}
 
@@ -448,16 +446,6 @@ def partition_input(
         if entities:
             union(entities)
 
-    keyed_initials: List[Tuple[Term, Term]] = []
-    global_initials: List[Term] = []
-    for pair in initial_fvps:
-        entities = analysis.fvp_entities(pair)
-        if not entities:
-            global_initials.append(pair)
-            continue
-        union(entities)
-        keyed_initials.append((pair, entities[0]))
-
     members: Dict[Term, List[Term]] = defaultdict(list)
     for term in parent:
         members[find(term)].append(term)
@@ -470,6 +458,4 @@ def partition_input(
         shards[shard_of[find(entity)]].events.append(event)
     for pair, intervals, entity in keyed_fluents:
         shards[shard_of[find(entity)]].fluents[pair] = intervals
-    for pair, entity in keyed_initials:
-        shards[shard_of[find(entity)]].initial_fvps.append(pair)
-    return shards, global_events, global_fluents, global_initials
+    return shards, global_events, global_fluents

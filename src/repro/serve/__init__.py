@@ -19,8 +19,8 @@ Layering, bottom up:
   construction, load measurement, and the one crash-and-restore drill
   (whole service for one process, one worker for a fleet);
 * :mod:`repro.serve.cluster` — the distributed tier: a router in front
-  of N shared-nothing worker processes, with checkpoint-lease-fenced
-  session migration and heartbeat-driven failover (imported on demand:
+  of N shared-nothing worker processes, with heartbeat-driven failover
+  fenced by checkpoint leases (imported on demand:
   only a drill with ``workers > 1`` reaches it from above this line).
 """
 

@@ -20,8 +20,8 @@ plus the bookkeeping a restart needs:
   rules that produced them;
 * ``owner`` / ``lease`` — optional cluster bookkeeping. ``owner`` names
   the worker that wrote the file; ``lease`` is a monotonically increasing
-  fencing token bumped on every ownership transfer (migration or
-  crash-restore). A writer presenting a lease below the latest on-disk
+  fencing token bumped on every ownership transfer (a failover
+  restore). A writer presenting a lease below the latest on-disk
   lease is a zombie — its session was moved elsewhere while it was still
   running — and the write is refused instead of clobbering the new
   owner's state. Single-process serving omits both fields (``lease`` is

@@ -5,13 +5,15 @@ Where :mod:`repro.serve` hosts every session in one process,
 (one event loop, one :class:`~repro.serve.sessions.SessionManager` each)
 behind a :class:`~repro.serve.cluster.router.ClusterRouter` speaking the
 same JSON-lines protocol, so clients cannot tell a cluster from a single
-process. Placement reuses :mod:`repro.rtec.partition`: sessions are
-entity-closed groups already, and the router maps each session to a
-worker by rendezvous hashing, so co-dependent entities always share a
-process and a dead worker reshuffles only its own sessions.
+process. Sessions are entity-closed groups already (the split of
+:func:`repro.serve.loadgen.build_workload`), so co-dependent entities
+always share a process. The router places each session on a live worker
+hosting the fewest sessions (rendezvous hashing from
+:mod:`repro.rtec.partition` breaks ties) and moves it only when that
+worker dies, so a dead worker reshuffles only its own sessions.
 
-The control plane (registration, heartbeats, ``attach``/``detach``
-verbs, checkpoint leases) lives in :mod:`~repro.serve.cluster.worker`
+The control plane (registration, heartbeats, the ``attach`` verb,
+checkpoint leases) lives in :mod:`~repro.serve.cluster.worker`
 and :mod:`~repro.serve.cluster.router`; picklable engine recipes for
 spawned workers in :mod:`~repro.serve.cluster.engines`; the kill-a-worker
 drill is :func:`repro.serve.replay.run_replay` with ``workers > 1``.

@@ -3,17 +3,19 @@
 The router owns two listening sockets. The *control* port accepts exactly
 one connection per worker — the worker dials in, registers, and the same
 socket then carries router-originated protocol requests (heartbeat
-``status`` polls, ``attach``/``detach``, ``shutdown``), one request/reply
-at a time under a per-worker lock. The *data* port speaks the ordinary
-JSON-lines protocol to clients; every session-addressed line is decoded
-just enough to read its ``session``, routed (rendezvous hashing over the
-live workers, so a worker's death reshuffles only its own sessions), and
-forwarded *verbatim* to the owning worker over a per-client upstream
-connection. Worker responses stream back verbatim on the same path, so a
-cluster is byte-compatible with a single process — per-connection FIFO
-order included, which the load generator's sentinel accounting relies on.
+``status`` polls, ``attach``, ``shutdown``), one request/reply at a time
+under a per-worker lock. The *data* port speaks the ordinary JSON-lines
+protocol to clients; every session-addressed line is decoded just enough
+to read its ``session``, routed to the worker hosting it, and forwarded
+*verbatim* over a per-client upstream connection. A name the router has
+never hosted is answered ``no-such-session``, as one process answers it.
+Worker responses stream back verbatim on the same path, so a cluster is
+byte-compatible with a single process — per-connection FIFO order
+included, which the load generator's sentinel accounting relies on.
 
-Three router-level behaviours sit on top of forwarding:
+A session is placed once, on a least-loaded live worker (load is the
+number of sessions hosted; rendezvous hashing breaks ties), and moves only
+when its worker dies. Two router-level behaviours sit on top of forwarding:
 
 * **status merge** — a client ``status`` is never forwarded as-is; the
   router fans it out to every live worker (through the client's own
@@ -21,16 +23,11 @@ Three router-level behaviours sit on top of forwarding:
   forwarded traffic; over the control channel otherwise) and replies with
   the union of all sessions plus a ``workers`` section of per-worker
   liveness, session counts and last-heartbeat queue depths.
-* **load shedding** — heartbeat status snapshots carry per-session queue
-  depths; when a worker's deepest queue passes ``shed_queue_depth``, new
-  events routed to it are rejected at the router with the same
-  ``backpressure``/``retry_after`` shape workers use, propagating worker
-  high-water marks to clients without a worker round-trip.
-* **failover** — a worker that misses heartbeats, drops its control
-  connection, or whose process dies is declared dead: each of its
-  sessions is re-placed by rendezvous among the survivors and attached
+* **failover** — a worker that misses :data:`HEARTBEAT_MISSES` heartbeats,
+  drops its control connection, or whose process dies is declared dead:
+  each of its sessions is re-placed among the survivors and attached
   there with ``restore`` (latest checkpoint) and a bumped fencing lease.
-  While a session moves, its traffic is held at a migration gate instead
+  While a session moves, its traffic is held at a gate instead
   of being bounced — clients see added latency, not errors.
 """
 
@@ -50,6 +47,7 @@ from repro.serve.cluster.engines import EngineSpec
 from repro.serve.cluster.worker import worker_main
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    RETRY_AFTER,
     ProtocolError,
     decode_line,
     encode,
@@ -61,6 +59,12 @@ from repro.serve.protocol import (
 from repro.serve.sessions import SessionConfig
 
 __all__ = ["ClusterRouter", "WorkerHandle"]
+
+#: Seconds between heartbeat ``status`` polls of each worker.
+HEARTBEAT_INTERVAL = 1.0
+
+#: Consecutive failed polls after which a worker is declared dead.
+HEARTBEAT_MISSES = 3
 
 #: Message types carrying a ``session`` that are forwarded to workers.
 _ROUTED = frozenset({"event", "events", "fluent", "query", "checkpoint"})
@@ -133,31 +137,19 @@ class ClusterRouter:
         config: SessionConfig,
         workers: int = 2,
         checkpoint_dir: Optional[str] = None,
-        heartbeat_interval: float = 1.0,
-        heartbeat_misses: int = 3,
-        shed_queue_depth: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.engine_spec = engine_spec
         self.config = config
         self.checkpoint_dir = checkpoint_dir
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
-        self.shed_queue_depth = shed_queue_depth
         self.workers: Dict[str, WorkerHandle] = {
             "w%d" % index: WorkerHandle("w%d" % index) for index in range(workers)
         }
         self.routes: Dict[str, str] = {}
+        #: Every session this router has hosted, with its fencing lease.
         self.leases: Dict[str, int] = {}
-        #: Per-session placement weights (static cost from the description's
-        #: analysis certificate). Sessions absent from the map fall back to
-        #: the fleet default weight, which is certified lazily from the
-        #: engine spec — so a homogeneous fleet (every session running the
-        #: same description) degenerates exactly to session counting.
-        self.session_weights: Dict[str, float] = {}
-        self._default_weight: Optional[float] = None
-        #: Migration gates: present while a session is moving; traffic waits.
+        #: Failover gates: present while a session is moving; traffic waits.
         self.gates: Dict[str, "asyncio.Event"] = {}
         self.shutdown_requested: "asyncio.Event" = asyncio.Event()
         self._control_server: Optional[asyncio.AbstractServer] = None
@@ -295,7 +287,7 @@ class ClusterRouter:
 
     async def _heartbeat(self) -> None:
         while True:
-            await asyncio.sleep(self.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             dead: List[str] = []
             for handle in self.workers.values():
                 if not handle.alive:
@@ -304,8 +296,8 @@ class ClusterRouter:
                     dead.append(handle.worker_id)
                     continue
                 if handle.lock.locked():
-                    # A control exchange (attach, detach, shutdown) is in
-                    # flight; don't queue a poll behind a long checkpoint.
+                    # A control exchange (attach, shutdown) is in flight;
+                    # don't queue a poll behind a long checkpoint.
                     continue
                 try:
                     status = await handle.control_request(
@@ -315,13 +307,13 @@ class ClusterRouter:
                     handle.missed_heartbeats = 0
                 except (ConnectionError, asyncio.TimeoutError, ValueError):
                     handle.missed_heartbeats += 1
-                    if handle.missed_heartbeats >= self.heartbeat_misses:
+                    if handle.missed_heartbeats >= HEARTBEAT_MISSES:
                         dead.append(handle.worker_id)
             for worker_id in dead:
                 telemetry.count("cluster.worker_deaths")
                 await self.failover(worker_id)
 
-    # -- placement & migration -------------------------------------------------
+    # -- placement -------------------------------------------------------------
 
     def live_workers(self) -> List[str]:
         return sorted(wid for wid, handle in self.workers.items() if handle.alive)
@@ -332,52 +324,21 @@ class ClusterRouter:
             wid: sorted(handle.sessions) for wid, handle in self.workers.items()
         }
 
-    def session_weight(self, session: str) -> float:
-        """The placement weight of one session.
-
-        Explicit per-session weights (``session_weights``) win; otherwise
-        the fleet default applies: the static cost of the engine spec's
-        description, certified once (``repro.analysis.certify``) and cached.
-        Certificate weights are always positive, so with a homogeneous
-        fleet weighted placement is *identical* to session counting — the
-        weights only start steering once descriptions (and their certified
-        costs) differ.
-        """
-        weight = self.session_weights.get(session)
-        if weight is not None:
-            return weight if weight > 0 else 1.0
-        if self._default_weight is None:
-            self._default_weight = 1.0
-            try:
-                engine = self.engine_spec.create()
-                self._default_weight = engine.certificate().placement_weight
-            except Exception:  # pragma: no cover - placement must never fail
-                pass
-        return self._default_weight
-
-    def worker_load(self, worker_id: str) -> float:
-        """Summed certified weight of the sessions a worker hosts."""
-        return sum(
-            self.session_weight(session)
-            for session in self.workers[worker_id].sessions
-        )
-
     def _place(self, session: str) -> str:
         """Load-aware rendezvous: least-loaded live workers, hash tie-break.
 
         Pure rendezvous hashing balances poorly at fleet-scale-few (four
         sessions can all land on one of two workers); restricting the hash
-        to the currently least-loaded workers bounds the load imbalance
-        while keeping placement deterministic and affinity-preserving for
-        everything the hash does decide. Load is the summed *certified
-        static cost* of each worker's sessions (see :meth:`session_weight`),
-        seeding cost-aware placement before any runtime telemetry exists.
+        to the live workers hosting the fewest sessions bounds the imbalance
+        while keeping placement deterministic for everything the hash does
+        decide. Every session of a router runs the same engine spec, so a
+        session count is the load.
         """
         live = self.live_workers()
         if not live:
             raise RuntimeError("no live workers to place sessions on")
-        low = min(self.worker_load(wid) for wid in live)
-        candidates = [wid for wid in live if self.worker_load(wid) <= low]
+        low = min(len(self.workers[wid].sessions) for wid in live)
+        candidates = [wid for wid in live if len(self.workers[wid].sessions) == low]
         return rendezvous_owner(session, candidates)
 
     async def assign_sessions(self, names: List[str], restore: bool = False) -> None:
@@ -402,61 +363,6 @@ class ClusterRouter:
             )
         handle.sessions.add(session)
         self.routes[session] = worker_id
-
-    async def migrate(self, session: str, worker_id: str) -> None:
-        """Move one session: detach (graceful checkpoint), attach, bump lease.
-
-        Traffic for the session is held at a gate for the duration — the
-        client sees latency, not errors (the old worker would answer with
-        a retryable rejection anyway if a line slipped through).
-        """
-        if self.checkpoint_dir is None:
-            raise RuntimeError("migration needs a checkpoint_dir to carry state")
-        current = self.routes.get(session)
-        if current == worker_id:
-            return
-        if current is None:
-            raise RuntimeError("session %r is not placed anywhere" % session)
-        gate = asyncio.Event()
-        self.gates[session] = gate
-        try:
-            old = self.workers[current]
-            reply = await old.control_request({"type": "detach", "session": session})
-            if not reply.get("ok"):
-                raise RuntimeError(
-                    "detach of %r from %s failed: %r" % (session, current, reply)
-                )
-            old.sessions.discard(session)
-            self.leases[session] = self.leases.get(session, 1) + 1
-            await self._attach(session, worker_id, restore=True)
-            telemetry.count("cluster.migrations")
-        finally:
-            del self.gates[session]
-            gate.set()
-
-    async def rebalance(self) -> int:
-        """Re-place every session as a fresh balanced assignment would.
-
-        Recomputes the load-aware rendezvous placement of all sessions (in
-        sorted order, over empty weighted loads) and migrates each session
-        that sits elsewhere; returns how many moved. Deterministic, and a
-        no-op for a fleet that is already balanced.
-        """
-        live = self.live_workers()
-        loads = {wid: 0.0 for wid in live}
-        targets: Dict[str, str] = {}
-        for session in sorted(self.routes):
-            low = min(loads.values())
-            candidates = [wid for wid in live if loads[wid] <= low]
-            target = rendezvous_owner(session, candidates)
-            targets[session] = target
-            loads[target] += self.session_weight(session)
-        moved = 0
-        for session, target in sorted(targets.items()):
-            if self.routes.get(session) != target:
-                await self.migrate(session, target)
-                moved += 1
-        return moved
 
     # -- failure handling ------------------------------------------------------
 
@@ -514,7 +420,12 @@ class ClusterRouter:
     # -- data plane ------------------------------------------------------------
 
     async def _route(self, session: str) -> WorkerHandle:
-        """The live worker owning ``session``, attaching on demand."""
+        """The live worker owning ``session``.
+
+        A hosted session whose failover attach failed has a lease but no
+        route: it is attached again, from its latest checkpoint. A name
+        this router never hosted is not a session.
+        """
         while True:
             gate = self.gates.get(session)
             if gate is not None:
@@ -522,6 +433,8 @@ class ClusterRouter:
                 continue
             worker_id = self.routes.get(session)
             if worker_id is None:
+                if session not in self.leases:
+                    raise ProtocolError("no-such-session", "unknown session %r" % session)
                 await self._attach(
                     session,
                     self._place(session),
@@ -533,12 +446,7 @@ class ClusterRouter:
                 return handle
             # Routed to a worker that just died: wait for failover to
             # re-place it (the heartbeat task or kill_worker drives that).
-            await asyncio.sleep(self.heartbeat_interval / 2)
-
-    def _shedding(self, handle: WorkerHandle) -> bool:
-        if self.shed_queue_depth is None:
-            return False
-        return handle.queue_depth() >= self.shed_queue_depth
+            await asyncio.sleep(HEARTBEAT_INTERVAL / 2)
 
     async def _handle_client(
         self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
@@ -589,14 +497,6 @@ class ClusterRouter:
             if kind in _ROUTED:
                 session = require_session(message)
                 handle = await self._route(session)
-                if kind in ("event", "events") and self._shedding(handle):
-                    telemetry.count("cluster.shed")
-                    return error_response(
-                        "backpressure",
-                        "worker %s is saturated" % handle.worker_id,
-                        retry_after=self.config.retry_after,
-                        seq=message.get("seq"),
-                    )
                 upstream = await self._upstream(handle, writer, upstreams)
                 if message.get("ack") or kind in ("query", "checkpoint"):
                     upstream.pending_replies += 1
@@ -619,7 +519,7 @@ class ClusterRouter:
             return error_response(
                 "backpressure",
                 "cluster is reconfiguring: %s" % exc,
-                retry_after=self.config.retry_after,
+                retry_after=RETRY_AFTER,
             )
         except Exception as exc:  # noqa: BLE001 - a bad request must not kill the router
             return error_response("internal", "%s: %s" % (exc.__class__.__name__, exc))
@@ -679,7 +579,7 @@ class ClusterRouter:
             rejection = encode(error_response(
                 "backpressure",
                 "worker %s connection lost" % upstream.worker_id,
-                retry_after=self.config.retry_after,
+                retry_after=RETRY_AFTER,
             ))
             try:
                 for _ in range(upstream.pending_replies):

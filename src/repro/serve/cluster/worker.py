@@ -1,35 +1,29 @@
-"""One shared-nothing worker: a SessionManager host with control verbs.
+"""One shared-nothing worker: a SessionManager host with a control verb.
 
 A worker is a spawned process running :func:`worker_main`: it binds the
 ordinary JSON-lines data protocol on an ephemeral loopback port, dials the
 router's control port, registers (``{"type": "register", "worker": ...,
 "port": ..., "pid": ...}``), and then serves *the same dispatch loop* on
 that control connection — so the router can issue any protocol message
-(heartbeat ``status`` polls, ``attach``/``detach``, ``shutdown``) over the
-channel the worker opened, with no listening port on the router's side of
-the relationship.
+(heartbeat ``status`` polls, ``attach``, ``shutdown``) over the channel
+the worker opened, with no listening port on the router's side of the
+relationship.
 
-Control verbs extending the base protocol:
+The one control verb extending the base protocol:
 
 ``attach``
     ``{"type": "attach", "session": S, "restore": bool, "lease": int}`` —
     host session ``S``, building a fresh engine from the worker's
     :class:`~repro.serve.cluster.engines.EngineSpec`. With ``restore`` the
     latest checkpoint is adopted; ``lease`` fences subsequent checkpoint
-    writes (the router bumps it on every ownership transfer). Replies with
-    the session's ``applied``/``windows`` counters so the router learns
-    the resume offset.
-``detach``
-    ``{"type": "detach", "session": S}`` — stop the session's worker task
-    (which writes its graceful final checkpoint) and drop it. The name is
-    remembered: later data traffic for a detached session is answered
-    with a retryable ``backpressure`` rejection instead of
-    ``no-such-session``, so a load generator racing a migration simply
-    retries onto the new owner.
+    writes (the router bumps it on every failover). Replies with the
+    session's ``applied``/``windows`` counters so the router learns the
+    resume offset.
 
-Worker death is the router's business (heartbeats, process liveness); the
-worker itself shuts down when told to — or when its control connection
-drops, so an orphaned worker never outlives its router.
+A session leaves a worker only with the worker. Worker death is the
+router's business (heartbeats, process liveness); the worker itself shuts
+down when told to — or when its control connection drops, so an orphaned
+worker never outlives its router.
 """
 
 from __future__ import annotations
@@ -40,13 +34,7 @@ from typing import Any, Dict, Optional
 
 from repro import telemetry
 from repro.serve.cluster.engines import EngineSpec
-from repro.serve.protocol import (
-    ProtocolError,
-    encode,
-    error_response,
-    ok_response,
-    require_session,
-)
+from repro.serve.protocol import ProtocolError, encode, ok_response, require_session
 from repro.serve.server import RecognitionServer
 from repro.serve.sessions import SessionConfig, SessionManager
 
@@ -54,7 +42,7 @@ __all__ = ["WorkerServer", "worker_main"]
 
 
 class WorkerServer(RecognitionServer):
-    """A recognition server that also understands ``attach``/``detach``."""
+    """A recognition server that also understands ``attach``."""
 
     def __init__(
         self,
@@ -65,25 +53,10 @@ class WorkerServer(RecognitionServer):
         super().__init__(manager)
         self.engine_spec = engine_spec
         self.default_config = default_config
-        #: Sessions migrated off this worker; traffic for them is told to
-        #: retry (the router has already re-routed by then).
-        self.detached: Dict[str, bool] = {}
 
     async def dispatch(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        kind = message["type"]
-        if kind == "attach":
+        if message["type"] == "attach":
             return await self._attach(message)
-        if kind == "detach":
-            return await self._detach(message)
-        if kind in ("event", "events", "fluent", "query", "checkpoint"):
-            name = message.get("session")
-            if isinstance(name, str) and name in self.detached:
-                return error_response(
-                    "backpressure",
-                    "session %r migrated off this worker" % name,
-                    retry_after=self.default_config.retry_after,
-                    seq=message.get("seq"),
-                )
         return await super().dispatch(message)
 
     async def _attach(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -101,7 +74,6 @@ class WorkerServer(RecognitionServer):
             lease=lease,
         )
         managed.start()
-        self.detached.pop(name, None)
         telemetry.count("cluster.attach")
         return ok_response(
             type="attached",
@@ -109,19 +81,6 @@ class WorkerServer(RecognitionServer):
             applied=managed.counters.applied,
             windows=managed.counters.windows,
             lease=managed.lease,
-        )
-
-    async def _detach(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        name = require_session(message)
-        managed = await self.manager.remove_session(name)
-        self.detached[name] = True
-        telemetry.count("cluster.detach")
-        return ok_response(
-            type="detached",
-            session=name,
-            applied=managed.counters.applied,
-            windows=managed.counters.windows,
-            checkpoints=managed.counters.checkpoints,
         )
 
 

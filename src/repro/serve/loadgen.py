@@ -112,7 +112,7 @@ def build_workload(
                 "event description is not entity-shardable; serve it as a "
                 "single session: " + "; ".join(analysis.diagnostics)
             )
-        shards, global_events, global_fluents, _global_initials = partition_input(
+        shards, global_events, global_fluents = partition_input(
             stream, input_fluents, analysis
         )
         tagged: List[Tuple[int, "Any", str]] = []  # (time, event, session)
@@ -181,12 +181,11 @@ def build_soak_workload(
     events of all sessions interleave in global time order exactly like a
     real multi-tenant stream. The per-event recognition cost is tiny by
     construction — a soak run measures the serving fabric (routing,
-    queues, checkpoints, migration) rather than rule evaluation.
+    queues, checkpoints) rather than rule evaluation.
 
     Memory is O(total events); a millions-of-sessions soak is reached by
-    pumping this workload repeatedly with fresh ``session_prefix`` ranges
-    (the session namespace is unbounded and workers attach on demand),
-    not by materializing one giant list.
+    pumping this workload repeatedly with fresh ``session_prefix`` ranges,
+    each hosted before it is pumped, not by materializing one giant list.
     """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
@@ -284,23 +283,19 @@ async def run_ingest(
     workload: Workload,
     mode: str = "batched",
     batch_size: int = 512,
-    skip: int = 0,
     final_query: bool = True,
-    query_at: Optional[int] = None,
 ) -> LoadReport:
     """Pump ``workload`` through ``client`` and collect detections.
 
-    ``skip`` drops that many leading events — the resume path after a
-    restore re-sends only the suffix a checkpoint reports as unapplied.
-    Fluent deliveries are replayed in full on resume: sessions clip and
-    union them idempotently, so re-delivery is safe and keeps the resume
-    protocol stateless.
+    Fluent deliveries are sent in full every time, a resumed workload
+    (:func:`repro.serve.replay.resume_workload`) included: sessions clip
+    and union them idempotently, so re-delivery is safe and keeps the
+    resume protocol stateless.
     """
     if batch_size < 1:
         # an empty batch is acknowledged and the pump never moves on
         raise ValueError("batch_size must be positive, got %r" % (batch_size,))
     report = LoadReport()
-    events = workload.events[skip:] if skip else workload.events
     for name, fvp, pairs in workload.fluents:
         response = await client.request(
             {"type": "fluent", "session": name, "fvp": fvp, "intervals": pairs, "ack": True}
@@ -309,17 +304,18 @@ async def run_ingest(
             raise RuntimeError("fluent delivery failed: %r" % response)
     started = _time.perf_counter()
     if mode == "batched":
-        await _pump_batched(client, events, batch_size, report)
+        await _pump_batched(client, workload.events, batch_size, report)
     elif mode == "firehose":
-        await _pump_firehose(client, events, report)
+        await _pump_firehose(client, workload.events, report)
     else:
         raise ValueError("unknown load mode %r" % mode)
     report.ingest_seconds = _time.perf_counter() - started
     started = _time.perf_counter()
     if final_query:
-        at = workload.end_time if query_at is None else query_at
         for name in workload.sessions:
-            response = await client.request({"type": "query", "session": name, "at": at})
+            response = await client.request(
+                {"type": "query", "session": name, "at": workload.end_time}
+            )
             if not response.get("ok"):
                 raise RuntimeError("final query failed: %r" % response)
             report.results[name] = RecognitionResult.from_dict(response["fvps"])

@@ -46,6 +46,7 @@ from repro.logic.terms import Compound, Constant, Term, intern_constant, is_fvp,
 
 __all__ = [
     "MAX_LINE_BYTES",
+    "RETRY_AFTER",
     "ProtocolError",
     "decode_line",
     "encode",
@@ -62,6 +63,9 @@ __all__ = [
 #: Above this many bytes per line, the reader rejects the line (with a
 #: structured ``oversized`` error) instead of buffering it.
 MAX_LINE_BYTES = 1 << 20
+
+#: The ``retry_after`` hint (seconds) of every ``backpressure`` rejection.
+RETRY_AFTER = 0.05
 
 #: Read granularity of :func:`read_protocol_lines`.
 _CHUNK_BYTES = 1 << 16

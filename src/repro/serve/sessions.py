@@ -9,9 +9,9 @@ the arrival rate.
 
 Each managed session owns an ingest queue and a single worker task — the
 only mutator of its ``RTECSession``, so no locks are needed. The worker
-applies queued items in arrival order and, in auto-advance mode, fires a
-window advance whenever an event's timestamp crosses the next query-time
-boundary (boundaries lie on the step grid, so the advance schedule is a
+applies queued items in arrival order and fires a window advance whenever
+an event's timestamp crosses the next query-time boundary (boundaries
+lie on the step grid, so the advance schedule is a
 pure function of the item sequence — the property the checkpoint/restore
 equivalence guarantee rests on). Window evaluation runs in a thread pool
 executor so other sessions keep ingesting while one session reasons.
@@ -48,7 +48,7 @@ from repro.rtec.result import RecognitionResult
 from repro.rtec.session import RTECSession
 from repro.rtec.stream import Event
 from repro.serve import checkpoint as checkpointing
-from repro.serve.protocol import ProtocolError, parse_event_term, require_fvp
+from repro.serve.protocol import RETRY_AFTER, ProtocolError, parse_event_term, require_fvp
 
 __all__ = ["SessionConfig", "ManagedSession", "SessionManager"]
 
@@ -64,11 +64,6 @@ class SessionConfig:
     step: Optional[int] = None
     #: Ingest-queue high-water mark: events beyond this are rejected.
     high_water: int = 8192
-    #: Retry hint (seconds) returned with backpressure rejections.
-    retry_after: float = 0.05
-    #: Advance automatically as event time crosses step boundaries; when
-    #: off, the session only advances on explicit ``query`` messages.
-    auto_advance: bool = True
     #: Write a checkpoint every this many windows (0: only on demand).
     checkpoint_every: int = 0
     #: Keep at most this many checkpoint files per session (None: all).
@@ -227,7 +222,7 @@ class ManagedSession:
             return {
                 "error": "backpressure",
                 "message": "session '%s' ingest queue is full" % self.name,
-                "retry_after": self.config.retry_after,
+                "retry_after": RETRY_AFTER,
                 "queue_depth": depth,
             }
         for time, term_text in batch:
@@ -248,7 +243,7 @@ class ManagedSession:
             return {
                 "error": "backpressure",
                 "message": "session '%s' ingest queue is full" % self.name,
-                "retry_after": self.config.retry_after,
+                "retry_after": RETRY_AFTER,
                 "queue_depth": depth,
             }
         self.queue.put_nowait((_FLUENT, fvp_text, intervals))
@@ -336,12 +331,11 @@ class ManagedSession:
                 self.counters.applied += 1
                 self.counters.invalid += 1
                 return False
-            if self.config.auto_advance:
-                if self.next_query is None:
-                    self.next_query = self._grid_after(time)
-                while time > self.next_query:
-                    await self._advance(self.next_query)
-                    self.next_query += self.step
+            if self.next_query is None:
+                self.next_query = self._grid_after(time)
+            while time > self.next_query:
+                await self._advance(self.next_query)
+                self.next_query += self.step
             event = Event(time, term)
             accepted = self.session.submit((event,))
             self.counters.ingested += 1
@@ -362,7 +356,7 @@ class ManagedSession:
             self.session.submit_fluent(pair, interval_list)
             # Fluent-only spans must be evaluated too: seed the advance
             # grid from the earliest delivered point when no event has.
-            if self.config.auto_advance and self.next_query is None and interval_list:
+            if self.next_query is None and interval_list:
                 self.next_query = self._grid_after(interval_list.span[0])
         elif kind == _QUERY:
             _kind, at, pair, future = item
@@ -387,7 +381,7 @@ class ManagedSession:
             # than the uninterrupted run the equivalence tests compare with.
             # Before any input has seeded the grid there is nothing a
             # window could derive, so a single advance suffices.
-            if self.config.auto_advance and self.next_query is not None:
+            if self.next_query is not None:
                 while self.next_query < at:
                     await self._advance(self.next_query)
                     self.next_query += self.step
@@ -482,7 +476,7 @@ class ManagedSession:
             status["certified"] = self.certificate.certified
             status["delta_safe"] = self.certificate.delta_safe
             status["memory_bounded"] = self.certificate.memory_bounded
-            status["cost_weight"] = self.certificate.placement_weight
+            status["cost_weight"] = self.certificate.total_cost
         if self.admission_warnings:
             status["admission_warnings"] = list(self.admission_warnings)
         return status
@@ -539,14 +533,6 @@ class SessionManager:
                     managed.lease = loaded.lease
                 break
         self.sessions[name] = managed
-        return managed
-
-    async def remove_session(self, name: str) -> ManagedSession:
-        """Detach ``name``: stop its worker (which writes the graceful final
-        checkpoint when a checkpoint directory is configured) and drop it."""
-        managed = self.get(name)
-        await managed.stop()
-        del self.sessions[name]
         return managed
 
     def get(self, name: str) -> ManagedSession:

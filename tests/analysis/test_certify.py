@@ -1,6 +1,7 @@
 """Tests for the whole-description certification layer (repro.analysis.certify)."""
 
 import json
+import time
 
 import pytest
 
@@ -267,13 +268,13 @@ class TestCertificate:
         assert len(messages) == 1
         assert messages[0].startswith("f/1:")
 
-    def test_placement_weight_is_always_positive(self):
+    def test_uncertifiable_description_costs_nothing(self):
         certificate = _certify("initiatedAt(f(V)=")
         assert certificate.total_cost == 0.0
-        assert certificate.placement_weight > 0
+        assert not certificate.fluent_costs
 
 
-#: ``total_cost`` (= ``placement_weight``) and ``fluent_costs`` of the two
+#: ``total_cost`` and ``fluent_costs`` of the two
 #: golds at PR 19, before ``condition_class`` / ``DEFAULT_EXPANSIONS`` moved
 #: into ``certify.py``: the one remaining cost model must not move a number.
 GOLD_COSTS = {
@@ -353,7 +354,6 @@ class TestCostModel:
         certificate = certify_description(description, vocabulary, outputs=sorted(outputs))
         total, fluent_costs = GOLD_COSTS[which]
         assert certificate.total_cost == total
-        assert certificate.placement_weight == total
         assert dict(certificate.fluent_costs) == fluent_costs
 
     def test_joins_raise_the_cost(self):
@@ -458,6 +458,23 @@ class TestGoldCertification:
         assert not certificate.report().at_or_above(Severity.WARNING)
         assert certificate.verify(description)
         assert certificate.total_cost > 0
+
+    def test_gold_maritime_certifies_under_budget(self, small_dataset, gold_description):
+        # Admission certifies inline on every session attach, so certifying
+        # the larger gold must stay under two seconds. Best of three: a
+        # loaded runner swings one round by more than the budget.
+        timings = []
+        for _ in range(3):
+            started = time.perf_counter()
+            certificate = certify_description(
+                gold_description, small_dataset.vocabulary, kb=small_dataset.kb
+            )
+            timings.append(time.perf_counter() - started)
+        assert certificate.certified
+        assert certificate.delta_safe
+        assert certificate.memory_bounded
+        assert certificate.verify(gold_description)
+        assert min(timings) < 2.0, "certification took %.3fs" % min(timings)
 
     def test_forgotten_termination_mutation_is_flagged(self):
         # The paper's DropRule error class applied to every termination of

@@ -115,11 +115,11 @@ class TestPartitioner:
                 parse_term("proximity(v3, v4)=true"): IntervalList([(1, 20)]),
             }
         )
-        shards, global_events, global_fluents, global_initials = partition_input(
+        shards, global_events, global_fluents = partition_input(
             stream, fluents, analysis
         )
         assert len(shards) == 2
-        assert not global_events and not global_fluents and not global_initials
+        assert not global_events and not global_fluents
         keys = sorted(frozenset(map(repr, shard.entities)) for shard in shards)
         assert keys == [
             frozenset({"v1", "v2"}),
@@ -137,9 +137,7 @@ class TestPartitioner:
                 parse_term("proximity(v2, v3)=true"): IntervalList([(5, 25)]),
             }
         )
-        shards, _events, _fluents, _initials = partition_input(
-            EventStream(), fluents, analysis
-        )
+        shards, _events, _fluents = partition_input(EventStream(), fluents, analysis)
         assert len(shards) == 1
         assert {repr(e) for e in shards[0].entities} == {"v1", "v2", "v3"}
 
@@ -147,7 +145,7 @@ class TestPartitioner:
         analysis = analyse_partitionability(
             EventDescription.from_text(PER_VESSEL_RULES)
         )
-        shards, _events, _fluents, _initials = partition_input(
+        shards, _events, _fluents = partition_input(
             EventStream([_event(5, "start(v1)")]),
             InputFluents(),
             analysis,
@@ -174,7 +172,7 @@ class TestPartitioner:
             tuple(parse_term(vessel) for vessel in pair_joins.PAIRS[index])
             for index in raw_extra
         ]
-        shards, _events, _fluents, _initials = partition_input(
+        shards, _events, _fluents = partition_input(
             stream, fluents, analysis, extra_entities=extra
         )
         for left, right in extra:
