@@ -39,7 +39,6 @@ _EXPORTS = {
     "RepairResult": "repair",
     "repair_event_description": "repair",
     "SemanticFacts": "semantics",
-    "RuleFacts": "semantics",
     "analyse_semantics": "semantics",
     "semantic_pass": "semantics",
     "AnalysisCertificate": "certify",

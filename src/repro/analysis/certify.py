@@ -1,6 +1,6 @@
 """Whole-description certification: static properties the runtime can trust.
 
-The serving tiers depend on three properties that were previously discovered
+The serving tiers depend on two properties that were previously discovered
 at run time, per window, or not at all:
 
 * **delta safety** — whether every simple-fluent rule's firing points after
@@ -9,17 +9,14 @@ at run time, per window, or not at all:
   (:meth:`repro.rtec.engine.RTECEngine._process_window` with a cache);
 * **memory boundedness** — whether every fluent's carried state (open
   initiations, cached maximal intervals) stays bounded across windows, the
-  condition for hosting a session indefinitely without eviction pressure;
-* **static cost** — a per-rule estimate of evaluation cost, available
-  before any telemetry exists.
+  condition for hosting a session indefinitely without eviction pressure.
 
 :func:`certify_description` composes the existing passes (structural
-analysis, binding dataflow, value-interval semantics, reachability) with
-three new interprocedural analyses proving these properties, and emits a
-signed, JSON-serialisable :class:`AnalysisCertificate` bound to the
-description's content hash. Consumers: ``RTECEngine``/``RTECSession``
-(delta-path gating) and ``repro.serve`` session admission, whose
-``status`` reports the cost as ``cost_weight``.
+analysis, binding dataflow, producible values, reachability) with two
+interprocedural analyses proving these properties, and emits a signed,
+JSON-serialisable :class:`AnalysisCertificate` bound to the description's
+content hash. Consumers: ``RTECEngine``/``RTECSession`` (delta-path
+gating) and ``repro.serve`` session admission.
 
 Delta-safety prover
 -------------------
@@ -46,41 +43,28 @@ value covers ``v``, a matching ``maxDuration`` deadline, or another
 reachable initiated value (RTEC value exclusivity: initiating ``F=V'``
 terminates ``F=V``). Unlike the syntactic RTEC010 check this is
 reachability- and liveness-aware: a termination rule that can never fire
-(contradictory comparisons, impossible value references, dead
-terminations) does not count, and an alternative value only counts when it
-is actually derivable from the inputs. Fluents failing the check are
-*leaky* (RTEC027); leakiness then propagates through the interval algebra
-of statically determined fluents by abstract interpretation (RTEC028):
-``union_all`` is leaky when any input is, ``intersect_all`` only when all
-inputs are, ``relative_complement_all`` follows its first operand.
-
-Static cost model
------------------
-Per rule, the body is walked left-to-right evolving the bound-variable set;
-each condition's class (:func:`condition_class`) contributes the class's
-default expansion factor (:data:`DEFAULT_EXPANSIONS`), and the rule cost is the
-total number of partial solutions flowing through the body. Rules whose
-temporal conditions are unanchored additionally scan the whole window
-(cost scales with omega, not with the delta) and get a window-sensitivity
-multiplier; rules joining several entity variables get a multiplicity
-factor. The per-fluent sums are emitted as machine-readable weights
-(``fluent_costs`` / ``total_cost``).
+(a positive reference to a value nothing produces) does not count, and an
+alternative value only counts when it is actually derivable from the
+inputs. Fluents failing the check are *leaky* (RTEC027); leakiness then
+propagates through the interval algebra of statically determined fluents
+by abstract interpretation (RTEC028): ``union_all`` is leaky when any
+input is, ``intersect_all`` only when all inputs are,
+``relative_complement_all`` follows its first operand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import LIST_FUNCTOR, Literal, ParseError, Rule, clause_lines
+from repro.logic.parser import LIST_FUNCTOR, ParseError, Rule, clause_lines
 from repro.logic.pretty import term_to_str
-from repro.logic.terms import Compound, Term, Variable, is_ground, term_variables
+from repro.logic.terms import Compound, Term, Variable, is_ground
 from repro.logic.unification import unify
-from repro.rtec.builtins import is_comparison
 from repro.rtec.description import (
     INTERVAL_CONSTRUCTS,
     EventDescription,
@@ -99,16 +83,6 @@ __all__ = [
     "description_digest",
     "prove_rule_delta_safety",
 ]
-
-#: Cost multiplier for rules whose temporal conditions scan the whole
-#: window instead of a single anchored time-point.
-WINDOW_SENSITIVITY_MULTIPLIER = 4.0
-
-#: Rule-cost threshold above which an informational RTEC029 is emitted.
-COSTLY_RULE_THRESHOLD = 32.0
-
-#: Number of enumerating stream joins that makes a rule "costly" outright.
-COSTLY_JOIN_COUNT = 3
 
 #: Marker for an initiated value the analysis cannot enumerate (a rule head
 #: with a variable value: the domain is open).
@@ -291,13 +265,6 @@ class RuleCertificate:
     #: Rendered rule head, for human-readable reports.
     head: str
     delta_safe: bool
-    #: Static cost estimate (partial solutions flowing through the body,
-    #: window-sensitivity and entity-multiplicity factors applied).
-    cost: float
-    #: The rule's cost scales with the window extent, not the delta.
-    window_sensitive: bool
-    #: Entity variables joining at least two stream occurrences.
-    entity_variables: int
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -306,9 +273,6 @@ class RuleCertificate:
             "kind": self.kind,
             "head": self.head,
             "delta_safe": self.delta_safe,
-            "cost": self.cost,
-            "window_sensitive": self.window_sensitive,
-            "entity_variables": self.entity_variables,
         }
 
     @classmethod
@@ -319,9 +283,6 @@ class RuleCertificate:
             kind=str(data["kind"]),
             head=str(data["head"]),
             delta_safe=bool(data["delta_safe"]),
-            cost=float(data["cost"]),
-            window_sensitive=bool(data["window_sensitive"]),
-            entity_variables=int(data["entity_variables"]),
         )
 
 
@@ -349,9 +310,6 @@ class AnalysisCertificate:
     #: ``"name/arity=value"`` descriptors of the leaky fluent values.
     leaky_fluents: Tuple[str, ...] = ()
     rules: Tuple[RuleCertificate, ...] = ()
-    #: Per-fluent static cost weights, keyed ``"name/arity"``.
-    fluent_costs: Dict[str, float] = field(default_factory=dict)
-    total_cost: float = 0.0
     diagnostics: Tuple[Diagnostic, ...] = ()
     signature: str = ""
 
@@ -366,8 +324,6 @@ class AnalysisCertificate:
             "memory_bounded": self.memory_bounded,
             "leaky_fluents": list(self.leaky_fluents),
             "rules": [rule.to_dict() for rule in self.rules],
-            "fluent_costs": dict(sorted(self.fluent_costs.items())),
-            "total_cost": self.total_cost,
             "diagnostics": [diagnostic.to_dict() for diagnostic in self.diagnostics],
         }
 
@@ -415,11 +371,7 @@ class AnalysisCertificate:
             "delta-safe" if self.delta_safe else "delta-UNSAFE",
             "memory-bounded" if self.memory_bounded else "LEAKY",
         ]
-        return "%s | rules: %d | total cost: %.2f" % (
-            ", ".join(verdicts),
-            len(self.rules),
-            self.total_cost,
-        )
+        return "%s | rules: %d" % (", ".join(verdicts), len(self.rules))
 
     # -- serialisation -----------------------------------------------------
 
@@ -453,11 +405,6 @@ class AnalysisCertificate:
             rules=tuple(
                 RuleCertificate.from_dict(entry) for entry in data.get("rules", [])
             ),
-            fluent_costs={
-                str(key): float(value)
-                for key, value in data.get("fluent_costs", {}).items()
-            },
-            total_cost=float(data.get("total_cost", 0.0)),
             diagnostics=diagnostics,
             signature=str(data.get("signature", "")),
         )
@@ -717,99 +664,6 @@ def _propagate_leaks(
 
 
 # ---------------------------------------------------------------------------
-# Static cost model
-# ---------------------------------------------------------------------------
-
-#: Expansion factor per condition class: the partial solutions a condition
-#: of that class hands on per one it receives — below 1 the class filters,
-#: above 1 it fans out. A static prior, ordered comparisons before background
-#: lookups before fluent queries before stream joins; the classes are the
-#: ones the evaluator counts as ``cond.<class>.eval`` / ``.sol``.
-DEFAULT_EXPANSIONS: Dict[str, float] = {
-    "compare": 0.40,
-    "background.neg": 0.60,
-    "background": 0.80,
-    "holdsat.ground": 0.90,
-    "happensat.neg": 0.95,
-    "happensat": 2.00,
-    "holdsat.enum": 3.00,
-}
-
-
-def condition_class(literal: Literal, bound: Set[Variable]) -> str:
-    """The cost class of one body condition given the bound variables."""
-    term = literal.term
-    if is_comparison(term):
-        return "compare"
-    if isinstance(term, Compound) and term.functor == "holdsAt" and term.arity == 2:
-        if set(term_variables(term)) <= bound:
-            return "holdsat.ground"
-        return "holdsat.enum"
-    if isinstance(term, Compound) and term.functor == "happensAt" and term.arity == 2:
-        return "happensat.neg" if literal.negated else "happensat"
-    return "background.neg" if literal.negated else "background"
-
-
-#: Expansion factors of holdsFor-body condition shapes (the simple-rule
-#: shapes use :data:`DEFAULT_EXPANSIONS` through :func:`condition_class`).
-_STATIC_GROUND_EXPANSION = DEFAULT_EXPANSIONS["holdsat.ground"]
-_STATIC_ENUM_EXPANSION = DEFAULT_EXPANSIONS["holdsat.enum"]
-_STATIC_BACKGROUND_EXPANSION = DEFAULT_EXPANSIONS["background"]
-
-
-def _entity_variable_count(rule: Rule) -> int:
-    from repro.rtec.partition import _entity_vars_of, _stream_occurrences
-
-    occurrences, problem = _stream_occurrences(rule)
-    if occurrences is None or problem is not None:
-        return 0
-    return len(_entity_vars_of(occurrences))
-
-
-def _simple_rule_cost(rule: Rule, window_sensitive: bool) -> Tuple[float, int]:
-    """(cost, enumerating stream joins) of one initiated/terminated rule."""
-    bound: Set[Variable] = set(term_variables(rule.body[0].term))
-    size = 1.0
-    total = 1.0  # the seed scan itself
-    joins = 0
-    for literal in rule.body[1:]:
-        cls = condition_class(literal, bound)
-        total += size
-        size *= DEFAULT_EXPANSIONS.get(cls, 1.0)
-        if cls in ("happensat", "holdsat.enum"):
-            joins += 1
-        if not literal.negated:
-            bound |= set(term_variables(literal.term))
-    if window_sensitive:
-        total *= WINDOW_SENSITIVITY_MULTIPLIER
-    total *= max(1.0, float(_entity_variable_count(rule)))
-    return total, joins
-
-
-def _static_rule_cost(rule: Rule) -> float:
-    bound: Set[Variable] = set()
-    size = 1.0
-    total = 0.0
-    for literal in rule.body:
-        term = literal.term
-        total += size
-        if isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2:
-            entity_vars = set(term_variables(term.args[0]))
-            if entity_vars - bound:
-                size *= _STATIC_ENUM_EXPANSION  # seed-pass enumeration
-            else:
-                size *= _STATIC_GROUND_EXPANSION  # entity already bound: lookup
-            bound |= entity_vars
-        elif isinstance(term, Compound) and term.functor in INTERVAL_CONSTRUCTS:
-            pass  # linear sweep over already-bound interval lists
-        else:
-            size *= _STATIC_BACKGROUND_EXPANSION
-            bound |= set(term_variables(term))
-    total *= max(1.0, float(_entity_variable_count(rule)))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
 
@@ -825,9 +679,9 @@ def certify_description(
     A description whose base analysis reports error-severity diagnostics
     (syntax, malformed rules, unbound variables, cycles, ...) is
     *uncertifiable*: the certificate carries a single RTEC030 and claims
-    none of the three properties. ``vocabulary`` sharpens the
-    memory-boundedness analysis with input-reachability (without it the
-    analysis falls back to the producible-value domains).
+    neither property. ``vocabulary`` sharpens the memory-boundedness
+    analysis with input-reachability (without it the analysis falls back
+    to the producible-value domains).
     """
     from repro.analysis.analyzer import analyse
     from repro.analysis.semantics import analyse_semantics
@@ -860,7 +714,6 @@ def certify_description(
 
     # 1. Delta-safety prover over every simple-fluent rule.
     rule_certificates: List[RuleCertificate] = []
-    fluent_costs: Dict[str, float] = {}
     delta_safe = True
     for key, definition in sorted(description.simple_fluents.items()):
         for kind, rules in (
@@ -879,81 +732,39 @@ def certify_description(
                         )
                     )
                 delta_safe &= safe
-                cost, joins = _simple_rule_cost(rule, window_sensitive=not safe)
-                certificate = RuleCertificate(
-                    rule_index=rule_index_of.get(id(rule)),
-                    fluent=_key_name(key),
-                    kind=kind,
-                    head=term_to_str(rule.head),
-                    delta_safe=safe,
-                    cost=round(cost, 4),
-                    window_sensitive=not safe,
-                    entity_variables=_entity_variable_count(rule),
-                )
-                rule_certificates.append(certificate)
-                fluent_costs[_key_name(key)] = (
-                    fluent_costs.get(_key_name(key), 0.0) + certificate.cost
-                )
-                if joins >= COSTLY_JOIN_COUNT or cost >= COSTLY_RULE_THRESHOLD:
-                    diagnostics.append(
-                        Diagnostic(
-                            "costly-rule",
-                            "rule %s has an estimated static cost of %.2f "
-                            "(%d enumerating stream joins%s)"
-                            % (
-                                term_to_str(rule.head),
-                                cost,
-                                joins,
-                                ", window-sensitive" if not safe else "",
-                            ),
-                            rule_index=rule_index_of.get(id(rule)),
-                        )
+                rule_certificates.append(
+                    RuleCertificate(
+                        rule_index=rule_index_of.get(id(rule)),
+                        fluent=_key_name(key),
+                        kind=kind,
+                        head=term_to_str(rule.head),
+                        delta_safe=safe,
                     )
-
+                )
     for key, static_definition in sorted(description.static_fluents.items()):
         for rule in static_definition.rules:
-            cost = _static_rule_cost(rule)
-            certificate = RuleCertificate(
-                rule_index=rule_index_of.get(id(rule)),
-                fluent=_key_name(key),
-                kind="holdsFor",
-                head=term_to_str(rule.head),
-                delta_safe=True,  # interval constructs are pointwise in time
-                cost=round(cost, 4),
-                window_sensitive=False,
-                entity_variables=_entity_variable_count(rule),
-            )
-            rule_certificates.append(certificate)
-            fluent_costs[_key_name(key)] = (
-                fluent_costs.get(_key_name(key), 0.0) + certificate.cost
-            )
-            if cost >= COSTLY_RULE_THRESHOLD:
-                diagnostics.append(
-                    Diagnostic(
-                        "costly-rule",
-                        "holdsFor rule %s has an estimated static cost of %.2f"
-                        % (term_to_str(rule.head), cost),
-                        rule_index=rule_index_of.get(id(rule)),
-                    )
+            rule_certificates.append(
+                RuleCertificate(
+                    rule_index=rule_index_of.get(id(rule)),
+                    fluent=_key_name(key),
+                    kind="holdsFor",
+                    head=term_to_str(rule.head),
+                    delta_safe=True,  # interval constructs are pointwise in time
                 )
+            )
 
     # 2. Memory-boundedness: liveness facts, then the leak analysis.
     semantics = analyse_semantics(
         description,
         vocabulary,
-        kb=kb,
         outputs=set(outputs) if outputs is not None else None,
     )
-    dead_rules: Set[int] = set(semantics.dead_terminations)
-    for index, facts in semantics.rule_facts.items():
-        if facts.never_fires:
-            dead_rules.add(index)
     reachable: Mapping[FluentKey, Optional[Set[Term]]] = (
         semantics.reachable_values
         if semantics.reachable_values is not None
         else semantics.producible
     )
-    leaky = _memory_analysis(description, reachable, dead_rules, diagnostics)
+    leaky = _memory_analysis(description, reachable, semantics.dead_rules, diagnostics)
     _propagate_leaks(description, leaky, diagnostics)
     leaky_fluents = tuple(
         sorted(
@@ -970,8 +781,6 @@ def certify_description(
         memory_bounded=not leaky,
         leaky_fluents=leaky_fluents,
         rules=tuple(rule_certificates),
-        fluent_costs={key: round(value, 4) for key, value in fluent_costs.items()},
-        total_cost=round(sum(fluent_costs.values()), 4),
         diagnostics=tuple(diagnostics),
     ).sign()
 

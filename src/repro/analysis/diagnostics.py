@@ -60,21 +60,15 @@ CATEGORY_CODES: Dict[str, Tuple[str, Severity]] = {
     "contradictory-rules": ("RTEC014", Severity.WARNING),
     "non-shardable": ("RTEC015", Severity.INFO),
     "naming": ("RTEC016", Severity.WARNING),
-    # Semantic abstract-interpretation layer (repro.analysis.semantics).
-    "sort-clash": ("RTEC017", Severity.WARNING),
+    # Semantic layer (repro.analysis.semantics).
     "impossible-value": ("RTEC018", Severity.WARNING),
-    "contradictory-conditions": ("RTEC019", Severity.WARNING),
-    "constant-comparison": ("RTEC020", Severity.WARNING),
-    "subsumed-condition": ("RTEC021", Severity.WARNING),
     "unreachable-fluent": ("RTEC022", Severity.WARNING),
     "unreachable-output": ("RTEC023", Severity.WARNING),
-    "dead-termination": ("RTEC024", Severity.WARNING),
     # Certification layer (repro.analysis.certify).
     "delta-unsafe-condition": ("RTEC025", Severity.WARNING),
     "delta-unsafe-head": ("RTEC026", Severity.WARNING),
     "leaky-fluent": ("RTEC027", Severity.WARNING),
     "leaky-interval-flow": ("RTEC028", Severity.WARNING),
-    "costly-rule": ("RTEC029", Severity.INFO),
     "uncertifiable": ("RTEC030", Severity.ERROR),
 }
 
@@ -87,12 +81,9 @@ _UNKNOWN = ("RTEC000", Severity.ERROR)
 class Fix:
     """A machine-applicable repair attached to a diagnostic.
 
-    ``kind`` is one of ``"rename-functor"``/``"rename-constant"`` (``old``
-    and ``new`` are the names), ``"drop-condition"`` (``old`` is the
-    rendered condition, ``new`` is empty; the span's rule/condition indices
-    locate it) or ``"remove-rule"`` (``old`` is the rendered rule head,
-    ``new`` is empty). :mod:`repro.analysis.fixers` applies fixes to rule
-    sets; :mod:`repro.generation.correction` uses them as auto-fix
+    ``kind`` is ``"rename-functor"`` or ``"rename-constant"``; ``old``
+    and ``new`` are the names. :mod:`repro.analysis.fixers` applies fixes
+    to rule sets; :mod:`repro.generation.correction` uses them as auto-fix
     candidates.
     """
 

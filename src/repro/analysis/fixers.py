@@ -6,33 +6,19 @@ fixes into rename maps and rewrites rules accordingly. The correction step
 (:mod:`repro.generation.correction`) shares these rewriters so that lint
 fixes and correction apply identically.
 
-The semantic layer adds two structural fix kinds: ``"drop-condition"``
-(RTEC021 subsumed conditions, located by the diagnostic's rule/condition
-span) and ``"remove-rule"`` (RTEC019 contradictory rules, RTEC024 dead
-terminations, located by the rule index). :func:`apply_fixes` applies
-renames first, then drops conditions, then removes rules — each indexed
-against the *original* rule list, so spans from one lint run compose.
-
-:func:`apply_fixes` is deterministic and idempotent:
-
-* rename maps are built over the *sorted* fix set (the result does not
-  depend on diagnostic order) and normalised — chains (``a -> b`` plus
-  ``b -> c`` collapse to ``a -> c`` and ``b -> c``), cycles and identity
-  entries are dropped — so re-applying the same batch finds none of the
-  old names and is a no-op;
-* structural spans are verified against the rules they index into (the
-  condition/head at the span must still render equal to ``fix.old``), so
-  spans recorded against an already-fixed rule list no longer match and
-  are skipped instead of deleting an innocent bystander.
+:func:`apply_fixes` is deterministic and idempotent: rename maps are
+built over the *sorted* fix set (the result does not depend on diagnostic
+order) and normalised — chains (``a -> b`` plus ``b -> c`` collapse to
+``a -> c`` and ``b -> c``), cycles and identity entries are dropped — so
+re-applying the same batch finds none of the old names and is a no-op.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.logic.parser import Literal, Rule
-from repro.logic.pretty import literal_to_str, term_to_str
 from repro.logic.terms import Compound, Constant, Term
 
 __all__ = [
@@ -40,7 +26,6 @@ __all__ = [
     "rewrite_rule",
     "rewrite_rules",
     "fix_maps",
-    "structural_fixes",
     "apply_fixes",
 ]
 
@@ -126,95 +111,10 @@ def fix_maps(diagnostics: Iterable[Diagnostic]) -> Tuple[Dict[str, str], Dict[st
     return normalise_rename_map(functor_map), normalise_rename_map(constant_map)
 
 
-def _span_matches(rules: Sequence[Rule], diagnostic: Diagnostic, expected: str) -> bool:
-    """Whether the span of ``diagnostic`` still holds the rendered ``expected``.
-
-    An empty ``expected`` never matches: without a recorded rendering the
-    span cannot be verified, and trusting it would let a stale span fire
-    on whatever rule shifted into its place (breaking the idempotence
-    contract of :func:`apply_fixes`). Every analysis pass records the
-    rendering; only hand-built diagnostics can lack it.
-    """
-    if not expected:
-        return False
-    rule_index = diagnostic.rule_index
-    if rule_index is None or not 0 <= rule_index < len(rules):
-        return False
-    rule = rules[rule_index]
-    if diagnostic.condition_index is None:
-        return term_to_str(rule.head) == expected
-    if not 0 <= diagnostic.condition_index < len(rule.body):
-        return False
-    return literal_to_str(rule.body[diagnostic.condition_index]) == expected
-
-
-def structural_fixes(
-    diagnostics: Iterable[Diagnostic],
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[Dict[int, Set[int]], Set[int]]:
-    """Collect the structural fixes of a diagnostic batch.
-
-    Returns ``(drops, removals)``: condition indices to drop per rule
-    index, and rule indices to remove outright. Diagnostics without the
-    span needed to locate their fix are skipped. When ``rules`` is given,
-    each span is verified against it — the condition (or rule head) at the
-    span must still render equal to the fix's recorded ``old`` text — so
-    stale spans (e.g. from re-applying an already-applied batch) are
-    skipped instead of mis-firing on shifted indices.
-    """
-    drops: Dict[int, Set[int]] = {}
-    removals: Set[int] = set()
-    for diagnostic in diagnostics:
-        fix = diagnostic.fix
-        if fix is None:
-            continue
-        if fix.kind == "drop-condition":
-            if diagnostic.rule_index is not None and diagnostic.condition_index is not None:
-                if rules is not None and not _span_matches(rules, diagnostic, fix.old):
-                    continue
-                drops.setdefault(diagnostic.rule_index, set()).add(
-                    diagnostic.condition_index
-                )
-        elif fix.kind == "remove-rule":
-            if diagnostic.rule_index is not None:
-                if rules is not None and not _span_matches(rules, diagnostic, fix.old):
-                    continue
-                removals.add(diagnostic.rule_index)
-    return drops, removals
-
-
 def apply_fixes(rules: Sequence[Rule], diagnostics: Iterable[Diagnostic]) -> List[Rule]:
-    """Apply every fixable diagnostic to a rule set, returning new rules.
-
-    Renames apply first (they do not shift spans), then subsumed
-    conditions are dropped, then contradicted/dead rules are removed —
-    both keyed by the diagnostics' spans into the original rule list and
-    verified against it (see :func:`structural_fixes`). Deterministic
-    under any diagnostic ordering, and idempotent:
+    """Apply every rename fix of a diagnostic batch to a rule set, returning
+    new rules. Deterministic under any diagnostic ordering, and idempotent:
     ``apply_fixes(apply_fixes(rules, ds), ds) == apply_fixes(rules, ds)``.
     """
-    diagnostics = list(diagnostics)
     functor_map, constant_map = fix_maps(diagnostics)
-    drops, removals = structural_fixes(diagnostics, rules)
-    if functor_map or constant_map:
-        fixed = rewrite_rules(rules, functor_map, constant_map)
-    else:
-        fixed = list(rules)
-    if not drops and not removals:
-        return fixed
-    result: List[Rule] = []
-    for index, rule in enumerate(fixed):
-        if index in removals:
-            continue
-        dropped = drops.get(index)
-        if dropped:
-            rule = Rule(
-                rule.head,
-                tuple(
-                    literal
-                    for cond_index, literal in enumerate(rule.body)
-                    if cond_index not in dropped
-                ),
-            )
-        result.append(rule)
-    return result
+    return rewrite_rules(rules, functor_map, constant_map)

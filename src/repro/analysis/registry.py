@@ -33,7 +33,7 @@ DOCS_URI = "https://github.com/aartikis/RTEC/blob/master/DESIGN.md"
 
 #: Codes the repair loop does *not* feed back to the model: informational
 #: lints that describe a property of the description rather than a defect.
-_NOT_REPAIRABLE = frozenset({"RTEC015", "RTEC029", "RTEC030"})
+_NOT_REPAIRABLE = frozenset({"RTEC015", "RTEC030"})
 
 
 @dataclass(frozen=True)
@@ -188,16 +188,6 @@ LINT_RULES: Dict[str, LintRule] = {
             fixable=True,
         ),
         _rule(
-            "RTEC017",
-            "argument sort clash",
-            "Sort inference (a union-find lattice over argument positions, "
-            "seeded by the constants observed in rules, background facts "
-            "and fluent values) places numeric and symbolic constants in "
-            "the same position — e.g. a numeric literal where every other "
-            "rule and fact uses an area-type atom.",
-            paper_category=2,
-        ),
-        _rule(
             "RTEC018",
             "impossible fluent value",
             "A holdsAt/holdsFor condition references F=V where V is not "
@@ -205,32 +195,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "fluent F can produce: the condition can never succeed (or, "
             "negated, always succeeds).",
             paper_category=2,
-        ),
-        _rule(
-            "RTEC019",
-            "contradictory conditions",
-            "Value-domain analysis proves a rule's comparison conjunction "
-            "unsatisfiable (e.g. Speed >= Min together with Speed < Min): "
-            "the rule can never fire.",
-            paper_category=2,
-            fixable=True,
-        ),
-        _rule(
-            "RTEC020",
-            "statically decided comparison",
-            "A comparison contains no variables, or compares a term with "
-            "itself, and therefore always evaluates to the same truth value "
-            "(an always-false comparison makes the rule dead; an always-true "
-            "one is a no-op).",
-            paper_category=2,
-        ),
-        _rule(
-            "RTEC021",
-            "subsumed condition",
-            "A comparison is implied by another condition of the same rule "
-            "(a duplicate, a weaker operator over the same operands, or a "
-            "wider bound on the same variable); the attached fix drops it.",
-            fixable=True,
         ),
         _rule(
             "RTEC022",
@@ -247,15 +211,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "derivation path from any input: the task silently produces "
             "empty detections for it.",
             paper_category=3,
-        ),
-        _rule(
-            "RTEC024",
-            "dead termination",
-            "A terminatedAt rule targets a fluent value that no "
-            "initiatedAt rule or initially declaration can produce: the "
-            "termination points are discarded unpaired; the attached fix "
-            "removes the rule.",
-            fixable=True,
         ),
         _rule(
             "RTEC025",
@@ -297,21 +252,12 @@ LINT_RULES: Dict[str, LintRule] = {
             "growth.",
         ),
         _rule(
-            "RTEC029",
-            "costly rule",
-            "The static cost model estimates an unusually high evaluation "
-            "cost for this rule (large join fan-out over enumerating "
-            "conditions, or window-sensitive cost because a temporal "
-            "condition scans the whole window). Informational.",
-        ),
-        _rule(
             "RTEC030",
             "uncertifiable description",
             "Certification could not analyse the description as a whole "
             "(base analysis errors such as syntax/cycles, or malformed "
-            "rules), so no delta-safety, memory-boundedness or cost "
-            "guarantees are attached. Fix the underlying error diagnostics "
-            "first.",
+            "rules), so no delta-safety or memory-boundedness guarantees are "
+            "attached. Fix the underlying error diagnostics first.",
         ),
     )
 }

@@ -18,9 +18,7 @@ Each iteration builds a plan from the analyser report:
   :class:`~repro.analysis.diagnostics.Fix` are applied mechanically through
   the shared fixer machinery (:mod:`repro.analysis.fixers`), with
   cross-diagnostic conflict detection: conflicting renames of the same name
-  are resolved by sorted order (and reported), a rule that is both removed
-  and condition-dropped is removed (drops on it are moot), and structural
-  spans are content-verified before application;
+  are resolved by sorted order (and reported);
 * the remaining repairable diagnostics (``repair == "prompt"``, plus
   parse errors recorded on individual activities) are grouped per activity
   and rendered into repair prompts; the model's replies replace those
@@ -55,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.analysis.diagnostics import Diagnostic, LintReport
-from repro.analysis.fixers import fix_maps, rewrite_rule, structural_fixes
+from repro.analysis.fixers import fix_maps, rewrite_rules
 from repro.analysis.registry import LINT_RULES
 from repro.llm.interface import ChatMessage
 from repro.llm.pipeline import (
@@ -66,7 +64,7 @@ from repro.llm.pipeline import (
 )
 from repro.llm.prompts import prompt_repair
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import ParseError, Rule, parse_program
+from repro.logic.parser import ParseError, parse_program
 from repro.logic.pretty import program_to_str
 from repro.rtec.description import Vocabulary
 
@@ -261,20 +259,18 @@ def _activity_of(
     return None
 
 
-def _detect_conflicts(
-    auto: Sequence[Diagnostic], rules: Sequence[Rule]
-) -> List[str]:
+def _detect_conflicts(auto: Sequence[Diagnostic]) -> List[str]:
     """Cross-diagnostic conflicts in a batch of auto-fixes (for the report).
 
     The fixer machinery already resolves these deterministically (sorted
-    rename pairs win; removals make drops on the same rule moot); this
-    records what was overridden so the iteration report can show it.
+    rename pairs win); this records what was overridden so the iteration
+    report can show it.
     """
     conflicts: List[str] = []
     by_old: Dict[Tuple[str, str], Set[str]] = {}
     for diagnostic in auto:
         fix = diagnostic.fix
-        if fix is not None and fix.kind in ("rename-functor", "rename-constant"):
+        if fix is not None:
             by_old.setdefault((fix.kind, fix.old), set()).add(fix.new)
     for (kind, old), news in sorted(by_old.items()):
         if len(news) > 1:
@@ -283,57 +279,24 @@ def _detect_conflicts(
                 "conflicting %s fixes for %r: kept %r, skipped %s"
                 % (kind, old, keep, ", ".join(repr(n) for n in sorted(news - {keep})))
             )
-    drops, removals = structural_fixes(auto, rules)
-    for rule_index in sorted(set(drops) & removals):
-        conflicts.append(
-            "rule %d is both removed and condition-dropped; removal wins"
-            % rule_index
-        )
     return conflicts
 
 
 def _apply_auto(
     generated: GeneratedEventDescription, auto: Sequence[Diagnostic]
 ) -> GeneratedEventDescription:
-    """Apply a batch of auto-fix diagnostics activity by activity.
-
-    The diagnostics' rule indices refer to the concatenated description
-    (the analyser's view); renames are global, structural spans are mapped
-    back through each activity's offset.
-    """
-    all_rules = generated.all_rules()
+    """Apply a batch of auto-fix diagnostics: renames are global, so every
+    activity's rules are rewritten with the same maps."""
     functor_map, constant_map = fix_maps(auto)
-    drops, removals = structural_fixes(auto, all_rules)
-    activities: List[GeneratedActivity] = []
-    offset = 0
-    for activity in generated.activities:
-        rules: List[Rule] = []
-        for local_index, rule in enumerate(activity.rules):
-            global_index = offset + local_index
-            if global_index in removals:
-                continue
-            if functor_map or constant_map:
-                rule = rewrite_rule(rule, functor_map, constant_map)
-            dropped = drops.get(global_index)
-            if dropped:
-                rule = Rule(
-                    rule.head,
-                    tuple(
-                        literal
-                        for cond_index, literal in enumerate(rule.body)
-                        if cond_index not in dropped
-                    ),
-                )
-            rules.append(rule)
-        offset += len(activity.rules)
-        activities.append(
-            GeneratedActivity(
-                group=activity.group,
-                raw_text=activity.raw_text,
-                rules=rules,
-                parse_error=activity.parse_error,
-            )
+    activities = [
+        GeneratedActivity(
+            group=activity.group,
+            raw_text=activity.raw_text,
+            rules=rewrite_rules(activity.rules, functor_map, constant_map),
+            parse_error=activity.parse_error,
         )
+        for activity in generated.activities
+    ]
     return GeneratedEventDescription(
         model=generated.model, scheme=generated.scheme, activities=activities
     )
@@ -475,7 +438,7 @@ def repair_event_description(
             span.count("iterations")
             codes_before = codes
             auto = [d for d in report.diagnostics if repair_mode(d) == "auto"]
-            conflicts = _detect_conflicts(auto, current.all_rules())
+            conflicts = _detect_conflicts(auto)
             actions = [
                 RepairAction(
                     d.code, d.fix.describe(), d.rule_index, d.condition_index

@@ -8,9 +8,8 @@ run of the ``repro-lint`` tool; the rule metadata comes from the registry.
 When the analysed source text is supplied, machine-applicable fixes are
 additionally rendered as SARIF ``fixes`` objects (``artifactChanges`` with
 whole-rule ``replacements``), so SARIF-aware viewers can offer one-click
-application. The replacement text is the re-rendered rule after applying
-that diagnostic's fix alone; structural spans are verified against the
-parsed source (see :mod:`repro.analysis.fixers`) before a fix is emitted.
+application. The replacement text is each affected rule re-rendered after
+applying that diagnostic's rename alone.
 """
 
 from __future__ import annotations
@@ -63,41 +62,18 @@ def _fix_object(
     regions: List[Tuple[int, int]],
     artifact: str,
 ) -> Optional[Dict[str, Any]]:
-    """The SARIF ``fix`` object of one diagnostic, if it can be located."""
-    from repro.analysis.fixers import _span_matches, rewrite_rule
+    """The SARIF ``fix`` object of one diagnostic, if it rewrites any rule."""
+    from repro.analysis.fixers import fix_maps, rewrite_rule
     from repro.logic.pretty import rule_to_str
 
     fix = diagnostic.fix
     assert fix is not None
+    functor_map, constant_map = fix_maps([diagnostic])
     replacements: List[Dict[str, Any]] = []
-    if fix.kind in ("rename-functor", "rename-constant"):
-        functor_map = {fix.old: fix.new} if fix.kind == "rename-functor" else {}
-        constant_map = {fix.old: fix.new} if fix.kind == "rename-constant" else {}
-        for index, rule in enumerate(rules):
-            rewritten = rewrite_rule(rule, functor_map, constant_map)
-            if rewritten != rule:
-                replacements.append(
-                    _replacement(regions[index], rule_to_str(rewritten))
-                )
-    elif fix.kind == "drop-condition":
-        if not _span_matches(rules, diagnostic, fix.old):
-            return None
-        rule = rules[diagnostic.rule_index]
-        slimmed = type(rule)(
-            rule.head,
-            tuple(
-                literal
-                for cond_index, literal in enumerate(rule.body)
-                if cond_index != diagnostic.condition_index
-            ),
-        )
-        replacements.append(
-            _replacement(regions[diagnostic.rule_index], rule_to_str(slimmed))
-        )
-    elif fix.kind == "remove-rule":
-        if not _span_matches(rules, diagnostic, fix.old):
-            return None
-        replacements.append(_replacement(regions[diagnostic.rule_index], ""))
+    for index, rule in enumerate(rules):
+        rewritten = rewrite_rule(rule, functor_map, constant_map)
+        if rewritten != rule:
+            replacements.append(_replacement(regions[index], rule_to_str(rewritten)))
     if not replacements:
         return None
     return {

@@ -210,15 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODES",
         default=None,
         help="comma-separated diagnostic codes to report (e.g. "
-        "RTEC017,RTEC021); other diagnostics are hidden and do not "
-        "affect --fail-on",
+        "RTEC016,RTEC018); other diagnostics are hidden and do not "
+        "affect --fail-on; an unknown code is an error (exit 2)",
     )
     lint.add_argument(
         "--fix",
         action="store_true",
-        help="apply machine-applicable fixes (renames, dropped subsumed "
-        "conditions, removed dead rules); rewrites PATH in place unless "
-        "--diff is also given",
+        help="apply machine-applicable fixes (the naming renames of "
+        "RTEC016); rewrites PATH in place unless --diff is also given",
     )
     lint.add_argument(
         "--diff",
@@ -230,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser(
         "certify",
         help="certify an event description: delta safety, memory "
-        "boundedness, static cost",
+        "boundedness",
         description="Run the repro.analysis.certify whole-description "
-        "certification: the delta-safety prover (RTEC025/026), the "
-        "memory-boundedness analysis (RTEC027/028) and the static cost "
-        "model (RTEC029), emitting a signed AnalysisCertificate bound to "
-        "the description hash.",
+        "certification: the delta-safety prover (RTEC025/026) and the "
+        "memory-boundedness analysis (RTEC027/028), emitting a signed "
+        "AnalysisCertificate bound to the description hash.",
     )
     certify.add_argument("path", nargs="?", help="file with RTEC rules")
     certify.add_argument(
@@ -625,14 +623,18 @@ _PAPER_CATEGORY_LABELS = {
 }
 
 
+def _unknown_code(code: str) -> int:
+    print("error: unknown diagnostic code %r" % code, file=sys.stderr)
+    return 2
+
+
 def _cmd_lint_explain(code: str) -> int:
     """Print the registry entry of one diagnostic code."""
     from repro.analysis import rule_for
 
     rule = rule_for(code.strip().upper())
     if rule is None:
-        print("error: unknown diagnostic code %r" % code, file=sys.stderr)
-        return 2
+        return _unknown_code(code)
     print("%s: %s" % (rule.code, rule.title))
     print("  category:       %s" % rule.category)
     print("  severity:       %s" % rule.severity)
@@ -652,10 +654,16 @@ def _cmd_lint_explain(code: str) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis import LintReport, Severity, analyse, analyse_text, to_sarif
+    from repro.analysis import LintReport, Severity, analyse, analyse_text, rule_for, to_sarif
 
     if args.explain is not None:
         return _cmd_lint_explain(args.explain)
+    wanted = None
+    if args.select:
+        wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()}
+        for code in sorted(wanted):
+            if rule_for(code) is None:
+                return _unknown_code(code)
     if (args.path is None) == (args.gold is None):
         print("error: give exactly one of PATH or --gold", file=sys.stderr)
         return 2
@@ -695,8 +703,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             description = EventDescription.from_text(text)
         except ParseError:
             description = None
-    if args.select:
-        wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()}
+    if wanted is not None:
         report = LintReport(
             [d for d in report.diagnostics if d.code in wanted],
             report.source,
@@ -810,10 +817,7 @@ def _lint_fix(args: argparse.Namespace, report, description, source: str) -> int
         return 0
     with open(args.path, "w") as handle:
         handle.write(after)
-    print(
-        "applied %d fix(es) to %s (%d -> %d rules)"
-        % (len(fixable), args.path, len(description.rules), len(fixed))
-    )
+    print("applied %d fix(es) to %s" % (len(fixable), args.path))
     return 0
 
 

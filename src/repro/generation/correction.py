@@ -69,20 +69,20 @@ class CorrectionReport:
 
     @property
     def semantic_diagnostics(self) -> List["Diagnostic"]:
-        """Abstract-interpretation findings surviving correction (RTEC017-024).
+        """Semantic-layer findings surviving correction (RTEC018-023).
 
         Renames fix the paper's naming errors (category 1); what the
-        semantic layer still flags afterwards — sort clashes, impossible
-        values, contradictory or subsumed conditions, unreachable fluents,
-        dead terminations — are exactly the residual semantic errors
-        Figure 2c measures, so callers can gate or report on them.
+        semantic layer still flags afterwards — references to values no
+        rule produces, unreachable fluents and outputs — are residual
+        semantic errors of the kind Figure 2c measures, so callers can gate
+        or report on them.
         """
         if self.post_lint is None:
             return []
         return [
             d
             for d in self.post_lint.diagnostics
-            if d.code is not None and "RTEC017" <= d.code <= "RTEC024"
+            if d.code is not None and "RTEC018" <= d.code <= "RTEC023"
         ]
 
 

@@ -476,7 +476,6 @@ class ManagedSession:
             status["certified"] = self.certificate.certified
             status["delta_safe"] = self.certificate.delta_safe
             status["memory_bounded"] = self.certificate.memory_bounded
-            status["cost_weight"] = self.certificate.total_cost
         if self.admission_warnings:
             status["admission_warnings"] = list(self.admission_warnings)
         return status

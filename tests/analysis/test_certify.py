@@ -9,13 +9,11 @@ from repro.analysis.certify import (
     AnalysisCertificate,
     certify_description,
     certify_text,
-    condition_class,
     description_digest,
     prove_rule_delta_safety,
 )
 from repro.analysis.diagnostics import Severity
 from repro.logic.parser import parse_rule
-from repro.logic.terms import term_variables
 from repro.rtec import EventDescription, RTECEngine, Vocabulary
 
 VOCAB = Vocabulary(
@@ -268,133 +266,6 @@ class TestCertificate:
         assert len(messages) == 1
         assert messages[0].startswith("f/1:")
 
-    def test_uncertifiable_description_costs_nothing(self):
-        certificate = _certify("initiatedAt(f(V)=")
-        assert certificate.total_cost == 0.0
-        assert not certificate.fluent_costs
-
-
-#: ``total_cost`` and ``fluent_costs`` of the two
-#: golds at PR 19, before ``condition_class`` / ``DEFAULT_EXPANSIONS`` moved
-#: into ``certify.py``: the one remaining cost model must not move a number.
-GOLD_COSTS = {
-    "maritime": (
-        196.8167,
-        {
-            "changingSpeed/1": 3.0,
-            "drifting/1": 7.92,
-            "gap/1": 6.0,
-            "highSpeedNearCoast/1": 8.92,
-            "lowSpeed/1": 3.0,
-            "movingSpeed/1": 20.696,
-            "sarMovement/1": 4.0,
-            "sarSpeed/1": 7.24,
-            "stopped/1": 8.0,
-            "trawlSpeed/1": 12.8387,
-            "trawlingMovement/1": 5.0,
-            "tuggingSpeed/1": 10.296,
-            "withinArea/2": 5.0,
-            "anchoredOrMoored/1": 11.83,
-            "loitering/1": 11.83,
-            "lowSpeedOrStopped/1": 6.7,
-            "pilotBoarding/2": 21.008,
-            "searchAndRescue/1": 6.7,
-            "trawling/1": 6.7,
-            "tugging/2": 21.008,
-            "underWay/1": 9.13,
-        },
-    ),
-    "fleet": (
-        55.46,
-        {
-            "engineOn/1": 2.0,
-            "overSpeeding/1": 15.8,
-            "stopped/1": 2.0,
-            "unsafeManoeuvre/1": 4.0,
-            "withinZone/2": 4.0,
-            "dangerousDriving/1": 11.83,
-            "idling/1": 6.7,
-            "unauthorisedStop/1": 9.13,
-        },
-    ),
-}
-
-
-class TestCostModel:
-    def test_classifies_a_mixed_body(self):
-        # The class of each body literal, threading bound variables left to
-        # right the way the evaluator does.
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- "
-            "happensAt(e(V, S), T), S > 5, areaType(A, B), "
-            "holdsAt(g(V)=true, T), holdsAt(h(V, W)=true, T), "
-            "not happensAt(x(V), T), not areaType(A, B)."
-        )
-        bound = set(term_variables(rule.head))
-        classes = []
-        for literal in rule.body:
-            classes.append(condition_class(literal, bound))
-            if not literal.negated:
-                bound |= set(term_variables(literal.term))
-        assert classes == [
-            "happensat",
-            "compare",
-            "background",
-            "holdsat.ground",
-            "holdsat.enum",
-            "happensat.neg",
-            "background.neg",
-        ]
-
-    @pytest.mark.parametrize("which", ["maritime", "fleet"])
-    def test_gold_costs_are_the_parents(self, which):
-        from repro.cli import _gold_lint_target
-
-        description, vocabulary, outputs, _source = _gold_lint_target(which)
-        certificate = certify_description(description, vocabulary, outputs=sorted(outputs))
-        total, fluent_costs = GOLD_COSTS[which]
-        assert certificate.total_cost == total
-        assert dict(certificate.fluent_costs) == fluent_costs
-
-    def test_joins_raise_the_cost(self):
-        cheap = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        joined = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T),\n"
-            "    happensAt(ping(V), T), happensAt(spike(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        assert joined.total_cost > cheap.total_cost
-
-    def test_window_sensitive_rule_costs_more(self):
-        anchored = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T),\n"
-            "    happensAt(ping(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        unanchored = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T),\n"
-            "    happensAt(ping(V), T2).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        assert unanchored.total_cost > anchored.total_cost
-        unsafe_rules = [r for r in unanchored.rules if r.window_sensitive]
-        assert len(unsafe_rules) == 1
-        assert unsafe_rules[0].kind == "initiatedAt"
-
-    def test_fluent_costs_sum_to_total(self):
-        certificate = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-            "holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), union_all([I1], I).\n"
-        )
-        assert certificate.fluent_costs.keys() == {"f/1", "g/1"}
-        assert certificate.total_cost == pytest.approx(
-            sum(certificate.fluent_costs.values()), abs=1e-3
-        )
-
 
 class TestEngineIntegration:
     RULES = (
@@ -457,7 +328,6 @@ class TestGoldCertification:
         assert not certificate.leaky_fluents
         assert not certificate.report().at_or_above(Severity.WARNING)
         assert certificate.verify(description)
-        assert certificate.total_cost > 0
 
     def test_gold_maritime_certifies_under_budget(self, small_dataset, gold_description):
         # Admission certifies inline on every session attach, so certifying

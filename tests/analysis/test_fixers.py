@@ -1,10 +1,8 @@
-"""Structural auto-fixes: dropped conditions and removed rules.
+"""Machine-applicable rename fixes: ``apply_fixes`` and its rename maps.
 
-The rename fixers are covered by the correction tests; these exercise the
-semantic layer's machine-applicable fixes end to end — from a lint report
-over a corrupted description to the repaired rule list — plus the
-determinism and idempotence contract of ``apply_fixes`` under
-hypothesis-random fix batches.
+One lint round trip — from a report over a corrupted description to the
+repaired rule list — plus the determinism and idempotence contract of
+``apply_fixes`` under hypothesis-random fix batches.
 """
 
 from hypothesis import given, settings
@@ -12,106 +10,23 @@ from hypothesis import strategies as st
 
 from repro.analysis import analyse_text
 from repro.analysis.diagnostics import Diagnostic, Fix
-from repro.analysis.fixers import (
-    apply_fixes,
-    normalise_rename_map,
-    structural_fixes,
-)
-from repro.logic.parser import parse_program, parse_rule
-from repro.logic.pretty import literal_to_str, term_to_str
+from repro.analysis.fixers import apply_fixes, normalise_rename_map
+from repro.logic.parser import parse_program
+from repro.logic.pretty import program_to_str
 from repro.maritime import MARITIME_VOCABULARY, gold_event_description
 from repro.rtec import EventDescription
 
 
-class TestStructuralFixes:
-    def test_collects_spans_by_kind(self):
-        diagnostics = [
-            Diagnostic(
-                category="subsumed-condition",
-                message="m",
-                rule_index=3,
-                condition_index=2,
-                fix=Fix("drop-condition", "X>=Y", ""),
-            ),
-            Diagnostic(
-                category="dead-termination",
-                message="m",
-                rule_index=5,
-                fix=Fix("remove-rule", "terminatedAt(...)", ""),
-            ),
-            # No span: skipped rather than crashing.
-            Diagnostic(
-                category="subsumed-condition",
-                message="m",
-                fix=Fix("drop-condition", "X>=Y", ""),
-            ),
-        ]
-        drops, removals = structural_fixes(diagnostics)
-        assert drops == {3: {2}}
-        assert removals == {5}
-
-    def test_apply_drops_conditions_in_place(self):
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V, X), T), X>3, X>5."
-        )
-        diagnostic = Diagnostic(
-            category="subsumed-condition",
-            message="m",
-            rule_index=0,
-            condition_index=1,
-            fix=Fix("drop-condition", "X>3", ""),
-        )
-        (fixed,) = apply_fixes([rule], [diagnostic])
-        assert len(fixed.body) == 2
-        assert "X>3" not in repr(fixed.body)
-
-    def test_apply_removes_rules(self):
-        rules = [
-            parse_rule("initiatedAt(f(V)=true, T) :- happensAt(e(V), T)."),
-            parse_rule("terminatedAt(f(V)=phantom, T) :- happensAt(e(V), T)."),
-        ]
-        diagnostic = Diagnostic(
-            category="dead-termination",
-            message="m",
-            rule_index=1,
-            fix=Fix("remove-rule", "terminatedAt(f(V)=phantom, T)", ""),
-        )
-        fixed = apply_fixes(rules, [diagnostic])
-        assert len(fixed) == 1
-        assert "initiatedAt" in repr(fixed[0].head)
-
-
 class TestLintRoundTrip:
-    def test_fixing_a_subsumed_condition_makes_the_report_clean(self):
-        text = gold_event_description().to_text().replace(
-            "    Speed>=MovingMin,",
-            "    Speed>=MovingMin,\n    Speed>MovingMin,",
-            1,
-        )
+    def test_fixing_a_naming_divergence_makes_the_report_clean(self):
+        text = gold_event_description().to_text().replace("gap_start", "gapStart")
         report = analyse_text(text, MARITIME_VOCABULARY)
-        assert report.by_code("RTEC021")
-        rules = EventDescription.from_text(text).rules
-        fixed = apply_fixes(rules, report.diagnostics)
-        from repro.logic.pretty import program_to_str
-
+        assert report.by_code("RTEC016")
+        fixed = apply_fixes(EventDescription.from_text(text).rules, report.diagnostics)
+        assert program_to_str(fixed) == gold_event_description().to_text()
         after = analyse_text(program_to_str(fixed), MARITIME_VOCABULARY)
-        assert not after.by_code("RTEC021")
+        assert not after.by_code("RTEC016")
         assert after.errors == []
-
-    def test_fixing_a_dead_termination_removes_the_rule(self):
-        text = gold_event_description().to_text() + (
-            "\nterminatedAt(movingSpeed(Vessel)=warp, T) :-\n"
-            "    happensAt(gap_start(Vessel), T).\n"
-        )
-        report = analyse_text(text, MARITIME_VOCABULARY)
-        assert report.by_code("RTEC024")
-        rules = EventDescription.from_text(text).rules
-        fixed = apply_fixes(rules, report.diagnostics)
-        assert len(fixed) == len(rules) - 1
-        from repro.logic.pretty import program_to_str
-
-        after = analyse_text(program_to_str(fixed), MARITIME_VOCABULARY)
-        assert not after.by_code("RTEC024")
 
 
 class TestNormaliseRenameMap:
@@ -138,14 +53,6 @@ class TestNormaliseRenameMap:
         assert normalise_rename_map(resolved) == resolved
 
 
-# A fixed rule set whose heads and conditions are pairwise structurally
-# distinct under *any* renaming of the names below (different arities,
-# fluent values and negation flags, not just different names), so no
-# rename can make two spans render identically — the precondition for the
-# analyser's accurate span renderings to guarantee idempotence. (E.g. if
-# two heads differed only in functor, a rename aliasing them would let a
-# remove-rule span recorded for one fire on the other after removal
-# shifts the indices.)
 _BASE_RULES_TEXT = """
 initiatedAt(alpha(V)=true, T) :-
     happensAt(beta(V), T),
@@ -170,72 +77,27 @@ _rename_fixes = st.lists(
     ),
     max_size=6,
 )
-_structural_picks = st.lists(
-    st.tuples(
-        st.sampled_from(("drop-condition", "remove-rule")),
-        st.integers(0, 4),  # rule index, may be out of range
-        st.integers(0, 3),  # condition index, may be out of range
-    ),
-    max_size=4,
-)
 
 
-def _build_diagnostics(rules, renames, structural):
-    diagnostics = []
-    for kind, old, new in renames:
-        diagnostics.append(
-            Diagnostic("naming", "m", fix=Fix(kind, old, new))
-        )
-    for kind, rule_index, condition_index in structural:
-        if kind == "drop-condition":
-            old = ""
-            if rule_index < len(rules) and condition_index < len(
-                rules[rule_index].body
-            ):
-                old = literal_to_str(rules[rule_index].body[condition_index])
-            diagnostics.append(
-                Diagnostic(
-                    "subsumed-condition",
-                    "m",
-                    rule_index=rule_index,
-                    condition_index=condition_index,
-                    fix=Fix("drop-condition", old, ""),
-                )
-            )
-        else:
-            old = ""
-            if rule_index < len(rules):
-                old = term_to_str(rules[rule_index].head)
-            diagnostics.append(
-                Diagnostic(
-                    "contradictory-rule",
-                    "m",
-                    rule_index=rule_index,
-                    fix=Fix("remove-rule", old, ""),
-                )
-            )
-    return diagnostics
+def _build_diagnostics(renames):
+    return [Diagnostic("naming", "m", fix=Fix(kind, old, new)) for kind, old, new in renames]
 
 
 class TestApplyFixesProperties:
-    @given(renames=_rename_fixes, structural=_structural_picks)
+    @given(renames=_rename_fixes)
     @settings(max_examples=150, deadline=None)
-    def test_idempotent(self, renames, structural):
+    def test_idempotent(self, renames):
         rules = parse_program(_BASE_RULES_TEXT)
-        diagnostics = _build_diagnostics(rules, renames, structural)
+        diagnostics = _build_diagnostics(renames)
         once = apply_fixes(rules, diagnostics)
         twice = apply_fixes(once, diagnostics)
         assert twice == once
 
-    @given(
-        renames=_rename_fixes,
-        structural=_structural_picks,
-        seed=st.randoms(use_true_random=False),
-    )
+    @given(renames=_rename_fixes, seed=st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_deterministic_under_shuffling(self, renames, structural, seed):
+    def test_deterministic_under_shuffling(self, renames, seed):
         rules = parse_program(_BASE_RULES_TEXT)
-        diagnostics = _build_diagnostics(rules, renames, structural)
+        diagnostics = _build_diagnostics(renames)
         shuffled = list(diagnostics)
         seed.shuffle(shuffled)
         assert apply_fixes(rules, shuffled) == apply_fixes(rules, diagnostics)

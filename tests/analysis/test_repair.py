@@ -227,31 +227,7 @@ class TestConflictDetection:
             Diagnostic("naming", "m", fix=Fix("rename-functor", "gapEnd", "gap_end")),
             Diagnostic("naming", "m", fix=Fix("rename-functor", "gapEnd", "gapStop")),
         ]
-        conflicts = _detect_conflicts(diagnostics, [])
+        conflicts = _detect_conflicts(diagnostics)
         assert len(conflicts) == 1
         assert "gapEnd" in conflicts[0]
         assert "gap_end" in conflicts[0]  # sorted-first kept
-
-    def test_removed_and_dropped_rule_is_reported(self):
-        from repro.analysis.repair import _detect_conflicts
-
-        rules = parse_program(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V, X), T), X>3, X>5."
-        )
-        diagnostics = [
-            Diagnostic(
-                "subsumed-condition",
-                "m",
-                rule_index=0,
-                condition_index=1,
-                fix=Fix("drop-condition", "X>3", ""),
-            ),
-            Diagnostic(
-                "contradictory-rule",
-                "m",
-                rule_index=0,
-                fix=Fix("remove-rule", "initiatedAt(f(V)=true, T)", ""),
-            ),
-        ]
-        conflicts = _detect_conflicts(diagnostics, rules)
-        assert any("removal wins" in conflict for conflict in conflicts)

@@ -1,27 +1,16 @@
-"""The semantic abstract-interpretation layer (RTEC017-024).
+"""The semantic layer: producible values and reachability (RTEC018, RTEC022-023).
 
 Gold descriptions are semantically clean; each seeded corruption of the
-gold maritime description is caught with the documented code. The RTEC017
-case doubles as the acceptance scenario: a mutation that passes every
-structural/binding/vocabulary check (RTEC001-016 report no errors) and is
-only caught by sort inference.
+gold maritime description is caught with the documented code.
 """
 
-import pytest
-
 from repro.analysis import analyse, analyse_text
-from repro.analysis.semantics import (
-    RuleFacts,
-    analyse_semantics,
-    background_bounds,
-    comparison_facts,
-)
+from repro.analysis.semantics import analyse_semantics
 from repro.fleet import FLEET_VOCABULARY, fleet_gold_event_description
-from repro.logic.parser import parse_rule
 from repro.maritime import MARITIME_VOCABULARY, build_dataset, gold_event_description
 from repro.rtec import EventDescription
 
-SEMANTIC_CODES = {"RTEC0%d" % code for code in range(17, 25)}
+SEMANTIC_CODES = {"RTEC018", "RTEC022", "RTEC023"}
 
 
 def _semantic(report):
@@ -35,8 +24,8 @@ class TestGoldIsClean:
         assert _semantic(report) == []
 
     def test_maritime_gold_clean_with_knowledge_base(self):
-        # The kb seeds the value-domain analysis with real threshold facts;
-        # the gold comparisons must stay satisfiable against them.
+        # The kb enables the naming pass's constant checks; the gold uses
+        # only known constants.
         dataset = build_dataset(seed=0, scale=0.1)
         description = gold_event_description()
         report = analyse(description, MARITIME_VOCABULARY, kb=dataset.kb)
@@ -46,34 +35,6 @@ class TestGoldIsClean:
         description = fleet_gold_event_description()
         report = analyse(description, FLEET_VOCABULARY)
         assert _semantic(report) == []
-
-
-class TestSortClash:
-    """RTEC017 — and the acceptance scenario: the mutation is invisible to
-    every structural pass (no errors) and only sort inference flags it."""
-
-    def _mutate(self):
-        text = gold_event_description().to_text()
-        needle = "holdsAt(withinArea(Vessel, nearPorts)=true, T)."
-        assert needle in text
-        return text.replace(
-            needle, "holdsAt(withinArea(Vessel, 7)=true, T).", 1
-        )
-
-    def test_rtec017_reported(self):
-        report = analyse_text(self._mutate(), MARITIME_VOCABULARY)
-        clashes = report.by_code("RTEC017")
-        assert clashes
-        assert "withinArea" in clashes[0].message
-        assert "numeric" in clashes[0].message
-
-    def test_mutation_passes_all_structural_checks(self):
-        report = analyse_text(self._mutate(), MARITIME_VOCABULARY)
-        assert report.errors == []
-        assert not any(
-            d.code < "RTEC017" for d in report.diagnostics if d.code is not None
-        )
-        assert _semantic(report)
 
 
 class TestImpossibleValue:
@@ -105,28 +66,9 @@ class TestImpossibleValue:
 
 
 class TestContradictoryConditions:
-    def test_rtec019_with_remove_rule_fix(self):
-        text = gold_event_description().to_text()
-        mutated = text.replace(
-            "    Speed>=MovingMin,",
-            "    Speed>=MovingMin,\n    Speed<MovingMin,",
-            1,
-        )
-        report = analyse_text(mutated, MARITIME_VOCABULARY)
-        contradictions = report.by_code("RTEC019")
-        assert contradictions
-        assert contradictions[0].fix is not None
-        assert contradictions[0].fix.kind == "remove-rule"
-        # The contradiction already removes the rule; do not also report
-        # its conditions as subsumed.
-        assert not any(
-            d.rule_index == contradictions[0].rule_index
-            for d in report.by_code("RTEC021")
-        )
-
     def test_contradictory_rule_is_not_reported_unreachable(self):
-        # One dead initiation of movingSpeed=below leaves the other
-        # movingSpeed values producible.
+        # Comparisons are not a reachability input: a rule whose bounds
+        # contradict each other leaves movingSpeed producible.
         text = gold_event_description().to_text()
         mutated = text.replace(
             "    Speed>=MovingMin,",
@@ -134,38 +76,8 @@ class TestContradictoryConditions:
             1,
         )
         report = analyse_text(mutated, MARITIME_VOCABULARY)
+        assert not report.by_code("RTEC022")
         assert not report.by_code("RTEC023")
-
-
-class TestConstantComparison:
-    def test_rtec020_on_ground_comparison(self):
-        text = gold_event_description().to_text()
-        mutated = text.replace(
-            "    Speed>=MovingMin,",
-            "    Speed>=MovingMin,\n    3>2,",
-            1,
-        )
-        report = analyse_text(mutated, MARITIME_VOCABULARY)
-        decided = report.by_code("RTEC020")
-        assert decided
-        assert "always" in decided[0].message
-
-
-class TestSubsumedCondition:
-    def test_rtec021_with_drop_condition_fix(self):
-        text = gold_event_description().to_text()
-        mutated = text.replace(
-            "    Speed>=MovingMin,",
-            "    Speed>=MovingMin,\n    Speed>MovingMin,",
-            1,
-        )
-        report = analyse_text(mutated, MARITIME_VOCABULARY)
-        subsumed = report.by_code("RTEC021")
-        assert subsumed
-        diag = subsumed[0]
-        assert diag.fix is not None
-        assert diag.fix.kind == "drop-condition"
-        assert "Speed>=MovingMin" in diag.fix.old
 
 
 GHOST_RULES = """
@@ -196,78 +108,6 @@ class TestReachability:
         assert not report.by_code("RTEC022")
 
 
-class TestDeadTermination:
-    def test_rtec024_with_remove_rule_fix(self):
-        text = gold_event_description().to_text() + (
-            "\nterminatedAt(movingSpeed(Vessel)=warp, T) :-\n"
-            "    happensAt(gap_start(Vessel), T).\n"
-        )
-        report = analyse_text(text, MARITIME_VOCABULARY)
-        dead = report.by_code("RTEC024")
-        assert dead
-        assert dead[0].fix is not None
-        assert dead[0].fix.kind == "remove-rule"
-
-
-class TestComparisonFacts:
-    def _facts(self, body) -> RuleFacts:
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V, X, Y), T), %s." % body
-        )
-        return comparison_facts(rule, 0)
-
-    def test_contradiction(self):
-        facts = self._facts("X > 5, X < 3")
-        assert facts.contradiction is not None
-        assert facts.never_fires
-
-    def test_interval_subsumption(self):
-        facts = self._facts("X > 5, X > 3")
-        assert 2 in facts.subsumed
-
-    def test_operator_subsumption(self):
-        facts = self._facts("X > Y, X >= Y")
-        assert 2 in facts.subsumed
-
-    def test_always_true_and_false(self):
-        assert 1 in self._facts("1 < 2").always_true
-        assert 1 in self._facts("2 < 1").always_false
-        assert self._facts("2 < 1").never_fires
-
-    def test_same_operand_comparison(self):
-        assert 1 in self._facts("X >= X").always_true
-        assert 1 in self._facts("X < X").always_false
-
-    def test_satisfiable_band_is_clean(self):
-        facts = self._facts("X > 3, X < 9")
-        assert facts.contradiction is None
-        assert not facts.subsumed
-        assert not facts.never_fires
-
-
-class TestBackgroundBounds:
-    def test_kb_facts_bound_the_variable(self):
-        from repro.logic.knowledge import KnowledgeBase
-        from repro.logic.parser import parse_term
-
-        kb = KnowledgeBase(
-            parse_term("thresholds(movingMin, %d)" % value) for value in (3, 5, 9)
-        )
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V, X), T), "
-            "thresholds(movingMin, M), X < M."
-        )
-        facts = comparison_facts(rule, 0, kb=kb)
-        assert facts.contradiction is None
-        # M is at most 9: X > 20 together with X < M is unsatisfiable.
-        rule = parse_rule(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V, X), T), "
-            "thresholds(movingMin, M), X > 20, X < M."
-        )
-        facts = comparison_facts(rule, 0, kb=kb)
-        assert facts.never_fires
-
-
 class TestAnalyseSemantics:
     def test_facts_surface_on_gold(self):
         description = gold_event_description()
@@ -284,3 +124,11 @@ class TestAnalyseSemantics:
         facts = analyse_semantics(description, vocabulary=MARITIME_VOCABULARY)
         codes = {d.code for d in facts.diagnostics}
         assert codes and codes <= SEMANTIC_CODES
+
+    def test_a_rule_on_an_impossible_value_is_dead(self):
+        # Only the ghost initiation: its termination references no value.
+        description = EventDescription.from_text(
+            gold_event_description().to_text() + GHOST_RULES
+        )
+        facts = analyse_semantics(description, vocabulary=MARITIME_VOCABULARY)
+        assert facts.dead_rules == {len(description.rules) - 2}

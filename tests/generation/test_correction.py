@@ -159,9 +159,9 @@ class TestSemanticDiagnostics:
             outcome.generated, MARITIME_VOCABULARY, kb
         )
         semantic = report.semantic_diagnostics
-        assert all("RTEC017" <= d.code <= "RTEC024" for d in semantic)
+        assert all("RTEC018" <= d.code <= "RTEC023" for d in semantic)
         structural = {
-            d.code for d in report.post_lint.diagnostics if d.code < "RTEC017"
+            d.code for d in report.post_lint.diagnostics if d.code < "RTEC018"
         }
         # The property never swallows structural codes into the bucket.
         assert not structural & {d.code for d in semantic}

@@ -338,7 +338,6 @@ class TestCertifiedAdmission:
         status = managed.status()
         assert status["certified"] and status["memory_bounded"]
         assert status["delta_safe"]
-        assert status["cost_weight"] > 0
         assert "admission_warnings" not in status
 
     def test_warn_mode_records_admission_warnings(self):

@@ -165,14 +165,10 @@ class TestLint:
         assert "RTEC001" in capsys.readouterr().out
 
 
-def _subsumed_mutation(tmp_path):
+def _renamed_mutation(tmp_path):
     from repro.maritime import gold_event_description
 
-    text = gold_event_description().to_text().replace(
-        "    Speed>=MovingMin,",
-        "    Speed>=MovingMin,\n    Speed>MovingMin,",
-        1,
-    )
+    text = gold_event_description().to_text().replace("gap_start", "gapStart")
     path = tmp_path / "mutated.prolog"
     path.write_text(text)
     return path
@@ -233,8 +229,7 @@ class TestCertify:
         assert main(["certify", "/nonexistent/rules.prolog"]) == 2
 
     def test_explain_covers_certification_codes(self, capsys):
-        for code in ("RTEC025", "RTEC026", "RTEC027", "RTEC028", "RTEC029",
-                     "RTEC030"):
+        for code in ("RTEC025", "RTEC026", "RTEC027", "RTEC028", "RTEC030"):
             assert main(["lint", "--explain", code]) == 0
             out = capsys.readouterr().out
             assert code in out
@@ -243,35 +238,45 @@ class TestCertify:
 
 class TestLintFix:
     def test_select_filters_diagnostics(self, tmp_path, capsys):
-        path = _subsumed_mutation(tmp_path)
+        path = _renamed_mutation(tmp_path)
         assert main(
-            ["lint", str(path), "--select", "RTEC021", "--fail-on", "never"]
+            ["lint", str(path), "--select", "RTEC016", "--fail-on", "never"]
         ) == 0
         out = capsys.readouterr().out
-        assert "RTEC021" in out
-        assert "RTEC007" not in out
+        assert "RTEC016" in out
+        assert "RTEC003" not in out
         # Selecting a code the report does not contain yields a clean report.
         assert main(
-            ["lint", str(path), "--select", "RTEC019", "--fail-on", "warning"]
+            ["lint", str(path), "--select", "RTEC018", "--fail-on", "warning"]
         ) == 0
 
+    @pytest.mark.parametrize("codes", ["RTEC999,RTEC18", "RTEC016,RTEC021"])
+    def test_select_rejects_unknown_codes(self, codes, capsys):
+        # A typo or a retired code would otherwise turn a CI gate into a no-op.
+        argv = ["lint", "--gold", "maritime", "--select", codes, "--fail-on", "info"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown diagnostic code" in captured.err
+        assert captured.out == ""
+
     def test_fix_diff_prints_without_writing(self, tmp_path, capsys):
-        path = _subsumed_mutation(tmp_path)
+        path = _renamed_mutation(tmp_path)
         before = path.read_text()
         assert main(["lint", str(path), "--fix", "--diff", "--fail-on", "never"]) == 0
         out = capsys.readouterr().out
-        assert "-    Speed>=MovingMin," in out
+        assert "-    happensAt(gapStart(Vessel), T)" in out
+        assert "+    happensAt(gap_start(Vessel), T)" in out
         assert path.read_text() == before
 
     def test_fix_rewrites_the_file(self, tmp_path, capsys):
-        path = _subsumed_mutation(tmp_path)
+        path = _renamed_mutation(tmp_path)
         assert main(["lint", str(path), "--fix", "--fail-on", "never"]) == 0
         assert "applied" in capsys.readouterr().out
-        # The fixed file lints clean of the subsumption.
+        # The fixed file lints clean of the naming divergence.
         assert main(["lint", str(path), "--fail-on", "warning"]) == 0
 
     def test_diff_requires_fix(self, tmp_path, capsys):
-        path = _subsumed_mutation(tmp_path)
+        path = _renamed_mutation(tmp_path)
         assert main(["lint", str(path), "--diff"]) == 2
 
     def test_gold_fix_requires_diff(self, capsys):
