@@ -42,10 +42,7 @@ _EXPORTS = {
     "analyse_semantics": "semantics",
     "semantic_pass": "semantics",
     "AnalysisCertificate": "certify",
-    "RuleCertificate": "certify",
     "certify_description": "certify",
-    "certify_text": "certify",
-    "description_digest": "certify",
     "prove_rule_delta_safety": "certify",
 }
 

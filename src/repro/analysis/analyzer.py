@@ -5,14 +5,17 @@ returns a :class:`~repro.analysis.diagnostics.LintReport`. Pass order is
 significant only for readability of the report: the structural pass runs
 first so that legacy consumers (e.g. the engine's strict mode) see the
 familiar diagnostics in their familiar order, followed by the dataflow,
-arity, consistency, dependency, partition and naming passes.
+arity, consistency, dependency, partition, naming and semantic passes.
+The two certification passes (:mod:`repro.analysis.certify`) come last and
+run only when no earlier pass reported an error.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, LintReport
+from repro.analysis.certify import delta_pass, memory_pass
+from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 from repro.analysis.passes import (
     AnalysisContext,
     arity_pass,
@@ -28,9 +31,11 @@ from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import ParseError, clause_lines
 from repro.rtec.description import EventDescription, Vocabulary
 
-__all__ = ["PASSES", "analyse", "analyse_text"]
+__all__ = ["CERTIFICATION_PASSES", "PASSES", "analyse", "analyse_text"]
 
-PASSES: Tuple[Callable[[AnalysisContext], List[Diagnostic]], ...] = (
+Pass = Callable[[AnalysisContext], List[Diagnostic]]
+
+PASSES: Tuple[Pass, ...] = (
     structural_pass,
     binding_pass,
     arity_pass,
@@ -41,6 +46,11 @@ PASSES: Tuple[Callable[[AnalysisContext], List[Diagnostic]], ...] = (
     semantic_pass,
 )
 
+#: Run after :data:`PASSES`, and only when those reported no error: the
+#: delta-safety and memory-boundedness proofs need rules that compile and
+#: names that resolve. ``memory_pass`` reads what ``semantic_pass`` inferred.
+CERTIFICATION_PASSES: Tuple[Pass, ...] = (delta_pass, memory_pass)
+
 
 def analyse(
     description: EventDescription,
@@ -50,7 +60,8 @@ def analyse(
     text: Optional[str] = None,
     source: Optional[str] = None,
 ) -> LintReport:
-    """Run all passes over ``description``.
+    """Run all passes over ``description`` (the certification passes only
+    when the others report no error).
 
     ``vocabulary`` enables the vocabulary-level checks and the naming pass;
     ``kb`` additionally enables constant-name fixes; ``outputs`` (the names
@@ -64,6 +75,9 @@ def analyse(
     diagnostics: List[Diagnostic] = []
     for pass_fn in PASSES:
         diagnostics.extend(pass_fn(ctx))
+    if not any(d.severity == Severity.ERROR for d in diagnostics):
+        for pass_fn in CERTIFICATION_PASSES:
+            diagnostics.extend(pass_fn(ctx))
     rule_lines = clause_lines(text) if text is not None else None
     return LintReport(diagnostics, source=source, rule_lines=rule_lines)
 

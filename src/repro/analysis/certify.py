@@ -1,7 +1,6 @@
-"""Whole-description certification: static properties the runtime can trust.
+"""Certification: two static properties the runtime can trust.
 
-The serving tiers depend on two properties that were previously discovered
-at run time, per window, or not at all:
+The serving tiers depend on two properties of a whole description:
 
 * **delta safety** — whether every simple-fluent rule's firing points after
   a window boundary depend only on input newer than the boundary, the
@@ -11,12 +10,15 @@ at run time, per window, or not at all:
   initiations, cached maximal intervals) stays bounded across windows, the
   condition for hosting a session indefinitely without eviction pressure.
 
-:func:`certify_description` composes the existing passes (structural
-analysis, binding dataflow, producible values, reachability) with two
-interprocedural analyses proving these properties, and emits a signed,
-JSON-serialisable :class:`AnalysisCertificate` bound to the description's
-content hash. Consumers: ``RTECEngine``/``RTECSession`` (delta-path
-gating) and ``repro.serve`` session admission.
+They are the analyser's last two passes, :func:`delta_pass` (RTEC025/026)
+and :func:`memory_pass` (RTEC027/028). :func:`repro.analysis.analyzer.analyse`
+runs them only when every earlier pass reported no error: the proofs assume
+rules that compile and names that resolve. :func:`certify_description`
+reads the verdicts off that one report into an :class:`AnalysisCertificate`.
+Consumers: :meth:`repro.rtec.engine.RTECEngine.certificate` (a strict engine
+builds its certificate from the report it is loaded with) and
+``repro.serve`` session admission. ``RTECEngine.delta_diagnostics`` runs
+the prover alone, on every engine, to choose the delta path.
 
 Delta-safety prover
 -------------------
@@ -54,14 +56,14 @@ input is, ``intersect_all`` only when all inputs are,
 
 from __future__ import annotations
 
-import hashlib
-import json
+import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.analysis.diagnostics import Diagnostic, LintReport
+from repro.analysis.passes import AnalysisContext
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import LIST_FUNCTOR, ParseError, Rule, clause_lines
+from repro.logic.parser import LIST_FUNCTOR, Rule
 from repro.logic.pretty import term_to_str
 from repro.logic.terms import Compound, Term, Variable, is_ground
 from repro.logic.unification import unify
@@ -77,28 +79,15 @@ from repro.rtec.errors import EvaluationError
 
 __all__ = [
     "AnalysisCertificate",
-    "RuleCertificate",
     "certify_description",
-    "certify_text",
-    "description_digest",
+    "delta_pass",
+    "memory_pass",
     "prove_rule_delta_safety",
 ]
 
 #: Marker for an initiated value the analysis cannot enumerate (a rule head
 #: with a variable value: the domain is open).
 _OPEN_VALUE = "*"
-
-_SEVERITIES: Dict[str, Severity] = {str(severity): severity for severity in Severity}
-
-
-def description_digest(description: EventDescription) -> str:
-    """Content hash binding a certificate to one event description.
-
-    The same digest the serve tier's checkpoints use
-    (:func:`repro.serve.checkpoint.description_hash`), duplicated here so
-    the analysis layer stays import-independent of the serving layer.
-    """
-    return hashlib.sha256(description.to_text().encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -251,56 +240,27 @@ def prove_rule_delta_safety(rule: Rule) -> Tuple[bool, List[_DeltaProblem]]:
 # The certificate
 # ---------------------------------------------------------------------------
 
+_DELTA_CATEGORIES = frozenset({"delta-unsafe-condition", "delta-unsafe-head"})
+_LEAK_CATEGORIES = frozenset({"leaky-fluent", "leaky-interval-flow"})
+
+#: Both leak messages name the leaking value as ``fluent <name/arity>=<value>``
+#: followed by their verb (see :func:`_memory_analysis`, :func:`_propagate_leaks`).
+_LEAKED_VALUE = re.compile(
+    r"(?:simple|statically determined) fluent (.+?) (?:has no live|derives its)"
+)
+
 
 @dataclass(frozen=True)
-class RuleCertificate:
-    """The certified static properties of one defining rule."""
-
-    #: Index into ``description.rules`` (None when the rule is not listed).
-    rule_index: Optional[int]
-    #: ``"name/arity"`` of the defined fluent.
-    fluent: str
-    #: ``"initiatedAt"`` / ``"terminatedAt"`` / ``"holdsFor"``.
-    kind: str
-    #: Rendered rule head, for human-readable reports.
-    head: str
-    delta_safe: bool
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule_index": self.rule_index,
-            "fluent": self.fluent,
-            "kind": self.kind,
-            "head": self.head,
-            "delta_safe": self.delta_safe,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RuleCertificate":
-        return cls(
-            rule_index=data.get("rule_index"),
-            fluent=str(data["fluent"]),
-            kind=str(data["kind"]),
-            head=str(data["head"]),
-            delta_safe=bool(data["delta_safe"]),
-        )
-
-
-@dataclass
 class AnalysisCertificate:
-    """The signed result of certifying one event description.
+    """What certification proved about one event description.
 
-    ``diagnostics`` carries only the certification layer's codes
-    (RTEC025–RTEC030); the base analyser's findings gate certification
-    (``certified``) but are reported by ``repro lint``, not duplicated
-    here. The ``signature`` is a SHA-256 over the canonical JSON payload —
-    tamper-evidence for certificates persisted next to checkpoints, not a
-    cryptographic authenticity claim.
+    ``diagnostics`` carries only the certification codes (RTEC025–RTEC028);
+    the rest of the same report decides ``certified`` and is what
+    ``repro lint`` prints besides them.
     """
 
-    description_hash: str
-    #: The base analysis found no error-severity diagnostics and every
-    #: certification pass ran to completion.
+    #: The analysis found no error-severity diagnostic, so both
+    #: certification passes ran.
     certified: bool
     #: Every simple-fluent rule is provably safe for delta evaluation.
     delta_safe: bool
@@ -309,53 +269,26 @@ class AnalysisCertificate:
     memory_bounded: bool
     #: ``"name/arity=value"`` descriptors of the leaky fluent values.
     leaky_fluents: Tuple[str, ...] = ()
-    rules: Tuple[RuleCertificate, ...] = ()
     diagnostics: Tuple[Diagnostic, ...] = ()
-    signature: str = ""
 
-    # -- integrity ---------------------------------------------------------
-
-    def payload(self) -> Dict[str, Any]:
-        """Everything the signature covers, as a JSON-able dict."""
-        return {
-            "description_hash": self.description_hash,
-            "certified": self.certified,
-            "delta_safe": self.delta_safe,
-            "memory_bounded": self.memory_bounded,
-            "leaky_fluents": list(self.leaky_fluents),
-            "rules": [rule.to_dict() for rule in self.rules],
-            "diagnostics": [diagnostic.to_dict() for diagnostic in self.diagnostics],
-        }
-
-    def compute_signature(self) -> str:
-        canonical = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def sign(self) -> "AnalysisCertificate":
-        self.signature = self.compute_signature()
-        return self
-
-    def verify(self, description: Optional[EventDescription] = None) -> bool:
-        """Whether the signature matches the payload (and, when given, the
-        certificate was issued for exactly ``description``)."""
-        if self.signature != self.compute_signature():
-            return False
-        if description is not None:
-            return self.description_hash == description_digest(description)
-        return True
-
-    # -- consumption -------------------------------------------------------
-
-    def delta_messages(self) -> List[str]:
-        """Why delta evaluation is unsafe, one message per unsafe rule;
-        empty exactly when ``delta_safe`` (the
-        ``RTECEngine.delta_diagnostics`` contract)."""
-        return [
-            "%s: rule %s is not delta-safe (a temporal condition can reach "
-            "back before the previous query time)" % (rule.fluent, rule.head)
-            for rule in self.rules
-            if not rule.delta_safe
-        ]
+    @classmethod
+    def from_report(cls, report: LintReport) -> "AnalysisCertificate":
+        """The verdicts of one :func:`~repro.analysis.analyzer.analyse` report."""
+        certified = not report.has_errors
+        unsafe = [d for d in report.diagnostics if d.category in _DELTA_CATEGORIES]
+        leaks = [d for d in report.diagnostics if d.category in _LEAK_CATEGORIES]
+        leaky_fluents: List[str] = []
+        for diagnostic in leaks:
+            match = _LEAKED_VALUE.match(diagnostic.message)
+            assert match is not None, diagnostic.message
+            leaky_fluents.append(match.group(1))
+        return cls(
+            certified=certified,
+            delta_safe=certified and not unsafe,
+            memory_bounded=certified and not leaks,
+            leaky_fluents=tuple(sorted(leaky_fluents)),
+            diagnostics=tuple(unsafe + leaks),
+        )
 
     def report(
         self,
@@ -364,54 +297,6 @@ class AnalysisCertificate:
     ) -> LintReport:
         """The certification diagnostics as a lint report (text/JSON/SARIF)."""
         return LintReport(list(self.diagnostics), source=source, rule_lines=rule_lines)
-
-    def summary(self) -> str:
-        verdicts = [
-            "certified" if self.certified else "NOT certified",
-            "delta-safe" if self.delta_safe else "delta-UNSAFE",
-            "memory-bounded" if self.memory_bounded else "LEAKY",
-        ]
-        return "%s | rules: %d" % (", ".join(verdicts), len(self.rules))
-
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = self.payload()
-        data["signature"] = self.signature
-        return data
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisCertificate":
-        diagnostics = tuple(
-            Diagnostic(
-                category=str(entry["category"]),
-                message=str(entry["message"]),
-                rule_index=entry.get("rule_index"),
-                condition_index=entry.get("condition_index"),
-                code=str(entry.get("code", "")),
-                severity=_SEVERITIES.get(str(entry.get("severity", ""))),
-            )
-            for entry in data.get("diagnostics", [])
-        )
-        return cls(
-            description_hash=str(data["description_hash"]),
-            certified=bool(data["certified"]),
-            delta_safe=bool(data["delta_safe"]),
-            memory_bounded=bool(data["memory_bounded"]),
-            leaky_fluents=tuple(str(item) for item in data.get("leaky_fluents", [])),
-            rules=tuple(
-                RuleCertificate.from_dict(entry) for entry in data.get("rules", [])
-            ),
-            diagnostics=diagnostics,
-            signature=str(data.get("signature", "")),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisCertificate":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +549,41 @@ def _propagate_leaks(
 
 
 # ---------------------------------------------------------------------------
-# The driver
+# The passes
 # ---------------------------------------------------------------------------
+
+
+def delta_pass(ctx: AnalysisContext) -> List[Diagnostic]:
+    """RTEC025/RTEC026: the delta-safety prover over every simple-fluent rule."""
+    description = ctx.description
+    rule_index_of = {id(rule): index for index, rule in enumerate(description.rules)}
+    diagnostics: List[Diagnostic] = []
+    for _key, definition in sorted(description.simple_fluents.items()):
+        for rule in definition.initiated_rules + definition.terminated_rules:
+            _safe, problems = prove_rule_delta_safety(rule)
+            diagnostics.extend(
+                Diagnostic(
+                    problem.category,
+                    problem.message,
+                    rule_index=rule_index_of.get(id(rule)),
+                    condition_index=problem.condition_index,
+                )
+                for problem in problems
+            )
+    return diagnostics
+
+
+def memory_pass(ctx: AnalysisContext) -> List[Diagnostic]:
+    """RTEC027/RTEC028 over the liveness facts ``semantic_pass`` left in ``ctx``."""
+    facts = ctx.semantics
+    assert facts is not None, "memory_pass runs after semantic_pass"
+    reachable: Mapping[FluentKey, Optional[Set[Term]]] = (
+        facts.reachable_values if facts.reachable_values is not None else facts.producible
+    )
+    diagnostics: List[Diagnostic] = []
+    leaky = _memory_analysis(ctx.description, reachable, facts.dead_rules, diagnostics)
+    _propagate_leaks(ctx.description, leaky, diagnostics)
+    return diagnostics
 
 
 def certify_description(
@@ -674,144 +592,16 @@ def certify_description(
     kb: Optional[KnowledgeBase] = None,
     outputs: Optional[Sequence[str]] = None,
 ) -> AnalysisCertificate:
-    """Certify ``description``; always returns a (signed) certificate.
+    """Analyse ``description`` once and read its certificate off the report.
 
-    A description whose base analysis reports error-severity diagnostics
-    (syntax, malformed rules, unbound variables, cycles, ...) is
-    *uncertifiable*: the certificate carries a single RTEC030 and claims
-    neither property. ``vocabulary`` sharpens the memory-boundedness
-    analysis with input-reachability (without it the analysis falls back
-    to the producible-value domains).
+    A description whose report has an error (syntax, malformed rules,
+    unbound variables, cycles, ...) is not certified and claims neither
+    property. ``vocabulary`` sharpens the memory-boundedness analysis with
+    input-reachability (without it the analysis falls back to the
+    producible-value domains).
     """
     from repro.analysis.analyzer import analyse
-    from repro.analysis.semantics import analyse_semantics
 
-    digest = description_digest(description)
-    base = analyse(description, vocabulary, kb=kb, outputs=outputs)
-    if base.has_errors:
-        diagnostic = Diagnostic(
-            "uncertifiable",
-            "the base analysis reports %d error(s) (%s): no delta-safety, "
-            "memory-boundedness or cost guarantees can be attached until "
-            "they are fixed"
-            % (
-                len(base.errors),
-                ", ".join(
-                    sorted({error.code for error in base.errors})
-                ),
-            ),
-        )
-        return AnalysisCertificate(
-            description_hash=digest,
-            certified=False,
-            delta_safe=False,
-            memory_bounded=False,
-            diagnostics=(diagnostic,),
-        ).sign()
-
-    diagnostics: List[Diagnostic] = []
-    rule_index_of = {id(rule): index for index, rule in enumerate(description.rules)}
-
-    # 1. Delta-safety prover over every simple-fluent rule.
-    rule_certificates: List[RuleCertificate] = []
-    delta_safe = True
-    for key, definition in sorted(description.simple_fluents.items()):
-        for kind, rules in (
-            ("initiatedAt", definition.initiated_rules),
-            ("terminatedAt", definition.terminated_rules),
-        ):
-            for rule in rules:
-                safe, problems = prove_rule_delta_safety(rule)
-                for problem in problems:
-                    diagnostics.append(
-                        Diagnostic(
-                            problem.category,
-                            problem.message,
-                            rule_index=rule_index_of.get(id(rule)),
-                            condition_index=problem.condition_index,
-                        )
-                    )
-                delta_safe &= safe
-                rule_certificates.append(
-                    RuleCertificate(
-                        rule_index=rule_index_of.get(id(rule)),
-                        fluent=_key_name(key),
-                        kind=kind,
-                        head=term_to_str(rule.head),
-                        delta_safe=safe,
-                    )
-                )
-    for key, static_definition in sorted(description.static_fluents.items()):
-        for rule in static_definition.rules:
-            rule_certificates.append(
-                RuleCertificate(
-                    rule_index=rule_index_of.get(id(rule)),
-                    fluent=_key_name(key),
-                    kind="holdsFor",
-                    head=term_to_str(rule.head),
-                    delta_safe=True,  # interval constructs are pointwise in time
-                )
-            )
-
-    # 2. Memory-boundedness: liveness facts, then the leak analysis.
-    semantics = analyse_semantics(
-        description,
-        vocabulary,
-        outputs=set(outputs) if outputs is not None else None,
+    return AnalysisCertificate.from_report(
+        analyse(description, vocabulary, kb=kb, outputs=outputs)
     )
-    reachable: Mapping[FluentKey, Optional[Set[Term]]] = (
-        semantics.reachable_values
-        if semantics.reachable_values is not None
-        else semantics.producible
-    )
-    leaky = _memory_analysis(description, reachable, semantics.dead_rules, diagnostics)
-    _propagate_leaks(description, leaky, diagnostics)
-    leaky_fluents = tuple(
-        sorted(
-            "%s=%s" % (_key_name(key), name)
-            for key, names in leaky.items()
-            for name in names
-        )
-    )
-
-    return AnalysisCertificate(
-        description_hash=digest,
-        certified=True,
-        delta_safe=delta_safe,
-        memory_bounded=not leaky,
-        leaky_fluents=leaky_fluents,
-        rules=tuple(rule_certificates),
-        diagnostics=tuple(diagnostics),
-    ).sign()
-
-
-def certify_text(
-    text: str,
-    vocabulary: Optional[Vocabulary] = None,
-    kb: Optional[KnowledgeBase] = None,
-    outputs: Optional[Sequence[str]] = None,
-) -> Tuple[AnalysisCertificate, Optional[List[int]]]:
-    """Parse and certify; returns ``(certificate, rule source lines)``.
-
-    A parse failure yields an uncertifiable certificate (RTEC030) instead
-    of raising, mirroring :func:`repro.analysis.analyzer.analyse_text`.
-    """
-    try:
-        description = EventDescription.from_text(text)
-    except ParseError as exc:
-        diagnostic = Diagnostic(
-            "uncertifiable",
-            "the text failed to parse (%s): nothing can be certified" % exc,
-        )
-        certificate = AnalysisCertificate(
-            description_hash=hashlib.sha256(text.encode()).hexdigest(),
-            certified=False,
-            delta_safe=False,
-            memory_bounded=False,
-            diagnostics=(diagnostic,),
-        ).sign()
-        return certificate, None
-    certificate = certify_description(
-        description, vocabulary, kb=kb, outputs=outputs
-    )
-    return certificate, clause_lines(text)

@@ -69,7 +69,6 @@ CATEGORY_CODES: Dict[str, Tuple[str, Severity]] = {
     "delta-unsafe-head": ("RTEC026", Severity.WARNING),
     "leaky-fluent": ("RTEC027", Severity.WARNING),
     "leaky-interval-flow": ("RTEC028", Severity.WARNING),
-    "uncertifiable": ("RTEC030", Severity.ERROR),
 }
 
 #: Fallback for categories outside the table (kept permissive so ad-hoc

@@ -22,8 +22,8 @@ Each pass is a function ``(AnalysisContext) -> List[Diagnostic]``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis import binding
 from repro.analysis.diagnostics import Diagnostic, Fix
@@ -39,6 +39,9 @@ from repro.rtec.description import (
     fluent_key,
     head_fvp,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.semantics import SemanticFacts
 
 __all__ = [
     "AnalysisContext",
@@ -110,6 +113,8 @@ class AnalysisContext:
     #: Names of the fluents the recognition task reports (e.g. the composite
     #: activities); enables the dead-rule check.
     outputs: Optional[Sequence[str]] = None
+    #: What ``semantic_pass`` inferred, for the memory-boundedness pass.
+    semantics: Optional["SemanticFacts"] = field(default=None, init=False)
 
 
 # -- structural ---------------------------------------------------------------

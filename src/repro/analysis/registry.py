@@ -33,7 +33,7 @@ DOCS_URI = "https://github.com/aartikis/RTEC/blob/master/DESIGN.md"
 
 #: Codes the repair loop does *not* feed back to the model: informational
 #: lints that describe a property of the description rather than a defect.
-_NOT_REPAIRABLE = frozenset({"RTEC015", "RTEC030"})
+_NOT_REPAIRABLE = frozenset({"RTEC015"})
 
 
 @dataclass(frozen=True)
@@ -250,14 +250,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "intersect_all only all-leaky inputs, relative_complement_all "
             "its first operand): its cached state inherits the unbounded "
             "growth.",
-        ),
-        _rule(
-            "RTEC030",
-            "uncertifiable description",
-            "Certification could not analyse the description as a whole "
-            "(base analysis errors such as syntax/cycles, or malformed "
-            "rules), so no delta-safety or memory-boundedness guarantees are "
-            "attached. Fix the underlying error diagnostics first.",
         ),
     )
 }

@@ -16,7 +16,8 @@ hold — in ways the syntactic passes RTEC001–016 cannot see):
    path from the input events and input fluents.
 
 Certification (:mod:`repro.analysis.certify`) reuses both: the rules that
-never fire and the reachable values feed its memory-boundedness analysis.
+never fire and the reachable values :func:`semantic_pass` leaves in the
+analysis context feed its memory-boundedness pass.
 """
 
 from __future__ import annotations
@@ -440,10 +441,11 @@ def analyse_semantics(
 
 
 def semantic_pass(ctx: AnalysisContext) -> List[Diagnostic]:
-    """Analyzer pass adapter: surfaces RTEC018, RTEC022 and RTEC023."""
-    facts = analyse_semantics(
+    """Analyzer pass adapter: surfaces RTEC018, RTEC022 and RTEC023 and
+    leaves the facts in ``ctx`` for the memory-boundedness pass."""
+    ctx.semantics = analyse_semantics(
         ctx.description,
         vocabulary=ctx.vocabulary,
         outputs=ctx.outputs,
     )
-    return facts.diagnostics
+    return ctx.semantics.diagnostics

@@ -19,8 +19,9 @@ Subcommands mirror the paper's workflow::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments import run_fig2a, run_fig2b, run_fig2c
 from repro.experiments.fig2a import format_table as fig2a_table
@@ -71,6 +72,32 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """``argparse`` type of dataset scales: nan, inf, zero and negatives are
+    usage errors, not a traceback or a silently clamped dataset."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < math.inf:  # false for nan as well
+        raise argparse.ArgumentTypeError("expected a finite positive number, got %r" % text)
+    return value
+
+
+def _endpoint(text: str) -> Tuple[str, int]:
+    """``argparse`` type of ``--tcp [HOST:]PORT`` (default host 127.0.0.1)."""
+    host, _, port_text = text.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            "expected [HOST:]PORT with a port in 0-65535, got %r" % text
+        )
+    return host or "127.0.0.1", port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -84,17 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig2b = sub.add_parser("fig2b", help="similarities after syntactic correction")
     fig2b.add_argument("--seed", type=int, default=0)
-    fig2b.add_argument("--scale", type=float, default=0.25)
+    fig2b.add_argument("--scale", type=_positive_float, default=0.25)
 
     fig2c = sub.add_parser("fig2c", help="predictive accuracy (F1 vs gold detections)")
     fig2c.add_argument("--seed", type=int, default=0)
-    fig2c.add_argument("--scale", type=float, default=0.25)
+    fig2c.add_argument("--scale", type=_positive_float, default=0.25)
     fig2c.add_argument("--window", type=_positive_int, default=None)
 
     recognise = sub.add_parser("recognise", help="run the gold ED over the synthetic fleet")
     recognise.add_argument("--seed", type=int, default=0)
-    recognise.add_argument("--scale", type=float, default=0.25)
-    recognise.add_argument("--traffic", type=int, default=4)
+    recognise.add_argument("--scale", type=_positive_float, default=0.25)
+    recognise.add_argument("--traffic", type=_non_negative_int, default=4)
     recognise.add_argument("--window", type=_positive_int, default=None)
 
     gen = sub.add_parser("generate", help="print one generated event description")
@@ -121,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("--scheme", choices=PROMPT_SCHEMES, default=None,
                         help="default: both pipeline schemes")
     repair.add_argument("--seed", type=int, default=0)
-    repair.add_argument("--scale", type=float, default=0.1,
+    repair.add_argument("--scale", type=_positive_float, default=0.1,
                         help="maritime dataset scale (knowledge-base constants)")
-    repair.add_argument("--budget", type=int, default=5,
+    repair.add_argument("--budget", type=_non_negative_int, default=5,
                         help="maximum repair iterations (default: 5)")
     repair.add_argument("--json", action="store_true",
                         help="emit the full per-iteration report as JSON")
@@ -147,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a recognition workload with telemetry enabled and print the span tree",
     )
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--scale", type=float, default=0.1)
-    profile.add_argument("--traffic", type=int, default=2)
+    profile.add_argument("--scale", type=_positive_float, default=0.1)
+    profile.add_argument("--traffic", type=_non_negative_int, default=2)
     profile.add_argument("--window", type=_positive_int, default=600)
     profile.add_argument("--step", type=_positive_int, default=None)
     profile.add_argument(
@@ -171,8 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="lint an RTEC event description (multi-pass static analysis)",
         description="Run the repro.analysis linter: structural validation, "
-        "binding-order dataflow, arity, consistency, dependency and "
-        "partitionability checks, with RTEC0xx diagnostic codes.",
+        "binding-order dataflow, arity, consistency, dependency, "
+        "partitionability, naming and semantic checks, then (on a "
+        "description without errors) the delta-safety (RTEC025/026) and "
+        "memory-boundedness (RTEC027/028) certification passes, with "
+        "RTEC0xx diagnostic codes.",
     )
     lint.add_argument("path", nargs="?", help="file with RTEC rules")
     lint.add_argument(
@@ -226,49 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "writing anything (required for --gold targets)",
     )
 
-    certify = sub.add_parser(
-        "certify",
-        help="certify an event description: delta safety, memory "
-        "boundedness",
-        description="Run the repro.analysis.certify whole-description "
-        "certification: the delta-safety prover (RTEC025/026) and the "
-        "memory-boundedness analysis (RTEC027/028), emitting a signed "
-        "AnalysisCertificate bound to the description hash.",
-    )
-    certify.add_argument("path", nargs="?", help="file with RTEC rules")
-    certify.add_argument(
-        "--gold",
-        choices=("maritime", "fleet"),
-        help="certify a built-in gold event description instead of a file",
-    )
-    certify.add_argument(
-        "--no-vocabulary",
-        action="store_true",
-        help="skip maritime vocabulary checks (weakens the reachability "
-        "facts the memory-boundedness analysis uses)",
-    )
-    certify.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format: human-readable text, the signed certificate "
-        "JSON, or SARIF 2.1.0 of the certification diagnostics "
-        "(default: text)",
-    )
-    certify.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "info", "never"),
-        default="error",
-        help="exit non-zero when a certification diagnostic at or above "
-        "this severity is reported (default: error)",
-    )
-    certify.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the signed certificate JSON to FILE",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the streaming recognition service (JSON lines over TCP or stdio)",
@@ -281,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serving_arguments(serve)
     serve.add_argument(
         "--tcp",
+        type=_endpoint,
         metavar="[HOST:]PORT",
         default=None,
         help="listen on this TCP endpoint (default host 127.0.0.1)",
@@ -353,8 +341,12 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
         help="which gold event description / dataset to serve (default: maritime)",
     )
     parser.add_argument("--seed", type=int, default=0, help="maritime dataset seed")
-    parser.add_argument("--scale", type=float, default=0.25, help="maritime dataset scale")
-    parser.add_argument("--traffic", type=int, default=4, help="maritime vessels per berth")
+    parser.add_argument(
+        "--scale", type=_positive_float, default=0.25, help="maritime dataset scale"
+    )
+    parser.add_argument(
+        "--traffic", type=_non_negative_int, default=4, help="maritime vessels per berth"
+    )
 
 
 def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
@@ -392,8 +384,9 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--certify", choices=("off", "warn", "require"), default="warn",
         help="certificate-gated session admission: 'warn' records "
-        "admission warnings for uncertifiable/leaky descriptions in the "
-        "session status, 'require' rejects them (default: warn)",
+        "admission warnings in the session status for a description whose "
+        "analysis reports an error or leaky fluents (RTEC027/028), "
+        "'require' rejects it (default: warn)",
     )
 
 
@@ -727,62 +720,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.at_or_above(threshold) else 0
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import Severity, certify_description, certify_text, to_sarif
-
-    if (args.path is None) == (args.gold is None):
-        print("error: give exactly one of PATH or --gold", file=sys.stderr)
-        return 2
-    if args.gold is not None:
-        from repro.logic.parser import clause_lines
-
-        description, vocabulary, outputs, source = _gold_lint_target(args.gold)
-        if args.no_vocabulary:
-            vocabulary = None
-        text = description.to_text()
-        certificate = certify_description(
-            description, vocabulary, outputs=sorted(outputs)
-        )
-        rule_lines = clause_lines(text)
-    else:
-        source = args.path
-        try:
-            with open(args.path) as handle:
-                text = handle.read()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        vocabulary = None if args.no_vocabulary else MARITIME_VOCABULARY
-        certificate, rule_lines = certify_text(text, vocabulary)
-    report = certificate.report(source=source, rule_lines=rule_lines)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(certificate.to_json())
-            handle.write("\n")
-    if args.format == "json":
-        print(certificate.to_json())
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(report, source_text=text), indent=2))
-    else:
-        print(report.format_text())
-        print()
-        print("certificate: %s" % certificate.summary())
-        print("description hash: %s" % certificate.description_hash)
-        print("signature:        %s" % certificate.signature)
-        if certificate.leaky_fluents:
-            print("leaky fluents:    %s" % ", ".join(certificate.leaky_fluents))
-    if args.fail_on == "never":
-        return 0
-    threshold = {
-        "error": Severity.ERROR,
-        "warning": Severity.WARNING,
-        "info": Severity.INFO,
-    }[args.fail_on]
-    return 1 if report.at_or_above(threshold) else 0
-
-
 def _lint_fix(args: argparse.Namespace, report, description, source: str) -> int:
     """Apply (or, with ``--diff``, preview) the report's attached fixes.
 
@@ -873,14 +810,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         manager.add_session(name, make_engine(), config, restore=args.restore)
     server = RecognitionServer(manager)
     if args.tcp is not None:
-        host, _, port_text = args.tcp.rpartition(":")
-        host = host or "127.0.0.1"
-        try:
-            port = int(port_text)
-        except ValueError:
-            print("error: --tcp expects [HOST:]PORT, got %r" % args.tcp, file=sys.stderr)
-            return 2
-        serve = server.serve_tcp(host, port)
+        serve = server.serve_tcp(*args.tcp)
     else:
         serve = server.serve_stdio()
 
@@ -911,13 +841,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         print("error: --workers > 1 requires --tcp (stdio cannot be routed)",
               file=sys.stderr)
         return 2
-    host, _, port_text = args.tcp.rpartition(":")
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        print("error: --tcp expects [HOST:]PORT, got %r" % args.tcp, file=sys.stderr)
-        return 2
+    host, port = args.tcp
     router = ClusterRouter(
         _gold_engine_spec(args),
         _serving_config(args),
@@ -1051,7 +975,6 @@ _COMMANDS = {
     "diff": _cmd_diff,
     "profile": _cmd_profile,
     "lint": _cmd_lint,
-    "certify": _cmd_certify,
     "serve": _cmd_serve,
     "replay": _cmd_replay,
 }

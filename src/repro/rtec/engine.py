@@ -73,25 +73,28 @@ class RTECEngine:
         self.skip_errors = skip_errors
         #: Messages of rules skipped at run time (only in skip_errors mode).
         self.runtime_warnings: List[str] = []
-        if strict:
-            # Full static analysis on load (structural validation plus
-            # binding-order dataflow, arity and consistency checks): faults
-            # that used to surface as EvaluationErrors mid-window are
-            # rejected here with a precise diagnostic. Imported lazily —
-            # repro.analysis depends on repro.rtec.description.
-            from repro.analysis.analyzer import analyse
-
-            report = analyse(description, vocabulary)
-            if report.has_errors:
-                raise InvalidEventDescriptionError(report.errors)
-        self._order = description.topological_order()
         #: Lazily computed delta-evaluation diagnostics (None: not yet run),
         #: with the description fingerprint they were computed for.
         self._delta_diagnostics: Optional[List[str]] = None
         self._delta_fingerprint: Optional[Tuple[int, ...]] = None
-        #: Lazily computed analysis certificate, fingerprinted the same way.
+        #: The analysis certificate, fingerprinted the same way.
         self._certificate = None
         self._certificate_fingerprint: Optional[Tuple[int, ...]] = None
+        if strict:
+            # Full static analysis on load: faults that used to surface as
+            # EvaluationErrors mid-window are rejected here with a precise
+            # diagnostic, and the certificate is read off the same report.
+            # Imported lazily — repro.analysis depends on
+            # repro.rtec.description.
+            from repro.analysis.analyzer import analyse
+            from repro.analysis.certify import AnalysisCertificate
+
+            report = analyse(description, vocabulary)
+            if report.has_errors:
+                raise InvalidEventDescriptionError(report.errors)
+            self._certificate = AnalysisCertificate.from_report(report)
+            self._certificate_fingerprint = self._description_fingerprint()
+        self._order = description.topological_order()
 
     def _description_fingerprint(self) -> Tuple[int, ...]:
         """The loaded description's identity and rule fingerprint
@@ -145,9 +148,11 @@ class RTECEngine:
     def certificate(self):
         """The description's :class:`repro.analysis.certify.AnalysisCertificate`.
 
-        Computed lazily (full certification runs the semantic passes, which
-        cost more than engine construction should) and cached against the
-        same description fingerprint as :meth:`delta_diagnostics`.
+        A strict engine has it from the analysis it was loaded with; any
+        other engine analyses its description on the first call. Cached
+        against the same description fingerprint as
+        :meth:`delta_diagnostics`, so a mutated description is analysed
+        again.
         """
         fingerprint = self._description_fingerprint()
         if (

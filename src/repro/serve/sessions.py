@@ -71,10 +71,12 @@ class SessionConfig:
     #: Incremental (delta) window evaluation (``RTECSession(incremental=)``).
     #: Off forces full-window recomputation on every advance (the oracle).
     incremental: bool = True
-    #: Certificate-gated admission (``repro.analysis.certify``): ``"off"``
-    #: skips certification, ``"warn"`` (default) records admission warnings
-    #: for uncertifiable/leaky descriptions in the session status, and
-    #: ``"require"`` rejects them at session creation.
+    #: Certificate-gated admission (``RTECEngine.certificate``, read off the
+    #: engine's one analysis; a strict engine has it from load): ``"off"``
+    #: skips it, ``"warn"`` (default) records admission warnings in the
+    #: session status for a description whose analysis reports an error or
+    #: leaky fluents (RTEC027/028), and ``"require"`` rejects such a
+    #: description at session creation.
     certify: str = "warn"
 
     def resolved_step(self) -> int:

@@ -3,9 +3,9 @@
 The corpus is every event description the repository itself produces: both
 golds, plus 6 simulated models x 2 prompting schemes x seeds 0-4 in both
 domains, each raw and after correction (242 descriptions). Each one goes
-through ``analyse`` and ``certify_description`` with its domain's
-vocabulary and knowledge base. The codes of every iteration of the maritime
-and fleet repair experiments are added.
+through ``analyse`` with its domain's vocabulary and knowledge base, which
+runs the certification passes too. Every state the maritime and fleet
+repair experiments analyse is added (92 states), with its codes.
 
 The fired set is pinned, so a code that stops or starts firing fails here.
 A registered code that never fires on the corpus must say why it is kept.
@@ -13,7 +13,8 @@ A registered code that never fires on the corpus must say why it is kept.
 
 import pytest
 
-from repro.analysis import LINT_RULES, analyse, certify_description
+import repro.analysis.repair as repair
+from repro.analysis import LINT_RULES, AnalysisCertificate, analyse
 from repro.experiments.repair import run_fleet_repair_experiment, run_repair_experiment
 from repro.fleet.dataset import build_fleet_knowledge_base
 from repro.fleet.generation import generate_fleet
@@ -26,16 +27,16 @@ from repro.maritime import MARITIME_VOCABULARY, build_dataset, gold_event_descri
 
 FIRED = {
     "RTEC002", "RTEC003", "RTEC004", "RTEC009", "RTEC010",
-    "RTEC015", "RTEC016", "RTEC018", "RTEC022", "RTEC030",
+    "RTEC015", "RTEC016", "RTEC018", "RTEC022",
 }
 
 #: Why each registered code that the corpus never triggers still exists.
 KEPT_WITHOUT_FIRING = {
     "RTEC001": "error: rejects text that does not parse",
-    "RTEC005": "error: rejects input at engine load and in certification",
-    "RTEC006": "error: rejects input at engine load and in certification",
-    "RTEC007": "error: rejects input at engine load and in certification",
-    "RTEC008": "error: rejects input at engine load and in certification",
+    "RTEC005": "error: rejects input at engine load and in session admission",
+    "RTEC006": "error: rejects input at engine load and in session admission",
+    "RTEC007": "error: rejects input at engine load and in session admission",
+    "RTEC008": "error: rejects input at engine load and in session admission",
     "RTEC011": "cheap structural warning of the base analyser",
     "RTEC012": "cheap structural warning of the base analyser",
     "RTEC013": "cheap structural warning of the base analyser",
@@ -74,27 +75,42 @@ def _corpus():
 @pytest.fixture(scope="module")
 def census():
     corpus, maritime_kb = _corpus()
-    fired = set()
-    for description, vocabulary, kb in corpus:
-        fired.update(d.code for d in analyse(description, vocabulary, kb=kb).diagnostics)
-        certificate = certify_description(description, vocabulary, kb=kb)
-        fired.update(d.code for d in certificate.diagnostics)
-    for experiment in (run_repair_experiment(maritime_kb, seed=0), run_fleet_repair_experiment(seed=0)):
+    reports = [analyse(description, vocabulary, kb=kb) for description, vocabulary, kb in corpus]
+    states = []
+    with pytest.MonkeyPatch.context() as patch:
+        analyse_state = repair._analyse
+
+        def recorded(*args):
+            states.append(analyse_state(*args))
+            return states[-1]
+
+        patch.setattr(repair, "_analyse", recorded)
+        experiments = (run_repair_experiment(maritime_kb, seed=0), run_fleet_repair_experiment(seed=0))
+    fired = {d.code for report in reports + states for d in report.diagnostics}
+    for experiment in experiments:
         for entry in experiment.entries:
             for iteration in entry.result.iterations:
                 fired.update(iteration.codes_before)
                 fired.update(iteration.codes_after)
-    return len(corpus), fired
+    return len(corpus), len(states), fired, reports + states
 
 
 def test_the_corpus_is_every_description_the_repo_produces(census):
-    size, _fired = census
+    size, states, _fired, _reports = census
     assert size == 2 + 2 * len(MODEL_NAMES) * len(PROMPT_SCHEMES) * 5 * 2 == 242
+    assert states == 92
 
 
 def test_the_fired_codes_are_pinned(census):
-    _size, fired = census
+    _size, _states, fired, _reports = census
     assert fired == FIRED
+
+
+def test_every_description_without_an_error_certifies_clean(census):
+    *_, reports = census
+    certificates = [AnalysisCertificate.from_report(r) for r in reports if not r.has_errors]
+    assert len(certificates) == 54
+    assert all(c.delta_safe and c.memory_bounded for c in certificates)
 
 
 def test_every_code_that_never_fires_says_why_it_is_kept():

@@ -5,11 +5,11 @@ import time
 
 import pytest
 
+import repro.analysis.analyzer as analyzer
+from repro.analysis.analyzer import analyse, analyse_text
 from repro.analysis.certify import (
     AnalysisCertificate,
     certify_description,
-    certify_text,
-    description_digest,
     prove_rule_delta_safety,
 )
 from repro.analysis.diagnostics import Severity
@@ -24,8 +24,7 @@ VOCAB = Vocabulary(
 
 
 def _certify(text, vocabulary=VOCAB, **kwargs):
-    certificate, _lines = certify_text(text, vocabulary, **kwargs)
-    return certificate
+    return certify_description(EventDescription.from_text(text), vocabulary, **kwargs)
 
 
 class TestDeltaSafetyProver:
@@ -195,56 +194,25 @@ class TestMemoryBoundedness:
 
 
 class TestCertificate:
-    def test_signature_round_trip(self):
-        certificate = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        assert certificate.verify()
-        loaded = AnalysisCertificate.from_json(certificate.to_json())
-        assert loaded.verify()
-        assert loaded.to_dict() == certificate.to_dict()
-
-    def test_tampering_breaks_the_signature(self):
-        certificate = _certify(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        data = certificate.to_dict()
-        data["memory_bounded"] = not data["memory_bounded"]
-        assert not AnalysisCertificate.from_dict(data).verify()
-
-    def test_verify_binds_to_the_description(self):
-        text = (
-            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
-        )
-        certificate = _certify(text)
-        description = EventDescription.from_text(text)
-        assert certificate.description_hash == description_digest(description)
-        assert certificate.verify(description)
-        other = EventDescription.from_text(
-            "initiatedAt(g(V)=true, T) :- happensAt(start(V), T).\n"
-        )
-        assert not certificate.verify(other)
-
     def test_parse_failure_is_uncertifiable(self):
-        certificate = _certify("initiatedAt(f(V)=")
+        report = analyse_text("initiatedAt(f(V)=", VOCAB)
+        certificate = AnalysisCertificate.from_report(report)
+        assert [d.code for d in report.diagnostics] == ["RTEC001"]
         assert not certificate.certified
         assert not certificate.delta_safe
         assert not certificate.memory_bounded
-        assert [d.code for d in certificate.diagnostics] == ["RTEC030"]
-        assert certificate.diagnostics[0].severity == Severity.ERROR
-        assert certificate.verify()
+        assert certificate.diagnostics == ()
 
     def test_base_analysis_errors_are_uncertifiable(self):
-        # Undefined event against the vocabulary: error severity.
+        # Undefined event against the vocabulary: error severity. The
+        # initiation is never terminated, but the certification passes did
+        # not run, so no RTEC027 is reported.
         certificate = _certify(
             "initiatedAt(f(V)=true, T) :- happensAt(unknownEvent(V), T).\n"
         )
         assert not certificate.certified
-        assert [d.code for d in certificate.diagnostics] == ["RTEC030"]
-        assert "RTEC003" in certificate.diagnostics[0].message
+        assert not certificate.delta_safe and not certificate.memory_bounded
+        assert certificate.diagnostics == ()
 
     def test_report_renders_all_formats(self):
         certificate = _certify(
@@ -255,16 +223,43 @@ class TestCertificate:
         assert "RTEC027" in report.format_text()
         json.loads(report.to_json())
 
-    def test_delta_messages_mirror_unsafe_rules(self):
-        certificate = _certify(
-            "initiatedAt(f(V)=true, T) :- "
-            "happensAt(start(V), T), happensAt(ping(V), T2).\n"
-            "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
+
+class TestOneAnalysis:
+    """Certification is the analyser's last two passes, not a second analysis."""
+
+    UNANCHORED = (
+        "initiatedAt(f(V)=true, T) :- "
+        "happensAt(start(V), T), happensAt(ping(V), T2).\n"
+        "terminatedAt(f(V)=true, T) :- happensAt(stop(V), T).\n"
+    )
+
+    def test_lint_reports_an_unanchored_condition(self):
+        report = analyse(EventDescription.from_text(self.UNANCHORED), VOCAB)
+        assert not report.has_errors
+        (unsafe,) = report.by_code("RTEC025")
+        assert (unsafe.rule_index, unsafe.condition_index) == (0, 1)
+        certificate = AnalysisCertificate.from_report(report)
+        assert certificate.certified and not certificate.delta_safe
+        assert certificate.diagnostics == (unsafe,)
+
+    def test_a_base_error_silences_the_certification_passes(self):
+        # Unanchored and leaky, but its undefined event is an error first.
+        text = self.UNANCHORED + (
+            "initiatedAt(hot(V)=true, T) :- happensAt(unknownEvent(V), T).\n"
         )
-        assert not certificate.delta_safe
-        messages = certificate.delta_messages()
-        assert len(messages) == 1
-        assert messages[0].startswith("f/1:")
+        report = analyse(EventDescription.from_text(text), VOCAB)
+        assert report.by_code("RTEC003")
+        codes = {d.code for d in report.diagnostics}
+        assert not codes & {"RTEC025", "RTEC026", "RTEC027", "RTEC028"}
+
+    def test_strict_engine_certificate_runs_no_second_analysis(self, monkeypatch):
+        engine = RTECEngine(EventDescription.from_text(self.UNANCHORED), vocabulary=VOCAB)
+        calls = []
+        monkeypatch.setattr(analyzer, "analyse", lambda *a, **k: calls.append(a))
+        certificate = engine.certificate()
+        assert calls == []
+        assert certificate.certified and not certificate.delta_safe
+        assert certificate is engine.certificate()
 
 
 class TestEngineIntegration:
@@ -327,12 +322,11 @@ class TestGoldCertification:
         assert certificate.memory_bounded
         assert not certificate.leaky_fluents
         assert not certificate.report().at_or_above(Severity.WARNING)
-        assert certificate.verify(description)
 
     def test_gold_maritime_certifies_under_budget(self, small_dataset, gold_description):
-        # Admission certifies inline on every session attach, so certifying
-        # the larger gold must stay under two seconds. Best of three: a
-        # loaded runner swings one round by more than the budget.
+        # A strict engine certifies inline on every load, so certifying the
+        # larger gold must stay under two seconds. Best of three: a loaded
+        # runner swings one round by more than the budget.
         timings = []
         for _ in range(3):
             started = time.perf_counter()
@@ -343,7 +337,6 @@ class TestGoldCertification:
         assert certificate.certified
         assert certificate.delta_safe
         assert certificate.memory_bounded
-        assert certificate.verify(gold_description)
         assert min(timings) < 2.0, "certification took %.3fs" % min(timings)
 
     def test_forgotten_termination_mutation_is_flagged(self):

@@ -165,7 +165,7 @@ class TestSarif:
             assert rule.help_uri.endswith(code.lower())
 
     def test_certification_codes_are_documented_rules(self):
-        for code in ("RTEC025", "RTEC026", "RTEC027", "RTEC028", "RTEC030"):
+        for code in ("RTEC025", "RTEC026", "RTEC027", "RTEC028"):
             rule = rule_for(code)
             assert rule is not None
             assert rule.help_uri.endswith(code.lower())
@@ -176,14 +176,13 @@ class TestSarif:
                 Diagnostic("delta-unsafe-condition", "unanchored", 1, 2),
                 Diagnostic("leaky-fluent", "no termination", 0),
                 Diagnostic("non-shardable", "keyless join", 3),
-                Diagnostic("uncertifiable", "base errors"),
             ]
         )
         sarif = to_sarif(report)
         run = sarif["runs"][0]
         rules = run["tool"]["driver"]["rules"]
         by_id = {rule["id"]: rule for rule in rules}
-        for code in ("RTEC015", "RTEC025", "RTEC027", "RTEC030"):
+        for code in ("RTEC015", "RTEC025", "RTEC027"):
             assert by_id[code]["helpUri"].endswith(code.lower())
         rule_ids = [rule["id"] for rule in rules]
         for result in run["results"]:
@@ -193,7 +192,6 @@ class TestSarif:
         }
         assert levels["RTEC025"] == "warning"
         assert levels["RTEC015"] == "note"
-        assert levels["RTEC030"] == "error"
 
     def test_rule_metadata_carries_repair_properties(self):
         sarif = to_sarif(LintReport([]))
@@ -204,8 +202,6 @@ class TestSarif:
         assert by_id["RTEC016"] == {"repair": "auto", "fixable": True}
         assert by_id["RTEC015"] == {"repair": None, "fixable": False}
         assert by_id["RTEC003"] == {"repair": "prompt", "fixable": False}
-        # An uncertifiable description is fixed through its base errors.
-        assert by_id["RTEC030"] == {"repair": None, "fixable": False}
         # The delta/leak warnings feed the repair prompt.
         assert by_id["RTEC025"] == {"repair": "prompt", "fixable": False}
         assert by_id["RTEC027"] == {"repair": "prompt", "fixable": False}

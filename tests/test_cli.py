@@ -85,6 +85,56 @@ class TestSizesAndCountsMustBePositive:
             assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
+class TestDatasetArgumentsAreValidated:
+    """A dataset scale is a finite positive number and vessel traffic and a
+    repair budget are non-negative counts, on every command that takes
+    them: nan and inf used to end in a traceback, the rest in a silently
+    clamped dataset or a budget exhausted after no iteration."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["recognise", "--scale", "nan"], "--scale"),
+            (["recognise", "--scale", "inf"], "--scale"),
+            (["recognise", "--scale", "0"], "--scale"),
+            (["profile", "--scale", "-1"], "--scale"),
+            (["fig2b", "--scale", "0"], "--scale"),
+            (["fig2c", "--scale", "nan"], "--scale"),
+            (["repair", "--scale", "inf"], "--scale"),
+            (["serve", "--scale", "0"], "--scale"),
+            (["replay", "--scale", "x"], "--scale"),
+            (["recognise", "--traffic", "-2"], "--traffic"),
+            (["profile", "--traffic", "-1"], "--traffic"),
+            (["serve", "--traffic", "-2"], "--traffic"),
+            (["replay", "--traffic", "1.5"], "--traffic"),
+            (["repair", "--budget", "-1"], "--budget"),
+        ],
+    )
+    def test_usage_error_names_the_argument(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "argument %s: expected a " % option in capsys.readouterr().err
+
+    def test_small_scales_and_zero_counts_are_accepted(self):
+        args = build_parser().parse_args(["recognise", "--scale", "0.05", "--traffic", "0"])
+        assert (args.scale, args.traffic) == (0.05, 0)
+        assert build_parser().parse_args(["repair", "--budget", "0"]).budget == 0
+
+    @pytest.mark.parametrize("endpoint", ["70000", "-5", "127.0.0.1:65536", "host:", "x"])
+    def test_tcp_port_out_of_range_is_a_usage_error(self, endpoint, capsys):
+        # 70000 and -5 used to reach sock.bind and end in an OverflowError.
+        with pytest.raises(SystemExit) as raised:
+            main(["serve", "--tcp", endpoint])
+        assert raised.value.code == 2
+        assert "argument --tcp: expected [HOST:]PORT" in capsys.readouterr().err
+
+    def test_tcp_endpoint_is_parsed_once(self):
+        parse = build_parser().parse_args
+        assert parse(["serve", "--tcp", "7700"]).tcp == ("127.0.0.1", 7700)
+        assert parse(["serve", "--tcp", "0.0.0.0:65535"]).tcp == ("0.0.0.0", 65535)
+
+
 class TestGenerate:
     def test_prints_rules_and_similarity(self, capsys):
         assert main(["generate", "--model", "o1"]) == 0
@@ -175,65 +225,71 @@ def _renamed_mutation(tmp_path):
 
 
 class TestCertify:
-    def test_golds_certify_clean_at_warning(self, capsys):
-        assert main(["certify", "--gold", "maritime", "--fail-on", "warning"]) == 0
-        out = capsys.readouterr().out
-        assert "certified, delta-safe, memory-bounded" in out
-        assert main(["certify", "--gold", "fleet", "--fail-on", "warning"]) == 0
-        assert "certified, delta-safe, memory-bounded" in capsys.readouterr().out
+    """Certification is part of ``repro lint``: the delta-safety and
+    memory-boundedness passes (RTEC025-028) run on every description whose
+    analysis reports no error. There is no ``certify`` command."""
 
-    def test_json_format_is_a_signed_certificate(self, capsys):
+    CERTIFICATION_CODES = ("RTEC025", "RTEC026", "RTEC027", "RTEC028")
+
+    def test_golds_certify_clean_at_warning(self, capsys):
+        for gold in ("maritime", "fleet"):
+            assert main(["lint", "--gold", gold, "--fail-on", "warning"]) == 0
+            assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
+
+    def test_json_format_reports_no_certification_findings(self, capsys):
         import json
 
-        from repro.analysis import AnalysisCertificate
-
-        assert main(["certify", "--gold", "fleet", "--format", "json"]) == 0
-        certificate = AnalysisCertificate.from_json(capsys.readouterr().out)
-        assert certificate.verify()
-        assert certificate.delta_safe and certificate.memory_bounded
-        assert json.loads(certificate.to_json())["signature"] == certificate.signature
+        select = ",".join(self.CERTIFICATION_CODES)
+        for gold in ("maritime", "fleet"):
+            argv = ["lint", "--gold", gold, "--format", "json", "--select", select]
+            assert main(argv + ["--fail-on", "info"]) == 0
+            assert json.loads(capsys.readouterr().out)["diagnostics"] == []
 
     def test_sarif_format_validates(self, capsys):
         import json
 
-        assert main(["certify", "--gold", "maritime", "--format", "sarif"]) == 0
+        assert main(["lint", "--gold", "maritime", "--format", "sarif"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["version"] == "2.1.0"
-        assert data["runs"][0]["tool"]["driver"]["rules"] is not None
+        rule_ids = {rule["id"] for rule in data["runs"][0]["tool"]["driver"]["rules"]}
+        assert set(self.CERTIFICATION_CODES) <= rule_ids
+        assert "RTEC030" not in rule_ids
 
     def test_leaky_file_fails_on_warning(self, tmp_path, capsys):
         path = tmp_path / "rules.prolog"
         path.write_text(
             "initiatedAt(hot(V)=true, T) :- happensAt(gap_start(V), T).\n"
         )
-        assert main(["certify", str(path), "--fail-on", "warning"]) == 1
+        argv = ["lint", str(path), "--select", "RTEC027,RTEC028", "--fail-on", "warning"]
+        assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "RTEC027" in out
-        assert "LEAKY" in out
-
-    def test_output_writes_certificate_json(self, tmp_path, capsys):
-        from repro.analysis import AnalysisCertificate
-
-        target = tmp_path / "certificate.json"
-        assert main(
-            ["certify", "--gold", "fleet", "--output", str(target)]
-        ) == 0
-        certificate = AnalysisCertificate.from_json(target.read_text())
-        assert certificate.verify()
+        assert "[RTEC027 leaky-fluent]" in out
+        assert "hot/1=true" in out
 
     def test_requires_exactly_one_target(self, capsys):
-        assert main(["certify"]) == 2
-        assert main(["certify", "x", "--gold", "maritime"]) == 2
+        select = ["--select", ",".join(self.CERTIFICATION_CODES)]
+        assert main(["lint"] + select) == 2
+        assert main(["lint", "x", "--gold", "maritime"] + select) == 2
+        assert capsys.readouterr().out == ""
 
-    def test_missing_file(self):
-        assert main(["certify", "/nonexistent/rules.prolog"]) == 2
+    def test_missing_file(self, capsys):
+        argv = ["lint", "/nonexistent/rules.prolog", "--select", "RTEC027,RTEC028"]
+        assert main(argv + ["--fail-on", "never"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_the_certify_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["certify", "--gold", "maritime"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'certify'" in capsys.readouterr().err
 
     def test_explain_covers_certification_codes(self, capsys):
-        for code in ("RTEC025", "RTEC026", "RTEC027", "RTEC028", "RTEC030"):
+        for code in self.CERTIFICATION_CODES:
             assert main(["lint", "--explain", code]) == 0
             out = capsys.readouterr().out
             assert code in out
             assert code.lower() in out  # the docs anchor
+        assert main(["lint", "--explain", "RTEC030"]) == 2
 
 
 class TestLintFix:
@@ -250,7 +306,7 @@ class TestLintFix:
             ["lint", str(path), "--select", "RTEC018", "--fail-on", "warning"]
         ) == 0
 
-    @pytest.mark.parametrize("codes", ["RTEC999,RTEC18", "RTEC016,RTEC021"])
+    @pytest.mark.parametrize("codes", ["RTEC999,RTEC18", "RTEC016,RTEC021", "RTEC027,RTEC030"])
     def test_select_rejects_unknown_codes(self, codes, capsys):
         # A typo or a retired code would otherwise turn a CI gate into a no-op.
         argv = ["lint", "--gold", "maritime", "--select", codes, "--fail-on", "info"]
