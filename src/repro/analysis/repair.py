@@ -108,8 +108,7 @@ def generic_similarity(generated: GeneratedEventDescription) -> float:
 
     scores: List[float] = []
     for activity in generated.activities:
-        gold_rules = parse_program(activity.group.rules_text)
-        scores.append(event_description_similarity(activity.rules, gold_rules))
+        scores.append(event_description_similarity(activity.rules, activity.group.rules))
     return sum(scores) / len(scores) if scores else 1.0
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.llm.pipeline import GeneratedEventDescription
-from repro.logic.parser import Rule, parse_program
+from repro.logic.parser import Rule
 from repro.logic.terms import Compound, Constant, Term
 from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
 from repro.rtec.description import INTERVAL_CONSTRUCTS, Vocabulary, fluent_key, head_fvp
@@ -151,10 +151,10 @@ def analyse_errors(
 
     all_gold_constants: Set[str] = set()
     for group in groups:
-        all_gold_constants |= _constants(parse_program(group.rules_text))
+        all_gold_constants |= _constants(group.rules)
 
     for group in groups:
-        gold_rules = parse_program(group.rules_text)
+        gold_rules = group.rules
         try:
             generated_activity = generated.activity(group.name)
         except KeyError:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.llm.pipeline import GeneratedEventDescription
-from repro.logic.parser import Rule, parse_program
-from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
+from repro.logic.parser import Rule
+from repro.maritime.gold import ACTIVITY_GROUPS, activity_group
 from repro.rtec.description import fluent_key, head_fvp
 from repro.similarity import event_description_similarity
 
@@ -40,18 +40,11 @@ def headline_rules(rules: Sequence[Rule], headline: str) -> List[Rule]:
     return selected
 
 
-def _group_by_name(name: str) -> ActivityGroup:
-    for group in ACTIVITY_GROUPS:
-        if group.name == name:
-            return group
-    raise KeyError("unknown activity group %r" % name)
-
-
 def activity_similarity(generated: GeneratedEventDescription, group_name: str) -> float:
     """Similarity of one activity's headline-fluent definition to the gold one."""
-    group = _group_by_name(group_name)
+    group = activity_group(group_name)
     headline = group.fluents[-1][0]
-    gold_subset = headline_rules(parse_program(group.rules_text), headline)
+    gold_subset = headline_rules(group.rules, headline)
     generated_subset = headline_rules(generated.rules_for(group_name), headline)
     return event_description_similarity(generated_subset, gold_subset)
 
@@ -71,8 +64,5 @@ def average_similarity(generated: GeneratedEventDescription) -> float:
     activity definition in the event description."""
     scores: List[float] = []
     for group in ACTIVITY_GROUPS:
-        gold_rules = parse_program(group.rules_text)
-        scores.append(
-            event_description_similarity(generated.rules_for(group.name), gold_rules)
-        )
+        scores.append(event_description_similarity(generated.rules_for(group.name), group.rules))
     return sum(scores) / len(scores)

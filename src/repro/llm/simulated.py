@@ -32,7 +32,6 @@ from repro.llm.errors import CorruptSyntax, Transformation, apply_all
 from repro.llm.interface import ChatMessage
 from repro.llm.profiles import MODEL_NAMES, Profile, profile_for
 from repro.llm.prompts import CHAIN_OF_THOUGHT, FEW_SHOT, REPAIR_MARKER, ZERO_SHOT
-from repro.logic.parser import parse_program
 from repro.logic.pretty import program_to_str
 from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
 
@@ -150,8 +149,7 @@ class SimulatedLLM:
     def _render(self, group: ActivityGroup, transformations: Sequence[Transformation]) -> str:
         rule_level = [t for t in transformations if not isinstance(t, CorruptSyntax)]
         text_level = [t for t in transformations if isinstance(t, CorruptSyntax)]
-        rules = parse_program(group.rules_text)
-        rules = apply_all(rules, rule_level, self._rng)
+        rules = apply_all(group.rules, rule_level, self._rng)
         text = program_to_str(rules)
         for corruption in text_level:
             text = corruption.corrupt(text)
@@ -186,7 +184,6 @@ class SimulatedLLM:
             return "% I do not know how to formalise this activity."
         scheme = self._detect_scheme(conversation)
         _prefix, _sep, diagnostics_text = request.partition(_DIAGNOSTICS_HEADER)
-        gold_rules = parse_program(group.rules_text)
         active = self._active_transformations(scheme, group)
         suppressed = self._repaired.setdefault((scheme, group.name), set())
         for transformation in active:
@@ -194,7 +191,7 @@ class SimulatedLLM:
                 if any(hint in diagnostics_text for hint in _SYNTAX_HINTS):
                     suppressed.add(transformation)
                 continue
-            names = transformation.introduced_names(gold_rules)
+            names = transformation.introduced_names(group.rules)
             if any(
                 re.search(r"\b%s\b" % re.escape(name), diagnostics_text)
                 for name in names

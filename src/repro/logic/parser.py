@@ -32,6 +32,7 @@ event descriptions must be *validated*, not silently repaired.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -123,77 +124,63 @@ class Rule:
         return "%r :- %s." % (self.head, ", ".join(repr(b) for b in self.body))
 
 
+#: Whitespace and ``%`` line comments, skipped between tokens.
+_LAYOUT = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*")
+#: A digit-and-dot run: a number when it has at most one dot (a '.' not
+#: followed by a digit ends it, so that 'f(3).' is the number 3, then '.').
+_DIGITS = re.compile(r"[0-9]+(?:\.[0-9]+)*")
+_ASCII_DIGITS = frozenset("0123456789")
+_WORD_REST = re.compile(r"\w*")
+_SYMBOL = re.compile("|".join(re.escape(sym) for sym in _SYMBOLIC_TOKENS))
+
+
 def tokenize(text: str) -> List[Token]:
-    """Split ``text`` into tokens, dropping whitespace and ``%`` comments."""
+    """Split ``text`` into tokens, dropping whitespace and ``%`` comments.
+
+    A number is ASCII ``-?[0-9]+(.[0-9]+)?``; a longer digit-and-dot run
+    such as ``1.2.3`` is a :class:`ParseError`, and a non-ASCII digit an
+    unexpected character. A token's column is its offset from the last
+    newline before it.
+    """
     tokens: List[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
+    i, line, line_start, n = 0, 1, 0, len(text)
+    next_break = text.find("\n")  # the first newline not yet counted in ``line``
+    while True:
+        i = _LAYOUT.match(text, i).end()  # type: ignore[union-attr]
+        if -1 < next_break < i:
+            line += text.count("\n", next_break, i)
+            line_start = text.rindex("\n", next_break, i) + 1
+            next_break = text.find("\n", i)
+        if i >= n:
+            break
         ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
+        col = i - line_start + 1
         if ch == "'":
-            start_line, start_col = line, col
-            advance(1)
-            start = i
-            while i < n and text[i] != "'":
-                advance(1)
-            if i >= n:
-                raise ParseError("unterminated quoted atom", start_line, start_col)
-            tokens.append(Token("atom", text[start:i], start_line, start_col))
-            advance(1)
-            continue
-        if ch.isdigit() or (
-            ch == "-" and i + 1 < n and text[i + 1].isdigit() and _starts_number(tokens)
+            close = text.find("'", i + 1)
+            if close < 0:
+                raise ParseError("unterminated quoted atom", line, col)
+            tokens.append(Token("atom", text[i + 1 : close], line, col))
+            i = close + 1
+        elif ch in _ASCII_DIGITS or (
+            ch == "-" and text[i + 1 : i + 2] in _ASCII_DIGITS and _starts_number(tokens)
         ):
-            start_line, start_col = line, col
-            start = i
-            advance(1)
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                # A '.' ends the number unless followed by another digit
-                # (so that 'f(3).' parses as number 3 then '.').
-                if text[i] == "." and not (i + 1 < n and text[i + 1].isdigit()):
-                    break
-                advance(1)
-            tokens.append(Token("number", text[start:i], start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance(1)
-            word = text[start:i]
-            kind = "var" if (word[0].isupper() or word[0] == "_") else "atom"
-            tokens.append(Token(kind, word, start_line, start_col))
-            continue
-        matched = False
-        for sym in _SYMBOLIC_TOKENS:
-            if text.startswith(sym, i):
-                tokens.append(Token("punct", sym, line, col))
-                advance(len(sym))
-                matched = True
-                break
-        if not matched:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("end", "", line, col))
+            end = _DIGITS.match(text, i + (ch == "-")).end()  # type: ignore[union-attr]
+            if text.count(".", i, end) > 1:
+                raise ParseError("malformed number %r" % text[i:end], line, col)
+            tokens.append(Token("number", text[i:end], line, col))
+            i = end
+        elif ch.isalpha() or ch == "_":
+            end = _WORD_REST.match(text, i + 1).end()  # type: ignore[union-attr]
+            kind = "var" if (ch.isupper() or ch == "_") else "atom"
+            tokens.append(Token(kind, text[i:end], line, col))
+            i = end
+        else:
+            symbol = _SYMBOL.match(text, i)
+            if symbol is None:
+                raise ParseError("unexpected character %r" % ch, line, col)
+            tokens.append(Token("punct", symbol.group(), line, col))
+            i = symbol.end()
+    tokens.append(Token("end", "", line, n - line_start + 1))
     return tokens
 
 

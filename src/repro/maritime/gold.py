@@ -16,8 +16,10 @@ the LLM in prompt G (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
+from repro.logic.parser import Rule, parse_program
 from repro.rtec.description import EventDescription, FluentKey, Vocabulary
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "THRESHOLD_MEANINGS",
     "gold_event_description",
     "gold_rules_text",
+    "activity_group",
     "activity_rules_text",
 ]
 
@@ -46,6 +49,12 @@ class ActivityGroup:
     fluents: Tuple[FluentKey, ...]
     rules_text: str
     kind: str  # 'simple' | 'static' — the kind of the top-level fluent
+
+    @cached_property
+    def rules(self) -> Tuple[Rule, ...]:
+        """``rules_text`` parsed once per group, shared by every reader
+        (``cached_property`` writes ``__dict__``, which a frozen dataclass allows)."""
+        return tuple(parse_program(self.rules_text))
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +679,14 @@ def gold_event_description() -> EventDescription:
     return EventDescription.from_text(gold_rules_text())
 
 
-def activity_rules_text(name: str) -> str:
-    """The gold rules of one activity group (by group name)."""
+def activity_group(name: str) -> ActivityGroup:
+    """The activity group called ``name``."""
     for group in ACTIVITY_GROUPS:
         if group.name == name:
-            return group.rules_text.strip() + "\n"
+            return group
     raise KeyError("unknown activity group %r" % name)
+
+
+def activity_rules_text(name: str) -> str:
+    """The gold rules of one activity group (by group name)."""
+    return activity_group(name).rules_text.strip() + "\n"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.logic.parser import LIST_FUNCTOR, Rule, parse_program
+from repro.logic.parser import LIST_FUNCTOR, Literal, Rule, parse_program
 from repro.logic.pretty import program_to_str
 from repro.logic.terms import Compound, Constant, Term, Variable, is_fvp
 from repro.rtec.builtins import is_comparison
@@ -289,6 +289,45 @@ class EventDescription:
                     if referenced is not None:
                         graph[key].add(referenced)
         return graph
+
+    def definition_keys(self) -> Dict[FluentKey, Optional[tuple]]:
+        """Defined fluent -> its *definition key* (``None``: never shared).
+
+        Fluents with equal keys evaluate to the same results, in the same
+        order, over one window of one stream and kb. The key is the kind, the
+        rules (variables numbered by first occurrence, constants tagged with
+        their type: ``2 == 2.0``, but they render differently), the
+        ``maxDuration``/``initially`` declarations that may apply and the
+        keys of the fluents read. Cached against :meth:`rule_fingerprint`.
+        """
+        fingerprint = self.rule_fingerprint()
+        cached = getattr(self, "_definition_keys", None)
+        if cached is not None and cached[0] == fingerprint:
+            return cached[1]
+        dependencies = self.dependencies()
+        keys: Dict[FluentKey, Optional[tuple]] = {}
+        for fluent in self.topological_order():
+            simple = self.simple_fluents.get(fluent)
+            if simple is not None:
+                kind, reader = "simple", "holdsAt"
+                rules = simple.initiated_rules + simple.terminated_rules
+            else:
+                kind, reader, rules = "static", "holdsFor", self.static_fluents[fluent].rules
+            read = sorted(dependencies[fluent])
+            # a read fluent that is never shared, or a read with no fixed fluent
+            unshared = any(keys.get(dep, ()) is None for dep in read) or any(
+                _is_predicate(lit.term, reader, 2) and _referenced_fluent(lit.term, reader) is None
+                for rule in rules for lit in rule.body
+            )
+            keys[fluent] = None if unshared else (
+                kind,
+                tuple(_canonical(rule.head, *rule.body) for rule in rules),
+                tuple((_canonical(p), d) for p, d in self.max_durations if _may_declare(p, fluent)),
+                tuple(_canonical(p) for p in self.initial_fvps if _may_declare(p, fluent)),
+                tuple((dep, keys.get(dep)) for dep in read),
+            )
+        self._definition_keys = (fingerprint, keys)
+        return keys
 
     def topological_order(self) -> List[FluentKey]:
         """Defined fluents, dependencies first; raises on cycles."""
@@ -650,3 +689,30 @@ def _interval_vars(term: Term) -> Iterable[Variable]:
     elif isinstance(term, Compound) and term.functor == LIST_FUNCTOR:
         for arg in term.args:
             yield from _interval_vars(arg)
+
+
+def _canonical(*parts) -> tuple:
+    """Terms and literals as nested tuples: variables numbered by first
+    occurrence, constants tagged with their type."""
+    numbers: Dict[str, int] = {}
+
+    def encode(term: Term):
+        if isinstance(term, Variable):
+            return numbers.setdefault(term.name, len(numbers))
+        if isinstance(term, Constant):
+            return (type(term.value).__name__, repr(term.value))
+        return (term.functor,) + tuple(map(encode, term.args))
+
+    return tuple(
+        (part.negated, encode(part.term)) if isinstance(part, Literal) else encode(part)
+        for part in parts
+    )
+
+
+def _may_declare(pair: Term, fluent: FluentKey) -> bool:
+    """Whether a ``maxDuration/2`` or ``initially/1`` declaration of
+    ``pair`` can apply to ``fluent`` (a pattern with no fixed fluent can)."""
+    try:
+        return fluent_key(pair.args[0]) == fluent  # type: ignore[union-attr]
+    except ValueError:
+        return True

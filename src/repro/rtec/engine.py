@@ -17,7 +17,7 @@ synthetic initiation at the window-start time-point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
@@ -31,7 +31,7 @@ from repro.rtec.static import evaluate_static_fluent
 from repro.rtec.store import FluentStore
 from repro.rtec.stream import EventStream, InputFluents
 
-__all__ = ["RTECEngine"]
+__all__ = ["RTECEngine", "recognise_all"]
 
 
 def _by_fluent(carried: Mapping[Term, int]) -> Dict[FluentKey, Dict[Term, int]]:
@@ -177,14 +177,8 @@ class RTECEngine:
         end = stream.max_time if stream.max_time is not None else start
         for _pair, intervals in input_fluents.items():
             if intervals:
-                last = intervals.span[1]
-                if last > end:
-                    end = last
-        for _pair, intervals in input_fluents.items():
-            if intervals:
-                first = intervals.span[0]
-                if first < start:
-                    start = first
+                first, last = intervals.span
+                start, end = min(start, first), max(end, last)
         return start, end
 
     def recognise(
@@ -201,67 +195,29 @@ class RTECEngine:
         ``window``); a step larger than the window loses events, faithfully
         to RTEC's forgetting mechanism.
         """
-        result = RecognitionResult()
-        if input_fluents is None:
-            input_fluents = InputFluents()
-        if len(stream) == 0 and len(input_fluents) == 0:
-            return result
-        start, end = self._bounds(stream, input_fluents)
-        if window is None:
-            window_start = start - 1
-            if self.description.initial_fvps:
-                window_start = min(window_start, -1)
-            self._process_window(
-                stream, input_fluents, window_start, end, result,
-                pending={}, include_initially=True,
-            )
-            return result
-        if window <= 0:
-            raise ValueError("window size must be positive")
-        if step is None:
-            step = window
-        if step <= 0:
-            raise ValueError("step must be positive")
-        #: Open initiations carried between windows: inertia survives the
-        #: forgetting of the events that produced it. Deadline barriers ride
-        #: along: a period closed by maxDuration leaves no termination event,
-        #: so the close point itself is carried to stop the next window from
-        #: re-anchoring on the period's intermediate initiations.
-        pending: Dict[Term, int] = {}
-        barriers: Dict[Term, int] = {}
-        query_time = min(start - 1 + step, end)
-        previous_query: Optional[int] = None
-        first = True
-        while True:
-            window_start = query_time - window
-            if first and self.description.initial_fvps:
-                # initially/1 declarations are evaluated from the time
-                # origin: the first window is extended to cover it.
-                window_start = min(window_start, -1)
-            pending, barriers, _store = self._process_window(
-                stream,
-                input_fluents,
-                window_start,
-                query_time,
-                result,
-                pending=pending,
-                barriers=barriers,
-                # initially/1 declarations hold from the start of time; the
-                # first window injects them, and they then persist as
-                # pending open initiations like any other period.
-                include_initially=first,
-                # Results at or before the previous query time are final;
-                # an overlapping window must not revise them.
-                merge_from=previous_query,
-            )
-            first = False
-            previous_query = query_time
-            if query_time >= end:
-                break
-            # Clamp the final query time to the stream end so trailing open
-            # intervals do not overshoot the data.
-            query_time = min(query_time + step, end)
-        return result
+        return recognise_all([self], stream, input_fluents, window, step)[0]
+
+    def _sharing(self, shared: Dict[tuple, object], window_start: int, window_end: int):
+        """The two fluent evaluators, answering from ``shared`` what it holds
+        and storing there what they compute without a runtime warning."""
+        keys = self.description.definition_keys()
+
+        def reuse(evaluate):
+            def evaluate_once(definition, *args, **kwargs):
+                key = keys[definition.key]
+                if key is None:
+                    return evaluate(definition, *args, **kwargs)
+                key = (window_start, window_end, id(self.kb), key)
+                found = shared.get(key)
+                if found is None:
+                    warnings = len(self.runtime_warnings)
+                    found = evaluate(definition, *args, **kwargs)
+                    if len(self.runtime_warnings) == warnings:
+                        shared[key] = found
+                return found
+            return evaluate_once
+
+        return reuse(evaluate_simple_fluent), reuse(evaluate_static_fluent)
 
     def _process_window(
         self,
@@ -275,6 +231,7 @@ class RTECEngine:
         include_initially: bool = False,
         merge_from: Optional[int] = None,
         cache: Optional[Dict[Term, IntervalList]] = None,
+        shared: Optional[Dict[tuple, object]] = None,
     ) -> Tuple[Dict[Term, int], Dict[Term, int], FluentStore]:
         """Evaluate one window; returns the state to carry forward.
 
@@ -318,6 +275,12 @@ class RTECEngine:
         A delivered input fluent and a derivation of the same FVP both
         count: the FVP holds on the union of the two, for simple and
         statically determined fluents alike (DESIGN §5).
+
+        ``shared`` maps ``(window start, window end, kb identity, definition
+        key)`` to what that evaluation returned for an engine
+        :func:`recognise_all` ran earlier in this window; a fluent found
+        there is not evaluated again, and entries are never mutated.
+        ``None`` (sessions, one engine): no key is computed.
 
         Returns ``(open initiations, deadline barriers, fluent store)`` for
         the next window; the store holds every FVP's intervals before the
@@ -377,9 +340,12 @@ class RTECEngine:
             next_pending: Dict[Term, int] = {}
             next_barriers: Dict[Term, int] = {}
             skipped_static = 0
+            evaluate_simple, evaluate_static = evaluate_simple_fluent, evaluate_static_fluent
+            if shared is not None:
+                evaluate_simple, evaluate_static = self._sharing(shared, window_start, window_end)
             for key in self._order:
                 if key in self.description.simple_fluents:
-                    computed, opened, closed = evaluate_simple_fluent(
+                    computed, opened, closed = evaluate_simple(
                         self.description.simple_fluents[key],
                         stream,
                         self.kb,
@@ -420,7 +386,7 @@ class RTECEngine:
                             skipped_static += 1
                             continue
                         changed.add(key)
-                    computed = evaluate_static_fluent(
+                    computed = evaluate_static(
                         self.description.static_fluents[key],
                         self.kb,
                         store,
@@ -443,3 +409,67 @@ class RTECEngine:
                     sp.count("changed_keys", len(changed))
                     sp.count("skipped_static", skipped_static)
             return next_pending, next_barriers, store
+
+
+def recognise_all(
+    engines: Sequence[RTECEngine],
+    stream: EventStream,
+    input_fluents: Optional[InputFluents] = None,
+    window: Optional[int] = None,
+    step: Optional[int] = None,
+) -> List[RecognitionResult]:
+    """:meth:`RTECEngine.recognise` of each engine over one stream, in one
+    walk of the window grid; each result is byte-equal to the engine's own run.
+
+    The engines run in lockstep, in the given order. Within a window a
+    fluent whose definition key (:meth:`EventDescription.definition_keys`)
+    and kb equal those of a fluent an earlier engine evaluated without a
+    runtime warning reuses that result, as RTEC reuses an FVP's cached
+    intervals: Fig. 2c runs the gold and generated descriptions that restate
+    most of it. With one engine nothing is keyed or shared.
+    """
+    results = [RecognitionResult() for _ in engines]
+    if input_fluents is None:
+        input_fluents = InputFluents()
+    if len(stream) == 0 and len(input_fluents) == 0:
+        return results
+    start, end = RTECEngine._bounds(stream, input_fluents)
+    if window is None:  # one window covering the whole stream
+        window = step = end - start + 1
+    elif window <= 0:
+        raise ValueError("window size must be positive")
+    step = window if step is None else step
+    if step <= 0:
+        raise ValueError("step must be positive")
+    #: Per engine, the open initiations carried between windows (inertia
+    #: survives forgetting) and the maxDuration deadline barriers (a deadline
+    #: close leaves no event to stop re-anchoring on later initiations).
+    carried: List[Tuple[Dict[Term, int], Dict[Term, int]]] = [({}, {}) for _ in engines]
+    query_time = min(start - 1 + step, end)
+    previous_query: Optional[int] = None
+    first = True
+    while True:
+        shared: Optional[Dict[tuple, object]] = {} if len(engines) > 1 else None
+        for index, engine in enumerate(engines):
+            window_start = query_time - window
+            if first and engine.description.initial_fvps:
+                # initially/1 declarations are evaluated from the time
+                # origin: the first window is extended to cover it.
+                window_start = min(window_start, -1)
+            carried[index] = engine._process_window(
+                stream, input_fluents, window_start, query_time, results[index],
+                *carried[index],
+                # initially/1 declarations: injected once, then carried as pending.
+                include_initially=first,
+                # Results at or before the previous query time are final.
+                merge_from=previous_query,
+                shared=shared,
+            )[:2]
+        first = False
+        previous_query = query_time
+        if query_time >= end:
+            break
+        # Clamp the final query time to the stream end so trailing open
+        # intervals do not overshoot the data.
+        query_time = min(query_time + step, end)
+    return results

@@ -15,14 +15,15 @@ from repro import telemetry
 from repro.logic.parser import Rule, parse_program
 from repro.rtec.description import EventDescription
 from repro.similarity.assignment import kuhn_munkres
-from repro.similarity.rules import rule_distance
+from repro.similarity.rules import rule_distance_matrix
 
 __all__ = ["event_description_distance", "event_description_similarity"]
 
 Description = Union[EventDescription, Sequence[Rule], str]
 
 
-def _rules_of(description: Description) -> List[Rule]:
+def rules_of(description: Description) -> List[Rule]:
+    """The rules of a description given as an object, a rule list or text."""
     if isinstance(description, EventDescription):
         return list(description.rules)
     if isinstance(description, str):
@@ -37,8 +38,8 @@ def event_description_distance(left: Description, right: Description) -> float:
     lists, or program text. Symmetric; two empty descriptions are at
     distance 0, and an empty versus a non-empty description at distance 1.
     """
-    left_rules = _rules_of(left)
-    right_rules = _rules_of(right)
+    left_rules = rules_of(left)
+    right_rules = rules_of(right)
     if len(left_rules) < len(right_rules):
         left_rules, right_rules = right_rules, left_rules
     m, k = len(left_rules), len(right_rules)
@@ -47,10 +48,7 @@ def event_description_distance(left: Description, right: Description) -> float:
     if k == 0:
         return 1.0
     with telemetry.span("similarity.description", rules=m, matched_against=k) as sp:
-        matrix = [
-            [rule_distance(left_rules[i], right_rules[j]) if j < k else 0.0 for j in range(m)]
-            for i in range(m)
-        ]
+        matrix = rule_distance_matrix(left_rules, right_rules)
         _assignment, matched_total = kuhn_munkres(matrix)
         sp.count("rule_pairs", m * k)
         return ((m - k) + matched_total) / m

@@ -12,17 +12,15 @@ write from scratch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
-from repro.logic.parser import Rule, parse_program
+from repro.logic.parser import Rule
 from repro.logic.pretty import rule_to_str
-from repro.rtec.description import EventDescription
 from repro.similarity.assignment import kuhn_munkres
-from repro.similarity.rules import rule_distance
+from repro.similarity.event_description import Description, rules_of
+from repro.similarity.rules import rule_distance_matrix
 
 __all__ = ["RuleMatch", "MatchingReport", "match_descriptions", "format_matching"]
-
-Description = Union[EventDescription, Sequence[Rule], str]
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,6 @@ class MatchingReport:
         return len(self.matches)
 
 
-def _rules_of(description: Description) -> List[Rule]:
-    if isinstance(description, EventDescription):
-        return list(description.rules)
-    if isinstance(description, str):
-        return parse_program(description)
-    return list(description)
-
-
 def match_descriptions(generated: Description, gold: Description) -> MatchingReport:
     """Compute the optimal rule matching between two event descriptions.
 
@@ -87,19 +77,16 @@ def match_descriptions(generated: Description, gold: Description) -> MatchingRep
     :func:`repro.similarity.event_description_distance` on the same inputs
     (each unmatched rule contributes the maximal distance 1).
     """
-    generated_rules = _rules_of(generated)
-    gold_rules = _rules_of(gold)
+    generated_rules = rules_of(generated)
+    gold_rules = rules_of(gold)
     if not generated_rules and not gold_rules:
         return MatchingReport(matches=[])
     swapped = len(generated_rules) < len(gold_rules)
     larger, smaller = (
         (gold_rules, generated_rules) if swapped else (generated_rules, gold_rules)
     )
-    m, k = len(larger), len(smaller)
-    matrix = [
-        [rule_distance(larger[i], smaller[j]) if j < k else 0.0 for j in range(m)]
-        for i in range(m)
-    ]
+    k = len(smaller)
+    matrix = rule_distance_matrix(larger, smaller)
     assignment, _total = kuhn_munkres(matrix)
     matches: List[RuleMatch] = []
     for i, j in enumerate(assignment):

@@ -44,6 +44,64 @@ class TestTokenizer:
         numbers = [t for t in tokens if t.kind == "number"]
         assert numbers[0].text == "0.5"
 
+    def test_column_counts_from_the_last_newline(self):
+        tokens = tokenize("a(\t'x\ny', Z).\n  % note\n\tb.")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("(", 1, 2), ("x\ny", 1, 4), (",", 2, 3), ("Z", 2, 5),
+            (")", 2, 6), (".", 2, 7), ("b", 4, 2), (".", 4, 3), ("", 4, 4),
+        ]
+
+
+class TestMalformedNumbers:
+    """A number token is ASCII ``-?[0-9]+(.[0-9]+)?``; anything else is a
+    :class:`ParseError` with a position, never a bare ``ValueError``."""
+
+    def test_a_second_dot_is_a_parse_error_naming_the_run(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("f(1.2.3).")
+        assert type(excinfo.value) is ParseError
+        assert "'1.2.3'" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 3)
+
+    def test_the_run_is_not_split_into_a_number_and_a_fact(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("initiatedAt(f(V)=true, T) :-\n  happensAt(e(V, S), T),\n    S > 1.2.3.")
+        assert "'1.2.3'" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (3, 9)
+
+    def test_a_non_ascii_digit_is_an_unexpected_character(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("f(\u00b2).")
+        assert "unexpected character" in str(excinfo.value)
+        with pytest.raises(ParseError):
+            parse_program("f(1\u0663).")
+
+    def test_numbers_that_fit_still_parse(self):
+        assert parse_term("f(-3, 1.25, 7)") == Compound(
+            "f", (Constant(-3), Constant(1.25), Constant(7))
+        )
+        assert [r.head for r in parse_program("f(3).g(1.5).")] == [
+            parse_term("f(3)"), parse_term("g(1.5)")
+        ]
+
+    def test_a_reply_with_a_malformed_number_is_recorded_not_raised(self):
+        from repro.llm.pipeline import GenerationPipeline
+        from repro.maritime.gold import ACTIVITY_GROUPS
+
+        group = ACTIVITY_GROUPS[0]
+        for reply in ("f(1.2.3).", "f(\u00b2)."):
+            activity = GenerationPipeline._parse_reply(group, reply)
+            assert activity.rules == [] and activity.parse_error
+
+    def test_lint_reports_a_syntax_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "rules.prolog"
+        path.write_text("1.2.3\n")
+        assert main(["lint", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "RTEC001" in out and "'1.2.3'" in out
+
 
 class TestTerms:
     def test_atom(self):
