@@ -30,12 +30,13 @@ from repro.analysis.diagnostics import Diagnostic, Fix
 from repro.analysis.names import closest
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import COMPARISON_OPERATORS, LIST_FUNCTOR, Rule
-from repro.logic.terms import Compound, Constant, Term, Variable, is_ground, walk_subterms
+from repro.logic.terms import Compound, Constant, Term, is_ground, walk_subterms
 from repro.rtec.builtins import EVALUABLE_FUNCTORS
 from repro.rtec.description import (
     INTERVAL_CONSTRUCTS,
     EventDescription,
     Vocabulary,
+    canonical,
     fluent_key,
     head_fvp,
 )
@@ -177,37 +178,6 @@ def arity_pass(ctx: AnalysisContext) -> List[Diagnostic]:
 # -- consistency --------------------------------------------------------------
 
 
-def _canonical(term: Term, mapping: Dict[Variable, Variable]) -> Term:
-    """Rename variables in order of first occurrence (alpha-equivalence)."""
-    if isinstance(term, Variable):
-        renamed = mapping.get(term)
-        if renamed is None:
-            renamed = Variable("_C%d" % len(mapping))
-            mapping[term] = renamed
-        return renamed
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_canonical(arg, mapping) for arg in term.args))
-    return term
-
-
-def _canonical_rule(rule: Rule) -> Tuple[Term, Tuple[Tuple[bool, Term], ...]]:
-    mapping: Dict[Variable, Variable] = {}
-    head = _canonical(rule.head, mapping)
-    body = tuple((lit.negated, _canonical(lit.term, mapping)) for lit in rule.body)
-    return (head, body)
-
-
-def _canonical_fvp_body(rule: Rule) -> Tuple[Term, Tuple[Tuple[bool, Term], ...]]:
-    """Canonical (head FVP, body) — head predicate ignored, for comparing an
-    initiatedAt rule against a terminatedAt rule."""
-    mapping: Dict[Variable, Variable] = {}
-    head = rule.head
-    assert isinstance(head, Compound)
-    pair = _canonical(head.args[0], mapping)
-    body = tuple((lit.negated, _canonical(lit.term, mapping)) for lit in rule.body)
-    return (pair, body)
-
-
 def _first_rule_index(description: EventDescription, rule: Rule) -> Optional[int]:
     try:
         return description.rules.index(rule)
@@ -268,12 +238,12 @@ def consistency_pass(ctx: AnalysisContext) -> List[Diagnostic]:
                 )
 
     defining = ("initiatedAt", "terminatedAt", "holdsFor")
-    seen_canonical: Dict[Tuple[Term, Tuple[Tuple[bool, Term], ...]], int] = {}
+    seen_canonical: Dict[tuple, int] = {}
     for index, rule in enumerate(description.rules):
         head = rule.head
         if not (isinstance(head, Compound) and head.arity == 2 and head.functor in defining):
             continue
-        canon = _canonical_rule(rule)
+        canon = canonical(head, *rule.body)
         first = seen_canonical.get(canon)
         if first is None:
             seen_canonical[canon] = index
@@ -288,14 +258,15 @@ def consistency_pass(ctx: AnalysisContext) -> List[Diagnostic]:
             )
 
     for key, definition in sorted(description.simple_fluents.items()):
+        # the FVP and the body: an initiatedAt rule against a terminatedAt one
         initiated = {
-            _canonical_fvp_body(rule): rule for rule in definition.initiated_rules
+            canonical(rule.head.args[0], *rule.body)  # type: ignore[union-attr]
+            for rule in definition.initiated_rules
         }
         for rule in definition.terminated_rules:
-            canon = _canonical_fvp_body(rule)
-            if canon in initiated:
-                head = rule.head
-                assert isinstance(head, Compound)
+            head = rule.head
+            assert isinstance(head, Compound)
+            if canonical(head.args[0], *rule.body) in initiated:
                 diagnostics.append(
                     Diagnostic(
                         "contradictory-rules",

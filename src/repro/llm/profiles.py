@@ -419,16 +419,15 @@ def _zero_shot_profile(model: str) -> Profile:
     """
     from repro.maritime.gold import ACTIVITY_GROUPS
 
-    weak_scheme = FEW_SHOT if BEST_SCHEME[model] == CHAIN_OF_THOUGHT else CHAIN_OF_THOUGHT
     profile = _merge(_BEST_PROFILES[model], _WEAK_EXTRAS[model])
     for index, group in enumerate(ACTIVITY_GROUPS):
         extra: List[Transformation] = [TruncateRules(1)]
-        # A deterministic third of the replies are syntactically broken.
-        if (hash(model) + index) % 3 == 0:
+        # A deterministic third of the replies are syntactically broken,
+        # picked by model index: a str hash would change with PYTHONHASHSEED.
+        if (MODEL_NAMES.index(model) + index) % 3 == 0:
             extra.append(CorruptSyntax("drop-final-period"))
         profile.setdefault(group.name, [])
         profile[group.name] = profile[group.name] + extra
-    del weak_scheme  # the merge above already folds in the weak extras
     return profile
 
 

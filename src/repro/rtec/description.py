@@ -41,6 +41,7 @@ __all__ = [
     "StaticFluentDef",
     "EventDescription",
     "INTERVAL_CONSTRUCTS",
+    "canonical",
 ]
 
 #: (functor, arity) identifying a fluent or event schema.
@@ -321,9 +322,9 @@ class EventDescription:
             )
             keys[fluent] = None if unshared else (
                 kind,
-                tuple(_canonical(rule.head, *rule.body) for rule in rules),
-                tuple((_canonical(p), d) for p, d in self.max_durations if _may_declare(p, fluent)),
-                tuple(_canonical(p) for p in self.initial_fvps if _may_declare(p, fluent)),
+                tuple(canonical(rule.head, *rule.body) for rule in rules),
+                tuple((canonical(p), d) for p, d in self.max_durations if _may_declare(p, fluent)),
+                tuple(canonical(p) for p in self.initial_fvps if _may_declare(p, fluent)),
                 tuple((dep, keys.get(dep)) for dep in read),
             )
         self._definition_keys = (fingerprint, keys)
@@ -691,9 +692,11 @@ def _interval_vars(term: Term) -> Iterable[Variable]:
             yield from _interval_vars(arg)
 
 
-def _canonical(*parts) -> tuple:
+def canonical(*parts) -> tuple:
     """Terms and literals as nested tuples: variables numbered by first
-    occurrence, constants tagged with their type."""
+    occurrence, constants tagged with their type. Equal for parts identical
+    up to variable renaming; ``2`` and ``2.0`` differ (they render
+    differently), although ``Constant(2) == Constant(2.0)``."""
     numbers: Dict[str, int] = {}
 
     def encode(term: Term):

@@ -6,10 +6,10 @@ collected and offers three views:
 * :meth:`~TelemetryReport.render` — an indented span tree with durations,
   attributes and counters (what ``repro profile`` prints);
 * :meth:`~TelemetryReport.to_dict` / :meth:`~TelemetryReport.to_json` —
-  machine-readable nesting, for benchmark artefacts;
+  machine-readable nesting (``repro profile --json``);
 * :meth:`~TelemetryReport.aggregate` — per-span-name totals (call count,
-  total seconds, summed counters), the per-stage breakdown attached to
-  benchmark JSON.
+  total seconds, summed counters), the per-stage summary
+  :meth:`~TelemetryReport.render_summary` prints.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ class StageStats:
         self.seconds += span.duration or 0.0
         for key, value in span.counters.items():
             self.counters[key] = self.counters.get(key, 0) + value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "calls": self.calls,
-            "seconds": self.seconds,
-            "counters": dict(self.counters),
-        }
 
     def __repr__(self) -> str:
         return "StageStats(%s: %d calls, %.6fs)" % (self.name, self.calls, self.seconds)
@@ -101,15 +94,6 @@ class TelemetryReport:
         for root in self.roots:
             visit(root)
         return stats
-
-    def aggregate_dict(self) -> Dict[str, Dict[str, Any]]:
-        """JSON-serialisable form of :meth:`aggregate` (plus tracer counters)."""
-        result = {name: stage.to_dict() for name, stage in self.aggregate().items()}
-        for name, value in self.counters.items():
-            result.setdefault("counter:%s" % name, {"calls": 0, "seconds": 0.0, "counters": {}})[
-                "counters"
-            ][name] = value
-        return result
 
     # -- text rendering -----------------------------------------------------
 

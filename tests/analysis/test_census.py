@@ -13,9 +13,7 @@ A registered code that never fires on the corpus must say why it is kept.
 
 import pytest
 
-import repro.analysis.repair as repair
 from repro.analysis import LINT_RULES, AnalysisCertificate, analyse
-from repro.experiments.repair import run_fleet_repair_experiment, run_repair_experiment
 from repro.fleet.dataset import build_fleet_knowledge_base
 from repro.fleet.generation import generate_fleet
 from repro.fleet.gold import FLEET_VOCABULARY, fleet_gold_event_description
@@ -69,23 +67,14 @@ def _corpus():
                 fixed, _report = correct_event_description(raw, FLEET_VOCABULARY, fleet_kb)
                 for generated in (raw, fixed):
                     corpus.append((generated.to_event_description(), FLEET_VOCABULARY, fleet_kb))
-    return corpus, maritime_kb
+    return corpus
 
 
 @pytest.fixture(scope="module")
-def census():
-    corpus, maritime_kb = _corpus()
+def census(repair_runs):
+    corpus = _corpus()
     reports = [analyse(description, vocabulary, kb=kb) for description, vocabulary, kb in corpus]
-    states = []
-    with pytest.MonkeyPatch.context() as patch:
-        analyse_state = repair._analyse
-
-        def recorded(*args):
-            states.append(analyse_state(*args))
-            return states[-1]
-
-        patch.setattr(repair, "_analyse", recorded)
-        experiments = (run_repair_experiment(maritime_kb, seed=0), run_fleet_repair_experiment(seed=0))
+    experiments, states = repair_runs
     fired = {d.code for report in reports + states for d in report.diagnostics}
     for experiment in experiments:
         for entry in experiment.entries:

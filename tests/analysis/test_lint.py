@@ -118,3 +118,27 @@ class TestNamingFixes:
         fix = naming[0].fix
         assert fix is not None
         assert (fix.old, fix.new) == ("gapStart", "gap_start")
+
+
+class TestDuplicateAndContradictoryRules:
+    """RTEC013/014 compare rules through ``canonical``, the form definition
+    keys use: identical up to variable renaming, constants compared with
+    their type."""
+
+    RULE = "initiatedAt(fast(V)=true, T) :- happensAt(velocity(V, S), T), S > %s."
+
+    def _codes(self, text):
+        return [d.code for d in analyse_text(text).diagnostics if d.code in ("RTEC013", "RTEC014")]
+
+    def test_an_alpha_renamed_rule_is_a_duplicate(self):
+        renamed = self.RULE.replace("V", "Vessel").replace("S", "Speed") % "2"
+        assert self._codes("\n".join([self.RULE % "2", renamed])) == ["RTEC013"]
+
+    def test_2_and_2_0_are_not_duplicates(self):
+        # Constant(2) == Constant(2.0), but the rules render differently and
+        # definition keys keep them apart too: one canonical form for both.
+        assert self._codes("\n".join([self.RULE % "2", self.RULE % "2.0"])) == []
+
+    def test_the_same_conditions_initiating_and_terminating_contradict(self):
+        terminated = (self.RULE % "2").replace("initiatedAt", "terminatedAt").replace("V", "W")
+        assert self._codes("\n".join([self.RULE % "2", terminated])) == ["RTEC014"]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.analysis.repair as repair
+from repro.experiments.repair import run_fleet_repair_experiment, run_repair_experiment
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import RTECEngine
 
@@ -27,3 +29,22 @@ def gold_description():
 def gold_recognition(small_dataset, gold_description):
     engine = RTECEngine(gold_description, small_dataset.kb, small_dataset.vocabulary)
     return engine.recognise(small_dataset.stream, small_dataset.input_fluents)
+
+
+@pytest.fixture(scope="session")
+def repair_runs():
+    """The maritime and fleet repair experiments at seed 0, and every state
+    the repair loop analysed on the way: the analyser census reads both,
+    and the paper claims gate both."""
+    states = []
+    with pytest.MonkeyPatch.context() as patch:
+        analyse_state = repair._analyse
+
+        def recorded(*args):
+            states.append(analyse_state(*args))
+            return states[-1]
+
+        patch.setattr(repair, "_analyse", recorded)
+        maritime_kb = build_dataset(seed=0, scale=0.05).kb
+        experiments = (run_repair_experiment(maritime_kb, seed=0), run_fleet_repair_experiment(seed=0))
+    return experiments, states

@@ -9,10 +9,7 @@ change that means to alter them updates them and says why.
 
 import hashlib
 
-import pytest
-
 from repro.experiments import fig2a, fig2b, fig2c
-from repro.maritime import build_dataset
 
 TABLES = "72ebb45dee364673af17aed68aef0268212d08d23d1545dfccdbead206cb76ab"
 GOLD = "5a034d5720ac44418793b18a58a4c350e11d31973ee9a8436da2cb29ae31be8e"
@@ -26,15 +23,6 @@ CANDIDATES = {
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def figures():
-    dataset = build_dataset(seed=0, scale=0.25)
-    result_a = fig2a.run_fig2a(seed=0)
-    result_b = fig2b.run_fig2b(dataset.kb, fig2a=result_a)
-    result_c = fig2c.run_fig2c(fig2b=result_b, dataset=dataset)
-    return result_a, result_b, result_c
 
 
 def test_the_three_tables(figures):

@@ -1,9 +1,13 @@
-"""Integration tests for the figure harnesses: the paper's observations
-must hold on the reproduced experiments."""
+"""The paper's Fig. 2 findings, each pinned on the seed-0 pass.
+
+Every test quotes the sentence of EXPERIMENTS.md (or of the paper, as
+EXPERIMENTS.md quotes it) that it pins. The pass is the one ``repro fig2a``,
+``fig2b`` and ``fig2c`` print (``conftest.py``); other seeds are covered by
+``test_paper_claims.py::TestSeedRobustness``.
+"""
 
 import pytest
 
-from repro.experiments import run_fig2a, run_fig2b, run_fig2c
 from repro.experiments.fig2a import format_table as fig2a_table
 from repro.experiments.fig2b import format_table as fig2b_table
 from repro.experiments.fig2c import format_table as fig2c_table
@@ -11,54 +15,61 @@ from repro.llm.profiles import BEST_SCHEME
 
 
 @pytest.fixture(scope="module")
-def fig2a():
-    return run_fig2a(seed=0)
+def fig2a(figures):
+    return figures[0]
 
 
 @pytest.fixture(scope="module")
-def fig2b(fig2a, small_dataset_module):
-    return run_fig2b(small_dataset_module.kb, fig2a=fig2a)
+def fig2b(figures):
+    return figures[1]
 
 
 @pytest.fixture(scope="module")
-def small_dataset_module():
-    from repro.maritime import build_dataset
-
-    return build_dataset(seed=7, scale=0.2, traffic=2)
+def fig2c(figures):
+    return figures[2]
 
 
-@pytest.fixture(scope="module")
-def fig2c(fig2b, small_dataset_module):
-    return run_fig2c(fig2b=fig2b, dataset=small_dataset_module)
+def _similarity(fig2a, model, activity="trawling"):
+    return fig2a.outcomes[model].activity_similarities[activity]
 
 
 class TestFig2a:
     def test_best_scheme_selection_matches_paper_markers(self, fig2a):
+        """EXPERIMENTS.md: best scheme per model matches the paper's markers
+        (GPT-4□, GPT-4o△, o1□, Llama-3□, Mistral△, Gemma-2△) —
+        chain-of-thought does *not* uniformly win. (The prompt-scheme
+        ablation's claim too.)"""
         for model, outcome in fig2a.outcomes.items():
             assert outcome.scheme == BEST_SCHEME[model], model
 
     def test_top_three_models(self, fig2a):
+        """EXPERIMENTS.md: the three best event descriptions are GPT-4o△,
+        o1□ and Llama-3□ (the inputs to Figures 2b/2c)."""
         assert set(fig2a.top_models(3)) == {"o1", "gpt-4o", "llama-3"}
 
     def test_o1_has_highest_average(self, fig2a):
-        best = max(fig2a.outcomes, key=lambda m: fig2a.outcomes[m].average_similarity)
-        assert best == "o1"
+        """EXPERIMENTS.md: [the top three are] reproduced, with o1 on top."""
+        assert fig2a.top_models(1) == ["o1"]
 
     def test_gemma_is_worst(self, fig2a):
-        worst = min(fig2a.outcomes, key=lambda m: fig2a.outcomes[m].average_similarity)
-        assert worst == "gemma-2"
+        """EXPERIMENTS.md: Gemma-2 is the weakest model overall."""
+        assert fig2a.top_models(len(fig2a.outcomes))[-1] == "gemma-2"
 
     def test_gemma_trawling_zero(self, fig2a):
-        assert fig2a.outcomes["gemma-2"].activity_similarities["trawling"] == 0.0
+        """EXPERIMENTS.md: Gemma-2△ renders trawling as a simple fluent:
+        similarity exactly 0."""
+        assert _similarity(fig2a, "gemma-2") == 0.0
 
     def test_trawling_contrast(self, fig2a):
-        # GPT-4o/o1/Llama-3 high on trawling; GPT-4 and Mistral much lower.
-        for strong in ("gpt-4o", "o1", "llama-3"):
-            assert fig2a.outcomes[strong].activity_similarities["trawling"] > 0.7
-        for weak in ("gpt-4", "mistral"):
-            assert fig2a.outcomes[weak].activity_similarities["trawling"] < 0.5
+        """EXPERIMENTS.md: GPT-4o△/o1□/Llama-3□ express most of the gold
+        conditions plus one redundant condition (0.78 each), while GPT-4□ and
+        Mistral△ match almost nothing (0.39 / 0.28)."""
+        assert {round(_similarity(fig2a, m), 2) for m in ("gpt-4o", "o1", "llama-3")} == {0.78}
+        assert round(_similarity(fig2a, "gpt-4"), 2) == 0.39
+        assert round(_similarity(fig2a, "mistral"), 2) == 0.28
 
     def test_series_shape(self, fig2a):
+        """DESIGN.md: per activity (h, aM, tr, tu, p, l, s, d) + average."""
         series = fig2a.series()
         assert all(len(values) == 9 for values in series.values())
 
@@ -69,17 +80,25 @@ class TestFig2a:
 
 class TestFig2b:
     def test_correction_improves_or_preserves_average(self, fig2b):
+        """EXPERIMENTS.md: a small increase in average similarity
+        (+0.002 … +0.029), never a decrease."""
         for model in fig2b.corrected:
             assert fig2b.improvement(model) >= 0, model
 
     def test_improvements_are_small(self, fig2b):
-        # The paper: the changes "led to a small increase in the average
-        # similarity score".
-        for model in fig2b.corrected:
-            assert fig2b.improvement(model) < 0.1, model
+        """The paper: the changes "led to a small increase in the average
+        similarity score"."""
+        assert {model: round(fig2b.improvement(model), 3) for model in fig2b.corrected} == {
+            "o1": 0.002, "llama-3": 0.029, "gpt-4o": 0.002
+        }
 
     def test_o1_manual_rename_applied(self, fig2b):
-        assert fig2b.reports["o1"].constant_renames["trawlingArea"] == "fishing"
+        """EXPERIMENTS.md: o1's only correction is the [manual] constant
+        rename trawlingArea -> fishing, exactly the correction the paper
+        describes performing on o1□."""
+        report = fig2b.reports["o1"]
+        assert report.constant_renames == {"trawlingArea": "fishing"}
+        assert report.total_changes == 1
 
     def test_table_renders(self, fig2b):
         table = fig2b_table(fig2b)
@@ -88,32 +107,41 @@ class TestFig2b:
 
 class TestFig2c:
     def test_o1_has_highest_accuracy(self, fig2c):
+        """EXPERIMENTS.md: o1■ has the highest predictive accuracy."""
         averages = {model: fig2c.average_f1(model) for model in fig2c.scores}
         assert max(averages, key=averages.get) == "o1"
-        assert averages["o1"] > 0.95
+        assert averages["o1"] == 1.0
 
     def test_o1_loitering_perfect(self, fig2c):
-        # o1's loitering is syntactically different but semantically
-        # equivalent: "a perfect f1-score" (Section 5.2).
-        assert fig2c.scores["o1"]["loitering"].f1 == pytest.approx(1.0)
+        """o1■'s loitering is "not syntactically equivalent with the
+        hand-crafted one [but] effectively expresses the same meaning, and
+        thus results in a perfect f1-score" (similarity 0.58, F1 1.00)."""
+        similarity = fig2c.fig2b.corrected["o1"].activity_similarities["loitering"]
+        assert round(similarity, 2) == 0.58
+        assert fig2c.scores["o1"]["loitering"].f1 == 1.0
 
     def test_operator_confusion_breaks_loitering(self, fig2c):
-        # GPT-4o and Llama-3 confuse union_all with intersect_all: the rule
-        # is never satisfied.
+        """GPT-4o▲ and Llama-3■ "define loitering in terms of their
+        conjunction, confusing union_all with intersect_all, and thus
+        leading to a rule that is never satisfied" — loitering F1 = 0."""
         assert fig2c.scores["gpt-4o"]["loitering"].f1 == 0.0
         assert fig2c.scores["llama-3"]["loitering"].f1 == 0.0
 
     def test_pilot_boarding_degraded_for_gpt4o_and_llama(self, fig2c):
-        assert fig2c.scores["gpt-4o"]["pilotBoarding"].f1 < 0.9
-        assert fig2c.scores["llama-3"]["pilotBoarding"].f1 < 0.9
-        assert fig2c.scores["o1"]["pilotBoarding"].f1 == pytest.approx(1.0)
+        """EXPERIMENTS.md: o1■ is also more accurate on the other statically
+        determined activity the paper calls out, pilot boarding (1.00 vs
+        0.25 / 0.08)."""
+        assert fig2c.scores["o1"]["pilotBoarding"].f1 == 1.0
+        assert round(fig2c.scores["gpt-4o"]["pilotBoarding"].f1, 2) == 0.25
+        assert round(fig2c.scores["llama-3"]["pilotBoarding"].f1, 2) == 0.08
 
     def test_simple_fvps_comparably_accurate(self, fig2c):
-        # "all three event descriptions contained comparably accurate
-        # definitions for most simple FVPs"
-        for model in fig2c.scores:
-            assert fig2c.scores[model]["highSpeedNearCoast"].f1 > 0.9, model
-            assert fig2c.scores[model]["drifting"].f1 > 0.9, model
+        """The paper: "all three event descriptions contained comparably
+        accurate definitions for most simple FVPs" — h, tr, s, d are 1.00 for
+        all three (to two decimals: GPT-4o▲'s drifting is 0.996)."""
+        for model, scores in fig2c.scores.items():
+            for activity in ("highSpeedNearCoast", "trawling", "searchAndRescue", "drifting"):
+                assert round(scores[activity].f1, 2) == 1.0, (model, activity)
 
     def test_table_renders(self, fig2c):
         table = fig2c_table(fig2c)

@@ -1,0 +1,188 @@
+"""The paper's claims, each a tier-1 test that names it.
+
+Every claim of EXPERIMENTS.md is asserted here or by the test named below;
+each test quotes the sentence it pins.
+
+* Section 4 worked examples: ``tests/similarity/test_paper_examples.py``.
+* Figures 2a-2c on the seed-0 pass: ``tests/experiments/test_figures.py``,
+  and their bytes ``tests/experiments/test_fig2_digests.py``. The printed
+  tables of EXPERIMENTS.md are that pass (``TestTheTablesArePrinted``).
+* Section 5.2 error signatures and error volume:
+  ``tests/generation/test_error_analysis.py``.
+* Prompt schemes: the best scheme per model is
+  ``test_figures.py::TestFig2a::test_best_scheme_selection_matches_paper_markers``;
+  zero-shot is ``tests/llm/test_zero_shot.py::TestZeroShotQuality``.
+* Differential semantics testing: ``tests/rtec/test_reference_oracle.py``.
+* Domain transfer: ``tests/fleet/``.
+* Seed robustness, window independence, the correction ablation and the
+  repair loop's gates: here.
+
+The Kuhn-Munkres and window-scaling *runtimes* EXPERIMENTS.md quotes are
+one-off measurements, not claims a test holds.
+"""
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import fig2a, fig2b, fig2c
+from repro.experiments.robustness import run_robustness
+from repro.generation.correction import correct_event_description
+from repro.generation.metrics import average_similarity
+from repro.llm.errors import AddCondition, RenameConstant, RenameFunctor, SwapOperator, apply_all
+from repro.llm.pipeline import GeneratedActivity, GeneratedEventDescription
+from repro.maritime.gold import (
+    ACTIVITY_GROUPS,
+    COMPOSITE_ACTIVITIES,
+    MARITIME_VOCABULARY,
+    gold_event_description,
+)
+from repro.rtec import RTECEngine
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+
+
+class TestTheTablesArePrinted:
+    """EXPERIMENTS.md: ``run_fig2a(seed=0)`` and
+    ``build_dataset(seed=0, scale=0.25)`` reproduce the tables above
+    bit-for-bit."""
+
+    @pytest.mark.parametrize("panel", ["2a", "2b", "2c"])
+    def test_the_table_under_each_figure_heading(self, figures, panel):
+        text = EXPERIMENTS_MD.read_text(encoding="utf-8")
+        block = re.search(r"## Figure %s\b.*?```\n(.*?)```" % panel, text, re.S).group(1)
+        module, result = {"2a": (fig2a, figures[0]), "2b": (fig2b, figures[1]),
+                          "2c": (fig2c, figures[2])}[panel]
+        assert block.rstrip("\n") == module.format_table(result)
+
+
+class TestSeedRobustness:
+    """EXPERIMENTS.md: the Figure 2c conclusions hold with zero variance
+    across synthetic-fleet seeds (o1 avg 1.00; loitering F1 pinned at 0.00
+    for GPT-4o/Llama-3 on every seed)."""
+
+    @pytest.fixture(scope="class")
+    def robustness(self):
+        return run_robustness(seeds=(0, 1, 2), scale=0.2)
+
+    def test_o1_wins_on_every_seed(self, robustness):
+        for index, seed in enumerate(robustness.seeds):
+            averages = {
+                model: sum(samples[a][index] for a in COMPOSITE_ACTIVITIES)
+                / len(COMPOSITE_ACTIVITIES)
+                for model, samples in robustness.samples.items()
+            }
+            assert max(averages, key=averages.get) == "o1", seed
+            assert averages["o1"] == 1.0, seed
+
+    def test_loitering_is_zero_for_gpt4o_and_llama3_on_every_seed(self, robustness):
+        for model in ("gpt-4o", "llama-3"):
+            assert robustness.samples[model]["loitering"] == [0.0, 0.0, 0.0], model
+
+    def test_every_score_is_the_same_on_every_seed(self, robustness):
+        for model, samples in robustness.samples.items():
+            for activity, values in samples.items():
+                assert len(set(values)) == 1, (model, activity, values)
+
+
+class TestWindowIndependence:
+    """EXPERIMENTS.md: recognition over the same stream with
+    ω ∈ {600, 1200, 2400, 4800} s amalgamates to identical detections
+    (0% drift); with step > ω events are forgotten and recognition
+    collapses — the forgetting trade-off of Section 2."""
+
+    @pytest.fixture(scope="class")
+    def gold(self, figures):
+        result_c = figures[2]
+        dataset = result_c.dataset
+        engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
+        return engine, dataset, result_c.gold_result
+
+    @pytest.mark.parametrize("window", [600, 1200, 2400, 4800])
+    def test_every_window_gives_the_unwindowed_bytes(self, gold, window):
+        engine, dataset, unwindowed = gold
+        result = engine.recognise(dataset.stream, dataset.input_fluents, window=window)
+        assert result.to_json() == unwindowed.to_json()
+
+    def test_a_step_beyond_the_window_loses_detections(self, gold):
+        engine, dataset, unwindowed = gold
+        forgetful = engine.recognise(dataset.stream, dataset.input_fluents, window=600, step=1200)
+        durations = [
+            (forgetful.activity_duration(a), unwindowed.activity_duration(a))
+            for a in COMPOSITE_ACTIVITIES
+        ]
+        assert all(lost <= full for lost, full in durations)
+        assert sum(lost for lost, _ in durations) < sum(full for _, full in durations)
+
+
+#: One error of each Section 5.2 category, injected alone into the gold.
+INJECTED = {
+    "naming-events": {"lowSpeed": [RenameFunctor("slow_motion_start", "slowMotionStart")]},
+    "naming-constants": {"highSpeedNearCoast": [RenameConstant("nearCoast", "nearcoast")]},
+    "wrong-operator": {"loitering": [SwapOperator("union_all", "intersect_all")]},
+    "undefined-activity": {
+        "drifting": [AddCondition(0, "holdsAt(engineFailure(Vessel)=true, T)")]
+    },
+}
+
+
+class TestCorrectionAblation:
+    """EXPERIMENTS.md: naming errors (events, constants) recovered fully;
+    wrong operators and undefined activities untouched."""
+
+    @staticmethod
+    def _before_and_after(category, kb):
+        rng = random.Random(0)
+        activities = [
+            GeneratedActivity(
+                group=group,
+                raw_text=group.rules_text,
+                rules=apply_all(group.rules, INJECTED[category].get(group.name, []), rng),
+            )
+            for group in ACTIVITY_GROUPS
+        ]
+        generated = GeneratedEventDescription(
+            model="ablation", scheme="few-shot", activities=activities
+        )
+        corrected, _report = correct_event_description(generated, MARITIME_VOCABULARY, kb)
+        return average_similarity(generated), average_similarity(corrected)
+
+    @pytest.mark.parametrize("category", ["naming-events", "naming-constants"])
+    def test_naming_is_recovered_to_1(self, figures, category):
+        before, after = self._before_and_after(category, figures[2].dataset.kb)
+        assert before < 1.0
+        assert after == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("category", ["wrong-operator", "undefined-activity"])
+    def test_semantic_errors_are_left_unchanged(self, figures, category):
+        before, after = self._before_and_after(category, figures[2].dataset.kb)
+        assert before < 1.0
+        assert after == pytest.approx(before)
+
+
+class TestRepairLoop:
+    """README.md: on every simulated model × scheme profile the loop
+    reaches a terminal state within 3 iterations and never ends below the
+    single-shot correction baseline (the weak profiles improve by
+    +0.08–0.19 similarity). Held on both domains' seed-0 runs, which the
+    analyser census also reads."""
+
+    def test_every_combination_ends_clean_converged_or_at_a_fixpoint(self, repair_runs):
+        experiments, _states = repair_runs
+        for experiment in experiments:
+            for entry in experiment.entries:
+                combination = (entry.model, entry.scheme, entry.result.status)
+                assert entry.result.status in ("clean", "converged", "fixpoint"), combination
+                assert len(entry.result.iterations) <= 3, combination
+
+    def test_none_ends_below_the_single_shot_baseline(self, repair_runs):
+        experiments, _states = repair_runs
+        assert all(experiment.all_at_least_baseline for experiment in experiments)
+
+    def test_the_weak_maritime_profiles_improve_by_008_to_019(self, repair_runs):
+        (maritime, _fleet), _states = repair_runs
+        improved = [entry.improvement for entry in maritime.entries if entry.improvement > 1e-9]
+        assert len(improved) >= 2
+        assert 0.08 <= round(min(improved), 2) and round(max(improved), 2) <= 0.19

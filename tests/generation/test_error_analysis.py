@@ -46,6 +46,14 @@ class TestCategoryDetection:
         assert loitering
         assert "intersect_all in the place of union_all" in loitering[0].detail
 
+    def test_llama3_loitering_operator_confusion(self):
+        # The paper: GPT-4o and Llama-3 "define loitering in terms of their
+        # conjunction, confusing union_all with intersect_all".
+        findings = _report("llama-3").of_category("wrong-operator")
+        loitering = [f for f in findings if f.activity == "loitering"]
+        assert loitering
+        assert "intersect_all in the place of union_all" in loitering[0].detail
+
     def test_gpt4_undefined_activity(self):
         # GPT-4's trawling references the undefined 'fishingOperation'.
         report = _report("gpt-4")

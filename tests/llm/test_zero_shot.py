@@ -4,6 +4,10 @@ The paper: "In our empirical analysis we found that zero-shot prompting
 produced poor results, and thus we do not include it in our pipeline."
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.generation import generate
@@ -63,3 +67,17 @@ class TestZeroShotQuality:
     def test_zero_shot_produces_syntax_errors(self):
         outcome = generate("o1", ZERO_SHOT)
         assert outcome.generated.parse_errors
+
+    def test_the_same_replies_under_every_hash_seed(self):
+        # Which replies are broken must not depend on the str hash seed.
+        script = (
+            "from repro.generation import generate; from repro.llm import MODEL_NAMES; "
+            "print([generate(m, 'zero-shot').average_similarity for m in MODEL_NAMES])"
+        )
+        here = str([generate(model, ZERO_SHOT).average_similarity for model in MODEL_NAMES])
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            assert run.stdout.strip() == here

@@ -1,5 +1,7 @@
 """Unit tests for event streams and input fluents."""
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +173,27 @@ class TestAppend:
         incremental = EventStream(events[:2])
         incremental.append(events[2])
         self._assert_equivalent(incremental, EventStream(events))
+
+    def test_append_is_not_quadratic(self):
+        """4x the events must cost far less than 16x the time.
+
+        The bound is deliberately generous (CI boxes are noisy); a
+        quadratic regression — rebuilding or re-sorting per arrival —
+        overshoots it by an order of magnitude.
+        """
+        terms = [parse_term("speed(v%d, 12)" % i) for i in range(50)]
+
+        def timed(count):
+            events = [Event(t, terms[t % 50]) for t in range(count)]
+            stream = EventStream()
+            started = perf_counter()
+            for event in events:
+                stream.append(event)
+            return perf_counter() - started
+
+        timed(8000)  # warm-up
+        ratio = timed(32000) / max(timed(8000), 1e-6)
+        assert ratio < 10.0, "append scaled x%.1f for 4x events" % ratio
 
 
 class TestAppendProperties:

@@ -63,12 +63,6 @@ class TestAggregation:
         assert stats["static"].calls == 1
         assert stats["simple"].seconds >= 0
 
-    def test_aggregate_dict_is_json_serialisable(self):
-        data = _sample_tracer().report().aggregate_dict()
-        json.dumps(data)
-        assert data["simple"]["calls"] == 2
-        assert data["counter:loose"]["counters"] == {"loose": 7}
-
 
 class TestRendering:
     def test_render_shows_tree_and_counters(self):
