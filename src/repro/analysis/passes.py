@@ -50,6 +50,8 @@ __all__ = [
     "KNOWN_VALUE_CONSTANTS",
     "NameFixes",
     "compute_name_fixes",
+    "known_functor_names",
+    "referenced_names",
     "structural_pass",
     "binding_pass",
     "arity_pass",
@@ -346,7 +348,7 @@ class NameFixes:
     unresolved: List[Tuple[str, str]]
 
 
-def _referenced_names(rules: Sequence[Rule]) -> Tuple[Set[str], Set[str]]:
+def referenced_names(rules: Sequence[Rule]) -> Tuple[Set[str], Set[str]]:
     """(functor names referenced in heads/bodies, string constants used)."""
     functors: Set[str] = set()
     constants: Set[str] = set()
@@ -400,7 +402,7 @@ def compute_name_fixes(
     ``skip_functors``/``skip_constants`` are renames already decided (e.g.
     a reviewer-supplied map): those names are not re-resolved.
     """
-    referenced_functors, referenced_constants = _referenced_names(description.rules)
+    referenced_functors, referenced_constants = referenced_names(description.rules)
     known_functors = known_functor_names(description, vocabulary)
     candidates = sorted(known_functors - STRUCTURAL_FUNCTORS)
 

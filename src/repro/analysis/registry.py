@@ -1,20 +1,8 @@
 """The registry of coded lint rules.
 
 Each :class:`LintRule` documents one diagnostic code: its category name,
-default severity, a short title, an explanation, whether its diagnostics
-can carry an auto-fix, and — where applicable — the paper's error category
-from Section 5.2 ("Qualitative Error Assessment") it detects:
-
-1. naming divergence,
-2. wrong fluent type,
-3. undefined activity,
-4. wrong interval operator.
-
-Category 2 surfaces structurally (a fluent defined with the wrong rule
-shape violates Definition 2.2/2.4 — RTEC002) and category 4 through its
-downstream effects (arity misuse — RTEC009); a semantically *valid* swap
-of ``union_all`` for ``intersect_all`` is undetectable statically and is
-measured by Figure 2c instead.
+default severity, a short title, an explanation, and whether its
+diagnostics can carry an auto-fix.
 """
 
 from __future__ import annotations
@@ -45,7 +33,6 @@ class LintRule:
     severity: Severity
     title: str
     explanation: str
-    paper_category: Optional[int] = None
     fixable: bool = False
     repair: Optional[str] = None
     """How the repair loop handles this code: ``"auto"`` (a structured fix
@@ -58,8 +45,7 @@ class LintRule:
         return "%s#%s" % (DOCS_URI, self.code.lower())
 
 
-def _rule(code: str, title: str, explanation: str, paper_category: Optional[int] = None,
-          fixable: bool = False) -> LintRule:
+def _rule(code: str, title: str, explanation: str, fixable: bool = False) -> LintRule:
     category = next(c for c, (cd, _s) in CATEGORY_CODES.items() if cd == code)
     severity = CATEGORY_CODES[category][1]
     if fixable:
@@ -68,8 +54,7 @@ def _rule(code: str, title: str, explanation: str, paper_category: Optional[int]
         repair = None
     else:
         repair = "prompt"
-    return LintRule(code, category, severity, title, explanation, paper_category,
-                    fixable, repair)
+    return LintRule(code, category, severity, title, explanation, fixable, repair)
 
 
 LINT_RULES: Dict[str, LintRule] = {
@@ -87,14 +72,12 @@ LINT_RULES: Dict[str, LintRule] = {
             "empty body, wrong first condition, negation or comparisons in a "
             "holdsFor body, interval variables used before being bound, or a "
             "malformed declaration.",
-            paper_category=2,
         ),
         _rule(
             "RTEC003",
             "undefined event",
             "A happensAt condition refers to an event that is not in the "
             "input vocabulary.",
-            paper_category=3,
         ),
         _rule(
             "RTEC004",
@@ -102,14 +85,12 @@ LINT_RULES: Dict[str, LintRule] = {
             "A holdsAt/holdsFor condition refers to a fluent that is neither "
             "an input fluent nor defined by the event description (the "
             "paper's undefined-activity errors).",
-            paper_category=3,
         ),
         _rule(
             "RTEC005",
             "undefined background predicate",
             "An atemporal condition has no matching background predicate in "
             "the vocabulary.",
-            paper_category=3,
         ),
         _rule(
             "RTEC006",
@@ -138,7 +119,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "A reserved predicate (happensAt, holdsFor, union_all, ...) or "
             "an arithmetic functor is used with the wrong number of "
             "arguments.",
-            paper_category=4,
         ),
         _rule(
             "RTEC010",
@@ -184,7 +164,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "An unknown name normalises to (or is within a small edit "
             "distance of) exactly one known vocabulary name; the attached "
             "fix renames it.",
-            paper_category=1,
             fixable=True,
         ),
         _rule(
@@ -194,7 +173,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "among the values any rule or declaration of the defined "
             "fluent F can produce: the condition can never succeed (or, "
             "negated, always succeeds).",
-            paper_category=2,
         ),
         _rule(
             "RTEC022",
@@ -202,7 +180,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "Reachability analysis over the dependency graph finds no "
             "derivation path from any input event or input fluent to this "
             "defined fluent: at run time it can never hold.",
-            paper_category=3,
         ),
         _rule(
             "RTEC023",
@@ -210,7 +187,6 @@ LINT_RULES: Dict[str, LintRule] = {
             "A declared output fluent of the recognition task has no "
             "derivation path from any input: the task silently produces "
             "empty detections for it.",
-            paper_category=3,
         ),
         _rule(
             "RTEC025",

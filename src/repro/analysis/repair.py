@@ -244,20 +244,6 @@ def _signature(generated: GeneratedEventDescription) -> str:
     return "\n%%\n".join(parts)
 
 
-def _activity_of(
-    generated: GeneratedEventDescription, rule_index: Optional[int]
-) -> Optional[int]:
-    """Map a concatenated-description rule index to its activity index."""
-    if rule_index is None:
-        return None
-    offset = 0
-    for index, activity in enumerate(generated.activities):
-        if rule_index < offset + len(activity.rules):
-            return index
-        offset += len(activity.rules)
-    return None
-
-
 def _detect_conflicts(auto: Sequence[Diagnostic]) -> List[str]:
     """Cross-diagnostic conflicts in a batch of auto-fixes (for the report).
 
@@ -317,7 +303,7 @@ def _promptable_batches(
     for diagnostic in report.diagnostics:
         if repair_mode(diagnostic) != "prompt":
             continue
-        activity_index = _activity_of(generated, diagnostic.rule_index)
+        activity_index = generated.activity_of(diagnostic.rule_index)
         if activity_index is None:
             global_lines.append(str(diagnostic))
         else:

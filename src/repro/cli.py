@@ -608,14 +608,6 @@ def _gold_lint_target(which: str):
     return description, vocabulary, outputs, "<gold:%s>" % which
 
 
-_PAPER_CATEGORY_LABELS = {
-    1: "naming divergence",
-    2: "wrong fluent type / malformed definition",
-    3: "undefined activity",
-    4: "wrong interval operator",
-}
-
-
 def _unknown_code(code: str) -> int:
     print("error: unknown diagnostic code %r" % code, file=sys.stderr)
     return 2
@@ -631,11 +623,6 @@ def _cmd_lint_explain(code: str) -> int:
     print("%s: %s" % (rule.code, rule.title))
     print("  category:       %s" % rule.category)
     print("  severity:       %s" % rule.severity)
-    if rule.paper_category is not None:
-        print(
-            "  paper category: %d (%s)"
-            % (rule.paper_category, _PAPER_CATEGORY_LABELS[rule.paper_category])
-        )
     print("  auto-fix:       %s" % ("yes" if rule.fixable else "no"))
     print("  repair:         %s" % (rule.repair or "not repairable"))
     print("  docs:           %s" % rule.help_uri)
@@ -910,19 +897,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.kill_at is not None and config.checkpoint_every <= 0:
         config.checkpoint_every = 1
 
-    outcome = asyncio.run(run_replay(
-        # Worker processes are spawned: a fleet takes the portable recipe,
-        # one process the engine over the dataset already built above.
-        _gold_engine_spec(args) if args.workers > 1 else make_engine,
-        workload,
-        config,
-        workers=args.workers,
-        checkpoint_dir=checkpoint_dir,
-        kill_at=args.kill_at,
-        verify=args.verify,
-        batch_size=args.batch_size,
-        mode=args.mode,
-    ))
+    try:
+        outcome = asyncio.run(run_replay(
+            # Worker processes are spawned: a fleet takes the portable recipe,
+            # one process the engine over the dataset already built above.
+            _gold_engine_spec(args) if args.workers > 1 else make_engine,
+            workload,
+            config,
+            workers=args.workers,
+            checkpoint_dir=checkpoint_dir,
+            kill_at=args.kill_at,
+            verify=args.verify,
+            batch_size=args.batch_size,
+            mode=args.mode,
+        ))
+    except RuntimeError as exc:  # the service refused the workload
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     report = outcome.final_report
     summary = {
         "gold": args.gold,

@@ -16,25 +16,36 @@ categories:
    include multiple operations between activities", e.g. ``intersect_all``
    in the place of ``union_all``.
 
-This module turns that qualitative discussion into an automated analysis:
-given a generated event description and the gold standard, it detects and
-reports instances of each category, per activity. The detectors are
-conservative — they only report what they can witness structurally — and
-additionally report structural omissions (missing rules/conditions) that
-fall outside the paper's four categories.
+This module is the repository's one classifier for those categories. Each
+finding has exactly one source:
+
+* facts relative to the vocabulary come from the static analyser — the
+  naming pass's walker and known-name set for unknown functor names, and
+  the ``RTEC004`` (undefined fluent) issues of
+  :meth:`~repro.rtec.EventDescription.validate` for undefined activities,
+  attributed to an activity by rule index;
+* facts relative to the gold standard come from each activity's own
+  :class:`~repro.maritime.gold.ActivityGroup`, so any domain works: fluent
+  kinds, the interval-operator multiset, the constants of all the
+  domain's gold groups, and the rule count.
+
+The detectors are conservative — they only report what they can witness
+structurally — and additionally report structural omissions (missing
+rules) and unparseable definitions, which fall outside the paper's four
+categories.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.llm.pipeline import GeneratedEventDescription
+from repro.analysis.passes import known_functor_names, referenced_names
+from repro.llm.pipeline import GeneratedActivity, GeneratedEventDescription
 from repro.logic.parser import Rule
-from repro.logic.terms import Compound, Constant, Term
-from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
-from repro.rtec.description import INTERVAL_CONSTRUCTS, Vocabulary, fluent_key, head_fvp
+from repro.logic.terms import Compound
+from repro.rtec.description import INTERVAL_CONSTRUCTS, EventDescription, Vocabulary
 
 __all__ = ["ErrorFinding", "ErrorReport", "analyse_errors", "format_report"]
 
@@ -80,48 +91,15 @@ class ErrorReport:
         return len(self.findings)
 
 
-def _head_kind(rule: Rule) -> Optional[str]:
-    head = rule.head
-    if not isinstance(head, Compound):
-        return None
-    if head.functor in ("initiatedAt", "terminatedAt"):
-        return "simple"
-    if head.functor == "holdsFor":
-        return "static"
-    return None
-
-
-def _referenced_functors(rules: Sequence[Rule]) -> Set[str]:
-    names: Set[str] = set()
-
-    def walk(term: Term) -> None:
-        if isinstance(term, Compound):
-            names.add(term.functor)
-            for arg in term.args:
-                walk(arg)
-
-    for rule in rules:
-        walk(rule.head)
-        for literal in rule.body:
-            walk(literal.term)
-    return names
-
-
-def _constants(rules: Sequence[Rule]) -> Set[str]:
-    values: Set[str] = set()
-
-    def walk(term: Term) -> None:
-        if isinstance(term, Constant) and isinstance(term.value, str):
-            values.add(term.value)
-        elif isinstance(term, Compound):
-            for arg in term.args:
-                walk(arg)
-
-    for rule in rules:
-        walk(rule.head)
-        for literal in rule.body:
-            walk(literal.term)
-    return values
+def _fluent_kinds(rules: Sequence[Rule]) -> Dict[str, Set[str]]:
+    """Fluent name -> the kinds (``simple``/``static``) its rules define."""
+    description = EventDescription(rules)
+    kinds: Dict[str, Set[str]] = {}
+    for name, _arity in description.simple_fluents:
+        kinds.setdefault(name, set()).add("simple")
+    for name, _arity in description.static_fluents:
+        kinds.setdefault(name, set()).add("static")
+    return kinds
 
 
 def _operator_multiset(rules: Sequence[Rule]) -> Counter:
@@ -135,101 +113,59 @@ def _operator_multiset(rules: Sequence[Rule]) -> Counter:
 
 
 def analyse_errors(
-    generated: GeneratedEventDescription,
-    vocabulary: Vocabulary,
-    groups: Sequence[ActivityGroup] = ACTIVITY_GROUPS,
+    generated: GeneratedEventDescription, vocabulary: Vocabulary
 ) -> ErrorReport:
-    """Classify the differences between ``generated`` and the gold rules."""
+    """Classify the differences between ``generated`` and its activities' gold rules."""
     report = ErrorReport(model=generated.model, scheme=generated.scheme)
-    full_description = generated.to_event_description()
-    defined = {key[0] for key in full_description.defined_keys}
-    known_functors = (
-        {name for name, _ in vocabulary.input_events}
-        | {name for name, _ in vocabulary.input_fluents}
-        | {name for name, _ in vocabulary.background}
-    )
+    description = generated.to_event_description()
+    known_functors = known_functor_names(description, vocabulary)
+    undefined: Dict[int, List[str]] = {}
+    for issue in description.validate(vocabulary):
+        index = generated.activity_of(issue.rule_index)
+        if issue.code == "RTEC004" and index is not None:
+            undefined.setdefault(index, []).append(issue.message)
+    gold_constants: Set[str] = set()
+    for activity in generated.activities:
+        gold_constants |= referenced_names(activity.group.rules)[1]
 
-    all_gold_constants: Set[str] = set()
-    for group in groups:
-        all_gold_constants |= _constants(group.rules)
-
-    for group in groups:
-        gold_rules = group.rules
-        try:
-            generated_activity = generated.activity(group.name)
-        except KeyError:
-            continue
-        if generated_activity.parse_error:
+    for index, activity in enumerate(generated.activities):
+        if activity.parse_error:
             report.findings.append(
-                ErrorFinding(
-                    "syntax-error", group.name, generated_activity.parse_error
-                )
+                ErrorFinding("syntax-error", activity.name, activity.parse_error)
             )
             continue
-        generated_rules = generated_activity.rules
-        _check_fluent_types(report, group, gold_rules, generated_rules)
-        _check_operators(report, group, gold_rules, generated_rules)
-        _check_naming(
-            report,
-            group,
-            gold_rules,
-            generated_rules,
-            known_functors,
-            defined,
-            all_gold_constants,
-        )
-        _check_undefined(report, group, generated_rules, known_functors, defined)
-        _check_missing_rules(report, group, gold_rules, generated_rules)
+        _check_fluent_types(report, activity)
+        _check_operators(report, activity)
+        _check_naming(report, activity, known_functors, gold_constants)
+        for message in undefined.get(index, ()):
+            report.findings.append(
+                ErrorFinding("undefined-activity", activity.name, message)
+            )
+        _check_missing_rules(report, activity)
     return report
 
 
-def _check_fluent_types(
-    report: ErrorReport,
-    group: ActivityGroup,
-    gold_rules: Sequence[Rule],
-    generated_rules: Sequence[Rule],
-) -> None:
+def _check_fluent_types(report: ErrorReport, activity: GeneratedActivity) -> None:
     """Category 2: the same fluent defined with a different rule kind."""
-    gold_kinds: Dict[str, Set[str]] = {}
-    for rule in gold_rules:
-        kind = _head_kind(rule)
-        if kind is None:
-            continue
-        try:
-            name = fluent_key(head_fvp(rule)[0])[0]
-        except ValueError:
-            continue
-        gold_kinds.setdefault(name, set()).add(kind)
-    for rule in generated_rules:
-        kind = _head_kind(rule)
-        if kind is None:
-            continue
-        try:
-            name = fluent_key(head_fvp(rule)[0])[0]
-        except ValueError:
-            continue
+    gold_kinds = _fluent_kinds(activity.group.rules)
+    for name, kinds in _fluent_kinds(activity.rules).items():
         expected = gold_kinds.get(name)
-        if expected is not None and kind not in expected:
+        if expected is not None and kinds - expected:
             report.findings.append(
                 ErrorFinding(
                     "wrong-fluent-type",
-                    group.name,
+                    activity.name,
                     "%s is %s in the gold standard but defined as a %s fluent"
-                    % (name, "/".join(sorted(expected)), kind),
+                    % (name, "/".join(sorted(expected)), min(kinds - expected)),
                 )
             )
-            return  # one finding per group suffices
+            return  # one finding per activity suffices
 
 
-def _check_operators(
-    report: ErrorReport,
-    group: ActivityGroup,
-    gold_rules: Sequence[Rule],
-    generated_rules: Sequence[Rule],
-) -> None:
+def _check_operators(report: ErrorReport, activity: GeneratedActivity) -> None:
     """Category 4: interval-operator counts diverge (union vs intersect)."""
-    gold_ops = _operator_multiset(gold_rules)
-    generated_ops = _operator_multiset(generated_rules)
+    gold_ops = _operator_multiset(activity.group.rules)
+    generated_ops = _operator_multiset(activity.rules)
     if gold_ops == generated_ops:
         return
     # Same total number of constructs but a different mix: an operator was
@@ -241,7 +177,7 @@ def _check_operators(
             report.findings.append(
                 ErrorFinding(
                     "wrong-operator",
-                    group.name,
+                    activity.name,
                     "uses %s in the place of %s"
                     % (
                         ", ".join(sorted(surplus)),
@@ -253,93 +189,41 @@ def _check_operators(
 
 def _check_naming(
     report: ErrorReport,
-    group: ActivityGroup,
-    gold_rules: Sequence[Rule],
-    generated_rules: Sequence[Rule],
+    activity: GeneratedActivity,
     known_functors: Set[str],
-    defined: Set[str],
-    all_gold_constants: Set[str],
+    gold_constants: Set[str],
 ) -> None:
     """Category 1: names used that neither the vocabulary nor the gold rules know."""
-    structural = {
-        "happensAt", "holdsAt", "holdsFor", "initiatedAt", "terminatedAt",
-        "not", "list", "=", "maxDuration", "initially",
-    } | set(INTERVAL_CONSTRUCTS)
-    gold_names = _referenced_functors(gold_rules)
-    generated_names = _referenced_functors(generated_rules)
-    novel = generated_names - gold_names - known_functors - structural - defined
-    comparison_ops = {"<", ">", "=<", ">=", "=:=", "=\\="}
-    arithmetic = {"plus", "minus", "times", "div", "abs", "min", "max", "angleDiff"}
-    for name in sorted(novel - comparison_ops - arithmetic):
+    functors, constants = referenced_names(activity.rules)
+    gold_functors = referenced_names(activity.group.rules)[0]
+    for name in sorted(functors - known_functors - gold_functors):
         report.findings.append(
             ErrorFinding(
                 "naming-divergence",
-                group.name,
+                activity.name,
                 "uses the name %r, unknown to both the vocabulary and the "
                 "gold definition" % name,
             )
         )
-    del gold_rules  # constants are legitimate domain-wide, not per group
-    for value in sorted(_constants(generated_rules) - all_gold_constants):
-        if value in ("true", "false", "[]"):
-            continue
+    # constants are legitimate domain-wide, not per activity
+    for value in sorted(constants - gold_constants - {"true", "false", "[]"}):
         report.findings.append(
             ErrorFinding(
                 "naming-divergence",
-                group.name,
+                activity.name,
                 "uses the constant %r instead of a gold-standard one" % value,
             )
         )
 
 
-def _check_undefined(
-    report: ErrorReport,
-    group: ActivityGroup,
-    generated_rules: Sequence[Rule],
-    known_functors: Set[str],
-    defined: Set[str],
-) -> None:
-    """Category 3: holdsAt/holdsFor conditions over undefined activities."""
-    for rule in generated_rules:
-        for literal in rule.body:
-            term = literal.term
-            if not (
-                isinstance(term, Compound)
-                and term.functor in ("holdsAt", "holdsFor")
-                and term.arity == 2
-            ):
-                continue
-            pair = term.args[0]
-            if not (isinstance(pair, Compound) and pair.functor == "="):
-                continue
-            try:
-                name = fluent_key(pair.args[0])[0]
-            except ValueError:
-                continue
-            if name not in defined and name not in known_functors:
-                report.findings.append(
-                    ErrorFinding(
-                        "undefined-activity",
-                        group.name,
-                        "condition references %r, which the generated event "
-                        "description never defines" % name,
-                    )
-                )
-
-
-def _check_missing_rules(
-    report: ErrorReport,
-    group: ActivityGroup,
-    gold_rules: Sequence[Rule],
-    generated_rules: Sequence[Rule],
-) -> None:
-    if len(generated_rules) < len(gold_rules):
+def _check_missing_rules(report: ErrorReport, activity: GeneratedActivity) -> None:
+    if len(activity.rules) < len(activity.group.rules):
         report.findings.append(
             ErrorFinding(
                 "missing-rule",
-                group.name,
+                activity.name,
                 "%d rules generated for %d gold rules"
-                % (len(generated_rules), len(gold_rules)),
+                % (len(activity.rules), len(activity.group.rules)),
             )
         )
 

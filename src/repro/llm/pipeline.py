@@ -104,6 +104,18 @@ class GeneratedEventDescription:
                 return activity
         raise KeyError("no generated activity named %r" % group_name)
 
+    def activity_of(self, rule_index: Optional[int]) -> Optional[int]:
+        """The index of the activity owning rule ``rule_index`` of
+        :meth:`all_rules` (the rule indices diagnostics carry)."""
+        if rule_index is None:
+            return None
+        offset = 0
+        for index, activity in enumerate(self.activities):
+            if rule_index < offset + len(activity.rules):
+                return index
+            offset += len(activity.rules)
+        return None
+
     def to_event_description(self) -> EventDescription:
         return EventDescription(self.all_rules())
 

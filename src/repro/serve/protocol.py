@@ -10,7 +10,9 @@ One request or response per line, UTF-8 JSON. Requests carry a ``type``:
     seconds once the session's ingest queue passes its high-water mark.
 ``events``
     ``{"type": "events", "session": S, "batch": [[T, "term"], ...]}`` —
-    the batched form; a batch is accepted or rejected atomically.
+    the batched form; a batch is accepted or rejected atomically. A batch
+    longer than the high-water mark can never fit: it is rejected with
+    ``"error": "batch-too-large"`` and no ``retry_after``.
 ``fluent``
     ``{"type": "fluent", "session": S, "fvp": "proximity(v1, v2)=true",
     "intervals": [[s, e], ...]}`` — maximal intervals of a durative input.

@@ -221,6 +221,14 @@ class ManagedSession:
         depth = self.queue.qsize()
         if depth + len(batch) > self.config.high_water:
             self.counters.rejected += len(batch)
+            if len(batch) > self.config.high_water:
+                # no drain makes room for it: a retry hint would loop forever
+                return {
+                    "error": "batch-too-large",
+                    "message": "a batch of %d events exceeds session '%s' "
+                    "high-water mark %d: send smaller batches"
+                    % (len(batch), self.name, self.config.high_water),
+                }
             return {
                 "error": "backpressure",
                 "message": "session '%s' ingest queue is full" % self.name,

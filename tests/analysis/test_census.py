@@ -9,6 +9,8 @@ repair experiments analyse is added (92 states), with its codes.
 
 The fired set is pinned, so a code that stops or starts firing fails here.
 A registered code that never fires on the corpus must say why it is kept.
+The Section 5.2 error classifier's per-category totals over the 240
+generated descriptions are pinned too.
 """
 
 import pytest
@@ -16,12 +18,22 @@ import pytest
 from repro.analysis import LINT_RULES, AnalysisCertificate, analyse
 from repro.fleet.dataset import build_fleet_knowledge_base
 from repro.fleet.generation import generate_fleet
-from repro.fleet.gold import FLEET_VOCABULARY, fleet_gold_event_description
+from repro.fleet.gold import (
+    FLEET_ACTIVITY_GROUPS,
+    FLEET_VOCABULARY,
+    fleet_gold_event_description,
+)
 from repro.generation.correction import correct_event_description
+from repro.generation.error_analysis import analyse_errors
 from repro.generation.generator import correct_outcome, generate
 from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import PROMPT_SCHEMES
-from repro.maritime import MARITIME_VOCABULARY, build_dataset, gold_event_description
+from repro.maritime import (
+    ACTIVITY_GROUPS,
+    MARITIME_VOCABULARY,
+    build_dataset,
+    gold_event_description,
+)
 
 FIRED = {
     "RTEC002", "RTEC003", "RTEC004", "RTEC009", "RTEC010",
@@ -47,12 +59,25 @@ KEPT_WITHOUT_FIRING = {
 }
 
 
+#: Per-category totals of ``analyse_errors`` over the 240 generated descriptions.
+ERROR_TOTALS = {
+    "naming-divergence": 505,
+    "wrong-fluent-type": 220,
+    "undefined-activity": 160,
+    "wrong-operator": 260,
+    "missing-rule": 860,
+    "syntax-error": 0,
+}
+
+
 def _corpus():
+    """(description, vocabulary, kb, generated) per corpus entry; ``generated``
+    is the :class:`GeneratedEventDescription`, ``None`` for the two golds."""
     maritime_kb = build_dataset(seed=0, scale=0.05).kb
     fleet_kb = build_fleet_knowledge_base()
-    corpus = [
-        (gold_event_description(), MARITIME_VOCABULARY, maritime_kb),
-        (fleet_gold_event_description(), FLEET_VOCABULARY, fleet_kb),
+    entries = [
+        (gold_event_description(), MARITIME_VOCABULARY, maritime_kb, None),
+        (fleet_gold_event_description(), FLEET_VOCABULARY, fleet_kb, None),
     ]
     for seed in range(5):
         for model in MODEL_NAMES:
@@ -60,20 +85,29 @@ def _corpus():
                 outcome = generate(model, scheme, seed=seed)
                 corrected, _report = correct_outcome(outcome, MARITIME_VOCABULARY, maritime_kb)
                 for generated in (outcome.generated, corrected.generated):
-                    corpus.append(
-                        (generated.to_event_description(), MARITIME_VOCABULARY, maritime_kb)
+                    entries.append(
+                        (generated.to_event_description(), MARITIME_VOCABULARY, maritime_kb,
+                         generated)
                     )
                 raw = generate_fleet(model, scheme, seed=seed)
                 fixed, _report = correct_event_description(raw, FLEET_VOCABULARY, fleet_kb)
                 for generated in (raw, fixed):
-                    corpus.append((generated.to_event_description(), FLEET_VOCABULARY, fleet_kb))
-    return corpus
+                    entries.append(
+                        (generated.to_event_description(), FLEET_VOCABULARY, fleet_kb, generated)
+                    )
+    return entries
 
 
 @pytest.fixture(scope="module")
-def census(repair_runs):
-    corpus = _corpus()
-    reports = [analyse(description, vocabulary, kb=kb) for description, vocabulary, kb in corpus]
+def corpus():
+    return _corpus()
+
+
+@pytest.fixture(scope="module")
+def census(corpus, repair_runs):
+    reports = [
+        analyse(description, vocabulary, kb=kb) for description, vocabulary, kb, _ in corpus
+    ]
     experiments, states = repair_runs
     fired = {d.code for report in reports + states for d in report.diagnostics}
     for experiment in experiments:
@@ -104,3 +138,20 @@ def test_every_description_without_an_error_certifies_clean(census):
 
 def test_every_code_that_never_fires_says_why_it_is_kept():
     assert set(LINT_RULES) - FIRED == set(KEPT_WITHOUT_FIRING)
+
+
+def test_every_generated_description_carries_its_domains_groups_in_order(corpus):
+    # analyse_errors takes each activity's gold from its own group
+    for _description, vocabulary, _kb, generated in corpus:
+        if generated is not None:
+            groups = ACTIVITY_GROUPS if vocabulary is MARITIME_VOCABULARY else FLEET_ACTIVITY_GROUPS
+            assert [activity.group for activity in generated.activities] == list(groups)
+
+
+def test_the_error_classifier_totals_are_pinned(corpus):
+    totals = dict.fromkeys(ERROR_TOTALS, 0)
+    for _description, vocabulary, _kb, generated in corpus:
+        if generated is not None:
+            for category, count in analyse_errors(generated, vocabulary).by_category().items():
+                totals[category] += count
+    assert totals == ERROR_TOTALS

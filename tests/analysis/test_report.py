@@ -6,7 +6,6 @@ from repro.analysis import (
     CATEGORY_CODES,
     Diagnostic,
     Fix,
-    LINT_RULES,
     LintReport,
     Severity,
     analyse_text,
@@ -27,9 +26,6 @@ class TestRegistry:
         assert len(codes) == len(set(codes))
         for code in codes:
             assert code.startswith("RTEC") and len(code) == 7
-
-    def test_paper_categories_cover_all_four(self):
-        assert {rule.paper_category for rule in LINT_RULES.values()} >= {1, 2, 3, 4}
 
     def test_naming_rule_is_fixable(self):
         assert rule_for("RTEC016").fixable

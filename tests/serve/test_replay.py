@@ -72,6 +72,20 @@ class TestFleetService:
         assert report.rejections > 0
         assert report.retries > 0
 
+    def test_a_batch_that_can_never_fit_fails_the_replay(self, fleet_target):
+        # The pump used to follow the backpressure hint forever: bounded here,
+        # so such a regression fails with a timeout instead of hanging.
+        dataset, description, make_engine = fleet_target
+        workload = build_workload(dataset.stream, dataset.input_fluents, description)
+        replay = run_replay(
+            make_engine,
+            workload,
+            SessionConfig(window=600, step=300, high_water=8),
+            batch_size=16,
+        )
+        with pytest.raises(RuntimeError, match="batch-too-large"):
+            asyncio.run(asyncio.wait_for(replay, timeout=30))
+
     @pytest.mark.parametrize("kill_at", [1.5, -0.5, float("nan")])
     def test_a_kill_point_is_a_fraction_of_the_stream(self, fleet_target, kill_at, tmp_path):
         # Refused, not clamped to the nearest end (nan used to reach int()).

@@ -59,6 +59,21 @@ class TestBackpressure:
         managed = _run(scenario())
         assert managed.counters.rejected == 4
 
+    def test_a_batch_above_the_high_water_mark_is_refused_without_a_retry_hint(self):
+        async def scenario():
+            managed = ManagedSession(
+                "s", _engine(), SessionConfig(window=20, high_water=4)
+            )
+            batch = [(t, "start(v%d)" % t) for t in range(1, 6)]
+            return managed, managed.offer_events(batch)
+
+        managed, rejection = _run(scenario())
+        # Even an empty queue cannot take it: a retry would be refused forever.
+        assert rejection["error"] == "batch-too-large"
+        assert "retry_after" not in rejection
+        assert managed.queue.qsize() == 0
+        assert managed.counters.rejected == 5
+
     def test_fluent_overflow_rejects(self):
         async def scenario():
             managed = ManagedSession(

@@ -147,6 +147,36 @@ class TestGenerate:
         assert "scheme=few-shot" in capsys.readouterr().out
 
 
+class TestErrors:
+    def test_o1_has_one_naming_finding_and_no_wrong_fluent_type(self, capsys):
+        assert main(["errors", "--model", "o1"]) == 0
+        out = capsys.readouterr().out
+        naming = [line for line in out.splitlines() if "[naming-divergence]" in line]
+        assert len(naming) == 1 and "'trawlingArea'" in naming[0]
+        assert "  wrong-fluent-type    0" in out.splitlines()
+
+
+class TestReplay:
+    def test_a_batch_above_the_high_water_mark_is_a_one_line_error(self):
+        """In a subprocess with a timeout: this replay used to retry forever."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", "--gold", "fleet", "--limit", "200",
+             "--high-water", "10", "--batch-size", "20"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ") and "batch-too-large" in done.stderr
+
+
 class TestLint:
     def test_gold_maritime_is_error_clean(self, capsys):
         assert main(["lint", "--gold", "maritime"]) == 0
@@ -391,7 +421,6 @@ class TestLintExplain:
         assert "RTEC016" in out
         assert "naming" in out
         assert "severity" in out
-        assert "paper category" in out
         assert "auto-fix" in out and "yes" in out
         assert "repair" in out and "auto" in out
 
