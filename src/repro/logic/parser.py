@@ -23,7 +23,8 @@ Supported constructs:
 * lists ``[I1, I2]``, represented as the reserved compound ``list(...)``
   (the empty list is the constant ``[]``);
 * ``%`` line comments;
-* integers, floats, single-quoted atoms.
+* integers, floats, single-quoted atoms;
+* terms nested at most :data:`MAX_NESTING` parentheses or brackets deep.
 
 The parser is deliberately strict: anything outside this dialect raises
 :class:`ParseError` with a line/column position, because the LLM-generated
@@ -50,9 +51,15 @@ __all__ = [
     "clause_lines",
     "LIST_FUNCTOR",
     "COMPARISON_OPERATORS",
+    "MAX_NESTING",
 ]
 
 LIST_FUNCTOR = "list"
+
+#: Deepest nesting of parentheses and brackets a term may have. Terms are
+#: walked recursively after parsing (``repr``, ``term_to_str``, matching,
+#: checkpoints), so one hostile line must not reach the recursion limit.
+MAX_NESTING = 32
 
 #: Infix comparison operators accepted in rule bodies.
 COMPARISON_OPERATORS = ("=<", ">=", "=:=", "=\\=", "<", ">")
@@ -196,6 +203,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers ---------------------------------------------------
 
@@ -245,29 +253,32 @@ class _Parser:
         if tok.kind == "atom":
             self.next()
             if self.at("("):
-                self.next()
-                args = self.parse_term_list(")")
-                self.expect(")")
-                return Compound(tok.text, tuple(args))
+                return Compound(tok.text, self.parse_term_list(self.next(), ")"))
             return Constant(tok.text)
         if self.at("["):
-            self.next()
+            opener = self.next()
             if self.at("]"):
                 self.next()
                 return Constant("[]")
-            items = self.parse_term_list("]")
-            self.expect("]")
-            return Compound(LIST_FUNCTOR, tuple(items))
+            return Compound(LIST_FUNCTOR, self.parse_term_list(opener, "]"))
         raise ParseError(
             "expected a term, found %r" % (tok.text or "<end>"), tok.line, tok.column
         )
 
-    def parse_term_list(self, closer: str) -> List[Term]:
+    def parse_term_list(self, opener: Token, closer: str) -> Tuple[Term, ...]:
+        """The comma-separated terms after ``opener``, through ``closer``."""
+        if self._depth == MAX_NESTING:
+            raise ParseError(
+                "term nested deeper than %d" % MAX_NESTING, opener.line, opener.column
+            )
+        self._depth += 1
         items = [self.parse_term()]
         while self.at(","):
             self.next()
             items.append(self.parse_term())
-        return items
+        self.expect(closer)
+        self._depth -= 1
+        return tuple(items)
 
     def parse_literal(self) -> Literal:
         tok = self.peek()

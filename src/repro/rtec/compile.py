@@ -129,24 +129,52 @@ def _same(left, right) -> bool:
     )
 
 
+#: Entries one build site remembers before it forgets them all.
+_BUILD_MEMO_LIMIT = 4096
+
+
 def build(term: Term, scope: Scope) -> Callable[[Frame], Term]:
     """frame -> ``term`` with every bound variable replaced by its slot's value,
-    generated as one flat function — ``lambda f: C('=', (C('speed', (f[9],),
-    True), k2), True)`` — not a closure per subterm: a head is built per
-    firing, and calls between closures would cost more than the terms."""
-    names: Dict[str, object] = {"C": make_compound, "K": Constant}
+    generated as one flat function — ``C('=', (C('speed', (f[9],), True), k2),
+    True)`` — not a closure per subterm: a head is built per firing, and calls
+    between closures would cost more than the terms.
 
-    def source(term: Term) -> str:
+    A compound that is ground at run time is built once per identity of the
+    slot values it reads: a memo keyed by their ``id`` hands back the same
+    object, so a store keyed by FVPs hashes nothing new and compares by
+    ``is``. Identities, not values: ``Constant(2) == Constant(2.0)``, but a
+    firing that bound ``2.0`` must render ``2.0``. The built term holds every
+    keyed object (an ``int`` slot inside its ``K``), so no id is reused while
+    its entry exists. Threads sharing a program make single dict operations."""
+    names: Dict[str, object] = {"C": make_compound, "K": Constant, "L": _BUILD_MEMO_LIMIT}
+    lines: List[str] = []
+
+    def source(term: Term, memoise: bool) -> str:
         if isinstance(term, Variable) and term in scope.bound:
             slot = scope.slots[term]
             return "K(f[%d])" % slot if term in scope.ints else "f[%d]" % slot
         if isinstance(term, Compound) and any(v in scope.bound for v in term_variables(term)):
-            parts = "".join(source(arg) + ", " for arg in term.args)
-            return "C(%r, (%s), %r)" % (term.functor, parts, scope.binds(term))
+            ground = scope.binds(term)
+            parts = "".join(source(arg, memoise and not ground) + ", " for arg in term.args)
+            made = "C(%r, (%s), %r)" % (term.functor, parts, ground)
+            if not (memoise and ground):
+                return made
+            n = len(lines)
+            names["m%d" % n] = {}
+            ids = ["id(f[%d])" % scope.slots[v] for v in term_variables(term)]
+            key = ids[0] if len(ids) == 1 else "(%s)" % ", ".join(ids)
+            lines.append(
+                "    n{0} = {1}\n    t{0} = m{0}.get(n{0})\n    if t{0} is None:\n"
+                "        if len(m{0}) >= L: m{0}.clear()\n"
+                "        t{0} = m{0}[n{0}] = {2}\n".format(n, key, made)
+            )
+            return "t%d" % n
         names["k%d" % len(names)] = term
         return "k%d" % (len(names) - 1)
 
-    return eval("lambda f: " + source(term), names)
+    result = source(term, True)
+    exec("def built(f):\n%s    return %s" % ("".join(lines), result), names)
+    return names["built"]  # type: ignore[return-value]
 
 
 def matcher(pattern: Term, scope: Scope) -> Callable[[Frame, Term], bool]:

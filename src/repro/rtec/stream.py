@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -49,6 +50,13 @@ class Event:
             raise ValueError("events must be ground: %r" % (self.term,))
         if self.time < 0:
             raise ValueError("events occur at non-negative time-points")
+
+    @cached_property
+    def sort_key(self) -> Tuple[int, str]:
+        """``(time, repr(term))``, a stream's order; rendered once per event
+        that asks. :class:`EventStream`'s constructor sorts without it, so a
+        stream built whole keeps no rendered terms."""
+        return self.time, repr(self.term)
 
     @property
     def functor(self) -> str:
@@ -116,11 +124,8 @@ class EventStream:
         fall back to a binary-search insert (O(n) memory move, still far
         cheaper than a rebuild). Nothing is re-sorted or re-validated.
         """
-        sort_key = (event.time, repr(event.term))
-        if not self._sorted or sort_key >= (
-            self._sorted[-1].time,
-            repr(self._sorted[-1].term),
-        ):
+        sort_key = event.sort_key
+        if not self._sorted or sort_key >= self._sorted[-1].sort_key:
             self._sorted.append(event)
             self._times.append(event.time)
         else:
@@ -148,8 +153,7 @@ class EventStream:
         lo, hi = 0, len(self._sorted)
         while lo < hi:
             mid = (lo + hi) // 2
-            candidate = self._sorted[mid]
-            if (candidate.time, repr(candidate.term)) <= sort_key:
+            if self._sorted[mid].sort_key <= sort_key:
                 lo = mid + 1
             else:
                 hi = mid
@@ -175,9 +179,9 @@ class EventStream:
         lo = bisect_left(times, event.time)
         hi = bisect_right(times, event.time)
         position = hi
-        representation = repr(event.term)
+        sort_key = event.sort_key
         for index in range(lo, hi):
-            if repr(bucket[index].term) > representation:
+            if bucket[index].sort_key > sort_key:
                 position = index
                 break
         bucket.insert(position, event)

@@ -1,8 +1,12 @@
 """Unit tests for the RTEC dialect parser."""
 
+import json
+import sys
+
 import pytest
 
 from repro.logic.parser import (
+    MAX_NESTING,
     ParseError,
     parse_program,
     parse_rule,
@@ -101,6 +105,54 @@ class TestMalformedNumbers:
         assert main(["lint", str(path)]) == 1
         out = capsys.readouterr().out
         assert "RTEC001" in out and "'1.2.3'" in out
+
+
+def _nested(depth: int, core: str = "a") -> str:
+    return "f(" * depth + core + ")" * depth
+
+
+class TestNestingLimit:
+    def test_a_term_nested_beyond_the_limit_is_a_parse_error(self):
+        def lists(depth):
+            return "[" * depth + "a" + "]" * depth
+
+        assert parse_term(_nested(MAX_NESTING)) and parse_term(lists(MAX_NESTING))
+        for text in (_nested(MAX_NESTING + 1), _nested(330), _nested(1000), lists(MAX_NESTING + 1)):
+            with pytest.raises(ParseError, match="nested deeper than %d" % MAX_NESTING):
+                parse_term(text)
+        with pytest.raises(ParseError, match="line 2"):
+            parse_program("g(a).\n" + _nested(1000) + ".")
+
+    def test_a_term_at_the_limit_survives_every_walk_with_half_the_stack_used(self):
+        from repro.logic.pretty import term_to_str
+        from repro.logic.terms import term_variables, walk_subterms
+        from repro.rtec.compile import _same
+
+        # Each level of parentheses nests two compounds: f(...) and '='(a, ...).
+        text = "f(a=" * MAX_NESTING + "b" + ")" * MAX_NESTING
+
+        def walks():
+            term = parse_term(text)
+            rendered = term_to_str(term)
+            again = parse_term(rendered)  # a checkpointed buffer is re-parsed
+            assert again == term and repr(again) == repr(term) and _same(term, again)
+            assert len(list(walk_subterms(term))) == 3 * MAX_NESTING + 1
+            assert term_variables(term) == []
+            return json.dumps([20, rendered])
+
+        def beneath(frames):
+            return walks() if frames == 0 else beneath(frames - 1)
+
+        assert beneath(sys.getrecursionlimit() // 2)
+
+    def test_lint_reports_a_nested_term_as_a_syntax_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "rules.prolog"
+        path.write_text("initiatedAt(g(V)=true, T) :- happensAt(%s, T).\n" % _nested(1000, "V"))
+        assert main(["lint", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "RTEC001" in out and "nested deeper than %d" % MAX_NESTING in out
 
 
 class TestTerms:

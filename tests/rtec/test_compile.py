@@ -4,11 +4,16 @@ it shows (the programs' semantics are in test_simple.py / test_static.py)."""
 import copy
 import gc
 import pickle
+import sys
+import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
-from repro.logic.terms import _INTERNED
+from repro.logic.terms import _INTERNED, Compound, Constant, Variable
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
 from repro.rtec import compile as compiler
@@ -81,6 +86,124 @@ class TestProgramLifetime:
         assert not built
         rule = engine.description.rules[1]
         assert compiler.rule_shape(rule) == rule.head.args + rule.body[0].term.args
+
+
+def _site(text, ints=()):
+    """The build of ``text`` with every variable bound, ``ints`` to bare ints."""
+    term = parse_term(text)
+    variables = compiler.term_variables(term)
+    scope = compiler.Scope(bound=variables, ints=[Variable(name) for name in ints])
+    for variable in variables:
+        scope.slot(variable)
+    return compiler.build(term, scope), [scope.slots[v] for v in variables]
+
+
+def _frame(slots, values):
+    frame = [None] * (max(slots) + 1)
+    for slot, value in zip(slots, values):
+        frame[slot] = value
+    return frame
+
+
+#: One site for every example, so ids and values of earlier examples stay in
+#: its memo: ``2`` bound before must not come back for ``2.0``.
+_SPEED, _SPEED_SLOTS = _site("speed(V, S)=at(T)", ints=("T",))
+_NUMBERS = st.one_of(
+    st.sampled_from([2, 2.0, -0.0, 0.0, float("nan")]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_VALUES = st.one_of(
+    _NUMBERS.map(Constant),
+    st.sampled_from(["v1", "v2"]).map(Constant),
+    st.tuples(_NUMBERS.map(Constant)).map(lambda args: Compound("p", args)),
+)
+
+
+class TestGroundBuildMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(vessel=_VALUES, speed=_VALUES, time=st.sampled_from([2, 3, 10**12]))
+    def test_a_memoised_build_is_a_fresh_build_of_the_frames_own_objects(
+        self, vessel, speed, time
+    ):
+        frame = _frame(_SPEED_SLOTS, [vessel, speed, time])
+        built = _SPEED(frame)
+        fresh = Compound(
+            "=", (Compound("speed", (vessel, speed)), Compound("at", (Constant(time),)))
+        )
+        assert built == fresh and repr(built) == repr(fresh) and hash(built) == hash(fresh)
+        fluent, value = built.args
+        assert fluent.args[0] is vessel and fluent.args[1] is speed
+        assert value.args[0].value is time
+        assert built.ground
+
+    def test_the_same_slot_objects_give_the_same_object(self):
+        site, slots = _site("speed(V)=S")
+        vessel, speed = Constant("v1"), Constant(2.5)
+        first = site(_frame(slots, [vessel, speed]))
+        assert site(_frame(slots, [vessel, speed])) is first
+        # Equal but not identical: a new object, rendered as bound.
+        other = site(_frame(slots, [vessel, Constant(2.5)]))
+        assert other is not first and other == first
+        two = site(_frame(slots, [vessel, Constant(2)]))
+        two_float = site(_frame(slots, [vessel, Constant(2.0)]))
+        assert (repr(two), repr(two_float)) == ("=(speed(v1), 2)", "=(speed(v1), 2.0)")
+
+    def test_a_term_with_unbound_variables_memoises_its_ground_parts(self):
+        scope = compiler.Scope(bound=[Variable("V")])
+        slot = scope.slot(Variable("V"))
+        site = compiler.build(parse_term("f(g(V), h(W))"), scope)
+        frame = _frame([slot], [Constant("v1")])
+        first, second = site(frame), site(frame)
+        assert first is not second and first == second and not first.ground
+        assert first.args[0] is second.args[0] and first.args[0].ground
+
+    def test_threads_sharing_a_site_each_get_their_own_bindings(self, monkeypatch):
+        monkeypatch.setattr(compiler, "_BUILD_MEMO_LIMIT", 8)  # clears all the time
+        site, slots = _site("speed(V)=S")
+        memo = site.__globals__["m0"]
+        wrong = []
+
+        def work(worker):
+            for index in range(2000):
+                vessel, speed = Constant("v%d" % worker), Constant(float(index))
+                built = site(_frame(slots, [vessel, speed]))
+                if built.args[0].args[0] is not vessel or built.args[1] is not speed:
+                    wrong.append(built)
+                if len(memo) > 8 + len(threads):
+                    wrong.append(len(memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_head_fed_more_distinct_floats_than_the_bound_stays_bounded(self):
+        description = EventDescription.from_text(
+            "initiatedAt(speed(V)=S, T) :- happensAt(velocity(V, S), T)."
+        )
+        limit = compiler._BUILD_MEMO_LIMIT
+        speeds = [index + 0.5 for index in range(limit + 100)]
+        stream = EventStream(
+            Event(t, Compound("velocity", (Constant("v1"), Constant(s))))
+            for t, s in enumerate(speeds)
+        )
+        engine = RTECEngine(description, strict=False)
+        engine.recognise(stream, window=len(speeds) // 4)
+        (program,) = compiler._PROGRAMS[id(description.simple_fluents[("speed", 1)])].values()
+        emit = program.emit
+        cells = dict(zip(emit.__code__.co_freevars, emit.__closure__))
+        memo = cells["pair_of"].cell_contents.__globals__["m0"]
+        assert 0 < len(memo) <= limit
+        assert len(memo) == (limit + 100) % limit  # cleared once when full
 
 
 class TestInternTable:

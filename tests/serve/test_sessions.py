@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.logic.parser import MAX_NESTING
 from repro.rtec import EventDescription, RTECEngine
 from repro.serve.checkpoint import CheckpointError, list_checkpoints
 from repro.serve.protocol import ProtocolError
@@ -212,6 +213,44 @@ class TestWorker:
         assert status["invalid"] == 1
         assert status["applied"] == 2  # the dropped item still advances the offset
         assert payload["fvps"]["f(v1)=true"] == [[7, 10]]
+
+    def test_an_event_nested_beyond_the_parser_limit_is_dropped_not_fatal(self):
+        async def scenario():
+            managed = ManagedSession("s", _engine(), SessionConfig(window=20, step=10))
+            managed.start()
+            managed.offer_events([(5, "g(" * 1000 + "a" + ")" * 1000), (6, "start(v1)")])
+            payload = await managed.query(at=10)
+            status = managed.status()
+            await managed.stop()
+            return managed, payload, status
+
+        managed, payload, status = _run(scenario())
+        assert managed.failure is None and status["failure"] is None
+        assert status["invalid"] == 1 and status["ingested"] == 1
+        assert payload["fvps"]["f(v1)=true"] == [[7, 10]]
+
+    def test_an_event_at_the_parser_limit_survives_a_checkpoint(self, tmp_path):
+        nested = "g(a=" * MAX_NESTING + "b" + ")" * MAX_NESTING
+
+        async def life(events, restore):
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            managed = manager.add_session(
+                "s", _engine(), SessionConfig(window=20, step=10), restore=restore
+            )
+            manager.start()
+            managed.offer_events(events)
+            result = await managed.query(at=20)
+            if not restore:
+                await managed.checkpoint()
+            status = managed.status()
+            await manager.kill()
+            return result, status
+
+        first, status = _run(life([(5, "start(v1)"), (12, nested)], False))
+        assert status["failure"] is None and status["invalid"] == 0
+        assert status["buffered_events"] == 2
+        second, status = _run(life([], True))
+        assert second == first and status["buffered_events"] == 2
 
     def test_checkpoint_requires_directory(self):
         async def scenario():
