@@ -23,7 +23,8 @@ Supported constructs:
 * lists ``[I1, I2]``, represented as the reserved compound ``list(...)``
   (the empty list is the constant ``[]``);
 * ``%`` line comments;
-* integers, floats, single-quoted atoms;
+* integers and finite floats (a numeral out of range is an error),
+  single-quoted atoms;
 * terms nested at most :data:`MAX_NESTING` parentheses or brackets deep.
 
 The parser is deliberately strict: anything outside this dialect raises
@@ -33,6 +34,7 @@ event descriptions must be *validated*, not silently repaired.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -244,9 +246,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.next()
-            if "." in tok.text:
-                return Constant(float(tok.text))
-            return Constant(int(tok.text))
+            try:
+                value = float(tok.text) if "." in tok.text else int(tok.text)
+            except ValueError:  # more digits than ``int`` converts
+                value = math.inf
+            if math.isinf(value):
+                raise ParseError("number out of range", tok.line, tok.column)
+            return Constant(value)
         if tok.kind == "var":
             self.next()
             return Variable(tok.text)

@@ -8,6 +8,7 @@ emit them.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from operator import itemgetter
 from typing import List, Mapping, Tuple, TypeVar
 
@@ -27,12 +28,26 @@ def term_to_str(term: Term) -> str:
     if isinstance(term, Constant):
         if isinstance(term.value, str) and not _is_plain_atom(term.value):
             return "'%s'" % term.value
+        if isinstance(term.value, float):
+            return _float_to_str(term.value)
         return str(term.value)
     if term.functor == LIST_FUNCTOR:
         return "[%s]" % ", ".join(term_to_str(a) for a in term.args)
     if term.functor in _INFIX and term.arity == 2:
         return "%s%s%s" % (term_to_str(term.args[0]), term.functor, term_to_str(term.args[1]))
     return "%s(%s)" % (term.functor, ", ".join(term_to_str(a) for a in term.args))
+
+
+def _float_to_str(value: float) -> str:
+    """A finite float in the parser's number grammar: positional digits with a
+    decimal point. ``repr``'s shortest digits are kept, so the text reads back
+    as the same float; only the exponent form (``1e-05``, ``1e+16``) is
+    expanded."""
+    text = repr(value)
+    if "e" not in text:
+        return text
+    text = format(Decimal(text), "f")
+    return text if "." in text else text + ".0"
 
 
 def sorted_by_text(mapping: Mapping[Term, _V]) -> List[Tuple[str, _V]]:

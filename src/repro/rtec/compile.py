@@ -64,7 +64,6 @@ __all__ = [
     "precompile_description",
     "program_for",
     "rule_shape",
-    "vector_filter",
 ]
 
 #: Frame layout: the window's context first, the rule's variables after.
@@ -492,8 +491,7 @@ class CompiledRule:
     The *hoisted atemporal prefix* — positive background conditions no stream
     condition can bind, e.g. ``thresholds(movingMin, Min)`` — runs once per
     window and yields one frame per solution, shared by all seeds; then the
-    seed binder, the body chain ending in the head builder and, for bodies
-    of plain comparisons, the batch filter of :func:`vector_filter`.
+    seed binder and the body chain ending in the head builder.
     """
 
     def __init__(self, rule: Rule) -> None:
@@ -535,20 +533,16 @@ class CompiledRule:
             else:
                 body.append(literal)
                 blocked_vars |= lit_vars
-        self.body: Tuple[Literal, ...] = tuple(body)
 
         # Once per window: one frame copy per solution of the hoisted prefix.
         self._prefix: Step = lambda f: f[AUX].append(f[:])
         for make in reversed([background(literal, scope) for literal in hoisted]):
             self._prefix = make(self._prefix)
-        self.prefix_vars = frozenset(scope.bound)
 
         self.bind_seed = self._seed_binder(scope)
         self._steps = [_condition(literal, scope) for literal in body]
         self.emit = self._head_emitter(scope)
-        self.slots: Dict[Variable, int] = scope.slots
         self._tallies = FIRST_SLOT + len(scope.slots)
-        self.filters = vector_filter(self)
         self._chains: Dict[bool, Step] = {}
 
     def _seed_binder(self, scope: Scope) -> Callable[[Frame, object], bool]:
@@ -628,26 +622,6 @@ def program_for(owner: object, rule: Rule, compiler: Callable[[Rule], object]):
     if program is None:
         program = programs[id(rule)] = compiler(rule)
     return program
-
-
-def vector_filter(plan: CompiledRule) -> Optional[Tuple[Literal, ...]]:
-    """The body as a batch comparison filter, or ``None`` when inapplicable:
-    the seed binds by the fast path and every remaining condition compares
-    plain variables or numeric constants (``happensAt(velocity(V, S, M), T),
-    thresholds(hcNearCoastMax, Max), S > Max``). Such comparisons neither bind
-    variables nor touch the stream or store, so :mod:`repro.rtec.simple` applies
-    them as one boolean mask over the seed bucket's value columns. Any other
-    side sends the seeds through the chain, errors and all."""
-
-    def plain(literal: Literal) -> bool:
-        return is_comparison(literal.term) and all(
-            isinstance(side, Variable) or (isinstance(side, Constant) and side.is_number)
-            for side in literal.term.args  # type: ignore[union-attr]
-        )
-
-    if plan.seed_args is None or not plan.body or not all(map(plain, plan.body)):
-        return None
-    return plan.body
 
 
 def precompile_description(description: "EventDescription") -> int:

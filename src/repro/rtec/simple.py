@@ -13,13 +13,11 @@ For every simple fluent schema the engine:
 
 Rules run as the slot programs of :mod:`repro.rtec.compile`, compiled once
 per fluent definition: this module only drives them over a window — the
-atemporal prefix once, then every seed event through the chain, or through
-one numpy mask when the body is plain comparisons.
+atemporal prefix once, then every seed event through the chain.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -28,15 +26,14 @@ from repro.intervals import IntervalList
 from repro.intervals.pairing import pair_intervals
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Rule
-from repro.logic.terms import Compound, Constant, Term, is_ground
+from repro.logic.terms import Compound, Term, is_ground
 from repro.logic.pretty import term_to_str
 from repro.logic.unification import unify
-from repro.rtec.builtins import COMPARATORS
 from repro.rtec.compile import compile_rule, pattern_key as _pattern_key, program_for
 from repro.rtec.description import SimpleFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
-from repro.rtec.stream import EventStream, float64_exact
+from repro.rtec.stream import EventStream
 
 __all__ = ["evaluate_simple_fluent"]
 
@@ -86,11 +83,10 @@ def evaluate_simple_fluent(
                 if rsp.enabled:
                     rsp.set(head=term_to_str(rule.head), kind=kind)
                 try:
-                    seed = _fire(
+                    _fire(
                         program_for(definition, rule, compile_rule),
                         stream, kb, store, window_start, window_end, require_ground, points,
                     )
-                    rsp.set(seed=seed)
                 except EvaluationError as exc:
                     if on_error is None:
                         raise exc.with_context(rule_head=rule.head) from exc
@@ -224,109 +220,17 @@ def _apply_universal_terminations(
                 terminations[pair].add(time)
 
 
-def _fire(program, stream, kb, store, window_start, window_end, require_ground, out) -> str:
+def _fire(program, stream, kb, store, window_start, window_end, require_ground, out) -> None:
     """Run one compiled rule over a window, appending its firings to ``out``:
-    events ascending, prefix solutions in order, conditions left to right.
-    A fast-seeded program first tries the vectorised seed filter
-    (:func:`_vector_candidates`); what that cannot evaluate exactly runs the
-    compiled chain seed by seed. Returns which of the two ran, as counted by
-    ``kernel.rule_filter.columnar`` / ``.fallback``."""
+    events ascending, prefix solutions in order, conditions left to right."""
     # The atemporal prefix runs once per window; every seed shares its frames.
     frames = program.frames(stream, kb, store, window_start, window_end, require_ground, out)
     if not frames:
-        return "none"
+        return
     bind = program.bind_seed
-    if program.seed_args is not None:
-        candidates = _vector_candidates(program, frames, stream, window_start, window_end)
-        if candidates is not None:
-            telemetry.count("kernel.rule_filter.columnar")
-            # The body is comparisons only and the mask has applied them.
-            for event, frame in candidates:
-                bind(frame, event)
-                program.emit(frame)
-            return "columnar"
-        telemetry.count("kernel.rule_filter.fallback")
     chain = program.chain(telemetry.is_enabled())
     functor, arity = program.seed_key
     for event in stream.events_in_window(functor, arity, window_start, window_end):
         for frame in frames:
             if bind(frame, event):
                 chain(frame)
-    return "chain"
-
-
-#: ``builtins.COMPARATORS`` elementwise: ``math.isclose(a, b, rel_tol=0.0,
-#: abs_tol=1e-9)`` is ``|a - b| <= 1e-9`` computed in float64, which is
-#: exactly what the array expression does.
-_VECTOR_COMPARATORS = dict(
-    COMPARATORS,
-    **{"=:=": lambda a, b: abs(a - b) <= 1e-9, "=\\=": lambda a, b: abs(a - b) > 1e-9},
-)
-
-
-def _vector_candidates(plan, frames, stream, window_start, window_end):
-    """The seed events passing the body's comparisons, as a batch mask.
-
-    Applies when the program is vector-filterable (see
-    :func:`repro.rtec.compile.vector_filter`) and every comparison side
-    resolves to a float64-exact numeric column or scalar. Returns an
-    iterable of ``(event, prefix frame)`` pairs in the order the seed-by-seed
-    path would produce them (events ascending, prefix solutions in order),
-    an empty tuple when nothing can fire, or ``None`` to send the seeds
-    through the compiled chain, which then raises whatever error the
-    comparison raises.
-    """
-    if plan.filters is None:
-        return None
-    info = stream.columns(*plan.seed_key)
-    if info is None:
-        return ()
-    bucket, times, np_times, value_columns = info
-    lo = bisect_right(times, window_start)
-    hi = bisect_right(times, window_end)
-    if lo >= hi:
-        return ()
-    columns = dict(zip(plan.seed_args, value_columns))
-    columns[plan.seed_time] = np_times
-
-    def side(term, frame):
-        """A float64 column slice or an exact scalar; ``None``: neither —
-        an unbound or non-numeric variable, or a number float64 does not
-        compare exactly (:func:`repro.rtec.stream.float64_exact`)."""
-        if term in columns:
-            column = columns[term]
-            return None if column is None else column[lo:hi]
-        if term in plan.prefix_vars:
-            term = frame[plan.slots[term]]
-        value = term.value if isinstance(term, Constant) else None
-        return value if float64_exact(value) else None
-
-    masks = []
-    for frame in frames:
-        mask = True
-        for literal in plan.filters:
-            left, right = (side(term, frame) for term in literal.term.args)
-            if left is None or right is None:
-                return None
-            satisfied = _VECTOR_COMPARATORS[literal.term.functor](left, right)
-            mask = mask & (satisfied ^ literal.negated)
-        masks.append(mask)
-
-    # Candidate indices: the union of the per-prefix masks, iterated
-    # event-major so firings interleave exactly like the seed-by-seed path.
-    # A mask over scalars only is one bool for the whole bucket.
-    union = masks[0]
-    for mask in masks[1:]:
-        union = union | mask
-    if isinstance(union, bool):
-        indices = range(hi - lo) if union else ()
-    else:
-        indices = union.nonzero()[0].tolist()
-
-    def emit():
-        for i in indices:
-            for frame, mask in zip(frames, masks):
-                if mask if isinstance(mask, bool) else mask[i]:
-                    yield bucket[lo + i], frame
-
-    return emit()

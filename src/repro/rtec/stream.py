@@ -12,7 +12,6 @@ The engine consumes two kinds of input (Section 3.2 of the paper):
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -101,9 +100,6 @@ class EventStream:
         self._count = len(self._sorted)
         self._min_time: Optional[int] = self._sorted[0].time if self._sorted else None
         self._max_time: Optional[int] = self._sorted[-1].time if self._sorted else None
-        # Per-functor numeric columns for the vectorised rule filter,
-        # built lazily by ``columns()`` and dropped on ``append``.
-        self._columns: Dict[Tuple[str, int], Tuple[object, tuple]] = {}
         for event in self._sorted:
             key = (event.functor, event.arity)
             self._by_functor[key].append(event)
@@ -133,7 +129,6 @@ class EventStream:
             self._sorted.insert(position, event)
             self._times.insert(position, event.time)
         self._count += 1
-        self._columns.pop((event.functor, event.arity), None)
         if self._min_time is None or event.time < self._min_time:
             self._min_time = event.time
         if self._max_time is None or event.time > self._max_time:
@@ -227,7 +222,6 @@ class EventStream:
         clone._times_by_functor = {}
         clone._by_entity = defaultdict(list)
         clone._entity_times = {}
-        clone._columns = {}
         if lo >= hi:
             clone._sorted = []
             clone._times = []
@@ -253,32 +247,6 @@ class EventStream:
                 clone._by_entity[ekey] = self._by_entity[ekey][b_lo:b_hi]
                 clone._entity_times[ekey] = bucket_times[b_lo:b_hi]
         return clone
-
-    def columns(
-        self, functor: str, arity: int
-    ) -> Optional[Tuple[List[Event], List[int], object, tuple]]:
-        """Columnar view of one functor bucket for the vectorised rule filter.
-
-        Returns ``(bucket, times, np_times, value_columns)`` or ``None``
-        when the bucket is empty. ``value_columns`` has one entry per
-        argument position: a float64 array of that argument's values when
-        every event carries a :func:`float64_exact` numeric constant there,
-        else ``None`` (the vectorised filter then falls back to the
-        per-event path for sides touching that position); ``np_times`` is
-        the same for the occurrence times. Built lazily per bucket and
-        cached until the next ``append`` of this functor.
-        """
-        key = (functor, arity)
-        bucket = self._by_functor.get(key)
-        if not bucket:
-            return None
-        times = self._times_by_functor[key]
-        cached = self._columns.get(key)
-        if cached is None:
-            cached = _build_columns(bucket, times, arity)
-            self._columns[key] = cached
-        np_times, value_columns = cached
-        return bucket, times, np_times, value_columns
 
     def _bucket(
         self, functor: str, arity: int, first: Optional[Term]
@@ -314,42 +282,6 @@ class EventStream:
 
     def functors(self) -> List[Tuple[str, int]]:
         return sorted(self._by_functor)
-
-
-def float64_exact(value: object) -> bool:
-    """Whether ``value`` compares as a float64 exactly as it does in Python.
-
-    Integers beyond ±2**53 are not representable, and ``nan``/``inf`` make
-    ``|a - b| <= eps`` disagree with ``math.isclose``; the vectorised rule
-    filter leaves both to the per-event path.
-    """
-    if isinstance(value, int):
-        return -(2**53) <= value <= 2**53
-    return isinstance(value, float) and math.isfinite(value)
-
-
-def _build_columns(
-    bucket: List[Event], times: List[int], arity: int
-) -> Tuple[object, tuple]:
-    import numpy
-
-    count = len(bucket)
-    # ``times`` is sorted, so its ends bound every entry.
-    np_times = None
-    if float64_exact(times[0]) and float64_exact(times[-1]):
-        np_times = numpy.array(times, dtype=numpy.float64)
-    value_columns = []
-    for position in range(arity):
-        values = numpy.empty(count, dtype=numpy.float64)
-        usable = True
-        for index, event in enumerate(bucket):
-            argument = event.term.args[position]
-            if not (isinstance(argument, Constant) and float64_exact(argument.value)):
-                usable = False
-                break
-            values[index] = argument.value
-        value_columns.append(values if usable else None)
-    return np_times, tuple(value_columns)
 
 
 class InputFluents:

@@ -41,6 +41,7 @@ reader, keeping the ingest budget per event in single-digit microseconds.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro.logic.parser import ParseError, parse_term
@@ -200,59 +201,48 @@ def _remember(text: str, term: Term) -> None:
     _TERM_CACHE[text] = term
 
 
+#: What the fast path reads as an argument: an ASCII plain atom, or a numeral
+#: of the parser's number token ``-?[0-9]+(.[0-9]+)?``. The parser's layout
+#: is ASCII whitespace. Anything else defers to :func:`parse_term`.
+_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*")
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+_LAYOUT = " \t\r\n"
+#: A numeral this short converts without overflow: ``int`` reads up to 4 300
+#: digits and a float holds up to 1.8e308. Longer ones are the parser's call.
+_MAX_NUMERAL = 300
+
+
 def _parse_flat(text: str) -> Optional[Term]:
     """``functor(a, b, 1.5)`` or a bare atom; ``None`` defers to the parser."""
-    stripped = text.strip()
-    if not stripped or not stripped[0].islower():
-        return None
+    stripped = text.strip(_LAYOUT)
     open_paren = stripped.find("(")
     if open_paren < 0:
-        if _is_plain_atom(stripped):
+        if _ATOM.fullmatch(stripped):
             return intern_constant(stripped)
         return None
     if not stripped.endswith(")"):
         return None
     functor = stripped[:open_paren]
-    if not _is_plain_atom(functor):
+    if not _ATOM.fullmatch(functor):
         return None
     body = stripped[open_paren + 1 : -1]
     if any(ch in body for ch in "()[]'\""):
         return None
     args = []
     for chunk in body.split(","):
-        argument = _parse_atomic(chunk.strip())
+        argument = _parse_atomic(chunk.strip(_LAYOUT))
         if argument is None:
             return None
         args.append(argument)
-    if not args:
-        return None
     return Compound(functor, tuple(args))
 
 
 def _parse_atomic(chunk: str) -> Optional[Term]:
-    if not chunk:
-        return None
-    head = chunk[0]
-    if head.islower():
-        if _is_plain_atom(chunk):
-            return intern_constant(chunk)
-        return None
-    if head.isdigit() or head in "+-.":
-        try:
-            return Constant(int(chunk))
-        except ValueError:
-            pass
-        try:
-            return Constant(float(chunk))
-        except ValueError:
-            return None
+    if _ATOM.fullmatch(chunk):
+        return intern_constant(chunk)
+    if len(chunk) <= _MAX_NUMERAL and _NUMBER.fullmatch(chunk):
+        return Constant(float(chunk) if "." in chunk else int(chunk))
     return None
-
-
-def _is_plain_atom(name: str) -> bool:
-    return bool(name) and name[0].islower() and all(
-        ch.isalnum() or ch == "_" for ch in name
-    )
 
 
 # -- field validation ----------------------------------------------------------

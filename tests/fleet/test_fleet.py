@@ -120,7 +120,8 @@ class TestGeneration:
 class TestFleetServingLoadsNoNumpy:
     def test_cli_worker_and_a_driven_gold_session(self):
         """What a router and a fleet worker import and run: 12 MB and 0.24 s a
-        process when numpy rides along (``maritime`` uses it, lazily)."""
+        process when numpy rides along (``maritime`` uses it, lazily). A
+        threshold rule compares plain numbers, batch and online alike."""
         import os
         import subprocess
         import sys
@@ -130,7 +131,10 @@ class TestFleetServingLoadsNoNumpy:
         script = (
             "import sys\n"
             "import repro.cli, repro.serve.cluster.worker, repro.fleet\n"
-            "from repro.rtec import RTECEngine\n"
+            "from repro.logic.knowledge import KnowledgeBase\n"
+            "from repro.logic.parser import parse_term\n"
+            "from repro.rtec import Event, EventDescription, EventStream, RTECEngine\n"
+            "from repro.rtec.session import RTECSession\n"
             "from repro.serve.replay import drive_reference_session\n"
             "dataset = repro.fleet.build_fleet_dataset()\n"
             "engine = RTECEngine(repro.fleet.fleet_gold_event_description(),\n"
@@ -138,6 +142,23 @@ class TestFleetServingLoadsNoNumpy:
             "result = drive_reference_session(engine, list(dataset.stream),\n"
             "                                 dataset.input_fluents, 600, 300, incremental=True)\n"
             "assert len(result) > 0\n"
+            "rules = EventDescription.from_text('''\n"
+            "initiatedAt(movingSpeed(V)=below, T) :-\n"
+            "    happensAt(velocity(V, S, C, H), T), thresholds(movingMin, Min), S < Min.\n"
+            "terminatedAt(movingSpeed(V)=below, T) :-\n"
+            "    happensAt(velocity(V, S, C, H), T), thresholds(movingMin, Min), S >= Min.\n"
+            "''')\n"
+            "kb = KnowledgeBase.from_text('thresholds(movingMin, 0.5).')\n"
+            "events = [Event(t, parse_term('velocity(v1, %s, 90, 90)' % s))\n"
+            "          for t, s in ((10, '0.2'), (20, '3.5'), (30, '0.1'), (40, '4.0'))]\n"
+            "batch = RTECEngine(rules, kb, strict=False).recognise(\n"
+            "    EventStream(events), window=20, step=10)\n"
+            "session = RTECSession(RTECEngine(rules, kb, strict=False), window=20)\n"
+            "session.submit(events)\n"
+            "session.advance(20)\n"
+            "session.advance(40)\n"
+            "for run in (batch, session.result):\n"
+            "    assert run.holds_for('movingSpeed(v1)=below').as_pairs() == [(11, 20), (31, 40)]\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))

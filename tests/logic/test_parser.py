@@ -88,6 +88,12 @@ class TestMalformedNumbers:
             parse_term("f(3)"), parse_term("g(1.5)")
         ]
 
+    def test_a_number_no_int_or_finite_float_holds_is_a_parse_error(self):
+        for numeral in ("1" * 400 + ".0", "-" + "9" * 400 + ".5", "7" * 5000):
+            with pytest.raises(ParseError, match="number out of range") as excinfo:
+                parse_term("f(a, %s)" % numeral)
+            assert (excinfo.value.line, excinfo.value.column) == (1, 6)
+
     def test_a_reply_with_a_malformed_number_is_recorded_not_raised(self):
         from repro.llm.pipeline import GenerationPipeline
         from repro.maritime.gold import ACTIVITY_GROUPS

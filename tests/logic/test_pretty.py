@@ -2,7 +2,7 @@
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.logic.parser import parse_program, parse_rule, parse_term
@@ -77,3 +77,18 @@ class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     def test_term_round_trip(self, term: Term):
         assert parse_term(term_to_str(term)) == term
+
+    @given(value=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()))
+    @settings(max_examples=500, deadline=None)
+    @example(value=1e-05)
+    @example(value=1e16)
+    @example(value=-5e-324)
+    def test_number_round_trip(self, value):
+        """Every finite float reads back as the same float, never an int, and
+        not only where ``str`` happens to write it positionally."""
+        for term in (Constant(value), Compound("velocity", (Constant("v1"), Constant(value)))):
+            assert repr(parse_term(term_to_str(term))) == repr(term)
+
+    def test_positional_floats_keep_their_text(self):
+        for value in (0.5, -0.0, 123.0, 0.0001, 1.5e15, 9999999999999998.0):
+            assert term_to_str(Constant(value)) == str(value)

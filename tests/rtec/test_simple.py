@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Literal, Rule, parse_term
 from repro.logic.terms import Compound, Constant, Variable
@@ -188,7 +187,7 @@ class TestUniversalTermination:
         assert result.holds_for("within(v2, a1)=true").as_pairs() == [(2, 6)]
 
 
-# -- compiled programs ≡ reference oracle; vectorised seed filter ≡ chain ------
+# -- compiled programs ≡ reference oracle ---------------------------------------
 
 _BIG = 2**53 + 1
 _VARS = {name: Variable(name) for name in ("V", "A", "B", "T", "X")}
@@ -205,8 +204,7 @@ _numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=64),
     st.sampled_from([0.5, 3.0, 7.5, _BIG, -_BIG, 2**53, 2**63, float("inf"), float("nan")]),
 )
-#: Mostly numbers, now and then an atom: a non-numeric column must send the
-#: rule to the per-event loop, which then raises on the comparison.
+#: Mostly numbers, now and then an atom, on which a comparison raises.
 _arguments = st.one_of(_numbers, _numbers, _numbers, st.just("odd")).map(Constant)
 _sides = st.one_of(
     st.sampled_from([_VARS[name] for name in ("A", "B", "T", "X", "A", "B", "V")]),
@@ -238,7 +236,7 @@ _value_streams = st.lists(
 
 
 def _firings(rule, stream, start, end):
-    """The rule's firing points as a list, or the exception type it raised."""
+    """The rule's firings as a list, or the exception type it raised."""
     points = []
     try:
         simple._fire(compile_rule(rule), stream, _KB, FluentStore(), start, end, True, points)
@@ -247,38 +245,52 @@ def _firings(rule, stream, start, end):
     return points, None
 
 
+def _oracle_firings(rule, stream, start, end):
+    """The same rule's firings in the same window from the point-by-point
+    oracle, as a set, or the exception type it raised."""
+    oracle = ReferenceEvaluator(EventDescription([rule]), _KB, stream.slice_window(start, end))
+    firings = set()
+    try:
+        for vessel in ("v1", "v2"):
+            pair = parse_term("f(%s)=true" % vessel)
+            firings.update((pair, time) for time in oracle._firing_points("initiatedAt", pair))
+    except Exception as error:  # noqa: BLE001 - the type is what is compared
+        return firings, type(error)
+    return firings, None
+
+
 def _ev(time, a, b):
     return Event(time, Compound("ev", (Constant("v1"), Constant(a), Constant(b))))
 
 
-class TestVectorFilterMatchesPerEventLoop:
+class TestThresholdRulesMatchReference:
+    """Comparison bodies over nan, inf and integers no float64 holds: the
+    compiled chain against the oracle, seed by seed."""
+
     @settings(deadline=None, max_examples=300)
     @given(_threshold_rules, _value_streams, st.integers(-1, 20), st.integers(10, 45))
-    # nan and inf: |a - b| > eps is not ``not math.isclose(a, b)``.
+    # nan and inf: ``=\=`` is ``not math.isclose(a, b)``: true of nan, false of inf, inf.
     @example(
         Rule(_HEAD, (_SEED, Literal(Compound("=\\=", (_VARS["A"], _VARS["B"]))))),
         EventStream([_ev(5, float("nan"), 1.0), _ev(6, float("inf"), float("inf"))]),
         0,
         10,
     )
-    # An occurrence time no int64/float64 column holds.
+    # An occurrence time beyond int64, after the window.
     @example(
         Rule(_HEAD, (_SEED, Literal(Compound("<", (_VARS["A"], _VARS["T"]))))),
         EventStream([_ev(5, 1, 1), _ev(2**63, 1, 1)]),
         0,
         10,
     )
-    def test_same_pairs_same_order_same_error(self, rule, stream, start, end):
-        with telemetry.enabled() as tracer:
-            vectorised = _firings(rule, stream, start, end)
-        counters = tracer.counters
-        assert counters.get("kernel.rule_filter.columnar", 0) + counters.get(
-            "kernel.rule_filter.fallback", 0
-        ) == 1
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simple, "_vector_candidates", lambda *args: None)
-            per_event = _firings(rule, stream, start, end)
-        assert vectorised == per_event
+    def test_same_firings_same_error(self, rule, stream, start, end):
+        points, error = _firings(rule, stream, start, end)
+        expected, expected_error = _oracle_firings(rule, stream, start, end)
+        assert error is expected_error
+        if error is None:
+            assert set(points) == expected
+            times = [time for _pair, time in points]
+            assert times == sorted(times)  # events ascending
 
 
 # Random event descriptions over every condition kind. ``{V}``, ``{A}``, ``{B}``

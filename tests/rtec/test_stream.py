@@ -249,8 +249,8 @@ def _streams():
 
 
 class TestEventStreamEquivalence:
-    """``count_in_window``, ``slice_window`` and ``columns`` against their
-    definitional per-event equivalents."""
+    """``count_in_window`` and ``slice_window`` against their definitional
+    per-event equivalents."""
 
     @settings(deadline=None)
     @given(_streams(), st.integers(-5, 90), st.integers(-5, 90))
@@ -277,26 +277,3 @@ class TestEventStreamEquivalence:
     def test_slice_window_unbounded(self, stream, start):
         sliced = stream.slice_window(start)
         assert list(sliced) == [e for e in stream if e.time > start]
-
-    @settings(deadline=None)
-    @given(_streams(), st.integers(-5, 90), st.integers(-5, 90))
-    def test_columns_survive_slicing(self, stream, start, end):
-        """Cached value columns of a slice match a from-scratch rebuild."""
-        stream.columns("speed", 2)  # prime the parent's cache first
-        sliced = stream.slice_window(start, end)
-        rebuilt = EventStream(e for e in stream if start < e.time <= end)
-        got = sliced.columns("speed", 2)
-        want = rebuilt.columns("speed", 2)
-        assert (got is None) == (want is None)
-        if got is None:
-            return
-        got_bucket, got_times, got_np, got_values = got
-        want_bucket, want_times, want_np, want_values = want
-        assert got_bucket == want_bucket
-        assert got_times == want_times
-        assert got_np.tolist() == want_np.tolist()
-        assert len(got_values) == len(want_values)
-        for mine, theirs in zip(got_values, want_values):
-            assert (mine is None) == (theirs is None)
-            if mine is not None:
-                assert mine.tolist() == theirs.tolist()

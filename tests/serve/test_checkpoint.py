@@ -95,6 +95,36 @@ class TestCheckpointFiles:
         assert loaded.description_hash == digest
         assert loaded.snapshot.result == session.snapshot().result
 
+    def test_a_session_holding_a_small_or_large_float_restores(self, tmp_path):
+        """Buffered events are written as concrete syntax: a float ``str``
+        renders in exponent form (``1e-05``) must still read back, as a float."""
+        session = RTECSession(_engine(), window=600)
+        session.submit([
+            Event(20, parse_term("velocity(v1, 0.00001, 90, 90)")),
+            Event(21, parse_term("velocity(v1, 10000000000000000.0, -0.000000125, 90)")),
+        ])
+        path = write_checkpoint(
+            str(tmp_path), "s", session.snapshot(), applied=2, windows=0,
+            description_digest=description_hash(session.engine.description),
+        )
+        restored = load_checkpoint(path).snapshot.buffer
+        assert [(e.time, repr(e.term)) for e in restored] == [
+            (e.time, repr(e.term)) for e in session.snapshot().buffer
+        ]
+
+    def test_the_gold_description_hashes_are_unchanged(self):
+        """A float written positionally keeps its text, so checkpoints of the
+        golds written before exponent forms were expanded still restore."""
+        from repro.fleet import fleet_gold_event_description
+        from repro.maritime import gold_event_description
+
+        assert description_hash(gold_event_description()) == (
+            "09b1f6dc7678f6b0e714fc914302ff63670895e6680a9a5ceaa638578d591c73"
+        )
+        assert description_hash(fleet_gold_event_description()) == (
+            "82f11919787d3836fcda7fbb73989116d66d21a13b4071d9025924fbb7d53d3e"
+        )
+
     def test_file_is_the_one_shot_encoding_of_the_payload(self, tmp_path):
         # The bytes are the contract (parent-written files restore here and
         # vice versa): compact, key-sorted, nothing after the object.

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.logic.parser import parse_term
+from repro.logic.terms import Compound
 from repro.serve.protocol import (
     ProtocolError,
     decode_line,
@@ -17,6 +20,7 @@ from repro.serve.protocol import (
     require_session,
     require_time,
 )
+from repro.serve.protocol import _parse_flat
 
 
 class TestFraming:
@@ -90,6 +94,75 @@ class TestEventTermParsing:
 
     def test_negative_number_argument(self):
         assert parse_event_term("delta(v1, -3)") == parse_term("delta(v1, -3)")
+
+
+#: Numerals and near-numerals Python's ``int``/``float`` read and the parser
+#: does not, characters ``str.islower``/``str.strip`` accept and it does not,
+#: and what it does read; the property mixes them with arbitrary text.
+_TRICKY = [
+    "-inf", "+inf", "inf", "-nan", "nan", "-Infinity", "1_000", "+5", ".5", "5.", "1e3",
+    "1E-5", "0x1f", "\u0661\u0662", "\u00b2", "\u2170", "\u24d0", "ab\u2170", "\u00e9t\u00e9",
+    "-0", "-0.0", "007", "1.2.3", "- 5", "3 4", "v1", "_x", "X", "a b", "",
+]
+#: Mostly the parser's own layout, now and then a character only ``str.strip`` drops.
+_LAYOUTS = st.sampled_from(
+    ["", "", "", "", "", "", " ", " ", "\t", "\n", "\x0b", "\xa0", "\u2003"]
+)
+_arguments = st.builds(
+    lambda before, core, after: before + core + after,
+    _LAYOUTS,
+    st.one_of(
+        st.sampled_from(_TRICKY),
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True),
+        # Python's numeral grammar, which ``int``/``float`` read: signs,
+        # underscores, bare dots and exponents.
+        st.from_regex(r"[-+]?[0-9_]{0,3}\.?[0-9_]{0,3}([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+        st.from_regex(r"[a-z][A-Za-z0-9_]{0,4}", fullmatch=True),
+        st.text(max_size=4),
+    ),
+    _LAYOUTS,
+)
+_compounds = st.builds(
+    lambda before, functor, args: before + functor + "(" + ",".join(args) + ")",
+    _LAYOUTS,
+    st.sampled_from(["velocity", "f", "fX_1", "F", "\u2170", "f ", "g(a)"]),
+    st.lists(_arguments, min_size=1, max_size=3),
+)
+_event_texts = st.one_of(_compounds, _compounds, _arguments, st.text(max_size=12))
+
+
+def _typed(term):
+    """``repr`` with the type of every constant: ``1`` and ``1.0`` differ."""
+    if isinstance(term, Compound):
+        return term.functor, tuple(_typed(arg) for arg in term.args)
+    return type(term).__name__, type(getattr(term, "value", None)).__name__, repr(term)
+
+
+class TestFastPathReadsWhatTheParserReads:
+    @settings(max_examples=1000, deadline=None)
+    @given(_event_texts)
+    @example("velocity(v1, -inf, 90, 90)")
+    @example("velocity(v1, 1_000, +5, .5)")
+    @example("speed(v1, +5)")
+    @example("speed(v1, -Infinity)")
+    @example("f(5., 1e3, \u0661\u0662)")
+    @example("f(\u2170)")
+    @example("f(a\x0b)")
+    @example("f(" + "9" * 400 + ".0)")
+    def test_the_fast_path_is_none_or_the_parsers_term(self, text):
+        fast = _parse_flat(text)
+        if fast is not None:
+            full = parse_term(text)  # a fast read of text the parser rejects fails here
+            assert repr(fast) == repr(full)
+            assert _typed(fast) == _typed(full)
+
+    @pytest.mark.parametrize("text", ["speed(v1, -inf)", "speed(v1, 1e3)", "speed(v1, +5)"])
+    def test_a_numeral_outside_the_grammar_is_a_bad_term(self, text):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_event_term(text)
+        assert excinfo.value.code == "bad-term"
 
 
 class TestFieldValidation:
