@@ -133,8 +133,14 @@ class IntervalList:
             reached += 1
         if end != last.end:
             mine = mine[:-1] + (Interval(last.start, end),)
+        return IntervalList._maximal(mine + theirs[reached:])
+
+    @staticmethod
+    def _maximal(intervals: Tuple[Interval, ...]) -> "IntervalList":
+        """A list of ``intervals`` that are already sorted, disjoint and
+        non-adjacent: nothing to normalise."""
         result = object.__new__(IntervalList)
-        object.__setattr__(result, "_intervals", mine + theirs[reached:])
+        object.__setattr__(result, "_intervals", intervals)
         return result
 
     @classmethod
@@ -184,13 +190,21 @@ class IntervalList:
             yield from range(interval.start, interval.end + 1)
 
     def restrict(self, start: int, end: int) -> "IntervalList":
-        """Clip to the closed window ``[start, end]`` (used by the sliding window)."""
-        clipped = []
-        for iv in self._intervals:
-            if iv.end < start or iv.start > end:
-                continue
-            clipped.append(Interval(max(iv.start, start), min(iv.end, end)))
-        return IntervalList(clipped)
+        """Clip to the closed window ``[start, end]`` (used by the sliding
+        window); the list itself when nothing is clipped. Clipping keeps the
+        intervals sorted, disjoint and non-adjacent."""
+        intervals = self._intervals
+        if not intervals or (intervals[0].start >= start and intervals[-1].end <= end):
+            return self
+        clipped = [iv for iv in intervals if iv.end >= start and iv.start <= end]
+        if clipped:
+            first = clipped[0]
+            if first.start < start:
+                clipped[0] = Interval(start, first.end)
+            last = clipped[-1]
+            if last.end > end:
+                clipped[-1] = Interval(last.start, end)
+        return IntervalList._maximal(tuple(clipped))
 
     # -- container protocol --------------------------------------------------
 

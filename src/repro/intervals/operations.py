@@ -78,7 +78,9 @@ def _intersect_two(left: IntervalList, right: IntervalList) -> IntervalList:
             i += 1
         else:
             j += 1
-    return IntervalList(out)
+    # Two points adjacent in the output lie in one maximal interval of each
+    # input, hence in one piece: the pieces are already maximal.
+    return IntervalList._maximal(tuple(out))
 
 
 def relative_complement_all(

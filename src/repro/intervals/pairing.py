@@ -127,7 +127,9 @@ def pair_intervals(
         if end is not None:
             while i < len(init_points) and init_points[i] <= end:
                 i += 1
-    return IntervalList(intervals), open_start, deadline_close
+    # Periods are paired in order and the next starts past the last close:
+    # sorted, disjoint and non-adjacent already.
+    return IntervalList._maximal(tuple(intervals)), open_start, deadline_close
 
 
 def make_intervals_from_points(

@@ -274,8 +274,18 @@ class EventDescription:
         """Fluent schemas defined by this event description."""
         return set(self.simple_fluents) | set(self.static_fluents)
 
-    def dependencies(self) -> Dict[FluentKey, Set[FluentKey]]:
-        """Edges: defined fluent -> fluents referenced in its rule bodies."""
+    def dependencies(self) -> Dict[FluentKey, FrozenSet[FluentKey]]:
+        """Edges: defined fluent -> fluents referenced in its rule bodies.
+        Cached against :meth:`rule_fingerprint` (a delta advance asks once per
+        window); the sets are frozen, as the result is shared."""
+        fingerprint = self.rule_fingerprint()
+        cached = getattr(self, "_dependencies", None)
+        if cached is None or cached[0] != fingerprint:
+            cached = (fingerprint, {key: frozenset(deps) for key, deps in self._walk_dependencies().items()})
+            self._dependencies = cached
+        return cached[1]
+
+    def _walk_dependencies(self) -> Dict[FluentKey, Set[FluentKey]]:
         graph: Dict[FluentKey, Set[FluentKey]] = {key: set() for key in self.defined_keys}
         for key, definition in self.simple_fluents.items():
             for rule in definition.initiated_rules + definition.terminated_rules:

@@ -17,7 +17,7 @@ synthetic initiation at the window-start time-point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, union_all
@@ -310,7 +310,7 @@ class RTECEngine:
             #: Fluents whose intervals differ from the cached ones (tracked
             #: only when something is cached; otherwise everything is derived).
             changed: Set[FluentKey] = set()
-            dependencies: Dict[FluentKey, Set[FluentKey]] = {}
+            dependencies: Dict[FluentKey, FrozenSet[FluentKey]] = {}
             if cache is not None:
                 assert merge_from is not None
                 dependencies = self.description.dependencies()

@@ -11,9 +11,10 @@ For every simple fluent schema the engine:
 3. pairs initiations with terminations into maximal intervals
    (:func:`repro.intervals.make_intervals_from_points`).
 
-Rules run as the slot programs of :mod:`repro.rtec.compile`, compiled once
-per fluent definition: this module only drives them over a window — the
-atemporal prefix once, then every seed event through the chain.
+Rules run as the functions :mod:`repro.rtec.compile` generates, compiled
+once per fluent definition (and once per source text): this module only
+calls them over a window — each runs its atemporal prefix once, then its
+body per seed event — and pairs what they fire.
 """
 
 from __future__ import annotations
@@ -223,14 +224,5 @@ def _apply_universal_terminations(
 def _fire(program, stream, kb, store, window_start, window_end, require_ground, out) -> None:
     """Run one compiled rule over a window, appending its firings to ``out``:
     events ascending, prefix solutions in order, conditions left to right."""
-    # The atemporal prefix runs once per window; every seed shares its frames.
-    frames = program.frames(stream, kb, store, window_start, window_end, require_ground, out)
-    if not frames:
-        return
-    bind = program.bind_seed
-    chain = program.chain(telemetry.is_enabled())
-    functor, arity = program.seed_key
-    for event in stream.events_in_window(functor, arity, window_start, window_end):
-        for frame in frames:
-            if bind(frame, event):
-                chain(frame)
+    run = program.function(telemetry.is_enabled())
+    run(stream, kb, store, window_start, window_end, require_ground, out)

@@ -4,9 +4,10 @@ A ``holdsFor`` rule is evaluated by joining its ``holdsFor`` conditions over
 the fluent store (which already contains the intervals of every lower-level
 FVP, thanks to bottom-up evaluation order), interleaved with atemporal
 background predicates and interval manipulation constructs. Each rule runs
-as a slot program built from the matcher and builder pieces of
-:mod:`repro.rtec.compile`; interval-list variables live in the same frame
-as term variables, under their own keys (interval lists are not terms).
+as one generated function, written with the :class:`~repro.rtec.compile.Code`
+writer and condition generators of :mod:`repro.rtec.compile` and compiled
+once per source text; interval-list variables are locals like term
+variables, under their own keys (interval lists are not terms).
 
 Grounding. RTEC grounds fluent arguments over declared entity domains; a
 ``holdsFor(F=V, I)`` condition then succeeds with ``I = []`` when ``F=V``
@@ -22,15 +23,15 @@ instead of failing — so, e.g., a vessel that was ``stopped`` but never at
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.intervals import IntervalList, intersect_all, relative_complement_all, union_all
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import LIST_FUNCTOR, Literal, Rule
 from repro.logic.terms import Compound, Term, Variable, is_fvp, term_variables
-from repro.rtec.compile import AUX, FIRST_SLOT, KB, OUT, STORE, Scope, background, build
-from repro.rtec.compile import failing, guard, key_reader, matcher, program_for
+from repro.rtec.compile import Code, Match, Scope, background, key_source
+from repro.rtec.compile import program_for, term_source
 from repro.rtec.description import INTERVAL_CONSTRUCTS, StaticFluentDef
 from repro.rtec.errors import EvaluationError
 from repro.rtec.store import FluentStore
@@ -77,12 +78,13 @@ def evaluate_static_fluent(
 
 
 class StaticProgram:
-    """One ``holdsFor`` rule: its seed enumerators and one body per seed shape.
+    """One ``holdsFor`` rule as one generated function ``run(kb, store, out)``:
+    the seed enumeration, then one body per seed shape.
 
     A *seed shape* is the set of variables a seed binds — those of one
     ``holdsFor`` condition's FVP pattern, or none (the empty seed). Which
-    slots are bound when a body condition runs depends on the shape alone,
-    so each shape gets its own compiled body over the one shared frame.
+    variables are bound when a body condition runs depends on the shape
+    alone, so each shape gets its own body, dispatched on the seed's shape.
     """
 
     def __init__(self, rule: Rule) -> None:
@@ -91,215 +93,214 @@ class StaticProgram:
         if not is_fvp(head.args[0]):
             raise EvaluationError("holdsFor head without an FVP: %r" % (head,))
         self.rule = rule
-        slots: dict = {}
-        bodies: Dict[Tuple[int, ...], Callable] = {}
-
-        def body_for(variables) -> Tuple[Tuple[int, ...], Callable]:
-            scope = Scope(slots, variables)
-            shape = tuple(sorted(scope.slot(variable) for variable in variables))
-            if shape not in bodies:
-                makers = [_condition(literal, scope) for literal in rule.body]
-                chain = _emitter(head, scope)
-                for make in reversed(makers):
-                    chain = make(chain)
-                bodies[shape] = chain
-            return shape, bodies[shape]
-
-        self.empty_body = body_for(())[1]
-        #: (enumerator of the pattern's stored instances, seed shape, its body)
-        self.seeders: List[tuple] = []
-        for literal in rule.body:
-            term = literal.term
-            if not (isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2):
-                continue
-            pattern = term.args[0]
-            if is_fvp(pattern):
-                self.seeders.append(
-                    (_instances(pattern, Scope(slots)),) + body_for(term_variables(pattern))
-                )
-        self.size = FIRST_SLOT + len(slots)
+        self._functions: Dict[bool, Callable] = {}
+        self.function(False)
 
     def run(self, kb: KnowledgeBase, store: FluentStore, out: list) -> None:
         """Append ``(ground head FVP, intervals)`` per distinct non-empty body
         solution to ``out``, over every seed (see the module docstring)."""
-        frame: list = [None] * self.size
-        frame[KB], frame[STORE], frame[AUX], frame[OUT] = kb, store, set(), out
-        seeds: List[tuple] = [(self.empty_body, (), ())]
-        seen: set = {((), ())}
-        for pairs, shape, body in self.seeders:
-            for _pair in pairs(frame):
-                key = (shape, tuple([frame[slot] for slot in shape]))
-                if key not in seen:
-                    seen.add(key)
-                    seeds.append((body,) + key)
-        telemetry.count("seeds", len(seeds))
-        for body, shape, values in seeds:
-            for slot, value in zip(shape, values):
-                frame[slot] = value
-            body(frame)
+        self.function(telemetry.is_enabled())(kb, store, out)
+
+    def function(self, traced: bool) -> Callable:
+        """The generated function; ``traced`` adds the ``seeds`` count."""
+        function = self._functions.get(traced)
+        if function is None:
+            function = self._functions[traced] = self._generate(traced)
+        return function
+
+    def _generate(self, traced: bool) -> Callable:
+        code, slots = Code("kb, store, aux, out"), {}
+        # The constructs through this module's names, looked up now: a
+        # profiler that rebinds them sees every call.
+        code.names.update(
+            union_all=union_all,
+            intersect_all=intersect_all,
+            relative_complement_all=relative_complement_all,
+            not_lists=_not_interval_lists,
+        )
+        code.define("run", "kb, store, out")
+        code.line("aux = set()")
+        code.line("seeds = [(0, ())]")
+        code.line("seen = {(0, ())}")
+        shapes: Dict[Tuple[int, ...], int] = {(): 0}
+        for literal in self.rule.body:
+            term = literal.term
+            if not (isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2):
+                continue
+            pattern = term.args[0]
+            if not is_fvp(pattern):
+                continue
+            scope = Scope(slots)
+            shape = tuple(sorted(scope.slot(var) for var in term_variables(pattern)))
+            sid = shapes.setdefault(shape, len(shapes))
+            mark = code.mark()
+            _instances(pattern, scope, code)
+            seed = code.fresh("d")
+            values = "".join(code.ref % slot + ", " for slot in shape)
+            code.line("%s = (%d, (%s))" % (seed, sid, values))
+            code.open("if %s not in seen:" % seed)
+            code.line("seen.add(%s)" % seed)
+            code.line("seeds.append(%s)" % seed)
+            code.close(mark)
+        if traced:
+            code.line('count("seeds", len(seeds))')
+        code.open("for sid, vals in seeds:", loop=True)
+        for shape, sid in shapes.items():
+            mark = code.mark()
+            code.open("%s sid == %d:" % ("elif" if sid else "if", sid))
+            if shape:
+                code.line("%s= vals" % "".join(code.ref % slot + ", " for slot in shape))
+            scope = Scope(slots, [var for var in slots if slots[var] in shape])
+            for literal in self.rule.body:
+                code.room(scope)
+                _condition(literal, scope, code)
+            _emit(self.rule.head, scope, code)
+            code.close(mark)
+        return code.function("run")
 
 
-def _fail(message: str, term: Term):
-    return lambda nxt: failing(message, term)
+def _not_interval_lists(value: Term, condition: Term) -> None:
+    """What an interval construct raises on a list argument ``value`` that is
+    not a list of interval variables."""
+    if isinstance(value, Compound) and value.functor == LIST_FUNCTOR:
+        value = value.args[0]  # a list bound to a term variable holds terms
+        raise EvaluationError("expected an interval variable, got %r" % (value,), condition=condition)
+    raise EvaluationError(
+        "interval constructs expect a list of interval variables, got %r" % (value,),
+        condition=condition,
+    )
 
 
-def _assign(compute, slot: int):
-    def make(nxt):
-        def step(f):
-            f[slot] = compute(f)
-            nxt(f)
-        return step
-
-    return make
+def _raise(code: Code, message: str, condition: Optional[str]) -> None:
+    located = "" if condition is None else ", condition=%s" % condition
+    code.line("raise E(%s%s)" % (code.constant(message), located))
 
 
-def _condition(literal: Literal, scope: Scope):
+def _condition(literal: Literal, scope: Scope, code: Code) -> None:
     term = literal.term
     if literal.negated:
-        return _fail("negation is not allowed in holdsFor bodies: %r" % (term,), term)
-    if isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2:
-        return _holds_for(term, scope)
-    if isinstance(term, Compound) and term.functor in INTERVAL_CONSTRUCTS:
-        return _construct(term, scope)
-    return background(literal, scope)
+        _raise(code, "negation is not allowed in holdsFor bodies: %r" % (term,), code.constant(term))
+    elif isinstance(term, Compound) and term.functor == "holdsFor" and term.arity == 2:
+        _holds_for(term, scope, code)
+    elif isinstance(term, Compound) and term.functor in INTERVAL_CONSTRUCTS:
+        _construct(term, scope, code)
+    else:
+        background(literal, scope, code)
 
 
-def _instances(pair_pattern, scope: Scope):
-    """frame -> the distinct ground FVPs ``pair_pattern`` resolves to over the
-    stored instances of its schema, the frame bound to each while it is
-    yielded. A value that is ground once the fluent has matched is *not*
-    matched: instances define the grounding domain, not the value, and the
-    resolved FVP may have no intervals of its own."""
+def _instances(pair_pattern, scope: Scope, code: Code, condition: Optional[str] = None) -> str:
+    """Loop over the distinct ground FVPs ``pair_pattern`` resolves to over
+    the stored instances of its schema, each bound while the statements that
+    follow run; returns the FVP's local. A value that is ground once the
+    fluent has matched is *not* matched: instances define the grounding
+    domain, not the value, and the resolved FVP may have no intervals of its
+    own. A key that cannot be read raises at ``condition``, when given."""
     fluent_pattern, value_pattern = pair_pattern.args
-    key_of = key_reader(fluent_pattern, scope)
-    match_fluent = matcher(fluent_pattern, scope)
-    match_value = None if scope.binds(value_pattern) else matcher(value_pattern, scope)
-    pair_of = build(pair_pattern, scope)
-
-    def scan(f, instances):
-        seen = set()
-        for instance, _intervals in instances:
-            fluent, value = instance.args
-            if match_fluent(f, fluent) and (match_value is None or match_value(f, value)):
-                pair = pair_of(f)
-                if pair not in seen:
-                    seen.add(pair)
-                    yield pair
-
-    return lambda f: scan(f, f[STORE].instances(key_of(f)))
+    key = key_source(fluent_pattern, scope, code, condition)
+    item, seen, pair = code.fresh("x"), code.fresh("n"), code.fresh("p")
+    match = Match(scope, code)
+    match.add(fluent_pattern, item + ".args[0]", top=True)
+    if not scope.binds(value_pattern):
+        match.add(value_pattern, item + ".args[1]")
+    code.line("%s = set()" % seen)
+    match.loop("store.instances(%s)" % key, item + ", _")
+    code.line("%s = %s" % (pair, term_source(pair_pattern, scope, code)))
+    code.open("if %s not in %s:" % (pair, seen))
+    code.line("%s.add(%s)" % (seen, pair))
+    return pair
 
 
-def _holds_for(term, scope: Scope):
+def _holds_for(term, scope: Scope, code: Code) -> None:
     pair_pattern, out = term.args
-    not_fvp = "holdsFor condition without an FVP: %r" % (term,)
+    condition = code.constant(term)
     problem = None
     if not isinstance(out, Variable):
         problem = "holdsFor condition output must be a variable: %r" % (term,)
     elif (out,) in scope.bound:
         problem = "interval variable %r bound more than once" % out.name
+    not_fvp = "holdsFor condition without an FVP: %r" % (term,)
     checked = is_fvp(pair_pattern)
     if scope.binds(pair_pattern):
         # A ground FVP always succeeds; absent FVPs have empty intervals.
-        pair_of = build(pair_pattern, scope)
-
-        def compute(f):
-            pair = pair_of(f)
-            if not checked and not is_fvp(pair):
-                raise EvaluationError(not_fvp)
-            if problem is not None:
-                raise EvaluationError(problem)
-            return f[STORE].get(pair)
-
-        scope.bound.add((out,))
-        return _assign(guard(compute, term), scope.slot((out,)))
-    if not checked or problem is not None:
-        return _fail(problem if checked else not_fvp, term)
-    pairs = guard(_instances(pair_pattern, scope), term)
+        pair = code.fresh("p")
+        code.line("%s = %s" % (pair, term_source(pair_pattern, scope, code)))
+        if not checked:
+            code.open("if not is_fvp(%s):" % pair)
+            _raise(code, not_fvp, condition)
+            code.depth -= 1
+        if problem is not None:
+            _raise(code, problem, condition)
+    elif not checked or problem is not None:
+        _raise(code, problem if checked else not_fvp, condition)
+        return
+    else:
+        pair = _instances(pair_pattern, scope, code, condition)
     scope.bound.add((out,))
-    slot = scope.slot((out,))
-
-    def make(nxt):
-        def step(f):
-            store = f[STORE]
-            for pair in pairs(f):
-                f[slot] = store.get(pair)
-                nxt(f)
-        return step
-
-    return make
+    code.line("%s = store.get(%s)" % (code.local(scope, (out,)), pair))
 
 
-def _construct(term, scope: Scope):
+def _construct(term, scope: Scope, code: Code) -> None:
     functor, out = term.functor, term.args[-1]
+    condition = code.constant(term)
     if term.arity != INTERVAL_CONSTRUCTS[functor]:
-        return _fail(
-            "%s expects %d arguments, got %d" % (functor, INTERVAL_CONSTRUCTS[functor], term.arity),
-            term,
-        )
+        message = "%s expects %d arguments, got %d" % (
+            functor, INTERVAL_CONSTRUCTS[functor], term.arity)
+        return _raise(code, message, condition)
     if not isinstance(out, Variable):
-        return _fail("output of %s must be a variable" % functor, term)
+        return _raise(code, "output of %s must be a variable" % functor, condition)
     if (out,) in scope.bound:
-        return _fail("interval variable %r bound more than once" % out.name, term)
-    lists = _interval_lists(term.args[-2], scope)
+        return _raise(code, "interval variable %r bound more than once" % out.name, condition)
+    operands = []
     if functor == "relative_complement_all":  # relative_complement_all(I', L, I)
-        base = _interval(term.args[0], scope)
-    combine = {"union_all": union_all, "intersect_all": intersect_all}.get(functor)
-
-    def compute(f):
-        if combine is None:
-            return relative_complement_all(base(f), lists(f))
-        return combine(lists(f))
-
+        operands.append(_interval(term.args[0], scope, code, condition))
+    operands.append(_interval_lists(term.args[-2], scope, code, condition))
+    if None in operands:
+        return None
     scope.bound.add((out,))
-    return _assign(guard(compute, term), scope.slot((out,)))
+    code.line("%s = %s(%s)" % (code.local(scope, (out,)), functor, ", ".join(operands)))
+    return None
 
 
-def _interval(term: Term, scope: Scope) -> Callable[[list], IntervalList]:
-    """frame -> the interval list the interval variable ``term`` holds."""
+def _interval(term: Term, scope: Scope, code: Code, condition: Optional[str]) -> Optional[str]:
+    """The local of the interval variable ``term``; ``None`` after a raise."""
     if isinstance(term, Variable) and term not in scope.bound:
         if (term,) in scope.bound:
-            slot = scope.slots[(term,)]
-            return lambda f: f[slot]
-        return failing("unbound interval variable %r" % term.name)
-    resolved = build(term, scope)
+            return code.local(scope, (term,))
+        return _raise(code, "unbound interval variable %r" % term.name, condition)
+    located = "" if condition is None else ", condition=%s" % condition
+    code.line("raise E(%s %% (%s,)%s)" % (
+        code.constant("expected an interval variable, got %r"),
+        term_source(term, scope, code), located))
+    return None
 
-    def fail(f):
-        raise EvaluationError("expected an interval variable, got %r" % (resolved(f),))
-    return fail
 
-
-def _interval_lists(term: Term, scope: Scope) -> Callable[[list], List[IntervalList]]:
+def _interval_lists(term: Term, scope: Scope, code: Code, condition: str) -> Optional[str]:
     if isinstance(term, Compound) and term.functor == LIST_FUNCTOR:
-        items = [_interval(arg, scope) for arg in term.args]
-        return lambda f: [item(f) for item in items]
-    resolved = build(term, scope)
-
-    def fail(f):
-        value = resolved(f)
-        if isinstance(value, Compound) and value.functor == LIST_FUNCTOR:
-            value = value.args[0]  # a list bound to a term variable holds terms
-            raise EvaluationError("expected an interval variable, got %r" % (value,))
-        raise EvaluationError(
-            "interval constructs expect a list of interval variables, got %r" % (value,)
-        )
-    return fail
+        items = []
+        for arg in term.args:
+            item = _interval(arg, scope, code, condition)
+            if item is None:
+                return None
+            items.append(item)
+        return "[%s]" % ", ".join(items)
+    code.line("not_lists(%s, %s)" % (term_source(term, scope, code), condition))
+    return None
 
 
-def _emitter(head, scope: Scope):
+def _emit(head, scope: Scope, code: Code) -> None:
     head_pair, head_interval = head.args
-    pair_of = build(head_pair, scope)
-    grounded = scope.binds(head_pair)
-    interval = _interval(head_interval, scope)
-
-    def emit(f):
-        pair = pair_of(f)
-        if not grounded:
-            raise EvaluationError(
-                "holdsFor head %r not ground after body evaluation" % (pair,)
-            )
-        intervals = interval(f)
-        found = (pair, intervals)
-        if intervals and found not in f[AUX]:
-            f[AUX].add(found)
-            f[OUT].append(found)
-    return emit
+    pair = code.fresh("p")
+    code.line("%s = %s" % (pair, term_source(head_pair, scope, code)))
+    if not scope.binds(head_pair):
+        code.line("raise E(%s %% (%s,))" % (
+            code.constant("holdsFor head %r not ground after body evaluation"), pair))
+        return
+    intervals = _interval(head_interval, scope, code, None)
+    if intervals is None:
+        return
+    found = code.fresh("d")
+    code.open("if %s:" % intervals)
+    code.line("%s = (%s, %s)" % (found, pair, intervals))
+    code.open("if %s not in aux:" % found)
+    code.line("aux.add(%s)" % found)
+    code.line("out.append(%s)" % found)

@@ -18,6 +18,8 @@ from repro.rtec.description import FluentKey, fluent_key
 
 __all__ = ["FluentStore"]
 
+_NOTHING = IntervalList.empty()
+
 
 class FluentStore:
     """Ground FVP -> maximal intervals, with a per-schema index."""
@@ -37,7 +39,7 @@ class FluentStore:
 
     def get(self, pair: Term) -> IntervalList:
         """Intervals of a ground FVP; empty when nothing is known."""
-        return self._intervals.get(pair, IntervalList.empty())
+        return self._intervals.get(pair, _NOTHING)
 
     def holds_at(self, pair: Term, time: int) -> bool:
         return self.get(pair).holds_at(time)

@@ -131,6 +131,23 @@ class TestProperties:
         intersection = intersect_all(lists)
         assert union_all([union, intersection]) == union
 
+    @given(lists=st.lists(_interval_lists, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_is_built_maximal(self, lists):
+        """The sweep's pieces skip normalisation: re-normalising changes nothing."""
+        result = intersect_all(lists)
+        assert result.raw() == IntervalList(result.raw()).raw()
+
+    @given(ilist=_interval_lists, start=st.integers(-5, 95), length=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_restrict_clips_pointwise_and_stays_maximal(self, ilist, start, length):
+        end = start + length
+        clipped = ilist.restrict(start, end)
+        assert set(clipped.points()) == {p for p in ilist.points() if start <= p <= end}
+        assert clipped.raw() == IntervalList(clipped.raw()).raw()
+        if all(start <= p <= end for p in ilist.points()):
+            assert clipped is ilist
+
     @given(left=_interval_lists, right=_interval_lists)
     @settings(max_examples=100, deadline=None)
     def test_commutativity(self, left, right):

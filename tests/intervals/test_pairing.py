@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.intervals import make_intervals_from_points
+from repro.intervals import IntervalList, make_intervals_from_points
 from repro.intervals.pairing import pair_intervals
 
 
@@ -150,6 +150,23 @@ class TestPairingProperties:
                 for ts in init_set
             )
             assert result.holds_at(t) == holds, "mismatch at t=%d" % t
+
+    @given(
+        initiations=st.lists(st.integers(0, 50), max_size=10),
+        terminations=st.lists(st.integers(0, 50), max_size=10),
+        open_end=st.one_of(st.none(), st.integers(0, 60)),
+        max_duration=st.one_of(st.none(), st.integers(1, 12)),
+        closed_until=st.one_of(st.none(), st.integers(0, 30)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_periods_are_built_maximal(
+        self, initiations, terminations, open_end, max_duration, closed_until
+    ):
+        """Pairing skips normalisation: re-normalising changes nothing."""
+        intervals, _open, _close = pair_intervals(
+            initiations, terminations, open_end, max_duration, closed_until
+        )
+        assert intervals.raw() == IntervalList(intervals.raw()).raw()
 
     @given(
         initiations=st.lists(st.integers(0, 50), max_size=8),

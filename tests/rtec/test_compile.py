@@ -37,7 +37,7 @@ class TestProgramLifetime:
         engine = RTECEngine(EventDescription.from_text(RULES), strict=False)
         stream = _stream((1, "start(v1)"), (7, "stop(v1)"), (9, "start(v2)"))
         expected = engine.recognise(stream).to_json()
-        # Programs are closures; none may hang off what a caller pickles or
+        # Programs are functions; none may hang off what a caller pickles or
         # shallow-copies.
         clone = pickle.loads(pickle.dumps(engine.description))
         assert RTECEngine(clone, strict=False).recognise(stream).to_json() == expected
@@ -77,6 +77,19 @@ class TestProgramLifetime:
         result = engine.recognise(_stream((1, "resume(v5)"), (4, "stop(v5)")), window=5)
         assert result.holds_for("f(v5)=true").as_pairs() == [(2, 4)]
         assert calls[2:] == [extra]
+
+    def test_each_distinct_source_is_compiled_once(self, monkeypatch):
+        stream = _stream((1, "start(v1)"), (7, "stop(v1)"))
+        RTECEngine(EventDescription.from_text(RULES), strict=False).recognise(stream)
+        sources = dict(compiler._CODE)
+        # A second description restating the rules reuses every code object.
+        RTECEngine(EventDescription.from_text(RULES), strict=False).recognise(stream)
+        assert compiler._CODE == sources
+        # The table is bounded: full, it is cleared before the next entry.
+        monkeypatch.setattr(compiler, "_CODE", {})
+        monkeypatch.setattr(compiler, "_CODE_LIMIT", 2)
+        RTECEngine(EventDescription.from_text(RULES), strict=False).recognise(stream)
+        assert len(compiler._CODE) == 1  # three sources: cleared once when full
 
     def test_certifying_reads_rule_shapes_and_builds_no_program(self, monkeypatch):
         built = []
@@ -199,11 +212,42 @@ class TestGroundBuildMemo:
         engine = RTECEngine(description, strict=False)
         engine.recognise(stream, window=len(speeds) // 4)
         (program,) = compiler._PROGRAMS[id(description.simple_fluents[("speed", 1)])].values()
-        emit = program.emit
-        cells = dict(zip(emit.__code__.co_freevars, emit.__closure__))
-        memo = cells["pair_of"].cell_contents.__globals__["m0"]
+        # The head's build is the rule's only memo, a global of its function.
+        memo = program.function(False).__globals__["m0"]
         assert 0 < len(memo) <= limit
         assert len(memo) == (limit + 100) % limit  # cleared once when full
+
+
+class TestLongBodies:
+    """Python allows 20 nested loops and 100 indentation levels in one
+    function; a body nested deeper continues in a function of its own."""
+
+    def test_forty_enumerating_conditions_run_as_two(self):
+        conditions = ", ".join("link(V, Y%d)" % index for index in range(40))
+        description = EventDescription.from_text(
+            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T), %s.\n"
+            "initiatedAt(g(V)=true, T) :- happensAt(start(V), T), link(V, Y).\n"
+            "holdsFor(h(V)=true, I) :- holdsFor(f(V)=true, I1), %s, union_all([I1], I).\n"
+            % (conditions, conditions)
+        )
+        kb = KnowledgeBase.from_text("link(v1, a). link(v2, b).")
+        stream = _stream((1, "start(v1)"), (4, "start(v2)"), (6, "start(v3)"))
+        with telemetry.enabled():
+            traced = RTECEngine(description, kb, strict=False).recognise(stream)
+        result = RTECEngine(description, kb, strict=False).recognise(stream)
+        assert result == traced
+        for vessel in ("v1", "v2"):
+            expected = result.holds_for("g(%s)=true" % vessel)
+            assert expected and result.holds_for("f(%s)=true" % vessel) == expected
+            assert result.holds_for("h(%s)=true" % vessel) == expected
+        assert not result.holds_for("f(v3)=true")
+        rule = description.simple_fluents[("f", 1)].initiated_rules[0]
+        (program,) = [
+            p for p in compiler._PROGRAMS[id(description.simple_fluents[("f", 1)])].values()
+            if p.rule is rule
+        ]
+        generated = program.function(False).__globals__
+        assert [name for name in generated if name[0] == "c" and name[1:].isdigit()]
 
 
 class TestInternTable:

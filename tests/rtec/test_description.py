@@ -62,6 +62,24 @@ class TestDependencies:
         assert graph[("f", 1)] == {("h", 1)}
         assert graph[("g", 1)] == {("f", 1)}
 
+    def test_a_rule_appended_to_a_live_definition_changes_the_graph(self):
+        desc = EventDescription.from_text(
+            """
+            initiatedAt(f(V)=true, T) :- happensAt(e(V), T).
+            initiatedAt(h(V)=true, T) :- happensAt(e(V), T).
+            """
+        )
+        graph = desc.dependencies()
+        assert graph[("f", 1)] == frozenset()
+        assert desc.dependencies() is graph  # cached while the rules stand
+        with pytest.raises(AttributeError):
+            graph[("f", 1)].add(("h", 1))  # shared, hence frozen
+        extra = EventDescription.from_text(
+            "initiatedAt(f(V)=true, T) :- happensAt(e(V), T), holdsAt(h(V)=true, T)."
+        ).rules[0]
+        desc.simple_fluents[("f", 1)].initiated_rules.append(extra)
+        assert desc.dependencies()[("f", 1)] == {("h", 1)}
+
     def test_topological_order(self):
         desc = EventDescription.from_text(
             """

@@ -5,17 +5,24 @@ point straight from the Event Calculus definition — no intervals, pairing,
 windows or caching. On randomly generated streams over a rule set
 exercising every language feature, the engine must agree with it at every
 time-point, for every candidate ground FVP, in both single-window and
-sliding-window mode.
+sliding-window mode. Between them the rules reach every kind of statement
+the rule compiler generates; a second property runs each rule's traced and
+untraced program side by side.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
+from repro.rtec.compile import compile_rule
 from repro.rtec.reference import ReferenceEvaluator
+from repro.rtec.simple import _fire
+from repro.rtec.static import StaticProgram
+from repro.rtec.store import FluentStore
 
 RULES = """
 initiatedAt(speed(V)=low, T) :- happensAt(slow(V), T).
@@ -52,9 +59,58 @@ holdsFor(strayMotion(V)=true, I) :-
     holdsFor(inside(V)=true, Ii),
     holdsFor(observed(V)=true, Io),
     relative_complement_all(Im, [Ii, Io], I).
+
+% A background enumeration with a bound first argument.
+initiatedAt(near(V, W)=true, T) :- happensAt(ping(V), T), buddy(V, W).
+terminatedAt(near(V, W)=true, T) :- happensAt(leave(V), T).
+
+% A comparison over arithmetic; =:=; a hoisted prefix; negated background
+% conditions, ground and enumerating.
+initiatedAt(alert(V)=true, T) :- happensAt(ping(V), T), limit(V, L), minus(L, 4) > 0.
+initiatedAt(alert(V)=true, T) :- happensAt(slow(V), T), limit(V, L), L =:= 3.
+initiatedAt(alert(V)=true, T) :- happensAt(fast(V), T), level(high, H), limit(V, L), L < H.
+terminatedAt(alert(V)=true, T) :- happensAt(halt(V), T), not muted(V).
+initiatedAt(lonely(V)=true, T) :- happensAt(ping(V), T), not escort(V, W).
+terminatedAt(lonely(V)=true, T) :- happensAt(enter(V), T).
+
+% An enumerating holdsAt; a body happensAt at a bound time.
+initiatedAt(seen(V)=true, T) :- happensAt(enter(V), T), holdsAt(near(V, W)=true, T).
+terminatedAt(seen(V)=true, T) :- happensAt(leave(V), T).
+initiatedAt(echo(V)=true, T) :- happensAt(ping(V), T), happensAt(enter(V), T).
+terminatedAt(echo(V)=true, T) :- happensAt(halt(V), T).
+
+% A holdsFor enumeration binding a variable its seed does not; a background
+% condition in a holdsFor body.
+holdsFor(accompanied(V)=true, I) :-
+    holdsFor(inside(V)=true, I1),
+    holdsFor(near(V, W)=true, I2),
+    intersect_all([I1, I2], I).
+
+holdsFor(watchedMoving(V)=true, I) :-
+    holdsFor(moving(V)=true, Im),
+    watched(V),
+    union_all([Im], I).
 """
 
-KB = KnowledgeBase.from_text("watched(v1).\nwatched(v2).")
+#: The oracle grounds fluents over the entities of the stream only, so a
+#: ``buddy`` of an entity is that entity: ``near(V, W)`` never names another.
+KB = KnowledgeBase.from_text(
+    """
+    watched(v1). watched(v2).
+    buddy(v1, v1). buddy(v2, v2).
+    limit(v1, 3). limit(v2, 8).
+    level(high, 5).
+    muted(v2).
+    escort(v1, v2).
+    """
+)
+
+#: Rules that pass the compiler and fail at run time, for the traced/untraced
+#: property: division by zero, an interval list that is not a list.
+FAULTY = """
+initiatedAt(broken(V)=true, T) :- happensAt(ping(V), T), limit(V, L), div(L, minus(L, L)) > 1.
+holdsFor(brokenStatic(V)=true, I) :- holdsFor(inside(V)=true, I1), union_all(I1, I).
+"""
 
 _EVENT_NAMES = ("slow", "fast", "halt", "enter", "leave", "ping", "veto")
 _ENTITIES = ("v1", "v2")
@@ -129,3 +185,42 @@ class TestEngineAgainstOracle:
         _compare(description, stream, result, stream.max_time)
         burst = result.holds_for(parse_term("burst(v2)=true"))
         assert sorted(burst.points()) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def _outcome(run):
+    """What running ``run(out)`` appended, in order, and what it raised."""
+    out = []
+    try:
+        run(out)
+    except Exception as error:  # noqa: BLE001 - type and text are compared
+        return out, (type(error), str(error))
+    return out, None
+
+
+class TestTracedProgramsMatchUntraced:
+    @given(raw=_streams)
+    @settings(max_examples=40, deadline=None)
+    def test_every_rule_fires_the_same_traced_and_untraced(self, raw):
+        description, stream = _build(raw)
+        result = RTECEngine(description, KB, strict=False).recognise(stream)
+        store = FluentStore()
+        for pair, intervals in result.items():
+            store.set(pair, intervals)
+        for rule in description.rules + EventDescription.from_text(FAULTY).rules:
+            kind = rule.head.functor
+            if kind == "holdsFor":
+                program = StaticProgram(rule)
+
+                def run(out):
+                    program.run(KB, store, out)
+            elif kind in ("initiatedAt", "terminatedAt"):
+                program = compile_rule(rule)
+
+                def run(out):
+                    _fire(program, stream, KB, store, -1, stream.max_time, kind == "initiatedAt", out)
+            else:
+                continue
+            untraced = _outcome(run)
+            with telemetry.enabled():
+                traced = _outcome(run)
+            assert traced == untraced, rule
