@@ -75,7 +75,10 @@ def match_descriptions(generated: Description, gold: Description) -> MatchingRep
 
     The report's :attr:`~MatchingReport.distance` equals
     :func:`repro.similarity.event_description_distance` on the same inputs
-    (each unmatched rule contributes the maximal distance 1).
+    (each unmatched rule contributes the maximal distance 1). Unlike it, the
+    report solves the full matrix without peeling renamed-equal rule pairs:
+    a peel can pick another of several equal-cost optima, which changes the
+    worklist (an EDIT for a MISSING + SURPLUS pair) but not the distance.
     """
     generated_rules = rules_of(generated)
     gold_rules = rules_of(gold)

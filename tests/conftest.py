@@ -7,11 +7,16 @@ session-scoped so the whole suite builds them once.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import repro.analysis.repair as repair
 from repro.experiments.repair import run_fleet_repair_experiment, run_repair_experiment
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import RTECEngine
+
+# A longer search for counterexamples to the metric axioms than tier-1 affords:
+# pytest tests/similarity/test_metric_properties.py --hypothesis-profile=metric
+settings.register_profile("metric", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import telemetry
+from repro.llm import MODEL_NAMES, PROMPT_SCHEMES
 from repro.similarity import event_description_distance
 from repro.similarity.report import format_matching, match_descriptions
 
@@ -88,3 +90,23 @@ class TestOnGeneratedDescriptions:
         # o1's corrections are minor: few non-exact slots.
         assert len(report.of_kind("exact")) > 50
         assert len(report.of_kind("edit")) + len(report.of_kind("missing")) < 12
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_the_report_is_an_oracle_for_the_peeled_distance(self, model):
+        """The report solves the full matrix; the metric peels renamed-equal
+        rule pairs first. They agree on the distance, and the report's exact
+        matches are exactly the pairs the metric peeled."""
+        from repro.llm.pipeline import GenerationPipeline
+        from repro.llm.simulated import SimulatedLLM
+        from repro.maritime.gold import gold_event_description
+
+        gold = gold_event_description()
+        for scheme in PROMPT_SCHEMES:
+            generated = GenerationPipeline(SimulatedLLM(model, seed=0), scheme).run()
+            description = generated.to_event_description()
+            with telemetry.enabled() as tracer:
+                distance = event_description_distance(description, gold)
+            (span,) = tracer.roots
+            report = match_descriptions(description, gold)
+            assert report.distance == pytest.approx(distance, abs=1e-12)
+            assert len(report.of_kind("exact")) == span.counters["peeled"]

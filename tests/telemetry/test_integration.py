@@ -96,15 +96,49 @@ class TestSessionSpans:
 
 
 class TestSimilarityCounters:
-    def test_description_distance_counts_assignment_work(self):
+    def _description_span(self, left, right):
         with telemetry.enabled() as tracer:
-            event_description_distance(RULES, RULES)
+            event_description_distance(left, right)
         spans = [root for root in tracer.roots if root.name == "similarity.description"]
         assert len(spans) == 1
-        assert spans[0].attrs["rules"] == 3
-        assert spans[0].counters["rule_pairs"] == 9
-        assert spans[0].counters["kuhn_munkres.calls"] >= 1
-        assert spans[0].counters["rule_distance.calls"] == 9
+        return spans[0]
+
+    def test_renamed_equal_rules_are_peeled_before_the_assignment(self):
+        span = self._description_span(RULES, RULES)
+        assert span.attrs["rules"] == 3
+        assert span.counters["peeled"] == 3
+        assert span.counters["rule_pairs"] == 0
+        assert "kuhn_munkres.calls" not in span.counters
+        assert "rule_distance.calls" not in span.counters
+
+    def test_description_distance_counts_assignment_work(self):
+        # One symbol changed in every rule: nothing peels, all 3 x 3 pairs run.
+        changed = RULES.replace("start(V)", "begin(V)").replace("stop(V)", "end(V)")
+        changed = changed.replace("g(V)=true", "g(V)=false")
+        span = self._description_span(RULES, changed)
+        assert span.attrs["rules"] == 3
+        assert span.counters["peeled"] == 0
+        assert span.counters["rule_pairs"] == 9
+        assert span.counters["kuhn_munkres.calls"] >= 1
+        assert span.counters["rule_distance.calls"] == 9
+
+    def test_fig2a_and_fig2b_compute_only_the_rule_pairs_that_do_not_peel(self, small_dataset):
+        """Fig. 2a + 2b at seed 0 compare 450 descriptions; 976 of their rules
+        equal a gold rule up to renaming. A change that computes those pairs
+        again (6 328 rule distances, 6 778 assignments) fails here."""
+        from repro.experiments import fig2a, fig2b
+
+        with telemetry.enabled() as tracer:
+            fig2b.run_fig2b(small_dataset.kb, fig2a=fig2a.run_fig2a(seed=0))
+        stages = tracer.report().aggregate()
+        totals = {}
+        for stage in stages.values():
+            for name, value in stage.counters.items():
+                totals[name] = totals.get(name, 0) + value
+        assert stages["similarity.description"].calls == 450
+        assert totals["peeled"] == 976
+        assert totals["rule_distance.calls"] == 861
+        assert totals["kuhn_munkres.calls"] == 1081
 
 
 class TestPipelineCounters:
