@@ -29,14 +29,13 @@ from repro.analysis import binding
 from repro.analysis.diagnostics import Diagnostic, Fix
 from repro.analysis.names import closest
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import COMPARISON_OPERATORS, LIST_FUNCTOR, Rule
+from repro.logic.parser import COMPARISON_OPERATORS, LIST_FUNCTOR, Rule, canonical
 from repro.logic.terms import Compound, Constant, Term, is_ground, walk_subterms
 from repro.rtec.builtins import EVALUABLE_FUNCTORS
 from repro.rtec.description import (
     INTERVAL_CONSTRUCTS,
     EventDescription,
     Vocabulary,
-    canonical,
     fluent_key,
     head_fvp,
 )
@@ -245,10 +244,9 @@ def consistency_pass(ctx: AnalysisContext) -> List[Diagnostic]:
         head = rule.head
         if not (isinstance(head, Compound) and head.arity == 2 and head.functor in defining):
             continue
-        canon = canonical(head, *rule.body)
-        first = seen_canonical.get(canon)
+        first = seen_canonical.get(rule.key)
         if first is None:
-            seen_canonical[canon] = index
+            seen_canonical[rule.key] = index
         else:
             diagnostics.append(
                 Diagnostic(

@@ -19,6 +19,7 @@ from repro.logic.terms import (
 )
 from repro.logic.parser import (
     ParseError,
+    canonical,
     parse_program,
     parse_rule,
     parse_term,
@@ -37,6 +38,7 @@ __all__ = [
     "make_atom",
     "term_variables",
     "ParseError",
+    "canonical",
     "parse_program",
     "parse_rule",
     "parse_term",

@@ -37,7 +37,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 from repro.logic.terms import Compound, Constant, Term, Variable
 
@@ -46,6 +47,7 @@ __all__ = [
     "Literal",
     "Rule",
     "Token",
+    "canonical",
     "tokenize",
     "parse_term",
     "parse_rule",
@@ -127,10 +129,38 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body
 
+    @cached_property
+    def key(self) -> tuple:
+        """``canonical(head, *body)``, computed once: equal for rules that
+        are identical up to variable renaming. It holds only type names,
+        reprs and ints, so a pickled rule carries a key that is right in any
+        process."""
+        return canonical(self.head, *self.body)
+
     def __repr__(self) -> str:
         if self.is_fact:
             return "%r." % (self.head,)
         return "%r :- %s." % (self.head, ", ".join(repr(b) for b in self.body))
+
+
+def canonical(*parts) -> tuple:
+    """Terms and literals as nested tuples: variables numbered by first
+    occurrence, constants tagged with their type. Equal for parts identical
+    up to variable renaming; ``2`` and ``2.0`` differ (they render
+    differently), although ``Constant(2) == Constant(2.0)``."""
+    numbers: Dict[str, int] = {}
+
+    def encode(term: Term):
+        if isinstance(term, Variable):
+            return numbers.setdefault(term.name, len(numbers))
+        if isinstance(term, Constant):
+            return (type(term.value).__name__, repr(term.value))
+        return (term.functor,) + tuple(map(encode, term.args))
+
+    return tuple(
+        (part.negated, encode(part.term)) if isinstance(part, Literal) else encode(part)
+        for part in parts
+    )
 
 
 #: Whitespace and ``%`` line comments, skipped between tokens.

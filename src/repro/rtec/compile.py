@@ -687,10 +687,11 @@ _PROGRAMS: Dict[int, Dict[int, object]] = {}
 
 
 def program_for(owner: object, rule: Rule, compiler: Callable[[Rule], object]):
-    """The program of ``rule``, compiled once per owning fluent definition:
-    looked up by identity (no rule is hashed per window) and per rule, so one
-    appended to a live definition by a repair is compiled when first met. A
-    rule the compiler rejects is not cached: it raises again next window."""
+    """The program of ``rule``, compiled once per owning fluent definition
+    when its fluent is first evaluated, and looked up by identity (no rule is
+    hashed per window). Definitions are frozen, so the table never goes
+    stale. A rule the compiler rejects is not cached: it raises again next
+    window."""
     programs = _PROGRAMS.get(id(owner))
     if programs is None:
         programs = _PROGRAMS[id(owner)] = {}

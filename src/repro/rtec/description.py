@@ -24,12 +24,14 @@ Pitsikalis et al. (2019).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
-from repro.logic.parser import LIST_FUNCTOR, Literal, Rule, parse_program
+from repro.logic.parser import LIST_FUNCTOR, Rule, canonical, parse_program
 from repro.logic.pretty import program_to_str
-from repro.logic.terms import Compound, Constant, Term, Variable, is_fvp
+from repro.logic.terms import Compound, Constant, Term, Variable, is_fvp, is_ground
 from repro.rtec.builtins import is_comparison
 from repro.rtec.errors import CyclicDependencyError, ValidationIssue
 
@@ -46,6 +48,10 @@ __all__ = [
 
 #: (functor, arity) identifying a fluent or event schema.
 FluentKey = Tuple[str, int]
+
+#: The conditions through which a rule reads an input item.
+_READERS = ("happensAt", "holdsAt", "holdsFor")
+_T = TypeVar("_T")
 
 #: Interval manipulation constructs of Definition 2.4, with their arity.
 INTERVAL_CONSTRUCTS: Dict[str, int] = {
@@ -83,13 +89,13 @@ class Vocabulary:
         object.__setattr__(self, "background", frozenset(self.background))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimpleFluentDef:
     """All initiation/termination rules of one simple fluent schema."""
 
     key: FluentKey
-    initiated_rules: List[Rule] = field(default_factory=list)
-    terminated_rules: List[Rule] = field(default_factory=list)
+    initiated_rules: Tuple[Rule, ...] = ()
+    terminated_rules: Tuple[Rule, ...] = ()
 
     @property
     def values(self) -> List[Term]:
@@ -102,12 +108,12 @@ class SimpleFluentDef:
         return seen
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticFluentDef:
     """The holdsFor rules of one statically determined fluent schema."""
 
     key: FluentKey
-    rules: List[Rule] = field(default_factory=list)
+    rules: Tuple[Rule, ...] = ()
 
 
 def head_fvp(rule: Rule) -> Tuple[Term, Term]:
@@ -129,6 +135,11 @@ def head_fvp(rule: Rule) -> Tuple[Term, Term]:
 class EventDescription:
     """A parsed, classified RTEC event description.
 
+    A description is a value: classified when built, then frozen (tuples
+    of rules; assigning an attribute raises ``FrozenInstanceError``), so each
+    analysis of it is computed on first use and kept. A repaired or
+    corrected description is a new one.
+
     Parameters
     ----------
     rules:
@@ -138,16 +149,64 @@ class EventDescription:
         recorded as malformed.
     """
 
+    rules: Tuple[Rule, ...]
+    simple_fluents: Dict[FluentKey, SimpleFluentDef]
+    static_fluents: Dict[FluentKey, StaticFluentDef]
+    #: Ground FVPs declared to hold at the start of time (``initially/1``).
+    initial_fvps: Tuple[Term, ...]
+    #: (FVP pattern, deadline) pairs from ``maxDuration/2`` declarations.
+    max_durations: Tuple[Tuple[Term, int], ...]
+
     def __init__(self, rules: Sequence[Rule]) -> None:
-        self.rules: List[Rule] = list(rules)
-        self.simple_fluents: Dict[FluentKey, SimpleFluentDef] = {}
-        self.static_fluents: Dict[FluentKey, StaticFluentDef] = {}
-        #: Ground FVPs declared to hold at the start of time (``initially/1``).
-        self.initial_fvps: List[Term] = []
-        #: (FVP pattern, deadline) pairs from ``maxDuration/2`` declarations.
-        self.max_durations: List[Tuple[Term, int]] = []
-        self._malformed: List[Tuple[int, str]] = []
-        self._classify()
+        rules = tuple(rules)
+        simple: Dict[FluentKey, Tuple[List[Rule], List[Rule]]] = {}
+        static: Dict[FluentKey, List[Rule]] = {}
+        initial_fvps: List[Term] = []
+        max_durations: List[Tuple[Term, int]] = []
+        malformed: List[Tuple[int, str]] = []
+        for index, rule in enumerate(rules):
+            head = rule.head
+            try:
+                if _is_predicate(head, "initially", 1):
+                    initial_fvps.append(_initially(rule))
+                elif _is_predicate(head, "maxDuration", 2):
+                    max_durations.append(_max_duration(rule))
+                elif not isinstance(head, Compound) or head.arity != 2:
+                    raise ValueError("unrecognised rule head: %r" % (head,))
+                else:
+                    key = fluent_key(head_fvp(rule)[0])
+                    if head.functor == "initiatedAt":
+                        simple.setdefault(key, ([], []))[0].append(rule)
+                    elif head.functor == "terminatedAt":
+                        simple.setdefault(key, ([], []))[1].append(rule)
+                    elif head.functor == "holdsFor":
+                        static.setdefault(key, []).append(rule)
+                    else:
+                        raise ValueError("unknown head predicate %r" % head.functor)
+            except ValueError as exc:
+                malformed.append((index, str(exc)))
+        self.__dict__.update(
+            rules=rules,
+            simple_fluents={
+                key: SimpleFluentDef(key, tuple(i), tuple(t)) for key, (i, t) in simple.items()
+            },
+            static_fluents={key: StaticFluentDef(key, tuple(one)) for key, one in static.items()},
+            initial_fvps=tuple(initial_fvps),
+            max_durations=tuple(max_durations),
+            _malformed=tuple(malformed),
+        )
+
+    def __setattr__(self, name: str, *_value: object) -> None:
+        raise FrozenInstanceError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def _memo(self, name: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, run on the first call for ``name`` and kept: a
+        description cannot change, so neither can what is derived from it."""
+        if name not in self.__dict__:
+            object.__setattr__(self, name, compute())
+        return self.__dict__[name]
 
     # -- construction ------------------------------------------------------
 
@@ -160,103 +219,13 @@ class EventDescription:
         """Render back to concrete syntax (round-trips through the parser)."""
         return program_to_str(self.rules)
 
-    def _classify(self) -> None:
-        for index, rule in enumerate(self.rules):
-            head = rule.head
-            if isinstance(head, Compound) and head.functor == "initially" and head.arity == 1:
-                self._classify_initially(index, rule)
-                continue
-            if isinstance(head, Compound) and head.functor == "maxDuration" and head.arity == 2:
-                self._classify_max_duration(index, rule)
-                continue
-            if not isinstance(head, Compound) or head.arity != 2:
-                self._malformed.append((index, "unrecognised rule head: %r" % (head,)))
-                continue
-            try:
-                fluent, _value = head_fvp(rule)
-                key = fluent_key(fluent)
-            except ValueError as exc:
-                self._malformed.append((index, str(exc)))
-                continue
-            if head.functor == "initiatedAt":
-                self.simple_fluents.setdefault(key, SimpleFluentDef(key)).initiated_rules.append(rule)
-            elif head.functor == "terminatedAt":
-                self.simple_fluents.setdefault(key, SimpleFluentDef(key)).terminated_rules.append(rule)
-            elif head.functor == "holdsFor":
-                self.static_fluents.setdefault(key, StaticFluentDef(key)).rules.append(rule)
-            else:
-                self._malformed.append(
-                    (index, "unknown head predicate %r" % head.functor)
-                )
-
-    def _classify_initially(self, index: int, rule: Rule) -> None:
-        """``initially(F=V).`` — F=V holds from time-point 0 (until terminated)."""
-        from repro.logic.terms import is_ground  # local to avoid cycle at import
-
-        if not rule.is_fact:
-            self._malformed.append((index, "initially/1 must be a fact"))
-            return
-        pair = rule.head.args[0]  # type: ignore[union-attr]
-        if not is_fvp(pair) or not is_ground(pair):
-            self._malformed.append(
-                (index, "initially/1 expects a ground FVP: %r" % (pair,))
-            )
-            return
-        self.initial_fvps.append(pair)
-
-    def _classify_max_duration(self, index: int, rule: Rule) -> None:
-        """``maxDuration(F=V, D).`` — periods of F=V auto-terminate after D."""
-        if not rule.is_fact:
-            self._malformed.append((index, "maxDuration/2 must be a fact"))
-            return
-        pair = rule.head.args[0]  # type: ignore[union-attr]
-        duration = rule.head.args[1]  # type: ignore[union-attr]
-        if not is_fvp(pair):
-            self._malformed.append(
-                (index, "maxDuration/2 expects an FVP first argument: %r" % (pair,))
-            )
-            return
-        if not (
-            isinstance(duration, Constant)
-            and duration.is_number
-            and float(duration.value) > 0
-        ):
-            self._malformed.append(
-                (index, "maxDuration/2 expects a positive deadline: %r" % (duration,))
-            )
-            return
-        self.max_durations.append((pair, int(duration.value)))
-
-    def rule_fingerprint(self) -> Tuple[int, ...]:
-        """Identity fingerprint of the defining rules.
-
-        Rules are immutable (frozen dataclasses), so mutating the rule
-        lists — as ``repair`` rewrites and hand edits do — changes the
-        fingerprint, invalidating analyses cached for the old rules.
-        """
-        parts: List[int] = []
-        for _key, definition in sorted(self.simple_fluents.items()):
-            parts.extend(map(id, definition.initiated_rules))
-            parts.extend(map(id, definition.terminated_rules))
-        for _key, static_definition in sorted(self.static_fluents.items()):
-            parts.extend(map(id, static_definition.rules))
-        return tuple(parts)
-
     def partitionability(self) -> "PartitionAnalysis":
-        """The entity-sharding analysis of this description.
+        """The entity-sharding analysis of this description
+        (:mod:`repro.rtec.partition`); sessions consult it on every late
+        advance."""
+        from repro.rtec.partition import analyse_partitionability
 
-        See :mod:`repro.rtec.partition`. Cached against
-        :meth:`rule_fingerprint`: sessions consult it on every late
-        advance, so a rule appended after first access must recompute it.
-        """
-        fingerprint = self.rule_fingerprint()
-        cached = getattr(self, "_partitionability", None)
-        if cached is None or cached[0] != fingerprint:
-            from repro.rtec.partition import analyse_partitionability
-
-            cached = (fingerprint, analyse_partitionability(self))
-            self._partitionability = cached
-        return cached[1]
+        return self._memo("_partitionability", lambda: analyse_partitionability(self))
 
     def max_duration_for(self, pair: Term) -> Optional[int]:
         """The deadline applying to a ground FVP, if any (first match wins)."""
@@ -276,54 +245,48 @@ class EventDescription:
 
     def dependencies(self) -> Dict[FluentKey, FrozenSet[FluentKey]]:
         """Edges: defined fluent -> fluents referenced in its rule bodies.
-        Cached against :meth:`rule_fingerprint` (a delta advance asks once per
-        window); the sets are frozen, as the result is shared."""
-        fingerprint = self.rule_fingerprint()
-        cached = getattr(self, "_dependencies", None)
-        if cached is None or cached[0] != fingerprint:
-            cached = (fingerprint, {key: frozenset(deps) for key, deps in self._walk_dependencies().items()})
-            self._dependencies = cached
-        return cached[1]
+        Computed once (a delta advance asks once per window); the sets are
+        frozen, as the result is shared."""
+        return self._memo("_dependencies", self._walk_dependencies)
 
-    def _walk_dependencies(self) -> Dict[FluentKey, Set[FluentKey]]:
+    def _walk_dependencies(self) -> Dict[FluentKey, FrozenSet[FluentKey]]:
         graph: Dict[FluentKey, Set[FluentKey]] = {key: set() for key in self.defined_keys}
-        for key, definition in self.simple_fluents.items():
-            for rule in definition.initiated_rules + definition.terminated_rules:
+        for key, _kind, reader, rules in self._definitions():
+            for rule in rules:
                 for literal in rule.body:
-                    referenced = _referenced_fluent(literal.term, "holdsAt")
+                    referenced = _referenced_fluent(literal.term, reader)
                     if referenced is not None:
                         graph[key].add(referenced)
-        for key, definition in self.static_fluents.items():
-            for rule in definition.rules:
-                for literal in rule.body:
-                    referenced = _referenced_fluent(literal.term, "holdsFor")
-                    if referenced is not None:
-                        graph[key].add(referenced)
-        return graph
+        return {key: frozenset(deps) for key, deps in graph.items()}
+
+    def _definitions(self) -> Iterator[Tuple[FluentKey, str, str, Tuple[Rule, ...]]]:
+        """(fluent, kind, the condition reading a fluent, rules) of each
+        simple definition, then of each static one."""
+        for key, simple in self.simple_fluents.items():
+            yield key, "simple", "holdsAt", simple.initiated_rules + simple.terminated_rules
+        for key, static in self.static_fluents.items():
+            yield key, "static", "holdsFor", static.rules
 
     def definition_keys(self) -> Dict[FluentKey, Optional[tuple]]:
         """Defined fluent -> its *definition key* (``None``: never shared).
 
         Fluents with equal keys evaluate to the same results, in the same
         order, over one window of one stream and kb. The key is the kind, the
-        rules (variables numbered by first occurrence, constants tagged with
-        their type: ``2 == 2.0``, but they render differently), the
-        ``maxDuration``/``initially`` declarations that may apply and the
-        keys of the fluents read. Cached against :meth:`rule_fingerprint`.
+        rules (:attr:`Rule.key`: variables numbered by first occurrence,
+        constants tagged with their type), the ``maxDuration``/``initially``
+        declarations that may apply and the keys of the fluents read.
+        Computed once.
         """
-        fingerprint = self.rule_fingerprint()
-        cached = getattr(self, "_definition_keys", None)
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
+        return self._memo("_definition_keys", self._walk_definition_keys)
+
+    def _walk_definition_keys(self) -> Dict[FluentKey, Optional[tuple]]:
         dependencies = self.dependencies()
+        definitions: Dict[FluentKey, Tuple[str, str, Tuple[Rule, ...]]] = {}
+        for key, kind, reader, rules in self._definitions():
+            definitions.setdefault(key, (kind, reader, rules))  # simple first
         keys: Dict[FluentKey, Optional[tuple]] = {}
         for fluent in self.topological_order():
-            simple = self.simple_fluents.get(fluent)
-            if simple is not None:
-                kind, reader = "simple", "holdsAt"
-                rules = simple.initiated_rules + simple.terminated_rules
-            else:
-                kind, reader, rules = "static", "holdsFor", self.static_fluents[fluent].rules
+            kind, reader, rules = definitions[fluent]
             read = sorted(dependencies[fluent])
             # a read fluent that is never shared, or a read with no fixed fluent
             unshared = any(keys.get(dep, ()) is None for dep in read) or any(
@@ -332,13 +295,30 @@ class EventDescription:
             )
             keys[fluent] = None if unshared else (
                 kind,
-                tuple(canonical(rule.head, *rule.body) for rule in rules),
+                tuple(rule.key for rule in rules),
                 tuple((canonical(p), d) for p, d in self.max_durations if _may_declare(p, fluent)),
                 tuple(canonical(p) for p in self.initial_fvps if _may_declare(p, fluent)),
                 tuple((dep, keys.get(dep)) for dep in read),
             )
-        self._definition_keys = (fingerprint, keys)
         return keys
+
+    def reads(self, item: Term) -> bool:
+        """Whether input ``item`` (an event term or an FVP) can reach a rule:
+        a ``happensAt``/``holdsAt``/``holdsFor`` condition reads its schema,
+        the description defines it, or a condition reads an item with no
+        fixed schema (which may be any)."""
+        schemas = self._memo("_read_schemas", self._walk_read_schemas)
+        key = _schema(item)
+        return key is None or key in schemas or None in schemas
+
+    def _walk_read_schemas(self) -> FrozenSet[Optional[FluentKey]]:
+        schemas: Set[Optional[FluentKey]] = set(self.defined_keys)
+        for rule in self.rules:
+            for literal in rule.body:
+                term = literal.term
+                if isinstance(term, Compound) and term.functor in _READERS and term.arity == 2:
+                    schemas.add(_schema(term.args[0]))
+        return frozenset(schemas)
 
     def topological_order(self) -> List[FluentKey]:
         """Defined fluents, dependencies first; raises on cycles."""
@@ -693,6 +673,16 @@ def _referenced_fluent(term: Term, wrapper: str) -> Optional[FluentKey]:
         return None
 
 
+def _schema(item: Term) -> Optional[FluentKey]:
+    """The key of an event term or of an FVP's fluent; ``None``: no fixed one."""
+    if is_fvp(item):
+        item = item.args[0]  # type: ignore[union-attr]
+    try:
+        return fluent_key(item)
+    except ValueError:
+        return None
+
+
 def _interval_vars(term: Term) -> Iterable[Variable]:
     """Variables of a list argument of an interval construct."""
     if isinstance(term, Variable):
@@ -702,24 +692,26 @@ def _interval_vars(term: Term) -> Iterable[Variable]:
             yield from _interval_vars(arg)
 
 
-def canonical(*parts) -> tuple:
-    """Terms and literals as nested tuples: variables numbered by first
-    occurrence, constants tagged with their type. Equal for parts identical
-    up to variable renaming; ``2`` and ``2.0`` differ (they render
-    differently), although ``Constant(2) == Constant(2.0)``."""
-    numbers: Dict[str, int] = {}
+def _initially(rule: Rule) -> Term:
+    """``initially(F=V).`` — F=V holds from time-point 0 (until terminated)."""
+    if not rule.is_fact:
+        raise ValueError("initially/1 must be a fact")
+    pair = rule.head.args[0]  # type: ignore[union-attr]
+    if not is_fvp(pair) or not is_ground(pair):
+        raise ValueError("initially/1 expects a ground FVP: %r" % (pair,))
+    return pair
 
-    def encode(term: Term):
-        if isinstance(term, Variable):
-            return numbers.setdefault(term.name, len(numbers))
-        if isinstance(term, Constant):
-            return (type(term.value).__name__, repr(term.value))
-        return (term.functor,) + tuple(map(encode, term.args))
 
-    return tuple(
-        (part.negated, encode(part.term)) if isinstance(part, Literal) else encode(part)
-        for part in parts
-    )
+def _max_duration(rule: Rule) -> Tuple[Term, int]:
+    """``maxDuration(F=V, D).`` — periods of F=V auto-terminate after D."""
+    if not rule.is_fact:
+        raise ValueError("maxDuration/2 must be a fact")
+    pair, duration = rule.head.args  # type: ignore[union-attr]
+    if not is_fvp(pair):
+        raise ValueError("maxDuration/2 expects an FVP first argument: %r" % (pair,))
+    if not (isinstance(duration, Constant) and duration.is_number and float(duration.value) > 0):
+        raise ValueError("maxDuration/2 expects a positive deadline: %r" % (duration,))
+    return pair, int(duration.value)
 
 
 def _may_declare(pair: Term, fluent: FluentKey) -> bool:

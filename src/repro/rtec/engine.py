@@ -73,13 +73,10 @@ class RTECEngine:
         self.skip_errors = skip_errors
         #: Messages of rules skipped at run time (only in skip_errors mode).
         self.runtime_warnings: List[str] = []
-        #: Lazily computed delta-evaluation diagnostics (None: not yet run),
-        #: with the description fingerprint they were computed for.
+        #: Why delta evaluation is unsafe and the analysis certificate (None:
+        #: not yet computed); the description cannot change, so neither can they.
         self._delta_diagnostics: Optional[List[str]] = None
-        self._delta_fingerprint: Optional[Tuple[int, ...]] = None
-        #: The analysis certificate, fingerprinted the same way.
         self._certificate = None
-        self._certificate_fingerprint: Optional[Tuple[int, ...]] = None
         if strict:
             # Full static analysis on load: faults that used to surface as
             # EvaluationErrors mid-window are rejected here with a precise
@@ -93,15 +90,7 @@ class RTECEngine:
             if report.has_errors:
                 raise InvalidEventDescriptionError(report.errors)
             self._certificate = AnalysisCertificate.from_report(report)
-            self._certificate_fingerprint = self._description_fingerprint()
         self._order = description.topological_order()
-
-    def _description_fingerprint(self) -> Tuple[int, ...]:
-        """The loaded description's identity and rule fingerprint
-        (:meth:`EventDescription.rule_fingerprint`): swapping the
-        description object or mutating its rule lists invalidates cached
-        analyses that were computed for the old rules."""
-        return (id(self.description),) + self.description.rule_fingerprint()
 
     def delta_diagnostics(self) -> List[str]:
         """Why incremental (delta) window evaluation is unsafe; empty = safe.
@@ -119,53 +108,35 @@ class RTECEngine:
         relative complement) are pointwise in time, so recomputing them
         over the repaired store is always faithful.
 
-        The result is cached against a fingerprint of the description's
-        rule objects, so mutating the loaded description (repair rewrites,
-        appended rules) recomputes it; sessions consult it to decide
-        between the delta path and full recomputation.
+        The prover runs on the first call only; sessions consult the result
+        on every advance to choose between the delta path and full
+        recomputation.
         """
-        fingerprint = self._description_fingerprint()
-        if (
-            self._delta_diagnostics is not None
-            and self._delta_fingerprint == fingerprint
-        ):
-            return self._delta_diagnostics
-        from repro.analysis.certify import prove_rule_delta_safety
+        if self._delta_diagnostics is None:
+            from repro.analysis.certify import prove_rule_delta_safety
 
-        diagnostics: List[str] = []
-        for key, definition in self.description.simple_fluents.items():
-            for rule in definition.initiated_rules + definition.terminated_rules:
-                safe, problems = prove_rule_delta_safety(rule)
-                if not safe:
-                    diagnostics.extend(
-                        "%s/%d: %s" % (key[0], key[1], problem.message)
-                        for problem in problems
-                    )
-        self._delta_diagnostics = diagnostics
-        self._delta_fingerprint = fingerprint
-        return diagnostics
+            diagnostics: List[str] = []
+            for key, definition in self.description.simple_fluents.items():
+                for rule in definition.initiated_rules + definition.terminated_rules:
+                    safe, problems = prove_rule_delta_safety(rule)
+                    if not safe:
+                        diagnostics.extend(
+                            "%s/%d: %s" % (key[0], key[1], problem.message)
+                            for problem in problems
+                        )
+            self._delta_diagnostics = diagnostics
+        return self._delta_diagnostics
 
     def certificate(self):
         """The description's :class:`repro.analysis.certify.AnalysisCertificate`.
 
         A strict engine has it from the analysis it was loaded with; any
-        other engine analyses its description on the first call. Cached
-        against the same description fingerprint as
-        :meth:`delta_diagnostics`, so a mutated description is analysed
-        again.
+        other engine analyses its description on the first call.
         """
-        fingerprint = self._description_fingerprint()
-        if (
-            self._certificate is not None
-            and self._certificate_fingerprint == fingerprint
-        ):
-            return self._certificate
-        from repro.analysis.certify import certify_description
+        if self._certificate is None:
+            from repro.analysis.certify import certify_description
 
-        self._certificate = certify_description(
-            self.description, self.vocabulary, kb=self.kb
-        )
-        self._certificate_fingerprint = fingerprint
+            self._certificate = certify_description(self.description, self.vocabulary, kb=self.kb)
         return self._certificate
 
     @staticmethod
@@ -232,6 +203,7 @@ class RTECEngine:
         merge_from: Optional[int] = None,
         cache: Optional[Dict[Term, IntervalList]] = None,
         shared: Optional[Dict[tuple, object]] = None,
+        settled: Optional[FluentStore] = None,
     ) -> Tuple[Dict[Term, int], Dict[Term, int], FluentStore]:
         """Evaluate one window; returns the state to carry forward.
 
@@ -282,6 +254,15 @@ class RTECEngine:
         there is not evaluated again, and entries are never mutated.
         ``None`` (sessions, one engine): no key is computed.
 
+        ``settled`` is the store the previous window returned, when ``stream``
+        holds the whole window and the window starts before ``merge_from``
+        (overlapping batch windows, or the last one, clamped to the stream
+        end). Its points in the overlap are final and were derived from
+        events this window has forgotten, so they seed the store as cached
+        intervals do: a period closed inside the overlap whose initiation is
+        forgotten is neither carried nor re-derived, and without it a
+        condition over it (``not holdsAt``) would read it as not holding.
+
         Returns ``(open initiations, deadline barriers, fluent store)`` for
         the next window; the store holds every FVP's intervals before the
         ``merge_from`` clipping.
@@ -318,8 +299,10 @@ class RTECEngine:
                     if intervals.span[1] > merge_from:
                         assert isinstance(pair, Compound)
                         changed.add(fluent_key(pair.args[0]))
+            remembered = cache if cache is not None else settled
+            if remembered is not None:
                 known = dict(delivered)
-                for pair, intervals in cache.items():
+                for pair, intervals in remembered.items():
                     clipped = intervals.restrict(window_start + 1, window_end)
                     if clipped:
                         prior = delivered.get(pair)
@@ -442,29 +425,36 @@ def recognise_all(
     if step <= 0:
         raise ValueError("step must be positive")
     #: Per engine, the open initiations carried between windows (inertia
-    #: survives forgetting) and the maxDuration deadline barriers (a deadline
-    #: close leaves no event to stop re-anchoring on later initiations).
-    carried: List[Tuple[Dict[Term, int], Dict[Term, int]]] = [({}, {}) for _ in engines]
+    #: survives forgetting), the maxDuration deadline barriers (a deadline
+    #: close leaves no event to stop re-anchoring on later initiations) and,
+    #: when the next window overlaps this one, this window's fluent store.
+    carried: List[Tuple[Dict[Term, int], Dict[Term, int], Optional[FluentStore]]] = [
+        ({}, {}, None) for _ in engines
+    ]
     query_time = min(start - 1 + step, end)
     previous_query: Optional[int] = None
     first = True
     while True:
         shared: Optional[Dict[tuple, object]] = {} if len(engines) > 1 else None
+        overlapped = query_time < end and min(query_time + step, end) - window < query_time
         for index, engine in enumerate(engines):
+            pending, barriers, settled = carried[index]
             window_start = query_time - window
             if first and engine.description.initial_fvps:
                 # initially/1 declarations are evaluated from the time
                 # origin: the first window is extended to cover it.
                 window_start = min(window_start, -1)
-            carried[index] = engine._process_window(
+            pending, barriers, store = engine._process_window(
                 stream, input_fluents, window_start, query_time, results[index],
-                *carried[index],
+                pending, barriers,
                 # initially/1 declarations: injected once, then carried as pending.
                 include_initially=first,
                 # Results at or before the previous query time are final.
                 merge_from=previous_query,
                 shared=shared,
-            )[:2]
+                settled=settled,
+            )
+            carried[index] = (pending, barriers, store if overlapped else None)
         first = False
         previous_query = query_time
         if query_time >= end:

@@ -142,10 +142,12 @@ class RTECSession:
         Input that arrives at or before the previous query time but inside
         the window is *repaired*: the next advance re-derives the entity
         components it names over the whole window and keeps every other
-        component on the delta path. The whole window is recomputed only
-        where that is the sole sound path, and each such advance is counted
-        by reason in :attr:`recomputes`: ``first`` advance, ``restored``
-        without a derivation cache, ``delta_unsafe`` rules
+        component on the delta path; late input that no rule reads
+        (:meth:`~repro.rtec.description.EventDescription.reads`) is only
+        buffered. The whole window is recomputed only where that is the
+        sole sound path, and each such advance is counted by reason in
+        :attr:`recomputes`: ``first`` advance, ``restored`` without a
+        derivation cache, ``delta_unsafe`` rules
         (:meth:`~repro.rtec.engine.RTECEngine.delta_diagnostics`), a late
         item naming no entity (``late_global``) and a late item under a
         description that is not entity-shardable (``unshardable``). With
@@ -196,14 +198,16 @@ class RTECSession:
         """
         accepted = 0
         lower = None if self._last_query is None else self._last_query - self.window
+        description = self.engine.description
         for event in events:
             if lower is not None and event.time <= lower:
                 continue
-            if self._last_query is not None and event.time <= self._last_query:
-                # A late arrival inside the retained window: the previous
-                # advance's derivations no longer cover it, so the next
-                # advance re-derives its entity component over the window.
-                analysis = self.engine.description.partitionability()
+            late = self._last_query is not None and event.time <= self._last_query
+            if late and description.reads(event.term):
+                # A late arrival inside the retained window that a rule reads:
+                # the previous advance's derivations no longer cover it, so the
+                # next advance re-derives its entity component over the window.
+                analysis = description.partitionability()
                 self._late.append(analysis.event_entities(event.term))
             self._buffer.append(event)
             accepted += 1
@@ -219,7 +223,7 @@ class RTECSession:
             intervals = self._clip_forgotten(intervals, self._last_query - self.window)
             if not intervals:
                 return
-            if intervals.span[0] <= self._last_query:
+            if intervals.span[0] <= self._last_query and self.engine.description.reads(pair):
                 # The delivery covers time-points at or before the previous
                 # query time (interval lists are closed): rules with holdsAt
                 # conditions over this fluent could have fired differently

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.logic.parser import Rule, parse_program
-from repro.rtec.description import EventDescription, canonical
+from repro.rtec.description import EventDescription
 from repro.similarity.assignment import kuhn_munkres
 from repro.similarity.rules import rule_distance_matrix
 
@@ -68,11 +68,11 @@ def _peel(larger: List[Rule], smaller: List[Rule]) -> Tuple[List[Rule], List[Rul
     (distance exactly 0); both remainders keep their order."""
     unclaimed: Dict[tuple, List[int]] = {}
     for j, rule in enumerate(smaller):
-        unclaimed.setdefault(canonical(rule.head, *rule.body), []).append(j)
+        unclaimed.setdefault(rule.key, []).append(j)
     claimed = set()
     rest_larger = []
     for rule in larger:
-        twins = unclaimed.get(canonical(rule.head, *rule.body))
+        twins = unclaimed.get(rule.key)
         if twins:
             claimed.add(twins.pop(0))
         else:

@@ -284,28 +284,36 @@ class TestEngineIntegration:
         engine = RTECEngine(EventDescription.from_text(rules), strict=False)
         assert engine.delta_diagnostics() == []
 
+    UNSAFE = (
+        "initiatedAt(f(V)=true, T) :- "
+        "happensAt(start(V), T), happensAt(ping(V), T2).\n"
+    )
+
     def test_delta_diagnostics_invalidate_on_description_mutation(self):
-        # Regression: the cache used to survive description mutation, so a
-        # repair rewrite appending an unsafe rule kept the stale "safe"
-        # verdict and sessions ran the unsound delta path.
+        # Regression: a repair that appended an unsafe rule to the loaded
+        # description kept the stale "safe" verdict, and sessions ran the
+        # unsound delta path. A description is now a value: the append
+        # raises, and the description built with the rule is proved unsafe.
         engine = RTECEngine(EventDescription.from_text(self.RULES), strict=False)
         assert engine.delta_diagnostics() == []
-        unsafe = parse_rule(
-            "initiatedAt(f(V)=true, T) :- "
-            "happensAt(start(V), T), happensAt(ping(V), T2)."
-        )
-        engine.description.simple_fluents[("f", 1)].initiated_rules.append(unsafe)
-        assert engine.delta_diagnostics() != []
+        with pytest.raises(AttributeError):
+            engine.description.simple_fluents[("f", 1)].initiated_rules.append(
+                parse_rule(self.UNSAFE)
+            )
+        assert engine.delta_diagnostics() == []
+        rebuilt = EventDescription.from_text(self.RULES + self.UNSAFE)
+        assert RTECEngine(rebuilt, strict=False).delta_diagnostics() != []
 
     def test_certificate_invalidates_on_description_mutation(self):
         engine = RTECEngine(EventDescription.from_text(self.RULES), strict=False)
         assert engine.certificate().delta_safe
-        unsafe = parse_rule(
-            "initiatedAt(f(V)=true, T) :- "
-            "happensAt(start(V), T), happensAt(ping(V), T2)."
-        )
-        engine.description.simple_fluents[("f", 1)].initiated_rules.append(unsafe)
-        assert not engine.certificate().delta_safe
+        with pytest.raises(AttributeError):
+            engine.description.simple_fluents[("f", 1)].initiated_rules.append(
+                parse_rule(self.UNSAFE)
+            )
+        assert engine.certificate().delta_safe
+        rebuilt = EventDescription.from_text(self.RULES + self.UNSAFE)
+        assert not RTECEngine(rebuilt, strict=False).certificate().delta_safe
 
 
 class TestGoldCertification:

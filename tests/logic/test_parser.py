@@ -268,3 +268,46 @@ class TestRules:
         with pytest.raises(ParseError) as excinfo:
             parse_program("f(a).\ng(:-).")
         assert "line 2" in str(excinfo.value)
+
+
+class TestRuleKey:
+    TEXT = "initiatedAt(f(V, 2.0)=true, T) :- happensAt(e(V, 'a b', 2), T), not g(W, V)."
+
+    def test_key_is_canonical_and_computed_once(self):
+        from repro.logic.parser import canonical
+        from repro.rtec.description import canonical as reexported
+
+        rule = parse_rule(self.TEXT)
+        assert reexported is canonical
+        assert rule.key == canonical(rule.head, *rule.body)
+        assert rule.key is rule.key
+        renamed = parse_rule(self.TEXT.replace("V", "X").replace("W", "Y").replace("T", "S"))
+        assert renamed.key == rule.key
+        assert parse_rule(self.TEXT.replace("2.0", "2")).key != rule.key
+
+    def test_a_pickled_key_equals_a_fresh_one(self):
+        # Pickled under another hash seed, with the key cached before pickling
+        # so that the copy carries it.
+        import os
+        import pickle
+        import subprocess
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "import pickle, sys\n"
+            "from repro.logic.parser import parse_rule\n"
+            "rule = parse_rule(%r)\n"
+            "rule.key\n"
+            "sys.stdout.buffer.write(pickle.dumps(rule))\n" % self.TEXT
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1"),
+            capture_output=True, timeout=60, check=True,
+        )
+        clone = pickle.loads(done.stdout)
+        assert "key" in vars(clone)
+        assert clone.key == parse_rule(self.TEXT).key
+        assert clone == parse_rule(self.TEXT)

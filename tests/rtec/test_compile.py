@@ -7,12 +7,13 @@ import pickle
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.logic.knowledge import KnowledgeBase
-from repro.logic.parser import parse_term
+from repro.logic.parser import parse_rule, parse_term
 from repro.logic.terms import _INTERNED, Compound, Constant, Variable
 from repro.maritime import build_dataset, gold_event_description
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
@@ -42,8 +43,16 @@ class TestProgramLifetime:
         clone = pickle.loads(pickle.dumps(engine.description))
         assert RTECEngine(clone, strict=False).recognise(stream).to_json() == expected
         shallow = copy.copy(engine.description)
-        shallow.initial_fvps = []
-        assert RTECEngine(shallow, strict=False).recognise(stream).holds_for("g(v1)=true")
+        assert RTECEngine(shallow, strict=False).recognise(stream).to_json() == expected
+        rebuilt = EventDescription(engine.description.rules[1:])  # without initially/1
+        assert RTECEngine(rebuilt, strict=False).recognise(stream).holds_for("g(v1)=true")
+
+        def views(d):
+            return d.dependencies(), d.definition_keys(), d.partitionability()
+
+        filled = views(engine.description)
+        # A copy pickled with every analysis computed answers the same.
+        assert views(pickle.loads(pickle.dumps(engine.description))) == filled
         assert pickle.loads(pickle.dumps(engine.description.rules[1])) == engine.description.rules[1]
 
     def test_programs_die_with_their_description(self):
@@ -69,14 +78,17 @@ class TestProgramLifetime:
         stream = _stream(*[(t, "start(v%d)" % (t % 3)) for t in range(1, 40)])
         engine.recognise(stream, window=5)
         assert len(calls) == 2
-        # A rule appended to the live definition is compiled when first met.
-        extra = EventDescription.from_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(resume(V), T)."
-        ).rules[0]
-        description.simple_fluents[("f", 1)].initiated_rules.append(extra)
-        result = engine.recognise(_stream((1, "resume(v5)"), (4, "stop(v5)")), window=5)
+        engine.recognise(stream, window=5)
+        assert len(calls) == 2  # the programs outlive a run
+        # A definition cannot grow; a description built with one more rule
+        # compiles each of its own rules once.
+        extra = "initiatedAt(f(V)=true, T) :- happensAt(resume(V), T).\n"
+        with pytest.raises(AttributeError):
+            description.simple_fluents[("f", 1)].initiated_rules.append(parse_rule(extra))
+        extended = RTECEngine(EventDescription.from_text(RULES + extra), strict=False)
+        result = extended.recognise(_stream((1, "resume(v5)"), (4, "stop(v5)")), window=5)
         assert result.holds_for("f(v5)=true").as_pairs() == [(2, 4)]
-        assert calls[2:] == [extra]
+        assert len(calls) == 5 and parse_rule(extra) in calls[2:]
 
     def test_each_distinct_source_is_compiled_once(self, monkeypatch):
         stream = _stream((1, "start(v1)"), (7, "stop(v1)"))

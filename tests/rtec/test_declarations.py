@@ -21,7 +21,7 @@ def _run(text, events, **kwargs):
 class TestClassification:
     def test_initially_recorded(self):
         desc = EventDescription.from_text(BASE + "initially(f(v0)=true).")
-        assert desc.initial_fvps == [parse_term("f(v0)=true")]
+        assert desc.initial_fvps == (parse_term("f(v0)=true"),)
 
     def test_max_duration_recorded(self):
         desc = EventDescription.from_text(BASE + "maxDuration(f(V)=true, 10).")

@@ -1,7 +1,10 @@
 """Unit tests for event description classification and validation."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from repro.logic.parser import parse_rule, parse_term
 from repro.rtec import EventDescription, Vocabulary
 from repro.rtec.errors import CyclicDependencyError
 
@@ -49,6 +52,77 @@ class TestClassification:
         assert EventDescription.from_text(desc.to_text()).rules == desc.rules
 
 
+class TestImmutability:
+    TEXT = """
+        initially(f(v0)=true).
+        maxDuration(f(V)=true, 10).
+        initiatedAt(f(V)=true, T) :- happensAt(e(V), T).
+        terminatedAt(f(V)=true, T) :- happensAt(e(V), T).
+        holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), union_all([I1], I).
+        """
+
+    def test_rule_collections_are_tuples(self):
+        desc = EventDescription.from_text(self.TEXT)
+        rule = desc.rules[2]
+        for collection in (
+            desc.rules,
+            desc.initial_fvps,
+            desc.max_durations,
+            desc.simple_fluents[("f", 1)].initiated_rules,
+            desc.simple_fluents[("f", 1)].terminated_rules,
+            desc.static_fluents[("g", 1)].rules,
+        ):
+            assert isinstance(collection, tuple)
+            with pytest.raises(AttributeError):
+                collection.append(rule)
+
+    def test_fields_of_a_definition_cannot_be_assigned(self):
+        desc = EventDescription.from_text(self.TEXT)
+        with pytest.raises(FrozenInstanceError):
+            desc.simple_fluents[("f", 1)].initiated_rules = ()
+        with pytest.raises(FrozenInstanceError):
+            desc.static_fluents[("g", 1)].rules = ()
+
+    def test_a_built_description_cannot_be_assigned(self):
+        desc = EventDescription.from_text(self.TEXT)
+        with pytest.raises(FrozenInstanceError):
+            desc.rules = ()
+        with pytest.raises(FrozenInstanceError):
+            desc.initial_fvps = ()
+        with pytest.raises(FrozenInstanceError):
+            desc._dependencies = {}
+        with pytest.raises(FrozenInstanceError):
+            del desc.rules
+        assert len(desc.rules) == 5
+
+
+class TestReads:
+    def test_read_and_defined_schemas(self):
+        desc = EventDescription.from_text(
+            """
+            initiatedAt(f(V)=true, T) :- happensAt(start(V), T), holdsAt(p(V)=true, T).
+            terminatedAt(f(V)=true, T) :- happensAt(stop(V), T), not happensAt(hold(V), T).
+            holdsFor(g(V)=true, I) :- holdsFor(f(V)=true, I1), holdsFor(q(V)=on, I2),
+                union_all([I1, I2], I).
+            """
+        )
+        read = ["start(a)", "stop(a)", "hold(a)", "p(a)=true", "q(a)=off", "f(a)=true", "g(a)=true"]
+        for item in read:
+            assert desc.reads(parse_term(item)), item
+        for item in ("noise(a)", "start(a, b)", "p(a, b)=true", "weather=rain"):
+            assert not desc.reads(parse_term(item)), item
+
+    @pytest.mark.parametrize(
+        "condition", ["happensAt(E, T)", "holdsAt(F=true, T)", "holdsAt(P, T)"]
+    )
+    def test_a_condition_with_no_fixed_schema_reads_everything(self, condition):
+        desc = EventDescription.from_text(
+            "initiatedAt(f(V)=true, T) :- happensAt(start(V), T), %s." % condition
+        )
+        assert desc.reads(parse_term("noise(a)"))
+        assert desc.reads(parse_term("weather=rain"))
+
+
 class TestDependencies:
     def test_dependency_graph(self):
         desc = EventDescription.from_text(
@@ -63,22 +137,23 @@ class TestDependencies:
         assert graph[("g", 1)] == {("f", 1)}
 
     def test_a_rule_appended_to_a_live_definition_changes_the_graph(self):
-        desc = EventDescription.from_text(
-            """
+        # The append raises; the edge appears in a description built with
+        # the extra rule.
+        text = """
             initiatedAt(f(V)=true, T) :- happensAt(e(V), T).
             initiatedAt(h(V)=true, T) :- happensAt(e(V), T).
             """
-        )
+        extra = "initiatedAt(f(V)=true, T) :- happensAt(e(V), T), holdsAt(h(V)=true, T)."
+        desc = EventDescription.from_text(text)
         graph = desc.dependencies()
         assert graph[("f", 1)] == frozenset()
-        assert desc.dependencies() is graph  # cached while the rules stand
+        assert desc.dependencies() is graph  # computed once
         with pytest.raises(AttributeError):
             graph[("f", 1)].add(("h", 1))  # shared, hence frozen
-        extra = EventDescription.from_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(e(V), T), holdsAt(h(V)=true, T)."
-        ).rules[0]
-        desc.simple_fluents[("f", 1)].initiated_rules.append(extra)
-        assert desc.dependencies()[("f", 1)] == {("h", 1)}
+        with pytest.raises(AttributeError):
+            desc.simple_fluents[("f", 1)].initiated_rules.append(parse_rule(extra))
+        assert desc.dependencies()[("f", 1)] == frozenset()
+        assert EventDescription.from_text(text + extra).dependencies()[("f", 1)] == {("h", 1)}
 
     def test_topological_order(self):
         desc = EventDescription.from_text(

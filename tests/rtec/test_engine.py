@@ -1,5 +1,7 @@
 """Engine-level tests: validation, windowing, inertia carry-over, tolerance."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.intervals import IntervalList
@@ -136,10 +138,10 @@ class TestTolerantExecution:
 
 
 class TestDescriptionEditedAfterLoading:
-    """The engine keeps nothing derived from the rules that an edit of the
-    loaded description leaves stale. The ``optimise=True`` clone cache did —
-    keyed by injected fluents only, it kept answering with the rules it was
-    built from — and left with the option; this guards against its return."""
+    """A loaded description cannot be edited, so nothing the engine derives
+    from it can go stale. The ``optimise=True`` clone cache did — keyed by
+    injected fluents only, it kept answering with the rules it was built
+    from — and left with the option; this guards against its return."""
 
     EVENTS = [(1, "start(a)"), (5, "ping(a)"), (9, "stop(a)")]
 
@@ -149,18 +151,88 @@ class TestDescriptionEditedAfterLoading:
     def test_an_appended_rule_is_seen_by_the_next_run(self):
         from repro.logic.parser import parse_rule
 
-        rule = parse_rule("terminatedAt(f(V)=true, T) :- happensAt(ping(V), T).")
-        engine, fresh = self._engine(), self._engine()
+        text = "terminatedAt(f(V)=true, T) :- happensAt(ping(V), T).\n"
+        engine = self._engine()
         before = engine.recognise(_stream(*self.EVENTS))
         assert before.holds_for("f(a)=true").as_pairs() == [(2, 9)]
-        for edited in (engine, fresh):
-            edited.description.simple_fluents[("f", 1)].terminated_rules.append(rule)
-        after = engine.recognise(_stream(*self.EVENTS))
+        description, rule = engine.description, parse_rule(text)
+        with pytest.raises(AttributeError):
+            description.simple_fluents[("f", 1)].terminated_rules.append(rule)
+        with pytest.raises(FrozenInstanceError):
+            description.rules = description.rules + (rule,)
+        assert engine.recognise(_stream(*self.EVENTS)).to_json() == before.to_json()
+        edited = RTECEngine(EventDescription.from_text(RULES + text), strict=False)
+        after = edited.recognise(_stream(*self.EVENTS))
         assert after.holds_for("f(a)=true").as_pairs() == [(2, 5)]
-        assert after.to_json() == fresh.recognise(_stream(*self.EVENTS)).to_json()
 
     def test_there_is_no_optimise_argument(self):
         with pytest.raises(TypeError):
             self._engine().recognise(_stream(*self.EVENTS), optimise=True)
         for name in ("optimised_for", "_optimised", "optimisation"):
             assert not hasattr(self._engine(), name)
+
+
+class TestOverlappingWindowsForgetClosedPeriods:
+    """When windows overlap, only the periods still open at the previous query
+    time are carried into the next window. ``base(a)`` holds on (1, 9]; once
+    ``mark(a)@1`` is forgotten, a window starting after 1 cannot re-derive
+    that ``base(a)`` held at 9, so unless it reads the overlap from what the
+    earlier windows derived, ``not holdsAt(base(a)=true, 9)`` succeeds there
+    and ``high(a)`` is initiated by ``ev(a)@9``. Batch recognition seeds the
+    overlap from the previous window's store and the session's delta path
+    from its cache; a session's full recomputation still has the defect."""
+
+    RULES = """
+    initiatedAt(base(V)=true, T) :- happensAt(mark(V), T).
+    terminatedAt(base(V)=true, T) :- happensAt(clear(V), T).
+    initiatedAt(high(V)=true, T) :- happensAt(ev(V), T), not holdsAt(base(V)=true, T).
+    """
+    EVENTS = [(1, "mark(a)"), (9, "clear(a)"), (9, "ev(a)"), (12, "tick")]
+    QUERIES = (3, 7, 11, 12)
+
+    def _engine(self):
+        return RTECEngine(EventDescription.from_text(self.RULES), strict=False)
+
+    def _session(self, incremental):
+        from repro.rtec.session import RTECSession
+
+        session = RTECSession(self._engine(), window=4, incremental=incremental)
+        previous = None
+        for query in self.QUERIES:
+            session.submit(
+                Event(t, parse_term(text))
+                for t, text in self.EVENTS
+                if (previous is None or t > previous) and t <= query
+            )
+            session.advance(query)
+            previous = query
+        return session
+
+    def test_unwindowed_run_oracle_and_delta_session_find_no_high(self):
+        from repro.logic.knowledge import KnowledgeBase
+        from repro.rtec.reference import ReferenceEvaluator
+
+        stream = _stream(*self.EVENTS)
+        assert not self._engine().recognise(stream).holds_for("high(a)=true")
+        oracle = ReferenceEvaluator(self._engine().description, KnowledgeBase(), stream)
+        assert oracle.holding_points(parse_term("high(a)=true"), 0, 12) == set()
+        session = self._session(incremental=True)
+        assert session.advances == {"full": 1, "delta": 3}
+        assert not session.holds_for("high(a)=true")
+
+    def test_overlapping_windows_find_no_high(self):
+        result = self._engine().recognise(_stream(*self.EVENTS), window=4, step=2)
+        assert result.holds_for("high(a)=true").as_pairs() == []
+
+    def test_clamped_last_window_finds_no_high(self):
+        # step = window, but the last window (8, 12] is clamped to the stream
+        # end and overlaps (7, 11].
+        result = self._engine().recognise(_stream(*self.EVENTS), window=4)
+        assert result.holds_for("high(a)=true").as_pairs() == []
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="the last window (8, 12] overlaps (7, 11]"
+    )
+    def test_full_recompute_session_finds_no_high(self):
+        session = self._session(incremental=False)
+        assert session.holds_for("high(a)=true").as_pairs() == []  # is [(12, 12)]

@@ -675,30 +675,42 @@ class TestLateArrivalRepair:
 
     def test_rule_appended_after_a_repair_is_seen_by_the_next_one(self):
         # The partitionability analysis is on the correctness path of every
-        # late advance: a rule that joins unrelated vessels, appended after
-        # a first repaired advance, must send the next late arrival to the
-        # whole window instead of through a stale "shardable" verdict.
-        joining = EventDescription.from_text(
-            "initiatedAt(f(V)=true, T) :- happensAt(start(W), T), happensAt(stop(V), T)."
-        ).simple_fluents[("f", 1)].initiated_rules
+        # late advance. It once had to be recomputed when a repair appended
+        # a rule to the live description; now the append raises, and a
+        # description built with a rule that joins unrelated vessels sends
+        # every late arrival to the whole window.
+        joining = (
+            "initiatedAt(f(V)=true, T) :- happensAt(start(W), T), happensAt(stop(V), T).\n"
+        )
 
         def mutate(session, index):
-            if index == 2:
-                definition = session.engine.description.simple_fluents[("f", 1)]
-                definition.initiated_rules.extend(joining)
+            definition = session.engine.description.simple_fluents[("f", 1)]
+            with pytest.raises(AttributeError):
+                definition.initiated_rules.extend(EventDescription.from_text(joining).rules)
 
         late = [(_event(18, "stop(v1)"), True), (_event(28, "stop(v2)"), True)]
-        events = self._EVENTS + late
-        oracle = _drive(
-            _rich_engine, events, self._QUERIES, 30, incremental=False, on_slot=mutate
-        )
-        session = _drive(
-            _rich_engine, events, self._QUERIES, 30, incremental=True, on_slot=mutate
-        )
-        assert session.result.to_json() == oracle.result.to_json()
-        assert session.advances == {"full": 2, "delta": 1, "repaired": 1}
-        assert session.recomputes == {"first": 1, "unshardable": 1}
+        session = self._sessions(late, on_slot=mutate)
+        assert session.advances == {"full": 1, "delta": 1, "repaired": 2}
+        assert session.recomputes == {"first": 1}
 
+        def joined():
+            return RTECEngine(EventDescription.from_text(RICH_RULES + joining), strict=False)
+
+        args = (joined, self._EVENTS + late, self._QUERIES, 30)
+        oracle = _drive(*args, incremental=False)
+        session = _drive(*args, incremental=True)
+        assert session.result.to_json() == oracle.result.to_json()
+        assert session.advances == {"full": 3, "delta": 1}
+        assert session.recomputes == {"first": 1, "unshardable": 2}
+
+    def test_late_item_no_rule_reads_stays_on_the_delta_path(self):
+        # No rule reads noise/1 or weather/1, so what arrives of them late
+        # changes no derivation: it is buffered, and no window is recomputed.
+        delivery = (parse_term("weather(v1)=rain"), (12, 26), True)
+        session = self._sessions([(_event(15, "noise(v1)"), True)], deliveries=[delivery])
+        assert session.advances == {"full": 1, "delta": 3}
+        assert session.recomputes == {"first": 1}
+        assert session.holds_for("weather(v1)=rain")
 
 class TestGoldMaritimeDisorder:
     def test_benchmark_style_disorder_period_matches_the_oracle(self):
