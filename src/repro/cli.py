@@ -366,15 +366,11 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None,
-        help="directory for durable session checkpoints",
+        help="directory for session checkpoints (the newest two per session)",
     )
     parser.add_argument(
         "--checkpoint-every", type=_non_negative_int, default=0, metavar="WINDOWS",
         help="write a checkpoint every this many windows (0: only on demand)",
-    )
-    parser.add_argument(
-        "--checkpoint-keep", type=_positive_int, default=None, metavar="N",
-        help="keep at most N checkpoint files per session",
     )
     parser.add_argument(
         "--no-incremental", dest="incremental", action="store_false", default=True,
@@ -776,7 +772,6 @@ def _serving_config(args: argparse.Namespace):
         step=args.step,
         high_water=args.high_water,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
         incremental=args.incremental,
         certify=args.certify,
     )
@@ -858,6 +853,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     import asyncio
+    import contextlib
     import json
     import tempfile
 
@@ -891,26 +887,30 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(json.dumps({"type": "shutdown"}, separators=(",", ":")))
         return 0
     config = _serving_config(args)
-    checkpoint_dir = args.checkpoint_dir
-    if args.kill_at is not None and checkpoint_dir is None:
-        checkpoint_dir = tempfile.mkdtemp(prefix="repro-serve-ckpt-")
     if args.kill_at is not None and config.checkpoint_every <= 0:
         config.checkpoint_every = 1
+    # A kill drill's own checkpoint directory is removed on every way out.
+    directory = (
+        tempfile.TemporaryDirectory(prefix="repro-serve-ckpt-")
+        if args.kill_at is not None and args.checkpoint_dir is None
+        else contextlib.nullcontext(args.checkpoint_dir)
+    )
 
     try:
-        outcome = asyncio.run(run_replay(
-            # Worker processes are spawned: a fleet takes the portable recipe,
-            # one process the engine over the dataset already built above.
-            _gold_engine_spec(args) if args.workers > 1 else make_engine,
-            workload,
-            config,
-            workers=args.workers,
-            checkpoint_dir=checkpoint_dir,
-            kill_at=args.kill_at,
-            verify=args.verify,
-            batch_size=args.batch_size,
-            mode=args.mode,
-        ))
+        with directory as checkpoint_dir:
+            outcome = asyncio.run(run_replay(
+                # Worker processes are spawned: a fleet takes the portable
+                # recipe, one process the engine over the dataset built above.
+                _gold_engine_spec(args) if args.workers > 1 else make_engine,
+                workload,
+                config,
+                workers=args.workers,
+                checkpoint_dir=checkpoint_dir,
+                kill_at=args.kill_at,
+                verify=args.verify,
+                batch_size=args.batch_size,
+                mode=args.mode,
+            ))
     except RuntimeError as exc:  # the service refused the workload
         print("error: %s" % exc, file=sys.stderr)
         return 1

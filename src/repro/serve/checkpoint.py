@@ -29,14 +29,15 @@ plus the bookkeeping a restart needs:
 
 Files are named ``<session>-<windows:08d>.json`` and written atomically
 (temp file + rename), so the latest complete checkpoint is always loadable
-even if the process dies mid-write.
+even if the process dies mid-write; a write then deletes the session's
+files but the newest two, so a torn newest file leaves one to restore from.
 
 Bounded by omega: the window buffer, the stored input-fluent intervals, the
 carried initiations and barriers, the derivation cache, the *time* of an
 advance and, for a session, of *encoding* a checkpoint (only what the window
-added is rendered, :func:`_render_result`). Not bounded: the amalgamated
-result, hence the file's size and the time to copy and write it; and, unless
-a ``keep`` budget prunes old files, the fence's directory scan on every write.
+added is rendered, :func:`_render_result`). Bounded by a constant: the files
+a write lists and fences against, two a session. Not bounded: the amalgamated
+result, hence the file's size and the time to copy and write it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.intervals import Interval, IntervalList
 from repro.logic.parser import parse_term
@@ -208,18 +209,18 @@ def _checkpoint_name(session: str, windows: int) -> str:
     return "%s-%08d.json" % (session, windows)
 
 
-_FileIdentity = Tuple[str, int, int, int]
+_FileIdentity = Tuple[int, int, int]
 
-#: ``(directory, session)`` -> the newest checkpoint this process wrote or
-#: parsed and the lease inside it. Never trusted without comparing the
-#: identity with the file on disk (:func:`latest_lease`).
-_PARSED_LEASES: Dict[Tuple[str, str], Tuple[_FileIdentity, int]] = {}
+#: checkpoint path -> the identity of the file this process last wrote or
+#: parsed there and the lease inside it. Never trusted without comparing the
+#: identity with the file on disk (:func:`_lease_of`).
+_PARSED_LEASES: Dict[str, Tuple[_FileIdentity, int]] = {}
 
 
-def _file_identity(path: str, descriptor: int) -> _FileIdentity:
+def _file_identity(descriptor: int) -> _FileIdentity:
     """What tells one complete checkpoint file from any replacement of it."""
     status = os.fstat(descriptor)
-    return (path, status.st_ino, status.st_mtime_ns, status.st_size)
+    return (status.st_ino, status.st_mtime_ns, status.st_size)
 
 
 def write_checkpoint(
@@ -230,28 +231,29 @@ def write_checkpoint(
     applied: int,
     windows: int,
     description_digest: str,
-    keep: Optional[int] = None,
     owner: Optional[str] = None,
     lease: Optional[int] = None,
     sealed: Optional[SealedText] = None,
 ) -> str:
     """Write one checkpoint atomically; returns the file path.
 
-    ``keep``, when given, prunes all but the newest ``keep`` checkpoints of
-    the session after a successful write.
+    The directory is listed once; after the write, the session's listed
+    files but the newest two (by sequence number, the new file counted) are
+    deleted. A file landed meanwhile, or any ``.tmp`` file, is never listed.
 
-    ``lease``, when given, enables write fencing: if the newest on-disk
-    checkpoint of the session carries a strictly greater lease, the session
-    has been handed to a new owner and this (stale) writer is refused with
-    :class:`CheckpointError`. ``owner`` labels the file with the writing
+    ``lease``, when given, enables write fencing: if any listed checkpoint
+    of the session, newest or not, carries a strictly greater lease, the
+    session has been handed to a new owner and this (stale) writer is refused
+    with :class:`CheckpointError`. ``owner`` labels the file with the writing
     worker for diagnostics; neither field changes the snapshot payload.
 
     ``sealed`` is the session's encoder state (:func:`_render_result`); it
     changes what a write costs, never a byte of the file.
     """
     os.makedirs(directory, exist_ok=True)
+    listed = list_checkpoints(directory, session)
     if lease is not None:
-        current = latest_lease(directory, session)
+        current = max((_lease_of(other) for _windows, other in listed), default=0)
         if current > lease:
             raise CheckpointError(
                 "fenced: checkpoint %s lease %d is stale (disk lease is %d)"
@@ -288,7 +290,7 @@ def write_checkpoint(
             # Taken from the descriptor, before the rename: a stat of ``path``
             # after it could see another owner's replacement of the file and
             # pin this writer's lease to it.
-            identity = _file_identity(path, stream.fileno())
+            identity = _file_identity(stream.fileno())
         os.replace(temp_path, path)
     except OSError as exc:
         try:
@@ -296,68 +298,68 @@ def write_checkpoint(
         except OSError:
             pass
         raise CheckpointError("cannot write checkpoint %s: %s" % (path, exc))
-    _PARSED_LEASES[(directory, session)] = (identity, lease or 0)
-    if keep is not None and keep > 0:
-        for _windows, stale in list_checkpoints(directory, session)[:-keep]:
+    _PARSED_LEASES[path] = (identity, lease or 0)
+    # Pruned after the write: until the new file is in place, a restart
+    # falls back to the listed ones.
+    kept = sorted(set(listed) | {(windows, path)})[-2:]
+    for entry in listed:
+        if entry not in kept:
+            _PARSED_LEASES.pop(entry[1], None)
             try:
-                os.unlink(stale)
+                os.unlink(entry[1])
             except OSError:
                 pass
     return path
 
 
-def _sequences(directory: str, session: str) -> Iterator[Tuple[int, str]]:
-    """``(sequence number, file name)`` of every complete checkpoint of ``session``."""
+def list_checkpoints(directory: str, session: str) -> List[Tuple[int, str]]:
+    """``(sequence number, path)`` of every complete checkpoint of ``session``, oldest first."""
     prefix = session + "-"
     try:
         entries = os.listdir(directory)
     except OSError:
-        return
+        return []
+    found = []
     for entry in entries:
         if entry.startswith(prefix) and entry.endswith(".json"):
             sequence = entry[len(prefix) : -len(".json")]
             if sequence.isdigit():
-                yield int(sequence), entry
-
-
-def list_checkpoints(directory: str, session: str) -> List[Tuple[int, str]]:
-    """All complete checkpoints of ``session``, oldest first."""
-    found = _sequences(directory, session)
-    return sorted((number, os.path.join(directory, entry)) for number, entry in found)
+                found.append((int(sequence), os.path.join(directory, entry)))
+    return sorted(found)
 
 
 def latest_checkpoint(directory: str, session: str) -> Optional[str]:
-    """Path of the newest complete checkpoint of ``session``, if any.
-
-    One pass, no path joined, nothing sorted: the fence runs it on every write.
-    """
-    newest = max(_sequences(directory, session), default=None)
-    return None if newest is None else os.path.join(directory, newest[1])
+    """Path of the newest complete checkpoint of ``session``, if any."""
+    found = list_checkpoints(directory, session)
+    return found[-1][1] if found else None
 
 
 def latest_lease(directory: str, session: str) -> int:
-    """The fencing lease of the newest checkpoint of ``session`` (0 if none).
+    """The fencing lease of the newest checkpoint of ``session`` (0 if none)."""
+    path = latest_checkpoint(directory, session)
+    return 0 if path is None else _lease_of(path)
+
+
+def _lease_of(path: str) -> int:
+    """The lease inside the checkpoint at ``path``.
 
     Unreadable files count as lease 0 rather than an error: fencing guards
     against a *newer* owner, and a torn or missing file cannot prove one.
-    The directory is listed and the newest file ``fstat``-ed on every call;
-    only the JSON parse is skipped, when that file is the very one this
-    process last wrote or parsed for the session.
+    The file is opened and ``fstat``-ed on every call; only the JSON parse
+    is skipped, when it is the very file this process last wrote or parsed
+    at ``path``.
     """
-    path = latest_checkpoint(directory, session)
-    if path is None:
-        return 0
     try:
         with open(path) as stream:
-            identity = _file_identity(path, stream.fileno())
-            known = _PARSED_LEASES.get((directory, session))
+            identity = _file_identity(stream.fileno())
+            known = _PARSED_LEASES.get(path)
             if known is not None and known[0] == identity:
                 return known[1]
             payload = json.load(stream)
         lease = int(payload.get("lease", 0)) if isinstance(payload, dict) else 0
     except (OSError, TypeError, ValueError):
         return 0
-    _PARSED_LEASES[(directory, session)] = (identity, lease)
+    _PARSED_LEASES[path] = (identity, lease)
     return lease
 
 

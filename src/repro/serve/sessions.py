@@ -66,8 +66,6 @@ class SessionConfig:
     high_water: int = 8192
     #: Write a checkpoint every this many windows (0: only on demand).
     checkpoint_every: int = 0
-    #: Keep at most this many checkpoint files per session (None: all).
-    checkpoint_keep: Optional[int] = None
     #: Incremental (delta) window evaluation (``RTECSession(incremental=)``).
     #: Off forces full-window recomputation on every advance (the oracle).
     incremental: bool = True
@@ -437,7 +435,6 @@ class ManagedSession:
                     applied=applied,
                     windows=windows,
                     description_digest=self.description_digest,
-                    keep=self.config.checkpoint_keep,
                     owner=self.owner,
                     lease=self.lease,
                     sealed=self._sealed,

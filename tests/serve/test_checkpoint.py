@@ -11,6 +11,7 @@ from repro.logic.parser import parse_term
 from repro.rtec import Event, EventDescription, RTECEngine
 from repro.rtec.session import RTECSession
 from repro.serve.checkpoint import (
+    _PARSED_LEASES,
     CHECKPOINT_VERSION,
     CheckpointError,
     description_hash,
@@ -145,17 +146,9 @@ class TestCheckpointFiles:
         assert snapshot_to_dict(load_checkpoint(path).snapshot) == payload["snapshot"]
 
     def test_listing_is_ordered_and_per_session(self, tmp_path):
-        session = _session_with_state()
-        digest = description_hash(session.engine.description)
-        for windows in (3, 1, 2):
-            write_checkpoint(
-                str(tmp_path), "s0", session.snapshot(),
-                applied=windows, windows=windows, description_digest=digest,
-            )
-        write_checkpoint(
-            str(tmp_path), "other", session.snapshot(),
-            applied=9, windows=9, description_digest=digest,
-        )
+        for name in ("s0-00000003.json", "s0-00000001.json", "s0-00000002.json",
+                     "other-00000009.json"):
+            (tmp_path / name).write_text("{}")
         listed = list_checkpoints(str(tmp_path), "s0")
         assert [windows for windows, _path in listed] == [1, 2, 3]
         assert latest_checkpoint(str(tmp_path), "s0") == listed[-1][1]
@@ -167,9 +160,45 @@ class TestCheckpointFiles:
             write_checkpoint(
                 str(tmp_path), "s0", session.snapshot(),
                 applied=windows, windows=windows, description_digest=digest,
-                keep=2,
             )
         assert [w for w, _ in list_checkpoints(str(tmp_path), "s0")] == [3, 4]
+
+    def test_a_write_deletes_only_what_it_listed(self, tmp_path, monkeypatch):
+        # Another writer lands s0-00000009.json while this one is between its
+        # listing and its rename; a live writer's temp file sits beside them.
+        # Neither is deleted, though both are older or not a checkpoint at all.
+        session = _session_with_state()
+        digest = description_hash(session.engine.description)
+        for windows in (1, 2):
+            write_checkpoint(
+                str(tmp_path), "s0", session.snapshot(),
+                applied=windows, windows=windows, description_digest=digest,
+            )
+        (tmp_path / ".s0-live.tmp").write_text("{")
+        (tmp_path / "s1-00000001.json").write_text("{}")
+        fsync = os.fsync
+
+        def landing(descriptor):
+            (tmp_path / "s0-00000009.json").write_text("{}")
+            fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", landing)
+        write_checkpoint(
+            str(tmp_path), "s0", session.snapshot(),
+            applied=3, windows=3, description_digest=digest,
+        )
+        assert sorted(os.listdir(tmp_path)) == [
+            ".s0-live.tmp", "s0-00000002.json", "s0-00000003.json",
+            "s0-00000009.json", "s1-00000001.json",
+        ]
+        monkeypatch.setattr(os, "fsync", fsync)
+        write_checkpoint(
+            str(tmp_path), "s0", session.snapshot(),
+            applied=4, windows=4, description_digest=digest,
+        )
+        assert [w for w, _ in list_checkpoints(str(tmp_path), "s0")] == [4, 9]
+        assert (tmp_path / ".s0-live.tmp").exists()
+        assert (tmp_path / "s1-00000001.json").exists()
 
     def test_load_rejects_other_versions(self, tmp_path):
         path = tmp_path / "s0-00000001.json"
@@ -402,6 +431,29 @@ class TestOwnershipAndLeases:
         assert latest_lease(str(directory), "s0") == 1
         assert latest_lease(str(directory), "s0") == 1
         assert parses == [str(directory / "s0-00000004.json")]
+
+    def test_a_zombie_two_checkpoints_ahead_is_fenced(self, tmp_path):
+        # The old owner wrote windows 5 and 10; the new owner restored from 5
+        # and writes window 7 under lease 2. The newest file by sequence
+        # number still carries lease 1, but the zombie must not get past the
+        # new owner's file: its write would be what a restore picks, and its
+        # prune would delete the new owner's checkpoint.
+        self._write(tmp_path, 5, owner="w0", lease=1)
+        self._write(tmp_path, 10, owner="w0", lease=1)
+        self._write(tmp_path, 7, owner="w1", lease=2)
+        with pytest.raises(CheckpointError, match="fenced: .* lease 1 is stale .*is 2"):
+            self._write(tmp_path, 15, owner="w0", lease=1)
+        listed = list_checkpoints(str(tmp_path), "s0")
+        assert [windows for windows, _path in listed] == [7, 10]
+        assert load_checkpoint(listed[0][1]).lease == 2
+
+    def test_a_pruned_file_is_forgotten(self, tmp_path):
+        for windows in (1, 2, 3):
+            self._write(tmp_path, windows, owner="w0", lease=1)
+        remembered = {path for path in _PARSED_LEASES if path.startswith(str(tmp_path))}
+        assert remembered == {
+            str(tmp_path / "s0-00000002.json"), str(tmp_path / "s0-00000003.json")
+        }
 
     @pytest.mark.parametrize("windows", [1, 2])
     def test_new_owner_fences_a_writer_that_remembers_its_own_file(self, tmp_path, windows):

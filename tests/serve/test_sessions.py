@@ -375,6 +375,56 @@ class TestWorker:
             self._restore(str(tmp_path), engine=_leaky_engine())
 
 
+class TestBoundedCheckpointDirectory:
+    """A session keeps its newest two checkpoint files, however long it runs."""
+
+    OTHERS = ["t-00000001.json", "t-00000002.json", "t-00000003.json", ".t-live.tmp"]
+
+    def _ten_windows(self, directory):
+        async def life():
+            manager = SessionManager(checkpoint_dir=directory)
+            managed = manager.add_session(
+                "s", _engine(), SessionConfig(window=20, step=10, checkpoint_every=1)
+            )
+            manager.start()
+            managed.offer_events(
+                [(5 + 10 * k, ("start(v1)", "stop(v1)")[k % 2]) for k in range(10)]
+            )
+            await managed.query(at=100)
+            status = managed.status()
+            await manager.kill()
+            return status
+
+        return _run(life())
+
+    def test_ten_windows_leave_the_newest_two_files(self, tmp_path):
+        for name in self.OTHERS:
+            (tmp_path / name).write_text("{}")
+        status = self._ten_windows(str(tmp_path))
+        assert (status["windows"], status["checkpoints"]) == (10, 10)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["s-00000009.json", "s-00000010.json"] + self.OTHERS
+        )
+        assert all((tmp_path / name).read_text() == "{}" for name in self.OTHERS)
+
+    def test_a_torn_newest_file_restores_from_the_other(self, tmp_path):
+        self._ten_windows(str(tmp_path))
+        (tmp_path / "s-00000010.json").write_text("{ torn")
+
+        async def second_life():
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            managed = manager.add_session(
+                "s", _engine(), SessionConfig(window=20, step=10), restore=True
+            )
+            status = managed.status()
+            await manager.kill()
+            return status
+
+        status = _run(second_life())
+        assert status["restore_skipped"] == ["s-00000010.json"]
+        assert (status["windows"], status["applied"]) == (9, 9)
+
+
 LEAKY_RULES = """
 initiatedAt(hot(V)=true, T) :- happensAt(start(V), T).
 """

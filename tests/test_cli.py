@@ -51,7 +51,7 @@ class TestSizesAndCountsMustBePositive:
             # every event was rejected and retried forever
             (["replay", "--gold", "fleet", "--limit", "200", "--high-water", "0"], "--high-water"),
             (["serve", "--high-water", "-1"], "--high-water"),
-            (["serve", "--checkpoint-keep", "0"], "--checkpoint-keep"),
+            (["replay", "--checkpoint-every", "-1"], "--checkpoint-every"),
             (["serve", "--checkpoint-every", "-1"], "--checkpoint-every"),
             (["replay", "--kill-at", "1.5"], "--kill-at"),
             (["replay", "--kill-at", "-0.5"], "--kill-at"),
@@ -76,6 +76,14 @@ class TestSizesAndCountsMustBePositive:
             main(["recognise", "--optimise"])
         assert raised.value.code == 2
         assert "unrecognized arguments: --optimise" in capsys.readouterr().err
+
+    def test_the_checkpoint_keep_flag_is_gone(self, capsys):
+        # Every session keeps its newest two checkpoint files; nothing to set.
+        for command in ("serve", "replay"):
+            with pytest.raises(SystemExit) as raised:
+                main([command, "--checkpoint-keep", "3"])
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --checkpoint-keep 3" in capsys.readouterr().err
 
     def test_the_jobs_flag_is_gone(self, capsys):
         for command in ("recognise", "profile"):
@@ -175,6 +183,22 @@ class TestReplay:
         assert done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: ") and "batch-too-large" in done.stderr
+
+    @pytest.mark.parametrize(
+        "extra, status",
+        [([], 0), (["--high-water", "2", "--batch-size", "50"], 1)],
+        ids=["verified", "refused"],
+    )
+    def test_a_kill_drill_removes_its_checkpoint_directory(
+        self, tmp_path, monkeypatch, extra, status
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        argv = ["replay", "--gold", "fleet", "--sessions", "2", "--repeat", "3",
+                "--limit", "200", "--checkpoint-every", "2", "--kill-at", "0.6", "--verify"]
+        assert main(argv + extra) == status
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("repro-serve-ckpt-")] == []
 
 
 class TestLint:
