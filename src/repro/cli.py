@@ -526,28 +526,21 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.rtec.session import RTECSession
+    from repro.serve.replay import drive_reference_session
 
     dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
     engine = RTECEngine(gold_event_description(), dataset.kb, dataset.vocabulary)
     with telemetry.enabled() as tracer:
         if args.session:
-            session = RTECSession(engine, window=args.window)
-            for pair, intervals in dataset.input_fluents.items():
-                session.submit_fluent(pair, intervals)
-            events = list(dataset.stream)
-            step = args.step if args.step is not None else args.window
-            end = dataset.stream.max_time or 0
-            query_time = min((dataset.stream.min_time or 0) - 1 + step, end)
-            cursor = 0
-            while True:
-                while cursor < len(events) and events[cursor].time <= query_time:
-                    session.submit([events[cursor]])
-                    cursor += 1
-                session.advance(query_time)
-                if query_time >= end:
-                    break
-                query_time = min(query_time + step, end)
+            # The served schedule: the session's own step grid.
+            drive_reference_session(
+                engine,
+                list(dataset.stream),
+                dataset.input_fluents,
+                args.window,
+                args.step,
+                incremental=True,
+            )
         else:
             engine.recognise(
                 dataset.stream,
@@ -920,7 +913,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "sessions": len(workload.sessions),
         "events": len(workload.events),
         "window": config.window,
-        "step": config.resolved_step(),
+        "step": config.step or config.window,
         "mode": args.mode,
         "workers": args.workers,
         "events_sent": report.events_sent,

@@ -44,8 +44,8 @@ class SessionSnapshot:
     Everything a restarted session needs to continue exactly where the
     original left off: the retained event buffer, the retained input-fluent
     intervals, the open initiations carried between windows, the
-    amalgamated result, and the query-time cursor. Produced by
-    :meth:`RTECSession.snapshot` and consumed by
+    amalgamated result, the last query time and the next step-grid point.
+    Produced by :meth:`RTECSession.snapshot` and consumed by
     :meth:`RTECSession.restore` / :meth:`RTECSession.from_snapshot`; the
     checkpoint layer (:mod:`repro.serve.checkpoint`) serializes it to JSON.
     """
@@ -60,7 +60,9 @@ class SessionSnapshot:
     barriers: Dict[Term, int] = field(default_factory=dict)
     result: RecognitionResult = field(default_factory=RecognitionResult)
     last_query: Optional[int] = None
-    first_advance: bool = True
+    #: The first step-grid point not yet advanced to (:meth:`RTECSession.due`);
+    #: ``None`` until an input fixes the grid.
+    next_query: Optional[int] = None
     #: Derivation cache for incremental (delta) advances: every derived
     #: FVP's maximal intervals within the retained window, as of the last
     #: advance. ``None`` means no cache is available (a fresh session, the
@@ -132,6 +134,8 @@ class RTECSession:
         are considered and everything older is forgotten — events received
         with a timestamp at or before ``q - omega`` are dropped
         (:meth:`submit` returns how many it accepted).
+    step:
+        The cadence of :meth:`due`'s query times (default: ``window``).
     incremental:
         When true (the default), an advance consumes only the *delta* —
         the events newer than the previous query time — and repairs the
@@ -159,12 +163,17 @@ class RTECSession:
         self,
         engine: RTECEngine,
         window: int,
+        step: Optional[int] = None,
         incremental: bool = True,
     ) -> None:
         if window <= 0:
             raise ValueError("window size must be positive")
+        step = window if step is None else step
+        if step <= 0:
+            raise ValueError("step must be positive")
         self.engine = engine
         self.window = window
+        self.step = step
         self.incremental = incremental
         #: Retained events, kept as a sorted, indexed stream so window and
         #: delta evaluation slice it instead of filtering object lists.
@@ -177,7 +186,7 @@ class RTECSession:
         self._barriers: Dict[Term, int] = {}
         self._result = RecognitionResult()
         self._last_query: Optional[int] = None
-        self._first_advance = True
+        self._next_query: Optional[int] = None
         #: See :class:`SessionSnapshot.derived_cache`.
         self._derived_cache: Optional[Dict[Term, IntervalList]] = None
         #: Entity tuples of the input that arrived at or before the last
@@ -217,8 +226,11 @@ class RTECSession:
         """Deliver (additional) maximal intervals of an input fluent.
 
         Like :meth:`submit`, portions at or before the current window lower
-        bound are already forgotten and are dropped on arrival.
+        bound are already forgotten and are dropped on arrival. The first
+        input fixes the step grid (:meth:`due`), a delivery by its first point.
         """
+        if self._next_query is None and intervals:
+            self._next_query = self._grid_after(intervals.span[0])
         if self._last_query is not None:
             intervals = self._clip_forgotten(intervals, self._last_query - self.window)
             if not intervals:
@@ -252,6 +264,20 @@ class RTECSession:
 
     # -- reasoning --------------------------------------------------------------
 
+    def _grid_after(self, time: int) -> int:
+        """The first step-grid point strictly after ``time``."""
+        return (time // self.step + 1) * self.step
+
+    def due(self, time: int) -> Optional[int]:
+        """The first step-grid point before ``time`` not yet advanced to, or
+        ``None``: ``while (q := session.due(t)) is not None: session.advance(q)``
+        walks RTEC's query times Q_i = Q_{i-1} + step up to ``t``. Points are
+        multiples of ``step``; the first input (``time`` itself, if none came
+        before) fixes the first point after it. Snapshots carry the grid."""
+        if self._next_query is None:
+            self._next_query = self._grid_after(time)
+        return self._next_query if self._next_query < time else None
+
     def advance(self, query_time: int) -> RecognitionResult:
         """Run recognition at ``query_time`` and return the amalgamated result.
 
@@ -274,7 +300,7 @@ class RTECSession:
         with telemetry.span("rtec.advance", query_time=query_time) as sp:
             horizon = query_time - self.window
             window_start = horizon
-            if self._first_advance and self.engine.description.initial_fvps:
+            if self._last_query is None and self.engine.description.initial_fvps:
                 # initially/1 declarations are evaluated from the time origin;
                 # the extension must happen before the buffer is filtered, or
                 # events in the extended part of the first window are lost.
@@ -291,8 +317,9 @@ class RTECSession:
             if reason is not None:
                 self.recomputes[reason] += 1
             self._late = []
-            self._first_advance = False
             self._last_query = query_time
+            if self._next_query is None or self._next_query <= query_time:
+                self._next_query = self._grid_after(query_time)
             # Forget: drop events, input-fluent points and cached derivation
             # points that no future window can reach, bounding session
             # memory by omega.
@@ -406,7 +433,7 @@ class RTECSession:
                 self._result,
                 pending=unit.pending,
                 barriers=unit.barriers,
-                include_initially=self._first_advance,
+                include_initially=self._last_query is None,
                 merge_from=merge_from,
                 cache=unit.cache,
             )
@@ -525,7 +552,7 @@ class RTECSession:
             barriers=dict(self._barriers),
             result=RecognitionResult(dict(self._result.items())),
             last_query=self._last_query,
-            first_advance=self._first_advance,
+            next_query=self._next_query,
             derived_cache=(
                 dict(self._derived_cache)
                 if self._derived_cache is not None
@@ -553,7 +580,7 @@ class RTECSession:
         self._barriers = dict(snapshot.barriers)
         self._result = RecognitionResult(dict(snapshot.result.items()))
         self._last_query = snapshot.last_query
-        self._first_advance = snapshot.first_advance
+        self._next_query = snapshot.next_query
         self._late = []
         self._derived_cache = (
             dict(snapshot.derived_cache)
@@ -597,6 +624,11 @@ class RTECSession:
     @property
     def last_query_time(self) -> Optional[int]:
         return self._last_query
+
+    @property
+    def next_query(self) -> Optional[int]:
+        """The first step-grid point not yet advanced to (see :meth:`due`)."""
+        return self._next_query
 
     def holds_for(self, pair: "Term | str") -> IntervalList:
         return self._result.holds_for(pair)

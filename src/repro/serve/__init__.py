@@ -39,7 +39,6 @@ from repro.serve.loadgen import (
     LoadReport,
     ServiceClient,
     Workload,
-    build_soak_workload,
     build_workload,
     run_ingest,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SessionManager",
     "Workload",
     "applied_event_offsets",
-    "build_soak_workload",
     "build_workload",
     "decode_line",
     "description_hash",

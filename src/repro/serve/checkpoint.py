@@ -3,9 +3,10 @@
 A checkpoint is one JSON file holding a :class:`~repro.rtec.session.SessionSnapshot`
 plus the bookkeeping a restart needs:
 
-* ``version`` — the checkpoint format version (currently 2, which added
-  the delta derivation cache and staleness flag of incremental window
-  evaluation); a file of any other version is refused;
+* ``version`` — the checkpoint format version (currently 3: the snapshot
+  carries the session's next step-grid point, ``next_query``, so a restore
+  continues the grid even before the first advance); a file of any other
+  version is refused;
 * ``session`` — the session name;
 * ``windows`` — how many windows the session had advanced (also the file's
   monotonically increasing sequence number);
@@ -47,7 +48,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.intervals import Interval, IntervalList
 from repro.logic.parser import parse_term
@@ -66,6 +67,7 @@ __all__ = [
     "description_hash",
     "latest_checkpoint",
     "latest_lease",
+    "lease_of",
     "list_checkpoints",
     "load_checkpoint",
     "snapshot_from_dict",
@@ -73,7 +75,7 @@ __all__ = [
     "write_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -123,54 +125,40 @@ def snapshot_to_dict(snapshot: SessionSnapshot) -> Dict[str, object]:
         "barriers": dict(sorted_by_text(snapshot.barriers)),
         "result": snapshot.result.to_dict(),
         "last_query": snapshot.last_query,
-        "first_advance": snapshot.first_advance,
+        "next_query": snapshot.next_query,
         "cache": None if snapshot.derived_cache is None else pairs(snapshot.derived_cache),
         "stale": snapshot.stale,
     }
 
 
-def snapshot_from_dict(data: Dict[str, object]) -> SessionSnapshot:
-    buffer = [
-        Event(int(time), parse_term(text)) for time, text in data.get("buffer", [])  # type: ignore[union-attr]
-    ]
-    fluent_intervals: Dict[Term, IntervalList] = {}
-    for text, pairs in dict(data.get("fluents", {})).items():  # type: ignore[arg-type]
-        fluent_intervals[parse_term(text)] = IntervalList(
-            (int(start), int(end)) for start, end in pairs
-        )
-    pending = {
-        parse_term(text): int(started)
-        for text, started in dict(data.get("pending", {})).items()  # type: ignore[arg-type]
-    }
-    # "barriers" is absent in checkpoints written before deadline barriers
-    # existed; such sessions simply restore without them.
-    barriers = {
-        parse_term(text): int(barrier)
-        for text, barrier in dict(data.get("barriers", {})).items()  # type: ignore[arg-type]
-    }
-    last_query = data.get("last_query")
-    # A non-incremental session keeps no derivation cache: the restored
-    # session's first advance recomputes the full window, which builds one.
-    raw_cache = data.get("cache")
-    derived_cache: Optional[Dict[Term, IntervalList]] = None
-    if raw_cache is not None:
-        derived_cache = {
-            parse_term(text): IntervalList(
-                (int(start), int(end)) for start, end in pairs
-            )
-            for text, pairs in dict(raw_cache).items()  # type: ignore[arg-type]
+def snapshot_from_dict(data: Dict[str, Any]) -> SessionSnapshot:
+    """The inverse of :func:`snapshot_to_dict`."""
+
+    def intervals(mapping: Dict[str, List[List[int]]]) -> Dict[Term, IntervalList]:
+        return {
+            parse_term(text): IntervalList((int(start), int(end)) for start, end in pairs)
+            for text, pairs in mapping.items()
         }
+
+    def points(mapping: Dict[str, int]) -> Dict[Term, int]:
+        return {parse_term(text): int(time) for text, time in mapping.items()}
+
+    def time(value: Optional[int]) -> Optional[int]:
+        return None if value is None else int(value)
+
     return SessionSnapshot(
-        window=int(data["window"]),  # type: ignore[arg-type]
-        buffer=buffer,
-        fluent_intervals=fluent_intervals,
-        pending=pending,
-        barriers=barriers,
-        result=RecognitionResult.from_dict(data.get("result", {})),  # type: ignore[arg-type]
-        last_query=None if last_query is None else int(last_query),  # type: ignore[arg-type]
-        first_advance=bool(data.get("first_advance", False)),
-        derived_cache=derived_cache,
-        stale=bool(data.get("stale", False)),
+        window=int(data["window"]),
+        buffer=[Event(int(at), parse_term(text)) for at, text in data["buffer"]],
+        fluent_intervals=intervals(data["fluents"]),
+        pending=points(data["pending"]),
+        barriers=points(data["barriers"]),
+        result=RecognitionResult.from_dict(data["result"]),
+        last_query=time(data["last_query"]),
+        next_query=time(data["next_query"]),
+        # A non-incremental session keeps no derivation cache: the restored
+        # session's first advance recomputes the full window, which builds one.
+        derived_cache=None if data["cache"] is None else intervals(data["cache"]),
+        stale=bool(data["stale"]),
     )
 
 
@@ -213,7 +201,7 @@ _FileIdentity = Tuple[int, int, int]
 
 #: checkpoint path -> the identity of the file this process last wrote or
 #: parsed there and the lease inside it. Never trusted without comparing the
-#: identity with the file on disk (:func:`_lease_of`).
+#: identity with the file on disk (:func:`lease_of`).
 _PARSED_LEASES: Dict[str, Tuple[_FileIdentity, int]] = {}
 
 
@@ -253,7 +241,7 @@ def write_checkpoint(
     os.makedirs(directory, exist_ok=True)
     listed = list_checkpoints(directory, session)
     if lease is not None:
-        current = max((_lease_of(other) for _windows, other in listed), default=0)
+        current = max((lease_of(other) for _windows, other in listed), default=0)
         if current > lease:
             raise CheckpointError(
                 "fenced: checkpoint %s lease %d is stale (disk lease is %d)"
@@ -337,10 +325,10 @@ def latest_checkpoint(directory: str, session: str) -> Optional[str]:
 def latest_lease(directory: str, session: str) -> int:
     """The fencing lease of the newest checkpoint of ``session`` (0 if none)."""
     path = latest_checkpoint(directory, session)
-    return 0 if path is None else _lease_of(path)
+    return 0 if path is None else lease_of(path)
 
 
-def _lease_of(path: str) -> int:
+def lease_of(path: str) -> int:
     """The lease inside the checkpoint at ``path``.
 
     Unreadable files count as lease 0 rather than an error: fencing guards

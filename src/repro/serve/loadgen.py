@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -43,7 +42,6 @@ from repro.rtec.stream import EventStream, InputFluents, partition_input
 
 __all__ = [
     "Workload",
-    "build_soak_workload",
     "build_workload",
     "ServiceClient",
     "LoadReport",
@@ -162,50 +160,6 @@ def build_workload(
         events=routed_events,
         end_time=end_time,
     )
-
-
-def build_soak_workload(
-    sessions: int,
-    events_per_session: int = 64,
-    entities_per_session: int = 4,
-    step: int = 60,
-    seed: int = 0,
-    session_prefix: str = "soak",
-) -> Workload:
-    """A synthetic fleet-scale workload over the cluster soak rules.
-
-    Each session hosts ``entities_per_session`` independent entity state
-    machines driven by ``start``/``spike``/``stop`` events (the vocabulary
-    of :data:`repro.serve.cluster.engines.SOAK_RULES`) with pseudo-random
-    but seed-deterministic timestamps on one shared timeline, so the
-    events of all sessions interleave in global time order exactly like a
-    real multi-tenant stream. The per-event recognition cost is tiny by
-    construction — a soak run measures the serving fabric (routing,
-    queues, checkpoints) rather than rule evaluation.
-
-    Memory is O(total events); a millions-of-sessions soak is reached by
-    pumping this workload repeatedly with fresh ``session_prefix`` ranges,
-    each hosted before it is pumped, not by materializing one giant list.
-    """
-    if sessions < 1:
-        raise ValueError("sessions must be >= 1")
-    if events_per_session < 1:
-        raise ValueError("events_per_session must be >= 1")
-    rng = random.Random(seed)
-    names = ["%s%d" % (session_prefix, index) for index in range(sessions)]
-    cycle = ("start", "spike", "stop")
-    tagged: List[Tuple[int, str, str]] = []
-    for name in names:
-        time = 0
-        for count in range(events_per_session):
-            time += rng.randrange(1, step)
-            entity = "e%d" % (count % entities_per_session)
-            kind = cycle[(count // entities_per_session) % len(cycle)]
-            tagged.append((time, name, "%s(%s)" % (kind, entity)))
-    tagged.sort()
-    events = [(name, time, term) for time, name, term in tagged]
-    end_time = max(time for time, _name, _term in tagged)
-    return Workload(sessions=names, fluents=[], events=events, end_time=end_time)
 
 
 class ServiceClient:

@@ -15,10 +15,10 @@ single-process served run and against directly driven
 :class:`~repro.rtec.session.RTECSession` runs — the repo's strongest
 end-to-end statement of the checkpoint/restore guarantee.
 
-:func:`drive_reference_session` implements exactly the advance policy of
-the service worker (step-grid boundaries crossed by event time, then a
-grid-walked final query), so the reference run and the served runs share
-one window schedule by construction.
+:func:`drive_reference_session` walks the same step grid as the service
+worker (:meth:`~repro.rtec.session.RTECSession.due`: the points crossed by
+event time, then those before the final query), so the reference run and the
+served runs share one window schedule by construction.
 """
 
 from __future__ import annotations
@@ -302,7 +302,6 @@ def reference_merged(
 ) -> RecognitionResult:
     """Drive every session directly (no service) and union the detections."""
     merged = RecognitionResult()
-    step = config.resolved_step()
     for name in workload.sessions:
         fluents = InputFluents()
         for fname, fvp, pairs in workload.fluents:
@@ -321,7 +320,7 @@ def reference_merged(
             events,
             fluents,
             config.window,
-            step,
+            config.step,
             end=workload.end_time,
         )
         for pair, intervals in result.items():
@@ -334,46 +333,34 @@ def drive_reference_session(
     events: "List[Event]",
     input_fluents: Optional[InputFluents],
     window: int,
-    step: int,
+    step: Optional[int],
     end: Optional[int] = None,
     incremental: bool = False,
 ) -> RecognitionResult:
     """An uninterrupted :class:`RTECSession` run under the service's policy.
 
     Same cadence as the session worker: fluents first, then events in
-    time order with advances at every step-grid boundary their timestamps
+    time order with advances at every step-grid point their timestamps
     cross, then a grid-walked final advance to ``end`` (default: the last
     event time). The serving tests compare served output against this.
     ``incremental`` defaults to off — the reference is the full-window
     recomputation oracle, so comparing a served (incremental) run against
     it is also a cross-mode equality check of the delta evaluation.
     """
-    session = RTECSession(engine, window, incremental=incremental)
-    next_query: Optional[int] = None
-
-    def grid_after(time: int) -> int:
-        return (time // step + 1) * step
-
+    session = RTECSession(engine, window, step, incremental=incremental)
     if input_fluents is not None:
         for pair, intervals in input_fluents.items():
             session.submit_fluent(pair, intervals)
-            if next_query is None and intervals:
-                next_query = grid_after(intervals.span[0])
     last_time: Optional[int] = None
     for event in events:
-        if next_query is None:
-            next_query = grid_after(event.time)
-        while event.time > next_query:
-            session.advance(next_query)
-            next_query += step
+        while (due := session.due(event.time)) is not None:
+            session.advance(due)
         session.submit((event,))
         last_time = event.time if last_time is None else max(last_time, event.time)
     if end is None:
         end = last_time if last_time is not None else 0
-    if next_query is not None:
-        while next_query < end:
-            session.advance(next_query)
-            next_query += step
+    while (due := session.due(end)) is not None:
+        session.advance(due)
     if session.last_query_time is None or end > session.last_query_time:
         session.advance(end)
     return session.result

@@ -17,7 +17,9 @@ exercises exactly the code paths of a long-lived TCP deployment.
 from __future__ import annotations
 
 import asyncio
+import os
 import signal
+import stat
 import sys
 from typing import Any, Dict, Optional, Set
 
@@ -75,17 +77,25 @@ class RecognitionServer:
         await self.stop()
 
     async def serve_stdio(self) -> None:
-        """Serve one implicit connection on stdin/stdout until EOF or shutdown."""
+        """Serve one implicit connection on stdin/stdout until EOF or shutdown.
+
+        A regular file or ``/dev/null``, which the loop cannot poll, is read
+        or written with blocking calls (:class:`_ReadyFile`)."""
         self.manager.start()
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(limit=_LINE_LIMIT)
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-        )
-        transport, protocol = await loop.connect_write_pipe(
-            asyncio.streams.FlowControlMixin, sys.stdout
-        )
-        writer = asyncio.StreamWriter(transport, protocol, None, loop)
+        reader: Any = asyncio.StreamReader(limit=_LINE_LIMIT)
+        if _pollable(sys.stdin):
+            await loop.connect_read_pipe(
+                lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
+            )
+        else:
+            reader = _ReadyFile(sys.stdin)
+        writer: Any = _ReadyFile(sys.stdout)
+        if _pollable(sys.stdout):
+            transport, protocol = await loop.connect_write_pipe(
+                asyncio.streams.FlowControlMixin, sys.stdout
+            )
+            writer = asyncio.StreamWriter(transport, protocol, None, loop)
         connection = asyncio.ensure_future(self.handle_connection(reader, writer))
         shutdown = asyncio.ensure_future(self.shutdown_requested.wait())
         # A signal must not wait for stdin EOF: race the connection against
@@ -282,3 +292,36 @@ class RecognitionServer:
             self.shutdown_requested.set()
             return ok_response(type="shutdown")
         raise ProtocolError("bad-request", "unknown message type %r" % kind)
+
+
+def _pollable(stream: Any) -> bool:
+    """Whether the event loop can wait on ``stream``'s descriptor."""
+    mode = os.fstat(stream.fileno()).st_mode
+    return stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or stream.isatty()
+
+
+class _ReadyFile:
+    """A regular file or ``/dev/null`` as the stdio connection's reader or
+    writer: it never waits on a peer, so a blocking call returns at once."""
+
+    def __init__(self, stream: Any) -> None:
+        self._fd = stream.fileno()
+        self.transport = self  # for get_write_buffer_size
+
+    async def read(self, size: int) -> bytes:
+        await asyncio.sleep(0)  # let the session workers drain between chunks
+        return os.read(self._fd, size)
+
+    def write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view):]
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass

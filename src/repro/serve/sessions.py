@@ -10,10 +10,10 @@ the arrival rate.
 Each managed session owns an ingest queue and a single worker task — the
 only mutator of its ``RTECSession``, so no locks are needed. The worker
 applies queued items in arrival order and fires a window advance whenever
-an event's timestamp crosses the next query-time boundary (boundaries
-lie on the step grid, so the advance schedule is a
+an event's timestamp crosses the next point of the session's step grid
+(:meth:`~repro.rtec.session.RTECSession.due`), so the advance schedule is a
 pure function of the item sequence — the property the checkpoint/restore
-equivalence guarantee rests on). Window evaluation runs in a thread pool
+equivalence guarantee rests on. Window evaluation runs in a thread pool
 executor so other sessions keep ingesting while one session reasons.
 
 Backpressure: once a session's queue reaches its high-water mark, further
@@ -77,12 +77,6 @@ class SessionConfig:
     #: description at session creation.
     certify: str = "warn"
 
-    def resolved_step(self) -> int:
-        step = self.window if self.step is None else self.step
-        if step <= 0:
-            raise ValueError("step must be positive")
-        return step
-
 
 _STOP = object()
 
@@ -128,8 +122,9 @@ class ManagedSession:
         #: Both stay ``None`` outside a cluster, keeping writes unfenced.
         self.owner = owner
         self.lease = lease
-        self.step = config.resolved_step()
-        self.session = RTECSession(engine, config.window, incremental=config.incremental)
+        self.session = RTECSession(
+            engine, config.window, config.step, incremental=config.incremental
+        )
         self.description_digest = checkpointing.description_hash(engine.description)
         #: The description's analysis certificate (None when admission is off).
         self.certificate = None
@@ -161,7 +156,6 @@ class ManagedSession:
         self._sealed: checkpointing.SealedText = {}
         #: Newer checkpoint files a restore could not read and passed over.
         self.restore_skipped: List[str] = []
-        self.next_query: Optional[int] = None
         self.failure: Optional[str] = None
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._task: Optional["asyncio.Task[None]"] = None
@@ -202,9 +196,6 @@ class ManagedSession:
         self.session.restore(loaded.snapshot)
         self.counters.applied = loaded.applied
         self.counters.windows = loaded.windows
-        last_query = loaded.snapshot.last_query
-        if last_query is not None:
-            self.next_query = self._grid_after(last_query)
 
     # -- ingest (called from connection handlers) ------------------------------
 
@@ -339,11 +330,8 @@ class ManagedSession:
                 self.counters.applied += 1
                 self.counters.invalid += 1
                 return False
-            if self.next_query is None:
-                self.next_query = self._grid_after(time)
-            while time > self.next_query:
-                await self._advance(self.next_query)
-                self.next_query += self.step
+            while (due := self.session.due(time)) is not None:
+                await self._advance(due)
             event = Event(time, term)
             accepted = self.session.submit((event,))
             self.counters.ingested += 1
@@ -362,10 +350,6 @@ class ManagedSession:
                 self.counters.invalid += 1
                 return False
             self.session.submit_fluent(pair, interval_list)
-            # Fluent-only spans must be evaluated too: seed the advance
-            # grid from the earliest delivered point when no event has.
-            if self.next_query is None and interval_list:
-                self.next_query = self._grid_after(interval_list.span[0])
         elif kind == _QUERY:
             _kind, at, pair, future = item
             payload = await self._run_query(at, pair)
@@ -387,15 +371,9 @@ class ManagedSession:
             # intervals of still-open durative states — and it would give
             # sessions that saw fewer events a different advance schedule
             # than the uninterrupted run the equivalence tests compare with.
-            # Before any input has seeded the grid there is nothing a
-            # window could derive, so a single advance suffices.
-            if self.next_query is not None:
-                while self.next_query < at:
-                    await self._advance(self.next_query)
-                    self.next_query += self.step
+            while (due := self.session.due(at)) is not None:
+                await self._advance(due)
             await self._advance(at)
-            if self.next_query is None or self.next_query <= at:
-                self.next_query = self._grid_after(at)
         result = self.session.result
         payload: Dict[str, Any] = {"last_query": self.session.last_query_time}
         if pair is not None:
@@ -443,17 +421,13 @@ class ManagedSession:
         self.counters.checkpoints += 1
         return {"path": path, "windows": windows, "applied": applied}
 
-    def _grid_after(self, time: int) -> int:
-        """The first step-grid boundary strictly after ``time``."""
-        return (time // self.step + 1) * self.step
-
     # -- introspection ---------------------------------------------------------
 
     def status(self) -> Dict[str, Any]:
         counters = self.counters
         status: Dict[str, Any] = {
             "window": self.config.window,
-            "step": self.step,
+            "step": self.session.step,
             "ingested": counters.ingested,
             "applied": counters.applied,
             "rejected": counters.rejected,
@@ -467,7 +441,7 @@ class ManagedSession:
             "buffered_events": self.session.buffered_events,
             "stored_fluent_intervals": self.session.stored_fluent_intervals,
             "last_query": self.session.last_query_time,
-            "next_query": self.next_query,
+            "next_query": self.session.next_query,
             "fvps": len(self.session.result),
             "description_hash": self.description_digest,
             "failure": self.failure,
@@ -525,8 +499,14 @@ class SessionManager:
             name, engine, config, self.checkpoint_dir, owner=self.owner, lease=lease
         )
         if restore and self.checkpoint_dir is not None:
-            found = checkpointing.list_checkpoints(self.checkpoint_dir, name)
-            for _windows, path in reversed(found):
+            # The greatest lease first, then the newest: a superseded owner's
+            # file can be ahead in sequence number, and every write after
+            # adopting it would be fenced.
+            found = sorted(
+                (checkpointing.lease_of(path), windows, path)
+                for windows, path in checkpointing.list_checkpoints(self.checkpoint_dir, name)
+            )
+            for _lease, _windows, path in reversed(found):
                 try:
                     loaded = checkpointing.load_checkpoint(path)
                 except checkpointing.TornCheckpointError:

@@ -311,6 +311,34 @@ class TestSnapshot:
         session.advance(20)
         assert list(snapshot.buffer) == buffered
 
+    def test_the_step_grid_survives_a_restore_before_the_first_advance(self):
+        # The first input fixes the grid; a snapshot taken before any
+        # advance must carry it, or the restored session would fix it again
+        # from its next input and skip the windows in between.
+        def drive(session, time):
+            while (due := session.due(time)) is not None:
+                session.advance(due)
+            session.submit([_event(time, ("start(a)", "stop(b)")[time > 1])])
+
+        driver = RTECSession(_engine(), window=10, step=10)
+        drive(driver, 1)
+        snapshot = driver.snapshot()
+        assert (snapshot.last_query, snapshot.next_query) == (None, 10)
+        resumed = RTECSession(_engine(), window=10, step=10)
+        resumed.restore(snapshot)
+        assert resumed.next_query == 10
+        for session in (driver, resumed):
+            drive(session, 35)
+            assert session.due(40) is None
+            session.advance(40)
+            assert session.next_query == 50
+        assert resumed.holds_for("f(a)=true").as_pairs() == [(2, 40)]
+        assert resumed.result.to_json() == driver.result.to_json()
+
+    def test_requires_positive_step(self):
+        with pytest.raises(ValueError, match="step must be positive"):
+            RTECSession(_engine(), window=10, step=0)
+
     def test_restore_rejects_window_mismatch(self):
         session = RTECSession(_engine(), window=20)
         session.advance(10)

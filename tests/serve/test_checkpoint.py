@@ -50,7 +50,7 @@ class TestSnapshotSerialization:
         restored = snapshot_from_dict(snapshot_to_dict(snapshot))
         assert restored.window == snapshot.window
         assert restored.last_query == snapshot.last_query
-        assert restored.first_advance == snapshot.first_advance
+        assert restored.next_query == snapshot.next_query == 20
         assert [(e.time, e.term) for e in restored.buffer] == [
             (e.time, e.term) for e in snapshot.buffer
         ]
@@ -330,7 +330,8 @@ class TestEncoderStateKeepsTheBytes:
         session = RTECSession(_engine(), window=20)
         sealed = {}
         assert '"result":{}' in self._checkpoint(tmp_path, session, 1, sealed=sealed)
-        session.restore(snapshot_from_dict({"window": 20, "result": {"f(v1)=true": []}}))
+        emptied = dict(snapshot_to_dict(session.snapshot()), result={"f(v1)=true": []})
+        session.restore(snapshot_from_dict(emptied))
         assert '"result":{"f(v1)=true":[]}' in self._checkpoint(tmp_path, session, 2, sealed=sealed)
 
 
@@ -489,17 +490,23 @@ class TestVersionCompatibility:
 
     def test_version_1_checkpoint_is_rejected(self, tmp_path):
         # Doctor a current checkpoint back into the version-1 shape (no
-        # cache/stale fields).
+        # cache/stale fields) and the version-2 shape (a first-advance flag
+        # where the step grid's next point is now).
         session = _session_with_state()
         path = write_checkpoint(
             str(tmp_path), "s0", session.snapshot(),
             applied=3, windows=1,
             description_digest=description_hash(session.engine.description),
         )
-        payload = json.loads(open(path).read())
-        payload["version"] = 1
-        del payload["snapshot"]["cache"]
-        del payload["snapshot"]["stale"]
-        open(path, "w").write(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="format version 1"):
-            load_checkpoint(path)
+        current = json.loads(open(path).read())
+        for version in (1, 2):
+            payload = json.loads(json.dumps(current))
+            payload["version"] = version
+            payload["snapshot"]["first_advance"] = False
+            del payload["snapshot"]["next_query"]
+            if version == 1:
+                del payload["snapshot"]["cache"]
+                del payload["snapshot"]["stale"]
+            open(path, "w").write(json.dumps(payload))
+            with pytest.raises(CheckpointError, match="format version %d" % version):
+                load_checkpoint(path)

@@ -34,7 +34,7 @@ from repro.serve.cluster import (
     WorkerServer,
     gold_engine_spec,
 )
-from repro.serve.loadgen import ServiceClient
+from repro.serve.loadgen import ServiceClient, Workload
 
 SOAK_SPEC = EngineSpec("repro.serve.cluster.engines:soak_engine")
 CONFIG = SessionConfig(window=60, step=60)
@@ -182,24 +182,18 @@ class TestClusterRouter:
 
 
 class TestSoakWorkload:
-    def test_soak_workload_shape_is_deterministic(self):
-        from repro.serve import build_soak_workload
-
-        one = build_soak_workload(sessions=10, events_per_session=12, seed=7)
-        two = build_soak_workload(sessions=10, events_per_session=12, seed=7)
-        assert one.sessions == ["soak%d" % i for i in range(10)]
-        assert one.events == two.events
-        assert len(one.events) == 120
-        times = [time for _name, time, _term in one.events]
-        assert times == sorted(times)
-
     def test_soak_through_a_two_worker_fleet(self):
         # A many-sessions slice of the soak path: every session is cheap,
         # the point is that the serving fabric (router, placement, per
         # session queues) handles the fan-out.
-        from repro.serve import build_soak_workload
-
-        workload = build_soak_workload(sessions=24, events_per_session=8)
+        names = ["soak%d" % index for index in range(24)]
+        cycle = ("start", "spike", "stop")
+        events = [
+            (name, 7 * count + index % 7, "%s(e%d)" % (cycle[count // 4 % 3], count % 4))
+            for count in range(8)
+            for index, name in enumerate(names)
+        ]
+        workload = Workload(sessions=names, fluents=[], events=events, end_time=55)
         outcome = asyncio.run(run_replay(
             SOAK_SPEC, workload, CONFIG, workers=2, batch_size=32,
         ))

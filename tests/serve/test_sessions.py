@@ -4,9 +4,15 @@ import asyncio
 
 import pytest
 
-from repro.logic.parser import MAX_NESTING
-from repro.rtec import EventDescription, RTECEngine
-from repro.serve.checkpoint import CheckpointError, list_checkpoints
+from repro.logic.parser import MAX_NESTING, parse_term
+from repro.rtec import Event, EventDescription, RTECEngine
+from repro.rtec.session import RTECSession
+from repro.serve.checkpoint import (
+    CheckpointError,
+    description_hash,
+    list_checkpoints,
+    write_checkpoint,
+)
 from repro.serve.protocol import ProtocolError
 from repro.serve.sessions import ManagedSession, SessionConfig, SessionManager
 
@@ -373,6 +379,98 @@ class TestWorker:
         self._two_checkpoints(str(tmp_path))
         with pytest.raises(CheckpointError, match="different event description"):
             self._restore(str(tmp_path), engine=_leaky_engine())
+
+
+class TestCheckpointBeforeTheFirstAdvance:
+    """A checkpoint carries the step grid: taken before the session's first
+    advance, it restores into a session that walks the same grid."""
+
+    CONFIG = SessionConfig(window=10, step=10)
+
+    async def _tail(self, managed):
+        managed.offer_events([(35, "stop(b)")])
+        return await managed.query(at=40)
+
+    def test_restored_run_equals_the_uninterrupted_one(self, tmp_path):
+        async def uninterrupted():
+            manager = SessionManager()
+            managed = manager.add_session("s", _engine(), self.CONFIG)
+            manager.start()
+            managed.offer_events([(1, "start(a)")])
+            payload = await self._tail(managed)
+            await manager.stop()
+            return payload
+
+        async def first_life():
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            managed = manager.add_session("s", _engine(), self.CONFIG)
+            manager.start()
+            managed.offer_events([(1, "start(a)")])
+            await managed.checkpoint()
+            await manager.kill()
+
+        async def second_life():
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            managed = manager.add_session("s", _engine(), self.CONFIG, restore=True)
+            restored = managed.status()
+            manager.start()
+            payload = await self._tail(managed)
+            await manager.stop()
+            return restored, payload
+
+        expected = _run(uninterrupted())
+        assert expected["fvps"] == {"f(a)=true": [[2, 40]]}
+        _run(first_life())
+        restored, payload = _run(second_life())
+        assert payload["fvps"] == expected["fvps"]
+        assert (restored["last_query"], restored["next_query"]) == (None, 10)
+
+
+class TestRestorePrefersTheGreatestLease:
+    """The old owner (lease 1) wrote windows 5 and 10 and the new owner
+    (lease 2) window 7; the old owner's write of window 15 was fenced. A
+    restore adopts window 7: window 10 is a superseded owner's, and every
+    write after adopting it would be fenced."""
+
+    @staticmethod
+    def _directory(tmp_path):
+        session = RTECSession(_engine(), window=20)
+        digest = description_hash(session.engine.description)
+
+        def write(windows, lease):
+            session.submit([Event(windows, parse_term("start(v%d)" % windows))])
+            write_checkpoint(
+                str(tmp_path), "s", session.snapshot(), applied=windows,
+                windows=windows, description_digest=digest, lease=lease,
+            )
+
+        write(5, 1)
+        write(10, 1)
+        write(7, 2)
+        with pytest.raises(CheckpointError, match="fenced"):
+            write(15, 1)
+        assert [windows for windows, _path in list_checkpoints(str(tmp_path), "s")] == [7, 10]
+
+    @pytest.mark.parametrize("lease", [None, 3])
+    def test_restore_adopts_the_new_owners_file(self, tmp_path, lease):
+        self._directory(tmp_path)
+
+        async def restored():
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            managed = manager.add_session(
+                "s", _engine(), SessionConfig(window=20, step=10), restore=True, lease=lease
+            )
+            manager.start()
+            payload = await managed.checkpoint()
+            status = managed.status()
+            await manager.kill()
+            return payload, status
+
+        payload, status = _run(restored())
+        assert (status["windows"], status["applied"]) == (7, 7)
+        assert status["lease"] == (2 if lease is None else lease)
+        assert status["restore_skipped"] == []
+        assert payload["windows"] == 7  # the write after the restore is not fenced
 
 
 class TestBoundedCheckpointDirectory:

@@ -201,6 +201,54 @@ class TestReplay:
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith("repro-serve-ckpt-")] == []
 
 
+class TestServeStdio:
+    """``serve --stdio`` over a descriptor the event loop cannot poll: a
+    regular file or ``/dev/null`` is read and written with blocking calls."""
+
+    @staticmethod
+    def _repro(argv, stdin, stdout):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "repro"] + argv, stdin=stdin, stdout=stdout,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+
+    SERVE = ["serve", "--stdio", "--gold", "fleet", "--window", "600", "--step", "300"]
+
+    def test_a_file_on_stdin_and_on_stdout(self, tmp_path):
+        import json
+        import subprocess
+
+        recorded, served = tmp_path / "recorded.jsonl", tmp_path / "served.jsonl"
+        with open(recorded, "w") as stdout:
+            emitted = self._repro(
+                ["replay", "--gold", "fleet", "--limit", "100", "--emit"],
+                subprocess.DEVNULL, stdout,
+            )
+        assert emitted.returncode == 0
+        with open(recorded) as stdin, open(served, "w") as stdout:
+            done = self._repro(self.SERVE, stdin, stdout)
+        assert done.returncode == 0, done.stderr.decode()
+        replies = [json.loads(line) for line in served.read_text().splitlines()]
+        results = [reply for reply in replies if reply.get("type") == "result"]
+        assert len(results) == 1 and results[0]["ok"] and results[0]["fvps"]
+        assert replies[-1]["type"] == "shutdown"
+
+    def test_dev_null_on_stdin(self, tmp_path):
+        import subprocess
+
+        done = self._repro(self.SERVE, subprocess.DEVNULL, subprocess.PIPE)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b""
+        assert b"Traceback" not in done.stderr
+
+
 class TestLint:
     def test_gold_maritime_is_error_clean(self, capsys):
         assert main(["lint", "--gold", "maritime"]) == 0
