@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.experiments import run_fig2a, run_fig2b, run_fig2c
 from repro.experiments.fig2a import format_table as fig2a_table
@@ -376,13 +376,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-incremental", dest="incremental", action="store_false", default=True,
         help="recompute the full window on every advance instead of the "
         "incremental (delta) evaluation (the verification oracle)",
-    )
-    parser.add_argument(
-        "--certify", choices=("off", "warn", "require"), default="warn",
-        help="certificate-gated session admission: 'warn' records "
-        "admission warnings in the session status for a description whose "
-        "analysis reports an error or leaky fluents (RTEC027/028), "
-        "'require' rejects it (default: warn)",
     )
 
 
@@ -766,32 +759,44 @@ def _serving_config(args: argparse.Namespace):
         high_water=args.high_water,
         checkpoint_every=args.checkpoint_every,
         incremental=args.incremental,
-        certify=args.certify,
     )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import RecognitionServer, SessionManager
-
+    names = _session_names(args.sessions)
     if args.workers > 1:
-        return _cmd_serve_cluster(args)
-    _stream, _fluents, _description, make_engine = _serving_dataset(args)
-    config = _serving_config(args)
-    sessions = getattr(args, "sessions", 1)
-    manager = SessionManager(checkpoint_dir=args.checkpoint_dir)
-    for name in _session_names(sessions):
-        manager.add_session(name, make_engine(), config, restore=args.restore)
-    server = RecognitionServer(manager)
-    if args.tcp is not None:
-        serve = server.serve_tcp(*args.tcp)
+        from repro.serve.cluster import ClusterRouter
+
+        if args.tcp is None:
+            print("error: --workers > 1 requires --tcp (stdio cannot be routed)",
+                  file=sys.stderr)
+            return 2
+        server: Any = ClusterRouter(
+            _gold_engine_spec(args),
+            _serving_config(args),
+            workers=args.workers,
+            checkpoint_dir=args.checkpoint_dir,
+            sessions=names,
+            restore=args.restore,
+        )
     else:
-        serve = server.serve_stdio()
+        from repro.serve import RecognitionServer, SessionManager
+
+        _stream, _fluents, _description, make_engine = _serving_dataset(args)
+        config = _serving_config(args)
+        manager = SessionManager(checkpoint_dir=args.checkpoint_dir)
+        for name in names:
+            manager.add_session(name, make_engine(), config, restore=args.restore)
+        server = RecognitionServer(manager)
 
     async def _run() -> None:
         server.install_signal_handlers()
-        await serve
+        if args.tcp is not None:
+            await server.serve_tcp(*args.tcp)
+        else:
+            await server.serve_stdio()
 
     asyncio.run(_run())
     return 0
@@ -805,43 +810,6 @@ def _gold_engine_spec(args: argparse.Namespace):
             "maritime", seed=args.seed, scale=args.scale, traffic=args.traffic
         )
     return gold_engine_spec(args.gold)
-
-
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve.cluster import ClusterRouter
-
-    if args.tcp is None:
-        print("error: --workers > 1 requires --tcp (stdio cannot be routed)",
-              file=sys.stderr)
-        return 2
-    host, port = args.tcp
-    router = ClusterRouter(
-        _gold_engine_spec(args),
-        _serving_config(args),
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-
-    async def _run() -> None:
-        bound = await router.start(host, port)
-        router.install_signal_handlers()
-        try:
-            await router.assign_sessions(
-                _session_names(args.sessions), restore=args.restore
-            )
-            print(
-                "serving RTEC recognition on %s:%d (%d workers)"
-                % (host, bound, len(router.workers)),
-                file=sys.stderr,
-            )
-            await router.shutdown_requested.wait()
-        finally:
-            await router.stop()
-
-    asyncio.run(_run())
-    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:

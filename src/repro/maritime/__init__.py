@@ -11,12 +11,6 @@ from repro.maritime.ais import AISMessage, Vessel, VESSEL_SPEED_RANGES
 from repro.maritime.critical_events import CriticalEventDetector, DetectedStream
 from repro.maritime.dataset import MaritimeDataset, build_dataset, build_knowledge_base
 from repro.maritime.geometry import CircleArea, Geography, RectArea, default_geography
-from repro.maritime.io import (
-    read_ais_csv,
-    read_result_jsonl,
-    write_ais_csv,
-    write_result_jsonl,
-)
 from repro.maritime.gold import (
     ACTIVITY_GROUPS,
     ACTIVITY_SHORT_LABELS,
@@ -39,10 +33,6 @@ __all__ = [
     "MaritimeDataset",
     "build_dataset",
     "build_knowledge_base",
-    "read_ais_csv",
-    "read_result_jsonl",
-    "write_ais_csv",
-    "write_result_jsonl",
     "CircleArea",
     "RectArea",
     "Geography",

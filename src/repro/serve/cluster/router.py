@@ -1,10 +1,13 @@
 """The cluster router: placement, forwarding, heartbeats, failover.
 
-The router owns two listening sockets. The *control* port accepts exactly
-one connection per worker — the worker dials in, registers, and the same
-socket then carries router-originated protocol requests (heartbeat
-``status`` polls, ``attach``, ``shutdown``), one request/reply at a time
-under a per-worker lock. The *data* port speaks the ordinary JSON-lines
+The router owns two listening sockets. The *control* port, on loopback
+like the workers' own data ports, accepts exactly one connection per
+worker — the worker dials in, registers, and the same socket then
+carries router-originated protocol requests (heartbeat ``status`` polls,
+``attach``, ``shutdown``), one request/reply at a time under a per-worker
+lock. The *data* port is the service's one front end,
+:class:`~repro.serve.server.LineServer` — connection loop, error replies,
+``shutdown`` and signals included — speaking the ordinary JSON-lines
 protocol to clients; every session-addressed line is decoded just enough
 to read its ``session``, routed to the worker hosting it, and forwarded
 *verbatim* over a per-client upstream connection. A name the router has
@@ -36,10 +39,9 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, cast
 
 from repro import telemetry
 from repro.rtec.partition import rendezvous_owner
@@ -56,6 +58,7 @@ from repro.serve.protocol import (
     read_protocol_lines,
     require_session,
 )
+from repro.serve.server import Connection, LineServer, close_quietly
 from repro.serve.sessions import SessionConfig
 
 __all__ = ["ClusterRouter", "WorkerHandle"]
@@ -68,9 +71,6 @@ HEARTBEAT_MISSES = 3
 
 #: Message types carrying a ``session`` that are forwarded to workers.
 _ROUTED = frozenset({"event", "events", "fluent", "query", "checkpoint"})
-
-#: Protocol error codes counted as ``protocol.reject`` (mirrors the server).
-_REJECT_CODES = frozenset({"bad-json", "oversized"})
 
 
 @dataclass
@@ -128,8 +128,30 @@ class _Upstream:
         self.pump: Optional["asyncio.Task[None]"] = None
 
 
-class ClusterRouter:
-    """Spawn, place, forward, heartbeat, and fail over a worker fleet."""
+class _Client(Connection):
+    """A client connection and its upstreams, one per worker it has sent to;
+    they are released when the connection ends."""
+
+    def __init__(self, writer: "asyncio.StreamWriter", waits: bool = False) -> None:
+        super().__init__(writer, waits)
+        self.upstreams: Dict[str, _Upstream] = {}
+
+    def close(self) -> None:
+        for upstream in self.upstreams.values():
+            if upstream.pump is not None:
+                upstream.pump.cancel()
+            close_quietly(upstream.writer)
+        super().close()
+
+
+class ClusterRouter(LineServer):
+    """Spawn, place, forward, heartbeat, and fail over a worker fleet.
+
+    ``sessions`` are attached when the fleet has started, before the data
+    port opens (from their latest checkpoints with ``restore``).
+    """
+
+    connection_type = _Client
 
     def __init__(
         self,
@@ -137,9 +159,12 @@ class ClusterRouter:
         config: SessionConfig,
         workers: int = 2,
         checkpoint_dir: Optional[str] = None,
+        sessions: Sequence[str] = (),
+        restore: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        super().__init__()
         self.engine_spec = engine_spec
         self.config = config
         self.checkpoint_dir = checkpoint_dir
@@ -151,16 +176,17 @@ class ClusterRouter:
         self.leases: Dict[str, int] = {}
         #: Failover gates: present while a session is moving; traffic waits.
         self.gates: Dict[str, "asyncio.Event"] = {}
-        self.shutdown_requested: "asyncio.Event" = asyncio.Event()
+        self._sessions = list(sessions)
+        self._restore = restore
         self._control_server: Optional[asyncio.AbstractServer] = None
-        self._data_server: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
         self._failing_over: Set[str] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Spawn the fleet, await registrations, open the data port."""
+    async def _start_backend(self) -> None:
+        """Spawn the fleet, await registrations, attach the given sessions."""
+        host = "127.0.0.1"
         self._control_server = await asyncio.start_server(
             self._handle_registration, host, 0, limit=MAX_LINE_BYTES
         )
@@ -187,36 +213,12 @@ class ClusterRouter:
                 for handle in self.workers.values()
             )
         )
-        self._data_server = await asyncio.start_server(
-            self._handle_client, host, port, limit=MAX_LINE_BYTES
-        )
         self._heartbeat_task = asyncio.get_running_loop().create_task(self._heartbeat())
-        return self._data_server.sockets[0].getsockname()[1]
+        for name in self._sessions:
+            await self._attach(name, self._place(name), restore=self._restore)
 
-    async def serve(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Serve until a ``shutdown`` request (or signal) arrives, then stop."""
-        bound = await self.start(host, port)
-        print(
-            "serving RTEC recognition on %s:%d (%d workers)"
-            % (host, bound, len(self.workers)),
-            file=sys.stderr,
-        )
-        await self.shutdown_requested.wait()
-        await self.stop()
-
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT request a graceful stop (workers checkpoint)."""
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.shutdown_requested.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                break
-
-    async def stop(self) -> None:
-        """Graceful cluster stop: every worker checkpoints and exits."""
+    async def _stop_backend(self) -> None:
+        """Graceful fleet stop: every worker checkpoints and exits."""
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             try:
@@ -224,10 +226,6 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._heartbeat_task = None
-        if self._data_server is not None:
-            self._data_server.close()
-            await self._data_server.wait_closed()
-            self._data_server = None
         for handle in self.workers.values():
             if not handle.alive:
                 continue
@@ -341,13 +339,6 @@ class ClusterRouter:
         candidates = [wid for wid in live if len(self.workers[wid].sessions) == low]
         return rendezvous_owner(session, candidates)
 
-    async def assign_sessions(self, names: List[str], restore: bool = False) -> None:
-        """Pre-attach ``names`` across the fleet, balanced and deterministic."""
-        for name in names:
-            if name in self.routes:
-                continue
-            await self._attach(name, self._place(name), restore=restore)
-
     async def _attach(self, session: str, worker_id: str, restore: bool) -> None:
         handle = self.workers[worker_id]
         lease = self.leases.setdefault(session, 1)
@@ -448,56 +439,19 @@ class ClusterRouter:
             # re-place it (the heartbeat task or kill_worker drives that).
             await asyncio.sleep(HEARTBEAT_INTERVAL / 2)
 
-    async def _handle_client(
-        self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
-    ) -> None:
-        upstreams: Dict[str, _Upstream] = {}
-        try:
-            async for line in read_protocol_lines(reader, MAX_LINE_BYTES):
-                if self.shutdown_requested.is_set():
-                    break
-                if line is None:
-                    telemetry.count("protocol.reject")
-                    writer.write(encode(error_response(
-                        "oversized", "line exceeds %d bytes" % MAX_LINE_BYTES
-                    )))
-                    continue
-                if line.isspace():
-                    continue
-                response = await self._dispatch_client_line(line, writer, upstreams)
-                if response is not None:
-                    writer.write(encode(response))
-                    if writer.transport.get_write_buffer_size() > MAX_LINE_BYTES:
-                        await writer.drain()
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            for upstream in upstreams.values():
-                if upstream.pump is not None:
-                    upstream.pump.cancel()
-                try:
-                    upstream.writer.close()
-                except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                    pass
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
-
-    async def _dispatch_client_line(
+    async def dispatch(
         self,
-        line: bytes,
-        writer: "asyncio.StreamWriter",
-        upstreams: Dict[str, _Upstream],
+        message: Dict[str, Any],
+        line: bytes = b"",
+        connection: Optional[Connection] = None,
     ) -> Optional[Dict[str, Any]]:
+        """Forward a session-addressed line verbatim; merge ``status``."""
+        client = cast(_Client, connection)
+        kind = message["type"]
         try:
-            message = decode_line(line)
-            kind = message["type"]
             if kind in _ROUTED:
-                session = require_session(message)
-                handle = await self._route(session)
-                upstream = await self._upstream(handle, writer, upstreams)
+                handle = await self._route(require_session(message))
+                upstream = await self._upstream(handle, client)
                 if message.get("ack") or kind in ("query", "checkpoint"):
                     upstream.pending_replies += 1
                 upstream.writer.write(line + b"\n")
@@ -506,39 +460,25 @@ class ClusterRouter:
                 telemetry.count("cluster.forwarded")
                 return None
             if kind == "status":
-                return await self._merged_status(writer, upstreams)
-            if kind == "shutdown":
-                self.shutdown_requested.set()
-                return ok_response(type="shutdown")
-            raise ProtocolError("bad-request", "unknown message type %r" % kind)
-        except ProtocolError as exc:
-            if exc.code in _REJECT_CODES:
-                telemetry.count("protocol.reject")
-            return error_response(exc.code, exc.message)
+                return await self._merged_status(client)
         except (ConnectionError, asyncio.TimeoutError) as exc:
             return error_response(
                 "backpressure",
                 "cluster is reconfiguring: %s" % exc,
                 retry_after=RETRY_AFTER,
             )
-        except Exception as exc:  # noqa: BLE001 - a bad request must not kill the router
-            return error_response("internal", "%s: %s" % (exc.__class__.__name__, exc))
+        raise ProtocolError("bad-request", "unknown message type %r" % kind)
 
-    async def _upstream(
-        self,
-        handle: WorkerHandle,
-        client_writer: "asyncio.StreamWriter",
-        upstreams: Dict[str, _Upstream],
-    ) -> _Upstream:
-        upstream = upstreams.get(handle.worker_id)
+    async def _upstream(self, handle: WorkerHandle, client: _Client) -> _Upstream:
+        upstream = client.upstreams.get(handle.worker_id)
         if upstream is not None:
             return upstream
         reader, writer = await asyncio.open_connection("127.0.0.1", handle.port)
         upstream = _Upstream(handle.worker_id, reader, writer)
         upstream.pump = asyncio.get_running_loop().create_task(
-            self._pump(upstream, client_writer)
+            self._pump(upstream, client.writer)
         )
-        upstreams[handle.worker_id] = upstream
+        client.upstreams[handle.worker_id] = upstream
         return upstream
 
     async def _pump(
@@ -589,11 +529,7 @@ class ClusterRouter:
                 pass
             upstream.pending_replies = 0
 
-    async def _merged_status(
-        self,
-        client_writer: "asyncio.StreamWriter",
-        upstreams: Dict[str, _Upstream],
-    ) -> Dict[str, Any]:
+    async def _merged_status(self, client: _Client) -> Dict[str, Any]:
         """Fan a client ``status`` out to the fleet and merge the replies.
 
         Workers this client has traffic in flight to are polled *through
@@ -603,7 +539,7 @@ class ClusterRouter:
         """
         pending: List["asyncio.Future[Dict[str, Any]]"] = []
         polled: Set[str] = set()
-        for upstream in upstreams.values():
+        for upstream in client.upstreams.values():
             handle = self.workers.get(upstream.worker_id)
             if handle is None or not handle.alive:
                 continue

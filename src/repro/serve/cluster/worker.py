@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional
 from repro import telemetry
 from repro.serve.cluster.engines import EngineSpec
 from repro.serve.protocol import ProtocolError, encode, ok_response, require_session
-from repro.serve.server import RecognitionServer
+from repro.serve.server import Connection, RecognitionServer
 from repro.serve.sessions import SessionConfig, SessionManager
 
 __all__ = ["WorkerServer", "worker_main"]
@@ -54,10 +54,15 @@ class WorkerServer(RecognitionServer):
         self.engine_spec = engine_spec
         self.default_config = default_config
 
-    async def dispatch(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    async def dispatch(
+        self,
+        message: Dict[str, Any],
+        line: bytes = b"",
+        connection: Optional[Connection] = None,
+    ) -> Optional[Dict[str, Any]]:
         if message["type"] == "attach":
             return await self._attach(message)
-        return await super().dispatch(message)
+        return await super().dispatch(message, line, connection)
 
     async def _attach(self, message: Dict[str, Any]) -> Dict[str, Any]:
         name = require_session(message)
@@ -115,20 +120,9 @@ async def _worker_async(
         raise ConnectionError("router closed the control connection during registration")
     # From here the registration socket doubles as the control channel:
     # the router writes protocol requests, this worker's ordinary dispatch
-    # loop answers them.
-    control = asyncio.ensure_future(server.handle_connection(reader, writer))
-    shutdown = asyncio.ensure_future(server.shutdown_requested.wait())
-    await asyncio.wait({control, shutdown}, return_when=asyncio.FIRST_COMPLETED)
-    if not control.done():
-        control.cancel()
-        try:
-            await control
-        except asyncio.CancelledError:
-            pass
-    shutdown.cancel()
-    # Graceful exit either way (shutdown verb or router loss): stop() drains
-    # every session worker, each writing its final checkpoint.
-    await server.stop()
+    # loop answers them. Either way it ends (shutdown verb or router loss),
+    # the stop is graceful: every session worker writes its final checkpoint.
+    await server.serve(reader, writer)
 
 
 def worker_main(

@@ -33,7 +33,7 @@ from repro.rtec.session import RTECSession
 from repro.rtec.stream import Event, InputFluents
 from repro.serve.loadgen import LoadReport, ServiceClient, Workload, run_ingest
 from repro.serve.protocol import parse_event_term
-from repro.serve.server import RecognitionServer
+from repro.serve.server import LineServer, RecognitionServer
 from repro.serve.sessions import SessionConfig, SessionManager
 
 __all__ = [
@@ -89,20 +89,19 @@ async def _boot(
         manager = SessionManager(checkpoint_dir=checkpoint_dir)
         for name in workload.sessions:
             manager.add_session(name, engine(), config, restore=restore)
-        service: Any = RecognitionServer(manager)
-        port = await service.start_tcp("127.0.0.1", 0)
+        service: LineServer = RecognitionServer(manager)
     else:
         from repro.serve.cluster import ClusterRouter
 
         service = ClusterRouter(
-            engine, config, workers=workers, checkpoint_dir=checkpoint_dir
+            engine, config, workers=workers, checkpoint_dir=checkpoint_dir,
+            sessions=workload.sessions,
         )
-        try:
-            port = await service.start()
-            await service.assign_sessions(list(workload.sessions))
-        except BaseException:
-            await service.stop()
-            raise
+    try:
+        port = await service.start_tcp("127.0.0.1", 0)
+    except BaseException:
+        await service.stop()
+        raise
     return service, await ServiceClient.connect("127.0.0.1", port)
 
 

@@ -1,17 +1,26 @@
 """Asyncio front end: JSON-lines over TCP sockets or stdin/stdout.
 
-:class:`RecognitionServer` is a thin framing-and-dispatch layer over a
-:class:`~repro.serve.sessions.SessionManager`: it reads one request per
-line, routes it, and writes at most one response line. Event ingest is
-fire-and-forget on success (responses are only written for rejections,
-errors, or when the client asks for an ack), which keeps the per-event
-cost on the hot path to a JSON parse, a route lookup and a queue append.
+:class:`LineServer` is the one front end of every endpoint: listening, the
+connection loop (one request per line, at most one response line each, in
+order), decoding, the ``shutdown`` verb, structured error replies, signal
+handling and serving until shutdown. An endpoint supplies its
+:meth:`~LineServer.dispatch` and the start and stop of what sits behind
+its socket: :class:`RecognitionServer` a
+:class:`~repro.serve.sessions.SessionManager` (``WorkerServer`` adds
+``attach``), :class:`~repro.serve.cluster.router.ClusterRouter` a worker
+fleet it forwards routed lines to.
 
-The same dispatcher serves both transports, so a pipeline like::
+Event ingest is fire-and-forget on success (responses are only written
+for rejections, errors, or when the client asks for an ack), which keeps
+the per-event cost on the hot path to a JSON parse, a route lookup and a
+queue append. The same dispatcher serves both transports, so a pipeline
+like::
 
     repro replay --gold fleet --emit | repro serve --stdio --gold fleet
 
-exercises exactly the code paths of a long-lived TCP deployment.
+exercises the code paths of a long-lived TCP deployment, with one
+difference: a stdio peer cannot retry, so there ingest waits for room in
+a full session queue instead of answering ``backpressure``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.sessions import SessionManager
 
-__all__ = ["RecognitionServer"]
+__all__ = ["Connection", "LineServer", "RecognitionServer"]
 
 #: Above this many bytes per line, the reader rejects instead of buffering.
 _LINE_LIMIT = MAX_LINE_BYTES
@@ -49,39 +58,88 @@ _LINE_LIMIT = MAX_LINE_BYTES
 _REJECT_CODES = frozenset({"bad-json", "oversized"})
 
 
-class RecognitionServer:
-    """Serve one :class:`SessionManager` over TCP and/or stdio."""
+def close_quietly(writer: Any) -> None:
+    """Close a stream writer whose peer may already be gone."""
+    try:
+        writer.close()
+    except (ConnectionResetError, BrokenPipeError, RuntimeError):
+        pass
 
-    def __init__(self, manager: SessionManager) -> None:
-        self.manager = manager
+
+class Connection:
+    """One client connection of the shared loop, as :meth:`LineServer.dispatch`
+    sees it."""
+
+    def __init__(self, writer: Any, waits: bool = False) -> None:
+        self.writer = writer
+        #: Ingest waits out backpressure instead of rejecting: a stdio peer
+        #: cannot retry, so a rejection there would lose the events.
+        self.waits = waits
+
+    def close(self) -> None:
+        close_quietly(self.writer)
+
+
+class LineServer:
+    """One JSON-lines endpoint: transports, connection loop, error replies.
+
+    Subclasses implement :meth:`dispatch`, :meth:`_start_backend` and
+    :meth:`_stop_backend`, and may keep per-connection state in a
+    :class:`Connection` subclass named by :attr:`connection_type`.
+    """
+
+    #: What the connection loop builds for each connection it serves.
+    connection_type = Connection
+
+    def __init__(self) -> None:
         self.shutdown_requested: "asyncio.Event" = asyncio.Event()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._connections: "Set[asyncio.StreamWriter]" = set()
+        self._connections: "Set[Connection]" = set()
         self._connection_tasks: "Set[asyncio.Task[None]]" = set()
+
+    # -- what sits behind the socket -------------------------------------------
+
+    async def _start_backend(self) -> None:
+        raise NotImplementedError
+
+    async def _stop_backend(self) -> None:
+        raise NotImplementedError
+
+    async def dispatch(
+        self,
+        message: Dict[str, Any],
+        line: bytes = b"",
+        connection: Optional[Connection] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """Answer one decoded request (``line`` is its raw bytes); ``None``
+        means no response is due."""
+        raise NotImplementedError
 
     # -- transports ------------------------------------------------------------
 
     async def start_tcp(self, host: str, port: int) -> int:
-        """Begin accepting TCP connections; returns the bound port."""
-        self.manager.start()
+        """Start the backend, then accept TCP connections; returns the bound port."""
+        await self._start_backend()
         self._tcp_server = await asyncio.start_server(
             self.handle_connection, host, port, limit=_LINE_LIMIT
         )
         return self._tcp_server.sockets[0].getsockname()[1]
 
     async def serve_tcp(self, host: str, port: int) -> None:
-        """Serve until a ``shutdown`` request arrives, then drain and stop."""
-        bound = await self.start_tcp(host, port)
-        print("serving RTEC recognition on %s:%d" % (host, bound), file=sys.stderr)
-        await self.shutdown_requested.wait()
-        await self.stop()
+        """Serve until a ``shutdown`` request (or signal) arrives, then stop."""
+        try:
+            bound = await self.start_tcp(host, port)
+            print("serving RTEC recognition on %s:%d" % (host, bound), file=sys.stderr)
+            await self.shutdown_requested.wait()
+        finally:
+            await self.stop()
 
     async def serve_stdio(self) -> None:
         """Serve one implicit connection on stdin/stdout until EOF or shutdown.
 
         A regular file or ``/dev/null``, which the loop cannot poll, is read
         or written with blocking calls (:class:`_ReadyFile`)."""
-        self.manager.start()
+        await self._start_backend()
         loop = asyncio.get_running_loop()
         reader: Any = asyncio.StreamReader(limit=_LINE_LIMIT)
         if _pollable(sys.stdin):
@@ -96,11 +154,16 @@ class RecognitionServer:
                 asyncio.streams.FlowControlMixin, sys.stdout
             )
             writer = asyncio.StreamWriter(transport, protocol, None, loop)
-        connection = asyncio.ensure_future(self.handle_connection(reader, writer))
+        await self.serve(reader, writer, waits=True)
+
+    async def serve(self, reader: Any, writer: Any, waits: bool = False) -> None:
+        """Serve one connection until it ends or shutdown is requested, then stop.
+
+        A signal must not wait for the peer's EOF: the connection races the
+        shutdown event, and :meth:`stop` runs either way (session workers
+        write their graceful final checkpoints there)."""
+        connection = asyncio.ensure_future(self.handle_connection(reader, writer, waits))
         shutdown = asyncio.ensure_future(self.shutdown_requested.wait())
-        # A signal must not wait for stdin EOF: race the connection against
-        # the shutdown event, then stop the manager either way (its workers
-        # write their graceful final checkpoints there).
         await asyncio.wait({connection, shutdown}, return_when=asyncio.FIRST_COMPLETED)
         if not connection.done():
             connection.cancel()
@@ -109,13 +172,13 @@ class RecognitionServer:
             except asyncio.CancelledError:
                 pass
         shutdown.cancel()
-        await self.manager.stop()
+        await self.stop()
 
     def install_signal_handlers(self) -> None:
         """Turn SIGTERM/SIGINT into a graceful shutdown request.
 
         The serving coroutines react to :attr:`shutdown_requested` by
-        draining and stopping the manager, whose session workers write a
+        draining and stopping the backend, whose session workers write a
         final checkpoint each — so an operator ``kill`` (or Ctrl-C) leaves
         every live session restorable, not just those that happened to hit
         their every-k-windows cadence.
@@ -130,21 +193,19 @@ class RecognitionServer:
                 break
 
     async def stop(self) -> None:
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        await self._close_connections()
-        await self.manager.stop()
+        """Stop listening, end every connection, then stop the backend."""
+        await self._close_front()
+        await self._stop_backend()
 
-    async def kill(self) -> None:
-        """Crash simulation: drop connections and abort workers, no checkpoint."""
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
+    async def _close_front(self) -> None:
+        server, self._tcp_server = self._tcp_server, None
+        if server is not None:
+            server.close()
         await self._close_connections()
-        await self.manager.kill()
+        if server is not None:
+            # Since Python 3.12 this also waits for every open connection,
+            # so it comes after they are closed.
+            await server.wait_closed()
 
     async def _close_connections(self) -> None:
         """End open connections by EOF so their handler tasks return.
@@ -154,11 +215,8 @@ class RecognitionServer:
         teardown; closing the transports lets every handler finish its
         read loop and exit normally before the loop goes away.
         """
-        for writer in list(self._connections):
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
+        for connection in list(self._connections):
+            close_quietly(connection.writer)
         current = asyncio.current_task()
         pending = [task for task in self._connection_tasks if task is not current]
         if pending:
@@ -167,12 +225,13 @@ class RecognitionServer:
     # -- connection handling ---------------------------------------------------
 
     async def handle_connection(
-        self, reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
+        self, reader: Any, writer: Any, waits: bool = False
     ) -> None:
+        connection = self.connection_type(writer, waits)
         task = asyncio.current_task()
         if task is not None:
             self._connection_tasks.add(task)
-        self._connections.add(writer)
+        self._connections.add(connection)
         try:
             async for line in read_protocol_lines(reader, _LINE_LIMIT):
                 if self.shutdown_requested.is_set():
@@ -185,7 +244,7 @@ class RecognitionServer:
                     continue
                 if line.isspace():
                     continue
-                response = await self.dispatch_line(line)
+                response = await self.dispatch_line(line, connection)
                 if response is not None:
                     writer.write(encode(response))
                     if writer.transport.get_write_buffer_size() > _LINE_LIMIT:
@@ -194,19 +253,21 @@ class RecognitionServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.discard(connection)
             if task is not None:
                 self._connection_tasks.discard(task)
-            try:
-                writer.close()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
+            connection.close()
 
-    async def dispatch_line(self, line: bytes) -> Optional[Dict[str, Any]]:
+    async def dispatch_line(
+        self, line: bytes, connection: Optional[Connection] = None
+    ) -> Optional[Dict[str, Any]]:
         """Handle one request line; ``None`` means no response is due."""
         try:
             message = decode_line(line)
-            return await self.dispatch(message)
+            if message["type"] == "shutdown":
+                self.shutdown_requested.set()
+                return ok_response(type="shutdown")
+            return await self.dispatch(message, line, connection)
         except ProtocolError as exc:
             if exc.code in _REJECT_CODES:
                 telemetry.count("protocol.reject")
@@ -216,14 +277,41 @@ class RecognitionServer:
         except Exception as exc:  # noqa: BLE001 - a bad request must not kill the server
             return error_response("internal", "%s: %s" % (exc.__class__.__name__, exc))
 
-    async def dispatch(self, message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+
+class RecognitionServer(LineServer):
+    """Serve one :class:`SessionManager` over TCP and/or stdio."""
+
+    def __init__(self, manager: SessionManager) -> None:
+        super().__init__()
+        self.manager = manager
+
+    async def _start_backend(self) -> None:
+        self.manager.start()
+
+    async def _stop_backend(self) -> None:
+        await self.manager.stop()
+
+    async def kill(self) -> None:
+        """Crash simulation: drop connections and abort workers, no checkpoint."""
+        await self._close_front()
+        await self.manager.kill()
+
+    async def dispatch(
+        self,
+        message: Dict[str, Any],
+        line: bytes = b"",
+        connection: Optional[Connection] = None,
+    ) -> Optional[Dict[str, Any]]:
         kind = message["type"]
+        waits = connection is not None and connection.waits
         if kind == "event":
             managed = self.manager.get(require_session(message))
             time = require_time(message.get("time"))
             term = message.get("term")
             if not isinstance(term, str):
                 raise ProtocolError("bad-request", "event 'term' must be a string")
+            if waits:
+                await managed.room_for(1)
             rejection = managed.offer_events([(time, term)])
             if rejection is not None:
                 rejection.setdefault("seq", message.get("seq"))
@@ -246,6 +334,8 @@ class RecognitionServer:
                 if not isinstance(term, str):
                     raise ProtocolError("bad-request", "event 'term' must be a string")
                 batch.append((require_time(time), term))
+            if waits:
+                await managed.room_for(len(batch))
             rejection = managed.offer_events(batch)
             if rejection is not None:
                 rejection.setdefault("seq", message.get("seq"))
@@ -261,6 +351,8 @@ class RecognitionServer:
             if not isinstance(fvp, str):
                 raise ProtocolError("bad-request", "fluent 'fvp' must be a string")
             intervals = require_intervals(message.get("intervals"))
+            if waits:
+                await managed.room_for(1)
             rejection = managed.offer_fluent(fvp, intervals)
             if rejection is not None:
                 return error_response(
@@ -288,9 +380,6 @@ class RecognitionServer:
                     type="status", sessions={managed.name: managed.status()}
                 )
             return ok_response(type="status", **self.manager.status())
-        if kind == "shutdown":
-            self.shutdown_requested.set()
-            return ok_response(type="shutdown")
         raise ProtocolError("bad-request", "unknown message type %r" % kind)
 
 

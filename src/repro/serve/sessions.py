@@ -158,6 +158,9 @@ class ManagedSession:
         self.restore_skipped: List[str] = []
         self.failure: Optional[str] = None
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
+        #: Awaited by :meth:`room_for`; the worker resolves it each time it
+        #: goes back to the queue for more.
+        self._room: "Optional[asyncio.Future[None]]" = None
         self._task: Optional["asyncio.Task[None]"] = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -231,6 +234,19 @@ class ManagedSession:
             self.counters.queue_peak = depth
         return None
 
+    async def room_for(self, size: int) -> None:
+        """Wait until ``size`` more items fit under the high-water mark.
+
+        For a peer that cannot retry (stdio): it waits where a socket client
+        is answered ``backpressure``. Returns at once for a failed session
+        and for a batch that can never fit, whose offer then rejects them.
+        """
+        high_water = self.config.high_water
+        while self.failure is None and size <= high_water < self.queue.qsize() + size:
+            if self._room is None:
+                self._room = asyncio.get_running_loop().create_future()
+            await self._room
+
     def offer_fluent(
         self, fvp_text: str, intervals: List[Tuple[int, int]]
     ) -> Optional[Dict[str, Any]]:
@@ -279,6 +295,9 @@ class ManagedSession:
     async def _worker(self) -> None:
         queue = self.queue
         while True:
+            room, self._room = self._room, None
+            if room is not None and not room.done():
+                room.set_result(None)
             item = await queue.get()
             if item is _STOP:
                 break

@@ -11,8 +11,10 @@ one-process service, under one set of assertions.
 """
 
 import asyncio
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 
@@ -92,11 +94,11 @@ class TestClusterRouter:
     def test_recognise_through_count_placement(self, tmp_path):
         async def run():
             router = ClusterRouter(
-                SOAK_SPEC, CONFIG, workers=2, checkpoint_dir=str(tmp_path)
+                SOAK_SPEC, CONFIG, workers=2, checkpoint_dir=str(tmp_path),
+                sessions=["s0", "s1", "s2", "s3"],
             )
             try:
-                port = await router.start()
-                await router.assign_sessions(["s0", "s1", "s2", "s3"])
+                port = await router.start_tcp("127.0.0.1", 0)
                 owned = {wid: len(h.sessions) for wid, h in router.workers.items()}
                 assert owned == {"w0": 2, "w1": 2}
 
@@ -133,10 +135,9 @@ class TestClusterRouter:
     def test_a_name_never_hosted_is_no_such_session(self):
         # As in one process: a stray name costs no engine build on a worker.
         async def run():
-            router = ClusterRouter(SOAK_SPEC, CONFIG, workers=2)
+            router = ClusterRouter(SOAK_SPEC, CONFIG, workers=2, sessions=["s0"])
             try:
-                port = await router.start()
-                await router.assign_sessions(["s0"])
+                port = await router.start_tcp("127.0.0.1", 0)
                 client = await ServiceClient.connect("127.0.0.1", port)
                 reply = await client.request({
                     "type": "event", "session": "nope", "time": 5,
@@ -155,11 +156,11 @@ class TestClusterRouter:
     def test_graceful_stop_checkpoints_every_session(self, tmp_path):
         async def run():
             router = ClusterRouter(
-                SOAK_SPEC, CONFIG, workers=2, checkpoint_dir=str(tmp_path)
+                SOAK_SPEC, CONFIG, workers=2, checkpoint_dir=str(tmp_path),
+                sessions=["s0", "s1"],
             )
             try:
-                port = await router.start()
-                await router.assign_sessions(["s0", "s1"])
+                port = await router.start_tcp("127.0.0.1", 0)
                 client = await ServiceClient.connect("127.0.0.1", port)
                 for name in ("s0", "s1"):
                     reply = await client.request({
@@ -324,3 +325,31 @@ class TestServeSignals:
             path = latest_checkpoint(str(tmp_path), name)
             assert path is not None, "no checkpoint for %s" % name
             assert load_checkpoint(path).applied == 1
+
+    def test_shutdown_with_a_client_still_connected_exits_cleanly(self):
+        # The router used to leave the client's handler to be cancelled at
+        # loop teardown: exit 0, but a CancelledError traceback on stderr.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--gold", "fleet",
+                "--workers", "2", "--tcp", "127.0.0.1:0", "--sessions", "2",
+            ],
+            env=env, stderr=subprocess.PIPE,
+        )
+        try:
+            port = int(process.stderr.readline().decode().rsplit(":", 1)[1].split()[0])
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as client:
+                replies = client.makefile("rb")
+                client.sendall(b'{"type":"status"}\n')
+                assert json.loads(replies.readline())["ok"] is True
+                client.sendall(b'{"type":"shutdown"}\n')
+                assert json.loads(replies.readline())["type"] == "shutdown"
+                # The connection stays open until the router has exited.
+                assert process.wait(timeout=60) == 0
+            assert b"Traceback" not in process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()

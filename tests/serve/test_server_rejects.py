@@ -3,14 +3,20 @@
 The framing layer turns junk into structured ``{"ok": false, ...}``
 responses — counted under the ``protocol.reject`` telemetry counter — and
 keeps serving the same socket. These tests drive a live TCP server with
-garbage between valid requests and assert the session survives.
+garbage between valid requests and assert the session survives; the
+structured-rejection cases run again through a two-worker router, which
+must send the same bytes.
 """
 
 import asyncio
 import json
+import threading
+
+import pytest
 
 from repro import telemetry
 from repro.serve import MAX_LINE_BYTES, SessionConfig, SessionManager, read_protocol_lines
+from repro.serve.cluster import ClusterRouter, EngineSpec
 from repro.serve.cluster.engines import soak_engine
 from repro.serve.server import RecognitionServer
 
@@ -20,12 +26,17 @@ async def _with_server(run):
     manager.add_session("s", soak_engine(), SessionConfig(window=60, step=60))
     server = RecognitionServer(manager)
     port = await server.start_tcp("127.0.0.1", 0)
+    return await _connected(port, run, server)
+
+
+async def _connected(port, run, server=None):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         return await run(reader, writer)
     finally:
         writer.close()
-        await server.stop()
+        if server is not None:
+            await server.stop()
 
 
 async def _request(reader, writer, payload: bytes):
@@ -34,14 +45,38 @@ async def _request(reader, writer, payload: bytes):
     return json.loads(await reader.readline())
 
 
+#: A line of each kind of junk: bad JSON, oversized, no type, unknown type.
+_JUNK = (
+    b"this is not json\n",
+    b'{"type": "status", "pad": "' + b"x" * (MAX_LINE_BYTES + 64) + b'"}\n',
+    b'{"session": "s"}\n',
+    b'{"type": "frobnicate"}\n',
+)
+
+
+async def _junk_replies(reader, writer):
+    """The raw reply to each junk line, then whether the connection serves."""
+    replies = []
+    for line in _JUNK:
+        writer.write(line)
+        await writer.drain()
+        replies.append(await reader.readline())
+    status = await _request(reader, writer, b'{"type": "status"}\n')
+    return replies, status["ok"]
+
+
 class TestStructuredRejection:
+    def serve(self, run):
+        """Run ``run(reader, writer)`` on a connection to a fresh server."""
+        return asyncio.run(_with_server(run))
+
     def test_bad_json_gets_error_response_and_connection_survives(self):
         async def run(reader, writer):
             first = await _request(reader, writer, b"this is not json\n")
             second = await _request(reader, writer, b'{"type": "status"}\n')
             return first, second
 
-        first, second = asyncio.run(_with_server(run))
+        first, second = self.serve(run)
         assert first["ok"] is False
         assert first["error"] == "bad-json"
         assert second["ok"] is True
@@ -54,7 +89,7 @@ class TestStructuredRejection:
             second = await _request(reader, writer, b'{"type": "status"}\n')
             return first, second
 
-        first, second = asyncio.run(_with_server(run))
+        first, second = self.serve(run)
         assert first["ok"] is False
         assert first["error"] == "oversized"
         assert second["ok"] is True
@@ -67,7 +102,7 @@ class TestStructuredRejection:
             await _request(reader, writer, b'{"type": "status"}\n')
 
         with telemetry.enabled() as tracer:
-            asyncio.run(_with_server(run))
+            self.serve(run)
         assert tracer.counters.get("protocol.reject") == 2
 
     def test_unknown_type_is_not_a_framing_reject(self):
@@ -75,9 +110,48 @@ class TestStructuredRejection:
             return await _request(reader, writer, b'{"type": "frobnicate"}\n')
 
         with telemetry.enabled() as tracer:
-            response = asyncio.run(_with_server(run))
+            response = self.serve(run)
         assert response["ok"] is False
         assert tracer.counters.get("protocol.reject") is None
+
+    def test_junk_gets_the_bytes_one_process_sends(self):
+        replies, serving = self.serve(_junk_replies)
+        assert serving is True
+        assert [json.loads(reply)["error"] for reply in replies] == [
+            "bad-json", "oversized", "bad-request", "bad-request"
+        ]
+        assert replies == asyncio.run(_with_server(_junk_replies))[0]
+
+
+class TestStructuredRejectionThroughARouter(TestStructuredRejection):
+    """The same cases through one two-worker router: the router runs the
+    front end one process runs, so it answers junk with the same bytes."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def router(self, request):
+        # One router for the class, on its own loop: every test connects to it.
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        router = ClusterRouter(
+            EngineSpec("repro.serve.cluster.engines:soak_engine"),
+            SessionConfig(window=60, step=60),
+            workers=2,
+            sessions=["s"],
+        )
+        try:
+            request.cls.port = asyncio.run_coroutine_threadsafe(
+                router.start_tcp("127.0.0.1", 0), loop
+            ).result(120)
+            yield
+        finally:
+            asyncio.run_coroutine_threadsafe(router.stop(), loop).result(120)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+
+    def serve(self, run):
+        return asyncio.run(_connected(self.port, run))
 
 
 class TestMalformedFluent:

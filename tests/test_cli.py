@@ -85,6 +85,14 @@ class TestSizesAndCountsMustBePositive:
             assert raised.value.code == 2
             assert "unrecognized arguments: --checkpoint-keep 3" in capsys.readouterr().err
 
+    def test_the_certify_flag_is_gone(self, capsys):
+        # Both golds certify clean: the setting only changed status fields.
+        for command in ("serve", "replay"):
+            with pytest.raises(SystemExit) as raised:
+                main([command, "--certify", "off"])
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --certify off" in capsys.readouterr().err
+
     def test_the_jobs_flag_is_gone(self, capsys):
         for command in ("recognise", "profile"):
             with pytest.raises(SystemExit) as raised:
@@ -239,6 +247,35 @@ class TestServeStdio:
         results = [reply for reply in replies if reply.get("type") == "result"]
         assert len(results) == 1 and results[0]["ok"] and results[0]["fvps"]
         assert replies[-1]["type"] == "shutdown"
+
+    @pytest.fixture(scope="class")
+    def fleet_lines(self, tmp_path_factory):
+        import subprocess
+
+        recorded = tmp_path_factory.mktemp("stdio") / "fleet.jsonl"
+        with open(recorded, "w") as stdout:
+            emitted = self._repro(
+                ["replay", "--gold", "fleet", "--repeat", "25", "--limit", "1000", "--emit"],
+                subprocess.DEVNULL, stdout,
+            )
+        assert emitted.returncode == 0
+        return recorded
+
+    def _results(self, recorded, extra):
+        import subprocess
+
+        with open(recorded) as stdin:
+            done = self._repro(self.SERVE + extra, stdin, subprocess.PIPE)
+        assert done.returncode == 0, done.stderr.decode()
+        assert b"backpressure" not in done.stdout
+        return [line for line in done.stdout.splitlines() if b'"type":"result"' in line]
+
+    @pytest.mark.parametrize("high_water", ["16", "1"])
+    def test_backpressure_is_waited_out(self, fleet_lines, high_water):
+        # A stdio peer cannot retry: rejected events used to be lost.
+        whole = self._results(fleet_lines, [])
+        assert len(whole) == 1
+        assert self._results(fleet_lines, ["--high-water", high_water]) == whole
 
     def test_dev_null_on_stdin(self, tmp_path):
         import subprocess
