@@ -236,6 +236,13 @@ class EventDescription:
                 return duration
         return None
 
+    def deadlined_fluents(self) -> FrozenSet[FluentKey]:
+        """The simple fluents a ``maxDuration/2`` declaration may apply to."""
+        return self._memo("_deadlined", lambda: frozenset(
+            key for key in self.simple_fluents
+            if any(_may_declare(pattern, key) for pattern, _d in self.max_durations)
+        ))
+
     # -- structure ----------------------------------------------------------
 
     @property

@@ -310,9 +310,9 @@ class RTECEngine:
             for pair, intervals in known.items():
                 store.set(pair, intervals)
             on_error = self.runtime_warnings.append if self.skip_errors else None
-            max_duration_for = (
-                self.description.max_duration_for if self.description.max_durations else None
-            )
+            # Only these fluents' groundings look a maxDuration deadline up.
+            deadlined = self.description.deadlined_fluents()
+            deadline_for = self.description.max_duration_for
             carried = pending
             if include_initially:
                 # An initially-declared FVP holds from time-point 0: an
@@ -337,7 +337,7 @@ class RTECEngine:
                         window_end,
                         carried_by_key.get(key, {}),
                         on_error=on_error,
-                        max_duration_for=max_duration_for,
+                        max_duration_for=deadline_for if key in deadlined else None,
                         carried_barriers=barriers_by_key.get(key),
                     )
                     next_pending.update(opened)

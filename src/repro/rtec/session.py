@@ -46,8 +46,9 @@ class SessionSnapshot:
     intervals, the open initiations carried between windows, the
     amalgamated result, the last query time and the next step-grid point.
     Produced by :meth:`RTECSession.snapshot` and consumed by
-    :meth:`RTECSession.restore` / :meth:`RTECSession.from_snapshot`; the
-    checkpoint layer (:mod:`repro.serve.checkpoint`) serializes it to JSON.
+    :meth:`RTECSession.restore` of a session built with the same window and
+    step; the checkpoint layer (:mod:`repro.serve.checkpoint`) serializes it
+    to JSON.
     """
 
     window: int
@@ -587,18 +588,6 @@ class RTECSession:
             if snapshot.derived_cache is not None and not snapshot.stale
             else None
         )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        engine: RTECEngine,
-        snapshot: SessionSnapshot,
-        incremental: bool = True,
-    ) -> "RTECSession":
-        """A fresh session continuing from ``snapshot`` (restart path)."""
-        session = cls(engine, snapshot.window, incremental=incremental)
-        session.restore(snapshot)
-        return session
 
     # -- queries ----------------------------------------------------------------
 

@@ -13,8 +13,10 @@ applies queued items in arrival order and fires a window advance whenever
 an event's timestamp crosses the next point of the session's step grid
 (:meth:`~repro.rtec.session.RTECSession.due`), so the advance schedule is a
 pure function of the item sequence — the property the checkpoint/restore
-equivalence guarantee rests on. Window evaluation runs in a thread pool
-executor so other sessions keep ingesting while one session reasons.
+equivalence guarantee rests on. Evaluation is pure-Python work that holds
+the GIL, so it runs on the event loop's own thread, and each advance ends
+with a yield that lets other sessions, status polls and new connections
+interleave; the checkpoint file write is the only executor hop.
 
 Backpressure: once a session's queue reaches its high-water mark, further
 events are rejected with a ``retry_after`` hint instead of being buffered
@@ -405,11 +407,10 @@ class ManagedSession:
 
     async def _advance(self, query_time: int) -> None:
         with telemetry.span("serve.advance", session=self.name, query_time=query_time):
-            loop = asyncio.get_running_loop()
-            # The evaluator runs off-loop so other sessions keep ingesting;
-            # this worker awaits it, so the session has a single mutator.
-            await loop.run_in_executor(None, self.session.advance, query_time)
+            # On the loop's thread: a pool thread would hold the GIL anyway.
+            self.session.advance(query_time)
         self.counters.windows += 1
+        await asyncio.sleep(0)  # other sessions and connections interleave
         every = self.config.checkpoint_every
         if self.checkpoint_dir is not None and every > 0 and self.counters.windows % every == 0:
             await self._write_checkpoint()
@@ -418,7 +419,8 @@ class ManagedSession:
         assert self.checkpoint_dir is not None
         with telemetry.span("serve.checkpoint", session=self.name):
             # Snapshot synchronously (the worker owns the state), persist
-            # off-loop (file IO must not stall ingest).
+            # off-loop: the fsync/replace/unlink release the GIL, so this
+            # is the one executor hop a session makes.
             snapshot = self.session.snapshot()
             applied = self.counters.applied
             windows = self.counters.windows

@@ -18,7 +18,8 @@ Design constraints:
   monotonic timings, plain dicts);
 * **nestable** — spans form a tree via a per-thread span stack, so a
   window span contains the per-fluent evaluation spans it triggered, and
-  the threads served sessions evaluate on each grow their own root spans.
+  a thread (the one a served session writes its checkpoints on) grows its
+  own root spans.
 
 Typical use::
 

@@ -1,8 +1,12 @@
 """Tests for initially/1 and maxDuration/2 declarations (RTEC extensions)."""
 
 
+import pytest
+
+from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import parse_term
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine, Vocabulary
+from repro.rtec.reference import ReferenceEvaluator
 
 VOCAB = Vocabulary(input_events=frozenset({("start", 1), ("stop", 1)}))
 
@@ -113,3 +117,56 @@ class TestMaxDuration:
         )
         # Stream ends at 20: the deadline (105) is beyond the query time.
         assert result.holds_for("f(v1)=true").as_pairs() == [(6, 20)]
+
+
+class TestDeadlineLookupOnlyWhereADeclarationMayApply:
+    """A grounding looks a ``maxDuration/2`` deadline up only if its fluent
+    may be named by a declaration; results equal the independent oracle's."""
+
+    TWO = BASE + """
+initiatedAt(h(V)=true, T) :- happensAt(start(V), T).
+terminatedAt(h(V)=true, T) :- happensAt(stop(V), T).
+"""
+    EVENTS = [(5, "start(v1)"), (30, "start(v1)"), (60, "stop(v1)"), (70, "start(v2)")]
+
+    def _recognise_against_oracle(self, engine):
+        """The engine's result, checked point by point against the oracle,
+        and the fluents whose groundings the engine looked a deadline up for."""
+        stream = EventStream([Event(t, parse_term(s)) for t, s in self.EVENTS])
+        looked_up = set()
+        lookup = EventDescription.max_duration_for
+
+        def spy(description, pair):
+            looked_up.add(pair.args[0].functor)
+            return lookup(description, pair)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EventDescription, "max_duration_for", spy)
+            result = engine.recognise(stream, window=7, step=7)
+        oracle = ReferenceEvaluator(engine.description, KnowledgeBase(), stream)
+        for key in engine.description.simple_fluents:
+            for pair in oracle.ground_instances(*key):
+                assert set(result.holds_for(pair).points()) == oracle.holding_points(
+                    pair, 0, stream.max_time
+                ), pair
+        return result, looked_up
+
+    def test_a_deadline_on_one_of_two_fluents(self):
+        description = EventDescription.from_text(self.TWO + "maxDuration(f(V)=true, 10).")
+        assert description.deadlined_fluents() == {("f", 1)}
+        result, looked_up = self._recognise_against_oracle(
+            RTECEngine(description, vocabulary=VOCAB)
+        )
+        assert looked_up == {"f"}
+        assert result.holds_for("f(v1)=true").as_pairs() == [(6, 15), (31, 40)]
+        assert result.holds_for("h(v1)=true").as_pairs() == [(6, 60)]
+
+    def test_a_pattern_whose_fluent_is_a_variable_applies_to_every_fluent(self):
+        description = EventDescription.from_text(self.TWO + "maxDuration(F=true, 10).")
+        assert description.deadlined_fluents() == {("f", 1), ("h", 1)}
+        result, looked_up = self._recognise_against_oracle(
+            RTECEngine(description, strict=False)
+        )
+        assert looked_up == {"f", "h"}
+        for pair in ("f(v1)=true", "h(v1)=true"):
+            assert result.holds_for(pair).as_pairs() == [(6, 15), (31, 40)]

@@ -286,15 +286,36 @@ class TestSnapshot:
         session.submit([_event(5, "start(v1)")])
         session.advance(10)
         snapshot = session.snapshot()
-        fresh = RTECSession.from_snapshot(_engine(), snapshot)
+        fresh = RTECSession(_engine(), window=20)
+        fresh.restore(snapshot)
         assert fresh.result.to_json() == session.result.to_json()
         assert fresh.last_query_time == session.last_query_time
+
+    def test_restored_session_walks_the_live_step_grid(self):
+        # A session restored into the same window and step queries where the
+        # live one does (a restore that fell back to step = window walked
+        # [10, 20] here).
+        live = RTECSession(_engine(), window=10, step=5)
+        live.submit([_event(1, "start(a)")])
+        live.advance(7)
+        restored = RTECSession(_engine(), window=10, step=5)
+        restored.restore(live.snapshot())
+        walks = []
+        for session in (live, restored):
+            walk = []
+            while (query_time := session.due(30)) is not None:
+                session.advance(query_time)
+                walk.append(query_time)
+            walks.append(walk)
+        assert walks == [[10, 15, 20, 25]] * 2
+        assert restored.result.to_json() == live.result.to_json()
 
     def test_restored_session_continues_identically(self):
         driver = RTECSession(_engine(), window=20)
         driver.submit([_event(5, "start(v1)")])
         driver.advance(10)
-        resumed = RTECSession.from_snapshot(_engine(), driver.snapshot())
+        resumed = RTECSession(_engine(), window=20)
+        resumed.restore(driver.snapshot())
         tail = [_event(15, "stop(v1)"), _event(24, "start(v2)")]
         for session in (driver, resumed):
             session.submit(tail)
@@ -352,7 +373,8 @@ class TestSnapshot:
         session = RTECSession(_engine(), window=10)
         session.submit([_event(3, "start(v1)")])
         session.advance(10)
-        resumed = RTECSession.from_snapshot(_engine(), session.snapshot())
+        resumed = RTECSession(_engine(), window=10)
+        resumed.restore(session.snapshot())
         session.advance(20)
         resumed.advance(20)
         assert resumed.holds_for("f(v1)=true").as_pairs() == (
@@ -374,7 +396,8 @@ class TestSnapshot:
         driver.submit([_event(1, "start(v1)"), _event(6, "start(v1)")])
         driver.advance(10)
         assert driver.holds_for("f(v1)=true").as_pairs() == [(2, 8)]
-        resumed = RTECSession.from_snapshot(make(), driver.snapshot())
+        resumed = RTECSession(make(), window=25)
+        resumed.restore(driver.snapshot())
         for session in (driver, resumed):
             session.advance(30)
         assert driver.holds_for("f(v1)=true").as_pairs() == [(2, 8)]
@@ -389,7 +412,8 @@ class TestSnapshot:
         driver.advance(10)
         snapshot = driver.snapshot()
         snapshot.derived_cache = None
-        resumed = RTECSession.from_snapshot(_engine(), snapshot)
+        resumed = RTECSession(_engine(), window=20)
+        resumed.restore(snapshot)
         tail = [_event(15, "stop(v1)")]
         for session in (driver, resumed):
             session.submit(tail)
@@ -497,9 +521,9 @@ def _drive(
         if on_slot is not None:
             on_slot(session, index)
         if restore_at == index:
-            session = RTECSession.from_snapshot(
-                make_engine(), session.snapshot(), incremental=incremental
-            )
+            snapshot = session.snapshot()
+            session = RTECSession(make_engine(), window=window, incremental=incremental)
+            session.restore(snapshot)
     return session
 
 
@@ -693,7 +717,8 @@ class TestLateArrivalRepair:
         session.submit([_event(31, "stop(v2)")])
         snapshot = session.snapshot()
         assert snapshot.stale
-        resumed = RTECSession.from_snapshot(_rich_engine(), snapshot)
+        resumed = RTECSession(_rich_engine(), window=30)
+        resumed.restore(snapshot)
         for each in (session, resumed):
             each.advance(50)
             each.advance(60)

@@ -70,9 +70,8 @@ class TestSnapshotSerialization:
 
     def test_restored_snapshot_continues_identically(self):
         session = _session_with_state()
-        resumed = RTECSession.from_snapshot(
-            _engine(), snapshot_from_dict(snapshot_to_dict(session.snapshot()))
-        )
+        resumed = RTECSession(_engine(), window=20)
+        resumed.restore(snapshot_from_dict(snapshot_to_dict(session.snapshot())))
         tail = [Event(25, parse_term("stop(v1)"))]
         for target in (session, resumed):
             target.submit(tail)

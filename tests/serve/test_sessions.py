@@ -1,6 +1,7 @@
 """Unit tests for managed sessions: backpressure, ordering, failure isolation."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -573,6 +574,64 @@ class TestCertifiedAdmission:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="certify"):
             ManagedSession("s", _engine(), SessionConfig(window=20, certify="bogus"))
+
+
+class TestEvaluationOnTheLoop:
+    """A session advances on its event loop's thread, one yield per advance."""
+
+    def test_the_advance_runs_on_the_event_loops_thread(self, monkeypatch):
+        threads = []
+        advance = RTECSession.advance
+
+        def recording(session, query_time):
+            threads.append(threading.get_ident())
+            return advance(session, query_time)
+
+        monkeypatch.setattr(RTECSession, "advance", recording)
+
+        async def scenario():
+            managed = ManagedSession("s", _engine(), SessionConfig(window=10, step=10))
+            managed.start()
+            managed.offer_events([(5, "start(v1)"), (35, "stop(v1)")])
+            await managed.query(at=40)
+            await managed.stop()
+            return threading.get_ident()
+
+        loop_thread = _run(scenario())
+        assert len(threads) == 4 and set(threads) == {loop_thread}
+
+    def test_a_long_walk_lets_another_sessions_query_through(self):
+        async def scenario():
+            manager = SessionManager()
+            busy = manager.add_session("a", _engine(), SessionConfig(window=10, step=1))
+            idle = manager.add_session("b", _engine(), SessionConfig(window=10))
+            manager.start()
+            # t=60 crosses the grid points 2..59: 58 advances queued on "a".
+            busy.offer_events([(1, "start(v1)"), (60, "stop(v1)")])
+            await idle.query()
+            windows_at_reply = busy.counters.windows
+            await busy.query()
+            await manager.stop()
+            return windows_at_reply, busy.counters.windows
+
+        windows_at_reply, windows = _run(scenario())
+        assert windows == 58
+        assert windows_at_reply < 50
+
+    def test_without_a_checkpoint_dir_no_thread_pool_is_started(self):
+        async def scenario():
+            manager = SessionManager()
+            managed = manager.add_session("s", _engine(), SessionConfig(window=10, step=5))
+            manager.start()
+            managed.offer_events([(1, "start(v1)"), (23, "stop(v1)")])
+            payload = await managed.query(at=30)
+            await manager.stop()
+            return payload, managed.counters.windows, asyncio.get_running_loop()._default_executor
+
+        payload, windows, executor = _run(scenario())
+        assert payload["fvps"]["f(v1)=true"] == [[2, 23]]
+        assert windows == 6
+        assert executor is None
 
 
 class TestManager:
