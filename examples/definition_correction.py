@@ -23,6 +23,7 @@ from repro.generation import (
 from repro.llm import BEST_SCHEME, MODEL_NAMES
 from repro.maritime import (
     COMPOSITE_ACTIVITIES,
+    MARITIME,
     MARITIME_VOCABULARY,
     build_dataset,
     gold_event_description,
@@ -36,7 +37,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    outcome = generate(args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
     print(
         "generated %d rules with %s (%s); average similarity %.3f"
         % (

@@ -14,15 +14,10 @@ Run:  python examples/fleet_management.py [--model o1]
 
 import argparse
 
-from repro.fleet import (
-    FLEET_COMPOSITE_ACTIVITIES,
-    FLEET_VOCABULARY,
-    build_fleet_dataset,
-    fleet_gold_event_description,
-    generate_fleet,
-)
+from repro.fleet import FLEET, FLEET_COMPOSITE_ACTIVITIES
+from repro.generation import generate
 from repro.generation.evaluation import score_activity
-from repro.llm import MODEL_NAMES
+from repro.llm import BEST_SCHEME, MODEL_NAMES
 from repro.rtec import RTECEngine
 from repro.similarity import event_description_similarity
 
@@ -33,8 +28,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    dataset = build_fleet_dataset()
-    gold = fleet_gold_event_description()
+    dataset = FLEET.dataset()
+    gold = FLEET.gold()
     engine = RTECEngine(gold, dataset.kb, dataset.vocabulary)
     gold_result = engine.recognise(dataset.stream, dataset.input_fluents)
 
@@ -44,11 +39,11 @@ def main() -> None:
             print("  holdsFor(%s, %s)" % (pair, intervals.as_pairs()))
 
     print("\n=== LLM generation for the fleet domain (%s) ===" % args.model)
-    generated = generate_fleet(args.model, seed=args.seed)
-    description = generated.to_event_description()
+    outcome = generate(FLEET, args.model, BEST_SCHEME[args.model], seed=args.seed)
+    description = outcome.generated.to_event_description()
     similarity = event_description_similarity(description, gold)
     print("similarity to gold: %.3f" % similarity)
-    issues = description.validate(FLEET_VOCABULARY)
+    issues = description.validate(FLEET.vocabulary)
     for issue in issues:
         print("  %s" % issue)
     if not issues:

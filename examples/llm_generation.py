@@ -17,7 +17,7 @@ from repro.experiments import run_fig2a
 from repro.experiments.fig2a import format_table
 from repro.generation import generate
 from repro.llm import BEST_SCHEME, MODEL_NAMES
-from repro.maritime import MARITIME_VOCABULARY
+from repro.maritime import MARITIME, MARITIME_VOCABULARY
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     print("\ntop-3 (input to Figures 2b/2c):", ", ".join(fig2a.top_models(3)))
 
     print("\n=== One generated definition in detail: %s ===\n" % args.model)
-    outcome = generate(args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
     activity = outcome.generated.activity("loitering")
     print("-- natural-language description fed to prompt G --")
     print(activity.group.description)

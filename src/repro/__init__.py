@@ -12,6 +12,8 @@ The library has six layers, bottom-up:
   metric (Definitions 4.1-4.14, Kuhn–Munkres matching);
 * :mod:`repro.maritime` — the maritime substrate: geography, synthetic
   AIS data, critical-event detection, the gold-standard event description;
+  :mod:`repro.fleet` the second gold domain, and :mod:`repro.domain` the
+  one record per domain that everything above the substrates takes;
 * :mod:`repro.llm` and :mod:`repro.generation` — the prompting pipeline,
   simulated LLMs, correction, and CER-accuracy evaluation;
 * :mod:`repro.experiments` — harnesses regenerating Figures 2a, 2b, 2c.

@@ -56,8 +56,8 @@ from repro.analysis.diagnostics import Diagnostic, LintReport
 from repro.analysis.fixers import fix_maps, rewrite_rules
 from repro.analysis.registry import LINT_RULES
 from repro.llm.interface import ChatMessage
+from repro.generation.metrics import average_similarity
 from repro.llm.pipeline import (
-    DomainSpec,
     GeneratedActivity,
     GeneratedEventDescription,
     GenerationPipeline,
@@ -73,7 +73,6 @@ __all__ = [
     "RepairIteration",
     "RepairResult",
     "repair_mode",
-    "generic_similarity",
     "repair_event_description",
 ]
 
@@ -95,21 +94,6 @@ def repair_mode(diagnostic: Diagnostic) -> Optional[str]:
     if rule.repair == "auto" and diagnostic.fix is None:
         return "prompt"
     return rule.repair
-
-
-def generic_similarity(generated: GeneratedEventDescription) -> float:
-    """Mean similarity of each activity's rules to its group's gold rules.
-
-    Unlike :func:`repro.generation.metrics.average_similarity` this is not
-    bound to the maritime activity groups: it scores whatever groups the
-    generated description carries, so it works for any domain.
-    """
-    from repro.similarity import event_description_similarity
-
-    scores: List[float] = []
-    for activity in generated.activities:
-        scores.append(event_description_similarity(activity.rules, activity.group.rules))
-    return sum(scores) / len(scores) if scores else 1.0
 
 
 @dataclass(frozen=True)
@@ -283,7 +267,10 @@ def _apply_auto(
         for activity in generated.activities
     ]
     return GeneratedEventDescription(
-        model=generated.model, scheme=generated.scheme, activities=activities
+        model=generated.model,
+        scheme=generated.scheme,
+        activities=activities,
+        domain=generated.domain,
     )
 
 
@@ -326,7 +313,7 @@ def _promptable_batches(
 
 
 def _teaching_conversation(
-    client, scheme: str, domain: DomainSpec
+    client, generated: GeneratedEventDescription
 ) -> List[ChatMessage]:
     """The pipeline's teaching context, with stand-in acknowledgements.
 
@@ -335,7 +322,7 @@ def _teaching_conversation(
     infers the prompting scheme from its context (as the simulated models
     do) sees the same scheme during repair.
     """
-    pipeline = GenerationPipeline(client, scheme, domain=domain)
+    pipeline = GenerationPipeline(client, generated.scheme, generated.domain)
     conversation: List[ChatMessage] = []
     for teaching_prompt in pipeline._teaching_prompts():
         conversation.append(ChatMessage("user", teaching_prompt))
@@ -348,7 +335,6 @@ def _prompt_repairs(
     conversation: List[ChatMessage],
     generated: GeneratedEventDescription,
     batches: Dict[int, List[str]],
-    domain: DomainSpec,
 ) -> GeneratedEventDescription:
     """Feed each activity's unresolved diagnostics back to the model."""
     activities = list(generated.activities)
@@ -361,7 +347,7 @@ def _prompt_repairs(
             activity.group.description,
             current_text.rstrip(),
             "\n".join(batches[index]),
-            domain=domain.name,
+            domain=generated.domain.name,
         )
         conversation.append(ChatMessage("user", prompt))
         reply = client.complete(conversation)
@@ -376,7 +362,10 @@ def _prompt_repairs(
                 group=activity.group, raw_text=reply, rules=[], parse_error=str(exc)
             )
     return GeneratedEventDescription(
-        model=generated.model, scheme=generated.scheme, activities=activities
+        model=generated.model,
+        scheme=generated.scheme,
+        activities=activities,
+        domain=generated.domain,
     )
 
 
@@ -386,7 +375,6 @@ def repair_event_description(
     kb: Optional[KnowledgeBase] = None,
     client=None,
     budget: int = 5,
-    domain: Optional[DomainSpec] = None,
     outputs: Optional[Sequence[str]] = None,
 ) -> RepairResult:
     """Iterate analyse -> auto-fix -> re-prompt to a fixpoint or the budget.
@@ -396,15 +384,13 @@ def repair_event_description(
     at the first state they cannot improve. See the module docstring for
     the termination guarantee.
     """
-    if domain is None:
-        domain = DomainSpec()
     with telemetry.span(
         "analysis.repair", model=generated.model, scheme=generated.scheme
     ) as span:
         current = generated
         report = _analyse(current, vocabulary, kb, outputs)
         codes = _actionable_codes(current, report)
-        initial_similarity = generic_similarity(current)
+        initial_similarity = average_similarity(current)
         result = RepairResult(
             status="clean",
             initial_similarity=initial_similarity,
@@ -440,19 +426,15 @@ def repair_event_description(
                 batches = _promptable_batches(current, mid_report)
                 if batches:
                     if conversation is None:
-                        conversation = _teaching_conversation(
-                            client, current.scheme, domain
-                        )
+                        conversation = _teaching_conversation(client, current)
                     prompted_names = [
                         current.activities[index].name for index in sorted(batches)
                     ]
-                    current = _prompt_repairs(
-                        client, conversation, current, batches, domain
-                    )
+                    current = _prompt_repairs(client, conversation, current, batches)
                     span.count("repair_prompts", len(batches))
             report = _analyse(current, vocabulary, kb, outputs)
             codes = _actionable_codes(current, report)
-            similarity = generic_similarity(current)
+            similarity = average_similarity(current)
             result.iterations.append(
                 RepairIteration(
                     index=len(result.iterations) + 1,

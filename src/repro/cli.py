@@ -21,8 +21,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.domain import GOLD_NAMES, gold_domain, gold_engine, gold_parts
 from repro.experiments import run_fig2a, run_fig2b, run_fig2c
 from repro.experiments.fig2a import format_table as fig2a_table
 from repro.experiments.fig2b import format_table as fig2b_table
@@ -32,6 +33,7 @@ from repro.llm import BEST_SCHEME, MODEL_NAMES, PROMPT_SCHEMES
 from repro.logic.parser import ParseError
 from repro.maritime import (
     COMPOSITE_ACTIVITIES,
+    MARITIME,
     MARITIME_VOCABULARY,
     build_dataset,
     gold_event_description,
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "remaining, similarity delta, fixed/regressed codes).",
     )
     repair.add_argument(
-        "--gold", choices=("maritime", "fleet"), default="maritime",
+        "--gold", choices=GOLD_NAMES, default="maritime",
         help="domain to repair against (default: maritime)",
     )
     repair.add_argument("--model", choices=MODEL_NAMES, default=None,
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("path", nargs="?", help="file with RTEC rules")
     lint.add_argument(
         "--gold",
-        choices=("maritime", "fleet"),
+        choices=GOLD_NAMES,
         help="lint a built-in gold event description instead of a file",
     )
     lint.add_argument(
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--gold", choices=("maritime", "fleet"), default="maritime",
+        "--gold", choices=GOLD_NAMES, default="maritime",
         help="which gold event description / dataset to serve (default: maritime)",
     )
     parser.add_argument("--seed", type=int, default=0, help="maritime dataset seed")
@@ -429,7 +431,7 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     scheme = args.scheme or BEST_SCHEME[args.model]
-    outcome = generate(args.model, scheme, seed=args.seed)
+    outcome = generate(MARITIME, args.model, scheme, seed=args.seed)
     print("%% model=%s scheme=%s average-similarity=%.3f" % (
         args.model, scheme, outcome.average_similarity))
     print(outcome.generated.to_text())
@@ -439,23 +441,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.experiments.repair import (
-        format_table,
-        run_fleet_repair_experiment,
-        run_repair_experiment,
-    )
+    from repro.experiments.repair import format_table, run_repair_experiment
 
     models = [args.model] if args.model else list(MODEL_NAMES)
     schemes = [args.scheme] if args.scheme else list(PROMPT_SCHEMES)
-    if args.gold == "fleet":
-        result = run_fleet_repair_experiment(
-            models, schemes, seed=args.seed, budget=args.budget
-        )
-    else:
-        dataset = build_dataset(seed=args.seed, scale=args.scale)
-        result = run_repair_experiment(
-            dataset.kb, models, schemes, seed=args.seed, budget=args.budget
-        )
+    domain = gold_domain(args.gold)
+    # The knowledge base of the library's dataset defaults, not serve's.
+    kb = domain.dataset(seed=args.seed, scale=args.scale).kb
+    result = run_repair_experiment(
+        domain, kb, models, schemes, seed=args.seed, budget=args.budget
+    )
     if args.json:
         print(result.to_json())
         return 0 if result.all_at_least_baseline else 1
@@ -497,7 +492,7 @@ def _cmd_errors(args: argparse.Namespace) -> int:
 
     models = [args.model] if args.model else list(MODEL_NAMES)
     for model in models:
-        outcome = generate(model, BEST_SCHEME[model], seed=args.seed)
+        outcome = generate(MARITIME, model, BEST_SCHEME[model], seed=args.seed)
         report = analyse_errors(outcome.generated, MARITIME_VOCABULARY)
         print(format_report(report))
         print()
@@ -508,7 +503,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.maritime.gold import gold_event_description
     from repro.similarity import format_matching, match_descriptions
 
-    outcome = generate(args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
     report = match_descriptions(
         outcome.generated.to_event_description(), gold_event_description()
     )
@@ -563,33 +558,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gold_lint_target(which: str):
-    """(description, vocabulary, outputs, source) of a built-in gold ED.
-
-    ``outputs`` covers every activity-group fluent (the paper reports all
-    activity levels, not just the composite ones), so the dead-rule check
-    applies only to fluents outside the task's activity list.
-    """
-    if which == "maritime":
-        from repro.maritime import ACTIVITY_GROUPS
-
-        description = gold_event_description()
-        vocabulary = MARITIME_VOCABULARY
-        groups = ACTIVITY_GROUPS
-    else:
-        from repro.fleet import (
-            FLEET_ACTIVITY_GROUPS,
-            FLEET_VOCABULARY,
-            fleet_gold_event_description,
-        )
-
-        description = fleet_gold_event_description()
-        vocabulary = FLEET_VOCABULARY
-        groups = FLEET_ACTIVITY_GROUPS
-    outputs = {name for group in groups for name, _arity in group.fluents}
-    return description, vocabulary, outputs, "<gold:%s>" % which
-
-
 def _unknown_code(code: str) -> int:
     print("error: unknown diagnostic code %r" % code, file=sys.stderr)
     return 2
@@ -640,14 +608,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     description = None
     if args.gold is not None:
-        description, vocabulary, outputs, source = _gold_lint_target(args.gold)
-        if args.no_vocabulary:
-            vocabulary = None
+        domain = gold_domain(args.gold)
+        description = domain.gold()
+        source = "<gold:%s>" % args.gold
         text = description.to_text()
+        # Every activity-group fluent is an output, so the dead-rule check
+        # applies only to fluents outside the task's activity list.
         report = analyse(
             description,
-            vocabulary,
-            outputs=outputs,
+            None if args.no_vocabulary else domain.vocabulary,
+            outputs=domain.outputs,
             text=text,
             source=source,
         )
@@ -727,21 +697,16 @@ def _lint_fix(args: argparse.Namespace, report, description, source: str) -> int
     return 0
 
 
-def _serving_dataset(args: argparse.Namespace):
-    """(dataset stream, input fluents, engine factory) for ``--gold``."""
-    if args.gold == "fleet":
-        from repro.fleet import build_fleet_dataset, fleet_gold_event_description
+def _gold_dataset(args: argparse.Namespace) -> Dict[str, Any]:
+    """The dataset builder's arguments: ``--seed/--scale/--traffic``."""
+    return dict(seed=args.seed, scale=args.scale, traffic=args.traffic)
 
-        dataset = build_fleet_dataset()
-        description = fleet_gold_event_description()
-    else:
-        dataset = build_dataset(seed=args.seed, scale=args.scale, traffic=args.traffic)
-        description = gold_event_description()
 
-    def make_engine() -> RTECEngine:
-        return RTECEngine(description, dataset.kb, dataset.vocabulary)
+def _gold_engine_spec(args: argparse.Namespace):
+    """The engine recipe of ``--gold`` for spawned worker processes."""
+    from repro.serve.cluster import gold_engine_spec
 
-    return dataset.stream, dataset.input_fluents, description, make_engine
+    return gold_engine_spec(args.gold, **_gold_dataset(args))
 
 
 def _session_names(count: int, prefix: str = "s") -> List[str]:
@@ -784,11 +749,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         from repro.serve import RecognitionServer, SessionManager
 
-        _stream, _fluents, _description, make_engine = _serving_dataset(args)
         config = _serving_config(args)
         manager = SessionManager(checkpoint_dir=args.checkpoint_dir)
         for name in names:
-            manager.add_session(name, make_engine(), config, restore=args.restore)
+            engine = gold_engine(args.gold, **_gold_dataset(args))
+            manager.add_session(name, engine, config, restore=args.restore)
         server = RecognitionServer(manager)
 
     async def _run() -> None:
@@ -802,16 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gold_engine_spec(args: argparse.Namespace):
-    from repro.serve.cluster import gold_engine_spec
-
-    if args.gold == "maritime":
-        return gold_engine_spec(
-            "maritime", seed=args.seed, scale=args.scale, traffic=args.traffic
-        )
-    return gold_engine_spec(args.gold)
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     import asyncio
     import contextlib
@@ -820,10 +775,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from repro.serve import build_workload, run_replay
 
-    stream, input_fluents, description, make_engine = _serving_dataset(args)
+    dataset, description = gold_parts(args.gold, **_gold_dataset(args))
     workload = build_workload(
-        stream,
-        input_fluents,
+        dataset.stream,
+        dataset.input_fluents,
         description,
         sessions=args.sessions,
         repeat=args.repeat,
@@ -860,9 +815,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         with directory as checkpoint_dir:
             outcome = asyncio.run(run_replay(
-                # Worker processes are spawned: a fleet takes the portable
-                # recipe, one process the engine over the dataset built above.
-                _gold_engine_spec(args) if args.workers > 1 else make_engine,
+                # Spawned workers take the portable recipe; one process builds
+                # its engines over the parts read above.
+                _gold_engine_spec(args) if args.workers > 1
+                else lambda: gold_engine(args.gold, **_gold_dataset(args)),
                 workload,
                 config,
                 workers=args.workers,

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence
 from repro.generation.generator import GenerationOutcome, generate_best
 from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import CHAIN_OF_THOUGHT
+from repro.maritime import MARITIME
 from repro.maritime.gold import ACTIVITY_SHORT_LABELS, COMPOSITE_ACTIVITIES
 
 __all__ = ["Fig2aResult", "run_fig2a", "format_table", "scheme_mark"]
@@ -54,8 +55,10 @@ class Fig2aResult:
 
 
 def run_fig2a(models: Sequence[str] = MODEL_NAMES, seed: int = 0) -> Fig2aResult:
-    """Run both prompting schemes for every model and keep the best."""
-    return Fig2aResult({model: generate_best(model, seed=seed) for model in models})
+    """Run both prompting schemes for every model and keep the best.
+
+    The simulated replies do not depend on ``seed``."""
+    return Fig2aResult({model: generate_best(MARITIME, model, seed=seed) for model in models})
 
 
 def format_table(result: Fig2aResult) -> str:

@@ -7,29 +7,31 @@ similarity as the baseline (the paper's "minimum required changes" step),
 then run correction *with* repair and record the similarity trajectory
 across iterations. The loop must never end below the baseline — mechanical
 fixes subsume the single-shot renames — and improves on it wherever
-diagnostics can be fed back to the model.
+diagnostics can be fed back to the model. It runs in any gold domain.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.repair import RepairResult, generic_similarity
+from repro.analysis.repair import RepairResult
 from repro.generation.correction import correct_event_description
 from repro.generation.generator import generate
+from repro.generation.metrics import average_similarity
 from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import PROMPT_SCHEMES
 from repro.llm.simulated import SimulatedLLM
 from repro.logic.knowledge import KnowledgeBase
-from repro.maritime.gold import MARITIME_VOCABULARY
+
+if TYPE_CHECKING:
+    from repro.domain import GoldDomain
 
 __all__ = [
     "RepairEntry",
     "RepairExperimentResult",
     "run_repair_experiment",
-    "run_fleet_repair_experiment",
     "format_table",
 ]
 
@@ -101,86 +103,41 @@ class RepairExperimentResult:
 
 
 def run_repair_experiment(
+    domain: "GoldDomain",
     kb: KnowledgeBase,
     models: Sequence[str] = MODEL_NAMES,
     schemes: Sequence[str] = PROMPT_SCHEMES,
     seed: int = 0,
     budget: int = 5,
 ) -> RepairExperimentResult:
-    """Run the repair loop for every model x scheme over the maritime domain.
+    """Run the repair loop for every model x scheme over ``domain``.
 
     ``kb`` supplies the known constants for the naming fixes (as in
     Figure 2b). Each combination gets a *fresh* simulated client for the
     repair conversation, so repaired behaviour does not leak between runs.
+    The simulated replies do not depend on ``seed``.
     """
     result = RepairExperimentResult()
     for model in models:
         for scheme in schemes:
-            outcome = generate(model, scheme, seed=seed)
+            generated = generate(domain, model, scheme, seed=seed).generated
             baseline_corrected, _report = correct_event_description(
-                outcome.generated, MARITIME_VOCABULARY, kb
-            )
-            baseline = generic_similarity(baseline_corrected)
-            client = SimulatedLLM(model, seed=seed)
-            _repaired, report = correct_event_description(
-                outcome.generated,
-                MARITIME_VOCABULARY,
-                kb,
-                repair=True,
-                client=client,
-                repair_budget=budget,
-            )
-            result.entries.append(
-                RepairEntry(
-                    model=model, scheme=scheme, baseline=baseline, result=report.repair
-                )
-            )
-    return result
-
-
-def run_fleet_repair_experiment(
-    models: Sequence[str] = MODEL_NAMES,
-    schemes: Sequence[str] = PROMPT_SCHEMES,
-    seed: int = 0,
-    budget: int = 5,
-) -> RepairExperimentResult:
-    """The same experiment over the fleet domain (Section 6 transfer)."""
-    from repro.fleet.dataset import build_fleet_knowledge_base
-    from repro.fleet.generation import (
-        FLEET_PROFILES,
-        fleet_domain_spec,
-        generate_fleet,
-    )
-    from repro.fleet.gold import FLEET_ACTIVITY_GROUPS, FLEET_VOCABULARY
-
-    kb = build_fleet_knowledge_base()
-    domain = fleet_domain_spec()
-    result = RepairExperimentResult()
-    for model in models:
-        for scheme in schemes:
-            generated = generate_fleet(model, scheme, seed=seed)
-            baseline_corrected, _report = correct_event_description(
-                generated, FLEET_VOCABULARY, kb
-            )
-            baseline = generic_similarity(baseline_corrected)
-            client = SimulatedLLM(
-                model,
-                seed=seed,
-                knowledge=FLEET_ACTIVITY_GROUPS,
-                profiles=FLEET_PROFILES.get(model, {}),
+                generated, domain.vocabulary, kb
             )
             _repaired, report = correct_event_description(
                 generated,
-                FLEET_VOCABULARY,
+                domain.vocabulary,
                 kb,
                 repair=True,
-                client=client,
+                client=SimulatedLLM(model, domain),
                 repair_budget=budget,
-                domain=domain,
             )
             result.entries.append(
                 RepairEntry(
-                    model=model, scheme=scheme, baseline=baseline, result=report.repair
+                    model=model,
+                    scheme=scheme,
+                    baseline=average_similarity(baseline_corrected),
+                    result=report.repair,
                 )
             )
     return result

@@ -6,11 +6,13 @@ Prompt R may be re-used as it is, while the prompts F, E, and T may be
 customised with domain-specific knowledge." This package provides that
 instantiation: a fleet vocabulary, a gold-standard event description (with
 a ``maxDuration/2`` deadline for unsafe manoeuvres), a scripted telematics
-dataset, and simulated-LLM generation through the same pipeline.
+dataset, simulated-model error profiles, and the
+:class:`~repro.domain.GoldDomain` record that bundles them (``FLEET``):
+generation, repair and serving take it as they take the maritime one.
 """
 
 from repro.fleet.dataset import FleetDataset, build_fleet_dataset, build_fleet_knowledge_base
-from repro.fleet.generation import FLEET_PROFILES, fleet_domain_spec, generate_fleet
+from repro.fleet.domain import FLEET, FLEET_PROFILES
 from repro.fleet.gold import (
     FLEET_ACTIVITY_GROUPS,
     FLEET_COMPOSITE_ACTIVITIES,
@@ -24,9 +26,8 @@ __all__ = [
     "FleetDataset",
     "build_fleet_dataset",
     "build_fleet_knowledge_base",
+    "FLEET",
     "FLEET_PROFILES",
-    "fleet_domain_spec",
-    "generate_fleet",
     "FLEET_ACTIVITY_GROUPS",
     "FLEET_COMPOSITE_ACTIVITIES",
     "FLEET_VOCABULARY",

@@ -1,22 +1,24 @@
-"""LLM generation for the fleet domain.
+"""The fleet gold domain: the paper's further-work transfer (Section 6).
 
-Demonstrates the transfer claimed in Section 6 of the paper: prompt R is
-reused verbatim, prompts E and T are instantiated with the fleet
-vocabulary and thresholds, and the per-activity G prompts carry the fleet
-descriptions. Simulated models get fleet-specific error profiles in the
-same four categories as the maritime ones.
+Prompt R is reused verbatim, prompts E and T carry the fleet vocabulary and
+thresholds, and the G prompts the fleet descriptions. The simulated models
+get fleet error profiles in the same four categories as the maritime ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
+from repro.domain import GoldDomain
+from repro.fleet.dataset import FleetDataset, build_fleet_dataset
 from repro.fleet.gold import (
     FLEET_ACTIVITY_GROUPS,
     FLEET_BACKGROUND_NOTE,
     FLEET_EVENT_MEANINGS,
     FLEET_THRESHOLD_MEANINGS,
+    FLEET_VOCABULARY,
     FleetThresholds,
+    fleet_gold_event_description,
 )
 from repro.llm.errors import (
     AddCondition,
@@ -25,26 +27,10 @@ from repro.llm.errors import (
     ReplaceRules,
     SwapOperator,
 )
-from repro.llm.pipeline import DomainSpec, GeneratedEventDescription, GenerationPipeline
-from repro.llm.profiles import BEST_SCHEME, Profile
+from repro.llm.profiles import Profile
 from repro.llm.prompts import CHAIN_OF_THOUGHT, FEW_SHOT
-from repro.llm.simulated import SimulatedLLM
 
-__all__ = ["fleet_domain_spec", "FLEET_PROFILES", "generate_fleet"]
-
-
-def fleet_domain_spec() -> DomainSpec:
-    """The fleet instantiation of the prompting pipeline."""
-    return DomainSpec(
-        name="Fleet",
-        groups=FLEET_ACTIVITY_GROUPS,
-        event_meanings=FLEET_EVENT_MEANINGS,
-        fluent_meanings={},
-        thresholds=FleetThresholds(),
-        threshold_meanings=FLEET_THRESHOLD_MEANINGS,
-        background_note=FLEET_BACKGROUND_NOTE,
-    )
-
+__all__ = ["FLEET", "FLEET_PROFILES"]
 
 # Gemma-2's signature wrong-fluent-type error, transplanted to the fleet
 # domain: dangerousDriving as a simple fluent.
@@ -83,17 +69,26 @@ FLEET_PROFILES: Dict[str, Dict[str, Profile]] = {
 }
 
 
-def generate_fleet(
-    model: str, scheme: str = None, seed: int = 0
-) -> GeneratedEventDescription:
-    """Generate a fleet event description with a simulated model."""
-    if scheme is None:
-        scheme = BEST_SCHEME[model]
-    client = SimulatedLLM(
-        model,
-        seed=seed,
-        knowledge=FLEET_ACTIVITY_GROUPS,
-        profiles=FLEET_PROFILES.get(model, {}),
-    )
-    pipeline = GenerationPipeline(client, scheme, domain=fleet_domain_spec())
-    return pipeline.run()
+def _profile(model: str, scheme: str) -> Profile:
+    """There is no zero-shot fleet profile: a zero-shot reply is undegraded."""
+    return FLEET_PROFILES[model].get(scheme, {})
+
+
+def _dataset(**_ignored: Any) -> FleetDataset:
+    """The scripted dataset: seed, scale and traffic do not apply."""
+    return build_fleet_dataset()
+
+
+FLEET = GoldDomain(
+    name="Fleet",
+    groups=FLEET_ACTIVITY_GROUPS,
+    vocabulary=FLEET_VOCABULARY,
+    gold=fleet_gold_event_description,
+    event_meanings=FLEET_EVENT_MEANINGS,
+    fluent_meanings={},
+    thresholds=FleetThresholds(),
+    threshold_meanings=FLEET_THRESHOLD_MEANINGS,
+    background_note=FLEET_BACKGROUND_NOTE,
+    profile=_profile,
+    dataset=_dataset,
+)

@@ -29,7 +29,6 @@ from repro.generation.generator import (
     MANUAL_CONSTANT_RENAMES,
     correct_outcome,
     generate,
-    generate_all_best,
     generate_best,
 )
 from repro.generation.metrics import (
@@ -55,7 +54,6 @@ __all__ = [
     "MANUAL_CONSTANT_RENAMES",
     "correct_outcome",
     "generate",
-    "generate_all_best",
     "generate_best",
     "activity_similarity",
     "average_similarity",

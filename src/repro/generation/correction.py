@@ -95,7 +95,6 @@ def correct_event_description(
     repair: bool = False,
     client=None,
     repair_budget: int = 5,
-    domain=None,
     outputs=None,
 ) -> Tuple[GeneratedEventDescription, CorrectionReport]:
     """Return a corrected copy of ``generated`` plus a report of the changes.
@@ -130,7 +129,6 @@ def correct_event_description(
             kb,
             client=client,
             budget=repair_budget,
-            domain=domain,
             outputs=outputs,
         )
         corrected = result.generated
@@ -190,6 +188,7 @@ def _correct(
         model=generated.model,
         scheme=generated.scheme,
         activities=corrected_activities,
+        domain=generated.domain,
     )
     report.post_lint = analyse(
         corrected.to_event_description(), vocabulary, kb=kb

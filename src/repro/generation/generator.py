@@ -1,26 +1,33 @@
-"""High-level generation API: from model name to event description.
+"""High-level generation API: from gold domain and model name to event
+description.
 
 Convenience layer used by the examples and the experiment harnesses:
 generate with a simulated model, pick the best prompting scheme per model
 (as in Figure 2a), and correct the winners (Figure 2b).
+
+The ``seed`` parameters are kept for the harnesses that pass one: the
+simulated models draw nothing at random, so their replies do not depend
+on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.generation.correction import CorrectionReport, correct_event_description
 from repro.generation.metrics import average_similarity, per_activity_similarities
 from repro.llm.interface import LLMClient
 from repro.llm.pipeline import GeneratedEventDescription, GenerationPipeline
-from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import PROMPT_SCHEMES
 from repro.llm.simulated import SimulatedLLM
 from repro.logic.knowledge import KnowledgeBase
 from repro.rtec.description import Vocabulary
 
-__all__ = ["GenerationOutcome", "generate", "generate_best", "generate_all_best"]
+if TYPE_CHECKING:
+    from repro.domain import GoldDomain
+
+__all__ = ["GenerationOutcome", "generate", "generate_best"]
 
 #: The reviewer-supplied renames the paper describes performing manually
 #: ("we had to rename constant 'trawlingArea' as 'fishing'").
@@ -47,15 +54,17 @@ class GenerationOutcome:
 
 
 def generate(
+    domain: "GoldDomain",
     model: str,
     scheme: str,
     seed: int = 0,
     client: Optional[LLMClient] = None,
 ) -> GenerationOutcome:
-    """Generate an event description with one model under one scheme."""
+    """Generate an event description of ``domain`` with one model under one
+    scheme (the simulated ``model`` unless a ``client`` is given)."""
     if client is None:
-        client = SimulatedLLM(model, seed=seed)
-    generated = GenerationPipeline(client, scheme).run()
+        client = SimulatedLLM(model, domain)
+    generated = GenerationPipeline(client, scheme, domain).run()
     return GenerationOutcome(
         generated=generated,
         average_similarity=average_similarity(generated),
@@ -63,18 +72,11 @@ def generate(
     )
 
 
-def generate_best(model: str, seed: int = 0) -> GenerationOutcome:
+def generate_best(domain: "GoldDomain", model: str, seed: int = 0) -> GenerationOutcome:
     """Generate with both schemes and keep the higher-similarity one,
     exactly as the X-square / X-triangle selection of Figure 2a."""
-    outcomes = [generate(model, scheme, seed=seed) for scheme in PROMPT_SCHEMES]
+    outcomes = [generate(domain, model, scheme, seed=seed) for scheme in PROMPT_SCHEMES]
     return max(outcomes, key=lambda outcome: outcome.average_similarity)
-
-
-def generate_all_best(
-    models: Sequence[str] = MODEL_NAMES, seed: int = 0
-) -> Dict[str, GenerationOutcome]:
-    """The best generation per model, for all models of the evaluation."""
-    return {model: generate_best(model, seed=seed) for model in models}
 
 
 def correct_outcome(

@@ -5,12 +5,12 @@ Mistral and Gemma-2 through the OpenAI and Groq APIs; this reproduction
 substitutes seeded :class:`~repro.llm.simulated.SimulatedLLM` backends with
 per-model error profiles (see DESIGN.md, "Substitutions"). The pipeline
 itself (:class:`~repro.llm.pipeline.GenerationPipeline`) is
-backend-agnostic: point it at any :class:`~repro.llm.interface.LLMClient`.
+backend-agnostic: point it at any :class:`~repro.llm.interface.LLMClient`
+and any gold domain (:class:`repro.domain.GoldDomain`).
 """
 
 from repro.llm.interface import ChatMessage, LLMClient
 from repro.llm.pipeline import (
-    DomainSpec,
     GeneratedActivity,
     GeneratedEventDescription,
     GenerationPipeline,
@@ -31,7 +31,6 @@ from repro.llm.simulated import SimulatedLLM
 __all__ = [
     "ChatMessage",
     "LLMClient",
-    "DomainSpec",
     "GeneratedActivity",
     "GeneratedEventDescription",
     "GenerationPipeline",

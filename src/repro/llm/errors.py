@@ -20,7 +20,6 @@ reproducing a definition imperfectly.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence
@@ -102,7 +101,7 @@ def _term_names(term: Term) -> FrozenSet[str]:
 class Transformation:
     """Base class; subclasses override :meth:`apply`."""
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         raise NotImplementedError
 
     def introduced_names(self, gold_rules: Sequence[Rule]) -> FrozenSet[str]:
@@ -125,7 +124,7 @@ class RenameFunctor(Transformation):
     old: str
     new: str
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         def fn(term: Term) -> Term:
             if isinstance(term, Compound) and term.functor == self.old:
                 return Compound(self.new, term.args)
@@ -145,7 +144,7 @@ class RenameConstant(Transformation):
     old: str
     new: str
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         def fn(term: Term) -> Term:
             if isinstance(term, Constant) and term.value == self.old:
                 return Constant(self.new)
@@ -166,7 +165,7 @@ class RenameVariable(Transformation):
     old: str
     new: str
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         def fn(term: Term) -> Term:
             if isinstance(term, Variable) and term.name == self.old:
                 return Variable(self.new)
@@ -184,7 +183,7 @@ class SwapOperator(Transformation):
     new: str = "intersect_all"
     rule_index: Optional[int] = None  # None: all rules
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         def fn(term: Term) -> Term:
             if isinstance(term, Compound) and term.functor == self.old:
                 return Compound(self.new, term.args)
@@ -209,7 +208,7 @@ class SwapArguments(Transformation):
 
     functor: str
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         def fn(term: Term) -> Term:
             if isinstance(term, Compound) and term.functor == self.functor and term.arity == 2:
                 return Compound(term.functor, (term.args[1], term.args[0]))
@@ -227,7 +226,7 @@ class DropRule(Transformation):
 
     index: int
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         if not 0 <= self.index < len(rules):
             return list(rules)
         return [rule for i, rule in enumerate(rules) if i != self.index]
@@ -245,7 +244,7 @@ class DropCondition(Transformation):
     rule_index: int
     condition_index: int
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         out = list(rules)
         if not 0 <= self.rule_index < len(out):
             return out
@@ -292,7 +291,7 @@ class AddCondition(Transformation):
     negated: bool = False
     position: Optional[int] = None  # None: append
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         out = list(rules)
         if not 0 <= self.rule_index < len(out):
             return out
@@ -317,7 +316,7 @@ class TruncateRules(Transformation):
 
     count: int = 1
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         return list(rules[: max(0, self.count)])
 
     def introduced_names(self, gold_rules: Sequence[Rule]) -> FrozenSet[str]:
@@ -338,7 +337,7 @@ class CorruptSyntax(Transformation):
 
     kind: str = "drop-final-period"
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         return list(rules)  # the corruption happens at text level
 
     def corrupt(self, text: str) -> str:
@@ -362,7 +361,7 @@ class ReplaceRules(Transformation):
 
     text: str
 
-    def apply(self, rules: List[Rule], rng: random.Random) -> List[Rule]:
+    def apply(self, rules: List[Rule]) -> List[Rule]:
         return parse_program(self.text)
 
     def introduced_names(self, gold_rules: Sequence[Rule]) -> FrozenSet[str]:
@@ -374,13 +373,9 @@ class ReplaceRules(Transformation):
         return frozenset(_identifier_names(self.text) - gold_names)
 
 
-def apply_all(
-    rules: Sequence[Rule],
-    transformations: Sequence[Transformation],
-    rng: random.Random,
-) -> List[Rule]:
-    """Apply the transformations left to right."""
+def apply_all(rules: Sequence[Rule], transformations: Sequence[Transformation]) -> List[Rule]:
+    """Apply the transformations left to right (each one is deterministic)."""
     out = list(rules)
     for transformation in transformations:
-        out = transformation.apply(out, rng)
+        out = transformation.apply(out)
     return out

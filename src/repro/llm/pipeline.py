@@ -13,7 +13,7 @@ LLM output is data, not trusted code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import telemetry
 from repro.llm.interface import ChatMessage, LLMClient
@@ -28,42 +28,24 @@ from repro.llm.prompts import (
 )
 from repro.logic.parser import ParseError, Rule, parse_program
 from repro.logic.pretty import program_to_str
-from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
 from repro.rtec.description import EventDescription
 
+if TYPE_CHECKING:
+    from repro.domain import GoldDomain
+    from repro.maritime.gold import ActivityGroup
+
 __all__ = [
-    "DomainSpec",
     "GeneratedActivity",
     "GeneratedEventDescription",
     "GenerationPipeline",
 ]
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Everything domain-specific about the prompting pipeline.
-
-    Per Section 6 of the paper, prompt R is domain-independent while
-    prompts F, E, T and the activity descriptions of prompt G carry domain
-    knowledge. The default instance is the maritime domain of the
-    evaluation; :mod:`repro.fleet` provides a vehicle fleet-management
-    instance (the paper's further-work domain).
-    """
-
-    name: str = "Maritime"
-    groups: Tuple[ActivityGroup, ...] = ACTIVITY_GROUPS
-    event_meanings: Optional[Dict[str, str]] = None  # None: maritime defaults
-    fluent_meanings: Optional[Dict[str, str]] = None
-    thresholds: Optional[object] = None  # any object with .items()
-    threshold_meanings: Optional[Dict[str, str]] = None
-    background_note: Optional[str] = None
-
-
 @dataclass
 class GeneratedActivity:
     """The LLM's output for one activity description."""
 
-    group: ActivityGroup
+    group: "ActivityGroup"
     raw_text: str
     rules: List[Rule] = field(default_factory=list)
     parse_error: Optional[str] = None
@@ -80,11 +62,13 @@ class GeneratedActivity:
 
 @dataclass
 class GeneratedEventDescription:
-    """A full event description generated by one model under one scheme."""
+    """A full event description generated by one model under one scheme,
+    one activity per group of its domain."""
 
     model: str
     scheme: str
     activities: List[GeneratedActivity]
+    domain: "GoldDomain"
 
     def all_rules(self) -> List[Rule]:
         rules: List[Rule] = []
@@ -134,13 +118,7 @@ class GeneratedEventDescription:
 class GenerationPipeline:
     """Drives an LLM client through prompts R, F/F*, E, T and G."""
 
-    def __init__(
-        self,
-        client: LLMClient,
-        scheme: str,
-        groups: Optional[Sequence[ActivityGroup]] = None,
-        domain: Optional[DomainSpec] = None,
-    ) -> None:
+    def __init__(self, client: LLMClient, scheme: str, domain: "GoldDomain") -> None:
         if scheme not in ALL_PROMPT_SCHEMES:
             raise ValueError(
                 "unknown prompting scheme %r; expected one of %s"
@@ -148,27 +126,16 @@ class GenerationPipeline:
             )
         self.client = client
         self.scheme = scheme
-        self.domain = domain if domain is not None else DomainSpec()
-        self.groups = list(groups) if groups is not None else list(self.domain.groups)
+        self.domain = domain
 
     def _teaching_prompts(self) -> List[str]:
-        domain = self.domain
-        kwargs_t = {}
-        if domain.thresholds is not None:
-            kwargs_t["thresholds"] = domain.thresholds
         prompts = [prompt_r()]
         if self.scheme != ZERO_SHOT:
             # Zero-shot prompting skips the fluent-kind examples of prompt F
             # (Section 3: excluded from the paper's pipeline for poor results).
             prompts.append(prompt_f(self.scheme))
-        prompts.append(prompt_e(domain.event_meanings, domain.fluent_meanings))
-        prompts.append(
-            prompt_t(
-                meanings=domain.threshold_meanings,
-                background_note=domain.background_note,
-                **kwargs_t,
-            )
-        )
+        prompts.append(prompt_e(self.domain))
+        prompts.append(prompt_t(self.domain))
         return prompts
 
     def run(self) -> GeneratedEventDescription:
@@ -184,7 +151,7 @@ class GenerationPipeline:
                 sp.count("prompt_rounds")
                 sp.count("teaching_rounds")
             activities: List[GeneratedActivity] = []
-            for group in self.groups:
+            for group in self.domain.groups:
                 conversation.append(
                     ChatMessage("user", prompt_g(group.description, self.domain.name))
                 )
@@ -197,11 +164,14 @@ class GenerationPipeline:
                     sp.count("parse_failures")
                 activities.append(activity)
             return GeneratedEventDescription(
-                model=self.client.model_name, scheme=self.scheme, activities=activities
+                model=self.client.model_name,
+                scheme=self.scheme,
+                activities=activities,
+                domain=self.domain,
             )
 
     @staticmethod
-    def _parse_reply(group: ActivityGroup, reply: str) -> GeneratedActivity:
+    def _parse_reply(group: "ActivityGroup", reply: str) -> GeneratedActivity:
         try:
             rules = parse_program(reply)
         except ParseError as exc:

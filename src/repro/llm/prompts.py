@@ -9,14 +9,10 @@ definition from its natural-language description (prompt G).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING
 
-from repro.maritime.gold import (
-    INPUT_EVENT_MEANINGS,
-    INPUT_FLUENT_MEANINGS,
-    THRESHOLD_MEANINGS,
-)
-from repro.maritime.thresholds import DEFAULT_THRESHOLDS, Thresholds
+if TYPE_CHECKING:
+    from repro.domain import GoldDomain
 
 __all__ = [
     "FEW_SHOT",
@@ -161,70 +157,48 @@ def prompt_f(scheme: str) -> str:
     return "\n".join(parts)
 
 
-def prompt_e(
-    event_meanings: Mapping[str, str] = None,
-    fluent_meanings: Mapping[str, str] = None,
-) -> str:
-    """Prompt E: the input events and input fluents of the application."""
-    event_meanings = INPUT_EVENT_MEANINGS if event_meanings is None else event_meanings
-    fluent_meanings = INPUT_FLUENT_MEANINGS if fluent_meanings is None else fluent_meanings
+def prompt_e(domain: "GoldDomain") -> str:
+    """Prompt E: the input events and input fluents of the domain."""
     lines = ["You may use the following input events:", ""]
-    for index, (signature, meaning) in enumerate(event_meanings.items(), start=1):
+    for index, (signature, meaning) in enumerate(domain.event_meanings.items(), start=1):
         lines.append("Input Event %d: %s" % (index, signature))
         lines.append("Meaning: %s" % meaning)
         lines.append("")
     lines.append("You may use the following input fluents:")
     lines.append("")
-    for index, (signature, meaning) in enumerate(fluent_meanings.items(), start=1):
+    for index, (signature, meaning) in enumerate(domain.fluent_meanings.items(), start=1):
         lines.append("Input Fluent %d: %s" % (index, signature))
         lines.append("Meaning: %s" % meaning)
         lines.append("")
     return "\n".join(lines).rstrip()
 
 
-_MARITIME_BACKGROUND_NOTE = (
-    "You may also use the background predicates areaType(Area, AreaType), "
-    "vesselType(Vessel, Type), vesselSpeedRange(Vessel, Min, Max), "
-    "oneIsTug(Vessel1, Vessel2) and oneIsPilot(Vessel1, Vessel2)."
-)
-
-
-def prompt_t(
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-    meanings: Mapping[str, str] = None,
-    background_note: str = None,
-) -> str:
-    """Prompt T: the domain thresholds, via the ``thresholds/2`` predicate.
-
-    ``thresholds`` may be any object with an ``items()`` iterator of
-    ``(name, value)`` pairs; ``background_note`` describes the atemporal
-    predicates of the domain (defaults to the maritime ones).
-    """
-    meanings = THRESHOLD_MEANINGS if meanings is None else meanings
-    if background_note is None:
-        background_note = _MARITIME_BACKGROUND_NOTE
+def prompt_t(domain: "GoldDomain") -> str:
+    """Prompt T: the domain thresholds, via the ``thresholds/2`` predicate,
+    and the domain's atemporal background predicates."""
     lines = [
         "You may use a predicate named 'thresholds' with two arguments. "
         "The first argument refers to the threshold type and the second "
         "one to the threshold value. Threshold values can be used to "
-        "perform mathematical operations and comparisons. " + background_note,
+        "perform mathematical operations and comparisons. " + domain.background_note,
         "",
     ]
-    for index, (name, value) in enumerate(thresholds.items(), start=1):
+    for index, (name, value) in enumerate(domain.thresholds.items(), start=1):
         camel = name[0].upper() + name[1:]
         lines.append("Threshold %d: thresholds(%s, %s)" % (index, name, camel))
-        meaning = meanings.get(name, "")
+        meaning = domain.threshold_meanings.get(name, "")
         if meaning:
             lines.append("Meaning: %s (default value %s)" % (meaning, value))
         lines.append("")
     return "\n".join(lines).rstrip()
 
 
-def prompt_g(description: str, domain: str = "Maritime") -> str:
+def prompt_g(description: str, domain: str) -> str:
     """Prompt G: ask for one composite activity definition.
 
-    ``domain`` labels the request ("Maritime" in the paper's evaluation;
-    other domains reuse the same prompt, per Section 6).
+    ``domain`` labels the request (:attr:`repro.domain.GoldDomain.name`,
+    "Maritime" in the paper's evaluation; other domains reuse the same
+    prompt, per Section 6).
     """
     return (
         "Given a composite %s activity description, provide the "
@@ -246,7 +220,7 @@ def prompt_repair(
     description: str,
     current_text: str,
     diagnostics_text: str,
-    domain: str = "Maritime",
+    domain: str,
 ) -> str:
     """The repair prompt: current definition plus analyser diagnostics.
 

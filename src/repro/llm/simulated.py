@@ -15,29 +15,29 @@ worked "Answer:" explanations; few-shot prompts do not) and identifies the
 requested activity purely from the natural-language description inside the
 G prompt. It never inspects pipeline internals.
 
-The domain is a parameter: ``knowledge`` is the list of activity groups
-the model "has seen during pre-training" and ``profiles`` maps prompting
-schemes to error profiles. The defaults reproduce the paper's maritime
-evaluation; :mod:`repro.fleet` instantiates the same class for vehicle
-fleet management (the paper's further-work domain).
+The domain is a parameter (a :class:`~repro.domain.GoldDomain`): its
+activity groups are what the model "has seen during pre-training", and its
+``profile(model, scheme)`` the errors it makes. Nothing in a reply is
+drawn at random.
 """
 
 from __future__ import annotations
 
-import random
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.llm.errors import CorruptSyntax, Transformation, apply_all
 from repro.llm.interface import ChatMessage
-from repro.llm.profiles import MODEL_NAMES, Profile, profile_for
+from repro.llm.profiles import MODEL_NAMES, Profile
 from repro.llm.prompts import CHAIN_OF_THOUGHT, FEW_SHOT, REPAIR_MARKER, ZERO_SHOT
 from repro.logic.pretty import program_to_str
-from repro.maritime.gold import ACTIVITY_GROUPS, ActivityGroup
+
+if TYPE_CHECKING:
+    from repro.domain import GoldDomain
+    from repro.maritime.gold import ActivityGroup
 
 __all__ = ["SimulatedLLM"]
 
-_GENERATION_MARKER = "Maritime Composite Activity Description - "
 _GENERIC_MARKER = "Composite Activity Description - "
 _COT_MARKER = "Answer: The activity 'withinArea' is expressed"
 _F_MARKER = "There are two ways in which a composite activity may be defined"
@@ -46,35 +46,23 @@ _SYNTAX_HINTS = ("RTEC001", "syntax", "parse")
 
 
 class SimulatedLLM:
-    """A seeded, profile-driven stand-in for one of the paper's LLMs.
+    """A profile-driven stand-in for one of the paper's LLMs.
 
     Parameters
     ----------
     model:
         One of the paper's model names (``MODEL_NAMES``).
-    seed:
-        Seed for any stochastic transformation.
-    knowledge:
-        The activity groups the model can formalise (default: the maritime
-        gold standard).
-    profiles:
-        ``{scheme: profile}`` overriding the built-in maritime profiles;
-        each profile maps group names to transformation lists.
+    domain:
+        The gold domain whose activities the model can formalise, and whose
+        ``profile(model, scheme)`` maps each group name to the model's
+        transformations.
     """
 
-    def __init__(
-        self,
-        model: str,
-        seed: int = 0,
-        knowledge: Sequence[ActivityGroup] = ACTIVITY_GROUPS,
-        profiles: Optional[Dict[str, Profile]] = None,
-    ) -> None:
+    def __init__(self, model: str, domain: "GoldDomain") -> None:
         if model not in MODEL_NAMES:
             raise ValueError("unknown model %r; known: %s" % (model, MODEL_NAMES))
         self._model = model
-        self._rng = random.Random((hash(model) & 0xFFFF) ^ seed)
-        self._knowledge = list(knowledge)
-        self._profiles = profiles
+        self._domain = domain
         # (scheme, activity name) -> transformations the model has "learned"
         # to avoid after being shown analyser diagnostics implicating them.
         self._repaired: Dict[Tuple[str, str], Set[Transformation]] = {}
@@ -118,38 +106,34 @@ class SimulatedLLM:
                 saw_f_prompt = True
         return FEW_SHOT if saw_f_prompt else ZERO_SHOT
 
-    def _match_activity(self, request: str) -> Optional[ActivityGroup]:
+    def _match_activity(self, request: str) -> Optional["ActivityGroup"]:
         """Identify the requested activity from its natural-language
         description inside the G prompt."""
         _prefix, _sep, description = request.partition(_GENERIC_MARKER)
         description = description.strip()
-        for group in self._knowledge:
+        for group in self._domain.groups:
             if group.description.strip() == description:
                 return group
         # Tolerate minor whitespace differences and prefix matches.
-        for group in self._knowledge:
+        for group in self._domain.groups:
             head = group.description.split(":", 1)[0].strip().lower()
             if description.lower().startswith(head):
                 return group
         return None
 
-    def _profile(self, scheme: str) -> Profile:
-        if self._profiles is not None:
-            return self._profiles.get(scheme, {})
-        return profile_for(self._model, scheme)
-
     def _active_transformations(
-        self, scheme: str, group: ActivityGroup
+        self, scheme: str, group: "ActivityGroup"
     ) -> List[Transformation]:
         """The profile's transformations minus the ones repaired away."""
-        transformations = self._profile(scheme).get(group.name, [])
+        profile: Profile = self._domain.profile(self._model, scheme)
+        transformations = profile.get(group.name, [])
         suppressed = self._repaired.get((scheme, group.name), set())
         return [t for t in transformations if t not in suppressed]
 
-    def _render(self, group: ActivityGroup, transformations: Sequence[Transformation]) -> str:
+    def _render(self, group: "ActivityGroup", transformations: Sequence[Transformation]) -> str:
         rule_level = [t for t in transformations if not isinstance(t, CorruptSyntax)]
         text_level = [t for t in transformations if isinstance(t, CorruptSyntax)]
-        rules = apply_all(group.rules, rule_level, self._rng)
+        rules = apply_all(group.rules, rule_level)
         text = program_to_str(rules)
         for corruption in text_level:
             text = corruption.corrupt(text)

@@ -4,12 +4,14 @@ Everything the paper's empirical analysis (Section 5) needs from the
 maritime domain: the geography of areas and ports, a synthetic AIS
 trajectory simulator replacing the Brest dataset, the critical-event
 detector that turns AIS messages into RTEC input, the hand-crafted
-gold-standard event description, and the dataset builder.
+gold-standard event description, the dataset builder, and the
+:class:`~repro.domain.GoldDomain` record that bundles them (``MARITIME``).
 """
 
 from repro.maritime.ais import AISMessage, Vessel, VESSEL_SPEED_RANGES
 from repro.maritime.critical_events import CriticalEventDetector, DetectedStream
 from repro.maritime.dataset import MaritimeDataset, build_dataset, build_knowledge_base
+from repro.maritime.domain import MARITIME
 from repro.maritime.geometry import CircleArea, Geography, RectArea, default_geography
 from repro.maritime.gold import (
     ACTIVITY_GROUPS,
@@ -30,6 +32,7 @@ __all__ = [
     "VESSEL_SPEED_RANGES",
     "CriticalEventDetector",
     "DetectedStream",
+    "MARITIME",
     "MaritimeDataset",
     "build_dataset",
     "build_knowledge_base",

@@ -31,6 +31,7 @@ __all__ = [
     "INPUT_EVENT_MEANINGS",
     "INPUT_FLUENT_MEANINGS",
     "THRESHOLD_MEANINGS",
+    "BACKGROUND_NOTE",
     "gold_event_description",
     "gold_rules_text",
     "activity_group",
@@ -667,6 +668,14 @@ THRESHOLD_MEANINGS: Dict[str, str] = {
         "indicating that a vessel is adrift."
     ),
 }
+
+
+#: Prompt T's sentence on the atemporal background predicates.
+BACKGROUND_NOTE = (
+    "You may also use the background predicates areaType(Area, AreaType), "
+    "vesselType(Vessel, Type), vesselSpeedRange(Vessel, Min, Max), "
+    "oneIsTug(Vessel1, Vessel2) and oneIsPilot(Vessel1, Vessel2)."
+)
 
 
 def gold_rules_text() -> str:

@@ -21,9 +21,7 @@ drill is :func:`repro.serve.replay.run_replay` with ``workers > 1``.
 
 from repro.serve.cluster.engines import (
     EngineSpec,
-    fleet_engine,
     gold_engine_spec,
-    maritime_engine,
     soak_description,
     soak_engine,
 )
@@ -35,9 +33,7 @@ __all__ = [
     "EngineSpec",
     "WorkerHandle",
     "WorkerServer",
-    "fleet_engine",
     "gold_engine_spec",
-    "maritime_engine",
     "soak_description",
     "soak_engine",
     "worker_main",

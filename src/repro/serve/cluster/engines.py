@@ -7,8 +7,9 @@ Instead the router ships an :class:`EngineSpec` — a dotted ``module:callable``
 path plus JSON-able keyword arguments — and every worker builds engines
 locally, once per attached session. The heavyweight parts (gold event
 descriptions, synthetic dataset knowledge bases) are cached per process
-under :func:`functools.lru_cache`, so attaching the hundredth session
-costs one engine construction, not one dataset build.
+(:func:`repro.domain.gold_parts`, which a single-process ``repro serve`` or
+``replay`` reads too), so attaching the hundredth session costs one engine
+construction, not one dataset build.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from repro.rtec.engine import RTECEngine
 
 __all__ = [
     "EngineSpec",
-    "fleet_engine",
     "gold_engine_spec",
-    "maritime_engine",
     "soak_description",
     "soak_engine",
 ]
@@ -72,39 +71,9 @@ class EngineSpec:
 # -- gold dataset engines ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _fleet_parts() -> Any:
-    from repro.fleet import build_fleet_dataset, fleet_gold_event_description
-
-    return build_fleet_dataset(), fleet_gold_event_description()
-
-
-def fleet_engine() -> RTECEngine:
-    """A fresh engine over the fleet gold (dataset build cached per process)."""
-    dataset, description = _fleet_parts()
-    return RTECEngine(description, dataset.kb, dataset.vocabulary)
-
-
-@lru_cache(maxsize=4)
-def _maritime_parts(seed: int, scale: float, traffic: int) -> Any:
-    from repro.maritime import build_dataset, gold_event_description
-
-    return build_dataset(seed=seed, scale=scale, traffic=traffic), gold_event_description()
-
-
-def maritime_engine(seed: int = 0, scale: float = 1.0, traffic: int = 6) -> RTECEngine:
-    """A fresh engine over the maritime gold (dataset build cached per process)."""
-    dataset, description = _maritime_parts(seed, scale, traffic)
-    return RTECEngine(description, dataset.kb, dataset.vocabulary)
-
-
-def gold_engine_spec(gold: str, **kwargs: Any) -> EngineSpec:
-    """The :class:`EngineSpec` for one of the repo's gold descriptions."""
-    if gold == "fleet":
-        return EngineSpec("repro.serve.cluster.engines:fleet_engine")
-    if gold == "maritime":
-        return EngineSpec("repro.serve.cluster.engines:maritime_engine", dict(kwargs))
-    raise ValueError("unknown gold %r (expected 'fleet' or 'maritime')" % gold)
+def gold_engine_spec(gold: str, **dataset: Any) -> EngineSpec:
+    """The :class:`EngineSpec` of :func:`repro.domain.gold_engine`."""
+    return EngineSpec("repro.domain:gold_engine", dict(dataset, gold=gold))
 
 
 # -- soak engine ---------------------------------------------------------------

@@ -71,13 +71,6 @@ class SessionConfig:
     #: Incremental (delta) window evaluation (``RTECSession(incremental=)``).
     #: Off forces full-window recomputation on every advance (the oracle).
     incremental: bool = True
-    #: Certificate-gated admission (``RTECEngine.certificate``, read off the
-    #: engine's one analysis; a strict engine has it from load): ``"off"``
-    #: skips it, ``"warn"`` (default) records admission warnings in the
-    #: session status for a description whose analysis reports an error or
-    #: leaky fluents (RTEC027/028), and ``"require"`` rejects such a
-    #: description at session creation.
-    certify: str = "warn"
 
 
 _STOP = object()
@@ -128,31 +121,20 @@ class ManagedSession:
             engine, config.window, config.step, incremental=config.incremental
         )
         self.description_digest = checkpointing.description_hash(engine.description)
-        #: The description's analysis certificate (None when admission is off).
-        self.certificate = None
-        #: Why admission flagged this description (empty = clean or off).
+        #: The description's analysis certificate (``RTECEngine.certificate``,
+        #: read off the engine's one analysis; a strict engine has it from load).
+        self.certificate = certificate = engine.certificate()
+        #: Why admission flagged this description: its analysis reports an
+        #: error or leaky fluents (RTEC027/028). Recorded, never refused.
         self.admission_warnings: List[str] = []
-        if config.certify not in ("off", "warn", "require"):
-            raise ValueError(
-                "certify must be 'off', 'warn' or 'require', not %r" % config.certify
+        if not certificate.certified:
+            self.admission_warnings.append(
+                "description is uncertifiable (base analysis errors)"
             )
-        if config.certify != "off":
-            certificate = engine.certificate()
-            self.certificate = certificate
-            if not certificate.certified:
-                self.admission_warnings.append(
-                    "description is uncertifiable (base analysis errors)"
-                )
-            if not certificate.memory_bounded:
-                self.admission_warnings.append(
-                    "description has leaky fluents: %s"
-                    % ", ".join(certificate.leaky_fluents)
-                )
-            if self.admission_warnings and config.certify == "require":
-                raise ValueError(
-                    "session %r rejected by certificate-gated admission: %s"
-                    % (name, "; ".join(self.admission_warnings))
-                )
+        if not certificate.memory_bounded:
+            self.admission_warnings.append(
+                "description has leaky fluents: %s" % ", ".join(certificate.leaky_fluents)
+            )
         self.counters = _Counters()
         #: Checkpoint encoder state; the worker awaits each write: one writer.
         self._sealed: checkpointing.SealedText = {}
@@ -474,10 +456,9 @@ class ManagedSession:
             "advances": dict(self.session.advances),
             "recomputes": dict(self.session.recomputes),
         }
-        if self.certificate is not None:
-            status["certified"] = self.certificate.certified
-            status["delta_safe"] = self.certificate.delta_safe
-            status["memory_bounded"] = self.certificate.memory_bounded
+        status["certified"] = self.certificate.certified
+        status["delta_safe"] = self.certificate.delta_safe
+        status["memory_bounded"] = self.certificate.memory_bounded
         if self.admission_warnings:
             status["admission_warnings"] = list(self.admission_warnings)
         return status

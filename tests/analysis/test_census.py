@@ -16,8 +16,8 @@ generated descriptions are pinned too.
 import pytest
 
 from repro.analysis import LINT_RULES, AnalysisCertificate, analyse
+from repro.fleet import FLEET
 from repro.fleet.dataset import build_fleet_knowledge_base
-from repro.fleet.generation import generate_fleet
 from repro.fleet.gold import (
     FLEET_ACTIVITY_GROUPS,
     FLEET_VOCABULARY,
@@ -30,6 +30,7 @@ from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import PROMPT_SCHEMES
 from repro.maritime import (
     ACTIVITY_GROUPS,
+    MARITIME,
     MARITIME_VOCABULARY,
     build_dataset,
     gold_event_description,
@@ -54,8 +55,8 @@ KEPT_WITHOUT_FIRING = {
     "RTEC023": "the declared-output branch of RTEC022's analysis",
     "RTEC025": "gates the delta path",
     "RTEC026": "gates the delta path",
-    "RTEC027": "gates serve admission under certify=require",
-    "RTEC028": "gates serve admission under certify=require",
+    "RTEC027": "recorded as a serve admission warning (leaky fluents)",
+    "RTEC028": "recorded as a serve admission warning (leaky fluents)",
 }
 
 
@@ -82,14 +83,14 @@ def _corpus():
     for seed in range(5):
         for model in MODEL_NAMES:
             for scheme in PROMPT_SCHEMES:
-                outcome = generate(model, scheme, seed=seed)
+                outcome = generate(MARITIME, model, scheme, seed=seed)
                 corrected, _report = correct_outcome(outcome, MARITIME_VOCABULARY, maritime_kb)
                 for generated in (outcome.generated, corrected.generated):
                     entries.append(
                         (generated.to_event_description(), MARITIME_VOCABULARY, maritime_kb,
                          generated)
                     )
-                raw = generate_fleet(model, scheme, seed=seed)
+                raw = generate(FLEET, model, scheme, seed=seed).generated
                 fixed, _report = correct_event_description(raw, FLEET_VOCABULARY, fleet_kb)
                 for generated in (raw, fixed):
                     entries.append(

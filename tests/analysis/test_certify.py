@@ -319,11 +319,11 @@ class TestEngineIntegration:
 class TestGoldCertification:
     @pytest.mark.parametrize("which", ["maritime", "fleet"])
     def test_golds_certify_clean(self, which):
-        from repro.cli import _gold_lint_target
+        from repro.domain import gold_domain
 
-        description, vocabulary, outputs, _source = _gold_lint_target(which)
+        domain = gold_domain(which)
         certificate = certify_description(
-            description, vocabulary, outputs=sorted(outputs)
+            domain.gold(), domain.vocabulary, outputs=sorted(domain.outputs)
         )
         assert certificate.certified
         assert certificate.delta_safe
@@ -351,13 +351,12 @@ class TestGoldCertification:
         # The paper's DropRule error class applied to every termination of
         # one building-block fluent: the leak and its propagation through
         # the interval algebra must both be caught.
-        from repro.cli import _gold_lint_target
+        from repro.maritime import MARITIME
         from repro.rtec.description import fluent_key
 
-        description, vocabulary, outputs, _source = _gold_lint_target("maritime")
         rules = [
             rule
-            for rule in description.rules
+            for rule in MARITIME.gold().rules
             if not (
                 getattr(rule.head, "functor", "") == "terminatedAt"
                 and fluent_key(rule.head.args[0].args[0]) == ("lowSpeed", 1)
@@ -365,7 +364,7 @@ class TestGoldCertification:
         ]
         mutated = EventDescription(rules)
         certificate = certify_description(
-            mutated, vocabulary, outputs=sorted(outputs)
+            mutated, MARITIME.vocabulary, outputs=sorted(MARITIME.outputs)
         )
         assert certificate.certified
         assert not certificate.memory_bounded

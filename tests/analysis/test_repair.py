@@ -10,14 +10,11 @@ the budget as the hard cap when a client keeps producing fresh bad states.
 import pytest
 
 from repro.analysis.diagnostics import Diagnostic, Fix
-from repro.analysis.repair import (
-    RepairResult,
-    generic_similarity,
-    repair_event_description,
-    repair_mode,
-)
+from repro.analysis.repair import RepairResult, repair_event_description, repair_mode
+from repro.generation.metrics import average_similarity
 from repro.llm.pipeline import GeneratedActivity, GeneratedEventDescription
 from repro.logic.parser import parse_program
+from repro.maritime import MARITIME
 from repro.maritime.gold import ACTIVITY_GROUPS, MARITIME_VOCABULARY
 
 
@@ -28,7 +25,9 @@ def _gold_generated(model="o1", scheme="few-shot"):
         )
         for group in ACTIVITY_GROUPS
     ]
-    return GeneratedEventDescription(model=model, scheme=scheme, activities=activities)
+    return GeneratedEventDescription(
+        model=model, scheme=scheme, activities=activities, domain=MARITIME
+    )
 
 
 def _broken_generated():
@@ -170,17 +169,17 @@ class TestSimulatedModels:
         from repro.generation import correct_event_description, generate
         from repro.llm.simulated import SimulatedLLM
 
-        outcome = generate("gemma-2", "few-shot", seed=0)
+        outcome = generate(MARITIME, "gemma-2", "few-shot", seed=0)
         baseline_corrected, _ = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, small_dataset.kb
         )
-        baseline = generic_similarity(baseline_corrected)
+        baseline = average_similarity(baseline_corrected)
         _repaired, report = correct_event_description(
             outcome.generated,
             MARITIME_VOCABULARY,
             small_dataset.kb,
             repair=True,
-            client=SimulatedLLM("gemma-2", seed=0),
+            client=SimulatedLLM("gemma-2", MARITIME),
         )
         result = report.repair
         assert isinstance(result, RepairResult)
@@ -193,13 +192,13 @@ class TestSimulatedModels:
         from repro.generation import correct_event_description, generate
         from repro.llm.simulated import SimulatedLLM
 
-        outcome = generate("mistral", "few-shot", seed=0)
+        outcome = generate(MARITIME, "mistral", "few-shot", seed=0)
         _repaired, report = correct_event_description(
             outcome.generated,
             MARITIME_VOCABULARY,
             small_dataset.kb,
             repair=True,
-            client=SimulatedLLM("mistral", seed=0),
+            client=SimulatedLLM("mistral", MARITIME),
         )
         result = report.repair
         assert result.iterations, "the weak profile should need repair"

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import settings
 
 import repro.analysis.repair as repair
-from repro.experiments.repair import run_fleet_repair_experiment, run_repair_experiment
-from repro.maritime import build_dataset, gold_event_description
+from repro.experiments.repair import run_repair_experiment
+from repro.fleet import FLEET
+from repro.maritime import MARITIME, build_dataset, gold_event_description
 from repro.rtec import RTECEngine
 
 # A longer search for counterexamples to the metric axioms than tier-1 affords:
@@ -50,6 +51,11 @@ def repair_runs():
             return states[-1]
 
         patch.setattr(repair, "_analyse", recorded)
-        maritime_kb = build_dataset(seed=0, scale=0.05).kb
-        experiments = (run_repair_experiment(maritime_kb, seed=0), run_fleet_repair_experiment(seed=0))
+        experiments = tuple(
+            run_repair_experiment(domain, kb, seed=0)
+            for domain, kb in (
+                (MARITIME, build_dataset(seed=0, scale=0.05).kb),
+                (FLEET, FLEET.dataset().kb),
+            )
+        )
     return experiments, states

@@ -21,7 +21,6 @@ The Kuhn-Munkres and window-scaling *runtimes* EXPERIMENTS.md quotes are
 one-off measurements, not claims a test holds.
 """
 
-import random
 import re
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from repro.generation.correction import correct_event_description
 from repro.generation.metrics import average_similarity
 from repro.llm.errors import AddCondition, RenameConstant, RenameFunctor, SwapOperator, apply_all
 from repro.llm.pipeline import GeneratedActivity, GeneratedEventDescription
+from repro.maritime import MARITIME
 from repro.maritime.gold import (
     ACTIVITY_GROUPS,
     COMPOSITE_ACTIVITIES,
@@ -134,17 +134,16 @@ class TestCorrectionAblation:
 
     @staticmethod
     def _before_and_after(category, kb):
-        rng = random.Random(0)
         activities = [
             GeneratedActivity(
                 group=group,
                 raw_text=group.rules_text,
-                rules=apply_all(group.rules, INJECTED[category].get(group.name, []), rng),
+                rules=apply_all(group.rules, INJECTED[category].get(group.name, [])),
             )
             for group in ACTIVITY_GROUPS
         ]
         generated = GeneratedEventDescription(
-            model="ablation", scheme="few-shot", activities=activities
+            model="ablation", scheme="few-shot", activities=activities, domain=MARITIME
         )
         corrected, _report = correct_event_description(generated, MARITIME_VOCABULARY, kb)
         return average_similarity(generated), average_similarity(corrected)

@@ -46,9 +46,10 @@ class TestRobustnessResult:
 class TestRepairExperiment:
     def test_maritime_single_combo(self, small_dataset):
         from repro.experiments.repair import format_table, run_repair_experiment
+        from repro.maritime import MARITIME
 
         result = run_repair_experiment(
-            small_dataset.kb, models=("gemma-2",), schemes=("few-shot",)
+            MARITIME, small_dataset.kb, models=("gemma-2",), schemes=("few-shot",)
         )
         entry = result.entry("gemma-2", "few-shot")
         assert entry.result.status in ("clean", "converged", "fixpoint")
@@ -63,9 +64,12 @@ class TestRepairExperiment:
             result.entry("gpt-4", "few-shot")
 
     def test_fleet_single_combo(self):
-        from repro.experiments.repair import run_fleet_repair_experiment
+        from repro.experiments.repair import run_repair_experiment
+        from repro.fleet import FLEET
 
-        result = run_fleet_repair_experiment(models=("gpt-4",), schemes=("few-shot",))
+        result = run_repair_experiment(
+            FLEET, FLEET.dataset().kb, models=("gpt-4",), schemes=("few-shot",)
+        )
         entry = result.entry("gpt-4", "few-shot")
         assert len(entry.result.iterations) <= 5
         assert entry.improvement >= -1e-9

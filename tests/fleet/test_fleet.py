@@ -3,14 +3,14 @@
 import pytest
 
 from repro.fleet import (
+    FLEET,
     FLEET_ACTIVITY_GROUPS,
     FLEET_COMPOSITE_ACTIVITIES,
     FLEET_VOCABULARY,
     build_fleet_dataset,
-    fleet_domain_spec,
     fleet_gold_event_description,
-    generate_fleet,
 )
+from repro.generation import generate
 from repro.llm import FEW_SHOT, CHAIN_OF_THOUGHT
 from repro.llm.prompts import prompt_r
 from repro.rtec import RTECEngine
@@ -83,21 +83,20 @@ class TestRecognition:
 class TestGeneration:
     def test_prompt_r_is_reused_verbatim(self):
         # Section 6: "Prompt R may be re-used as it is."
-        spec = fleet_domain_spec()
         assert prompt_r() == prompt_r()  # domain-independent by construction
-        assert spec.name == "Fleet"
+        assert FLEET.name == "Fleet"
 
     def test_o1_transfers_perfectly(self, gold):
-        generated = generate_fleet("o1", FEW_SHOT)
+        generated = generate(FLEET, "o1", FEW_SHOT).generated
         assert event_description_similarity(generated.to_event_description(), gold) == 1.0
 
     def test_weak_profile_degrades(self, gold):
-        generated = generate_fleet("gemma-2", CHAIN_OF_THOUGHT)
+        generated = generate(FLEET, "gemma-2", CHAIN_OF_THOUGHT).generated
         similarity = event_description_similarity(generated.to_event_description(), gold)
         assert similarity < 1.0
 
     def test_generated_description_runs(self, dataset, gold, recognition):
-        generated = generate_fleet("gemma-2", CHAIN_OF_THOUGHT)
+        generated = generate(FLEET, "gemma-2", CHAIN_OF_THOUGHT).generated
         engine = RTECEngine(
             generated.to_event_description(),
             dataset.kb,
@@ -112,7 +111,7 @@ class TestGeneration:
         )
 
     def test_generation_covers_all_groups(self):
-        generated = generate_fleet("o1", FEW_SHOT)
+        generated = generate(FLEET, "o1", FEW_SHOT).generated
         assert len(generated.activities) == len(FLEET_ACTIVITY_GROUPS)
         assert not generated.parse_errors
 

@@ -5,6 +5,7 @@ import pytest
 from repro.generation.correction import correct_event_description, levenshtein
 from repro.generation.generator import generate
 from repro.llm import FEW_SHOT, CHAIN_OF_THOUGHT
+from repro.maritime import MARITIME
 from repro.maritime.dataset import build_knowledge_base
 from repro.maritime.ais import Vessel
 from repro.maritime.geometry import default_geography
@@ -42,7 +43,7 @@ class TestLevenshtein:
 class TestAutomaticCorrection:
     def test_camel_case_event_rename_fixed(self, kb):
         # Llama-3's gapEnd -> gap_end: exact match after normalisation.
-        outcome = generate("llama-3", FEW_SHOT)
+        outcome = generate(MARITIME, "llama-3", FEW_SHOT)
         corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -51,7 +52,7 @@ class TestAutomaticCorrection:
 
     def test_close_constant_rename_fixed(self, kb):
         # Llama-3's 'fisheries' -> 'fishing' via edit distance.
-        outcome = generate("llama-3", FEW_SHOT)
+        outcome = generate(MARITIME, "llama-3", FEW_SHOT)
         _corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -60,7 +61,7 @@ class TestAutomaticCorrection:
     def test_unrelated_names_left_alone(self, kb):
         # GPT-4's undefined 'fishingOperation' has no close known name: it
         # must remain (and stay detectable as an undefined-fluent issue).
-        outcome = generate("gpt-4", FEW_SHOT)
+        outcome = generate(MARITIME, "gpt-4", FEW_SHOT)
         corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -70,7 +71,7 @@ class TestAutomaticCorrection:
 
     def test_semantic_errors_not_fixed(self, kb):
         # GPT-4o's intersect_all-for-union_all confusion must survive.
-        outcome = generate("gpt-4o", CHAIN_OF_THOUGHT)
+        outcome = generate(MARITIME, "gpt-4o", CHAIN_OF_THOUGHT)
         corrected, _report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -81,7 +82,7 @@ class TestAutomaticCorrection:
     def test_self_consistent_renames_kept(self, kb):
         # A model that consistently renames a fluent it itself defines has
         # made no referential error: nothing to correct.
-        outcome = generate("gpt-4", FEW_SHOT)
+        outcome = generate(MARITIME, "gpt-4", FEW_SHOT)
         corrected, _report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -90,7 +91,7 @@ class TestAutomaticCorrection:
 
 class TestManualRenames:
     def test_reviewer_map_applied(self, kb):
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         assert "trawlingArea" in outcome.generated.to_text()
         corrected, report = correct_event_description(
             outcome.generated,
@@ -102,7 +103,7 @@ class TestManualRenames:
         assert report.constant_renames["trawlingArea"] == "fishing"
 
     def test_correction_is_idempotent(self, kb):
-        outcome = generate("llama-3", FEW_SHOT)
+        outcome = generate(MARITIME, "llama-3", FEW_SHOT)
         once, _ = correct_event_description(outcome.generated, MARITIME_VOCABULARY, kb)
         twice, report = correct_event_description(once, MARITIME_VOCABULARY, kb)
         assert once.to_text() == twice.to_text()
@@ -110,7 +111,7 @@ class TestManualRenames:
 
 class TestPostLint:
     def test_post_lint_attached_to_report(self, kb):
-        outcome = generate("llama-3", FEW_SHOT)
+        outcome = generate(MARITIME, "llama-3", FEW_SHOT)
         _corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -125,7 +126,7 @@ class TestPostLint:
     def test_flawless_profile_post_lint_is_error_clean(self, kb):
         from repro.llm import BEST_SCHEME
 
-        outcome = generate("o1", BEST_SCHEME["o1"])
+        outcome = generate(MARITIME, "o1", BEST_SCHEME["o1"])
         _corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -137,7 +138,7 @@ class TestPostLint:
         # invent definitions, so the post-correction lint still gates.
         from repro.llm import BEST_SCHEME
 
-        outcome = generate("gpt-4", BEST_SCHEME["gpt-4"])
+        outcome = generate(MARITIME, "gpt-4", BEST_SCHEME["gpt-4"])
         _corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -154,7 +155,7 @@ class TestSemanticDiagnostics:
     def test_semantic_diagnostics_filter_codes(self, kb):
         from repro.llm import BEST_SCHEME
 
-        outcome = generate("o1", BEST_SCHEME["o1"])
+        outcome = generate(MARITIME, "o1", BEST_SCHEME["o1"])
         _corrected, report = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, kb
         )
@@ -170,7 +171,7 @@ class TestSemanticDiagnostics:
         from repro.llm import BEST_SCHEME, MODEL_NAMES
 
         for model in MODEL_NAMES:
-            outcome = generate(model, BEST_SCHEME[model])
+            outcome = generate(MARITIME, model, BEST_SCHEME[model])
             _corrected, report = correct_event_description(
                 outcome.generated, MARITIME_VOCABULARY, kb
             )

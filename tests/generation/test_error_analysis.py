@@ -10,11 +10,12 @@ from repro.generation.error_analysis import (
 )
 from repro.llm import BEST_SCHEME
 from repro.llm.prompts import ZERO_SHOT
+from repro.maritime import MARITIME
 from repro.maritime.gold import MARITIME_VOCABULARY
 
 
 def _report(model, scheme=None):
-    outcome = generate(model, scheme or BEST_SCHEME[model])
+    outcome = generate(MARITIME, model, scheme or BEST_SCHEME[model])
     return analyse_errors(outcome.generated, MARITIME_VOCABULARY)
 
 

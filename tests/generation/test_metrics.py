@@ -11,6 +11,7 @@ from repro.generation.metrics import (
 )
 from repro.llm import CHAIN_OF_THOUGHT, FEW_SHOT
 from repro.logic.parser import parse_program
+from repro.maritime import MARITIME
 
 
 class TestHeadlineRules:
@@ -35,41 +36,41 @@ class TestHeadlineRules:
 class TestActivitySimilarity:
     def test_perfect_for_untouched_activity(self):
         # o1's profile does not touch 'stopped'.
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         assert activity_similarity(outcome.generated, "stopped") == 1.0
 
     def test_gemma_trawling_is_exactly_zero(self):
         # The paper: "Gemma-2 expressed 'trawling' as a simple fluent,
         # while the hand-crafted rules express it as a statically
         # determined fluent, resulting in a similarity of 0."
-        outcome = generate("gemma-2", CHAIN_OF_THOUGHT)
+        outcome = generate(MARITIME, "gemma-2", CHAIN_OF_THOUGHT)
         assert activity_similarity(outcome.generated, "trawling") == 0.0
 
     def test_redundant_condition_reduces_but_keeps_high(self):
         # o1's trawling rule has one redundant condition: high similarity.
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         similarity = activity_similarity(outcome.generated, "trawling")
         assert 0.7 < similarity < 1.0
 
     def test_unknown_group(self):
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         with pytest.raises(KeyError):
             activity_similarity(outcome.generated, "piracy")
 
 
 class TestAggregation:
     def test_per_activity_covers_all_groups(self):
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         similarities = per_activity_similarities(outcome.generated)
         assert len(similarities) == 15
         assert all(0 <= value <= 1 for value in similarities.values())
 
     def test_average_in_unit_interval(self):
-        outcome = generate("mistral", CHAIN_OF_THOUGHT)
+        outcome = generate(MARITIME, "mistral", CHAIN_OF_THOUGHT)
         assert 0 < average_similarity(outcome.generated) < 1
 
     def test_outcome_carries_summary(self):
-        outcome = generate("o1", FEW_SHOT)
+        outcome = generate(MARITIME, "o1", FEW_SHOT)
         assert outcome.average_similarity == pytest.approx(
             average_similarity(outcome.generated)
         )

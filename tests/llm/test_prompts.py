@@ -11,6 +11,7 @@ from repro.llm.prompts import (
     prompt_r,
     prompt_t,
 )
+from repro.maritime import MARITIME
 from repro.maritime.thresholds import DEFAULT_THRESHOLDS
 
 
@@ -49,30 +50,30 @@ class TestPromptF:
 
 class TestPromptE:
     def test_lists_input_events_with_meanings(self):
-        text = prompt_e()
+        text = prompt_e(MARITIME)
         assert "Input Event 1:" in text
         assert "velocity(Vessel, Speed, CourseOverGround, TrueHeading)" in text
         assert "gap_start(Vessel)" in text
 
     def test_lists_input_fluents(self):
-        assert "proximity(Vessel1, Vessel2)=true" in prompt_e()
+        assert "proximity(Vessel1, Vessel2)=true" in prompt_e(MARITIME)
 
 
 class TestPromptT:
     def test_lists_thresholds_with_values(self):
-        text = prompt_t()
+        text = prompt_t(MARITIME)
         assert "thresholds(hcNearCoastMax, HcNearCoastMax)" in text
         assert str(DEFAULT_THRESHOLDS.hcNearCoastMax) in text
 
     def test_mentions_background_predicates(self):
-        text = prompt_t()
+        text = prompt_t(MARITIME)
         assert "vesselType(Vessel, Type)" in text
         assert "oneIsTug(Vessel1, Vessel2)" in text
 
 
 class TestPromptG:
     def test_embeds_description(self):
-        text = prompt_g("Trawling: some description.")
+        text = prompt_g("Trawling: some description.", "Maritime")
         assert text.endswith("Maritime Composite Activity Description - Trawling: some description.")
         assert "provide the rules in RTEC formalization" in text
         assert "already learned" in text

@@ -14,29 +14,30 @@ from repro.llm import (
     prompt_f,
     prompt_g,
 )
+from repro.maritime import MARITIME
 from repro.maritime.gold import ACTIVITY_GROUPS
 
 
 class TestInterface:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            SimulatedLLM("gpt-5")
+            SimulatedLLM("gpt-5", MARITIME)
 
     def test_model_name(self):
-        assert SimulatedLLM("o1").model_name == "o1"
+        assert SimulatedLLM("o1", MARITIME).model_name == "o1"
 
     def test_acknowledges_teaching_prompts(self):
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         reply = client.complete([ChatMessage("user", "Some teaching prompt.")])
         assert reply == "Understood."
 
     def test_unknown_activity_yields_comment(self):
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         reply = client.complete(
             [
                 ChatMessage(
                     "user",
-                    prompt_g("Piracy: an activity we never taught the model about."),
+                    prompt_g("Piracy: an activity we never taught the model about.", "Maritime"),
                 )
             ]
         )
@@ -45,19 +46,19 @@ class TestInterface:
 
 class TestSchemeDetection:
     def test_detects_chain_of_thought_from_f_prompt(self):
-        client = SimulatedLLM("gpt-4o")
+        client = SimulatedLLM("gpt-4o", MARITIME)
         conversation = [
             ChatMessage("user", prompt_f(CHAIN_OF_THOUGHT)),
             ChatMessage("assistant", "Understood."),
-            ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description)),
+            ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description, "Maritime")),
         ]
         assert client._detect_scheme(conversation) == CHAIN_OF_THOUGHT
 
     def test_no_f_prompt_means_zero_shot(self):
         from repro.llm.prompts import ZERO_SHOT
 
-        client = SimulatedLLM("gpt-4o")
-        conversation = [ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description))]
+        client = SimulatedLLM("gpt-4o", MARITIME)
+        conversation = [ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description, "Maritime"))]
         assert client._detect_scheme(conversation) == ZERO_SHOT
 
 
@@ -67,36 +68,36 @@ class TestGeneration:
         # gold rules.
         from repro.logic.parser import parse_program
 
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         group = next(g for g in ACTIVITY_GROUPS if g.name == "stopped")
         conversation = [
             ChatMessage("user", prompt_f(FEW_SHOT)),
             ChatMessage("assistant", "Understood."),
-            ChatMessage("user", prompt_g(group.description)),
+            ChatMessage("user", prompt_g(group.description, "Maritime")),
         ]
         reply = client.complete(conversation)
         assert parse_program(reply) == parse_program(group.rules_text)
 
     def test_profile_transformations_applied(self):
         # o1's trawling profile renames 'fishing' to 'trawlingArea'.
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         group = next(g for g in ACTIVITY_GROUPS if g.name == "trawling")
         conversation = [
             ChatMessage("user", prompt_f(FEW_SHOT)),
             ChatMessage("assistant", "Understood."),
-            ChatMessage("user", prompt_g(group.description)),
+            ChatMessage("user", prompt_g(group.description, "Maritime")),
         ]
         reply = client.complete(conversation)
         assert "trawlingArea" in reply
         assert "underWay" in reply  # the redundant condition
 
     def test_gemma_trawling_is_simple_fluent(self):
-        client = SimulatedLLM("gemma-2")
+        client = SimulatedLLM("gemma-2", MARITIME)
         group = next(g for g in ACTIVITY_GROUPS if g.name == "trawling")
         conversation = [
             ChatMessage("user", prompt_f(CHAIN_OF_THOUGHT)),
             ChatMessage("assistant", "Understood."),
-            ChatMessage("user", prompt_g(group.description)),
+            ChatMessage("user", prompt_g(group.description, "Maritime")),
         ]
         reply = client.complete(conversation)
         assert "initiatedAt(trawling" in reply
@@ -135,27 +136,27 @@ class TestProfiles:
 
 class TestPipeline:
     def test_runs_all_activities(self):
-        generated = GenerationPipeline(SimulatedLLM("o1"), FEW_SHOT).run()
+        generated = GenerationPipeline(SimulatedLLM("o1", MARITIME), FEW_SHOT, MARITIME).run()
         assert len(generated.activities) == len(ACTIVITY_GROUPS)
         assert generated.model == "o1"
         assert generated.scheme == FEW_SHOT
 
     def test_rules_for_lookup(self):
-        generated = GenerationPipeline(SimulatedLLM("o1"), FEW_SHOT).run()
+        generated = GenerationPipeline(SimulatedLLM("o1", MARITIME), FEW_SHOT, MARITIME).run()
         assert generated.rules_for("withinArea")
         with pytest.raises(KeyError):
             generated.rules_for("piracy")
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            GenerationPipeline(SimulatedLLM("o1"), "one-shot")
+            GenerationPipeline(SimulatedLLM("o1", MARITIME), "one-shot", MARITIME)
 
     def test_deterministic_for_seed(self):
-        first = GenerationPipeline(SimulatedLLM("o1", seed=5), FEW_SHOT).run()
-        second = GenerationPipeline(SimulatedLLM("o1", seed=5), FEW_SHOT).run()
+        first = GenerationPipeline(SimulatedLLM("o1", MARITIME), FEW_SHOT, MARITIME).run()
+        second = GenerationPipeline(SimulatedLLM("o1", MARITIME), FEW_SHOT, MARITIME).run()
         assert first.to_text() == second.to_text()
 
     def test_full_description_parses_and_round_trips(self):
-        generated = GenerationPipeline(SimulatedLLM("llama-3", seed=1), FEW_SHOT).run()
+        generated = GenerationPipeline(SimulatedLLM("llama-3", MARITIME), FEW_SHOT, MARITIME).run()
         description = generated.to_event_description()
         assert len(description.rules) > 40

@@ -21,6 +21,7 @@ from repro.llm.prompts import (
     prompt_g,
     prompt_r,
 )
+from repro.maritime import MARITIME
 from repro.maritime.gold import ACTIVITY_GROUPS
 
 
@@ -32,24 +33,24 @@ class TestSchemePlumbing:
         assert ZERO_SHOT in ALL_PROMPT_SCHEMES
 
     def test_pipeline_skips_prompt_f(self):
-        pipeline = GenerationPipeline(SimulatedLLM("o1"), ZERO_SHOT)
+        pipeline = GenerationPipeline(SimulatedLLM("o1", MARITIME), ZERO_SHOT, MARITIME)
         prompts = pipeline._teaching_prompts()
         assert len(prompts) == 3  # R, E, T — no F
         assert prompts[0] == prompt_r()
 
     def test_simulated_model_detects_zero_shot(self):
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         conversation = [
             ChatMessage("user", prompt_r()),
             ChatMessage("assistant", "Understood."),
-            ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description)),
+            ChatMessage("user", prompt_g(ACTIVITY_GROUPS[0].description, "Maritime")),
         ]
         assert client._detect_scheme(conversation) == ZERO_SHOT
 
     def test_simulated_model_still_detects_few_shot(self):
         from repro.llm.prompts import prompt_f
 
-        client = SimulatedLLM("o1")
+        client = SimulatedLLM("o1", MARITIME)
         conversation = [ChatMessage("user", prompt_f(FEW_SHOT))]
         assert client._detect_scheme(conversation) == FEW_SHOT
 
@@ -57,24 +58,25 @@ class TestSchemePlumbing:
 class TestZeroShotQuality:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_zero_shot_much_worse_than_pipeline_schemes(self, model):
-        zero_shot = generate(model, ZERO_SHOT).average_similarity
-        few_shot = generate(model, FEW_SHOT).average_similarity
-        chain = generate(model, CHAIN_OF_THOUGHT).average_similarity
+        zero_shot = generate(MARITIME, model, ZERO_SHOT).average_similarity
+        few_shot = generate(MARITIME, model, FEW_SHOT).average_similarity
+        chain = generate(MARITIME, model, CHAIN_OF_THOUGHT).average_similarity
         assert zero_shot < few_shot
         assert zero_shot < chain
         assert zero_shot < 0.5  # "poor results"
 
     def test_zero_shot_produces_syntax_errors(self):
-        outcome = generate("o1", ZERO_SHOT)
+        outcome = generate(MARITIME, "o1", ZERO_SHOT)
         assert outcome.generated.parse_errors
 
     def test_the_same_replies_under_every_hash_seed(self):
         # Which replies are broken must not depend on the str hash seed.
         script = (
             "from repro.generation import generate; from repro.llm import MODEL_NAMES; "
-            "print([generate(m, 'zero-shot').average_similarity for m in MODEL_NAMES])"
+            "from repro.maritime import MARITIME; "
+            "print([generate(MARITIME, m, 'zero-shot').average_similarity for m in MODEL_NAMES])"
         )
-        here = str([generate(model, ZERO_SHOT).average_similarity for model in MODEL_NAMES])
+        here = str([generate(MARITIME, model, ZERO_SHOT).average_similarity for model in MODEL_NAMES])
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             run = subprocess.run(

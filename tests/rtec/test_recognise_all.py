@@ -15,7 +15,7 @@ from repro.llm import MODEL_NAMES, PROMPT_SCHEMES
 from repro.logic.knowledge import KnowledgeBase
 from repro.logic.parser import Literal, Rule, parse_term
 from repro.logic.terms import Compound, Variable
-from repro.maritime import build_dataset, gold_event_description
+from repro.maritime import MARITIME, build_dataset, gold_event_description
 from repro.rtec import Event, EventDescription, EventStream, EvaluationError, RTECEngine
 from repro.rtec.engine import recognise_all
 
@@ -33,7 +33,7 @@ def corpus(dataset):
     texts = []
     for model in MODEL_NAMES:
         for scheme in PROMPT_SCHEMES:
-            outcome = generate(model, scheme, seed=0)
+            outcome = generate(MARITIME, model, scheme, seed=0)
             corrected, _report = correct_outcome(outcome, dataset.vocabulary, dataset.kb)
             texts += [outcome.generated.to_text(), corrected.generated.to_text()]
     return texts

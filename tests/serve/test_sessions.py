@@ -544,36 +544,11 @@ class TestCertifiedAdmission:
         assert "admission_warnings" not in status
 
     def test_warn_mode_records_admission_warnings(self):
-        managed = ManagedSession(
-            "s", _leaky_engine(), SessionConfig(window=20, certify="warn")
-        )
+        managed = ManagedSession("s", _leaky_engine(), SessionConfig(window=20))
         assert managed.admission_warnings
         status = managed.status()
         assert not status["memory_bounded"]
         assert any("leaky" in warning for warning in status["admission_warnings"])
-
-    def test_require_mode_rejects_leaky_descriptions(self):
-        with pytest.raises(ValueError, match="leaky"):
-            ManagedSession(
-                "s", _leaky_engine(), SessionConfig(window=20, certify="require")
-            )
-
-    def test_require_mode_admits_clean_descriptions(self):
-        managed = ManagedSession(
-            "s", _engine(), SessionConfig(window=20, certify="require")
-        )
-        assert managed.admission_warnings == []
-
-    def test_off_mode_skips_certification(self):
-        managed = ManagedSession(
-            "s", _leaky_engine(), SessionConfig(window=20, certify="off")
-        )
-        assert managed.certificate is None
-        assert "certified" not in managed.status()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="certify"):
-            ManagedSession("s", _engine(), SessionConfig(window=20, certify="bogus"))
 
 
 class TestEvaluationOnTheLoop:

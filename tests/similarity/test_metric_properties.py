@@ -26,6 +26,7 @@ from repro.llm.simulated import SimulatedLLM
 from repro.logic.parser import Literal, Rule, parse_rule
 from repro.logic.terms import Compound, Constant, Variable
 from repro.generation.metrics import headline_rules
+from repro.maritime import MARITIME
 from repro.maritime.gold import ACTIVITY_GROUPS
 from repro.rtec.description import canonical
 from repro.similarity import event_description_distance, kuhn_munkres, rule_distance
@@ -242,7 +243,7 @@ def test_peeled_equals_the_full_matrix_bit_for_bit_on_the_corpus():
     for model in MODEL_NAMES:
         for scheme in PROMPT_SCHEMES:
             for seed in range(5):
-                generated = GenerationPipeline(SimulatedLLM(model, seed=seed), scheme).run()
+                generated = GenerationPipeline(SimulatedLLM(model, MARITIME), scheme, MARITIME).run()
                 for group in ACTIVITY_GROUPS:
                     rules = generated.rules_for(group.name)
                     headline = group.fluents[-1][0]

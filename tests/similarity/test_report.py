@@ -4,6 +4,7 @@ import pytest
 
 from repro import telemetry
 from repro.llm import MODEL_NAMES, PROMPT_SCHEMES
+from repro.maritime import MARITIME
 from repro.similarity import event_description_distance
 from repro.similarity.report import format_matching, match_descriptions
 
@@ -83,7 +84,7 @@ class TestOnGeneratedDescriptions:
         from repro.llm import BEST_SCHEME
         from repro.maritime.gold import gold_event_description
 
-        outcome = generate("o1", BEST_SCHEME["o1"])
+        outcome = generate(MARITIME, "o1", BEST_SCHEME["o1"])
         report = match_descriptions(
             outcome.generated.to_event_description(), gold_event_description()
         )
@@ -102,7 +103,7 @@ class TestOnGeneratedDescriptions:
 
         gold = gold_event_description()
         for scheme in PROMPT_SCHEMES:
-            generated = GenerationPipeline(SimulatedLLM(model, seed=0), scheme).run()
+            generated = GenerationPipeline(SimulatedLLM(model, MARITIME), scheme, MARITIME).run()
             description = generated.to_event_description()
             with telemetry.enabled() as tracer:
                 distance = event_description_distance(description, gold)

@@ -5,6 +5,7 @@ import pytest
 from repro import telemetry
 from repro.intervals import IntervalList
 from repro.logic.parser import parse_term
+from repro.maritime import MARITIME
 from repro.rtec import Event, EventDescription, EventStream, RTECEngine
 from repro.rtec.session import RTECSession
 from repro.similarity import event_description_distance
@@ -147,9 +148,9 @@ class TestPipelineCounters:
         from repro.llm.pipeline import GenerationPipeline
         from repro.llm.simulated import SimulatedLLM
 
-        client = SimulatedLLM("o1", seed=0)
+        client = SimulatedLLM("o1", MARITIME)
         with telemetry.enabled() as tracer:
-            GenerationPipeline(client, BEST_SCHEME["o1"]).run()
+            GenerationPipeline(client, BEST_SCHEME["o1"], MARITIME).run()
         spans = [root for root in tracer.roots if root.name == "llm.pipeline"]
         assert len(spans) == 1
         counters = spans[0].counters
