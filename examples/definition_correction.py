@@ -14,7 +14,6 @@ Run:  python examples/definition_correction.py [--model o1] [--scale 0.3]
 import argparse
 
 from repro.generation import (
-    MANUAL_CONSTANT_RENAMES,
     correct_event_description,
     generate,
     run_recognition,
@@ -34,10 +33,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="o1", choices=MODEL_NAMES)
     parser.add_argument("--scale", type=float, default=0.3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     args = parser.parse_args()
 
-    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model])
     print(
         "generated %d rules with %s (%s); average similarity %.3f"
         % (
@@ -53,7 +52,7 @@ def main() -> None:
         outcome.generated,
         MARITIME_VOCABULARY,
         dataset.kb,
-        manual_constant_renames=MANUAL_CONSTANT_RENAMES.get(args.model, {}),
+        manual_constant_renames=MARITIME.manual_renames.get(args.model, {}),
     )
     print("\ncorrection report:")
     for old, new in report.functor_renames.items():

@@ -25,7 +25,6 @@ from repro.similarity import event_description_similarity
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="gemma-2", choices=MODEL_NAMES)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     dataset = FLEET.dataset()
@@ -39,7 +38,7 @@ def main() -> None:
             print("  holdsFor(%s, %s)" % (pair, intervals.as_pairs()))
 
     print("\n=== LLM generation for the fleet domain (%s) ===" % args.model)
-    outcome = generate(FLEET, args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(FLEET, args.model, BEST_SCHEME[args.model])
     description = outcome.generated.to_event_description()
     similarity = event_description_similarity(description, gold)
     print("similarity to gold: %.3f" % similarity)

@@ -8,7 +8,7 @@ and prints the Figure 2a table. Also shows one generated definition in full,
 with its validation issues — the raw material of the paper's qualitative
 error assessment.
 
-Run:  python examples/llm_generation.py [--model o1] [--seed 0]
+Run:  python examples/llm_generation.py [--model o1]
 """
 
 import argparse
@@ -23,16 +23,15 @@ from repro.maritime import MARITIME, MARITIME_VOCABULARY
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="gpt-4o", choices=MODEL_NAMES)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     print("=== Figure 2a: similarity of LLM-generated definitions ===\n")
-    fig2a = run_fig2a(seed=args.seed)
+    fig2a = run_fig2a()
     print(format_table(fig2a))
     print("\ntop-3 (input to Figures 2b/2c):", ", ".join(fig2a.top_models(3)))
 
     print("\n=== One generated definition in detail: %s ===\n" % args.model)
-    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model])
     activity = outcome.generated.activity("loitering")
     print("-- natural-language description fed to prompt G --")
     print(activity.group.description)

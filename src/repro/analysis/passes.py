@@ -392,13 +392,12 @@ def compute_name_fixes(
     description: EventDescription,
     vocabulary: Vocabulary,
     kb: Optional[KnowledgeBase] = None,
-    skip_functors: Optional[Mapping[str, str]] = None,
     skip_constants: Optional[Mapping[str, str]] = None,
 ) -> NameFixes:
     """Resolve unknown names to their unique closest known name.
 
-    ``skip_functors``/``skip_constants`` are renames already decided (e.g.
-    a reviewer-supplied map): those names are not re-resolved.
+    ``skip_constants`` are constant renames already decided (a reviewer's
+    map): those names are not re-resolved.
     """
     referenced_functors, referenced_constants = referenced_names(description.rules)
     known_functors = known_functor_names(description, vocabulary)
@@ -408,9 +407,7 @@ def compute_name_fixes(
     constant_renames: Dict[str, str] = {}
     unresolved: List[Tuple[str, str]] = []
 
-    for name in sorted(
-        referenced_functors - known_functors - set(skip_functors or {})
-    ):
+    for name in sorted(referenced_functors - known_functors):
         match = closest(name, candidates)
         if match is not None:
             functor_renames[name] = match

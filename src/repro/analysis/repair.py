@@ -195,13 +195,10 @@ def _analyse(
     generated: GeneratedEventDescription,
     vocabulary: Optional[Vocabulary],
     kb: Optional[KnowledgeBase],
-    outputs: Optional[Sequence[str]],
 ) -> LintReport:
     from repro.analysis.analyzer import analyse
 
-    return analyse(
-        generated.to_event_description(), vocabulary=vocabulary, kb=kb, outputs=outputs
-    )
+    return analyse(generated.to_event_description(), vocabulary=vocabulary, kb=kb)
 
 
 def _actionable_codes(
@@ -375,7 +372,6 @@ def repair_event_description(
     kb: Optional[KnowledgeBase] = None,
     client=None,
     budget: int = 5,
-    outputs: Optional[Sequence[str]] = None,
 ) -> RepairResult:
     """Iterate analyse -> auto-fix -> re-prompt to a fixpoint or the budget.
 
@@ -388,7 +384,7 @@ def repair_event_description(
         "analysis.repair", model=generated.model, scheme=generated.scheme
     ) as span:
         current = generated
-        report = _analyse(current, vocabulary, kb, outputs)
+        report = _analyse(current, vocabulary, kb)
         codes = _actionable_codes(current, report)
         initial_similarity = average_similarity(current)
         result = RepairResult(
@@ -422,7 +418,7 @@ def repair_event_description(
                 span.count("auto_fixes", len(auto))
             prompted_names: List[str] = []
             if client is not None:
-                mid_report = _analyse(current, vocabulary, kb, outputs)
+                mid_report = _analyse(current, vocabulary, kb)
                 batches = _promptable_batches(current, mid_report)
                 if batches:
                     if conversation is None:
@@ -432,7 +428,7 @@ def repair_event_description(
                     ]
                     current = _prompt_repairs(client, conversation, current, batches)
                     span.count("repair_prompts", len(batches))
-            report = _analyse(current, vocabulary, kb, outputs)
+            report = _analyse(current, vocabulary, kb)
             codes = _actionable_codes(current, report)
             similarity = average_similarity(current)
             result.iterations.append(

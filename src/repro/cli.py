@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig2a = sub.add_parser("fig2a", help="similarity of LLM-generated definitions")
-    fig2a.add_argument("--seed", type=int, default=0)
     fig2a.add_argument("--chart", action="store_true", help="render bar groups")
 
     fig2b = sub.add_parser("fig2b", help="similarities after syntactic correction")
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--model", choices=MODEL_NAMES, default="o1")
     gen.add_argument("--scheme", choices=PROMPT_SCHEMES, default=None,
                      help="default: the model's best scheme")
-    gen.add_argument("--seed", type=int, default=0)
 
     repair = sub.add_parser(
         "repair",
@@ -149,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default: all models")
     repair.add_argument("--scheme", choices=PROMPT_SCHEMES, default=None,
                         help="default: both pipeline schemes")
-    repair.add_argument("--seed", type=int, default=0)
+    repair.add_argument("--seed", type=int, default=0,
+                        help="dataset seed (knowledge-base constants)")
     repair.add_argument("--scale", type=_positive_float, default=0.1,
                         help="maritime dataset scale (knowledge-base constants)")
     repair.add_argument("--budget", type=_non_negative_int, default=5,
@@ -162,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     errors.add_argument("--model", choices=MODEL_NAMES, default=None,
                         help="default: all models")
-    errors.add_argument("--seed", type=int, default=0)
 
     diff = sub.add_parser(
         "diff", help="correction worklist: generated vs gold rule matching"
     )
     diff.add_argument("--model", choices=MODEL_NAMES, default="o1")
-    diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--show-exact", action="store_true")
 
     profile = sub.add_parser(
@@ -382,7 +379,7 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
-    result = run_fig2a(seed=args.seed)
+    result = run_fig2a()
     print(fig2a_table(result))
     print("top-3:", ", ".join(result.top_models(3)))
     if args.chart:
@@ -405,7 +402,7 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 
 def _cmd_fig2b(args: argparse.Namespace) -> int:
     dataset = build_dataset(seed=args.seed, scale=args.scale)
-    print(fig2b_table(run_fig2b(dataset.kb, seed=args.seed)))
+    print(fig2b_table(run_fig2b(dataset.kb)))
     return 0
 
 
@@ -431,7 +428,7 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     scheme = args.scheme or BEST_SCHEME[args.model]
-    outcome = generate(MARITIME, args.model, scheme, seed=args.seed)
+    outcome = generate(MARITIME, args.model, scheme)
     print("%% model=%s scheme=%s average-similarity=%.3f" % (
         args.model, scheme, outcome.average_similarity))
     print(outcome.generated.to_text())
@@ -448,9 +445,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     domain = gold_domain(args.gold)
     # The knowledge base of the library's dataset defaults, not serve's.
     kb = domain.dataset(seed=args.seed, scale=args.scale).kb
-    result = run_repair_experiment(
-        domain, kb, models, schemes, seed=args.seed, budget=args.budget
-    )
+    result = run_repair_experiment(domain, kb, models, schemes, budget=args.budget)
     if args.json:
         print(result.to_json())
         return 0 if result.all_at_least_baseline else 1
@@ -492,7 +487,7 @@ def _cmd_errors(args: argparse.Namespace) -> int:
 
     models = [args.model] if args.model else list(MODEL_NAMES)
     for model in models:
-        outcome = generate(MARITIME, model, BEST_SCHEME[model], seed=args.seed)
+        outcome = generate(MARITIME, model, BEST_SCHEME[model])
         report = analyse_errors(outcome.generated, MARITIME_VOCABULARY)
         print(format_report(report))
         print()
@@ -503,7 +498,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.maritime.gold import gold_event_description
     from repro.similarity import format_matching, match_descriptions
 
-    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model], seed=args.seed)
+    outcome = generate(MARITIME, args.model, BEST_SCHEME[args.model])
     report = match_descriptions(
         outcome.generated.to_event_description(), gold_event_description()
     )

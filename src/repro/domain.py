@@ -56,6 +56,10 @@ class GoldDomain:
     #: ``dataset(seed=, scale=, traffic=)``: an object with ``stream``,
     #: ``input_fluents``, ``kb`` and ``vocabulary``.
     dataset: Callable[..., Any]
+    #: Model -> the constant renames a reviewer makes by hand after
+    #: generation (Section 5.2's "minimum required changes" that no string
+    #: metric finds, such as maritime o1's ``trawlingArea`` -> ``fishing``).
+    manual_renames: Mapping[str, Mapping[str, str]]
 
     @property
     def outputs(self) -> FrozenSet[str]:

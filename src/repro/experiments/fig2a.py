@@ -57,8 +57,9 @@ class Fig2aResult:
 def run_fig2a(models: Sequence[str] = MODEL_NAMES, seed: int = 0) -> Fig2aResult:
     """Run both prompting schemes for every model and keep the best.
 
-    The simulated replies do not depend on ``seed``."""
-    return Fig2aResult({model: generate_best(MARITIME, model, seed=seed) for model in models})
+    Generation is deterministic and ``seed`` is ignored; it stays only
+    because the benchmark's pipeline pass calls ``run_fig2a(seed=...)``."""
+    return Fig2aResult({model: generate_best(MARITIME, model) for model in models})
 
 
 def format_table(result: Fig2aResult) -> str:

@@ -50,7 +50,6 @@ def run_fig2b(
     kb: KnowledgeBase,
     fig2a: Optional[Fig2aResult] = None,
     top: int = 3,
-    seed: int = 0,
 ) -> Fig2bResult:
     """Correct the ``top`` best event descriptions of Figure 2a.
 
@@ -58,7 +57,7 @@ def run_fig2b(
     types, vessel types, threshold names).
     """
     if fig2a is None:
-        fig2a = run_fig2a(seed=seed)
+        fig2a = run_fig2a()
     corrected: Dict[str, GenerationOutcome] = {}
     reports: Dict[str, CorrectionReport] = {}
     for model in fig2a.top_models(top):

@@ -64,7 +64,7 @@ def run_fig2c(
     if dataset is None:
         dataset = build_dataset(seed=seed, scale=scale)
     if fig2b is None:
-        fig2b = run_fig2b(dataset.kb, seed=seed)
+        fig2b = run_fig2b(dataset.kb)
     # The engines of run_recognition (the gold strict, the candidates
     # tolerant) in one walk: what a candidate defines as the gold does is
     # evaluated once per window.

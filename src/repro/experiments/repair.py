@@ -2,12 +2,12 @@
 
 A Figure 2b-style experiment for the iterative repair loop
 (:mod:`repro.analysis.repair`): for every simulated model and prompting
-scheme, generate an event description, take the single-shot corrected
-similarity as the baseline (the paper's "minimum required changes" step),
-then run correction *with* repair and record the similarity trajectory
-across iterations. The loop must never end below the baseline — mechanical
-fixes subsume the single-shot renames — and improves on it wherever
-diagnostics can be fed back to the model. It runs in any gold domain.
+scheme, generate an event description, correct it once and take the
+corrected similarity as the baseline (the paper's "minimum required
+changes" step), then run the repair loop on the corrected description and
+record the similarity trajectory across iterations. The loop must never
+end below the baseline — mechanical fixes subsume the single-shot renames
+— and improves on it wherever diagnostics can be fed back to the model. It runs in any gold domain.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.repair import RepairResult
+from repro.analysis.repair import RepairResult, repair_event_description
 from repro.generation.correction import correct_event_description
 from repro.generation.generator import generate
 from repro.generation.metrics import average_similarity
@@ -107,7 +107,6 @@ def run_repair_experiment(
     kb: KnowledgeBase,
     models: Sequence[str] = MODEL_NAMES,
     schemes: Sequence[str] = PROMPT_SCHEMES,
-    seed: int = 0,
     budget: int = 5,
 ) -> RepairExperimentResult:
     """Run the repair loop for every model x scheme over ``domain``.
@@ -115,29 +114,25 @@ def run_repair_experiment(
     ``kb`` supplies the known constants for the naming fixes (as in
     Figure 2b). Each combination gets a *fresh* simulated client for the
     repair conversation, so repaired behaviour does not leak between runs.
-    The simulated replies do not depend on ``seed``.
     """
     result = RepairExperimentResult()
     for model in models:
         for scheme in schemes:
-            generated = generate(domain, model, scheme, seed=seed).generated
-            baseline_corrected, _report = correct_event_description(
-                generated, domain.vocabulary, kb
-            )
-            _repaired, report = correct_event_description(
-                generated,
+            generated = generate(domain, model, scheme).generated
+            corrected, _report = correct_event_description(generated, domain.vocabulary, kb)
+            repaired = repair_event_description(
+                corrected,
                 domain.vocabulary,
                 kb,
-                repair=True,
                 client=SimulatedLLM(model, domain),
-                repair_budget=budget,
+                budget=budget,
             )
             result.entries.append(
                 RepairEntry(
                     model=model,
                     scheme=scheme,
-                    baseline=average_similarity(baseline_corrected),
-                    result=report.repair,
+                    baseline=average_similarity(corrected),
+                    result=repaired,
                 )
             )
     return result

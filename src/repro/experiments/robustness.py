@@ -51,14 +51,14 @@ def run_robustness(
 ) -> RobustnessResult:
     """Repeat the Figure 2c experiment over several dataset seeds.
 
-    The generation seed is fixed (the simulated models are deterministic
-    given their profiles); what varies is the synthetic fleet the
-    definitions are evaluated on.
+    Generation is the same in every repetition (the simulated models are
+    deterministic given their profiles); what varies is the synthetic fleet
+    the definitions are evaluated on.
     """
     samples: Dict[str, Dict[str, List[float]]] = {}
     for seed in seeds:
         dataset = build_dataset(seed=seed, scale=scale)
-        fig2b = run_fig2b(dataset.kb, seed=0)
+        fig2b = run_fig2b(dataset.kb)
         fig2c = run_fig2c(fig2b=fig2b, dataset=dataset)
         for model, scores in fig2c.scores.items():
             per_model = samples.setdefault(model, {})

@@ -91,4 +91,5 @@ FLEET = GoldDomain(
     background_note=FLEET_BACKGROUND_NOTE,
     profile=_profile,
     dataset=_dataset,
+    manual_renames={},
 )

@@ -26,7 +26,6 @@ from repro.generation.evaluation import (
 )
 from repro.generation.generator import (
     GenerationOutcome,
-    MANUAL_CONSTANT_RENAMES,
     correct_outcome,
     generate,
     generate_best,
@@ -51,7 +50,6 @@ __all__ = [
     "score_activities",
     "score_activity",
     "GenerationOutcome",
-    "MANUAL_CONSTANT_RENAMES",
     "correct_outcome",
     "generate",
     "generate_best",

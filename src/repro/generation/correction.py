@@ -6,7 +6,8 @@ names for constants and predicates"; the authors perform "the minimum
 required changes", turning e.g. GPT-4o△ into GPT-4o▲. This module
 automates the mechanical part of that step and accepts an explicit
 reviewer-supplied rename map for the judgement calls (such as o1's
-``trawlingArea`` -> ``fishing``, which no string metric can find).
+``trawlingArea`` -> ``fishing``, which no string metric can find; each gold
+domain keeps its own in ``GoldDomain.manual_renames``).
 
 The name resolution itself lives in :mod:`repro.analysis`: the linter's
 naming pass (RTEC016) computes the same close-variant renames and attaches
@@ -23,7 +24,7 @@ What it fixes (error category 1 only):
   vocabulary name (case/underscore variants, e.g. ``gapEnd`` ->
   ``gap_end``) or are within a small edit distance of exactly one;
 * unknown constants close to a known constant of the knowledge base;
-* anything listed in the reviewer's rename maps.
+* the reviewer's constant renames, which the caller passes in.
 
 What it deliberately does NOT fix: wrong fluent types, wrong interval
 operators (``intersect_all`` vs ``union_all``), dropped conditions,
@@ -38,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis.diagnostics import Diagnostic, LintReport
-from repro.analysis.fixers import rewrite_rule
+from repro.analysis.fixers import rewrite_rules
 from repro.analysis.names import levenshtein
 from repro.analysis.passes import compute_name_fixes
 from repro.llm.pipeline import GeneratedActivity, GeneratedEventDescription
@@ -59,9 +60,6 @@ class CorrectionReport:
     #: the renames). ``post_lint.has_errors`` flags descriptions that still
     #: cannot execute — the gate for downstream use.
     post_lint: Optional[LintReport] = None
-    #: Outcome of the iterative repair loop, when correction ran with
-    #: ``repair=True`` (:mod:`repro.analysis.repair`); ``None`` otherwise.
-    repair: Optional[object] = None
 
     @property
     def total_changes(self) -> int:
@@ -90,113 +88,68 @@ def correct_event_description(
     generated: GeneratedEventDescription,
     vocabulary: Vocabulary,
     kb: KnowledgeBase,
-    manual_functor_renames: Optional[Mapping[str, str]] = None,
     manual_constant_renames: Optional[Mapping[str, str]] = None,
-    repair: bool = False,
-    client=None,
-    repair_budget: int = 5,
-    outputs=None,
 ) -> Tuple[GeneratedEventDescription, CorrectionReport]:
     """Return a corrected copy of ``generated`` plus a report of the changes.
 
-    With ``repair=True`` the one-shot rename correction is followed by the
-    iterative diagnostic repair loop of :mod:`repro.analysis.repair`:
-    analyser diagnostics are auto-fixed where possible and otherwise fed
-    back to ``client`` (any LLM client; ``None`` restricts the loop to
-    mechanical fixes) until the description is clean, a fixpoint or an
-    oscillation is reached, or ``repair_budget`` iterations have run. The
-    loop's outcome is attached as ``report.repair`` and ``post_lint`` is
-    the final state's report.
+    ``manual_constant_renames`` are the reviewer's judgement calls, applied
+    as given; every other rename is found by the analyser's naming pass.
+    The iterative repair loop (:func:`repro.analysis.repair.repair_event_description`)
+    takes the corrected copy from here.
     """
     span = telemetry.span(
         "llm.correction", model=generated.model, scheme=generated.scheme
     )
     with span:
-        corrected, report = _correct(
-            generated,
-            vocabulary,
-            kb,
-            manual_functor_renames,
-            manual_constant_renames,
-            span,
-        )
-    if repair:
-        from repro.analysis.repair import repair_event_description
-
-        result = repair_event_description(
-            corrected,
-            vocabulary,
-            kb,
-            client=client,
-            budget=repair_budget,
-            outputs=outputs,
-        )
-        corrected = result.generated
-        report.repair = result
-        report.post_lint = result.final_report
-    return corrected, report
+        return _correct(generated, vocabulary, kb, manual_constant_renames, span)
 
 
 def _correct(
     generated: GeneratedEventDescription,
     vocabulary: Vocabulary,
     kb: KnowledgeBase,
-    manual_functor_renames: Optional[Mapping[str, str]],
     manual_constant_renames: Optional[Mapping[str, str]],
     span,
 ) -> Tuple[GeneratedEventDescription, CorrectionReport]:
     from repro.analysis.analyzer import analyse
 
-    report = CorrectionReport()
-
-    functor_map: Dict[str, str] = dict(manual_functor_renames or {})
     constant_map: Dict[str, str] = dict(manual_constant_renames or {})
-    report.functor_renames.update(functor_map)
-    report.constant_renames.update(constant_map)
-
     fixes = compute_name_fixes(
         generated.to_event_description(),
         vocabulary,
         kb,
-        skip_functors=functor_map,
         skip_constants=constant_map,
     )
     span.count(
         "attempts",
         len(fixes.functor_renames) + len(fixes.constant_renames) + len(fixes.unresolved),
     )
-    functor_map.update(fixes.functor_renames)
     constant_map.update(fixes.constant_renames)
-    report.functor_renames.update(fixes.functor_renames)
-    report.constant_renames.update(fixes.constant_renames)
-    report.unresolved.extend("%s %r" % (kind, name) for kind, name in fixes.unresolved)
-
-    corrected_activities: List[GeneratedActivity] = []
-    for activity in generated.activities:
-        corrected_activities.append(
-            GeneratedActivity(
-                group=activity.group,
-                raw_text=activity.raw_text,
-                rules=[
-                    rewrite_rule(rule, functor_map, constant_map)
-                    for rule in activity.rules
-                ],
-                parse_error=activity.parse_error,
-            )
-        )
     corrected = GeneratedEventDescription(
         model=generated.model,
         scheme=generated.scheme,
-        activities=corrected_activities,
+        activities=[
+            GeneratedActivity(
+                group=activity.group,
+                raw_text=activity.raw_text,
+                rules=rewrite_rules(activity.rules, fixes.functor_renames, constant_map),
+                parse_error=activity.parse_error,
+            )
+            for activity in generated.activities
+        ],
         domain=generated.domain,
     )
-    report.post_lint = analyse(
-        corrected.to_event_description(), vocabulary, kb=kb
+    post_lint = analyse(corrected.to_event_description(), vocabulary, kb=kb)
+    report = CorrectionReport(
+        functor_renames=dict(fixes.functor_renames),
+        constant_renames=dict(constant_map),
+        unresolved=["%s %r" % (kind, name) for kind, name in fixes.unresolved],
+        post_lint=post_lint,
     )
     if span.enabled:
         span.count("functor_renames", len(report.functor_renames))
         span.count("constant_renames", len(report.constant_renames))
         span.count("unresolved", len(report.unresolved))
-        span.count("post_lint_errors", len(report.post_lint.errors))
+        span.count("post_lint_errors", len(post_lint.errors))
         span.count("post_lint_semantic", len(report.semantic_diagnostics))
     return corrected, report

@@ -3,11 +3,9 @@ description.
 
 Convenience layer used by the examples and the experiment harnesses:
 generate with a simulated model, pick the best prompting scheme per model
-(as in Figure 2a), and correct the winners (Figure 2b).
-
-The ``seed`` parameters are kept for the harnesses that pass one: the
-simulated models draw nothing at random, so their replies do not depend
-on it.
+(as in Figure 2a), and correct the winners (Figure 2b). The simulated
+models draw nothing at random, so one model under one scheme always
+generates the same description.
 """
 
 from __future__ import annotations
@@ -28,13 +26,6 @@ if TYPE_CHECKING:
     from repro.domain import GoldDomain
 
 __all__ = ["GenerationOutcome", "generate", "generate_best"]
-
-#: The reviewer-supplied renames the paper describes performing manually
-#: ("we had to rename constant 'trawlingArea' as 'fishing'").
-MANUAL_CONSTANT_RENAMES: Dict[str, Dict[str, str]] = {
-    "o1": {"trawlingArea": "fishing"},
-}
-
 
 @dataclass
 class GenerationOutcome:
@@ -57,7 +48,6 @@ def generate(
     domain: "GoldDomain",
     model: str,
     scheme: str,
-    seed: int = 0,
     client: Optional[LLMClient] = None,
 ) -> GenerationOutcome:
     """Generate an event description of ``domain`` with one model under one
@@ -72,10 +62,10 @@ def generate(
     )
 
 
-def generate_best(domain: "GoldDomain", model: str, seed: int = 0) -> GenerationOutcome:
+def generate_best(domain: "GoldDomain", model: str) -> GenerationOutcome:
     """Generate with both schemes and keep the higher-similarity one,
     exactly as the X-square / X-triangle selection of Figure 2a."""
-    outcomes = [generate(domain, model, scheme, seed=seed) for scheme in PROMPT_SCHEMES]
+    outcomes = [generate(domain, model, scheme) for scheme in PROMPT_SCHEMES]
     return max(outcomes, key=lambda outcome: outcome.average_similarity)
 
 
@@ -85,12 +75,13 @@ def correct_outcome(
     kb: KnowledgeBase,
 ) -> Tuple[GenerationOutcome, CorrectionReport]:
     """Apply minimal syntactic correction (the square/triangle -> filled
-    square/triangle step of Figure 2b) and re-measure similarity."""
+    square/triangle step of Figure 2b), with the reviewer's renames of the
+    outcome's domain for its model, and re-measure similarity."""
     corrected, report = correct_event_description(
         outcome.generated,
         vocabulary,
         kb,
-        manual_constant_renames=MANUAL_CONSTANT_RENAMES.get(outcome.model, {}),
+        manual_constant_renames=outcome.generated.domain.manual_renames.get(outcome.model, {}),
     )
     return (
         GenerationOutcome(

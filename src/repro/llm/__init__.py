@@ -2,8 +2,9 @@
 
 The paper generates activity definitions with GPT-4, GPT-4o, o1, Llama-3,
 Mistral and Gemma-2 through the OpenAI and Groq APIs; this reproduction
-substitutes seeded :class:`~repro.llm.simulated.SimulatedLLM` backends with
-per-model error profiles (see DESIGN.md, "Substitutions"). The pipeline
+substitutes deterministic :class:`~repro.llm.simulated.SimulatedLLM`
+backends with per-model error profiles (see DESIGN.md, "Substitutions"):
+the same conversation always gets the same reply. The pipeline
 itself (:class:`~repro.llm.pipeline.GenerationPipeline`) is
 backend-agnostic: point it at any :class:`~repro.llm.interface.LLMClient`
 and any gold domain (:class:`repro.domain.GoldDomain`).

@@ -35,4 +35,6 @@ MARITIME = GoldDomain(
     background_note=BACKGROUND_NOTE,
     profile=profile_for,
     dataset=_dataset,
+    # "we had to rename constant 'trawlingArea' as 'fishing'"
+    manual_renames={"o1": {"trawlingArea": "fishing"}},
 )

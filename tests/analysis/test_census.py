@@ -1,15 +1,15 @@
 """The analyser's census: which diagnostic codes fire on what the repo produces.
 
 The corpus is every event description the repository itself produces: both
-golds, plus 6 simulated models x 2 prompting schemes x seeds 0-4 in both
-domains, each raw and after correction (242 descriptions). Each one goes
+golds, plus 6 simulated models x 2 prompting schemes in both domains, each
+raw and after correction (50 descriptions). Each one goes
 through ``analyse`` with its domain's vocabulary and knowledge base, which
 runs the certification passes too. Every state the maritime and fleet
 repair experiments analyse is added (92 states), with its codes.
 
 The fired set is pinned, so a code that stops or starts firing fails here.
 A registered code that never fires on the corpus must say why it is kept.
-The Section 5.2 error classifier's per-category totals over the 240
+The Section 5.2 error classifier's per-category totals over the 48
 generated descriptions are pinned too.
 """
 
@@ -23,7 +23,6 @@ from repro.fleet.gold import (
     FLEET_VOCABULARY,
     fleet_gold_event_description,
 )
-from repro.generation.correction import correct_event_description
 from repro.generation.error_analysis import analyse_errors
 from repro.generation.generator import correct_outcome, generate
 from repro.llm.profiles import MODEL_NAMES
@@ -60,13 +59,13 @@ KEPT_WITHOUT_FIRING = {
 }
 
 
-#: Per-category totals of ``analyse_errors`` over the 240 generated descriptions.
+#: Per-category totals of ``analyse_errors`` over the 48 generated descriptions.
 ERROR_TOTALS = {
-    "naming-divergence": 505,
-    "wrong-fluent-type": 220,
-    "undefined-activity": 160,
-    "wrong-operator": 260,
-    "missing-rule": 860,
+    "naming-divergence": 101,
+    "wrong-fluent-type": 44,
+    "undefined-activity": 32,
+    "wrong-operator": 52,
+    "missing-rule": 172,
     "syntax-error": 0,
 }
 
@@ -80,21 +79,14 @@ def _corpus():
         (gold_event_description(), MARITIME_VOCABULARY, maritime_kb, None),
         (fleet_gold_event_description(), FLEET_VOCABULARY, fleet_kb, None),
     ]
-    for seed in range(5):
-        for model in MODEL_NAMES:
-            for scheme in PROMPT_SCHEMES:
-                outcome = generate(MARITIME, model, scheme, seed=seed)
-                corrected, _report = correct_outcome(outcome, MARITIME_VOCABULARY, maritime_kb)
+    for model in MODEL_NAMES:
+        for scheme in PROMPT_SCHEMES:
+            for domain, kb in ((MARITIME, maritime_kb), (FLEET, fleet_kb)):
+                outcome = generate(domain, model, scheme)
+                corrected, _report = correct_outcome(outcome, domain.vocabulary, kb)
                 for generated in (outcome.generated, corrected.generated):
                     entries.append(
-                        (generated.to_event_description(), MARITIME_VOCABULARY, maritime_kb,
-                         generated)
-                    )
-                raw = generate(FLEET, model, scheme, seed=seed).generated
-                fixed, _report = correct_event_description(raw, FLEET_VOCABULARY, fleet_kb)
-                for generated in (raw, fixed):
-                    entries.append(
-                        (generated.to_event_description(), FLEET_VOCABULARY, fleet_kb, generated)
+                        (generated.to_event_description(), domain.vocabulary, kb, generated)
                     )
     return entries
 
@@ -121,7 +113,7 @@ def census(corpus, repair_runs):
 
 def test_the_corpus_is_every_description_the_repo_produces(census):
     size, states, _fired, _reports = census
-    assert size == 2 + 2 * len(MODEL_NAMES) * len(PROMPT_SCHEMES) * 5 * 2 == 242
+    assert size == 2 + 2 * len(MODEL_NAMES) * len(PROMPT_SCHEMES) * 2 == 50
     assert states == 92
 
 
@@ -133,7 +125,7 @@ def test_the_fired_codes_are_pinned(census):
 def test_every_description_without_an_error_certifies_clean(census):
     *_, reports = census
     certificates = [AnalysisCertificate.from_report(r) for r in reports if not r.has_errors]
-    assert len(certificates) == 54
+    assert len(certificates) == 26
     assert all(c.delta_safe and c.memory_bounded for c in certificates)
 
 

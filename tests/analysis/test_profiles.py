@@ -12,7 +12,7 @@ from repro.maritime import MARITIME, MARITIME_VOCABULARY
 @pytest.mark.parametrize("model", MODEL_NAMES)
 class TestProfiles:
     def test_lints_without_crashing(self, model):
-        outcome = generate(MARITIME, model, BEST_SCHEME[model], seed=0)
+        outcome = generate(MARITIME, model, BEST_SCHEME[model])
         report = analyse(
             outcome.generated.to_event_description(),
             MARITIME_VOCABULARY,
@@ -24,7 +24,7 @@ class TestProfiles:
         assert report.to_json()
 
     def test_undefined_activities_surface_as_rtec004(self, model):
-        outcome = generate(MARITIME, model, BEST_SCHEME[model], seed=0)
+        outcome = generate(MARITIME, model, BEST_SCHEME[model])
         errors = analyse_errors(outcome.generated, MARITIME_VOCABULARY)
         report = analyse(
             outcome.generated.to_event_description(), MARITIME_VOCABULARY
@@ -34,7 +34,7 @@ class TestProfiles:
 
 
 def test_flawless_profile_is_error_clean():
-    outcome = generate(MARITIME, "o1", BEST_SCHEME["o1"], seed=0)
+    outcome = generate(MARITIME, "o1", BEST_SCHEME["o1"])
     report = analyse(
         outcome.generated.to_event_description(), MARITIME_VOCABULARY
     )

@@ -169,38 +169,39 @@ class TestSimulatedModels:
         from repro.generation import correct_event_description, generate
         from repro.llm.simulated import SimulatedLLM
 
-        outcome = generate(MARITIME, "gemma-2", "few-shot", seed=0)
-        baseline_corrected, _ = correct_event_description(
+        outcome = generate(MARITIME, "gemma-2", "few-shot")
+        corrected, _ = correct_event_description(
             outcome.generated, MARITIME_VOCABULARY, small_dataset.kb
         )
-        baseline = average_similarity(baseline_corrected)
-        _repaired, report = correct_event_description(
-            outcome.generated,
+        baseline = average_similarity(corrected)
+        result = repair_event_description(
+            corrected,
             MARITIME_VOCABULARY,
             small_dataset.kb,
-            repair=True,
             client=SimulatedLLM("gemma-2", MARITIME),
         )
-        result = report.repair
         assert isinstance(result, RepairResult)
         assert result.status in ("clean", "converged", "fixpoint")
         assert len(result.iterations) <= 5
         assert result.final_similarity > baseline
-        assert report.post_lint is result.final_report
+        # the final report and similarity are those of the final state
+        assert result.final_report is not None
+        assert average_similarity(result.generated) == result.final_similarity
 
     def test_iteration_report_shape(self, small_dataset):
         from repro.generation import correct_event_description, generate
         from repro.llm.simulated import SimulatedLLM
 
-        outcome = generate(MARITIME, "mistral", "few-shot", seed=0)
-        _repaired, report = correct_event_description(
-            outcome.generated,
+        outcome = generate(MARITIME, "mistral", "few-shot")
+        corrected, _ = correct_event_description(
+            outcome.generated, MARITIME_VOCABULARY, small_dataset.kb
+        )
+        result = repair_event_description(
+            corrected,
             MARITIME_VOCABULARY,
             small_dataset.kb,
-            repair=True,
             client=SimulatedLLM("mistral", MARITIME),
         )
-        result = report.repair
         assert result.iterations, "the weak profile should need repair"
         data = result.to_dict()
         assert data["status"] == result.status

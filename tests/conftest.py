@@ -39,7 +39,7 @@ def gold_recognition(small_dataset, gold_description):
 
 @pytest.fixture(scope="session")
 def repair_runs():
-    """The maritime and fleet repair experiments at seed 0, and every state
+    """The maritime and fleet repair experiments, and every state
     the repair loop analysed on the way: the analyser census reads both,
     and the paper claims gate both."""
     states = []
@@ -52,7 +52,7 @@ def repair_runs():
 
         patch.setattr(repair, "_analyse", recorded)
         experiments = tuple(
-            run_repair_experiment(domain, kb, seed=0)
+            run_repair_experiment(domain, kb)
             for domain, kb in (
                 (MARITIME, build_dataset(seed=0, scale=0.05).kb),
                 (FLEET, FLEET.dataset().kb),

@@ -63,6 +63,31 @@ class TestRepairExperiment:
         with pytest.raises(KeyError):
             result.entry("gpt-4", "few-shot")
 
+    def test_each_combo_is_corrected_once(self, monkeypatch):
+        # The repair loop starts from the one corrected description that
+        # also gives the baseline.
+        import repro.generation.correction as correction
+        from repro.experiments.repair import run_repair_experiment
+        from repro.fleet import FLEET
+
+        calls = []
+        original = correction._correct
+
+        def counted(generated, *args):
+            calls.append((generated.model, generated.scheme))
+            return original(generated, *args)
+
+        monkeypatch.setattr(correction, "_correct", counted)
+        run_repair_experiment(
+            FLEET, FLEET.dataset().kb, models=("gpt-4", "o1"),
+            schemes=("few-shot", "chain-of-thought"),
+        )
+        assert sorted(calls) == sorted(
+            (model, scheme)
+            for model in ("gpt-4", "o1")
+            for scheme in ("few-shot", "chain-of-thought")
+        )
+
     def test_fleet_single_combo(self):
         from repro.experiments.repair import run_repair_experiment
         from repro.fleet import FLEET

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.generation.correction import correct_event_description, levenshtein
-from repro.generation.generator import generate
+from repro.generation.generator import correct_outcome, generate
 from repro.llm import FEW_SHOT, CHAIN_OF_THOUGHT
 from repro.maritime import MARITIME
 from repro.maritime.dataset import build_knowledge_base
@@ -101,6 +101,18 @@ class TestManualRenames:
         )
         assert "trawlingArea" not in corrected.to_text()
         assert report.constant_renames["trawlingArea"] == "fishing"
+
+    def test_reviewer_renames_belong_to_the_domain(self, kb):
+        # o1's trawlingArea -> fishing is a maritime judgement: a fleet o1
+        # outcome is corrected without it.
+        from repro.fleet import FLEET
+
+        maritime = generate(MARITIME, "o1", FEW_SHOT)
+        _corrected, report = correct_outcome(maritime, MARITIME_VOCABULARY, kb)
+        assert report.constant_renames["trawlingArea"] == "fishing"
+        fleet = generate(FLEET, "o1", FEW_SHOT)
+        _corrected, report = correct_outcome(fleet, FLEET.vocabulary, FLEET.dataset().kb)
+        assert "trawlingArea" not in report.constant_renames
 
     def test_correction_is_idempotent(self, kb):
         outcome = generate(MARITIME, "llama-3", FEW_SHOT)

@@ -10,11 +10,14 @@ were taken at ``4fe7c00``, before each domain became one record.
 """
 
 import hashlib
+import inspect
 
 import pytest
 
 from repro.domain import GOLD_NAMES, gold_domain
-from repro.generation import generate
+from repro.experiments.fig2b import run_fig2b
+from repro.experiments.repair import run_repair_experiment
+from repro.generation import generate, generate_best
 from repro.llm import GenerationPipeline, SimulatedLLM
 from repro.llm.profiles import MODEL_NAMES
 from repro.llm.prompts import ALL_PROMPT_SCHEMES
@@ -133,13 +136,14 @@ def test_both_repair_experiments(repair_runs):
 
 @pytest.mark.parametrize("name", GOLD_NAMES)
 def test_replies_do_not_depend_on_the_seed(name):
-    """The simulated models draw nothing at random: every seed generates the
-    same text (``seed`` stays a parameter of the harnesses that pass one)."""
+    """The simulated models draw nothing at random, so generation takes no
+    seed, and two generations of one model under one scheme are equal."""
+    for function in (generate, generate_best, run_fig2b, run_repair_experiment):
+        assert "seed" not in inspect.signature(function).parameters, function.__name__
     domain = gold_domain(name)
     for model in MODEL_NAMES:
         for scheme in ALL_PROMPT_SCHEMES:
-            texts = {
-                _replies(generate(domain, model, scheme, seed=seed).generated)
-                for seed in (0, 1, 4)
-            }
-            assert len(texts) == 1, (model, scheme)
+            first, second = (
+                _replies(generate(domain, model, scheme).generated) for _ in range(2)
+            )
+            assert first == second, (model, scheme)

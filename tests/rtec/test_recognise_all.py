@@ -33,7 +33,7 @@ def corpus(dataset):
     texts = []
     for model in MODEL_NAMES:
         for scheme in PROMPT_SCHEMES:
-            outcome = generate(MARITIME, model, scheme, seed=0)
+            outcome = generate(MARITIME, model, scheme)
             corrected, _report = correct_outcome(outcome, dataset.vocabulary, dataset.kb)
             texts += [outcome.generated.to_text(), corrected.generated.to_text()]
     return texts
